@@ -22,6 +22,14 @@ them:
   "y", "T", "T_prime", "T_star_1", ...).  Item-valued bindings are 1-bit
   masks.  Every witness is self-certifying: :func:`recheck_witness`
   re-evaluates the postulate at the bindings and confirms the violation.
+
+:data:`AXIOMS` maps every axiom to its check and its applicability, and
+:data:`CHARACTERIZING_AXIOMS` maps every model variant to the axioms that
+characterize it; the suites, classification, identification and the fuzz
+harness all read these two tables.  :func:`run_axiom` always evaluates;
+:func:`cached_report` and the ``cached_revealed_*`` functions keep each
+result in the SCC's memo, so a dataset is decided once per tolerance and
+witness cap.
 """
 
 from __future__ import annotations
@@ -29,8 +37,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .core import (
     SCC,
@@ -51,6 +60,7 @@ from .core import (
     require_complete,
     submasks,
 )
+from .models import ModelTag
 
 #: Default cap on the number of witnesses kept per report.
 WITNESS_CAP = 10
@@ -144,9 +154,39 @@ def _positive_rows(scc: SCC, tol: ToleranceConfig) -> dict[int, dict[int, Prob]]
     }
 
 
-def _ratio(num: Prob, den: Prob) -> Prob:
-    """Division for reporting guarded ratios (exact for Fractions)."""
-    return num / den
+def _memoized(scc: SCC, key: tuple, compute: Callable[[], Any]) -> Any:
+    """``compute()``, stored in the SCC's memo under ``key`` on first use."""
+    if key not in scc.memo:
+        scc.memo[key] = compute()
+    return scc.memo[key]
+
+
+def cached_revealed_constraints(
+    scc: SCC, tol: ToleranceConfig = DEFAULT_TOL
+) -> dict[int, int]:
+    """:func:`derive_revealed_constraints`, derived once per SCC and tolerance."""
+    return _memoized(
+        scc, ("constraints", tol), lambda: derive_revealed_constraints(scc, tol)
+    )
+
+
+def cached_revealed_nests(scc: SCC, tol: ToleranceConfig = DEFAULT_TOL) -> list[int]:
+    """:func:`derive_revealed_nests`, derived once per SCC and tolerance."""
+    return _memoized(scc, ("nests", tol), lambda: derive_revealed_nests(scc, tol))
+
+
+def _removals(
+    scc: SCC,
+) -> Iterator[tuple[int, int, int, dict[int, Prob], dict[int, Prob]]]:
+    """(S, x, S\\x, row of S, row of S\\x) for every menu S of two or more items
+    and every item x of S (as a 1-bit mask), menus and items ascending."""
+    for s in scc.menus():
+        if popcount(s) < 2:
+            continue
+        row_s = scc.rows[s]
+        for x in bits(s):
+            xbit = 1 << x
+            yield s, xbit, s & ~xbit, row_s, scc.rows[s & ~xbit]
 
 
 def check_full_support(
@@ -248,51 +288,45 @@ def check_iis(
 
 
 def _rel_add_scan(
-    scc: SCC,
-    tol: ToleranceConfig,
-    cap: int,
-    axiom: AxiomId,
-    constraints: Optional[dict[int, int]] = None,
+    scc: SCC, tol: ToleranceConfig, cap: int, axiom: AxiomId
 ) -> AxiomReport:
     """Shared scan for relative additivity and its constraint-aware variant.
 
     Domain: menus S with at least two items, items x in S, unordered pairs of
     distinct non-empty collections T < T' contained in S minus x (identical
-    pairs hold trivially and are not enumerated).  With ``constraints``
-    given, instances touching the revealed constraint set of x restricted to
-    S minus x are vacuous instead of checked.
+    pairs hold trivially and are not enumerated).  For REL_ADD_1, instances
+    touching the revealed constraint set of x restricted to S minus x are
+    vacuous instead of checked.
     """
+    require_complete(scc)
+    constraints = (
+        cached_revealed_constraints(scc, tol) if axiom is AxiomId.REL_ADD_1 else None
+    )
     out = _Collector(axiom, cap)
     zero = scc.zero()
     checked = 0
     vacuous = 0
-    for s in scc.menus():
-        if popcount(s) < 2:
-            continue
-        row_s = scc.rows[s]
-        for x in bits(s):
-            xbit = 1 << x
-            rest = s & ~xbit
-            row_rest = scc.rows[rest]
-            excluded = constraints[x] & rest if constraints is not None else None
-            subs = nonempty_submasks(rest)
-            pair_sum = {
-                t: row_s.get(t, zero) + row_s.get(t | xbit, zero) for t in subs
-            }
-            for a_idx in range(len(subs)):
-                t = subs[a_idx]
-                for b_idx in range(a_idx + 1, len(subs)):
-                    t2 = subs[b_idx]
-                    if excluded is not None and excluded in (t, t2):
-                        vacuous += 1
-                        continue
-                    checked += 1
-                    lhs = row_rest.get(t, zero) * pair_sum[t2]
-                    rhs = row_rest.get(t2, zero) * pair_sum[t]
-                    if not probs_equal(scc, lhs, rhs, tol):
-                        out.add(
-                            {"S": s, "x": xbit, "T": t, "T_prime": t2}, lhs, rhs
-                        )
+    for s, xbit, rest, row_s, row_rest in _removals(scc):
+        x = xbit.bit_length() - 1
+        excluded = constraints[x] & rest if constraints is not None else None
+        subs = nonempty_submasks(rest)
+        pair_sum = {
+            t: row_s.get(t, zero) + row_s.get(t | xbit, zero) for t in subs
+        }
+        for a_idx in range(len(subs)):
+            t = subs[a_idx]
+            for b_idx in range(a_idx + 1, len(subs)):
+                t2 = subs[b_idx]
+                if excluded is not None and excluded in (t, t2):
+                    vacuous += 1
+                    continue
+                checked += 1
+                lhs = row_rest.get(t, zero) * pair_sum[t2]
+                rhs = row_rest.get(t2, zero) * pair_sum[t]
+                if not probs_equal(scc, lhs, rhs, tol):
+                    out.add(
+                        {"S": s, "x": xbit, "T": t, "T_prime": t2}, lhs, rhs
+                    )
     return out.report(scc, checked, vacuous)
 
 
@@ -305,7 +339,6 @@ def check_relative_additivity(
     mu(T u x, S)] for every menu S, item x in S, and distinct non-empty
     T, T' contained in S\\x.  No guards: zero probabilities participate.
     """
-    require_complete(scc)
     return _rel_add_scan(scc, tol, cap, AxiomId.REL_ADD)
 
 
@@ -329,23 +362,15 @@ def check_additivity(
     out = _Collector(AxiomId.ADDITIVITY, cap)
     zero = scc.zero()
     checked = 0
-    vacuous = 0
-    for s in scc.menus():
-        row_s = scc.rows[s]
-        for x in bits(s):
-            xbit = 1 << x
-            rest = s & ~xbit
-            if rest == 0:
-                vacuous += 1  # lone T = empty instance; S\x is not a menu
-                continue
-            row_rest = scc.rows[rest]
-            for t in submasks(rest):
-                checked += 1
-                lhs = row_rest.get(t, zero)
-                rhs = row_s.get(t, zero) + row_s.get(t | xbit, zero)
-                if not probs_equal(scc, lhs, rhs, tol):
-                    out.add({"S": s, "x": xbit, "T": t}, lhs, rhs)
-    return out.report(scc, checked, vacuous)
+    for s, xbit, rest, row_s, row_rest in _removals(scc):
+        for t in submasks(rest):
+            checked += 1
+            lhs = row_rest.get(t, zero)
+            rhs = row_s.get(t, zero) + row_s.get(t | xbit, zero)
+            if not probs_equal(scc, lhs, rhs, tol):
+                out.add({"S": s, "x": xbit, "T": t}, lhs, rhs)
+    # each singleton menu's lone T = empty instance is vacuous: S\x is not a menu
+    return out.report(scc, checked, scc.universe.n)
 
 
 def derive_revealed_constraints(
@@ -464,7 +489,7 @@ def check_positivity(
             lambda menu: {c & menu for c in carriers if c & menu},
         )
     if kind == 3:
-        revealed = derive_revealed_constraints(scc, tol)
+        revealed = cached_revealed_constraints(scc, tol)
         return _support_shape_report(
             scc,
             tol,
@@ -473,7 +498,7 @@ def check_positivity(
             lambda menu: {revealed[x] & menu for x in bits(menu)},
         )
     if kind == 4:
-        nests = derive_revealed_nests(scc, tol)
+        nests = cached_revealed_nests(scc, tol)
         return _support_shape_report(
             scc,
             tol,
@@ -485,9 +510,11 @@ def check_positivity(
 
 
 def _distinct_constraints_report(
-    scc: SCC, revealed: dict[int, int], cap: int
+    scc: SCC, tol: ToleranceConfig, cap: int
 ) -> AxiomReport:
     """No two items may reveal the same constraint set (n-choose-2 pairs)."""
+    require_complete(scc)
+    revealed = cached_revealed_constraints(scc, tol)
     out = _Collector(AxiomId.DISTINCT_Q, cap)
     n = scc.universe.n
     for x, y in combinations(range(n), 2):
@@ -496,12 +523,7 @@ def _distinct_constraints_report(
     return out.report(scc, n * (n - 1) // 2, 0)
 
 
-def _rel_add_adjusted(
-    scc: SCC,
-    tol: ToleranceConfig,
-    cap: int,
-    revealed: dict[int, int],
-) -> AxiomReport:
+def _rel_add_adjusted(scc: SCC, tol: ToleranceConfig, cap: int) -> AxiomReport:
     """Relative additivity at the revealed constraint set, with adjustment.
 
     For T = (revealed constraint set of x) n (S\\x), when non-empty, and every
@@ -515,6 +537,8 @@ def _rel_add_adjusted(
     the denominator.  Vacuous instances: T empty, or zero adjustment
     denominator.
     """
+    require_complete(scc)
+    revealed = cached_revealed_constraints(scc, tol)
     out = _Collector(AxiomId.REL_ADD_2, cap)
     zero = scc.zero()
     full = scc.universe.full_mask
@@ -549,7 +573,7 @@ def _rel_add_adjusted(
                 cleared_rhs = denom * mu_t2_rest * t_sum
                 if not probs_equal(scc, cleared_lhs, cleared_rhs, tol):
                     lhs = mu_t_rest * t2_sum
-                    rhs = mu_t2_rest * (t_sum - _ratio(adj_num, denom))
+                    rhs = mu_t2_rest * (t_sum - adj_num / denom)
                     out.add({"S": s, "x": xbit, "T": t, "T_prime": t2}, lhs, rhs)
     return out.report(scc, checked, vacuous)
 
@@ -563,13 +587,9 @@ def check_rrm_suite(
     away from the revealed constraint set; adjusted relative additivity at
     the revealed constraint set.
     """
-    require_complete(scc)
-    revealed = derive_revealed_constraints(scc, tol)
     return [
-        _distinct_constraints_report(scc, revealed, cap),
-        check_positivity(scc, 3, tol, cap=cap),
-        _rel_add_scan(scc, tol, cap, AxiomId.REL_ADD_1, constraints=revealed),
-        _rel_add_adjusted(scc, tol, cap, revealed),
+        cached_report(scc, axiom, tol, cap=cap)
+        for axiom in CHARACTERIZING_AXIOMS[(ModelTag.RRM, False)]
     ]
 
 
@@ -591,7 +611,7 @@ def _chain_witness(
         "S_2": s2,
         "S_prime_2": sp2,
     }
-    return bindings, _ratio(num1, den1), _ratio(num2, den2)
+    return bindings, num1 / den1, num2 / den2
 
 
 def check_piis(
@@ -727,8 +747,9 @@ def _partition_report(scc: SCC, tol: ToleranceConfig, cap: int) -> AxiomReport:
     Domain: one disjointness instance per nest pair plus one coverage
     instance.  Coverage failures bind the uncovered items under "uncovered".
     """
+    require_complete(scc)
     out = _Collector(AxiomId.PARTITION, cap)
-    nests = derive_revealed_nests(scc, tol)
+    nests = cached_revealed_nests(scc, tol)
     for i in range(len(nests)):
         for j in range(i + 1, len(nests)):
             if nests[i] & nests[j]:
@@ -747,11 +768,9 @@ def check_nsc_structure(
 ) -> list[AxiomReport]:
     """The nested-choice trio: path-independence, revealed-nest partition,
     kind-4 positivity."""
-    require_complete(scc)
     return [
-        check_piis(scc, tol, cap),
-        _partition_report(scc, tol, cap),
-        check_positivity(scc, 4, tol, cap=cap),
+        cached_report(scc, axiom, tol, cap=cap)
+        for axiom in CHARACTERIZING_AXIOMS[(ModelTag.NSC, False)]
     ]
 
 
@@ -771,28 +790,21 @@ def check_paf(
     zero = scc.zero()
     checked = 0
     vacuous = 0
-    for s in scc.menus():
-        if popcount(s) < 2:
-            continue
-        row_s = scc.rows[s]
-        for x in bits(s):
-            xbit = 1 << x
-            rest = s & ~xbit
-            row_rest = scc.rows[rest]
-            gate = is_zero(scc, row_s.get(xbit, zero), tol)
-            for t in nonempty_submasks(rest):
-                lhs = row_s.get(t, zero)
-                rhs = row_rest.get(t, zero)
-                if not (
-                    gate
-                    and is_positive(scc, lhs, tol)
-                    and is_positive(scc, rhs, tol)
-                ):
-                    vacuous += 1
-                    continue
-                checked += 1
-                if not probs_equal(scc, lhs, rhs, tol):
-                    out.add({"S": s, "x": xbit, "T": t}, lhs, rhs)
+    for s, xbit, rest, row_s, row_rest in _removals(scc):
+        gate = is_zero(scc, row_s.get(xbit, zero), tol)
+        for t in nonempty_submasks(rest):
+            lhs = row_s.get(t, zero)
+            rhs = row_rest.get(t, zero)
+            if not (
+                gate
+                and is_positive(scc, lhs, tol)
+                and is_positive(scc, rhs, tol)
+            ):
+                vacuous += 1
+                continue
+            checked += 1
+            if not probs_equal(scc, lhs, rhs, tol):
+                out.add({"S": s, "x": xbit, "T": t}, lhs, rhs)
     return out.report(scc, checked, vacuous)
 
 
@@ -877,21 +889,14 @@ def monotonicity_violations(
     require_complete(scc)
     zero = scc.zero()
     offenders = []
-    for s in scc.menus():
-        if popcount(s) < 2:
-            continue
-        row_s = scc.rows[s]
-        for x in bits(s):
-            xbit = 1 << x
-            rest = s & ~xbit
-            row_rest = scc.rows[rest]
-            for t in nonempty_submasks(rest):
-                larger = row_s.get(t, zero)
-                smaller = row_rest.get(t, zero)
-                if larger > smaller and not probs_equal(scc, larger, smaller, tol):
-                    offenders.append(
-                        {"S": s, "x": xbit, "T": t, "lhs": larger, "rhs": smaller}
-                    )
+    for s, xbit, rest, row_s, row_rest in _removals(scc):
+        for t in nonempty_submasks(rest):
+            larger = row_s.get(t, zero)
+            smaller = row_rest.get(t, zero)
+            if larger > smaller and not probs_equal(scc, larger, smaller, tol):
+                offenders.append(
+                    {"S": s, "x": xbit, "T": t, "lhs": larger, "rhs": smaller}
+                )
     return offenders
 
 
@@ -909,27 +914,20 @@ def support_transfer_violations(
     require_complete(scc)
     zero = scc.zero()
     offenders = []
-    for s in scc.menus():
-        if popcount(s) < 2:
-            continue
-        row_s = scc.rows[s]
-        for x in bits(s):
-            xbit = 1 << x
-            rest = s & ~xbit
-            row_rest = scc.rows[rest]
-            for t in nonempty_submasks(rest):
-                small = row_rest.get(t, zero)
-                pair = row_s.get(t, zero) + row_s.get(t | xbit, zero)
-                small_zero = is_zero(scc, small, tol)
-                pair_zero = is_zero(scc, pair, tol)
-                if small_zero and not pair_zero:
-                    offenders.append(
-                        {"S": s, "x": xbit, "T": t, "direction": "zero_spreads"}
-                    )
-                elif not small_zero and pair_zero:
-                    offenders.append(
-                        {"S": s, "x": xbit, "T": t, "direction": "support_drops"}
-                    )
+    for s, xbit, rest, row_s, row_rest in _removals(scc):
+        for t in nonempty_submasks(rest):
+            small = row_rest.get(t, zero)
+            pair = row_s.get(t, zero) + row_s.get(t | xbit, zero)
+            small_zero = is_zero(scc, small, tol)
+            pair_zero = is_zero(scc, pair, tol)
+            if small_zero and not pair_zero:
+                offenders.append(
+                    {"S": s, "x": xbit, "T": t, "direction": "zero_spreads"}
+                )
+            elif not small_zero and pair_zero:
+                offenders.append(
+                    {"S": s, "x": xbit, "T": t, "direction": "support_drops"}
+                )
     return offenders
 
 
@@ -960,7 +958,7 @@ def _recheck_equation(
         s, xbit, t, t2 = b["S"], b["x"], b["T"], b["T_prime"]
         rest = s & ~xbit
         if ax is AxiomId.REL_ADD_1:
-            excluded = derive_revealed_constraints(scc, tol)[next(bits(xbit))] & rest
+            excluded = cached_revealed_constraints(scc, tol)[next(bits(xbit))] & rest
             if excluded in (t, t2):
                 return None
         lhs = prob_lookup(scc, t, rest) * (
@@ -973,7 +971,7 @@ def _recheck_equation(
     if ax is AxiomId.REL_ADD_2:
         s, xbit, t, t2 = b["S"], b["x"], b["T"], b["T_prime"]
         rest = s & ~xbit
-        revealed = derive_revealed_constraints(scc, tol)
+        revealed = cached_revealed_constraints(scc, tol)
         x = next(bits(xbit))
         if revealed[x] & rest != t or t == 0 or t2 == t:
             return None
@@ -983,7 +981,7 @@ def _recheck_equation(
             denom = denom + prob_lookup(scc, revealed[y], full)
         if is_zero(scc, denom, tol):
             return None
-        adj = _ratio(prob_lookup(scc, revealed[x], full), denom)
+        adj = prob_lookup(scc, revealed[x], full) / denom
         lhs = prob_lookup(scc, t, rest) * (
             prob_lookup(scc, t2, s) + prob_lookup(scc, t2 | xbit, s)
         )
@@ -1011,7 +1009,7 @@ def _recheck_equation(
             den2 = prob_lookup(scc, b["T_prime"], sp)
             if any(is_zero(scc, v, tol) for v in (num1, den1, num2, den2)):
                 return None
-            sides.append(_ratio(num1 * num2, den1 * den2))
+            sides.append(num1 * num2 / (den1 * den2))
         return sides[0], sides[1]
     if ax is AxiomId.PAF:
         s, xbit, t = b["S"], b["x"], b["T"]
@@ -1100,19 +1098,19 @@ def _recheck_structural(
                 )
             achievable = {c & s for c in attributes if c & s}
         elif ax is AxiomId.POS3:
-            revealed = derive_revealed_constraints(scc, tol)
+            revealed = cached_revealed_constraints(scc, tol)
             achievable = {revealed[x] & s for x in bits(s)}
         else:
             achievable = {
-                nest & s for nest in derive_revealed_nests(scc, tol) if nest & s
+                nest & s for nest in cached_revealed_nests(scc, tol) if nest & s
             }
         positive = is_positive(scc, prob_lookup(scc, t, s), tol)
         return positive != (t in achievable)
     if ax is AxiomId.DISTINCT_Q:
-        revealed = derive_revealed_constraints(scc, tol)
+        revealed = cached_revealed_constraints(scc, tol)
         return revealed[next(bits(b["x"]))] == revealed[next(bits(b["y"]))]
     if ax is AxiomId.PARTITION:
-        nests = derive_revealed_nests(scc, tol)
+        nests = cached_revealed_nests(scc, tol)
         if "uncovered" in b:
             union = 0
             for nest in nests:
@@ -1135,6 +1133,70 @@ def _recheck_structural(
     return False
 
 
+class AxiomSpec(NamedTuple):
+    """One registry entry: the check that decides an axiom, called as
+    ``check(scc, tol=..., cap=...)`` plus ``attributes=...`` when it needs
+    them, and the SCCs on which :func:`full_battery` runs it."""
+
+    check: Callable[..., AxiomReport]
+    empty_only: bool = False  # runs only on empty-collection SCCs
+    needs_attributes: bool = False  # runs only when attribute carriers are given
+
+    def applies(self, scc: SCC, attributes: Optional[Sequence[int]]) -> bool:
+        return (scc.allows_empty or not self.empty_only) and (
+            attributes is not None or not self.needs_attributes
+        )
+
+
+#: The axiom registry, in declaration order.
+AXIOMS: dict[AxiomId, AxiomSpec] = {
+    AxiomId.IIS: AxiomSpec(partial(check_iis, empty_variant=False)),
+    AxiomId.IIS_O: AxiomSpec(partial(check_iis, empty_variant=True), empty_only=True),
+    AxiomId.REL_ADD: AxiomSpec(check_relative_additivity),
+    AxiomId.ADDITIVITY: AxiomSpec(check_additivity, empty_only=True),
+    AxiomId.POS1: AxiomSpec(partial(check_positivity, kind=1)),
+    AxiomId.POS2: AxiomSpec(partial(check_positivity, kind=2), needs_attributes=True),
+    AxiomId.DISTINCT_Q: AxiomSpec(_distinct_constraints_report),
+    AxiomId.POS3: AxiomSpec(partial(check_positivity, kind=3)),
+    AxiomId.REL_ADD_1: AxiomSpec(partial(_rel_add_scan, axiom=AxiomId.REL_ADD_1)),
+    AxiomId.REL_ADD_2: AxiomSpec(_rel_add_adjusted),
+    AxiomId.PIIS: AxiomSpec(check_piis),
+    AxiomId.PARTITION: AxiomSpec(_partition_report),
+    AxiomId.POS4: AxiomSpec(partial(check_positivity, kind=4)),
+    AxiomId.PAF: AxiomSpec(check_paf),
+    AxiomId.FULL_SUPPORT: AxiomSpec(check_full_support),
+    AxiomId.DET_FULL_CHOICE: AxiomSpec(
+        partial(check_special, kind=AxiomId.DET_FULL_CHOICE)
+    ),
+    AxiomId.SINGLETON: AxiomSpec(partial(check_special, kind=AxiomId.SINGLETON)),
+}
+
+#: Axiom sets that characterize each (model, empty-variant) combination.
+#: Attribute-based models are checked against their own carriers.
+CHARACTERIZING_AXIOMS: dict[tuple[ModelTag, bool], tuple[AxiomId, ...]] = {
+    (ModelTag.LOGIT, False): (AxiomId.IIS, AxiomId.FULL_SUPPORT),
+    (ModelTag.RCG, False): (AxiomId.POS1, AxiomId.REL_ADD),
+    (ModelTag.IC, False): (AxiomId.IIS, AxiomId.REL_ADD, AxiomId.FULL_SUPPORT),
+    (ModelTag.EBA, False): (AxiomId.POS2, AxiomId.REL_ADD),
+    (ModelTag.AR, False): (AxiomId.POS2, AxiomId.REL_ADD),
+    (ModelTag.RRM, False): (
+        AxiomId.DISTINCT_Q,
+        AxiomId.POS3,
+        AxiomId.REL_ADD_1,
+        AxiomId.REL_ADD_2,
+    ),
+    (ModelTag.NSC, False): (AxiomId.PIIS, AxiomId.PARTITION, AxiomId.POS4),
+    (ModelTag.NESTED_LOGIT, False): (
+        AxiomId.PIIS,
+        AxiomId.PARTITION,
+        AxiomId.POS4,
+    ),
+    (ModelTag.LOGIT, True): (AxiomId.IIS_O, AxiomId.FULL_SUPPORT),
+    (ModelTag.RCG, True): (AxiomId.ADDITIVITY,),
+    (ModelTag.IC, True): (AxiomId.IIS_O, AxiomId.ADDITIVITY),
+}
+
+
 def run_axiom(
     scc: SCC,
     axiom: AxiomId,
@@ -1142,49 +1204,28 @@ def run_axiom(
     attributes: Optional[Sequence[int]] = None,
     cap: int = WITNESS_CAP,
 ) -> AxiomReport:
-    """Run a single axiom check by id (shared dispatcher for CLI and tests)."""
-    if axiom is AxiomId.IIS:
-        return check_iis(scc, tol, empty_variant=False, cap=cap)
-    if axiom is AxiomId.IIS_O:
-        return check_iis(scc, tol, empty_variant=True, cap=cap)
-    if axiom is AxiomId.REL_ADD:
-        return check_relative_additivity(scc, tol, cap)
-    if axiom is AxiomId.ADDITIVITY:
-        return check_additivity(scc, tol, cap)
-    if axiom is AxiomId.POS1:
-        return check_positivity(scc, 1, tol, cap=cap)
-    if axiom is AxiomId.POS2:
-        return check_positivity(scc, 2, tol, attributes=attributes, cap=cap)
-    if axiom is AxiomId.POS3:
-        return check_positivity(scc, 3, tol, cap=cap)
-    if axiom is AxiomId.POS4:
-        return check_positivity(scc, 4, tol, cap=cap)
-    if axiom is AxiomId.DISTINCT_Q:
-        require_complete(scc)
-        return _distinct_constraints_report(
-            scc, derive_revealed_constraints(scc, tol), cap
-        )
-    if axiom is AxiomId.REL_ADD_1:
-        require_complete(scc)
-        return _rel_add_scan(
-            scc, tol, cap, AxiomId.REL_ADD_1,
-            constraints=derive_revealed_constraints(scc, tol),
-        )
-    if axiom is AxiomId.REL_ADD_2:
-        require_complete(scc)
-        return _rel_add_adjusted(scc, tol, cap, derive_revealed_constraints(scc, tol))
-    if axiom is AxiomId.PIIS:
-        return check_piis(scc, tol, cap)
-    if axiom is AxiomId.PARTITION:
-        require_complete(scc)
-        return _partition_report(scc, tol, cap)
-    if axiom is AxiomId.PAF:
-        return check_paf(scc, tol, cap)
-    if axiom is AxiomId.FULL_SUPPORT:
-        return check_full_support(scc, tol, cap)
-    if axiom in (AxiomId.DET_FULL_CHOICE, AxiomId.SINGLETON):
-        return check_special(scc, axiom, tol, cap)
-    raise ValueError(f"unknown axiom {axiom}")
+    """Evaluate a single axiom check by id; see :func:`cached_report` to reuse
+    a report already made on the same SCC."""
+    spec = AXIOMS[AxiomId(axiom)]
+    context = {"attributes": attributes} if spec.needs_attributes else {}
+    return spec.check(scc, tol=tol, cap=cap, **context)
+
+
+def cached_report(
+    scc: SCC,
+    axiom: AxiomId,
+    tol: ToleranceConfig = DEFAULT_TOL,
+    attributes: Optional[Sequence[int]] = None,
+    cap: int = WITNESS_CAP,
+) -> AxiomReport:
+    """:func:`run_axiom`, evaluated once per SCC, tolerance and witness cap.
+
+    Only the memo key of a check that reads ``attributes`` carries them.
+    """
+    key: tuple = (axiom, tol, cap)
+    if AXIOMS[axiom].needs_attributes and attributes is not None:
+        key += (tuple(attributes),)
+    return _memoized(scc, key, lambda: run_axiom(scc, axiom, tol, attributes, cap))
 
 
 def full_battery(
@@ -1198,11 +1239,8 @@ def full_battery(
     Empty-collection postulates run only on empty-collection SCCs; kind-2
     positivity runs only when attribute carriers are supplied.
     """
-    reports = []
-    for axiom in AxiomId:
-        if axiom in (AxiomId.IIS_O, AxiomId.ADDITIVITY) and not scc.allows_empty:
-            continue
-        if axiom is AxiomId.POS2 and attributes is None:
-            continue
-        reports.append(run_axiom(scc, axiom, tol=tol, attributes=attributes, cap=cap))
-    return reports
+    return [
+        cached_report(scc, axiom, tol, attributes, cap)
+        for axiom, spec in AXIOMS.items()
+        if spec.applies(scc, attributes)
+    ]

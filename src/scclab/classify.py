@@ -14,8 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .axioms import AxiomId, AxiomReport, WITNESS_CAP, run_axiom
+from .axioms import CHARACTERIZING_AXIOMS, AxiomId, WITNESS_CAP, cached_report
 from .core import SCC, DEFAULT_TOL, ToleranceConfig, require_complete
+from .models import ModelTag
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -154,53 +155,40 @@ def classify(
     underlying theorems genuinely fail there.
     """
     require_complete(scc)
-    cache: dict[AxiomId, AxiomReport] = {}
 
-    def report_of(axiom: AxiomId) -> AxiomReport:
-        if axiom not in cache:
-            cache[axiom] = run_axiom(scc, axiom, tol=tol, attributes=attributes, cap=cap)
-        return cache[axiom]
+    def holds(axiom: AxiomId) -> bool:
+        return cached_report(scc, axiom, tol, attributes, cap).holds
 
-    def verdict(*axioms: AxiomId) -> MembershipVerdict:
-        failing = tuple(a for a in axioms if not report_of(a).holds)
+    def member(model: ModelTag) -> MembershipVerdict:
+        axioms = CHARACTERIZING_AXIOMS[(model, scc.allows_empty)]
+        failing = tuple(a for a in axioms if not holds(a))
         return MembershipVerdict(FAILS if failing else HOLDS, failing)
 
     na = MembershipVerdict(NOT_APPLICABLE)
     membership: dict[str, MembershipVerdict] = {key: na for key in MEMBERSHIP_KEYS}
 
     special = {
-        "DET_FULL_CHOICE": report_of(AxiomId.DET_FULL_CHOICE).holds,
-        "SINGLETON": report_of(AxiomId.SINGLETON).holds,
-        "PAF": report_of(AxiomId.PAF).holds,
+        "DET_FULL_CHOICE": holds(AxiomId.DET_FULL_CHOICE),
+        "SINGLETON": holds(AxiomId.SINGLETON),
+        "PAF": holds(AxiomId.PAF),
         "NEST_INVARIANT": False,
     }
 
     if scc.allows_empty:
-        membership["logit_o"] = verdict(AxiomId.IIS_O, AxiomId.FULL_SUPPORT)
-        membership["rcg_o"] = verdict(AxiomId.ADDITIVITY)
-        membership["ic_o"] = verdict(AxiomId.IIS_O, AxiomId.ADDITIVITY)
+        for model in (ModelTag.LOGIT, ModelTag.RCG, ModelTag.IC):
+            membership[f"{model.value}_o"] = member(model)
     else:
-        membership["logit"] = verdict(AxiomId.IIS, AxiomId.FULL_SUPPORT)
-        rcg = verdict(AxiomId.POS1, AxiomId.REL_ADD)
-        membership["rcg"] = rcg
-        membership["ic"] = verdict(
-            AxiomId.IIS, AxiomId.REL_ADD, AxiomId.FULL_SUPPORT
-        )
+        for model in (
+            ModelTag.LOGIT, ModelTag.RCG, ModelTag.IC, ModelTag.RRM, ModelTag.NSC
+        ):
+            membership[model.value] = member(model)
         # endogenous attribute selection is extensionally the category
         # model, and the two-stage attribute rule's collection level is
         # extensionally endogenous attribute selection
-        membership["eba"] = rcg
-        membership["ar"] = rcg
+        membership["eba"] = membership["ar"] = membership["rcg"]
         if attributes is not None:
-            membership["eba_exogenous"] = verdict(AxiomId.POS2, AxiomId.REL_ADD)
-        membership["rrm"] = verdict(
-            AxiomId.DISTINCT_Q,
-            AxiomId.POS3,
-            AxiomId.REL_ADD_1,
-            AxiomId.REL_ADD_2,
-        )
-        nsc = verdict(AxiomId.PIIS, AxiomId.PARTITION, AxiomId.POS4)
-        membership["nsc"] = nsc
+            membership["eba_exogenous"] = member(ModelTag.EBA)
+        nsc = membership["nsc"]
         special["NEST_INVARIANT"] = nsc.holds and special["PAF"]
         if not nsc.holds:
             membership["nested_logit"] = MembershipVerdict(FAILS, nsc.failing_axioms)

@@ -220,6 +220,9 @@ class SCC:
     empty-collection variant, in which T = 0 rows may be recorded.
     ``mode_notes`` records arithmetic-mode degradations (for example a
     nested-logit bundle with a non-integer exponent forcing float mode).
+    ``memo`` holds results derived from the rows (axiom reports, revealed
+    structure) so each is computed once; rows must therefore not be changed
+    after construction.
     """
 
     universe: Universe
@@ -227,6 +230,7 @@ class SCC:
     allows_empty: bool = False
     exact: bool = True
     mode_notes: tuple[str, ...] = field(default_factory=tuple)
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def domain(self) -> frozenset[int]:

@@ -10,11 +10,11 @@ are proved, so a disagreement is a library bug, not a mathematical finding.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .axioms import AxiomId, run_axiom
+from .axioms import CHARACTERIZING_AXIOMS, AxiomId, cached_report
 from .classify import FAILS, classify, verify_relationships
 from .core import (
     InfeasibleStructureError,
@@ -47,31 +47,6 @@ from .models import (
     RRMParams,
     generate_scc,
 )
-
-#: Axiom sets that characterize each (model, empty-variant) combination.
-#: Attribute-based models are checked against their own sampled carriers.
-CHARACTERIZING_AXIOMS: dict[tuple[ModelTag, bool], tuple[AxiomId, ...]] = {
-    (ModelTag.LOGIT, False): (AxiomId.IIS, AxiomId.FULL_SUPPORT),
-    (ModelTag.RCG, False): (AxiomId.POS1, AxiomId.REL_ADD),
-    (ModelTag.IC, False): (AxiomId.IIS, AxiomId.REL_ADD, AxiomId.FULL_SUPPORT),
-    (ModelTag.EBA, False): (AxiomId.POS2, AxiomId.REL_ADD),
-    (ModelTag.AR, False): (AxiomId.POS2, AxiomId.REL_ADD),
-    (ModelTag.RRM, False): (
-        AxiomId.DISTINCT_Q,
-        AxiomId.POS3,
-        AxiomId.REL_ADD_1,
-        AxiomId.REL_ADD_2,
-    ),
-    (ModelTag.NSC, False): (AxiomId.PIIS, AxiomId.PARTITION, AxiomId.POS4),
-    (ModelTag.NESTED_LOGIT, False): (
-        AxiomId.PIIS,
-        AxiomId.PARTITION,
-        AxiomId.POS4,
-    ),
-    (ModelTag.LOGIT, True): (AxiomId.IIS_O, AxiomId.FULL_SUPPORT),
-    (ModelTag.RCG, True): (AxiomId.ADDITIVITY,),
-    (ModelTag.IC, True): (AxiomId.IIS_O, AxiomId.ADDITIVITY),
-}
 
 #: Which recovery each model's SCC goes through in the sufficiency harness
 #: (attribute models recover as category masses, power-weighted nesting as
@@ -329,7 +304,7 @@ def _run_characterization_trial(
     scc = generate_scc(spec, universe)
     attributes = _carriers_of(spec)
     for axiom in CHARACTERIZING_AXIOMS[(spec.model, spec.empty_variant)]:
-        report = run_axiom(scc, axiom, attributes=attributes)
+        report = cached_report(scc, axiom, attributes=attributes)
         if not report.holds:
             failures.append(
                 FuzzFailure(
@@ -422,17 +397,6 @@ def fuzz_relationships(
     failures: list[FuzzFailure] = []
     n_choices = list(n_range)
 
-    membership_key = {
-        ModelTag.LOGIT: "logit",
-        ModelTag.RCG: "rcg",
-        ModelTag.IC: "ic",
-        ModelTag.EBA: "eba",
-        ModelTag.AR: "ar",
-        ModelTag.RRM: "rrm",
-        ModelTag.NSC: "nsc",
-        ModelTag.NESTED_LOGIT: "nested_logit",
-    }
-
     for index in range(trials):
         trial_seed = base.getrandbits(64)
         n = base.choice(n_choices)
@@ -450,7 +414,7 @@ def fuzz_relationships(
                 weights[t] = w
             spec = ModelSpec(ModelTag.LOGIT, LogitParams(weights))
             scc = generate_scc(spec, Universe.default(n))
-            if not run_axiom(scc, AxiomId.REL_ADD).holds:
+            if not cached_report(scc, AxiomId.REL_ADD).holds:
                 failures.append(
                     FuzzFailure(
                         trial_seed, "logit-product-form", n, False, "probe",
@@ -481,9 +445,7 @@ def fuzz_relationships(
         spec = sample_params(config)
         scc = generate_scc(spec, Universe.default(n))
         report = classify(scc, attributes=_carriers_of(spec))
-        key = membership_key[model]
-        if empty_variant:
-            key += "_o"
+        key = model.value + ("_o" if empty_variant else "")
         verdict = report.membership[key]
         if model is ModelTag.NESTED_LOGIT:
             # power-form weights are generally not decidable from finite

@@ -17,16 +17,11 @@ from fractions import Fraction
 from typing import Optional
 
 from .axioms import (
-    check_additivity,
-    check_full_support,
-    check_iis,
-    check_nsc_structure,
-    check_relative_additivity,
-    check_positivity,
-    check_rrm_suite,
-    derive_revealed_constraints,
-    derive_revealed_nests,
-    AxiomReport,
+    CHARACTERIZING_AXIOMS,
+    AxiomId,
+    cached_report,
+    cached_revealed_constraints,
+    cached_revealed_nests,
 )
 from .core import (
     SCC,
@@ -115,13 +110,26 @@ def _resolve_variant(scc: SCC, empty_variant: Optional[bool]) -> bool:
     return empty_variant
 
 
-def _require(report: AxiomReport, construction: str) -> None:
-    if not report.holds:
-        raise PreconditionFailedError(
-            f"{construction} requires {report.axiom.value}, which fails "
-            f"({len(report.witnesses)} witness(es) attached)",
-            report=report,
-        )
+def _require(
+    scc: SCC, model: ModelTag, variant: bool, tol: ToleranceConfig, construction: str
+) -> None:
+    """Refuse unless every characterizing axiom of the model variant holds.
+
+    Full support is checked first: it is the cheapest check and the usual
+    failure, so it is the precondition reported when several fail.
+    """
+    axioms = sorted(
+        CHARACTERIZING_AXIOMS[(model, variant)],
+        key=lambda axiom: axiom is not AxiomId.FULL_SUPPORT,
+    )
+    for axiom in axioms:
+        report = cached_report(scc, axiom, tol)
+        if not report.holds:
+            raise PreconditionFailedError(
+                f"{construction} requires {report.axiom.value}, which fails "
+                f"({len(report.witnesses)} witness(es) attached)",
+                report=report,
+            )
 
 
 def _finish(
@@ -159,8 +167,7 @@ def identify_logit(
     """
     require_complete(scc)
     variant = _resolve_variant(scc, empty_variant)
-    _require(check_full_support(scc, tol), "set-weight recovery")
-    _require(check_iis(scc, tol, empty_variant=variant), "set-weight recovery")
+    _require(scc, ModelTag.LOGIT, variant, tol, "set-weight recovery")
     full = scc.universe.full_mask
     row = scc.rows[full]
     weights = {t: row[t] for t in nonempty_submasks(full)}
@@ -190,11 +197,7 @@ def identify_rcg(
     """
     require_complete(scc)
     variant = _resolve_variant(scc, empty_variant)
-    if variant:
-        _require(check_additivity(scc, tol), "category-mass recovery")
-    else:
-        _require(check_positivity(scc, 1, tol), "category-mass recovery")
-        _require(check_relative_additivity(scc, tol), "category-mass recovery")
+    _require(scc, ModelTag.RCG, variant, tol, "category-mass recovery")
     full = scc.universe.full_mask
     mass = {
         c: p
@@ -229,13 +232,7 @@ def identify_ic(
         raise ShapeError(
             "inclusion-probability recovery needs at least two items"
         )
-    if variant:
-        _require(check_iis(scc, tol, empty_variant=True), "inclusion recovery")
-        _require(check_additivity(scc, tol), "inclusion recovery")
-    else:
-        _require(check_full_support(scc, tol), "inclusion recovery")
-        _require(check_iis(scc, tol), "inclusion recovery")
-        _require(check_relative_additivity(scc, tol), "inclusion recovery")
+    _require(scc, ModelTag.IC, variant, tol, "inclusion recovery")
     full = scc.universe.full_mask
     row = scc.rows[full]
     p_full = row.get(full, scc.zero())
@@ -271,13 +268,12 @@ def identify_rrm(scc: SCC, tol: ToleranceConfig = DEFAULT_TOL) -> RecoveryResult
     probability and the revealed constraint sets exhaust the support).
     """
     require_complete(scc)
-    for report in check_rrm_suite(scc, tol):
-        _require(report, "reference-point recovery")
-    revealed = derive_revealed_constraints(scc, tol)
+    _require(scc, ModelTag.RRM, False, tol, "reference-point recovery")
+    revealed = cached_revealed_constraints(scc, tol)
     full = scc.universe.full_mask
     row = scc.rows[full]
     salience = {x: row.get(revealed[x], scc.zero()) for x in range(scc.universe.n)}
-    spec = ModelSpec(ModelTag.RRM, RRMParams(salience, revealed))
+    spec = ModelSpec(ModelTag.RRM, RRMParams(salience, dict(revealed)))
     return _finish(
         scc,
         spec,
@@ -299,9 +295,8 @@ def identify_nsc(scc: SCC, tol: ToleranceConfig = DEFAULT_TOL) -> RecoveryResult
     uniform scaling and only defined on non-empty single-nest collections.
     """
     require_complete(scc)
-    for report in check_nsc_structure(scc, tol):
-        _require(report, "nested-choice recovery")
-    nests = derive_revealed_nests(scc, tol)
+    _require(scc, ModelTag.NSC, False, tol, "nested-choice recovery")
+    nests = cached_revealed_nests(scc, tol)
 
     def ratio(num_coll: int, den_coll: int, menu: int) -> Prob:
         row = scc.rows[menu]

@@ -24,8 +24,8 @@ from .axioms import (
     AxiomId,
     AxiomReport,
     Witness,
+    cached_report,
     full_battery,
-    run_axiom,
 )
 from .classify import HOLDS, ClassificationReport, classify
 from .core import (
@@ -638,6 +638,8 @@ def _tolerance(args: argparse.Namespace) -> ToleranceConfig:
     tol = getattr(args, "tol", None)
     if tol is None:
         return DEFAULT_TOL
+    if not tol > 0:
+        raise SchemaError(f"--tol must be positive, got {tol}")
     return ToleranceConfig(eps_eq=tol)
 
 
@@ -714,12 +716,14 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     tol = _tolerance(args)
+    if args.witness_cap < 1:
+        raise SchemaError(f"--witness-cap must be at least 1, got {args.witness_cap}")
     scc = parse_scc(_load_json(args.scc), tol)
     if args.axioms.strip().lower() == "all":
         reports = full_battery(scc, tol, cap=args.witness_cap)
     else:
         reports = [
-            run_axiom(scc, axiom, tol=tol, cap=args.witness_cap)
+            cached_report(scc, axiom, tol, cap=args.witness_cap)
             for axiom in _parse_axiom_list(args.axioms)
         ]
     _emit({"reports": [report_to_json(r, scc.universe) for r in reports]}, args.output)
@@ -788,7 +792,10 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    n_values = [int(tok) for tok in _labels_from_arg(args.n)]
+    try:
+        n_values = [int(tok) for tok in _labels_from_arg(args.n)]
+    except ValueError:
+        raise SchemaError(f"--n must list integers, got {args.n!r}") from None
     if not n_values:
         raise SchemaError("--n must list at least one universe size")
     token = args.model.strip().lower()

@@ -32,7 +32,6 @@ from .core import (
     Universe,
     bits,
     nonempty_submasks,
-    popcount,
 )
 
 Weight = Union[Fraction, float]
@@ -304,6 +303,20 @@ class RRMParams:
         return all(_is_exact(s) for s in self.salience.values())
 
 
+def _validate_partition(nests: tuple[int, ...], universe: Universe) -> None:
+    """Nests must be non-empty, pairwise disjoint, and cover the grand set."""
+    full = universe.full_mask
+    union = 0
+    for nest in nests:
+        if nest == 0 or nest & ~full:
+            raise InvalidParamsError(f"invalid nest {nest}")
+        if union & nest:
+            raise InvalidParamsError("nests must be pairwise disjoint")
+        union |= nest
+    if union != full:
+        raise InvalidParamsError("nests must cover the grand set")
+
+
 @dataclass(frozen=True)
 class NSCParams:
     """Nested stochastic choice: the grand set is partitioned into nests; a
@@ -319,16 +332,7 @@ class NSCParams:
     nest_weights: dict[int, Weight]
 
     def validate(self, universe: Universe) -> None:
-        full = universe.full_mask
-        union = 0
-        for nest in self.nests:
-            if nest == 0 or nest & ~full:
-                raise InvalidParamsError(f"invalid nest {nest}")
-            if union & nest:
-                raise InvalidParamsError("nests must be pairwise disjoint")
-            union |= nest
-        if union != full:
-            raise InvalidParamsError("nests must cover the grand set")
+        _validate_partition(self.nests, universe)
         for nest in self.nests:
             for part in nonempty_submasks(nest):
                 w = self.nest_weights.get(part)
@@ -358,16 +362,7 @@ class NestedLogitParams:
     exponents: tuple[Weight, ...]
 
     def validate(self, universe: Universe) -> None:
-        full = universe.full_mask
-        union = 0
-        for nest in self.nests:
-            if nest == 0 or nest & ~full:
-                raise InvalidParamsError(f"invalid nest {nest}")
-            if union & nest:
-                raise InvalidParamsError("nests must be pairwise disjoint")
-            union |= nest
-        if union != full:
-            raise InvalidParamsError("nests must cover the grand set")
+        _validate_partition(self.nests, universe)
         if len(self.exponents) != len(self.nests):
             raise InvalidParamsError("one exponent per nest required")
         if sorted(self.utilities) != list(range(universe.n)):
@@ -382,17 +377,18 @@ class NestedLogitParams:
     def is_exact(self) -> bool:
         """True iff utilities are rational and every exponent is an integer
         (the only case where the induced weights stay exact)."""
-        if not all(_is_exact(v) for v in self.utilities.values()):
-            return False
-        for e in self.exponents:
-            if isinstance(e, int):
-                continue
-            if isinstance(e, Fraction) and e.denominator == 1:
-                continue
-            if isinstance(e, float) and e.is_integer():
-                continue
-            return False
-        return True
+        return self.integer_exponents() and all(
+            _is_exact(v) for v in self.utilities.values()
+        )
+
+    def integer_exponents(self) -> bool:
+        """True iff every exponent is an integer, whatever its numeric type."""
+        return all(
+            isinstance(e, int)
+            or (isinstance(e, Fraction) and e.denominator == 1)
+            or (isinstance(e, float) and e.is_integer())
+            for e in self.exponents
+        )
 
     def induced_weight(self, part: int, nest_index: int, exact: bool) -> Weight:
         total: Weight = Fraction(0) if exact else 0.0
@@ -520,14 +516,8 @@ def _weighted_intersections(
     return acc, live
 
 
-def _eba_row(params: EBAParams, menu: int) -> dict[int, Weight]:
-    acc, live = _weighted_intersections(
-        [(a.weight, a.carrier) for a in params.attributes], menu
-    )
-    return {t: _div(w, live) for t, w in acc.items()}
-
-
-def _ar_row(params: ARParams, menu: int) -> dict[int, Weight]:
+def _attribute_row(params: Union[EBAParams, ARParams], menu: int) -> dict[int, Weight]:
+    """Collection row of both attribute models (the two-stage rule's first stage)."""
     acc, live = _weighted_intersections(
         [(a.weight, a.carrier) for a in params.attributes], menu
     )
@@ -580,10 +570,8 @@ def menu_row(spec: ModelSpec, menu: int) -> dict[int, Weight]:
         return _rcg_row(p, menu, spec.empty_variant)
     if spec.model is ModelTag.IC:
         return _ic_row(p, menu, spec.empty_variant)
-    if spec.model is ModelTag.EBA:
-        return _eba_row(p, menu)
-    if spec.model is ModelTag.AR:
-        return _ar_row(p, menu)
+    if spec.model in (ModelTag.EBA, ModelTag.AR):
+        return _attribute_row(p, menu)
     if spec.model is ModelTag.RRM:
         return _rrm_row(p, menu)
     if spec.model is ModelTag.NSC:
@@ -733,7 +721,8 @@ def generate_scc(spec: ModelSpec, universe: Universe) -> SCC:
         row = menu_row(spec, menu)
         rows[menu] = {t: coerce(p) for t, p in sorted(row.items()) if p > 0}
     notes: tuple[str, ...] = ()
-    if not exact:
+    params = spec.params
+    if isinstance(params, NestedLogitParams) and not params.integer_exponents():
         notes = ("non-integer nest exponent: evaluated in float mode",)
     return SCC(
         universe=universe,

@@ -14,12 +14,16 @@ from scclab.core import (
     DEFAULT_TOL,
     MissingAttributesError,
     SCC,
+    ToleranceConfig,
     Universe,
     WrongVariantError,
 )
+import scclab.axioms
 from scclab.axioms import (
     AxiomId,
     Witness,
+    cached_report,
+    cached_revealed_constraints,
     check_additivity,
     check_full_support,
     check_iis,
@@ -422,3 +426,46 @@ class TestDispatcherAndBattery:
         # the verdict and instance counts are unaffected by the cap
         full = check_relative_additivity(nsc_scc)
         assert report.instances_checked == full.instances_checked
+
+
+class TestMemo:
+    def test_reports_are_reused_and_run_axiom_recomputes(self, nsc_scc):
+        scc = SCC(U3, nsc_scc.rows)
+        assert cached_report(scc, AxiomId.IIS) is cached_report(scc, AxiomId.IIS)
+        assert run_axiom(scc, AxiomId.IIS) is not cached_report(scc, AxiomId.IIS)
+
+    def test_cap_is_part_of_the_key(self, nsc_scc):
+        scc = SCC(U3, nsc_scc.rows)
+        assert len(cached_report(scc, AxiomId.REL_ADD, cap=1).witnesses) == 1
+        assert len(cached_report(scc, AxiomId.REL_ADD).witnesses) > 1
+
+    def test_revealed_structure_derived_once_per_battery(self, nsc_scc, monkeypatch):
+        calls = []
+
+        def counting(name):
+            original = getattr(scclab.axioms, name)
+
+            def counted(*args):
+                calls.append(name)
+                return original(*args)
+
+            return counted
+
+        for name in ("derive_revealed_constraints", "derive_revealed_nests"):
+            monkeypatch.setattr(scclab.axioms, name, counting(name))
+        scc = SCC(U3, nsc_scc.rows)
+        full_battery(scc)
+        for report in full_battery(scc):
+            for witness in report.witnesses:
+                assert recheck_witness(scc, witness)
+        assert sorted(calls) == ["derive_revealed_constraints", "derive_revealed_nests"]
+
+    def test_tolerance_is_part_of_the_revealed_key(self, nsc_scc):
+        rows = {m: {t: float(p) for t, p in row.items()} for m, row in nsc_scc.rows.items()}
+        rows[AB] = {A: 1e-11, AB: 1 - 1e-11}
+        scc = SCC(U3, rows, exact=False)
+        coarse = ToleranceConfig(eps_zero=1e-10)
+        fine, coarse_q = (derive_revealed_constraints(scc, t) for t in (DEFAULT_TOL, coarse))
+        assert fine != coarse_q
+        assert cached_revealed_constraints(scc, DEFAULT_TOL) == fine
+        assert cached_revealed_constraints(scc, coarse) == coarse_q

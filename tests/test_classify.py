@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from scclab.core import Universe
+from scclab.axioms import AxiomId
+from scclab.core import SCC, ToleranceConfig, Universe
 from scclab.classify import (
     FAILS,
     HOLDS,
@@ -189,3 +190,35 @@ class TestRelationshipVerification:
         membership["rrm"] = MembershipVerdict(NOT_DECIDED)
         skipped = ClassificationReport(dict(membership), special, (), ())
         assert not any("rrm" in name for name in verify_relationships(skipped))
+
+
+def _nudged_float_logit() -> SCC:
+    """Float logit data with one binary-menu ratio off by about 1e-6."""
+    weights = {A: F(4), B: F(2), C: F(1), AB: F(3), AC: F(2), BC: F(5), ABC: F(7)}
+    exact = generate_scc(ModelSpec(ModelTag.LOGIT, LogitParams(weights)), U3)
+    rows = {m: {t: float(p) for t, p in row.items()} for m, row in exact.rows.items()}
+    rows[AB][A] += 1e-6
+    rows[AB][B] -= 1e-6
+    return SCC(U3, rows, exact=False)
+
+
+class TestMemoizedClassification:
+    def test_tolerance_is_part_of_the_key(self):
+        loose, tight = ToleranceConfig(eps_eq=1e-3), ToleranceConfig()
+        scc = _nudged_float_logit()
+        reused = [classify(scc, tol=loose), classify(scc, tol=tight)]
+        fresh = [classify(_nudged_float_logit(), tol=t) for t in (loose, tight)]
+        assert reused == fresh
+        assert reused[0].membership["logit"].holds
+        assert not reused[1].membership["logit"].holds
+
+    def test_attributes_are_part_of_the_key(self):
+        spec = ModelSpec(
+            ModelTag.EBA, EBAParams((Aspect(F(1, 2), AB), Aspect(F(1, 2), BC)))
+        )
+        scc = generate_scc(spec, U3)
+        assert classify(scc).membership["eba_exogenous"].status == NOT_APPLICABLE
+        own = classify(scc, attributes=[AB, BC]).membership["eba_exogenous"]
+        assert own.status == HOLDS
+        other = classify(scc, attributes=[A, B, C]).membership["eba_exogenous"]
+        assert other == MembershipVerdict(FAILS, (AxiomId.POS2,))

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from scclab.axioms import AxiomId
-from scclab.core import InfeasibleStructureError, InvalidParamsError, Universe
+from scclab.core import SCC, InfeasibleStructureError, InvalidParamsError, Universe
 from scclab.fuzz import (
     ALL_VARIANTS,
     CHARACTERIZING_AXIOMS,
@@ -135,3 +135,19 @@ class TestFuzzRuns:
         summary = fuzz_relationships(trials=10, n_range=[3], seed=17)
         assert summary.ok
         assert summary.trials == 10
+
+    def test_corrupted_rows_fail_at_necessity(self, monkeypatch):
+        def corrupted(spec, universe):
+            rows = {m: dict(row) for m, row in generate_scc(spec, universe).rows.items()}
+            a, b = 0b01, 0b10
+            shift = min(rows[a | b][a], rows[a | b][b]) / 2
+            rows[a | b][a] += shift
+            rows[a | b][b] -= shift
+            return SCC(universe, rows)
+
+        monkeypatch.setattr("scclab.fuzz.generate_scc", corrupted)
+        summary = fuzz_characterization(ModelTag.LOGIT, trials=3, n_range=[3], seed=5)
+        assert len(summary.failures) == 3
+        for failure in summary.failures:
+            assert failure.stage == "necessity"
+            assert failure.detail.startswith("IIS failed with ")

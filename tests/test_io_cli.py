@@ -349,6 +349,19 @@ class TestCli:
     def test_no_command_is_usage_error(self):
         assert cli_main([]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "SCC", "--axioms", "all", "--tol", "-1"],
+            ["check", "SCC", "--axioms", "all", "--tol", "nan"],
+            ["check", "SCC", "--axioms", "all", "--witness-cap", "0"],
+            ["fuzz", "--model", "logit", "--trials", "1", "--n", "x", "--seed", "0"],
+        ],
+    )
+    def test_bad_option_value_is_usage_error(self, nsc_path, capsys, argv):
+        assert cli_main([nsc_path if a == "SCC" else a for a in argv]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_output_is_deterministic(self, tmp_path, nsc_path):
         first = tmp_path / "first.json"
         second = tmp_path / "second.json"

@@ -292,6 +292,17 @@ class TestNestedLogit:
         scc = generate_scc(ModelSpec(ModelTag.NESTED_LOGIT, self.PARAMS), U3)
         assert scc.exact and scc.mode_notes == ()
 
+    def test_mode_note_names_only_an_exponent_fallback(self):
+        float_logit = LogitParams({A: 0.5, B: 0.25, AB: 0.25})
+        scc = generate_scc(ModelSpec(ModelTag.LOGIT, float_logit), U2)
+        assert not scc.exact and scc.mode_notes == ()
+        float_utilities = NestedLogitParams((AB, C), {0: 1.0, 1: 1.0, 2: 3.0}, (2, 1))
+        scc = generate_scc(ModelSpec(ModelTag.NESTED_LOGIT, float_utilities), U3)
+        assert not scc.exact and scc.mode_notes == ()
+        fractional = NestedLogitParams((AB, C), {0: F(1), 1: F(1), 2: F(3)}, (F(3, 2), 1))
+        scc = generate_scc(ModelSpec(ModelTag.NESTED_LOGIT, fractional), U3)
+        assert scc.mode_notes == ("non-integer nest exponent: evaluated in float mode",)
+
     def test_non_integer_exponent_degrades_to_float(self):
         params = NestedLogitParams(
             (AB, C), {0: F(1), 1: F(1), 2: F(3)}, (F(3, 2), F(1))
