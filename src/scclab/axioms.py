@@ -15,25 +15,28 @@ them:
   docstrings state the domain.
 * Ratio postulates are decided by cross-multiplication, never division, so
   exact mode involves no rounding and zero denominators need no special
-  cases.  Reported ``lhs``/``rhs`` values are the two sides of the postulate
-  as written (divisions are performed there only when the guards make them
-  well defined).
+  cases.  In exact mode they cross-multiply the integer rows of
+  :func:`cached_scaled_rows`.  Reported ``lhs``/``rhs`` values are the two
+  sides of the postulate as written, computed from the SCC's own rows
+  (divisions are performed there only when the guards make them well
+  defined).
 * Witness bindings are bitmasks under descriptive keys ("S", "S_prime", "x",
   "y", "T", "T_prime", "T_star_1", ...).  Item-valued bindings are 1-bit
   masks.  Every witness is self-certifying: :func:`recheck_witness`
   re-evaluates the postulate at the bindings and confirms the violation.
 
-:data:`AXIOMS` maps every axiom to its check and its applicability, and
-:data:`CHARACTERIZING_AXIOMS` maps every model variant to the axioms that
+:data:`AXIOMS` maps every axiom to its check, its applicability and how its
+witnesses are rechecked, and :data:`CHARACTERIZING_AXIOMS` maps every model variant to the axioms that
 characterize it; the suites, classification, identification and the fuzz
 harness all read these two tables.  :func:`run_axiom` always evaluates;
 :func:`cached_report` and the ``cached_revealed_*`` functions keep each
 result in the SCC's memo, so a dataset is decided once per tolerance and
-witness cap.
+witness cap; :func:`cached_scaled_rows` keeps the scaled rows there too.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -135,6 +138,16 @@ class _Collector:
         if len(self.witnesses) < self.cap:
             self.witnesses.append(Witness(self.axiom, bindings, lhs, rhs))
 
+    def add_equation(self, scc: SCC, bindings: dict[str, int], tol: ToleranceConfig):
+        """Record a violation of an equation axiom; under the cap, its sides
+        are recomputed from the SCC's rows by :func:`_recheck_equation`."""
+        self.clean = False
+        if len(self.witnesses) < self.cap:
+            witness = Witness(self.axiom, bindings)
+            self.witnesses.append(
+                Witness(self.axiom, bindings, *_recheck_equation(scc, witness, tol))
+            )
+
     def report(self, scc: SCC, checked: int, vacuous: int) -> AxiomReport:
         return AxiomReport(
             axiom=self.axiom,
@@ -147,10 +160,11 @@ class _Collector:
 
 
 def _positive_rows(scc: SCC, tol: ToleranceConfig) -> dict[int, dict[int, Prob]]:
-    """Per menu, the sub-row of strictly positive entries (mode-aware)."""
+    """Per menu, the sub-row of strictly positive entries of
+    :func:`cached_scaled_rows` (mode-aware)."""
     return {
         menu: {t: p for t, p in row.items() if is_positive(scc, p, tol)}
-        for menu, row in scc.rows.items()
+        for menu, row in cached_scaled_rows(scc)[0].items()
     }
 
 
@@ -159,6 +173,31 @@ def _memoized(scc: SCC, key: tuple, compute: Callable[[], Any]) -> Any:
     if key not in scc.memo:
         scc.memo[key] = compute()
     return scc.memo[key]
+
+
+def cached_scaled_rows(scc: SCC) -> tuple[dict[int, dict[int, Prob]], dict[int, Prob]]:
+    """The rows the ratio checks compare, and each row's denominator.
+
+    In exact mode each row is its entries' integer numerators over their
+    least common denominator, the fraction-free idea of Bareiss (1968).  A
+    comparison with one factor from each row involved on both sides scales
+    both sides alike, so its verdict is unchanged and it runs in ``int``
+    arithmetic; a side lacking some row's factor is multiplied by that row's
+    denominator.  In float mode the rows are ``scc.rows`` unchanged, with
+    unit denominators.
+    """
+    return _memoized(scc, ("scaled_rows",), lambda: _scale_rows(scc))
+
+
+def _scale_rows(scc: SCC) -> tuple[dict[int, dict[int, Prob]], dict[int, Prob]]:
+    if not scc.exact:
+        return scc.rows, dict.fromkeys(scc.rows, 1)
+    rows, dens = {}, {}
+    for menu, row in scc.rows.items():
+        den = math.lcm(*(p.denominator for p in row.values()))
+        rows[menu] = {t: p.numerator * (den // p.denominator) for t, p in row.items()}
+        dens[menu] = den
+    return rows, dens
 
 
 def cached_revealed_constraints(
@@ -176,17 +215,18 @@ def cached_revealed_nests(scc: SCC, tol: ToleranceConfig = DEFAULT_TOL) -> list[
 
 
 def _removals(
-    scc: SCC,
+    rows: dict[int, dict[int, Prob]],
 ) -> Iterator[tuple[int, int, int, dict[int, Prob], dict[int, Prob]]]:
     """(S, x, S\\x, row of S, row of S\\x) for every menu S of two or more items
-    and every item x of S (as a 1-bit mask), menus and items ascending."""
-    for s in scc.menus():
+    and every item x of S (as a 1-bit mask), menus and items ascending, read
+    from ``rows`` (a complete SCC's rows, or their scaled form)."""
+    for s in sorted(rows):
         if popcount(s) < 2:
             continue
-        row_s = scc.rows[s]
+        row_s = rows[s]
         for x in bits(s):
             xbit = 1 << x
-            yield s, xbit, s & ~xbit, row_s, scc.rows[s & ~xbit]
+            yield s, xbit, s & ~xbit, row_s, rows[s & ~xbit]
 
 
 def check_full_support(
@@ -234,16 +274,16 @@ def check_iis(
     require_complete(scc)
     axiom = AxiomId.IIS_O if empty_variant else AxiomId.IIS
     out = _Collector(axiom, cap)
+    rows = cached_scaled_rows(scc)[0]
     pos = _positive_rows(scc, tol)
     menus = scc.menus()
-    zero = scc.zero()
     checked = 0
     vacuous = 0
     for i, s in enumerate(menus):
-        row_s, pos_s = scc.rows[s], pos[s]
+        row_s, pos_s = rows[s], pos[s]
         for s2 in menus[i + 1 :]:
             inter = s & s2
-            row_s2, pos_s2 = scc.rows[s2], pos[s2]
+            row_s2, pos_s2 = rows[s2], pos[s2]
             if empty_variant:
                 subs = submasks(inter)
                 for t in subs:
@@ -254,13 +294,13 @@ def check_iis(
                             vacuous += 1
                             continue
                         checked += 1
-                        lhs = row_s.get(t, zero) * pos_s2[t2]
-                        rhs = pos_s[t2] * row_s2.get(t, zero)
+                        lhs = row_s.get(t, 0) * pos_s2[t2]
+                        rhs = pos_s[t2] * row_s2.get(t, 0)
                         if not probs_equal(scc, lhs, rhs, tol):
-                            out.add(
+                            out.add_equation(
+                                scc,
                                 {"T": t, "T_prime": t2, "S": s, "S_prime": s2},
-                                lhs,
-                                rhs,
+                                tol,
                             )
             else:
                 subs = nonempty_submasks(inter)
@@ -279,10 +319,10 @@ def check_iis(
                         lhs = pos_s[t] * pos_s2[t2]
                         rhs = pos_s[t2] * pos_s2[t]
                         if not probs_equal(scc, lhs, rhs, tol):
-                            out.add(
+                            out.add_equation(
+                                scc,
                                 {"T": t, "T_prime": t2, "S": s, "S_prime": s2},
-                                lhs,
-                                rhs,
+                                tol,
                             )
     return out.report(scc, checked, vacuous)
 
@@ -303,16 +343,13 @@ def _rel_add_scan(
         cached_revealed_constraints(scc, tol) if axiom is AxiomId.REL_ADD_1 else None
     )
     out = _Collector(axiom, cap)
-    zero = scc.zero()
     checked = 0
     vacuous = 0
-    for s, xbit, rest, row_s, row_rest in _removals(scc):
+    for s, xbit, rest, row_s, row_rest in _removals(cached_scaled_rows(scc)[0]):
         x = xbit.bit_length() - 1
         excluded = constraints[x] & rest if constraints is not None else None
         subs = nonempty_submasks(rest)
-        pair_sum = {
-            t: row_s.get(t, zero) + row_s.get(t | xbit, zero) for t in subs
-        }
+        pair_sum = {t: row_s.get(t, 0) + row_s.get(t | xbit, 0) for t in subs}
         for a_idx in range(len(subs)):
             t = subs[a_idx]
             for b_idx in range(a_idx + 1, len(subs)):
@@ -321,11 +358,11 @@ def _rel_add_scan(
                     vacuous += 1
                     continue
                 checked += 1
-                lhs = row_rest.get(t, zero) * pair_sum[t2]
-                rhs = row_rest.get(t2, zero) * pair_sum[t]
+                lhs = row_rest.get(t, 0) * pair_sum[t2]
+                rhs = row_rest.get(t2, 0) * pair_sum[t]
                 if not probs_equal(scc, lhs, rhs, tol):
-                    out.add(
-                        {"S": s, "x": xbit, "T": t, "T_prime": t2}, lhs, rhs
+                    out.add_equation(
+                        scc, {"S": s, "x": xbit, "T": t, "T_prime": t2}, tol
                     )
     return out.report(scc, checked, vacuous)
 
@@ -362,7 +399,7 @@ def check_additivity(
     out = _Collector(AxiomId.ADDITIVITY, cap)
     zero = scc.zero()
     checked = 0
-    for s, xbit, rest, row_s, row_rest in _removals(scc):
+    for s, xbit, rest, row_s, row_rest in _removals(scc.rows):
         for t in submasks(rest):
             checked += 1
             lhs = row_rest.get(t, zero)
@@ -534,24 +571,24 @@ def _rel_add_adjusted(scc: SCC, tol: ToleranceConfig, cap: int) -> AxiomReport:
 
     where adj(x,S) = mu(Q(x),X) / sum over y in S of mu(Q(y),X), read from
     grand-set rows (Q = revealed constraint sets).  Decided after clearing
-    the denominator.  Vacuous instances: T empty, or zero adjustment
-    denominator.
+    the denominator; on scaled rows the adjustment term, which lacks a
+    factor from row S, is multiplied by row S's denominator.  Vacuous
+    instances: T empty, or zero adjustment denominator.
     """
     require_complete(scc)
     revealed = cached_revealed_constraints(scc, tol)
     out = _Collector(AxiomId.REL_ADD_2, cap)
-    zero = scc.zero()
-    full = scc.universe.full_mask
-    row_full = scc.rows[full]
+    rows, dens = cached_scaled_rows(scc)
+    row_full = rows[scc.universe.full_mask]
     checked = 0
     vacuous = 0
     for s in scc.menus():
         if popcount(s) < 2:
             continue
-        row_s = scc.rows[s]
-        denom = zero
+        row_s = rows[s]
+        denom = 0
         for y in bits(s):
-            denom = denom + row_full.get(revealed[y], zero)
+            denom = denom + row_full.get(revealed[y], 0)
         denom_ok = is_positive(scc, denom, tol)
         for x in bits(s):
             xbit = 1 << x
@@ -561,20 +598,20 @@ def _rel_add_adjusted(scc: SCC, tol: ToleranceConfig, cap: int) -> AxiomReport:
             if t == 0 or not denom_ok:
                 vacuous += len(others)
                 continue
-            row_rest = scc.rows[rest]
-            adj_num = row_full.get(revealed[x], zero)
-            t_sum = row_s.get(t, zero) + row_s.get(t | xbit, zero)
-            mu_t_rest = row_rest.get(t, zero)
+            row_rest = rows[rest]
+            adj_num = row_full.get(revealed[x], 0) * dens[s]
+            t_sum = row_s.get(t, 0) + row_s.get(t | xbit, 0)
+            mu_t_rest = row_rest.get(t, 0)
             for t2 in others:
                 checked += 1
-                t2_sum = row_s.get(t2, zero) + row_s.get(t2 | xbit, zero)
-                mu_t2_rest = row_rest.get(t2, zero)
+                t2_sum = row_s.get(t2, 0) + row_s.get(t2 | xbit, 0)
+                mu_t2_rest = row_rest.get(t2, 0)
                 cleared_lhs = denom * mu_t_rest * t2_sum + adj_num * mu_t2_rest
                 cleared_rhs = denom * mu_t2_rest * t_sum
                 if not probs_equal(scc, cleared_lhs, cleared_rhs, tol):
-                    lhs = mu_t_rest * t2_sum
-                    rhs = mu_t2_rest * (t_sum - adj_num / denom)
-                    out.add({"S": s, "x": xbit, "T": t, "T_prime": t2}, lhs, rhs)
+                    out.add_equation(
+                        scc, {"S": s, "x": xbit, "T": t, "T_prime": t2}, tol
+                    )
     return out.report(scc, checked, vacuous)
 
 
@@ -594,11 +631,15 @@ def check_rrm_suite(
 
 
 def _chain_witness(
+    scc: SCC,
     t: int,
     t2: int,
     first: tuple[Prob, Prob, int, int, int],
     second: tuple[Prob, Prob, int, int, int],
 ) -> tuple[dict[str, int], Prob, Prob]:
+    """Bindings and chain values of two chains; exact values are Fractions
+    even when the chains were built from scaled integer rows."""
+    ratio = Fraction if scc.exact else (lambda num, den: num / den)
     num1, den1, star1, s1, sp1 = first
     num2, den2, star2, s2, sp2 = second
     bindings = {
@@ -611,7 +652,7 @@ def _chain_witness(
         "S_2": s2,
         "S_prime_2": sp2,
     }
-    return bindings, num1 / den1, num2 / den2
+    return bindings, ratio(num1, den1), ratio(num2, den2)
 
 
 def check_piis(
@@ -665,7 +706,7 @@ def check_piis(
                 checked += 1
                 if not probs_equal(scc, pa * pb0, pb * pa0, tol):
                     bindings, lhs, rhs = _chain_witness(
-                        a, b, (pa0, pb0, b, s0, s0), (pa, pb, b, s, s)
+                        scc, a, b, (pa0, pb0, b, s0, s0), (pa, pb, b, s, s)
                     )
                     out.add(bindings, lhs, rhs)
 
@@ -736,7 +777,7 @@ def check_piis(
                 checked += 1
                 ref = values[0]
                 if not probs_equal(scc, ref[0] * other[1], other[0] * ref[1], tol):
-                    bindings, lhs, rhs = _chain_witness(t, t2, ref, other)
+                    bindings, lhs, rhs = _chain_witness(scc, t, t2, ref, other)
                     out.add(bindings, lhs, rhs)
     return out.report(scc, checked, vacuous)
 
@@ -790,7 +831,7 @@ def check_paf(
     zero = scc.zero()
     checked = 0
     vacuous = 0
-    for s, xbit, rest, row_s, row_rest in _removals(scc):
+    for s, xbit, rest, row_s, row_rest in _removals(scc.rows):
         gate = is_zero(scc, row_s.get(xbit, zero), tol)
         for t in nonempty_submasks(rest):
             lhs = row_s.get(t, zero)
@@ -848,30 +889,28 @@ def check_special(
                 out.add({"x": 1 << x, "S": menu}, scc.zero(), None)
         for t in sorted(sup):
             if popcount(t) != 1:
-                out.add({"T": t, "S": menu}, sup[t], Fraction(0) if scc.exact else 0.0)
+                out.add({"T": t, "S": menu}, scc.rows[menu][t], scc.zero())
     # clause (i) spans all non-empty (T, S) pairs: positivity demands on the
     # singletons, zero demands on everything else
     checked = 3**n - 2**n
     if scc.allows_empty:
         checked += (1 << n) - 1  # one empty-collection zero demand per menu
     # clause (ii): ratio stability against the binary reference menu
-    zero = scc.zero()
+    rows = cached_scaled_rows(scc)[0]
     for x, y in combinations(range(n), 2):
         xbit, ybit = 1 << x, 1 << y
         ref = xbit | ybit
-        ref_row = scc.rows[ref]
-        ref_x = ref_row.get(xbit, zero)
-        ref_y = ref_row.get(ybit, zero)
+        ref_x = rows[ref].get(xbit, 0)
+        ref_y = rows[ref].get(ybit, 0)
         for menu in scc.menus():
             if menu & ref != ref or menu == ref:
                 continue
             checked += 1
-            row = scc.rows[menu]
-            lhs = row.get(xbit, zero) * ref_y
-            rhs = ref_x * row.get(ybit, zero)
+            lhs = rows[menu].get(xbit, 0) * ref_y
+            rhs = ref_x * rows[menu].get(ybit, 0)
             if not probs_equal(scc, lhs, rhs, tol):
-                out.add(
-                    {"x": xbit, "y": ybit, "S": menu, "S_prime": ref}, lhs, rhs
+                out.add_equation(
+                    scc, {"x": xbit, "y": ybit, "S": menu, "S_prime": ref}, tol
                 )
     return out.report(scc, checked, 0)
 
@@ -889,7 +928,7 @@ def monotonicity_violations(
     require_complete(scc)
     zero = scc.zero()
     offenders = []
-    for s, xbit, rest, row_s, row_rest in _removals(scc):
+    for s, xbit, rest, row_s, row_rest in _removals(scc.rows):
         for t in nonempty_submasks(rest):
             larger = row_s.get(t, zero)
             smaller = row_rest.get(t, zero)
@@ -914,7 +953,7 @@ def support_transfer_violations(
     require_complete(scc)
     zero = scc.zero()
     offenders = []
-    for s, xbit, rest, row_s, row_rest in _removals(scc):
+    for s, xbit, rest, row_s, row_rest in _removals(scc.rows):
         for t in nonempty_submasks(rest):
             small = row_rest.get(t, zero)
             pair = row_s.get(t, zero) + row_s.get(t | xbit, zero)
@@ -1049,16 +1088,7 @@ def recheck_witness(
     """
     b = witness.bindings
     ax = witness.axiom
-    structural = {
-        AxiomId.POS1,
-        AxiomId.POS2,
-        AxiomId.POS3,
-        AxiomId.POS4,
-        AxiomId.DISTINCT_Q,
-        AxiomId.PARTITION,
-        AxiomId.FULL_SUPPORT,
-    }
-    if ax in structural or (
+    if AXIOMS[ax].structural or (
         ax is AxiomId.SINGLETON and set(b) != {"x", "y", "S", "S_prime"}
     ):
         return _recheck_structural(scc, witness, tol, attributes)
@@ -1136,11 +1166,13 @@ def _recheck_structural(
 class AxiomSpec(NamedTuple):
     """One registry entry: the check that decides an axiom, called as
     ``check(scc, tol=..., cap=...)`` plus ``attributes=...`` when it needs
-    them, and the SCCs on which :func:`full_battery` runs it."""
+    them, the SCCs on which :func:`full_battery` runs it, and how
+    :func:`recheck_witness` confirms its witnesses."""
 
     check: Callable[..., AxiomReport]
     empty_only: bool = False  # runs only on empty-collection SCCs
     needs_attributes: bool = False  # runs only when attribute carriers are given
+    structural: bool = False  # witnesses are re-derived, not recomputed sides
 
     def applies(self, scc: SCC, attributes: Optional[Sequence[int]]) -> bool:
         return (scc.allows_empty or not self.empty_only) and (
@@ -1154,17 +1186,19 @@ AXIOMS: dict[AxiomId, AxiomSpec] = {
     AxiomId.IIS_O: AxiomSpec(partial(check_iis, empty_variant=True), empty_only=True),
     AxiomId.REL_ADD: AxiomSpec(check_relative_additivity),
     AxiomId.ADDITIVITY: AxiomSpec(check_additivity, empty_only=True),
-    AxiomId.POS1: AxiomSpec(partial(check_positivity, kind=1)),
-    AxiomId.POS2: AxiomSpec(partial(check_positivity, kind=2), needs_attributes=True),
-    AxiomId.DISTINCT_Q: AxiomSpec(_distinct_constraints_report),
-    AxiomId.POS3: AxiomSpec(partial(check_positivity, kind=3)),
+    AxiomId.POS1: AxiomSpec(partial(check_positivity, kind=1), structural=True),
+    AxiomId.POS2: AxiomSpec(
+        partial(check_positivity, kind=2), needs_attributes=True, structural=True
+    ),
+    AxiomId.DISTINCT_Q: AxiomSpec(_distinct_constraints_report, structural=True),
+    AxiomId.POS3: AxiomSpec(partial(check_positivity, kind=3), structural=True),
     AxiomId.REL_ADD_1: AxiomSpec(partial(_rel_add_scan, axiom=AxiomId.REL_ADD_1)),
     AxiomId.REL_ADD_2: AxiomSpec(_rel_add_adjusted),
     AxiomId.PIIS: AxiomSpec(check_piis),
-    AxiomId.PARTITION: AxiomSpec(_partition_report),
-    AxiomId.POS4: AxiomSpec(partial(check_positivity, kind=4)),
+    AxiomId.PARTITION: AxiomSpec(_partition_report, structural=True),
+    AxiomId.POS4: AxiomSpec(partial(check_positivity, kind=4), structural=True),
     AxiomId.PAF: AxiomSpec(check_paf),
-    AxiomId.FULL_SUPPORT: AxiomSpec(check_full_support),
+    AxiomId.FULL_SUPPORT: AxiomSpec(check_full_support, structural=True),
     AxiomId.DET_FULL_CHOICE: AxiomSpec(
         partial(check_special, kind=AxiomId.DET_FULL_CHOICE)
     ),

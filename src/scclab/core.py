@@ -221,8 +221,9 @@ class SCC:
     ``mode_notes`` records arithmetic-mode degradations (for example a
     nested-logit bundle with a non-integer exponent forcing float mode).
     ``memo`` holds results derived from the rows (axiom reports, revealed
-    structure) so each is computed once; rows must therefore not be changed
-    after construction.
+    structure, and the scaled integer rows the exact ratio checks compare)
+    so each is computed once; rows must therefore not be changed after
+    construction.
     """
 
     universe: Universe

@@ -23,14 +23,7 @@ from .core import (
     bits,
     nonempty_submasks,
 )
-from .identify import (
-    RecoveryResult,
-    identify_ic,
-    identify_logit,
-    identify_nsc,
-    identify_rcg,
-    identify_rrm,
-)
+from .identify import RECOVERIES, RecoveryResult
 from .models import (
     ARParams,
     ArAttribute,
@@ -47,20 +40,6 @@ from .models import (
     RRMParams,
     generate_scc,
 )
-
-#: Which recovery each model's SCC goes through in the sufficiency harness
-#: (attribute models recover as category masses, power-weighted nesting as
-#: plain nesting — the extensional equivalences make the round trip exact).
-_IDENTIFIERS = {
-    ModelTag.LOGIT: identify_logit,
-    ModelTag.RCG: identify_rcg,
-    ModelTag.IC: identify_ic,
-    ModelTag.EBA: identify_rcg,
-    ModelTag.AR: identify_rcg,
-    ModelTag.RRM: identify_rrm,
-    ModelTag.NSC: identify_nsc,
-    ModelTag.NESTED_LOGIT: identify_nsc,
-}
 
 #: The eleven samplable model variants.
 ALL_VARIANTS: tuple[tuple[ModelTag, bool], ...] = tuple(CHARACTERIZING_AXIOMS)
@@ -317,12 +296,8 @@ def _run_characterization_trial(
                 )
             )
             return
-    identifier = _IDENTIFIERS[spec.model]
     try:
-        if spec.model in (ModelTag.LOGIT, ModelTag.RCG, ModelTag.IC):
-            result: RecoveryResult = identifier(scc, empty_variant=spec.empty_variant)
-        else:
-            result = identifier(scc)
+        result: RecoveryResult = RECOVERIES[spec.model](scc)
     except Exception as exc:  # harness boundary: report, never crash the sweep
         failures.append(
             FuzzFailure(

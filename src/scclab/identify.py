@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .axioms import (
     CHARACTERIZING_AXIOMS,
@@ -334,3 +334,20 @@ def identify_nsc(scc: SCC, tol: ToleranceConfig = DEFAULT_TOL) -> RecoveryResult
         "fixed at weight 1",
         tol,
     )
+
+
+#: The recovery each model's data goes through, keyed by model tag (a string
+#: enum, so a tag's name finds its entry).  Attribute models recover as
+#: category masses and power-weighted nesting as plain nesting: the
+#: extensional equivalences make the round trip exact.  Every recovery reads
+#: the empty-collection variant from the SCC unless told otherwise.
+RECOVERIES: dict[ModelTag, Callable[..., RecoveryResult]] = {
+    ModelTag.LOGIT: identify_logit,
+    ModelTag.RCG: identify_rcg,
+    ModelTag.IC: identify_ic,
+    ModelTag.EBA: identify_rcg,
+    ModelTag.AR: identify_rcg,
+    ModelTag.RRM: identify_rrm,
+    ModelTag.NSC: identify_nsc,
+    ModelTag.NESTED_LOGIT: identify_nsc,
+}

@@ -44,18 +44,12 @@ from .core import (
     validate_scc,
 )
 from .fuzz import ALL_VARIANTS, FuzzSummary, fuzz_characterization, fuzz_relationships
-from .identify import (
-    RecoveryResult,
-    identify_ic,
-    identify_logit,
-    identify_nsc,
-    identify_rcg,
-    identify_rrm,
-)
+from .identify import RECOVERIES, RecoveryResult
 from .models import (
     ARParams,
     ArAttribute,
     Aspect,
+    EMPTY_CAPABLE,
     EBAParams,
     ICParams,
     LogitParams,
@@ -730,17 +724,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return _EXIT_OK if all(r.holds for r in reports) else _EXIT_FINDINGS
 
 
-_IDENTIFY_ROUTES = {
-    "logit": identify_logit,
-    "rcg": identify_rcg,
-    "ic": identify_ic,
-    "eba": identify_rcg,
-    "ar": identify_rcg,
-    "rrm": identify_rrm,
-    "nsc": identify_nsc,
-    "nested_logit": identify_nsc,
-}
-
 _AUTO_ORDER = ("logit", "rcg", "ic", "rrm", "nsc")
 
 
@@ -752,7 +735,7 @@ def _cmd_identify(args: argparse.Namespace) -> int:
         attempts = []
         for name in _AUTO_ORDER:
             try:
-                result = _IDENTIFY_ROUTES[name](scc, tol=tol)
+                result = RECOVERIES[name](scc, tol=tol)
             except ScclabError as exc:
                 attempts.append({"model": name, "error": str(exc)})
                 continue
@@ -762,13 +745,15 @@ def _cmd_identify(args: argparse.Namespace) -> int:
             return _EXIT_OK
         _emit({"identified": False, "attempts": attempts}, args.output)
         return _EXIT_FINDINGS
-    if token not in _IDENTIFY_ROUTES and token not in ("logit_o", "rcg_o", "ic_o"):
+    empty = token.endswith("_o")
+    model = token[:-2] if empty else token
+    if model not in RECOVERIES or (empty and model not in EMPTY_CAPABLE):
         raise SchemaError(f"unknown identification target {args.model!r}")
     try:
-        if token in ("logit_o", "rcg_o", "ic_o"):
-            result = _IDENTIFY_ROUTES[token[:-2]](scc, empty_variant=True, tol=tol)
+        if empty:
+            result = RECOVERIES[model](scc, empty_variant=True, tol=tol)
         else:
-            result = _IDENTIFY_ROUTES[token](scc, tol=tol)
+            result = RECOVERIES[model](scc, tol=tol)
     except PreconditionFailedError as exc:
         payload = {"identified": False, "error": str(exc)}
         if exc.report is not None:

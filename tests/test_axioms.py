@@ -20,10 +20,13 @@ from scclab.core import (
 )
 import scclab.axioms
 from scclab.axioms import (
+    AXIOMS,
+    WITNESS_CAP,
     AxiomId,
     Witness,
     cached_report,
     cached_revealed_constraints,
+    cached_scaled_rows,
     check_additivity,
     check_full_support,
     check_iis,
@@ -42,6 +45,7 @@ from scclab.axioms import (
     run_axiom,
     support_transfer_violations,
 )
+from scclab.fuzz import ALL_VARIANTS, GenConfig, sample_params
 from scclab.models import (
     EBAParams,
     Aspect,
@@ -469,3 +473,91 @@ class TestMemo:
         assert fine != coarse_q
         assert cached_revealed_constraints(scc, DEFAULT_TOL) == fine
         assert cached_revealed_constraints(scc, coarse) == coarse_q
+
+
+def _kernel_cases():
+    """(name, SCC, attribute carriers): the criterion-2 fuzz bundles of all
+    eleven variants at n = 4 and 5, and a logit dataset at n = 6 whose
+    relative additivity fails far more often than the witness cap."""
+    cases = []
+    for index, (model, empty) in enumerate(ALL_VARIANTS):
+        for n in (4, 5):
+            config = GenConfig(n, model, seed=2000 + index, empty_variant=empty)
+            spec = sample_params(config)
+            attributes = getattr(spec.params, "attributes", None)
+            carriers = [a.carrier for a in attributes] if attributes else None
+            name = f"{model.value}{'_o' if empty else ''}-n{n}"
+            cases.append((name, generate_scc(spec, Universe.default(n)), carriers))
+    spec = sample_params(GenConfig(6, ModelTag.LOGIT, seed=2000))
+    cases.append(("logit-n6", generate_scc(spec, Universe.default(6)), None))
+    return cases
+
+
+def _battery(scc, attributes):
+    return [
+        run_axiom(scc, axiom, attributes=attributes)
+        for axiom, spec in AXIOMS.items()
+        if spec.applies(scc, attributes)
+    ]
+
+
+@pytest.fixture(scope="module")
+def kernel_runs():
+    """Every applicable check per case, on the scaled integer rows and on the
+    Fraction rows themselves (the accessor patched to return ``scc.rows``)."""
+    runs = []
+    for name, scc, carriers in _kernel_cases():
+        kernel = _battery(scc, carriers)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                scclab.axioms,
+                "cached_scaled_rows",
+                lambda scc: (scc.rows, dict.fromkeys(scc.rows, 1)),
+            )
+            oracle = _battery(scc, carriers)
+        runs.append((name, scc, carriers, kernel, oracle))
+    return runs
+
+
+class TestScaledRows:
+    def test_reports_match_the_fraction_path(self, kernel_runs):
+        for name, _, _, kernel, oracle in kernel_runs:
+            for fast, slow in zip(kernel, oracle, strict=True):
+                assert fast.holds == slow.holds, (name, fast.axiom)
+                assert fast.witnesses == slow.witnesses, (name, fast.axiom)
+                assert fast.instances_checked == slow.instances_checked, (name, fast.axiom)
+                assert fast.instances_vacuous == slow.instances_vacuous, (name, fast.axiom)
+                assert fast == slow, (name, fast.axiom)
+
+    def test_witnesses_recheck(self, kernel_runs):
+        for name, scc, carriers, kernel, _ in kernel_runs:
+            for report in kernel:
+                for witness in report.witnesses:
+                    assert recheck_witness(scc, witness, attributes=carriers), (
+                        name,
+                        witness,
+                    )
+
+    def test_exact_witness_sides_are_fractions(self, kernel_runs):
+        # format_prob writes an int as "3.0", so an int side would corrupt JSON
+        kinds = set()
+        for name, _, _, kernel, _ in kernel_runs:
+            for report in kernel:
+                for witness in report.witnesses:
+                    kinds.add((report.axiom, frozenset(witness.bindings)))
+                    for side in (witness.lhs, witness.rhs):
+                        assert side is None or type(side) is Fraction, (name, witness)
+        assert any(axiom is AxiomId.PIIS for axiom, _ in kinds)
+        assert (AxiomId.SINGLETON, frozenset({"T", "S"})) in kinds
+
+    def test_inputs_reach_past_the_cap(self, kernel_runs):
+        name, scc, _, kernel, _ = kernel_runs[-1]
+        rel_add = next(r for r in kernel if r.axiom is AxiomId.REL_ADD)
+        assert len(rel_add.witnesses) == WITNESS_CAP
+        longer = run_axiom(scc, AxiomId.REL_ADD, cap=10 * WITNESS_CAP)
+        assert len(longer.witnesses) == 10 * WITNESS_CAP
+
+    def test_float_rows_are_not_scaled(self, logit_scc):
+        rows = {m: {t: float(p) for t, p in row.items()} for m, row in logit_scc.rows.items()}
+        scc = SCC(U3, rows, exact=False)
+        assert cached_scaled_rows(scc)[0] is scc.rows
