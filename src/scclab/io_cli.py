@@ -14,10 +14,11 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from .axioms import (
     WITNESS_CAP,
@@ -46,19 +47,12 @@ from .core import (
 from .fuzz import ALL_VARIANTS, FuzzSummary, fuzz_characterization, fuzz_relationships
 from .identify import RECOVERIES, RecoveryResult
 from .models import (
-    ARParams,
+    EMPTY_CAPABLE,
+    PARAMS_TYPES,
     ArAttribute,
     Aspect,
-    EMPTY_CAPABLE,
-    EBAParams,
-    ICParams,
-    LogitParams,
     ModelSpec,
     ModelTag,
-    NSCParams,
-    NestedLogitParams,
-    RCGParams,
-    RRMParams,
     generate_scc,
     menu_row,
 )
@@ -78,7 +72,10 @@ def parse_prob_literal(text: str) -> tuple[Prob, bool]:
         if "/" in token:
             return Fraction(token), True
         if any(c in token for c in ".eE"):
-            return float(token), False
+            value = float(token)
+            if not math.isfinite(value):
+                raise ValueError("not finite")
+            return value, False
         return Fraction(int(token)), True
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"invalid probability literal {text!r}: {exc}") from None
@@ -100,6 +97,10 @@ def _require_type(value: Any, kind: type, context: str) -> Any:
     if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
         raise SchemaError(f"{context}: expected {kind.__name__}")
     return value
+
+
+def _labels_from_arg(text: str) -> list[str]:
+    return [s for s in (part.strip() for part in text.split(",")) if s]
 
 
 def _mask_from_labels(
@@ -150,7 +151,8 @@ def parse_scc(document: Any, tol: ToleranceConfig = DEFAULT_TOL) -> SCC:
         if menu in rows:
             raise SchemaError(f"{context}: duplicate menu {universe.labels_of(menu)}")
         row: dict[int, Prob] = {}
-        for ri, cell in enumerate(entry.get("rows", [])):
+        cells = _require_type(entry.get("rows", []), list, f"{context}.rows")
+        for ri, cell in enumerate(cells):
             cell_context = f"{context}.rows[{ri}]"
             _require_type(cell, dict, cell_context)
             collection = _mask_from_labels(
@@ -206,37 +208,142 @@ def scc_to_document(scc: SCC, tol: ToleranceConfig = DEFAULT_TOL) -> dict:
 # parameter documents
 
 
-def _collection_key(universe: Universe, mask: int) -> str:
-    return ",".join(universe.labels_of(mask))
+class _Codec(NamedTuple):
+    """The document format of one params field, in both directions.
+
+    ``parse(universe, raw, context)`` turns the field's JSON value into its
+    params value, naming ``context`` in errors; ``dump(universe, value)``
+    writes it back.  ``default`` stands in for a missing key.
+    """
+
+    parse: Callable[[Universe, Any, str], Any]
+    dump: Callable[[Universe, Any], Any]
+    default: Any = None
 
 
-def _mask_from_key(universe: Universe, key: str, context: str) -> int:
-    labels = [s for s in (part.strip() for part in key.split(",")) if s]
-    try:
-        return universe.mask_of(labels)
-    except ShapeError as exc:
-        raise SchemaError(f"{context}[{key!r}]: {exc}") from None
+def _scalar(kind: type, noun: str, parse: Callable, dump: Callable) -> _Codec:
+    def parse_raw(universe: Universe, raw: Any, context: str) -> Any:
+        if not isinstance(raw, kind) or isinstance(raw, bool):
+            raise SchemaError(f"{context}: expected {noun}")
+        return parse(raw)
+
+    return _Codec(parse_raw, lambda universe, value: dump(value))
 
 
-def _prob_map(universe: Universe, field: Any, context: str) -> dict[int, Prob]:
-    _require_type(field, dict, context)
-    out = {}
-    for key, literal in field.items():
-        if not isinstance(literal, str):
-            raise SchemaError(f"{context}[{key!r}]: expected a string literal")
-        out[_mask_from_key(universe, key, context)] = parse_prob_literal(literal)[0]
-    return out
+def _prob(noun: str) -> _Codec:
+    """A probability literal; ``noun`` is the expected type named in errors."""
+    return _scalar(str, noun, lambda raw: parse_prob_literal(raw)[0], format_prob)
 
 
-def _item_prob_map(universe: Universe, field: Any, context: str) -> dict[int, Prob]:
-    """Like _prob_map but keyed by item index instead of mask."""
-    by_mask = _prob_map(universe, field, context)
-    out = {}
-    for mask, value in by_mask.items():
-        if mask.bit_count() != 1:
-            raise SchemaError(f"{context}: keys must be single items")
-        out[mask.bit_length() - 1] = value
-    return out
+def _optional(codec: _Codec) -> _Codec:
+    """A field that may be missing or null; None is not written back."""
+    return _Codec(
+        lambda u, raw, context: None if raw is None else codec.parse(u, raw, context),
+        lambda u, value: None if value is None else codec.dump(u, value),
+    )
+
+
+def _label_set(allow_empty: bool) -> _Codec:
+    return _Codec(
+        lambda u, raw, context: _mask_from_labels(u, raw, context, allow_empty),
+        lambda u, mask: list(u.labels_of(mask)),
+    )
+
+
+def _keyed(value: _Codec, by_item: bool) -> _Codec:
+    """A JSON object keyed by comma-joined labels: a collection, stored as
+    its mask, or with ``by_item`` a single item, stored as its index."""
+
+    def parse(universe: Universe, raw: Any, context: str) -> dict:
+        _require_type(raw, dict, context)
+        out = {}
+        for key, entry in raw.items():
+            parsed = value.parse(universe, entry, f"{context}[{key!r}]")
+            try:
+                mask = universe.mask_of(_labels_from_arg(key))
+            except ShapeError as exc:
+                raise SchemaError(f"{context}[{key!r}]: {exc}") from None
+            if by_item and mask.bit_count() != 1:
+                raise SchemaError(f"{context}: keys must be single items")
+            out[mask.bit_length() - 1 if by_item else mask] = parsed
+        return out
+
+    def dump(universe: Universe, mapping: dict) -> dict:
+        return {
+            ",".join(universe.labels_of(1 << k if by_item else k)):
+                value.dump(universe, v)
+            for k, v in sorted(mapping.items())
+        }
+
+    return _Codec(parse, dump, {})
+
+
+def _list(element: _Codec, sort: bool = False) -> _Codec:
+    def parse(universe: Universe, raw: Any, context: str) -> tuple:
+        _require_type(raw, list, context)
+        values = [
+            element.parse(universe, e, f"{context}[{i}]") for i, e in enumerate(raw)
+        ]
+        return tuple(sorted(values) if sort else values)
+
+    return _Codec(parse, lambda u, values: [element.dump(u, v) for v in values], [])
+
+
+def _record(cls: type, fields: dict[str, _Codec]) -> _Codec:
+    """A JSON object whose keys are field names of the dataclass ``cls``.
+    Fields are parsed in the order of ``fields``."""
+
+    def parse(universe: Universe, raw: Any, context: str) -> Any:
+        _require_type(raw, dict, context)
+        return cls(**{
+            name: codec.parse(universe, raw.get(name, codec.default), f"{context}.{name}")
+            for name, codec in fields.items()
+        })
+
+    def dump(universe: Universe, value: Any) -> dict:
+        out = {
+            name: codec.dump(universe, getattr(value, name))
+            for name, codec in fields.items()
+        }
+        return {name: raw for name, raw in out.items() if raw is not None}
+
+    return _Codec(parse, dump)
+
+
+_PROB = _prob("str")
+_WEIGHTS = _keyed(_prob("a string literal"), by_item=False)
+_ITEM_WEIGHTS = _keyed(_prob("a string literal"), by_item=True)
+_CARRIER = _label_set(allow_empty=False)
+_INT = _scalar(int, "an integer", int, int)
+_NESTS = _list(_CARRIER, sort=True)
+
+#: The params codec of each model: a record over its ``PARAMS_TYPES`` class.
+_PARAMS_CODECS: dict[ModelTag, _Codec] = {
+    model: _record(PARAMS_TYPES[model], fields)
+    for model, fields in {
+        ModelTag.LOGIT: {"weights": _WEIGHTS, "empty_weight": _optional(_PROB)},
+        ModelTag.RCG: {"mass": _WEIGHTS},
+        ModelTag.IC: {"inclusion": _ITEM_WEIGHTS},
+        ModelTag.EBA: {
+            "attributes": _list(_record(Aspect, {"weight": _PROB, "carrier": _CARRIER}))
+        },
+        ModelTag.AR: {
+            "attributes": _list(_record(ArAttribute, {
+                "weight": _PROB,
+                "carrier": _CARRIER,
+                "item_values": _keyed(_INT, by_item=True),
+            }))
+        },
+        ModelTag.RRM: {
+            "salience": _ITEM_WEIGHTS,
+            "constraints": _keyed(_label_set(allow_empty=True), by_item=True),
+        },
+        ModelTag.NSC: {"nests": _NESTS, "nest_weights": _WEIGHTS},
+        ModelTag.NESTED_LOGIT: {
+            "nests": _NESTS, "utilities": _ITEM_WEIGHTS, "exponents": _list(_PROB)
+        },
+    }.items()
+}
 
 
 def parse_params(document: Any) -> tuple[ModelSpec, Universe]:
@@ -259,112 +366,7 @@ def parse_params(document: Any) -> tuple[ModelSpec, Universe]:
     empty_variant = document.get("empty_variant", False)
     if not isinstance(empty_variant, bool):
         raise SchemaError("empty_variant: expected a boolean")
-    body = _require_type(document["params"], dict, "params")
-
-    if model is ModelTag.LOGIT:
-        weights = _prob_map(universe, body.get("weights", {}), "params.weights")
-        literal = body.get("empty_weight")
-        empty_weight = (
-            parse_prob_literal(_require_type(literal, str, "params.empty_weight"))[0]
-            if literal is not None
-            else None
-        )
-        params: Any = LogitParams(weights, empty_weight)
-    elif model is ModelTag.RCG:
-        params = RCGParams(_prob_map(universe, body.get("mass", {}), "params.mass"))
-    elif model is ModelTag.IC:
-        params = ICParams(
-            _item_prob_map(universe, body.get("inclusion", {}), "params.inclusion")
-        )
-    elif model in (ModelTag.EBA, ModelTag.AR):
-        attrs_field = _require_type(
-            body.get("attributes", []), list, "params.attributes"
-        )
-        attrs = []
-        for ai, raw in enumerate(attrs_field):
-            context = f"params.attributes[{ai}]"
-            _require_type(raw, dict, context)
-            weight = parse_prob_literal(
-                _require_type(raw.get("weight"), str, f"{context}.weight")
-            )[0]
-            carrier = _mask_from_labels(
-                universe, raw.get("carrier"), f"{context}.carrier", allow_empty=False
-            )
-            if model is ModelTag.EBA:
-                attrs.append(Aspect(weight, carrier))
-            else:
-                values_field = _require_type(
-                    raw.get("item_values", {}), dict, f"{context}.item_values"
-                )
-                values = {}
-                for key, v in values_field.items():
-                    if not isinstance(v, int) or isinstance(v, bool):
-                        raise SchemaError(
-                            f"{context}.item_values[{key!r}]: expected an integer"
-                        )
-                    mask = _mask_from_key(universe, key, f"{context}.item_values")
-                    if mask.bit_count() != 1:
-                        raise SchemaError(
-                            f"{context}.item_values: keys must be single items"
-                        )
-                    values[mask.bit_length() - 1] = v
-                attrs.append(ArAttribute(weight, carrier, values))
-        params = (
-            EBAParams(tuple(attrs)) if model is ModelTag.EBA else ARParams(tuple(attrs))
-        )
-    elif model is ModelTag.RRM:
-        salience = _item_prob_map(
-            universe, body.get("salience", {}), "params.salience"
-        )
-        constraints_field = _require_type(
-            body.get("constraints", {}), dict, "params.constraints"
-        )
-        constraints = {}
-        for key, labels in constraints_field.items():
-            mask = _mask_from_key(universe, key, "params.constraints")
-            if mask.bit_count() != 1:
-                raise SchemaError("params.constraints: keys must be single items")
-            constraints[mask.bit_length() - 1] = _mask_from_labels(
-                universe, labels, f"params.constraints[{key!r}]"
-            )
-        params = RRMParams(salience, constraints)
-    elif model in (ModelTag.NSC, ModelTag.NESTED_LOGIT):
-        nests_field = _require_type(body.get("nests", []), list, "params.nests")
-        nests = tuple(
-            sorted(
-                _mask_from_labels(
-                    universe, nest, f"params.nests[{ni}]", allow_empty=False
-                )
-                for ni, nest in enumerate(nests_field)
-            )
-        )
-        if model is ModelTag.NSC:
-            params = NSCParams(
-                nests,
-                _prob_map(
-                    universe, body.get("nest_weights", {}), "params.nest_weights"
-                ),
-            )
-        else:
-            exps_field = _require_type(
-                body.get("exponents", []), list, "params.exponents"
-            )
-            exponents = tuple(
-                parse_prob_literal(
-                    _require_type(e, str, f"params.exponents[{ei}]")
-                )[0]
-                for ei, e in enumerate(exps_field)
-            )
-            params = NestedLogitParams(
-                nests,
-                _item_prob_map(
-                    universe, body.get("utilities", {}), "params.utilities"
-                ),
-                exponents,
-            )
-    else:  # pragma: no cover - ModelTag is closed
-        raise SchemaError(f"model: unknown tag {model!r}")
-
+    params = _PARAMS_CODECS[model].parse(universe, document["params"], "params")
     spec = ModelSpec(model, params, empty_variant)
     spec.validate(universe)
     return spec, universe
@@ -372,72 +374,11 @@ def parse_params(document: Any) -> tuple[ModelSpec, Universe]:
 
 def params_to_document(spec: ModelSpec, universe: Universe) -> dict:
     """Canonical JSON document for a parameter bundle."""
-    p = spec.params
-    key = lambda mask: _collection_key(universe, mask)
-    if spec.model is ModelTag.LOGIT:
-        body: dict[str, Any] = {
-            "weights": {key(t): format_prob(w) for t, w in sorted(p.weights.items())}
-        }
-        if p.empty_weight is not None:
-            body["empty_weight"] = format_prob(p.empty_weight)
-    elif spec.model is ModelTag.RCG:
-        body = {"mass": {key(c): format_prob(m) for c, m in sorted(p.mass.items())}}
-    elif spec.model is ModelTag.IC:
-        body = {
-            "inclusion": {
-                key(1 << x): format_prob(g) for x, g in sorted(p.inclusion.items())
-            }
-        }
-    elif spec.model is ModelTag.EBA:
-        body = {
-            "attributes": [
-                {"weight": format_prob(a.weight), "carrier": list(universe.labels_of(a.carrier))}
-                for a in p.attributes
-            ]
-        }
-    elif spec.model is ModelTag.AR:
-        body = {
-            "attributes": [
-                {
-                    "weight": format_prob(a.weight),
-                    "carrier": list(universe.labels_of(a.carrier)),
-                    "item_values": {
-                        key(1 << x): v for x, v in sorted(a.item_values.items())
-                    },
-                }
-                for a in p.attributes
-            ]
-        }
-    elif spec.model is ModelTag.RRM:
-        body = {
-            "salience": {
-                key(1 << x): format_prob(s) for x, s in sorted(p.salience.items())
-            },
-            "constraints": {
-                key(1 << x): list(universe.labels_of(q))
-                for x, q in sorted(p.constraints.items())
-            },
-        }
-    elif spec.model is ModelTag.NSC:
-        body = {
-            "nests": [list(universe.labels_of(nest)) for nest in p.nests],
-            "nest_weights": {
-                key(t): format_prob(w) for t, w in sorted(p.nest_weights.items())
-            },
-        }
-    else:
-        body = {
-            "nests": [list(universe.labels_of(nest)) for nest in p.nests],
-            "utilities": {
-                key(1 << x): format_prob(v) for x, v in sorted(p.utilities.items())
-            },
-            "exponents": [format_prob(e) for e in p.exponents],
-        }
     return {
         "model": spec.model.value,
         "items": list(universe.items),
         "empty_variant": spec.empty_variant,
-        "params": body,
+        "params": _PARAMS_CODECS[spec.model].dump(universe, spec.params),
     }
 
 
@@ -616,24 +557,27 @@ def _emit(payload: Any, output: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _load_json(path: str) -> Any:
+def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            return json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: not valid JSON ({exc})") from None
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path}: not valid UTF-8 ({exc})") from None
 
 
-def _labels_from_arg(text: str) -> list[str]:
-    return [s for s in (part.strip() for part in text.split(",")) if s]
+def _load_json(path: str) -> Any:
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{path}: not valid JSON ({exc})") from None
 
 
 def _tolerance(args: argparse.Namespace) -> ToleranceConfig:
     tol = getattr(args, "tol", None)
     if tol is None:
         return DEFAULT_TOL
-    if not tol > 0:
-        raise SchemaError(f"--tol must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise SchemaError(f"--tol must be positive and finite, got {tol}")
     return ToleranceConfig(eps_eq=tol)
 
 
@@ -783,6 +727,8 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         raise SchemaError(f"--n must list integers, got {args.n!r}") from None
     if not n_values:
         raise SchemaError("--n must list at least one universe size")
+    if args.trials < 1:
+        raise SchemaError(f"--trials must be at least 1, got {args.trials}")
     token = args.model.strip().lower()
     summaries: list[FuzzSummary] = []
     if token == "all":
@@ -810,9 +756,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
-    with open(args.counts, "r", encoding="utf-8") as handle:
-        table = parse_counts(handle.read())
-    scc = estimate_from_counts(table)
+    scc = estimate_from_counts(parse_counts(_read_text(args.counts)))
     _emit(scc_to_document(scc), args.output)
     return _EXIT_OK
 

@@ -412,7 +412,8 @@ AnyParams = Union[
     NestedLogitParams,
 ]
 
-_PARAMS_TYPES: dict[ModelTag, type] = {
+#: The params class of each model, checked by ModelSpec.validate.
+PARAMS_TYPES: dict[ModelTag, type] = {
     ModelTag.LOGIT: LogitParams,
     ModelTag.RCG: RCGParams,
     ModelTag.IC: ICParams,
@@ -435,7 +436,7 @@ class ModelSpec:
     empty_variant: bool = False
 
     def validate(self, universe: Universe) -> None:
-        expected = _PARAMS_TYPES[self.model]
+        expected = PARAMS_TYPES[self.model]
         if not isinstance(self.params, expected):
             raise InvalidParamsError(
                 f"model {self.model.value} expects {expected.__name__}, "

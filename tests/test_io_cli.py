@@ -67,7 +67,7 @@ class TestProbLiterals:
             assert parsed == value
             assert exact == isinstance(value, Fraction)
 
-    @pytest.mark.parametrize("bad", ["", "one half", "nan", "1/0", "2//3"])
+    @pytest.mark.parametrize("bad", ["", "one half", "nan", "1/0", "2//3", "1e999"])
     def test_junk_is_rejected(self, bad):
         with pytest.raises(SchemaError):
             parse_prob_literal(bad)
@@ -168,6 +168,34 @@ class TestParamsDocuments:
         parsed_spec, parsed_universe = parse_params(doc)
         assert parsed_spec == spec
         assert parsed_universe == universe
+        assert params_to_document(parsed_spec, parsed_universe) == doc
+        # an unset empty_weight is left out, not written as null
+        assert None not in doc["params"].values()
+
+    @pytest.mark.parametrize(
+        "model,path,bad,prefix",
+        [
+            (ModelTag.LOGIT, ("weights", "a"), 2, "params.weights['a']"),
+            (ModelTag.LOGIT, ("empty_weight",), 1, "params.empty_weight"),
+            (ModelTag.IC, ("inclusion", "a"), 0.5, "params.inclusion['a']"),
+            (ModelTag.RRM, ("constraints", "a"), "a", "params.constraints['a']"),
+            (ModelTag.AR, ("attributes", 0, "item_values"), {"a": "1"},
+             "params.attributes[0].item_values['a']"),
+            (ModelTag.NSC, ("nests", 0), "a", "params.nests[0]"),
+            (ModelTag.NESTED_LOGIT, ("exponents", 0), 1, "params.exponents[0]"),
+            (ModelTag.EBA, ("attributes", 0), ["a"], "params.attributes[0]"),
+        ],
+    )
+    def test_wrong_typed_field_names_it(self, model, path, bad, prefix):
+        spec = sample_params(GenConfig(3, model, seed=31))
+        doc = params_to_document(spec, Universe.default(3))
+        target = doc["params"]
+        for step in path[:-1]:
+            target = target[step]
+        target[path[-1]] = bad
+        with pytest.raises(SchemaError) as info:
+            parse_params(doc)
+        assert str(info.value).startswith(prefix + ": expected")
 
     def test_reference_constraint_table(self):
         doc = {
@@ -355,11 +383,30 @@ class TestCli:
             ["check", "SCC", "--axioms", "all", "--tol", "-1"],
             ["check", "SCC", "--axioms", "all", "--tol", "nan"],
             ["check", "SCC", "--axioms", "all", "--witness-cap", "0"],
+            ["check", "SCC", "--axioms", "all", "--tol", "inf"],
             ["fuzz", "--model", "logit", "--trials", "1", "--n", "x", "--seed", "0"],
+            ["fuzz", "--model", "logit", "--trials", "-1", "--n", "3", "--seed", "0"],
         ],
     )
     def test_bad_option_value_is_usage_error(self, nsc_path, capsys, argv):
         assert cli_main([nsc_path if a == "SCC" else a for a in argv]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "command,name,content",
+        [
+            ("check", "rows.json",
+             b'{"items": ["a"], "menus": [{"menu": ["a"], "rows": 5}]}'),
+            ("check", "latin1.json", b'{"items": ["\xe9"], "menus": []}'),
+            ("estimate", "latin1.csv", b"menu;set;count\n\xe9;\xe9;1\n"),
+        ],
+        ids=["rows-not-a-list", "json-not-utf8", "csv-not-utf8"],
+    )
+    def test_malformed_file_is_usage_error(self, tmp_path, capsys, command, name, content):
+        path = tmp_path / name
+        path.write_bytes(content)
+        argv = [command, str(path)] + (["--axioms", "all"] if command == "check" else [])
+        assert cli_main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_output_is_deterministic(self, tmp_path, nsc_path):
