@@ -41,7 +41,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import partial
-from itertools import combinations
+from itertools import combinations, repeat
+from operator import eq, mul, sub
 from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .core import (
@@ -674,13 +675,18 @@ def check_piis(
        co-occurrence graph; if every edge ratio matches the potential, all
        chain values telescope and the postulate holds outright.
     3. Otherwise (and always in float mode, where a long telescoping product
-       would accumulate error), chain values are compared pairwise per
-       ordered pair across intermediates.
+       would accumulate error), chain values are compared pairwise across
+       intermediates by :func:`_chain_scan`.  It scans each unordered pair
+       once: the comparisons of (T', T) multiply the same numbers as those
+       of (T, T') with the two sides swapped, and both multiplication and
+       ``probs_equal`` are symmetric, so the mirror pair has the same
+       verdicts bit for bit.
 
     ``instances_checked`` counts the comparisons the procedure performed
     (ratio-constancy checks, potential edge verifications, chain
-    comparisons); ``instances_vacuous`` counts ordered pairs of distinct
-    support collections admitting no chain at all.
+    comparisons of ordered pairs, so each unordered pair counts twice);
+    ``instances_vacuous`` counts ordered pairs of distinct support
+    collections admitting no chain at all.
     """
     require_complete(scc)
     out = _Collector(AxiomId.PIIS, cap)
@@ -715,22 +721,14 @@ def check_piis(
     for a, b in edges:
         neighbors[a].add(b)
         neighbors[b].add(a)
-    vacuous = sum(
+    vacuous = 2 * sum(
         1
-        for t in support_colls
-        for t2 in support_colls
-        if t != t2 and t2 not in neighbors[t] and not (neighbors[t] & neighbors[t2])
+        for i, t in enumerate(support_colls)
+        for t2 in support_colls[i + 1 :]
+        if t2 not in neighbors[t] and not (neighbors[t] & neighbors[t2])
     )
     if not out.clean:
         return out.report(scc, checked, vacuous)
-
-    def edge(a: int, b: int) -> tuple[Prob, Prob, int]:
-        """Oriented ratio mu(a,.)/mu(b,.) with its canonical menu."""
-        if a < b:
-            num, den, s0 = edges[(a, b)]
-            return num, den, s0
-        den, num, s0 = edges[(b, a)]
-        return num, den, s0
 
     # Stage 2 (exact mode): multiplicative potential over each component.
     if scc.exact:
@@ -745,7 +743,7 @@ def check_piis(
                 for nxt in sorted(neighbors[cur]):
                     if nxt in potential:
                         continue
-                    num, den, _ = edge(cur, nxt)
+                    num, den, _ = _edge(edges, cur, nxt)
                     # ratio(cur,nxt) = phi(cur)/phi(nxt)
                     potential[nxt] = potential[cur] * den / num
                     queue.append(nxt)
@@ -758,28 +756,91 @@ def check_piis(
         if consistent:
             return out.report(scc, checked, vacuous)
 
-    # Stage 3: direct chain comparison per ordered pair.
-    for t in support_colls:
-        nt = neighbors[t]
-        for t2 in support_colls:
-            if t2 == t:
-                continue
-            values: list[tuple[Prob, Prob, int, int, int]] = []
-            if t2 in nt:
-                num, den, s0 = edge(t, t2)
-                # chains through T* = T' (and T* = T) reduce to the edge ratio
-                values.append((num, den, t2, s0, s0))
-            for mid in sorted(nt & neighbors[t2]):
-                n1, d1, s1 = edge(t, mid)
-                n2, d2, s2 = edge(mid, t2)
-                values.append((n1 * n2, d1 * d2, mid, s1, s2))
-            for other in values[1:]:
-                checked += 1
-                ref = values[0]
-                if not probs_equal(scc, ref[0] * other[1], other[0] * ref[1], tol):
-                    bindings, lhs, rhs = _chain_witness(scc, t, t2, ref, other)
-                    out.add(bindings, lhs, rhs)
+    # Stage 3: direct chain comparison.
+    checked += _chain_scan(scc, tol, out, support_colls, neighbors, edges)
     return out.report(scc, checked, vacuous)
+
+
+def _edge(
+    edges: dict[tuple[int, int], tuple[Prob, Prob, int]], a: int, b: int
+) -> tuple[Prob, Prob, int]:
+    """Oriented ratio mu(a,.)/mu(b,.) with its canonical menu."""
+    if a < b:
+        num, den, s0 = edges[(a, b)]
+        return num, den, s0
+    den, num, s0 = edges[(b, a)]
+    return num, den, s0
+
+
+def _chain_scan(
+    scc: SCC,
+    tol: ToleranceConfig,
+    out: _Collector,
+    colls: list[int],
+    neighbors: dict[int, set[int]],
+    edges: dict[tuple[int, int], tuple[Prob, Prob, int]],
+) -> int:
+    """PIIS stage 3: per pair (T, T'), the chain through each common
+    neighbour T* against a reference, the edge T-T' itself or else the chain
+    through the least T*.  Returns the comparisons of ordered pairs.
+
+    Each unordered pair is scanned once, its products computed in C in the
+    association the witnesses use, lhs = ref_num * (d1*d2) and
+    rhs = (n1*n2) * ref_den.  A float pair whose largest difference is
+    within ``eps_eq`` passes (the ``abs_tol`` branch of ``math.isclose``).
+    Any other pair is replayed per ordered pair in enumeration order, where
+    ``probs_equal`` decides and the witnesses are built.
+    """
+    # num[a][b] / den[a][b] = mu(a,.)/mu(b,.)
+    num: dict[int, dict[int, Prob]] = {c: {} for c in colls}
+    den: dict[int, dict[int, Prob]] = {c: {} for c in colls}
+    for (a, b), (pa, pb, _) in edges.items():
+        num[a][b] = den[b][a] = pa
+        den[a][b] = num[b][a] = pb
+    checked = 0
+    suspects: list[tuple[int, int]] = []
+    for i, t in enumerate(colls):
+        nt = neighbors[t]
+        n1, d1 = num[t].__getitem__, den[t].__getitem__
+        for t2 in colls[i + 1 :]:
+            mids = nt & neighbors[t2]
+            # ratio(mid, t2) = den[t2][mid] / num[t2][mid]
+            n2, d2 = den[t2].__getitem__, num[t2].__getitem__
+            if t2 in nt:
+                ref_num, ref_den = n1(t2), d1(t2)
+            elif len(mids) > 1:
+                mids = sorted(mids)
+                first = mids.pop(0)
+                ref_num, ref_den = n1(first) * n2(first), d1(first) * d2(first)
+            else:
+                continue
+            checked += 2 * len(mids)
+            lhs = map(mul, repeat(ref_num), map(mul, map(d1, mids), map(d2, mids)))
+            rhs = map(mul, map(mul, map(n1, mids), map(n2, mids)), repeat(ref_den))
+            if scc.exact:
+                agree = all(map(eq, lhs, rhs))
+            else:
+                agree = max(map(abs, map(sub, lhs, rhs)), default=0.0) <= tol.eps_eq
+            if not agree:
+                suspects += [(t, t2), (t2, t)]
+
+    for t, t2 in sorted(suspects):
+        if len(out.witnesses) == out.cap:
+            break
+        values: list[tuple[Prob, Prob, int, int, int]] = []
+        if t2 in neighbors[t]:
+            n0, d0, s0 = _edge(edges, t, t2)
+            # chains through T* = T' (and T* = T) reduce to the edge ratio
+            values.append((n0, d0, t2, s0, s0))
+        for mid in sorted(neighbors[t] & neighbors[t2]):
+            n1, d1, s1 = _edge(edges, t, mid)
+            n2, d2, s2 = _edge(edges, mid, t2)
+            values.append((n1 * n2, d1 * d2, mid, s1, s2))
+        ref = values[0]
+        for other in values[1:]:
+            if not probs_equal(scc, ref[0] * other[1], other[0] * ref[1], tol):
+                out.add(*_chain_witness(scc, t, t2, ref, other))
+    return checked
 
 
 def _partition_report(scc: SCC, tol: ToleranceConfig, cap: int) -> AxiomReport:

@@ -483,8 +483,8 @@ def parse_counts(text: str) -> CountsTable:
             continue
         if len(record) != 3:
             raise SchemaError(f"line {line_no}: expected 3 fields, got {len(record)}")
-        menu_labels = [s for s in (p.strip() for p in record[0].split(",")) if s]
-        set_labels = [s for s in (p.strip() for p in record[1].split(",")) if s]
+        menu_labels = _labels_from_arg(record[0])
+        set_labels = _labels_from_arg(record[1])
         if not menu_labels:
             raise SchemaError(f"line {line_no}: menu must be non-empty")
         try:
@@ -568,7 +568,7 @@ def _read_text(path: str) -> str:
 def _load_json(path: str) -> Any:
     try:
         return json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError(f"{path}: not valid JSON ({exc})") from None
 
 

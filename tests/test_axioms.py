@@ -6,7 +6,9 @@ relative additivity and the attention-filter condition were derived by
 hand, fraction by fraction.
 """
 
+import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -17,6 +19,8 @@ from scclab.core import (
     ToleranceConfig,
     Universe,
     WrongVariantError,
+    is_positive,
+    probs_equal,
 )
 import scclab.axioms
 from scclab.axioms import (
@@ -24,6 +28,8 @@ from scclab.axioms import (
     WITNESS_CAP,
     AxiomId,
     Witness,
+    _chain_witness,
+    _edge,
     cached_report,
     cached_revealed_constraints,
     cached_scaled_rows,
@@ -262,6 +268,123 @@ class TestPIIS:
         report = check_piis(perturbed)
         assert not report.holds
         assert all(recheck_witness(perturbed, w) for w in report.witnesses)
+
+
+def _ordered_chain_scan(scc, tol, out, colls, neighbors, edges, *, reached):
+    """PIIS stage 3 as one scan over ordered pairs, the oracle for
+    ``_chain_scan``; ``reached`` records (exact mode, found a failure)."""
+    checked = 0
+    clean = out.clean
+    for t in colls:
+        for t2 in colls:
+            if t2 == t:
+                continue
+            values = []
+            if t2 in neighbors[t]:
+                num, den, s0 = _edge(edges, t, t2)
+                values.append((num, den, t2, s0, s0))
+            for mid in sorted(neighbors[t] & neighbors[t2]):
+                n1, d1, s1 = _edge(edges, t, mid)
+                n2, d2, s2 = _edge(edges, mid, t2)
+                values.append((n1 * n2, d1 * d2, mid, s1, s2))
+            for other in values[1:]:
+                checked += 1
+                ref = values[0]
+                if not probs_equal(scc, ref[0] * other[1], other[0] * ref[1], tol):
+                    out.add(*_chain_witness(scc, t, t2, ref, other))
+    reached.append((scc.exact, clean and not out.clean))
+    return checked
+
+
+def _piis_cases():
+    """A full-support float logit at n = 6, and a seeded fuzz corpus at
+    n = 3..5 over every variant, exact and float, each dataset unchanged or
+    with one cell scaled."""
+    spec = sample_params(GenConfig(6, ModelTag.LOGIT, seed=3100))
+    logit = generate_scc(spec, Universe.default(6))
+    cases = [("logit-n6", SCC(logit.universe, _copy_rows(logit, False), exact=False))]
+    rng = random.Random(3100)
+    for index in range(132):
+        model, empty = ALL_VARIANTS[index % len(ALL_VARIANTS)]
+        n = 3 + index % 3
+        config = GenConfig(n, model, seed=3100 + index, empty_variant=empty)
+        base = generate_scc(sample_params(config), Universe.default(n))
+        for exact in (True, False):
+            rows = _copy_rows(base, exact)
+            factor = rng.choice((None, 1.5, 0.7, 1 + 1e-6, 1 + 1e-10))
+            if factor is not None:
+                menu = rng.choice(sorted(rows))
+                cell = rng.choice(sorted(rows[menu]))
+                rows[menu][cell] *= F(factor) if exact else factor
+            name = f"{model.value}{'_o' if empty else ''}-n{n}-{index}-{exact}-{factor}"
+            cases.append((name, SCC(base.universe, rows, base.allows_empty, exact)))
+    return cases
+
+
+def _copy_rows(scc, exact):
+    cast = F if exact else float
+    return {m: {t: cast(p) for t, p in row.items()} for m, row in scc.rows.items()}
+
+
+@pytest.fixture(scope="module")
+def piis_runs():
+    """check_piis per case and tolerance, and the same with the ordered-pair
+    oracle patched in as stage 3."""
+    runs, reached = [], []
+    oracle = partial(_ordered_chain_scan, reached=reached)
+    for name, scc in _piis_cases():
+        for tol in (DEFAULT_TOL, ToleranceConfig(eps_eq=1e-2)):
+            fast = check_piis(scc, tol)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(scclab.axioms, "_chain_scan", oracle)
+                slow = check_piis(scc, tol)
+            runs.append((name, scc, tol, fast, slow))
+    return runs, reached
+
+
+class TestPIISChainScan:
+    def test_reports_match_the_ordered_scan(self, piis_runs):
+        runs, _ = piis_runs
+        for name, _, tol, fast, slow in runs:
+            case = (name, tol.eps_eq)
+            assert fast.holds == slow.holds, case
+            assert fast.witnesses == slow.witnesses, case
+            assert fast.instances_checked == slow.instances_checked, case
+            assert fast.instances_vacuous == slow.instances_vacuous, case
+            assert fast == slow, case
+
+    def test_witnesses_recheck(self, piis_runs):
+        runs, _ = piis_runs
+        for name, scc, tol, fast, _ in runs:
+            for witness in fast.witnesses:
+                assert recheck_witness(scc, witness, tol), (name, witness)
+
+    def test_vacuous_counts_ordered_pairs(self, piis_runs):
+        runs, _ = piis_runs
+        assert any(fast.instances_vacuous for _, _, _, fast, _ in runs)
+        for name, scc, tol, fast, _ in runs:
+            pos = [
+                {t for t, p in row.items() if is_positive(scc, p, tol)}
+                for row in scc.rows.values()
+            ]
+            colls = set().union(*pos)
+            near = {t: set().union(*(s for s in pos if t in s)) - {t} for t in colls}
+            vacuous = sum(
+                1
+                for t in colls
+                for t2 in colls
+                if t != t2 and t2 not in near[t] and not near[t] & near[t2]
+            )
+            assert fast.instances_vacuous == vacuous, (name, tol.eps_eq)
+
+    def test_corpus_reaches_stage3_failures(self, piis_runs):
+        runs, reached = piis_runs
+        # float mode always reaches stage 3 once stage 1 is clean; exact mode
+        # reaches it only when the stage-2 potential is inconsistent
+        assert (False, True) in reached
+        assert any(exact for exact, _ in reached)
+        assert any(not fast.holds for _, scc, _, fast, _ in runs if not scc.exact)
+        assert all(fast.holds for name, _, _, fast, _ in runs if name == "logit-n6")
 
 
 class TestPAF:

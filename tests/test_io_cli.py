@@ -399,8 +399,9 @@ class TestCli:
              b'{"items": ["a"], "menus": [{"menu": ["a"], "rows": 5}]}'),
             ("check", "latin1.json", b'{"items": ["\xe9"], "menus": []}'),
             ("estimate", "latin1.csv", b"menu;set;count\n\xe9;\xe9;1\n"),
+            ("classify", "deep.json", b"[" * 50_000),
         ],
-        ids=["rows-not-a-list", "json-not-utf8", "csv-not-utf8"],
+        ids=["rows-not-a-list", "json-not-utf8", "csv-not-utf8", "json-too-deep"],
     )
     def test_malformed_file_is_usage_error(self, tmp_path, capsys, command, name, content):
         path = tmp_path / name
