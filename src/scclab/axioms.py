@@ -7,12 +7,14 @@ them:
 * Enumeration is sequential and lexicographic on bitmasks (menus ascending,
   then items ascending, then collections ascending), so reports are
   deterministic for a fixed SCC and tolerance.
-* ``instances_checked`` counts equality/support comparisons the decision
-  procedure actually performed; ``instances_vacuous`` counts enumerated
-  instances skipped because a guard was unmet.  Their sum is the enumerated
-  domain size.  Instances that are trivially true by symmetry (identical
-  menus, identical collections) are not enumerated at all; per-check
-  docstrings state the domain.
+* ``instances_checked`` counts the guarded instances of the domain, those
+  whose guard holds; ``instances_vacuous`` counts those whose guard is
+  unmet.  Their sum is the domain size.  Instances that are trivially true
+  by symmetry (identical menus, identical collections) are not in the
+  domain; per-check docstrings state the domain.  Except for PIIS, whose
+  domain is its stages', a check may count in closed form, certify "holds",
+  and compare instances one by one only where its certificate fails and
+  fewer than ``cap`` witnesses are recorded; the counts are the same.
 * Ratio postulates are decided by cross-multiplication, never division, so
   exact mode involves no rounding and zero denominators need no special
   cases.  In exact mode they cross-multiply the integer rows of
@@ -42,7 +44,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import partial
 from itertools import combinations, repeat
-from operator import eq, mul, sub
+from operator import eq, itemgetter, mul, sub
 from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .core import (
@@ -250,6 +252,16 @@ def check_full_support(
     return out.report(scc, 3**n - 2**n, 0)
 
 
+def _rank_one(us: Sequence[Prob], vs: Sequence[Prob]) -> bool:
+    """True iff the 2 x m matrix with rows ``us`` and ``vs`` has rank at most
+    one: every column is proportional to the first nonzero one.  Exact
+    arithmetic only, where proportionality is transitive."""
+    for u0, v0 in zip(us, vs):
+        if u0 or v0:
+            return all(map(eq, map(mul, us, repeat(v0)), map(mul, repeat(u0), vs)))
+    return True
+
+
 def check_iis(
     scc: SCC,
     tol: ToleranceConfig = DEFAULT_TOL,
@@ -271,6 +283,14 @@ def check_iis(
     enumerated.  Running it on a standard SCC is permitted: empty-collection
     probabilities are identically zero there, which strengthens the check
     rather than breaking it.
+
+    Counts per menu pair, with k collections positive in both menus (the
+    empty one excluded in the standard form) and m = 2^|S n S'| - 1: C(k,2)
+    checked and C(m,2) - C(k,2) vacuous, or k*m and (m+1-k)*m in the
+    empty-collection form.  Exact mode certifies a menu pair with
+    :func:`_rank_one` on its two rows over the guarded collections (over
+    every subset of S n S' in the empty-collection form) and scans only
+    the pairs that fail it.
     """
     require_complete(scc)
     axiom = AxiomId.IIS_O if empty_variant else AxiomId.IIS
@@ -284,47 +304,39 @@ def check_iis(
         row_s, pos_s = rows[s], pos[s]
         for s2 in menus[i + 1 :]:
             inter = s & s2
-            row_s2, pos_s2 = rows[s2], pos[s2]
+            row_s2 = rows[s2]
+            common = pos_s.keys() & pos[s2].keys()
+            m = (1 << popcount(inter)) - 1
             if empty_variant:
-                subs = submasks(inter)
-                for t in subs:
-                    for t2 in subs:
-                        if t2 == t:
-                            continue
-                        if t2 not in pos_s or t2 not in pos_s2:
-                            vacuous += 1
-                            continue
-                        checked += 1
-                        lhs = row_s.get(t, 0) * pos_s2[t2]
-                        rhs = pos_s[t2] * row_s2.get(t, 0)
-                        if not probs_equal(scc, lhs, rhs, tol):
-                            out.add_equation(
-                                scc,
-                                {"T": t, "T_prime": t2, "S": s, "S_prime": s2},
-                                tol,
-                            )
+                here, domain = len(common) * m, (m + 1) * m
             else:
-                subs = nonempty_submasks(inter)
-                for a_idx in range(len(subs)):
-                    t = subs[a_idx]
-                    t_in_s = t in pos_s
-                    t_in_s2 = t in pos_s2
-                    for b_idx in range(a_idx + 1, len(subs)):
-                        t2 = subs[b_idx]
-                        if not (
-                            t_in_s and t_in_s2 and t2 in pos_s and t2 in pos_s2
-                        ):
-                            vacuous += 1
-                            continue
-                        checked += 1
-                        lhs = pos_s[t] * pos_s2[t2]
-                        rhs = pos_s[t2] * pos_s2[t]
-                        if not probs_equal(scc, lhs, rhs, tol):
-                            out.add_equation(
-                                scc,
-                                {"T": t, "T_prime": t2, "S": s, "S_prime": s2},
-                                tol,
-                            )
+                common.discard(0)
+                here, domain = len(common) * (len(common) - 1) // 2, m * (m - 1) // 2
+            checked += here
+            vacuous += domain - here
+            if not here or len(out.witnesses) == cap:
+                continue
+            if scc.exact:
+                if empty_variant:
+                    subs = submasks(inter)
+                    columns = [list(map(r.get, subs, repeat(0))) for r in (row_s, row_s2)]
+                else:
+                    columns = map(itemgetter(*common), (row_s, row_s2))
+                if _rank_one(*columns):
+                    continue
+            guarded = sorted(common)
+            pairs = (
+                ((t, t2) for t in submasks(inter) for t2 in guarded if t2 != t)
+                if empty_variant
+                else combinations(guarded, 2)
+            )
+            for t, t2 in pairs:
+                lhs = row_s.get(t, 0) * row_s2[t2]
+                rhs = row_s[t2] * row_s2.get(t, 0)
+                if not probs_equal(scc, lhs, rhs, tol):
+                    out.add_equation(
+                        scc, {"T": t, "T_prime": t2, "S": s, "S_prime": s2}, tol
+                    )
     return out.report(scc, checked, vacuous)
 
 
@@ -338,6 +350,12 @@ def _rel_add_scan(
     pairs hold trivially and are not enumerated).  For REL_ADD_1, instances
     touching the revealed constraint set of x restricted to S minus x are
     vacuous instead of checked.
+
+    Counts per (S, x), with m = 2^|S\\x| - 1: C(m,2) checked, or C(m-1,2)
+    checked and m-1 vacuous for REL_ADD_1 with a non-empty excluded set.
+    Exact mode certifies an (S, x) with :func:`_rank_one` on the rows
+    mu(T,S\\x) and mu(T,S) + mu(T u x,S), the excluded column left out,
+    and scans only those that fail it.
     """
     require_complete(scc)
     constraints = (
@@ -347,24 +365,21 @@ def _rel_add_scan(
     checked = 0
     vacuous = 0
     for s, xbit, rest, row_s, row_rest in _removals(cached_scaled_rows(scc)[0]):
-        x = xbit.bit_length() - 1
-        excluded = constraints[x] & rest if constraints is not None else None
         subs = nonempty_submasks(rest)
-        pair_sum = {t: row_s.get(t, 0) + row_s.get(t | xbit, 0) for t in subs}
-        for a_idx in range(len(subs)):
-            t = subs[a_idx]
-            for b_idx in range(a_idx + 1, len(subs)):
-                t2 = subs[b_idx]
-                if excluded is not None and excluded in (t, t2):
-                    vacuous += 1
-                    continue
-                checked += 1
-                lhs = row_rest.get(t, 0) * pair_sum[t2]
-                rhs = row_rest.get(t2, 0) * pair_sum[t]
-                if not probs_equal(scc, lhs, rhs, tol):
-                    out.add_equation(
-                        scc, {"S": s, "x": xbit, "T": t, "T_prime": t2}, tol
-                    )
+        excluded = constraints[xbit.bit_length() - 1] & rest if constraints else 0
+        if excluded:
+            subs.remove(excluded)
+            vacuous += len(subs)
+        checked += len(subs) * (len(subs) - 1) // 2
+        if len(out.witnesses) == cap:
+            continue
+        us = list(map(row_rest.get, subs, repeat(0)))
+        vs = [row_s.get(t, 0) + row_s.get(t | xbit, 0) for t in subs]
+        if scc.exact and _rank_one(us, vs):
+            continue
+        for (t, u, v), (t2, u2, v2) in combinations(zip(subs, us, vs), 2):
+            if not probs_equal(scc, u * v2, u2 * v, tol):
+                out.add_equation(scc, {"S": s, "x": xbit, "T": t, "T_prime": t2}, tol)
     return out.report(scc, checked, vacuous)
 
 
@@ -672,8 +687,10 @@ def check_piis(
        already a chain conflict (take T* = T' = B), reported as such.
     2. If stage 1 is clean, each co-occurring pair has one well-defined
        ratio.  In exact mode a multiplicative potential is fitted over the
-       co-occurrence graph; if every edge ratio matches the potential, all
-       chain values telescope and the postulate holds outright.
+       co-occurrence graph, each value kept as a numerator and denominator
+       of row values with no division; if every edge ratio matches the
+       potential, a certificate, all chain values telescope and the
+       postulate holds outright.
     3. Otherwise (and always in float mode, where a long telescoping product
        would accumulate error), chain values are compared pairwise across
        intermediates by :func:`_chain_scan`.  It scans each unordered pair
@@ -682,10 +699,11 @@ def check_piis(
        ``probs_equal`` are symmetric, so the mirror pair has the same
        verdicts bit for bit.
 
-    ``instances_checked`` counts the comparisons the procedure performed
-    (ratio-constancy checks, potential edge verifications, chain
-    comparisons of ordered pairs, so each unordered pair counts twice);
-    ``instances_vacuous`` counts ordered pairs of distinct support
+    The domain is defined by these stages, so ``instances_checked`` counts
+    the instances of the stages run: the repeated co-occurrences of stage 1,
+    the potential's edges up to the first inconsistent one, and the chain
+    comparisons of ordered pairs in stage 3 (each unordered pair counts
+    twice).  ``instances_vacuous`` counts ordered pairs of distinct support
     collections admitting no chain at all.
     """
     require_complete(scc)
@@ -732,28 +750,29 @@ def check_piis(
 
     # Stage 2 (exact mode): multiplicative potential over each component.
     if scc.exact:
-        potential: dict[int, Fraction] = {}
+        # phi(c) = potential[c][0] / potential[c][1]
+        potential: dict[int, tuple[Prob, Prob]] = {}
         for root in support_colls:
             if root in potential:
                 continue
-            potential[root] = Fraction(1)
+            potential[root] = (1, 1)
             queue = [root]
             while queue:
                 cur = queue.pop()
+                phi_num, phi_den = potential[cur]
                 for nxt in sorted(neighbors[cur]):
                     if nxt in potential:
                         continue
                     num, den, _ = _edge(edges, cur, nxt)
                     # ratio(cur,nxt) = phi(cur)/phi(nxt)
-                    potential[nxt] = potential[cur] * den / num
+                    potential[nxt] = (phi_num * den, phi_den * num)
                     queue.append(nxt)
-        consistent = True
         for (a, b), (num, den, _) in edges.items():
             checked += 1
-            if potential[a] * den != potential[b] * num:
-                consistent = False
+            (a_num, a_den), (b_num, b_den) = potential[a], potential[b]
+            if a_num * den * b_den != b_num * num * a_den:
                 break
-        if consistent:
+        else:
             return out.report(scc, checked, vacuous)
 
     # Stage 3: direct chain comparison.

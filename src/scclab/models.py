@@ -349,6 +349,26 @@ class NSCParams:
         return all(_is_exact(w) for w in self.nest_weights.values())
 
 
+#: The largest bit size validation admits for a nested-logit sum of utilities
+#: and its power: exact powers stay small, float ones inside the float range.
+MAX_POWER_BITS = 1000
+
+
+def _subset_sum_bits(values: list[Weight], exact: bool) -> float:
+    """A bound on the bit size of every sum of a non-empty subset of the
+    positive ``values``: numerator plus denominator bits if exact, else the
+    binary order of magnitude (taken exactly, so it cannot overflow)."""
+    fractions = [Fraction(v) for v in values]
+    total = sum(fractions)
+    if exact:
+        den = math.lcm(*(v.denominator for v in fractions))
+        return math.ceil(total * den).bit_length() + den.bit_length()
+    return max(
+        abs(math.log2(v.numerator) - math.log2(v.denominator))
+        for v in (total, min(fractions))
+    )
+
+
 @dataclass(frozen=True)
 class NestedLogitParams:
     """Nested logit: a nested stochastic choice whose weight function is
@@ -373,6 +393,14 @@ class NestedLogitParams:
         for e in self.exponents:
             if e <= 0:
                 raise InvalidParamsError("exponents must be positive")
+        exact = self.is_exact()
+        for i, (nest, e) in enumerate(zip(self.nests, self.exponents)):
+            size = _subset_sum_bits([self.utilities[x] for x in bits(nest)], exact)
+            if max(e, 1) * size > MAX_POWER_BITS:
+                raise InvalidParamsError(
+                    f"params.exponents[{i}]: {e} raises sums of utilities to "
+                    f"powers of more than {MAX_POWER_BITS} bits"
+                )
 
     def is_exact(self) -> bool:
         """True iff utilities are rational and every exponent is an integer
@@ -712,7 +740,8 @@ def generate_scc(spec: ModelSpec, universe: Universe) -> SCC:
 
     One row per (menu, collection) pair in the model's support; exact mode
     unless the bundle itself forces floats.  The result always satisfies the
-    three defining SCC properties by construction.
+    three defining SCC properties: by construction in exact mode, and in
+    float mode by refusing a bundle whose weights overflow.
     """
     spec.validate(universe)
     exact = spec.is_exact()
@@ -720,6 +749,11 @@ def generate_scc(spec: ModelSpec, universe: Universe) -> SCC:
     rows: dict[int, dict[int, Prob]] = {}
     for menu in range(1, universe.full_mask + 1):
         row = menu_row(spec, menu)
+        if not exact and not _sums_to_one(sum(row.values())):
+            raise InvalidParamsError(
+                f"weights overflow float arithmetic: the row of menu "
+                f"{universe.labels_of(menu)} sums to {sum(row.values())!r}, not 1"
+            )
         rows[menu] = {t: coerce(p) for t, p in sorted(row.items()) if p > 0}
     notes: tuple[str, ...] = ()
     params = spec.params

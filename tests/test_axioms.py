@@ -9,6 +9,7 @@ hand, fraction by fraction.
 import random
 from fractions import Fraction
 from functools import partial
+from itertools import combinations
 
 import pytest
 
@@ -21,6 +22,7 @@ from scclab.core import (
     WrongVariantError,
     is_positive,
     probs_equal,
+    submasks,
 )
 import scclab.axioms
 from scclab.axioms import (
@@ -28,8 +30,11 @@ from scclab.axioms import (
     WITNESS_CAP,
     AxiomId,
     Witness,
+    _Collector,
     _chain_witness,
     _edge,
+    _positive_rows,
+    _rel_add_scan,
     cached_report,
     cached_revealed_constraints,
     cached_scaled_rows,
@@ -385,6 +390,187 @@ class TestPIISChainScan:
         assert any(exact for exact, _ in reached)
         assert any(not fast.holds for _, scc, _, fast, _ in runs if not scc.exact)
         assert all(fast.holds for name, _, _, fast, _ in runs if name == "logit-n6")
+
+
+def _pairwise_iis(scc, tol, cap, empty_variant):
+    """IIS as one comparison per instance of every menu pair, counting as it
+    goes: the oracle for ``check_iis``."""
+    out = _Collector(AxiomId.IIS_O if empty_variant else AxiomId.IIS, cap)
+    rows = cached_scaled_rows(scc)[0]
+    pos = _positive_rows(scc, tol)
+    menus = scc.menus()
+    checked = vacuous = 0
+    for i, s in enumerate(menus):
+        row_s, pos_s = rows[s], pos[s]
+        for s2 in menus[i + 1 :]:
+            row_s2, pos_s2 = rows[s2], pos[s2]
+            subs = submasks(s & s2)
+            if empty_variant:
+                pairs = [(t, t2) for t in subs for t2 in subs if t2 != t]
+            else:
+                pairs = list(combinations(subs[1:], 2))
+            for t, t2 in pairs:
+                guards = [t2 in pos_s, t2 in pos_s2]
+                if not empty_variant:
+                    guards += [t in pos_s, t in pos_s2]
+                if not all(guards):
+                    vacuous += 1
+                    continue
+                checked += 1
+                lhs = row_s.get(t, 0) * pos_s2[t2]
+                rhs = pos_s[t2] * row_s2.get(t, 0)
+                if not probs_equal(scc, lhs, rhs, tol):
+                    bindings = {"T": t, "T_prime": t2, "S": s, "S_prime": s2}
+                    out.add_equation(scc, bindings, tol)
+    return out.report(scc, checked, vacuous)
+
+
+def _pairwise_rel_add(scc, tol, cap, axiom):
+    """Relative additivity as one comparison per instance of every (S, x),
+    counting as it goes: the oracle for ``_rel_add_scan``."""
+    revealed = cached_revealed_constraints(scc, tol) if axiom is AxiomId.REL_ADD_1 else None
+    out = _Collector(axiom, cap)
+    rows = cached_scaled_rows(scc)[0]
+    checked = vacuous = 0
+    for s in scc.menus():
+        for x in range(scc.universe.n):
+            xbit, rest = 1 << x, s & ~(1 << x)
+            if not s & xbit or not rest:
+                continue
+            excluded = revealed[x] & rest if revealed else None
+            pair_sum = {
+                t: rows[s].get(t, 0) + rows[s].get(t | xbit, 0) for t in submasks(rest)
+            }
+            for t, t2 in combinations(submasks(rest)[1:], 2):
+                if excluded in (t, t2):
+                    vacuous += 1
+                    continue
+                checked += 1
+                lhs = rows[rest].get(t, 0) * pair_sum[t2]
+                rhs = rows[rest].get(t2, 0) * pair_sum[t]
+                if not probs_equal(scc, lhs, rhs, tol):
+                    out.add_equation(scc, {"S": s, "x": xbit, "T": t, "T_prime": t2}, tol)
+    return out.report(scc, checked, vacuous)
+
+
+#: Each ratio check with its oracle and the bindings naming its unit of
+#: certification (a menu pair, or an (S, x)).
+RATIO_CHECKS = {
+    AxiomId.IIS: (
+        partial(check_iis, empty_variant=False),
+        partial(_pairwise_iis, empty_variant=False),
+        ("S", "S_prime"),
+    ),
+    AxiomId.IIS_O: (
+        partial(check_iis, empty_variant=True),
+        partial(_pairwise_iis, empty_variant=True),
+        ("S", "S_prime"),
+    ),
+    AxiomId.REL_ADD: (
+        partial(_rel_add_scan, axiom=AxiomId.REL_ADD),
+        partial(_pairwise_rel_add, axiom=AxiomId.REL_ADD),
+        ("S", "x"),
+    ),
+    AxiomId.REL_ADD_1: (
+        partial(_rel_add_scan, axiom=AxiomId.REL_ADD_1),
+        partial(_pairwise_rel_add, axiom=AxiomId.REL_ADD_1),
+        ("S", "x"),
+    ),
+}
+
+
+def _domain(axiom, n):
+    """Checked plus vacuous instances of a ratio check on a complete SCC."""
+    menus = range(1, 1 << n)
+    if axiom in (AxiomId.IIS, AxiomId.IIS_O):
+        sizes = [(1 << (s & s2).bit_count()) - 1 for s, s2 in combinations(menus, 2)]
+        if axiom is AxiomId.IIS_O:
+            return sum((m + 1) * m for m in sizes)
+        return sum(m * (m - 1) // 2 for m in sizes)
+    sizes = [(1 << (s.bit_count() - 1)) - 1 for s in menus for _ in range(s.bit_count())]
+    return sum(m * (m - 1) // 2 for m in sizes if m)
+
+
+def _ratio_cases():
+    """Every variant at n = 3..5, exact and float, unchanged and with one
+    cell scaled or zeroed; both IIS forms run on every one of them."""
+    rng = random.Random(4100)
+    cases = []
+    for index, (model, empty) in enumerate(ALL_VARIANTS):
+        for n in (3, 4, 5):
+            config = GenConfig(n, model, seed=4100 + 3 * index + n, empty_variant=empty)
+            base = generate_scc(sample_params(config), Universe.default(n))
+            for exact in (True, False):
+                for factor in (None, rng.choice((1.5, 0.7, 0))):
+                    rows = _copy_rows(base, exact)
+                    if factor is not None:
+                        wide = [m for m in sorted(rows) if len(rows[m]) > 1]
+                        menu = rng.choice(wide or sorted(rows))
+                        cell = rng.choice(sorted(rows[menu]))
+                        rows[menu][cell] *= F(factor) if exact else factor
+                    name = f"{model.value}{'_o' if empty else ''}-n{n}-{exact}-{factor}"
+                    cases.append((name, SCC(base.universe, rows, base.allows_empty, exact)))
+    return cases
+
+
+@pytest.fixture(scope="module")
+def ratio_runs():
+    """(case, scc, axiom, cap, certificate-first report, oracle report)."""
+    runs = []
+    for name, scc in _ratio_cases():
+        for axiom, (check, oracle, _) in RATIO_CHECKS.items():
+            for cap in (1, 10):
+                fast = check(scc, DEFAULT_TOL, cap=cap)
+                runs.append((name, scc, axiom, cap, fast, oracle(scc, DEFAULT_TOL, cap)))
+    return runs
+
+
+class TestRatioCertificates:
+    def test_reports_match_the_pairwise_scans(self, ratio_runs):
+        for name, _, axiom, cap, fast, slow in ratio_runs:
+            case = (name, axiom, cap)
+            assert fast.holds == slow.holds, case
+            assert fast.witnesses == slow.witnesses, case
+            assert fast.instances_checked == slow.instances_checked, case
+            assert fast.instances_vacuous == slow.instances_vacuous, case
+            assert fast == slow, case
+
+    def test_witnesses_recheck(self, ratio_runs):
+        for name, scc, axiom, _, fast, _ in ratio_runs:
+            for witness in fast.witnesses:
+                assert recheck_witness(scc, witness), (name, axiom, witness)
+
+    def test_counts_fill_the_closed_form_domain(self, ratio_runs):
+        for name, scc, axiom, _, fast, _ in ratio_runs:
+            domain = _domain(axiom, scc.universe.n)
+            assert fast.instances_checked + fast.instances_vacuous == domain, (name, axiom)
+            # every collection of every menu positive, the empty one included
+            # where allowed; IIS_O on a standard SCC leaves T' = empty vacuous
+            full = all(
+                len(row) == (1 << m.bit_count()) - (not scc.allows_empty)
+                and all(p > 0 for p in row.values())
+                for m, row in scc.rows.items()
+            )
+            if full and (scc.allows_empty or axiom is not AxiomId.IIS_O):
+                assert fast.instances_vacuous == 0, (name, axiom)
+
+    def test_corpus_reaches_every_path(self, ratio_runs):
+        for axiom, (_, _, unit) in RATIO_CHECKS.items():
+            exact = [
+                (cap, fast)
+                for _, scc, ax, cap, fast, _ in ratio_runs
+                if ax is axiom and scc.exact
+            ]
+            # the certificate settles "holds" with instances checked ...
+            assert any(r.holds and r.instances_checked for _, r in exact), axiom
+            # ... fails, so the pair is scanned ...
+            assert any(not r.holds for _, r in exact), axiom
+            # ... and at cap 1 a later failing unit is skipped
+            assert any(
+                len({tuple(w.bindings[k] for k in unit) for w in r.witnesses}) > 1
+                for cap, r in exact
+                if cap == 10
+            ), axiom
 
 
 class TestPAF:

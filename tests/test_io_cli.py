@@ -1,10 +1,14 @@
 """JSON document handling, counts estimation, and the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import scclab
 from scclab.core import (
     MixedFormatError,
     SchemaError,
@@ -409,6 +413,41 @@ class TestCli:
         argv = [command, str(path)] + (["--axioms", "all"] if command == "check" else [])
         assert cli_main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "model,params,message",
+        [
+            ("nested_logit", {"exponents": ["1000000000"]}, "params.exponents[0]: "),
+            ("nested_logit", {"exponents": ["1e300"]}, "params.exponents[0]: "),
+            ("nested_logit", {"exponents": ["1000000000000.5"]}, "params.exponents[0]: "),
+            ("logit", {"weights": {"a": "1.5e308", "b": "1.5e308", "a,b": "1.5e308"}},
+             "weights overflow float arithmetic"),
+        ],
+        ids=["exact-exponent", "float-integral-exponent", "float-exponent", "float-weights"],
+    )
+    def test_malformed_params_are_usage_errors(self, tmp_path, capsys, model, params, message):
+        nests = {"nests": [["a", "b"]], "utilities": {"a": "2", "b": "1/3"}}
+        document = {
+            "model": model,
+            "items": ["a", "b"],
+            "params": {**nests, **params} if model == "nested_logit" else params,
+        }
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(document))
+        assert cli_main(["gen", "--params", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: " + message)
+
+    def test_package_runs_as_a_module(self):
+        src = os.path.dirname(os.path.dirname(scclab.__file__))
+        done = subprocess.run(
+            [sys.executable, "-m", "scclab", "--help"],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+        )
+        assert done.returncode == 0
+        assert done.stderr == b""
+        assert done.stdout.startswith(b"usage: ")
 
     def test_output_is_deterministic(self, tmp_path, nsc_path):
         first = tmp_path / "first.json"
