@@ -25,12 +25,14 @@ them:
 * Witness bindings are bitmasks under descriptive keys ("S", "S_prime", "x",
   "y", "T", "T_prime", "T_star_1", ...).  Item-valued bindings are 1-bit
   masks.  Every witness is self-certifying: :func:`recheck_witness`
-  re-evaluates the postulate at the bindings and confirms the violation.
+  recomputes the two sides of an equation axiom's postulate at the bindings,
+  or re-derives a structural axiom's violated condition, from the raw rows.
 
-:data:`AXIOMS` maps every axiom to its check, its applicability and how its
-witnesses are rechecked, and :data:`CHARACTERIZING_AXIOMS` maps every model variant to the axioms that
-characterize it; the suites, classification, identification and the fuzz
-harness all read these two tables.  :func:`run_axiom` always evaluates;
+:data:`AXIOMS` holds each axiom's check, applicability, equation ``sides``
+and witness ``recheck`` (see :class:`AxiomSpec`); :data:`CHARACTERIZING_AXIOMS`
+maps every model variant to the axioms that characterize it; the suites,
+classification, identification and the fuzz harness all read these two
+tables.  :func:`run_axiom` always evaluates;
 :func:`cached_report` and the ``cached_revealed_*`` functions keep each
 result in the SCC's memo, so a dataset is decided once per tolerance and
 witness cap; :func:`cached_scaled_rows` keeps the scaled rows there too.
@@ -71,6 +73,9 @@ from .models import ModelTag
 #: Default cap on the number of witnesses kept per report.
 WITNESS_CAP = 10
 
+#: The two sides of an equation axiom at some bindings, or None where a guard fails.
+Sides = Optional[tuple[Prob, Prob]]
+
 
 class AxiomId(str, Enum):
     IIS = "IIS"
@@ -97,9 +102,9 @@ class Witness:
     """One concrete violation of an axiom.
 
     ``bindings`` instantiates the violated quantifier (masks keyed by role).
-    ``lhs``/``rhs`` are the two sides of the violated equation; they are None
-    for purely structural axioms (existence/distinctness conditions), whose
-    violations are certified by re-derivation instead.
+    ``lhs``/``rhs`` are the two sides of the violated equation.  Structural
+    axioms (existence/distinctness conditions) are certified by re-derivation
+    instead; their values, when given, are the offending probabilities.
     """
 
     axiom: AxiomId
@@ -143,13 +148,11 @@ class _Collector:
 
     def add_equation(self, scc: SCC, bindings: dict[str, int], tol: ToleranceConfig):
         """Record a violation of an equation axiom; under the cap, its sides
-        are recomputed from the SCC's rows by :func:`_recheck_equation`."""
+        are computed from the SCC's rows by the axiom's ``sides``."""
         self.clean = False
         if len(self.witnesses) < self.cap:
-            witness = Witness(self.axiom, bindings)
-            self.witnesses.append(
-                Witness(self.axiom, bindings, *_recheck_equation(scc, witness, tol))
-            )
+            sides = AXIOMS[self.axiom].sides(scc, bindings, tol)
+            self.witnesses.append(Witness(self.axiom, bindings, *sides))
 
     def report(self, scc: SCC, checked: int, vacuous: int) -> AxiomReport:
         return AxiomReport(
@@ -241,15 +244,7 @@ def check_full_support(
     3^n - 2^n on a complete SCC.  No guards, so nothing is vacuous.
     """
     require_complete(scc)
-    n = scc.universe.n
-    out = _Collector(AxiomId.FULL_SUPPORT, cap)
-    for menu in scc.menus():
-        row = scc.rows[menu]
-        for t in nonempty_submasks(menu):
-            p = row.get(t, scc.zero())
-            if is_zero(scc, p, tol):
-                out.add({"T": t, "S": menu}, p, None)
-    return out.report(scc, 3**n - 2**n, 0)
+    return _support_shape_report(scc, tol, cap, AxiomId.FULL_SUPPORT)
 
 
 def _rank_one(us: Sequence[Prob], vs: Sequence[Prob]) -> bool:
@@ -340,6 +335,24 @@ def check_iis(
     return out.report(scc, checked, vacuous)
 
 
+def _iis_sides(
+    scc: SCC, b: dict[str, int], tol: ToleranceConfig, empty_variant: bool
+) -> Sides:
+    """mu(T,S) * mu(T',S') and mu(T',S) * mu(T,S'), or None unless the
+    probabilities :func:`check_iis` guards on are positive."""
+    s, s2, t, t2 = b["S"], b["S_prime"], b["T"], b["T_prime"]
+    mu_t_s = prob_lookup(scc, t, s)
+    mu_t_s2 = prob_lookup(scc, t, s2)
+    mu_t2_s = prob_lookup(scc, t2, s)
+    mu_t2_s2 = prob_lookup(scc, t2, s2)
+    guards = [mu_t2_s, mu_t2_s2]
+    if not empty_variant:
+        guards += [mu_t_s, mu_t_s2]
+    if any(is_zero(scc, g, tol) for g in guards):
+        return None
+    return mu_t_s * mu_t2_s2, mu_t2_s * mu_t_s2
+
+
 def _rel_add_scan(
     scc: SCC, tol: ToleranceConfig, cap: int, axiom: AxiomId
 ) -> AxiomReport:
@@ -395,6 +408,36 @@ def check_relative_additivity(
     return _rel_add_scan(scc, tol, cap, AxiomId.REL_ADD)
 
 
+def _rel_add_sides(
+    scc: SCC, b: dict[str, int], tol: ToleranceConfig, axiom: AxiomId
+) -> Sides:
+    """The equation of REL_ADD, REL_ADD_1 and REL_ADD_2 as
+    :func:`_rel_add_adjusted` states it, adj(x,S) = 0 but in REL_ADD_2.  None
+    where a guard fails: REL_ADD_1 keeps T and T' off Q(x) n S\\x; REL_ADD_2
+    binds T to it and needs a positive adjustment denominator."""
+    s, xbit, t, t2 = b["S"], b["x"], b["T"], b["T_prime"]
+    rest = s & ~xbit
+    adj = scc.zero()
+    if axiom is not AxiomId.REL_ADD:
+        revealed = cached_revealed_constraints(scc, tol)
+        x = next(bits(xbit))
+        if axiom is AxiomId.REL_ADD_1 and revealed[x] & rest in (t, t2):
+            return None
+        if axiom is AxiomId.REL_ADD_2:
+            full = scc.universe.full_mask
+            denom = sum((prob_lookup(scc, revealed[y], full) for y in bits(s)), scc.zero())
+            if revealed[x] & rest != t or t == 0 or t2 == t or is_zero(scc, denom, tol):
+                return None
+            adj = prob_lookup(scc, revealed[x], full) / denom
+    lhs = prob_lookup(scc, t, rest) * (
+        prob_lookup(scc, t2, s) + prob_lookup(scc, t2 | xbit, s)
+    )
+    rhs = prob_lookup(scc, t2, rest) * (
+        prob_lookup(scc, t, s) + prob_lookup(scc, t | xbit, s) - adj
+    )
+    return lhs, rhs
+
+
 def check_additivity(
     scc: SCC, tol: ToleranceConfig = DEFAULT_TOL, cap: int = WITNESS_CAP
 ) -> AxiomReport:
@@ -424,6 +467,14 @@ def check_additivity(
                 out.add({"S": s, "x": xbit, "T": t}, lhs, rhs)
     # each singleton menu's lone T = empty instance is vacuous: S\x is not a menu
     return out.report(scc, checked, scc.universe.n)
+
+
+def _additivity_sides(scc: SCC, b: dict[str, int], tol: ToleranceConfig) -> Sides:
+    s, xbit, t = b["S"], b["x"], b["T"]
+    rest = s & ~xbit
+    if rest == 0:
+        return None
+    return prob_lookup(scc, t, rest), prob_lookup(scc, t, s) + prob_lookup(scc, t | xbit, s)
 
 
 def derive_revealed_constraints(
@@ -471,16 +522,17 @@ def _support_shape_report(
     tol: ToleranceConfig,
     cap: int,
     axiom: AxiomId,
-    achievable_of,
+    attributes: Optional[Sequence[int]] = None,
 ) -> AxiomReport:
-    """Shared scan for the kind-2/3/4 positivity postulates.
+    """Shared scan for full support and the kind-2/3/4 positivity postulates.
 
-    Each states: mu(T,S) > 0 iff T is achievable as (generator n S) for some
-    generator set (attribute carrier / revealed constraint set / revealed
-    nest).  The quantifier ranges over all non-empty T contained in S, a
-    domain of size 3^n - 2^n; violations are located by comparing the support
-    of each row with the achievable family, so the count is arithmetic.
+    Each states: mu(T,S) > 0 iff T is in the achievable family of S (see
+    :func:`_achievable`).  The quantifier ranges over all non-empty T
+    contained in S, a domain of size 3^n - 2^n; violations are located by
+    comparing the support of each row with the achievable family, so the
+    count is arithmetic.
     """
+    achievable_of = _achievable(scc, axiom, tol, attributes)
     out = _Collector(axiom, cap)
     pos = _positive_rows(scc, tol)
     for menu in scc.menus():
@@ -528,38 +580,51 @@ def check_positivity(
                 if not covered & (1 << x):
                     out.add({"x": 1 << x, "S": menu}, None, None)
         return out.report(scc, checked, 0)
-    if kind == 2:
+    if kind in (2, 3, 4):
+        return _support_shape_report(scc, tol, cap, AxiomId(f"POS{kind}"), attributes)
+    raise ValueError(f"positivity kind must be 1, 2, 3, or 4, got {kind}")
+
+
+def _achievable(
+    scc: SCC, axiom: AxiomId, tol: ToleranceConfig, attributes: Optional[Sequence[int]]
+) -> Callable[[int], set[int]]:
+    """The achievable family of a support-shape postulate as a function of
+    the menu S: every non-empty subset of S for FULL_SUPPORT, and for POS2,
+    POS3 and POS4 the non-empty traces on S of the attribute carriers, of
+    the revealed constraint sets of S's items, or of the revealed nests."""
+    if axiom is AxiomId.FULL_SUPPORT:
+        return lambda menu: set(nonempty_submasks(menu))
+    if axiom is AxiomId.POS3:
+        revealed = cached_revealed_constraints(scc, tol)
+        return lambda menu: {revealed[x] & menu for x in bits(menu)}
+    if axiom is AxiomId.POS2:
         if attributes is None:
             raise MissingAttributesError(
                 "kind-2 positivity needs exogenous attribute carriers"
             )
-        carriers = list(attributes)
-        return _support_shape_report(
-            scc,
-            tol,
-            cap,
-            AxiomId.POS2,
-            lambda menu: {c & menu for c in carriers if c & menu},
-        )
-    if kind == 3:
-        revealed = cached_revealed_constraints(scc, tol)
-        return _support_shape_report(
-            scc,
-            tol,
-            cap,
-            AxiomId.POS3,
-            lambda menu: {revealed[x] & menu for x in bits(menu)},
-        )
-    if kind == 4:
-        nests = cached_revealed_nests(scc, tol)
-        return _support_shape_report(
-            scc,
-            tol,
-            cap,
-            AxiomId.POS4,
-            lambda menu: {nest & menu for nest in nests if nest & menu},
-        )
-    raise ValueError(f"positivity kind must be 1, 2, 3, or 4, got {kind}")
+        generators = list(attributes)
+    else:
+        generators = cached_revealed_nests(scc, tol)
+    return lambda menu: {g & menu for g in generators if g & menu}
+
+
+def _recheck_pos1(scc: SCC, witness: Witness, tol: ToleranceConfig) -> bool:
+    b = witness.bindings
+    return not any(
+        t & b["x"] and is_positive(scc, p, tol) for t, p in scc.rows[b["S"]].items()
+    )
+
+
+def _recheck_support_shape(
+    scc: SCC,
+    witness: Witness,
+    tol: ToleranceConfig,
+    attributes: Optional[Sequence[int]] = None,
+) -> bool:
+    """(T, S) is positive exactly when T is not achievable at S."""
+    s, t = witness.bindings["S"], witness.bindings["T"]
+    achievable = _achievable(scc, witness.axiom, tol, attributes)(s)
+    return is_positive(scc, prob_lookup(scc, t, s), tol) != (t in achievable)
 
 
 def _distinct_constraints_report(
@@ -574,6 +639,12 @@ def _distinct_constraints_report(
         if revealed[x] == revealed[y]:
             out.add({"x": 1 << x, "y": 1 << y}, None, None)
     return out.report(scc, n * (n - 1) // 2, 0)
+
+
+def _recheck_distinct_q(scc: SCC, witness: Witness, tol: ToleranceConfig) -> bool:
+    revealed = cached_revealed_constraints(scc, tol)
+    b = witness.bindings
+    return revealed[next(bits(b["x"]))] == revealed[next(bits(b["y"]))]
 
 
 def _rel_add_adjusted(scc: SCC, tol: ToleranceConfig, cap: int) -> AxiomReport:
@@ -862,6 +933,24 @@ def _chain_scan(
     return checked
 
 
+def _piis_sides(scc: SCC, b: dict[str, int], tol: ToleranceConfig) -> Sides:
+    """The values of chains 1 and 2 from T to T', or None unless all their
+    probabilities are positive."""
+    sides = []
+    for tag in ("1", "2"):
+        star = b[f"T_star_{tag}"]
+        s = b[f"S_{tag}"]
+        sp = b[f"S_prime_{tag}"]
+        num1 = prob_lookup(scc, b["T"], s)
+        den1 = prob_lookup(scc, star, s)
+        num2 = prob_lookup(scc, star, sp)
+        den2 = prob_lookup(scc, b["T_prime"], sp)
+        if any(is_zero(scc, v, tol) for v in (num1, den1, num2, den2)):
+            return None
+        sides.append(num1 * num2 / (den1 * den2))
+    return sides[0], sides[1]
+
+
 def _partition_report(scc: SCC, tol: ToleranceConfig, cap: int) -> AxiomReport:
     """Revealed nests must be pairwise disjoint and cover the grand set.
 
@@ -882,6 +971,17 @@ def _partition_report(scc: SCC, tol: ToleranceConfig, cap: int) -> AxiomReport:
     if uncovered:
         out.add({"uncovered": uncovered}, None, None)
     return out.report(scc, len(nests) * (len(nests) - 1) // 2 + 1, 0)
+
+
+def _recheck_partition(scc: SCC, witness: Witness, tol: ToleranceConfig) -> bool:
+    b = witness.bindings
+    nests = cached_revealed_nests(scc, tol)
+    if "uncovered" in b:
+        union = 0
+        for nest in nests:
+            union |= nest
+        return scc.universe.full_mask & ~union == b["uncovered"]
+    return b["T"] in nests and b["T_prime"] in nests and bool(b["T"] & b["T_prime"])
 
 
 def check_nsc_structure(
@@ -927,6 +1027,16 @@ def check_paf(
             if not probs_equal(scc, lhs, rhs, tol):
                 out.add({"S": s, "x": xbit, "T": t}, lhs, rhs)
     return out.report(scc, checked, vacuous)
+
+
+def _paf_sides(scc: SCC, b: dict[str, int], tol: ToleranceConfig) -> Sides:
+    s, xbit, t = b["S"], b["x"], b["T"]
+    lhs = prob_lookup(scc, t, s)
+    rhs = prob_lookup(scc, t, s & ~xbit)
+    gate = is_zero(scc, prob_lookup(scc, xbit, s), tol)
+    if not (gate and is_positive(scc, lhs, tol) and is_positive(scc, rhs, tol)):
+        return None
+    return lhs, rhs
 
 
 def check_special(
@@ -995,6 +1105,34 @@ def check_special(
     return out.report(scc, checked, 0)
 
 
+def _det_full_choice_sides(scc: SCC, b: dict[str, int], tol: ToleranceConfig) -> Sides:
+    return prob_lookup(scc, b["S"], b["S"]), scc.one()
+
+
+def _singleton_ratio_sides(scc: SCC, b: dict[str, int], tol: ToleranceConfig) -> Sides:
+    """SINGLETON clause (ii) at menu S against the reference menu S'."""
+    xbit, ybit, s, ref = b["x"], b["y"], b["S"], b["S_prime"]
+    lhs = prob_lookup(scc, xbit, s) * prob_lookup(scc, ybit, ref)
+    rhs = prob_lookup(scc, xbit, ref) * prob_lookup(scc, ybit, s)
+    return lhs, rhs
+
+
+def _recheck_singleton(scc: SCC, witness: Witness, tol: ToleranceConfig) -> bool:
+    """Clause (ii) witnesses bind x, y, S and S' and are rechecked by their
+    sides; clause (i) binds (x, S), a singleton never chosen, or (T, S),
+    another collection chosen."""
+    b = witness.bindings
+    if set(b) == {"x", "y", "S", "S_prime"}:
+        return _recheck_sides(scc, witness, tol)
+    if set(b) == {"x", "S"}:
+        return is_zero(scc, prob_lookup(scc, b["x"], b["S"]), tol)
+    if set(b) == {"T", "S"}:
+        return popcount(b["T"]) != 1 and is_positive(
+            scc, prob_lookup(scc, b["T"], b["S"]), tol
+        )
+    return False
+
+
 def monotonicity_violations(
     scc: SCC, tol: ToleranceConfig = DEFAULT_TOL
 ) -> list[dict]:
@@ -1050,209 +1188,45 @@ def support_transfer_violations(
     return offenders
 
 
-def _recheck_equation(
-    scc: SCC, witness: Witness, tol: ToleranceConfig
-) -> Optional[tuple[Prob, Prob]]:
-    """Recompute both sides of an equation axiom at the witness bindings.
-
-    Returns None when the bindings do not satisfy the axiom's guards (the
-    witness is then bogus); otherwise the freshly computed (lhs, rhs).
-    """
-    b = witness.bindings
-    ax = witness.axiom
-    zero = scc.zero()
-    if ax in (AxiomId.IIS, AxiomId.IIS_O):
-        s, s2, t, t2 = b["S"], b["S_prime"], b["T"], b["T_prime"]
-        mu_t_s = prob_lookup(scc, t, s)
-        mu_t_s2 = prob_lookup(scc, t, s2)
-        mu_t2_s = prob_lookup(scc, t2, s)
-        mu_t2_s2 = prob_lookup(scc, t2, s2)
-        guards = [mu_t2_s, mu_t2_s2]
-        if ax is AxiomId.IIS:
-            guards += [mu_t_s, mu_t_s2]
-        if any(is_zero(scc, g, tol) for g in guards):
-            return None
-        return mu_t_s * mu_t2_s2, mu_t2_s * mu_t_s2
-    if ax in (AxiomId.REL_ADD, AxiomId.REL_ADD_1):
-        s, xbit, t, t2 = b["S"], b["x"], b["T"], b["T_prime"]
-        rest = s & ~xbit
-        if ax is AxiomId.REL_ADD_1:
-            excluded = cached_revealed_constraints(scc, tol)[next(bits(xbit))] & rest
-            if excluded in (t, t2):
-                return None
-        lhs = prob_lookup(scc, t, rest) * (
-            prob_lookup(scc, t2, s) + prob_lookup(scc, t2 | xbit, s)
-        )
-        rhs = prob_lookup(scc, t2, rest) * (
-            prob_lookup(scc, t, s) + prob_lookup(scc, t | xbit, s)
-        )
-        return lhs, rhs
-    if ax is AxiomId.REL_ADD_2:
-        s, xbit, t, t2 = b["S"], b["x"], b["T"], b["T_prime"]
-        rest = s & ~xbit
-        revealed = cached_revealed_constraints(scc, tol)
-        x = next(bits(xbit))
-        if revealed[x] & rest != t or t == 0 or t2 == t:
-            return None
-        full = scc.universe.full_mask
-        denom = zero
-        for y in bits(s):
-            denom = denom + prob_lookup(scc, revealed[y], full)
-        if is_zero(scc, denom, tol):
-            return None
-        adj = prob_lookup(scc, revealed[x], full) / denom
-        lhs = prob_lookup(scc, t, rest) * (
-            prob_lookup(scc, t2, s) + prob_lookup(scc, t2 | xbit, s)
-        )
-        rhs = prob_lookup(scc, t2, rest) * (
-            prob_lookup(scc, t, s) + prob_lookup(scc, t | xbit, s) - adj
-        )
-        return lhs, rhs
-    if ax is AxiomId.ADDITIVITY:
-        s, xbit, t = b["S"], b["x"], b["T"]
-        rest = s & ~xbit
-        if rest == 0:
-            return None
-        lhs = prob_lookup(scc, t, rest)
-        rhs = prob_lookup(scc, t, s) + prob_lookup(scc, t | xbit, s)
-        return lhs, rhs
-    if ax is AxiomId.PIIS:
-        sides = []
-        for tag in ("1", "2"):
-            star = b[f"T_star_{tag}"]
-            s = b[f"S_{tag}"]
-            sp = b[f"S_prime_{tag}"]
-            num1 = prob_lookup(scc, b["T"], s)
-            den1 = prob_lookup(scc, star, s)
-            num2 = prob_lookup(scc, star, sp)
-            den2 = prob_lookup(scc, b["T_prime"], sp)
-            if any(is_zero(scc, v, tol) for v in (num1, den1, num2, den2)):
-                return None
-            sides.append(num1 * num2 / (den1 * den2))
-        return sides[0], sides[1]
-    if ax is AxiomId.PAF:
-        s, xbit, t = b["S"], b["x"], b["T"]
-        rest = s & ~xbit
-        lhs = prob_lookup(scc, t, s)
-        rhs = prob_lookup(scc, t, rest)
-        if not (
-            is_zero(scc, prob_lookup(scc, xbit, s), tol)
-            and is_positive(scc, lhs, tol)
-            and is_positive(scc, rhs, tol)
-        ):
-            return None
-        return lhs, rhs
-    if ax is AxiomId.DET_FULL_CHOICE:
-        s = b["S"]
-        return prob_lookup(scc, s, s), scc.one()
-    if ax is AxiomId.SINGLETON and set(b) == {"x", "y", "S", "S_prime"}:
-        xbit, ybit, s, ref = b["x"], b["y"], b["S"], b["S_prime"]
-        lhs = prob_lookup(scc, xbit, s) * prob_lookup(scc, ybit, ref)
-        rhs = prob_lookup(scc, xbit, ref) * prob_lookup(scc, ybit, s)
-        return lhs, rhs
-    return None
-
-
 def recheck_witness(
     scc: SCC,
     witness: Witness,
     tol: ToleranceConfig = DEFAULT_TOL,
     attributes: Optional[Sequence[int]] = None,
 ) -> bool:
-    """True iff the witness still certifies a genuine violation on ``scc``.
-
-    Equation witnesses must satisfy their guards, reproduce the recorded
-    lhs/rhs, and the sides must differ.  Structural witnesses are confirmed
-    by re-deriving the violated condition (kind-2 positivity needs the same
-    ``attributes`` context the original check used).
-    """
-    b = witness.bindings
-    ax = witness.axiom
-    if AXIOMS[ax].structural or (
-        ax is AxiomId.SINGLETON and set(b) != {"x", "y", "S", "S_prime"}
-    ):
-        return _recheck_structural(scc, witness, tol, attributes)
-    sides = _recheck_equation(scc, witness, tol)
-    if sides is None:
-        return False
-    lhs, rhs = sides
-    if probs_equal(scc, lhs, rhs, tol):
-        return False
-    if witness.lhs is not None and not probs_equal(scc, lhs, witness.lhs, tol):
-        return False
-    if witness.rhs is not None and not probs_equal(scc, rhs, witness.rhs, tol):
-        return False
-    return True
+    """True iff the witness still certifies a genuine violation on ``scc``,
+    as its axiom's ``recheck`` decides (kind-2 positivity needs the same
+    ``attributes`` context the original check used)."""
+    spec = AXIOMS[witness.axiom]
+    context = {"attributes": attributes} if spec.needs_attributes else {}
+    return spec.recheck(scc, witness, tol, **context)
 
 
-def _recheck_structural(
-    scc: SCC,
-    witness: Witness,
-    tol: ToleranceConfig,
-    attributes: Optional[Sequence[int]],
-) -> bool:
-    b = witness.bindings
-    ax = witness.axiom
-    if ax is AxiomId.POS1:
-        s = b["S"]
-        return not any(
-            t & b["x"] and is_positive(scc, p, tol)
-            for t, p in scc.rows[s].items()
-        )
-    if ax in (AxiomId.POS2, AxiomId.POS3, AxiomId.POS4):
-        s, t = b["S"], b["T"]
-        if ax is AxiomId.POS2:
-            if attributes is None:
-                raise MissingAttributesError(
-                    "rechecking a kind-2 positivity witness needs the carriers"
-                )
-            achievable = {c & s for c in attributes if c & s}
-        elif ax is AxiomId.POS3:
-            revealed = cached_revealed_constraints(scc, tol)
-            achievable = {revealed[x] & s for x in bits(s)}
-        else:
-            achievable = {
-                nest & s for nest in cached_revealed_nests(scc, tol) if nest & s
-            }
-        positive = is_positive(scc, prob_lookup(scc, t, s), tol)
-        return positive != (t in achievable)
-    if ax is AxiomId.DISTINCT_Q:
-        revealed = cached_revealed_constraints(scc, tol)
-        return revealed[next(bits(b["x"]))] == revealed[next(bits(b["y"]))]
-    if ax is AxiomId.PARTITION:
-        nests = cached_revealed_nests(scc, tol)
-        if "uncovered" in b:
-            union = 0
-            for nest in nests:
-                union |= nest
-            return scc.universe.full_mask & ~union == b["uncovered"]
-        return (
-            b["T"] in nests
-            and b["T_prime"] in nests
-            and bool(b["T"] & b["T_prime"])
-        )
-    if ax is AxiomId.FULL_SUPPORT:
-        return is_zero(scc, prob_lookup(scc, b["T"], b["S"]), tol)
-    if ax is AxiomId.SINGLETON:
-        if set(b) == {"x", "S"}:
-            return is_zero(scc, prob_lookup(scc, b["x"], b["S"]), tol)
-        if set(b) == {"T", "S"}:
-            return popcount(b["T"]) != 1 and is_positive(
-                scc, prob_lookup(scc, b["T"], b["S"]), tol
-            )
-    return False
+def _recheck_sides(scc: SCC, witness: Witness, tol: ToleranceConfig) -> bool:
+    """An equation witness: its bindings satisfy the axiom's guards, the
+    sides recomputed there differ, and they match the recorded lhs/rhs."""
+    sides = AXIOMS[witness.axiom].sides(scc, witness.bindings, tol)
+    if sides is None or probs_equal(scc, *sides, tol):
+        return False
+    return all(
+        recorded is None or probs_equal(scc, side, recorded, tol)
+        for side, recorded in zip(sides, (witness.lhs, witness.rhs))
+    )
 
 
 class AxiomSpec(NamedTuple):
-    """One registry entry: the check that decides an axiom, called as
+    """One registry entry: the ``check`` that decides an axiom, called as
     ``check(scc, tol=..., cap=...)`` plus ``attributes=...`` when it needs
-    them, the SCCs on which :func:`full_battery` runs it, and how
-    :func:`recheck_witness` confirms its witnesses."""
+    them; for an equation axiom, the ``sides(scc, bindings, tol)`` of its
+    postulate that its witnesses carry (the scans do not call it); the
+    ``recheck`` that :func:`recheck_witness` runs, a re-derivation for a
+    structural axiom; and the SCCs on which :func:`full_battery` runs it."""
 
     check: Callable[..., AxiomReport]
+    sides: Optional[Callable[[SCC, dict[str, int], ToleranceConfig], Sides]] = None
+    recheck: Callable[..., bool] = _recheck_sides
     empty_only: bool = False  # runs only on empty-collection SCCs
     needs_attributes: bool = False  # runs only when attribute carriers are given
-    structural: bool = False  # witnesses are re-derived, not recomputed sides
 
     def applies(self, scc: SCC, attributes: Optional[Sequence[int]]) -> bool:
         return (scc.allows_empty or not self.empty_only) and (
@@ -1262,27 +1236,52 @@ class AxiomSpec(NamedTuple):
 
 #: The axiom registry, in declaration order.
 AXIOMS: dict[AxiomId, AxiomSpec] = {
-    AxiomId.IIS: AxiomSpec(partial(check_iis, empty_variant=False)),
-    AxiomId.IIS_O: AxiomSpec(partial(check_iis, empty_variant=True), empty_only=True),
-    AxiomId.REL_ADD: AxiomSpec(check_relative_additivity),
-    AxiomId.ADDITIVITY: AxiomSpec(check_additivity, empty_only=True),
-    AxiomId.POS1: AxiomSpec(partial(check_positivity, kind=1), structural=True),
+    AxiomId.IIS: AxiomSpec(
+        partial(check_iis, empty_variant=False), partial(_iis_sides, empty_variant=False)
+    ),
+    AxiomId.IIS_O: AxiomSpec(
+        partial(check_iis, empty_variant=True),
+        partial(_iis_sides, empty_variant=True),
+        empty_only=True,
+    ),
+    AxiomId.REL_ADD: AxiomSpec(
+        check_relative_additivity, partial(_rel_add_sides, axiom=AxiomId.REL_ADD)
+    ),
+    AxiomId.ADDITIVITY: AxiomSpec(check_additivity, _additivity_sides, empty_only=True),
+    AxiomId.POS1: AxiomSpec(partial(check_positivity, kind=1), recheck=_recheck_pos1),
     AxiomId.POS2: AxiomSpec(
-        partial(check_positivity, kind=2), needs_attributes=True, structural=True
+        partial(check_positivity, kind=2),
+        recheck=_recheck_support_shape,
+        needs_attributes=True,
     ),
-    AxiomId.DISTINCT_Q: AxiomSpec(_distinct_constraints_report, structural=True),
-    AxiomId.POS3: AxiomSpec(partial(check_positivity, kind=3), structural=True),
-    AxiomId.REL_ADD_1: AxiomSpec(partial(_rel_add_scan, axiom=AxiomId.REL_ADD_1)),
-    AxiomId.REL_ADD_2: AxiomSpec(_rel_add_adjusted),
-    AxiomId.PIIS: AxiomSpec(check_piis),
-    AxiomId.PARTITION: AxiomSpec(_partition_report, structural=True),
-    AxiomId.POS4: AxiomSpec(partial(check_positivity, kind=4), structural=True),
-    AxiomId.PAF: AxiomSpec(check_paf),
-    AxiomId.FULL_SUPPORT: AxiomSpec(check_full_support, structural=True),
+    AxiomId.DISTINCT_Q: AxiomSpec(
+        _distinct_constraints_report, recheck=_recheck_distinct_q
+    ),
+    AxiomId.POS3: AxiomSpec(
+        partial(check_positivity, kind=3), recheck=_recheck_support_shape
+    ),
+    AxiomId.REL_ADD_1: AxiomSpec(
+        partial(_rel_add_scan, axiom=AxiomId.REL_ADD_1),
+        partial(_rel_add_sides, axiom=AxiomId.REL_ADD_1),
+    ),
+    AxiomId.REL_ADD_2: AxiomSpec(
+        _rel_add_adjusted, partial(_rel_add_sides, axiom=AxiomId.REL_ADD_2)
+    ),
+    AxiomId.PIIS: AxiomSpec(check_piis, _piis_sides),
+    AxiomId.PARTITION: AxiomSpec(_partition_report, recheck=_recheck_partition),
+    AxiomId.POS4: AxiomSpec(
+        partial(check_positivity, kind=4), recheck=_recheck_support_shape
+    ),
+    AxiomId.PAF: AxiomSpec(check_paf, _paf_sides),
+    AxiomId.FULL_SUPPORT: AxiomSpec(check_full_support, recheck=_recheck_support_shape),
     AxiomId.DET_FULL_CHOICE: AxiomSpec(
-        partial(check_special, kind=AxiomId.DET_FULL_CHOICE)
+        partial(check_special, kind=AxiomId.DET_FULL_CHOICE), _det_full_choice_sides
     ),
-    AxiomId.SINGLETON: AxiomSpec(partial(check_special, kind=AxiomId.SINGLETON)),
+    AxiomId.SINGLETON: AxiomSpec(
+        partial(check_special, kind=AxiomId.SINGLETON),
+        _singleton_ratio_sides,
+        _recheck_singleton,
+    ),
 }
 
 #: Axiom sets that characterize each (model, empty-variant) combination.

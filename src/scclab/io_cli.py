@@ -278,13 +278,12 @@ def _keyed(value: _Codec, by_item: bool) -> _Codec:
     return _Codec(parse, dump, {})
 
 
-def _list(element: _Codec, sort: bool = False) -> _Codec:
+def _list(element: _Codec) -> _Codec:
     def parse(universe: Universe, raw: Any, context: str) -> tuple:
         _require_type(raw, list, context)
-        values = [
+        return tuple(
             element.parse(universe, e, f"{context}[{i}]") for i, e in enumerate(raw)
-        ]
-        return tuple(sorted(values) if sort else values)
+        )
 
     return _Codec(parse, lambda u, values: [element.dump(u, v) for v in values], [])
 
@@ -315,7 +314,7 @@ _WEIGHTS = _keyed(_prob("a string literal"), by_item=False)
 _ITEM_WEIGHTS = _keyed(_prob("a string literal"), by_item=True)
 _CARRIER = _label_set(allow_empty=False)
 _INT = _scalar(int, "an integer", int, int)
-_NESTS = _list(_CARRIER, sort=True)
+_NESTS = _list(_CARRIER)  # in document order: nested logit pairs exponents by index
 
 #: The params codec of each model: a record over its ``PARAMS_TYPES`` class.
 _PARAMS_CODECS: dict[ModelTag, _Codec] = {

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Union
+from typing import Callable, Union
 
 from .core import (
     SCC,
@@ -588,26 +588,30 @@ def _nl_row(params: NestedLogitParams, menu: int, exact: bool) -> dict[int, Weig
     return {t: _div(w, den) for t, w in acc.items()}
 
 
+#: The row of a menu under each model, given the spec and the menu.
+_MENU_ROWS: dict[ModelTag, Callable[[ModelSpec, int], dict[int, Weight]]] = {
+    ModelTag.LOGIT: lambda spec, menu: _logit_row(spec.params, menu, spec.empty_variant),
+    ModelTag.RCG: lambda spec, menu: _rcg_row(spec.params, menu, spec.empty_variant),
+    ModelTag.IC: lambda spec, menu: _ic_row(spec.params, menu, spec.empty_variant),
+    ModelTag.EBA: lambda spec, menu: _attribute_row(spec.params, menu),
+    ModelTag.AR: lambda spec, menu: _attribute_row(spec.params, menu),
+    ModelTag.RRM: lambda spec, menu: _rrm_row(spec.params, menu),
+    ModelTag.NSC: lambda spec, menu: _nsc_row(spec.params, menu),
+    ModelTag.NESTED_LOGIT: lambda spec, menu: _nl_row(spec.params, menu, spec.is_exact()),
+}
+
+
 def menu_row(spec: ModelSpec, menu: int) -> dict[int, Weight]:
-    """The full probability row of ``menu`` under an already-validated spec."""
+    """The full probability row of ``menu`` under an already-validated spec.
+    A float row that does not sum to 1, as when weights overflow, is refused."""
     if menu == 0:
         raise ShapeError("menu must be non-empty")
-    p = spec.params
-    if spec.model is ModelTag.LOGIT:
-        return _logit_row(p, menu, spec.empty_variant)
-    if spec.model is ModelTag.RCG:
-        return _rcg_row(p, menu, spec.empty_variant)
-    if spec.model is ModelTag.IC:
-        return _ic_row(p, menu, spec.empty_variant)
-    if spec.model in (ModelTag.EBA, ModelTag.AR):
-        return _attribute_row(p, menu)
-    if spec.model is ModelTag.RRM:
-        return _rrm_row(p, menu)
-    if spec.model is ModelTag.NSC:
-        return _nsc_row(p, menu)
-    if spec.model is ModelTag.NESTED_LOGIT:
-        return _nl_row(p, menu, spec.is_exact())
-    raise InvalidParamsError(f"unknown model tag {spec.model}")
+    row = _MENU_ROWS[spec.model](spec, menu)
+    if not all(map(_is_exact, row.values())) and not _sums_to_one(sum(row.values())):
+        raise InvalidParamsError(
+            f"weights overflow float arithmetic: a row sums to {sum(row.values())!r}, not 1"
+        )
+    return row
 
 
 def _eval(spec: ModelSpec, universe: Universe, collection: int, menu: int) -> Weight:
@@ -749,11 +753,6 @@ def generate_scc(spec: ModelSpec, universe: Universe) -> SCC:
     rows: dict[int, dict[int, Prob]] = {}
     for menu in range(1, universe.full_mask + 1):
         row = menu_row(spec, menu)
-        if not exact and not _sums_to_one(sum(row.values())):
-            raise InvalidParamsError(
-                f"weights overflow float arithmetic: the row of menu "
-                f"{universe.labels_of(menu)} sums to {sum(row.values())!r}, not 1"
-            )
         rows[menu] = {t: coerce(p) for t, p in sorted(row.items()) if p > 0}
     notes: tuple[str, ...] = ()
     params = spec.params

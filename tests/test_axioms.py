@@ -706,6 +706,166 @@ class TestRecheck:
                     assert recheck_witness(scc, witness), report.axiom
 
 
+def _recheck_cases():
+    """(name, SCC, carriers): every variant at n = 3, exact and float, with
+    one cell scaled by 3/2 or zeroed.  Models without attributes get the
+    singleton carriers, so kind-2 positivity runs on every case."""
+    cases = []
+    for index, (model, empty) in enumerate(ALL_VARIANTS):
+        spec = sample_params(GenConfig(3, model, seed=5100 + index, empty_variant=empty))
+        base = generate_scc(spec, U3)
+        attributes = getattr(spec.params, "attributes", None)
+        carriers = [a.carrier for a in attributes] if attributes else [A, B, C]
+        for exact in (True, False):
+            for menu, cell, factor in ((ABC, A, F(3, 2)), (A, A, 0), (ABC, C, 0)):
+                rows = _copy_rows(base, exact)
+                if cell in rows[menu]:
+                    rows[menu][cell] *= factor if exact else float(factor)
+                name = f"{model.value}{'_o' if empty else ''}-{exact}-{menu}-{cell}-{factor}"
+                cases.append((name, SCC(U3, rows, base.allows_empty, exact), carriers))
+    return cases
+
+
+@pytest.fixture(scope="module")
+def recheck_runs():
+    """(case, SCC, carriers, report) for every applicable axiom of every case,
+    each report listing every witness."""
+    return [
+        (name, scc, carriers, run_axiom(scc, axiom, attributes=carriers, cap=10**6))
+        for name, scc, carriers in _recheck_cases()
+        for axiom, spec in AXIOMS.items()
+        if spec.applies(scc, carriers)
+    ]
+
+
+def _moved(report, bindings, key, candidates):
+    """``bindings`` with ``key`` moved to the first candidate that the check
+    does not flag together with the other bindings; None if it flags all."""
+    rest = {k: v for k, v in bindings.items() if k != key}
+    flagged = {
+        w.bindings[key]
+        for w in report.witnesses
+        if set(w.bindings) == set(bindings)
+        and all(w.bindings[k] == v for k, v in rest.items())
+    }
+    return next(({**rest, key: c} for c in candidates if c not in flagged), None)
+
+
+def _items(mask):
+    return [item for item in (A, B, C) if item & mask]
+
+
+def _tamper_singleton(report, b):
+    if "y" in b:
+        return {**b, "S": b["S_prime"]}  # one menu on both sides
+    if "x" in b:
+        return _moved(report, b, "x", _items(b["S"]))
+    return _moved(report, b, "T", submasks(b["S"])[1:])
+
+
+def _tamper_partition(report, b):
+    if "uncovered" in b:
+        return {"uncovered": 0}
+    return _moved(report, b, "T_prime", range(b["T"] + 1, 8))
+
+
+#: Per axiom, witness bindings moved to where a guard fails or the postulate
+#: holds: equation axioms by making both sides alike, structural axioms by
+#: moving one binding to a value the (complete) check does not flag.
+TAMPERS = {
+    AxiomId.IIS: lambda report, b: {**b, "S_prime": b["S"]},
+    AxiomId.IIS_O: lambda report, b: {**b, "S_prime": b["S"]},
+    AxiomId.REL_ADD: lambda report, b: {**b, "T_prime": b["T"]},
+    AxiomId.ADDITIVITY: lambda report, b: {**b, "S": b["x"]},  # S\x is no menu
+    AxiomId.POS1: lambda report, b: _moved(report, b, "x", _items(b["S"])),
+    AxiomId.POS2: lambda report, b: _moved(report, b, "T", submasks(b["S"])[1:]),
+    AxiomId.DISTINCT_Q: lambda report, b: _moved(
+        report, b, "y", [y for y in (A, B, C) if y > b["x"]]
+    ),
+    AxiomId.POS3: lambda report, b: _moved(report, b, "T", submasks(b["S"])[1:]),
+    AxiomId.REL_ADD_1: lambda report, b: {**b, "T_prime": b["T"]},
+    # T must be the revealed constraint set, so swapping T and T' breaks the guard
+    AxiomId.REL_ADD_2: lambda report, b: {**b, "T": b["T_prime"], "T_prime": b["T"]},
+    AxiomId.PIIS: lambda report, b: {
+        **b, "T_star_2": b["T_star_1"], "S_2": b["S_1"], "S_prime_2": b["S_prime_1"]
+    },
+    AxiomId.PARTITION: _tamper_partition,
+    AxiomId.POS4: lambda report, b: _moved(report, b, "T", submasks(b["S"])[1:]),
+    AxiomId.PAF: lambda report, b: _moved(report, b, "T", submasks(b["S"] & ~b["x"])[1:]),
+    AxiomId.FULL_SUPPORT: lambda report, b: _moved(report, b, "T", submasks(b["S"])[1:]),
+    AxiomId.DET_FULL_CHOICE: lambda report, b: _moved(report, b, "S", range(1, 8)),
+    AxiomId.SINGLETON: _tamper_singleton,
+}
+
+#: Axioms whose witnesses carry both sides of an equation, which the recheck
+#: recomputes; the others are certified by re-deriving the violated
+#: condition, with any recorded value left unread.
+EQUATION_AXIOMS = {
+    AxiomId.IIS,
+    AxiomId.IIS_O,
+    AxiomId.REL_ADD,
+    AxiomId.ADDITIVITY,
+    AxiomId.REL_ADD_1,
+    AxiomId.REL_ADD_2,
+    AxiomId.PIIS,
+    AxiomId.PAF,
+    AxiomId.DET_FULL_CHOICE,
+}
+
+
+def _is_equation(witness):
+    if witness.axiom is AxiomId.SINGLETON:
+        return "y" in witness.bindings  # clause (ii)
+    return witness.axiom in EQUATION_AXIOMS
+
+
+class TestRecheckEveryAxiom:
+    """Every registry entry's recheck, on witnesses of perturbed datasets."""
+
+    def test_corpus_reaches_every_axiom_and_shape(self, recheck_runs):
+        shapes = {
+            (report.axiom, frozenset(w.bindings))
+            for _, _, _, report in recheck_runs
+            for w in report.witnesses
+        }
+        assert {axiom for axiom, _ in shapes} == set(AxiomId)
+        assert {keys for axiom, keys in shapes if axiom is AxiomId.SINGLETON} == {
+            frozenset({"x", "S"}), frozenset({"T", "S"}), frozenset({"x", "y", "S", "S_prime"})
+        }
+        assert frozenset({"uncovered"}) in {k for a, k in shapes if a is AxiomId.PARTITION}
+
+    def test_genuine_witnesses_pass(self, recheck_runs):
+        for name, scc, carriers, report in recheck_runs:
+            for witness in report.witnesses:
+                assert recheck_witness(scc, witness, attributes=carriers), (name, witness)
+
+    def test_tampered_lhs_rejected(self, recheck_runs):
+        reached = set()
+        for name, scc, carriers, report in recheck_runs:
+            for witness in filter(_is_equation, report.witnesses):
+                lhs = witness.lhs + (F(1, 2) if scc.exact else 0.5)
+                fake = Witness(witness.axiom, witness.bindings, lhs, witness.rhs)
+                assert not recheck_witness(scc, fake, attributes=carriers), (name, witness)
+                reached.add(witness.axiom)
+        assert reached == EQUATION_AXIOMS | {AxiomId.SINGLETON}
+
+    def test_tampered_bindings_rejected(self, recheck_runs):
+        reached = set()
+        for name, scc, carriers, report in recheck_runs:
+            for witness in report.witnesses:
+                bindings = TAMPERS[witness.axiom](report, witness.bindings)
+                if bindings is None:
+                    continue
+                assert bindings != witness.bindings
+                # no recorded sides, so only the bindings can fail the recheck
+                fake = Witness(witness.axiom, bindings)
+                assert not recheck_witness(scc, fake, attributes=carriers), (name, fake)
+                reached.add((witness.axiom, frozenset(witness.bindings)))
+        assert {axiom for axiom, _ in reached} == set(AxiomId)
+        assert len({k for a, k in reached if a is AxiomId.SINGLETON}) == 3
+        assert len({k for a, k in reached if a is AxiomId.PARTITION}) == 2
+
+
 class TestDispatcherAndBattery:
     def test_run_axiom_covers_every_id(self, nsc_scc):
         for axiom in AxiomId:

@@ -320,6 +320,30 @@ class TestCli:
         assert code == 0
         assert payload == {"menu": ["a", "b"], "set": ["a"], "p": "1/2"}
 
+    @pytest.mark.parametrize(
+        "nests,exponents",
+        [([["c"], ["a", "b"]], ["1", "2"]), ([["a", "b"], ["c"]], ["2", "1"])],
+        ids=["descending", "ascending"],
+    )
+    def test_eval_keeps_each_exponent_with_its_nest(self, tmp_path, nests, exponents):
+        # weights 3^2 = 9 for {a,b} against 3^1 = 3 for {c}, in either order
+        document = {
+            "model": "nested_logit",
+            "items": ["a", "b", "c"],
+            "params": {
+                "nests": nests,
+                "utilities": {"a": "1", "b": "2", "c": "3"},
+                "exponents": exponents,
+            },
+        }
+        path = tmp_path / "nl.json"
+        path.write_text(json.dumps(document))
+        code, payload = self.run(
+            tmp_path, "eval", "--params", str(path), "--menu", "a,b,c", "--set", "a,b"
+        )
+        assert code == 0
+        assert payload["p"] == "3/4"
+
     def test_check_reports_findings(self, tmp_path, nsc_path):
         code, result = self.run(tmp_path, "check", nsc_path, "--axioms", "rel_add")
         assert code == 1
@@ -415,17 +439,28 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize(
-        "model,params,message",
+        "model,params,message,command",
         [
-            ("nested_logit", {"exponents": ["1000000000"]}, "params.exponents[0]: "),
-            ("nested_logit", {"exponents": ["1e300"]}, "params.exponents[0]: "),
-            ("nested_logit", {"exponents": ["1000000000000.5"]}, "params.exponents[0]: "),
+            ("nested_logit", {"exponents": ["1000000000"]}, "params.exponents[0]: ", "gen"),
+            ("nested_logit", {"exponents": ["1e300"]}, "params.exponents[0]: ", "gen"),
+            ("nested_logit", {"exponents": ["1000000000000.5"]}, "params.exponents[0]: ",
+             "gen"),
             ("logit", {"weights": {"a": "1.5e308", "b": "1.5e308", "a,b": "1.5e308"}},
-             "weights overflow float arithmetic"),
+             "weights overflow float arithmetic", "gen"),
+            ("logit", {"weights": {"a": "1.5e308", "b": "1.5e308", "a,b": "1.5e308"}},
+             "weights overflow float arithmetic", "eval"),
         ],
-        ids=["exact-exponent", "float-integral-exponent", "float-exponent", "float-weights"],
+        ids=[
+            "exact-exponent",
+            "float-integral-exponent",
+            "float-exponent",
+            "float-weights",
+            "float-weights-eval",
+        ],
     )
-    def test_malformed_params_are_usage_errors(self, tmp_path, capsys, model, params, message):
+    def test_malformed_params_are_usage_errors(
+        self, tmp_path, capsys, model, params, message, command
+    ):
         nests = {"nests": [["a", "b"]], "utilities": {"a": "2", "b": "1/3"}}
         document = {
             "model": model,
@@ -434,7 +469,8 @@ class TestCli:
         }
         path = tmp_path / "params.json"
         path.write_text(json.dumps(document))
-        assert cli_main(["gen", "--params", str(path)]) == 2
+        menu = ["--menu", "a,b"] if command == "eval" else []
+        assert cli_main([command, "--params", str(path), *menu]) == 2
         assert capsys.readouterr().err.startswith("error: " + message)
 
     def test_package_runs_as_a_module(self):
