@@ -56,6 +56,7 @@ from .core import (
     MissingAttributesError,
     MissingBinaryMenuError,
     Prob,
+    ShapeError,
     ToleranceConfig,
     WrongVariantError,
     bits,
@@ -624,7 +625,9 @@ def _recheck_support_shape(
     """(T, S) is positive exactly when T is not achievable at S."""
     s, t = witness.bindings["S"], witness.bindings["T"]
     achievable = _achievable(scc, witness.axiom, tol, attributes)(s)
-    return is_positive(scc, prob_lookup(scc, t, s), tol) != (t in achievable)
+    p = prob_lookup(scc, t, s)
+    shaped = is_positive(scc, p, tol) != (t in achievable)
+    return shaped and _records(scc, witness, (p, None), tol)
 
 
 def _distinct_constraints_report(
@@ -1125,11 +1128,12 @@ def _recheck_singleton(scc: SCC, witness: Witness, tol: ToleranceConfig) -> bool
     if set(b) == {"x", "y", "S", "S_prime"}:
         return _recheck_sides(scc, witness, tol)
     if set(b) == {"x", "S"}:
-        return is_zero(scc, prob_lookup(scc, b["x"], b["S"]), tol)
+        p = prob_lookup(scc, b["x"], b["S"])
+        return is_zero(scc, p, tol) and _records(scc, witness, (scc.zero(), None), tol)
     if set(b) == {"T", "S"}:
-        return popcount(b["T"]) != 1 and is_positive(
-            scc, prob_lookup(scc, b["T"], b["S"]), tol
-        )
+        p = prob_lookup(scc, b["T"], b["S"])
+        shaped = popcount(b["T"]) != 1 and is_positive(scc, p, tol)
+        return shaped and _records(scc, witness, (p, scc.zero()), tol)
     return False
 
 
@@ -1196,10 +1200,17 @@ def recheck_witness(
 ) -> bool:
     """True iff the witness still certifies a genuine violation on ``scc``,
     as its axiom's ``recheck`` decides (kind-2 positivity needs the same
-    ``attributes`` context the original check used)."""
+    ``attributes`` context the original check used).  Bindings that miss a
+    role, bind an item role (x, y) to other than one item, or name a menu
+    outside the domain or a collection outside its menu certify nothing."""
     spec = AXIOMS[witness.axiom]
     context = {"attributes": attributes} if spec.needs_attributes else {}
-    return spec.recheck(scc, witness, tol, **context)
+    if any(popcount(witness.bindings.get(role, 1)) != 1 for role in ("x", "y")):
+        return False
+    try:
+        return spec.recheck(scc, witness, tol, **context)
+    except (KeyError, MenuAbsentError, ShapeError):
+        return False
 
 
 def _recheck_sides(scc: SCC, witness: Witness, tol: ToleranceConfig) -> bool:
@@ -1208,9 +1219,18 @@ def _recheck_sides(scc: SCC, witness: Witness, tol: ToleranceConfig) -> bool:
     sides = AXIOMS[witness.axiom].sides(scc, witness.bindings, tol)
     if sides is None or probs_equal(scc, *sides, tol):
         return False
+    return _records(scc, witness, sides, tol)
+
+
+def _records(
+    scc: SCC, witness: Witness, values: tuple[Optional[Prob], ...], tol: ToleranceConfig
+) -> bool:
+    """True iff the witness's lhs and rhs, where recorded, equal ``values``:
+    the probabilities at its bindings, or the zero a support condition
+    demands of them (None where the axiom records nothing)."""
     return all(
-        recorded is None or probs_equal(scc, side, recorded, tol)
-        for side, recorded in zip(sides, (witness.lhs, witness.rhs))
+        recorded is None or (value is not None and probs_equal(scc, value, recorded, tol))
+        for value, recorded in zip(values, (witness.lhs, witness.rhs))
     )
 
 

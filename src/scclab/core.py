@@ -234,10 +234,6 @@ class SCC:
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
-    def domain(self) -> frozenset[int]:
-        return frozenset(self.rows)
-
-    @property
     def arithmetic_mode(self) -> str:
         return "exact" if self.exact else "float"
 

@@ -10,7 +10,7 @@ are proved, so a disagreement is a library bug, not a mathematical finding.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -109,19 +109,20 @@ def _sample_partition(rng: random.Random, n: int, count_range: tuple[int, int]) 
     return tuple(sorted(nests))
 
 
+def _covering(sets: list[int], n: int) -> list[int]:
+    """``sets`` followed by a singleton for each of the n items they miss."""
+    covered = 0
+    for s in sets:
+        covered |= s
+    return sets + [1 << x for x in range(n) if not covered & (1 << x)]
+
+
 def _sample_carriers(rng: random.Random, config: GenConfig) -> list[int]:
     """A carrier family covering the universe (missing items get singletons)."""
     full = (1 << config.n) - 1
     lo, hi = config.attribute_count
     k = rng.randint(max(1, lo), max(1, hi))
-    carriers = [rng.randint(1, full) for _ in range(k)]
-    covered = 0
-    for c in carriers:
-        covered |= c
-    for x in range(config.n):
-        if not covered & (1 << x):
-            carriers.append(1 << x)
-    return carriers
+    return _covering([rng.randint(1, full) for _ in range(k)], config.n)
 
 
 def sample_params(config: GenConfig) -> ModelSpec:
@@ -148,14 +149,8 @@ def sample_params(config: GenConfig) -> ModelSpec:
         spec = ModelSpec(model, LogitParams(weights, empty_weight), config.empty_variant)
     elif model is ModelTag.RCG:
         pool = list(range(1, full + 1))
-        cats = set(rng.sample(pool, rng.randint(1, min(len(pool), 6))))
-        covered = 0
-        for c in cats:
-            covered |= c
-        for x in range(n):
-            if not covered & (1 << x):
-                cats.add(1 << x)
-        ordered = sorted(cats)
+        cats = rng.sample(pool, rng.randint(1, min(len(pool), 6)))
+        ordered = sorted(_covering(cats, n))
         masses = _normalized([rng.randint(1, grid) for _ in ordered])
         spec = ModelSpec(
             model, RCGParams(dict(zip(ordered, masses))), config.empty_variant
@@ -286,13 +281,10 @@ def _run_characterization_trial(
         report = cached_report(scc, axiom, attributes=attributes)
         if not report.holds:
             failures.append(
-                FuzzFailure(
-                    meta.seed,
-                    meta.model,
-                    meta.n,
-                    meta.empty_variant,
-                    "necessity",
-                    f"{axiom.value} failed with {len(report.witnesses)} witness(es)",
+                replace(
+                    meta,
+                    stage="necessity",
+                    detail=f"{axiom.value} failed with {len(report.witnesses)} witness(es)",
                 )
             )
             return
@@ -300,18 +292,12 @@ def _run_characterization_trial(
         result: RecoveryResult = RECOVERIES[spec.model](scc)
     except Exception as exc:  # harness boundary: report, never crash the sweep
         failures.append(
-            FuzzFailure(
-                meta.seed, meta.model, meta.n, meta.empty_variant,
-                "identification", f"{type(exc).__name__}: {exc}",
-            )
+            replace(meta, stage="identification", detail=f"{type(exc).__name__}: {exc}")
         )
         return
     if not result.round_trip_exact:
         failures.append(
-            FuzzFailure(
-                meta.seed, meta.model, meta.n, meta.empty_variant,
-                "round-trip", "regenerated SCC differs from input",
-            )
+            replace(meta, stage="round-trip", detail="regenerated SCC differs from input")
         )
 
 

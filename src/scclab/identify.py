@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional
 
 from .axioms import (
@@ -246,10 +245,7 @@ def identify_ic(
                 f"co-singleton at item {scc.universe.items[x]!r} are both zero; "
                 "inclusion probabilities are undefined"
             )
-        if isinstance(p_full, Fraction) and isinstance(denom, Fraction):
-            inclusion[x] = p_full / denom
-        else:
-            inclusion[x] = float(p_full) / float(denom)
+        inclusion[x] = p_full / denom
     spec = ModelSpec(ModelTag.IC, ICParams(inclusion), variant)
     return _finish(
         scc,
@@ -307,14 +303,12 @@ def identify_nsc(scc: SCC, tol: ToleranceConfig = DEFAULT_TOL) -> RecoveryResult
                 "nested-choice recovery hit a zero probability where the "
                 "positivity postulate promises support"
             )
-        if isinstance(num, Fraction) and isinstance(den, Fraction):
-            return num / den
-        return float(num) / float(den)
+        return num / den
 
     weights: dict[int, Weight] = {}
     if len(nests) == 1:
         for t in nonempty_submasks(nests[0]):
-            weights[t] = Fraction(1) if scc.exact else 1.0
+            weights[t] = scc.one()
     else:
         anchor1 = nests[0] & -nests[0]
         anchor2 = nests[1] & -nests[1]

@@ -117,6 +117,15 @@ def _mask_from_labels(
     return mask
 
 
+def _parse_universe(items: Any) -> Universe:
+    if not isinstance(items, list) or not all(isinstance(s, str) for s in items):
+        raise SchemaError("items: expected a list of label strings")
+    try:
+        return Universe.from_labels(items)
+    except ShapeError as exc:
+        raise SchemaError(f"items: {exc}") from None
+
+
 def parse_scc(document: Any, tol: ToleranceConfig = DEFAULT_TOL) -> SCC:
     """Build an SCC from a parsed JSON document.
 
@@ -128,13 +137,7 @@ def parse_scc(document: Any, tol: ToleranceConfig = DEFAULT_TOL) -> SCC:
     _require_type(document, dict, "document")
     if "items" not in document:
         raise SchemaError("document: missing 'items'")
-    items = document["items"]
-    if not isinstance(items, list) or not all(isinstance(s, str) for s in items):
-        raise SchemaError("items: expected a list of label strings")
-    try:
-        universe = Universe.from_labels(items)
-    except ShapeError as exc:
-        raise SchemaError(f"items: {exc}") from None
+    universe = _parse_universe(document["items"])
     allows_empty = document.get("allows_empty", False)
     if not isinstance(allows_empty, bool):
         raise SchemaError("allows_empty: expected a boolean")
@@ -355,13 +358,7 @@ def parse_params(document: Any) -> tuple[ModelSpec, Universe]:
         model = ModelTag(_require_type(document["model"], str, "model"))
     except ValueError:
         raise SchemaError(f"model: unknown tag {document['model']!r}") from None
-    items = document["items"]
-    if not isinstance(items, list) or not all(isinstance(s, str) for s in items):
-        raise SchemaError("items: expected a list of label strings")
-    try:
-        universe = Universe.from_labels(items)
-    except ShapeError as exc:
-        raise SchemaError(f"items: {exc}") from None
+    universe = _parse_universe(document["items"])
     empty_variant = document.get("empty_variant", False)
     if not isinstance(empty_variant, bool):
         raise SchemaError("empty_variant: expected a boolean")

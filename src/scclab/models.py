@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Callable, Iterable, Iterator, Union
 
 from .core import (
     SCC,
@@ -73,6 +73,30 @@ def _sums_to_one(total: Weight) -> bool:
     if _is_exact(total):
         return total == 1
     return math.isclose(total, 1.0, rel_tol=1e-9, abs_tol=1e-9)
+
+
+def _validate_draws(
+    draws: list[tuple[Weight, int]], universe: Universe, noun: str, sums_to_one: bool
+) -> None:
+    """The (weight, set) family of a set-draw model: every set non-empty and
+    inside the universe, every weight positive, the sets covering the
+    universe and, if ``sums_to_one``, the weights summing to 1."""
+    full = universe.full_mask
+    covered = 0
+    total: Weight = Fraction(0)
+    for weight, drawn in draws:
+        if drawn == 0 or drawn & ~full:
+            raise InvalidParamsError(f"invalid {noun} {drawn}")
+        if weight <= 0:
+            labels = universe.labels_of(drawn)
+            raise InvalidParamsError(f"weight of {noun} {labels} must be positive")
+        covered |= drawn
+        total = total + weight
+    if sums_to_one and not _sums_to_one(total):
+        raise InvalidParamsError(f"{noun} weights must sum to 1, got {total}")
+    if covered != full:
+        missing = universe.labels_of(full & ~covered)
+        raise InvalidParamsError(f"items {missing} belong to no {noun}")
 
 
 @dataclass(frozen=True)
@@ -128,21 +152,8 @@ class RCGParams:
     mass: dict[int, Weight]
 
     def validate(self, universe: Universe, empty_variant: bool = False) -> None:
-        full = universe.full_mask
-        covered = 0
-        total: Weight = Fraction(0)
-        for cat, m in self.mass.items():
-            if cat == 0 or cat & ~full:
-                raise InvalidParamsError(f"invalid category key {cat}")
-            if m <= 0:
-                raise InvalidParamsError(f"mass of category {cat} must be positive")
-            covered |= cat
-            total = total + m
-        if not _sums_to_one(total):
-            raise InvalidParamsError(f"category masses must sum to 1, got {total}")
-        if covered != full:
-            missing = universe.labels_of(full & ~covered)
-            raise InvalidParamsError(f"items {missing} belong to no category")
+        draws = [(m, cat) for cat, m in self.mass.items()]
+        _validate_draws(draws, universe, "category", sums_to_one=True)
 
     def is_exact(self) -> bool:
         return all(_is_exact(m) for m in self.mass.values())
@@ -195,21 +206,8 @@ class EBAParams:
     def validate(self, universe: Universe) -> None:
         if not self.attributes:
             raise InvalidParamsError("at least one attribute required")
-        full = universe.full_mask
-        covered = 0
-        total: Weight = Fraction(0)
-        for a in self.attributes:
-            if a.carrier == 0 or a.carrier & ~full:
-                raise InvalidParamsError(f"invalid carrier {a.carrier}")
-            if a.weight <= 0:
-                raise InvalidParamsError("attribute weights must be positive")
-            covered |= a.carrier
-            total = total + a.weight
-        if not _sums_to_one(total):
-            raise InvalidParamsError(f"attribute weights must sum to 1, got {total}")
-        if covered != full:
-            missing = universe.labels_of(full & ~covered)
-            raise InvalidParamsError(f"items {missing} carry no attribute")
+        draws = [(a.weight, a.carrier) for a in self.attributes]
+        _validate_draws(draws, universe, "carrier", sums_to_one=True)
 
     def is_exact(self) -> bool:
         return all(_is_exact(a.weight) for a in self.attributes)
@@ -243,13 +241,9 @@ class ARParams:
     def validate(self, universe: Universe) -> None:
         if not self.attributes:
             raise InvalidParamsError("at least one attribute required")
-        full = universe.full_mask
-        covered = 0
+        draws = [(a.weight, a.carrier) for a in self.attributes]
+        _validate_draws(draws, universe, "carrier", sums_to_one=False)
         for a in self.attributes:
-            if a.carrier == 0 or a.carrier & ~full:
-                raise InvalidParamsError(f"invalid carrier {a.carrier}")
-            if a.weight <= 0:
-                raise InvalidParamsError("attribute weights must be positive")
             if sorted(a.item_values) != list(bits(a.carrier)):
                 raise InvalidParamsError(
                     "item values must be defined exactly on the carrier items"
@@ -257,10 +251,6 @@ class ARParams:
             for value in a.item_values.values():
                 if not isinstance(value, int) or value < 1:
                     raise InvalidParamsError("item values must be positive integers")
-            covered |= a.carrier
-        if covered != full:
-            missing = universe.labels_of(full & ~covered)
-            raise InvalidParamsError(f"items {missing} carry no attribute")
 
     def is_exact(self) -> bool:
         return all(_is_exact(a.weight) for a in self.attributes)
@@ -500,18 +490,6 @@ def _logit_row(params: LogitParams, menu: int, empty_variant: bool) -> dict[int,
     return row
 
 
-def _rcg_row(params: RCGParams, menu: int, empty_variant: bool) -> dict[int, Weight]:
-    acc: dict[int, Weight] = {}
-    for cat, m in params.mass.items():
-        t = cat & menu
-        acc[t] = acc.get(t, Fraction(0)) + m
-    if empty_variant:
-        return {t: p for t, p in acc.items() if p > 0}
-    acc.pop(0, None)
-    den = sum(acc.values())
-    return {t: _div(p, den) for t, p in acc.items()}
-
-
 def _ic_row(params: ICParams, menu: int, empty_variant: bool) -> dict[int, Weight]:
     members = list(bits(menu))
     none_mass: Weight = Fraction(1)
@@ -531,73 +509,62 @@ def _ic_row(params: ICParams, menu: int, empty_variant: bool) -> dict[int, Weigh
     return {t: _div(p, den) for t, p in row.items()}
 
 
-def _weighted_intersections(
-    pairs: list[tuple[Weight, int]], menu: int
-) -> tuple[dict[int, Weight], Weight]:
-    """Pool weights by carrier-intersect-menu; return (buckets, live total)."""
+def _drawn_row(
+    draws: Iterable[tuple[Weight, int]], menu: int, empty_variant: bool = False
+) -> dict[int, Weight]:
+    """The row of a model that draws a weighted set and chooses its trace on
+    the menu: the (weight, set) draws pooled by trace.  The empty-collection
+    variant keeps the pooled masses as they are; otherwise the empty trace
+    is dropped and the rest is divided by the total weight of the draws with
+    a non-empty trace."""
     acc: dict[int, Weight] = {}
-    live: Weight = Fraction(0)
-    for weight, carrier in pairs:
-        t = carrier & menu
+    live: Weight = 0
+    for weight, drawn in draws:
+        t = drawn & menu
+        # a first weight is kept as it is: adding it to Fraction(0) gives the
+        # same value and bits but costs a Fraction addition per trace
+        acc[t] = acc[t] + weight if t in acc else weight
         if t:
-            acc[t] = acc.get(t, Fraction(0)) + weight
             live = live + weight
-    return acc, live
-
-
-def _attribute_row(params: Union[EBAParams, ARParams], menu: int) -> dict[int, Weight]:
-    """Collection row of both attribute models (the two-stage rule's first stage)."""
-    acc, live = _weighted_intersections(
-        [(a.weight, a.carrier) for a in params.attributes], menu
-    )
+    if empty_variant:
+        return acc
+    acc.pop(0, None)
     return {t: _div(w, live) for t, w in acc.items()}
 
 
-def _rrm_row(params: RRMParams, menu: int) -> dict[int, Weight]:
-    acc: dict[int, Weight] = {}
-    den: Weight = Fraction(0)
-    for i in bits(menu):
-        s = params.salience[i]
-        den = den + s
-        t = params.constraints[i] & menu
-        acc[t] = acc.get(t, Fraction(0)) + s
-    return {t: _div(w, den) for t, w in acc.items()}
-
-
-def _nsc_row(params: NSCParams, menu: int) -> dict[int, Weight]:
-    acc: dict[int, Weight] = {}
-    den: Weight = Fraction(0)
-    for nest in params.nests:
-        part = nest & menu
-        if part:
-            w = params.nest_weights[part]
-            acc[part] = w
-            den = den + w
-    return {t: _div(w, den) for t, w in acc.items()}
-
-
-def _nl_row(params: NestedLogitParams, menu: int, exact: bool) -> dict[int, Weight]:
-    acc: dict[int, Weight] = {}
-    den: Weight = Fraction(0) if exact else 0.0
-    for idx, nest in enumerate(params.nests):
-        part = nest & menu
-        if part:
-            w = params.induced_weight(part, idx, exact)
-            acc[part] = w
-            den = den + w
-    return {t: _div(w, den) for t, w in acc.items()}
+def _nested_logit_draws(
+    params: NestedLogitParams, menu: int
+) -> Iterator[tuple[Weight, int]]:
+    """The nests that meet the menu, each weighted by its feasible part."""
+    exact = params.is_exact()
+    for i, nest in enumerate(params.nests):
+        if nest & menu:
+            yield params.induced_weight(nest & menu, i, exact), nest
 
 
 #: The row of a menu under each model, given the spec and the menu.
 _MENU_ROWS: dict[ModelTag, Callable[[ModelSpec, int], dict[int, Weight]]] = {
     ModelTag.LOGIT: lambda spec, menu: _logit_row(spec.params, menu, spec.empty_variant),
-    ModelTag.RCG: lambda spec, menu: _rcg_row(spec.params, menu, spec.empty_variant),
+    ModelTag.RCG: lambda spec, menu: _drawn_row(
+        ((m, cat) for cat, m in spec.params.mass.items()), menu, spec.empty_variant
+    ),
     ModelTag.IC: lambda spec, menu: _ic_row(spec.params, menu, spec.empty_variant),
-    ModelTag.EBA: lambda spec, menu: _attribute_row(spec.params, menu),
-    ModelTag.AR: lambda spec, menu: _attribute_row(spec.params, menu),
-    ModelTag.RRM: lambda spec, menu: _rrm_row(spec.params, menu),
-    ModelTag.NSC: lambda spec, menu: _nsc_row(spec.params, menu),
-    ModelTag.NESTED_LOGIT: lambda spec, menu: _nl_row(spec.params, menu, spec.is_exact()),
+    ModelTag.EBA: lambda spec, menu: _drawn_row(
+        ((a.weight, a.carrier) for a in spec.params.attributes), menu
+    ),
+    ModelTag.AR: lambda spec, menu: _drawn_row(
+        ((a.weight, a.carrier) for a in spec.params.attributes), menu
+    ),
+    ModelTag.RRM: lambda spec, menu: _drawn_row(
+        ((spec.params.salience[x], spec.params.constraints[x]) for x in bits(menu)), menu
+    ),
+    ModelTag.NSC: lambda spec, menu: _drawn_row(
+        ((spec.params.nest_weights[n & menu], n) for n in spec.params.nests if n & menu),
+        menu,
+    ),
+    ModelTag.NESTED_LOGIT: lambda spec, menu: _drawn_row(
+        _nested_logit_draws(spec.params, menu), menu
+    ),
 }
 
 

@@ -797,26 +797,10 @@ TAMPERS = {
     AxiomId.SINGLETON: _tamper_singleton,
 }
 
-#: Axioms whose witnesses carry both sides of an equation, which the recheck
-#: recomputes; the others are certified by re-deriving the violated
-#: condition, with any recorded value left unread.
-EQUATION_AXIOMS = {
-    AxiomId.IIS,
-    AxiomId.IIS_O,
-    AxiomId.REL_ADD,
-    AxiomId.ADDITIVITY,
-    AxiomId.REL_ADD_1,
-    AxiomId.REL_ADD_2,
-    AxiomId.PIIS,
-    AxiomId.PAF,
-    AxiomId.DET_FULL_CHOICE,
-}
-
-
-def _is_equation(witness):
-    if witness.axiom is AxiomId.SINGLETON:
-        return "y" in witness.bindings  # clause (ii)
-    return witness.axiom in EQUATION_AXIOMS
+#: Axioms whose witnesses record a probability at their bindings: both sides
+#: of an equation, or the offending probability of a support condition.  The
+#: recheck recomputes every recorded value; the other axioms record none.
+RECORDING_AXIOMS = set(AxiomId) - {AxiomId.POS1, AxiomId.DISTINCT_Q, AxiomId.PARTITION}
 
 
 class TestRecheckEveryAxiom:
@@ -842,12 +826,16 @@ class TestRecheckEveryAxiom:
     def test_tampered_lhs_rejected(self, recheck_runs):
         reached = set()
         for name, scc, carriers, report in recheck_runs:
-            for witness in filter(_is_equation, report.witnesses):
+            for witness in report.witnesses:
+                if witness.lhs is None:
+                    assert witness.axiom not in RECORDING_AXIOMS
+                    continue
                 lhs = witness.lhs + (F(1, 2) if scc.exact else 0.5)
                 fake = Witness(witness.axiom, witness.bindings, lhs, witness.rhs)
                 assert not recheck_witness(scc, fake, attributes=carriers), (name, witness)
-                reached.add(witness.axiom)
-        assert reached == EQUATION_AXIOMS | {AxiomId.SINGLETON}
+                reached.add((witness.axiom, frozenset(witness.bindings)))
+        assert {axiom for axiom, _ in reached} == RECORDING_AXIOMS
+        assert len({k for a, k in reached if a is AxiomId.SINGLETON}) == 3
 
     def test_tampered_bindings_rejected(self, recheck_runs):
         reached = set()
@@ -864,6 +852,21 @@ class TestRecheckEveryAxiom:
         assert {axiom for axiom, _ in reached} == set(AxiomId)
         assert len({k for a, k in reached if a is AxiomId.SINGLETON}) == 3
         assert len({k for a, k in reached if a is AxiomId.PARTITION}) == 2
+
+    def test_malformed_bindings_rejected(self, nsc_scc):
+        rel_add = check_relative_additivity(nsc_scc).witnesses[0]
+        distinct_q = run_axiom(nsc_scc, AxiomId.DISTINCT_Q).witnesses[0]
+        b, q = rel_add.bindings, distinct_q.bindings
+        for witness, bindings in (
+            (rel_add, {**b, "T": b["x"]}),  # T leaves S\x
+            (rel_add, {k: v for k, v in b.items() if k != "T"}),  # T missing
+            (rel_add, {**b, "S": 0}),  # S\x is no menu
+            (rel_add, {**b, "x": 0}),  # x is no item
+            (distinct_q, {**q, "x": 0}),
+            (distinct_q, {**q, "y": ABC}),
+        ):
+            fake = Witness(witness.axiom, bindings, witness.lhs, witness.rhs)
+            assert recheck_witness(nsc_scc, fake) is False, bindings
 
 
 class TestDispatcherAndBattery:

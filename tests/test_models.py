@@ -10,9 +10,11 @@ from scclab.core import (
     MissingWeightError,
     ShapeError,
     Universe,
+    bits,
     nonempty_submasks,
     validate_scc,
 )
+from scclab.fuzz import GenConfig, sample_params
 from scclab.models import (
     ARParams,
     ArAttribute,
@@ -470,3 +472,144 @@ class TestMonotonicity:
                 smaller = menu & ~bit
                 for t in nonempty_submasks(smaller):
                     assert scc.rows[menu].get(t, F(0)) <= scc.rows[smaller].get(t, F(0))
+
+
+# ---------------------------------------------------------------------------
+# the draw-and-trace kernel against the per-model rows it replaced
+
+
+def _div(num, den):
+    if isinstance(num, (Fraction, int)) and isinstance(den, (Fraction, int)):
+        return Fraction(num) / Fraction(den)
+    return num / den
+
+
+def _rcg_row(params, menu, empty_variant):
+    acc = {}
+    for cat, m in params.mass.items():
+        t = cat & menu
+        acc[t] = acc.get(t, Fraction(0)) + m
+    if empty_variant:
+        return {t: p for t, p in acc.items() if p > 0}
+    acc.pop(0, None)
+    den = sum(acc.values())
+    return {t: _div(p, den) for t, p in acc.items()}
+
+
+def _weighted_intersections(pairs, menu):
+    acc = {}
+    live = Fraction(0)
+    for weight, carrier in pairs:
+        t = carrier & menu
+        if t:
+            acc[t] = acc.get(t, Fraction(0)) + weight
+            live = live + weight
+    return acc, live
+
+
+def _attribute_row(params, menu):
+    acc, live = _weighted_intersections(
+        [(a.weight, a.carrier) for a in params.attributes], menu
+    )
+    return {t: _div(w, live) for t, w in acc.items()}
+
+
+def _rrm_row(params, menu):
+    acc = {}
+    den = Fraction(0)
+    for i in bits(menu):
+        s = params.salience[i]
+        den = den + s
+        t = params.constraints[i] & menu
+        acc[t] = acc.get(t, Fraction(0)) + s
+    return {t: _div(w, den) for t, w in acc.items()}
+
+
+def _nsc_row(params, menu):
+    acc = {}
+    den = Fraction(0)
+    for nest in params.nests:
+        part = nest & menu
+        if part:
+            w = params.nest_weights[part]
+            acc[part] = w
+            den = den + w
+    return {t: _div(w, den) for t, w in acc.items()}
+
+
+def _nl_row(params, menu, exact):
+    acc = {}
+    den = Fraction(0) if exact else 0.0
+    for idx, nest in enumerate(params.nests):
+        part = nest & menu
+        if part:
+            w = params.induced_weight(part, idx, exact)
+            acc[part] = w
+            den = den + w
+    return {t: _div(w, den) for t, w in acc.items()}
+
+
+#: Per set-draw model: the replaced row (as oracle) and a float copy of a bundle.
+ORACLES = {
+    ModelTag.RCG: (
+        lambda spec, menu: _rcg_row(spec.params, menu, spec.empty_variant),
+        lambda p: RCGParams({c: float(m) for c, m in p.mass.items()}),
+    ),
+    ModelTag.EBA: (
+        lambda spec, menu: _attribute_row(spec.params, menu),
+        lambda p: EBAParams(tuple(Aspect(float(a.weight), a.carrier) for a in p.attributes)),
+    ),
+    ModelTag.AR: (
+        lambda spec, menu: _attribute_row(spec.params, menu),
+        lambda p: ARParams(
+            tuple(ArAttribute(float(a.weight), a.carrier, a.item_values) for a in p.attributes)
+        ),
+    ),
+    ModelTag.RRM: (
+        lambda spec, menu: _rrm_row(spec.params, menu),
+        lambda p: RRMParams({x: float(s) for x, s in p.salience.items()}, p.constraints),
+    ),
+    ModelTag.NSC: (
+        lambda spec, menu: _nsc_row(spec.params, menu),
+        lambda p: NSCParams(p.nests, {t: float(w) for t, w in p.nest_weights.items()}),
+    ),
+    ModelTag.NESTED_LOGIT: (
+        lambda spec, menu: _nl_row(spec.params, menu, spec.is_exact()),
+        lambda p: NestedLogitParams(
+            p.nests, {x: float(v) for x, v in p.utilities.items()}, p.exponents
+        ),
+    ),
+}
+
+KERNEL_VARIANTS = [(model, False) for model in ORACLES] + [(ModelTag.RCG, True)]
+
+
+def _kernel_bundles(model, empty):
+    """(exact spec, its float copy, menus) of fuzz bundles at n = 2..6."""
+    for n in range(2, 7):
+        for seed in range(4):
+            spec = sample_params(GenConfig(n, model, seed=700 + seed, empty_variant=empty))
+            floated = ModelSpec(model, ORACLES[model][1](spec.params), empty)
+            assert not floated.is_exact()
+            yield spec, floated, range(1, 1 << n)
+
+
+class TestDrawnRowKernel:
+    @pytest.mark.parametrize(
+        "model, empty", KERNEL_VARIANTS, ids=[m.value + "_o" * e for m, e in KERNEL_VARIANTS]
+    )
+    def test_rows_match_the_replaced_rows(self, model, empty):
+        oracle = ORACLES[model][0]
+        for spec, floated, menus in _kernel_bundles(model, empty):
+            for menu in menus:
+                assert menu_row(spec, menu) == oracle(spec, menu)
+                if model is not ModelTag.RCG or empty:
+                    # bit-identical, not merely close
+                    assert menu_row(floated, menu) == oracle(floated, menu)
+
+    def test_float_rcg_rows_are_float_eba_rows(self):
+        for _, floated, menus in _kernel_bundles(ModelTag.RCG, False):
+            aspects = tuple(Aspect(m, c) for c, m in floated.params.mass.items())
+            eba = ModelSpec(ModelTag.EBA, EBAParams(aspects))
+            for menu in menus:
+                assert menu_row(floated, menu) == menu_row(eba, menu)
