@@ -55,15 +55,8 @@ from .models import (
     NestedLogitParams,
     RCGParams,
     RRMParams,
-    eval_ar_first_stage,
     eval_ar_item,
-    eval_eba,
-    eval_ic,
-    eval_logit,
-    eval_nested_logit,
-    eval_nsc,
-    eval_rcg,
-    eval_rrm,
+    evaluate,
     generate_scc,
     menu_row,
 )

@@ -39,6 +39,7 @@ from .models import (
     RCGParams,
     RRMParams,
     generate_scc,
+    menu_row,
 )
 
 #: The eleven samplable model variants.
@@ -363,16 +364,13 @@ def fuzz_relationships(
         n = base.choice(n_choices)
         if index % 5 == 4:
             # implication probe: a set-weight bundle with product-form
-            # weights built from sampled inclusion probabilities
+            # weights, the grand-set row of the empty-variant ic model with
+            # sampled inclusion probabilities (ic = logit AND rcg)
             rng = random.Random(trial_seed)
             gammas = {x: _grid_prob(rng, rational_grid) for x in range(n)}
-            full = (1 << n) - 1
-            weights = {}
-            for t in nonempty_submasks(full):
-                w = Fraction(1)
-                for x in range(n):
-                    w *= gammas[x] if t & (1 << x) else 1 - gammas[x]
-                weights[t] = w
+            ic = ModelSpec(ModelTag.IC, ICParams(gammas), empty_variant=True)
+            row = menu_row(ic, (1 << n) - 1)
+            weights = {t: w for t, w in row.items() if t}
             spec = ModelSpec(ModelTag.LOGIT, LogitParams(weights))
             scc = generate_scc(spec, Universe.default(n))
             if not cached_report(scc, AxiomId.REL_ADD).holds:

@@ -472,9 +472,10 @@ def parse_counts(text: str) -> CountsTable:
     if [h.strip() for h in header] != ["menu", "set", "count"]:
         raise SchemaError("counts table must start with header 'menu;set;count'")
 
-    raw: list[tuple[list[str], list[str], int]] = []
+    raw: list[tuple[int, list[str], list[str], int]] = []
     labels: set[str] = set()
-    for line_no, record in enumerate(reader, start=2):
+    for record in reader:
+        line_no = reader.line_num  # a quoted field may span file lines
         if not record or (len(record) == 1 and not record[0].strip()):
             continue
         if len(record) != 3:
@@ -492,19 +493,19 @@ def parse_counts(text: str) -> CountsTable:
         if count < 0:
             raise SchemaError(f"line {line_no}: count must be non-negative")
         labels.update(menu_labels)
-        raw.append((menu_labels, set_labels, count))
+        raw.append((line_no, menu_labels, set_labels, count))
 
     universe = Universe.from_labels(sorted(labels))
     counts: dict[tuple[int, int], int] = {}
-    for line_no_offset, (menu_labels, set_labels, count) in enumerate(raw):
+    for line_no, menu_labels, set_labels, count in raw:
         try:
             menu = universe.mask_of(menu_labels)
             collection = universe.mask_of(set_labels)
         except ShapeError as exc:
-            raise SchemaError(f"counts row {line_no_offset + 1}: {exc}") from None
+            raise SchemaError(f"line {line_no}: {exc}") from None
         if collection & ~menu:
             raise SchemaError(
-                f"counts row {line_no_offset + 1}: set "
+                f"line {line_no}: set "
                 f"{universe.labels_of(collection)} is not contained in menu "
                 f"{universe.labels_of(menu)}"
             )

@@ -1,8 +1,12 @@
 """Parameter bundles and exact evaluators for the eight parametric models.
 
-Every model induces a stochastic choice correspondence over a universe; the
-evaluators here compute single probabilities, and :func:`generate_scc` builds
+Every model induces a stochastic choice correspondence over a universe, a
+rule that gives each menu a probability for each collection.  A model is a
+:class:`ModelSpec` (tag, params, empty-variant flag); :func:`evaluate` gives
+one probability, :func:`menu_row` one menu's row, and :func:`generate_scc`
 the complete SCC (one row per menu/collection pair in the model's support).
+:func:`eval_ar_item` gives the item-level probability of the two-stage
+attribute rule with its decomposition over the first stage.
 
 All arithmetic is exact (Fractions) unless a nested-logit bundle carries a
 non-integer exponent, in which case evaluation degrades to float mode and the
@@ -50,11 +54,6 @@ class ModelTag(str, Enum):
 
 #: Models that have an empty-collection variant.
 EMPTY_CAPABLE = frozenset({ModelTag.LOGIT, ModelTag.RCG, ModelTag.IC})
-
-
-def _require_subset(collection: int, menu: int) -> None:
-    if collection & ~menu:
-        raise ShapeError("collection is not a subset of the menu")
 
 
 def _is_exact(value: Weight) -> bool:
@@ -581,72 +580,23 @@ def menu_row(spec: ModelSpec, menu: int) -> dict[int, Weight]:
     return row
 
 
-def _eval(spec: ModelSpec, universe: Universe, collection: int, menu: int) -> Weight:
+def _require_menu(menu: int, universe: Universe) -> None:
+    if not 0 < menu <= universe.full_mask:
+        raise ShapeError(f"menu {menu} is not a non-empty subset of the universe")
+
+
+def evaluate(spec: ModelSpec, universe: Universe, collection: int, menu: int) -> Weight:
+    """The probability that ``collection`` is chosen from ``menu`` under
+    ``spec``.  The menu must be a non-empty subset of the universe and the
+    collection a subset of the menu, else ShapeError."""
     spec.validate(universe)
-    _require_subset(collection, menu)
+    _require_menu(menu, universe)
+    if collection & ~menu:
+        raise ShapeError("collection is not a subset of the menu")
     if collection == 0 and not spec.empty_variant:
         raise ShapeError("empty collection requires the empty-collection variant")
-    exact = spec.is_exact()
-    row = menu_row(spec, menu)
-    value = row.get(collection)
-    if value is None:
-        return Fraction(0) if exact else 0.0
-    return Fraction(value) if exact else float(value)
-
-
-def eval_logit(
-    params: LogitParams,
-    universe: Universe,
-    collection: int,
-    menu: int,
-    empty_variant: bool = False,
-) -> Weight:
-    return _eval(ModelSpec(ModelTag.LOGIT, params, empty_variant), universe, collection, menu)
-
-
-def eval_rcg(
-    params: RCGParams,
-    universe: Universe,
-    collection: int,
-    menu: int,
-    empty_variant: bool = False,
-) -> Weight:
-    return _eval(ModelSpec(ModelTag.RCG, params, empty_variant), universe, collection, menu)
-
-
-def eval_ic(
-    params: ICParams,
-    universe: Universe,
-    collection: int,
-    menu: int,
-    empty_variant: bool = False,
-) -> Weight:
-    return _eval(ModelSpec(ModelTag.IC, params, empty_variant), universe, collection, menu)
-
-
-def eval_eba(params: EBAParams, universe: Universe, collection: int, menu: int) -> Weight:
-    return _eval(ModelSpec(ModelTag.EBA, params), universe, collection, menu)
-
-
-def eval_ar_first_stage(
-    params: ARParams, universe: Universe, collection: int, menu: int
-) -> Weight:
-    """First-stage probability that ``collection`` is the considered set."""
-    return _eval(ModelSpec(ModelTag.AR, params), universe, collection, menu)
-
-
-def eval_rrm(params: RRMParams, universe: Universe, collection: int, menu: int) -> Weight:
-    return _eval(ModelSpec(ModelTag.RRM, params), universe, collection, menu)
-
-
-def eval_nsc(params: NSCParams, universe: Universe, collection: int, menu: int) -> Weight:
-    return _eval(ModelSpec(ModelTag.NSC, params), universe, collection, menu)
-
-
-def eval_nested_logit(
-    params: NestedLogitParams, universe: Universe, collection: int, menu: int
-) -> Weight:
-    return _eval(ModelSpec(ModelTag.NESTED_LOGIT, params), universe, collection, menu)
+    value = menu_row(spec, menu).get(collection, 0)
+    return Fraction(value) if spec.is_exact() else float(value)
 
 
 def eval_ar_item(
@@ -663,42 +613,37 @@ def eval_ar_item(
     is enforced here.
     """
     params.validate(universe)
+    _require_menu(menu, universe)
+    if not 0 <= item < universe.n:
+        raise ShapeError(f"item {item} is not an item of the universe")
     bit = 1 << item
     if not menu & bit:
         raise ShapeError("item must belong to the menu")
 
-    live: Weight = Fraction(0)
-    groups: dict[int, list[ArAttribute]] = {}
-    for a in params.attributes:
-        t = a.carrier & menu
-        if t:
-            live = live + a.weight
-            groups.setdefault(t, []).append(a)
+    draws = [(a.weight, a.carrier) for a in params.attributes]
+    mu = _drawn_row(draws, menu)
+    pooled = _drawn_row(draws, menu, empty_variant=True)
+    # the one-shot denominator, summed in document order as mu's is
+    live = sum(w for w, carrier in draws if carrier & menu)
 
     # One-shot formula: draw an attribute among the feasible ones, then an
     # item proportionally to its value on that attribute within the menu.
+    # Traces go in first-occurrence order, attributes in document order.
     p: Weight = Fraction(0)
-    for t, attrs in groups.items():
-        for a in attrs:
-            value_total = sum(a.item_values[i] for i in bits(t))
-            item_value = a.item_values.get(item, 0) if a.carrier & bit else 0
-            if item_value:
-                p = p + _div(a.weight, live) * Fraction(item_value, value_total)
+    rho: dict[int, Weight] = dict.fromkeys(mu, Fraction(0))
+    for t in mu:
+        if not t & bit:
+            continue
+        for a in params.attributes:
+            if a.carrier & menu == t:
+                share = Fraction(
+                    a.item_values[item], sum(a.item_values[i] for i in bits(t))
+                )
+                p = p + _div(a.weight, live) * share
+                rho[t] = rho[t] + _div(a.weight, pooled[t]) * share
 
-    decomposition: dict[int, tuple[Weight, Weight]] = {}
-    for t, attrs in sorted(groups.items()):
-        group_weight = sum(a.weight for a in attrs)
-        mu = _div(group_weight, live)
-        rho: Weight = Fraction(0)
-        if t & bit:
-            for a in attrs:
-                value_total = sum(a.item_values[i] for i in bits(t))
-                item_value = a.item_values.get(item, 0)
-                if item_value:
-                    rho = rho + _div(a.weight, group_weight) * Fraction(item_value, value_total)
-        decomposition[t] = (mu, rho)
-
-    recombined = sum(mu * rho for mu, rho in decomposition.values())
+    decomposition = {t: (mu[t], rho[t]) for t in sorted(mu)}
+    recombined = sum(m * r for m, r in decomposition.values())
     if _is_exact(p) and _is_exact(recombined):
         assert p == recombined, (
             "two-stage decomposition must reproduce the one-shot probability"

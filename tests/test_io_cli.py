@@ -253,6 +253,23 @@ class TestCountsTables:
         with pytest.raises(SchemaError, match="not contained"):
             parse_counts("menu;set;count\na,b;a;1\nb;a,b;1\n")
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            # one row, a blank line, then the bad row on file line 4
+            ("a,b;a;1\n\na;a;x\n", "line 4: count must be an integer"),
+            ("a,b;a;1\n\nb;a,b;1\n", "line 4: set ('a', 'b') is not contained in menu ('b',)"),
+            ("a,b;a;1\n\na;z;1\n", "line 4: unknown item label 'z'"),
+            # a quoted menu over file lines 2 and 3
+            ('"a,\nb";a;1\na;a;x\n', "line 4: count must be an integer"),
+        ],
+        ids=["bad_count", "set_outside_menu", "unknown_label", "quoted_newline"],
+    )
+    def test_errors_name_the_file_line(self, rows, message):
+        with pytest.raises(SchemaError) as info:
+            parse_counts("menu;set;count\n" + rows)
+        assert str(info.value).startswith(message)
+
     def test_zero_total_menu(self):
         table = parse_counts("menu;set;count\na;a;0\n")
         with pytest.raises(ZeroTotalMenuError):

@@ -28,15 +28,8 @@ from scclab.models import (
     NestedLogitParams,
     RCGParams,
     RRMParams,
-    eval_ar_first_stage,
     eval_ar_item,
-    eval_eba,
-    eval_ic,
-    eval_logit,
-    eval_nested_logit,
-    eval_nsc,
-    eval_rcg,
-    eval_rrm,
+    evaluate,
     generate_scc,
     menu_row,
 )
@@ -57,23 +50,25 @@ def logit_fixture():
     return LogitParams({A: F(2), B: F(1), AB: F(1)})
 
 
+LOGIT_FIXTURE = ModelSpec(ModelTag.LOGIT, logit_fixture())
+
+
 class TestLogit:
     def test_uniform_weights(self):
-        params = LogitParams({A: F(1), B: F(1), AB: F(1)})
-        assert eval_logit(params, U2, A, AB) == F(1, 3)
+        spec = ModelSpec(ModelTag.LOGIT, LogitParams({A: F(1), B: F(1), AB: F(1)}))
+        assert evaluate(spec, U2, A, AB) == F(1, 3)
 
     def test_fixture_row(self):
-        params = logit_fixture()
-        assert eval_logit(params, U2, A, AB) == F(1, 2)
-        assert eval_logit(params, U2, B, AB) == F(1, 4)
-        assert eval_logit(params, U2, AB, AB) == F(1, 4)
+        assert evaluate(LOGIT_FIXTURE, U2, A, AB) == F(1, 2)
+        assert evaluate(LOGIT_FIXTURE, U2, B, AB) == F(1, 4)
+        assert evaluate(LOGIT_FIXTURE, U2, AB, AB) == F(1, 4)
 
     def test_single_collection_menu(self):
-        assert eval_logit(logit_fixture(), U2, A, A) == F(1)
+        assert evaluate(LOGIT_FIXTURE, U2, A, A) == F(1)
 
     def test_non_subset_rejected(self):
         with pytest.raises(ShapeError):
-            eval_logit(logit_fixture(), U2, AB, A)
+            evaluate(LOGIT_FIXTURE, U2, AB, A)
 
     def test_missing_weight(self):
         with pytest.raises(MissingWeightError):
@@ -85,30 +80,33 @@ class TestLogit:
 
     def test_empty_variant_denominator(self):
         params = LogitParams({A: F(2), B: F(1), AB: F(1)}, empty_weight=F(4))
-        assert eval_logit(params, U2, A, AB, empty_variant=True) == F(1, 4)
-        assert eval_logit(params, U2, 0, AB, empty_variant=True) == F(1, 2)
+        spec = ModelSpec(ModelTag.LOGIT, params, empty_variant=True)
+        assert evaluate(spec, U2, A, AB) == F(1, 4)
+        assert evaluate(spec, U2, 0, AB) == F(1, 2)
 
     def test_empty_collection_without_variant(self):
         with pytest.raises(ShapeError):
-            eval_logit(logit_fixture(), U2, 0, AB)
+            evaluate(LOGIT_FIXTURE, U2, 0, AB)
 
 
 class TestRCG:
     def test_fixture_row(self):
         params = RCGParams({AB: F(1, 2), C: F(1, 4), ABC: F(1, 4)})
-        assert eval_rcg(params, U3, A, AC) == F(1, 2)
-        assert eval_rcg(params, U3, C, AC) == F(1, 4)
-        assert eval_rcg(params, U3, AC, AC) == F(1, 4)
+        spec = ModelSpec(ModelTag.RCG, params)
+        assert evaluate(spec, U3, A, AC) == F(1, 2)
+        assert evaluate(spec, U3, C, AC) == F(1, 4)
+        assert evaluate(spec, U3, AC, AC) == F(1, 4)
 
     def test_renormalization(self):
         # only one category meets the menu; its conditional probability is 1
-        params = RCGParams({B: F(1, 2), AB: F(1, 2)})
-        assert eval_rcg(params, U2, A, A) == F(1)
+        spec = ModelSpec(ModelTag.RCG, RCGParams({B: F(1, 2), AB: F(1, 2)}))
+        assert evaluate(spec, U2, A, A) == F(1)
 
     def test_empty_variant_unnormalized(self):
         params = RCGParams({AB: F(1, 2), C: F(1, 2)})
-        assert eval_rcg(params, U3, 0, A, empty_variant=True) == F(1, 2)
-        assert eval_rcg(params, U3, A, A, empty_variant=True) == F(1, 2)
+        spec = ModelSpec(ModelTag.RCG, params, empty_variant=True)
+        assert evaluate(spec, U3, 0, A) == F(1, 2)
+        assert evaluate(spec, U3, A, A) == F(1, 2)
 
     def test_coverage_required(self):
         with pytest.raises(InvalidParamsError):
@@ -121,20 +119,21 @@ class TestRCG:
 
 class TestIC:
     def test_symmetric(self):
-        params = ICParams({0: F(1, 2), 1: F(1, 2)})
+        spec = ModelSpec(ModelTag.IC, ICParams({0: F(1, 2), 1: F(1, 2)}))
         for t in (A, B, AB):
-            assert eval_ic(params, U2, t, AB) == F(1, 3)
+            assert evaluate(spec, U2, t, AB) == F(1, 3)
 
     def test_fixture_row(self):
-        params = ICParams({0: F(1, 2), 1: F(1, 3)})
-        assert eval_ic(params, U2, A, AB) == F(1, 2)
-        assert eval_ic(params, U2, B, AB) == F(1, 4)
-        assert eval_ic(params, U2, AB, AB) == F(1, 4)
+        spec = ModelSpec(ModelTag.IC, ICParams({0: F(1, 2), 1: F(1, 3)}))
+        assert evaluate(spec, U2, A, AB) == F(1, 2)
+        assert evaluate(spec, U2, B, AB) == F(1, 4)
+        assert evaluate(spec, U2, AB, AB) == F(1, 4)
 
     def test_empty_variant_bernoulli(self):
         params = ICParams({0: F(1, 2), 1: F(1, 3)})
-        assert eval_ic(params, U2, 0, A, empty_variant=True) == F(1, 2)
-        assert eval_ic(params, U2, A, A, empty_variant=True) == F(1, 2)
+        spec = ModelSpec(ModelTag.IC, params, empty_variant=True)
+        assert evaluate(spec, U2, 0, A) == F(1, 2)
+        assert evaluate(spec, U2, A, A) == F(1, 2)
 
     def test_open_unit_interval_enforced(self):
         with pytest.raises(InvalidParamsError):
@@ -145,13 +144,14 @@ class TestIC:
 
 class TestEBA:
     PARAMS = EBAParams((Aspect(F(3, 5), AB), Aspect(F(2, 5), C)))
+    SPEC = ModelSpec(ModelTag.EBA, PARAMS)
 
     def test_fixture_row(self):
-        assert eval_eba(self.PARAMS, U3, A, AC) == F(3, 5)
-        assert eval_eba(self.PARAMS, U3, C, AC) == F(2, 5)
+        assert evaluate(self.SPEC, U3, A, AC) == F(3, 5)
+        assert evaluate(self.SPEC, U3, C, AC) == F(2, 5)
 
     def test_dead_attribute_renormalizes(self):
-        assert eval_eba(self.PARAMS, U3, A, A) == F(1)
+        assert evaluate(self.SPEC, U3, A, A) == F(1)
 
     def test_weights_sum_to_one(self):
         bad = EBAParams((Aspect(F(1, 2), AB), Aspect(F(1, 4), C)))
@@ -172,14 +172,16 @@ class TestAR:
     )
 
     def test_first_stage_fixture(self):
-        assert eval_ar_first_stage(self.PARAMS, U3, AB, ABC) == F(1, 2)
-        assert eval_ar_first_stage(self.PARAMS, U3, C, ABC) == F(1, 2)
+        spec = ModelSpec(ModelTag.AR, self.PARAMS)
+        assert evaluate(spec, U3, AB, ABC) == F(1, 2)
+        assert evaluate(spec, U3, C, ABC) == F(1, 2)
 
     def test_identical_carriers_pool(self):
         params = ARParams(
             (ArAttribute(F(1), A, {0: 1}), ArAttribute(F(2), A, {0: 3}))
         )
-        assert eval_ar_first_stage(params, Universe.default(1), A, A) == F(1)
+        spec = ModelSpec(ModelTag.AR, params)
+        assert evaluate(spec, Universe.default(1), A, A) == F(1)
 
     def test_item_fixture(self):
         p_a, decomp_a = eval_ar_item(self.PARAMS, U3, 0, ABC)
@@ -221,20 +223,22 @@ class TestRRM:
     # grand set {x, y}: y is always appealing, x only from itself
     U = Universe.from_labels(["x", "y"])
     PARAMS = RRMParams({0: F(1), 1: F(1)}, {0: 3, 1: 2})
+    SPEC = ModelSpec(ModelTag.RRM, PARAMS)
 
     def test_reference_table_row(self):
-        assert eval_rrm(self.PARAMS, self.U, 3, 3) == F(1, 2)
-        assert eval_rrm(self.PARAMS, self.U, 2, 3) == F(1, 2)
-        assert eval_rrm(self.PARAMS, self.U, 1, 3) == F(0)
+        assert evaluate(self.SPEC, self.U, 3, 3) == F(1, 2)
+        assert evaluate(self.SPEC, self.U, 2, 3) == F(1, 2)
+        assert evaluate(self.SPEC, self.U, 1, 3) == F(0)
 
     def test_identity_constraints_give_singleton_weights(self):
         params = RRMParams({0: F(2), 1: F(3), 2: F(5)}, {0: A, 1: B, 2: C})
-        assert eval_rrm(params, U3, A, ABC) == F(2, 10)
-        assert eval_rrm(params, U3, B, AC | B) == F(3, 10)
-        assert eval_rrm(params, U3, C, BC) == F(5, 8)
+        spec = ModelSpec(ModelTag.RRM, params)
+        assert evaluate(spec, U3, A, ABC) == F(2, 10)
+        assert evaluate(spec, U3, B, AC | B) == F(3, 10)
+        assert evaluate(spec, U3, C, BC) == F(5, 8)
 
     def test_singleton_menu(self):
-        assert eval_rrm(self.PARAMS, self.U, 1, 1) == F(1)
+        assert evaluate(self.SPEC, self.U, 1, 1) == F(1)
 
     def test_constraints_must_be_distinct(self):
         with pytest.raises(InvalidParamsError):
@@ -251,16 +255,18 @@ class TestRRM:
 
 class TestNSC:
     def test_example_rows(self):
-        assert eval_nsc(NSC_EXAMPLE, U3, A, AC) == F(1, 4)
-        assert eval_nsc(NSC_EXAMPLE, U3, C, AC) == F(3, 4)
-        assert eval_nsc(NSC_EXAMPLE, U3, AB, ABC) == F(4, 7)
-        assert eval_nsc(NSC_EXAMPLE, U3, C, ABC) == F(3, 7)
-        assert eval_nsc(NSC_EXAMPLE, U3, B, BC) == F(2, 5)
+        spec = ModelSpec(ModelTag.NSC, NSC_EXAMPLE)
+        assert evaluate(spec, U3, A, AC) == F(1, 4)
+        assert evaluate(spec, U3, C, AC) == F(3, 4)
+        assert evaluate(spec, U3, AB, ABC) == F(4, 7)
+        assert evaluate(spec, U3, C, ABC) == F(3, 7)
+        assert evaluate(spec, U3, B, BC) == F(2, 5)
 
     def test_single_nest_is_deterministic_full_choice(self):
         params = NSCParams((ABC,), {t: F(1) for t in nonempty_submasks(ABC)})
+        spec = ModelSpec(ModelTag.NSC, params)
         for menu in nonempty_submasks(ABC):
-            assert eval_nsc(params, U3, menu, menu) == F(1)
+            assert evaluate(spec, U3, menu, menu) == F(1)
 
     def test_partition_required(self):
         with pytest.raises(InvalidParamsError):
@@ -283,12 +289,14 @@ class TestNestedLogit:
     PARAMS = NestedLogitParams((AB, C), {0: F(1), 1: F(1), 2: F(3)}, (F(2), F(1)))
 
     def test_power_weights(self):
-        assert eval_nested_logit(self.PARAMS, U3, AB, ABC) == F(4, 7)
-        assert eval_nested_logit(self.PARAMS, U3, C, ABC) == F(3, 7)
+        spec = ModelSpec(ModelTag.NESTED_LOGIT, self.PARAMS)
+        assert evaluate(spec, U3, AB, ABC) == F(4, 7)
+        assert evaluate(spec, U3, C, ABC) == F(3, 7)
 
     def test_exponent_one_additive(self):
         params = NestedLogitParams((AB, C), {0: F(1), 1: F(2), 2: F(3)}, (F(1), F(1)))
-        assert eval_nested_logit(params, U3, AB, ABC) == F(1, 2)
+        spec = ModelSpec(ModelTag.NESTED_LOGIT, params)
+        assert evaluate(spec, U3, AB, ABC) == F(1, 2)
 
     def test_integer_exponents_stay_exact(self):
         scc = generate_scc(ModelSpec(ModelTag.NESTED_LOGIT, self.PARAMS), U3)
@@ -314,6 +322,31 @@ class TestNestedLogit:
         assert scc.arithmetic_mode == "float"
         assert any("float" in note for note in scc.mode_notes)
         assert scc.rows[ABC][AB] == pytest.approx(2.0**1.5 / (2.0**1.5 + 3.0))
+
+
+OUTSIDE_UNIVERSE = {
+    "rcg_menu_past_full": lambda: evaluate(
+        ModelSpec(ModelTag.RCG, RCGParams({AB: F(1, 2), C: F(1, 4), ABC: F(1, 4)})),
+        U3, A, 0b1001,
+    ),
+    "nsc_negative_menu": lambda: evaluate(ModelSpec(ModelTag.NSC, NSC_EXAMPLE), U3, C, -4),
+    "ic_menu_past_full": lambda: evaluate(
+        ModelSpec(ModelTag.IC, ICParams({0: F(1, 2), 1: F(1, 3), 2: F(2, 3)})),
+        U3, 0b1000, 0b1000,
+    ),
+    "rrm_menu_past_full": lambda: evaluate(
+        ModelSpec(ModelTag.RRM, RRMParams({0: F(1), 1: F(2), 2: F(3)}, {0: 3, 1: 2, 2: 6})),
+        U3, 0b1000, 0b1000,
+    ),
+    "ar_item_past_n": lambda: eval_ar_item(TestAR.PARAMS, U3, 3, 0b1001),
+    "ar_item_negative": lambda: eval_ar_item(TestAR.PARAMS, U3, -1, ABC),
+}
+
+
+@pytest.mark.parametrize("call", OUTSIDE_UNIVERSE.values(), ids=OUTSIDE_UNIVERSE.keys())
+def test_menu_or_item_outside_universe_rejected(call):
+    with pytest.raises(ShapeError):
+        call()
 
 
 class TestGenerateScc:
@@ -613,3 +646,52 @@ class TestDrawnRowKernel:
             eba = ModelSpec(ModelTag.EBA, EBAParams(aspects))
             for menu in menus:
                 assert menu_row(floated, menu) == menu_row(eba, menu)
+
+
+# ---------------------------------------------------------------------------
+# eval_ar_item on the kernel against its hand-pooled form
+
+
+def _ar_item_oracle(params, item, menu):
+    bit = 1 << item
+    live = Fraction(0)
+    groups = {}
+    for a in params.attributes:
+        t = a.carrier & menu
+        if t:
+            live = live + a.weight
+            groups.setdefault(t, []).append(a)
+    p = Fraction(0)
+    for t, attrs in groups.items():
+        for a in attrs:
+            value_total = sum(a.item_values[i] for i in bits(t))
+            item_value = a.item_values.get(item, 0) if a.carrier & bit else 0
+            if item_value:
+                p = p + _div(a.weight, live) * Fraction(item_value, value_total)
+    decomposition = {}
+    for t, attrs in sorted(groups.items()):
+        group_weight = sum(a.weight for a in attrs)
+        mu = _div(group_weight, live)
+        rho = Fraction(0)
+        if t & bit:
+            for a in attrs:
+                value_total = sum(a.item_values[i] for i in bits(t))
+                item_value = a.item_values.get(item, 0)
+                if item_value:
+                    rho = rho + _div(a.weight, group_weight) * Fraction(item_value, value_total)
+        decomposition[t] = (mu, rho)
+    return p, decomposition
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_ar_item_matches_hand_pooled(n):
+    universe = Universe.default(n)
+    to_float = ORACLES[ModelTag.AR][1]
+    for seed in range(40):
+        exact = sample_params(GenConfig(n, ModelTag.AR, seed=seed)).params
+        for params in (exact, to_float(exact)):
+            for menu in range(1, 1 << n):
+                for x in bits(menu):
+                    got = eval_ar_item(params, universe, x, menu)
+                    # repr: the same values of the same types, bit for bit
+                    assert repr(got) == repr(_ar_item_oracle(params, x, menu))
