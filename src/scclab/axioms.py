@@ -672,36 +672,27 @@ def _rel_add_adjusted(scc: SCC, tol: ToleranceConfig, cap: int) -> AxiomReport:
     row_full = rows[scc.universe.full_mask]
     checked = 0
     vacuous = 0
-    for s in scc.menus():
-        if popcount(s) < 2:
-            continue
-        row_s = rows[s]
+    for s, xbit, rest, row_s, row_rest in _removals(rows):
         denom = 0
         for y in bits(s):
             denom = denom + row_full.get(revealed[y], 0)
-        denom_ok = is_positive(scc, denom, tol)
-        for x in bits(s):
-            xbit = 1 << x
-            rest = s & ~xbit
-            t = revealed[x] & rest
-            others = [t2 for t2 in nonempty_submasks(rest) if t2 != t]
-            if t == 0 or not denom_ok:
-                vacuous += len(others)
-                continue
-            row_rest = rows[rest]
-            adj_num = row_full.get(revealed[x], 0) * dens[s]
-            t_sum = row_s.get(t, 0) + row_s.get(t | xbit, 0)
-            mu_t_rest = row_rest.get(t, 0)
-            for t2 in others:
-                checked += 1
-                t2_sum = row_s.get(t2, 0) + row_s.get(t2 | xbit, 0)
-                mu_t2_rest = row_rest.get(t2, 0)
-                cleared_lhs = denom * mu_t_rest * t2_sum + adj_num * mu_t2_rest
-                cleared_rhs = denom * mu_t2_rest * t_sum
-                if not probs_equal(scc, cleared_lhs, cleared_rhs, tol):
-                    out.add_equation(
-                        scc, {"S": s, "x": xbit, "T": t, "T_prime": t2}, tol
-                    )
+        q = revealed[xbit.bit_length() - 1]
+        t = q & rest
+        others = [t2 for t2 in nonempty_submasks(rest) if t2 != t]
+        if t == 0 or not is_positive(scc, denom, tol):
+            vacuous += len(others)
+            continue
+        adj_num = row_full.get(q, 0) * dens[s]
+        t_sum = row_s.get(t, 0) + row_s.get(t | xbit, 0)
+        mu_t_rest = row_rest.get(t, 0)
+        for t2 in others:
+            checked += 1
+            t2_sum = row_s.get(t2, 0) + row_s.get(t2 | xbit, 0)
+            mu_t2_rest = row_rest.get(t2, 0)
+            cleared_lhs = denom * mu_t_rest * t2_sum + adj_num * mu_t2_rest
+            cleared_rhs = denom * mu_t2_rest * t_sum
+            if not probs_equal(scc, cleared_lhs, cleared_rhs, tol):
+                out.add_equation(scc, {"S": s, "x": xbit, "T": t, "T_prime": t2}, tol)
     return out.report(scc, checked, vacuous)
 
 
@@ -788,25 +779,18 @@ def check_piis(
     # Stage 1: ratio constancy per unordered co-occurring pair.
     edges: dict[tuple[int, int], tuple[Prob, Prob, int]] = {}
     for s in scc.menus():
-        colls = sorted(pos[s])
-        row = pos[s]
-        for i in range(len(colls)):
-            a = colls[i]
-            pa = row[a]
-            for j in range(i + 1, len(colls)):
-                b = colls[j]
-                pb = row[b]
-                rec = edges.get((a, b))
-                if rec is None:
-                    edges[(a, b)] = (pa, pb, s)
-                    continue
-                pa0, pb0, s0 = rec
-                checked += 1
-                if not probs_equal(scc, pa * pb0, pb * pa0, tol):
-                    bindings, lhs, rhs = _chain_witness(
-                        scc, a, b, (pa0, pb0, b, s0, s0), (pa, pb, b, s, s)
-                    )
-                    out.add(bindings, lhs, rhs)
+        for (a, pa), (b, pb) in combinations(sorted(pos[s].items()), 2):
+            rec = edges.get((a, b))
+            if rec is None:
+                edges[(a, b)] = (pa, pb, s)
+                continue
+            pa0, pb0, s0 = rec
+            checked += 1
+            if not probs_equal(scc, pa * pb0, pb * pa0, tol):
+                bindings, lhs, rhs = _chain_witness(
+                    scc, a, b, (pa0, pb0, b, s0, s0), (pa, pb, b, s, s)
+                )
+                out.add(bindings, lhs, rhs)
 
     support_colls = sorted({c for row in pos.values() for c in row})
     neighbors: dict[int, set[int]] = {c: set() for c in support_colls}

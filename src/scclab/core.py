@@ -299,23 +299,10 @@ def validate_scc(scc: SCC, tol: ToleranceConfig = DEFAULT_TOL) -> list[Violation
         total = Fraction(0) if scc.exact else 0.0
         for coll in sorted(row):
             p = row[coll]
-            if scc.exact and not isinstance(p, Fraction):
-                violations.append(
-                    Violation(
-                        "storage",
-                        menu,
-                        f"exact-mode SCC stores a non-rational value for collection {coll}",
-                    )
-                )
-                continue
-            if not scc.exact and isinstance(p, Fraction):
-                violations.append(
-                    Violation(
-                        "storage",
-                        menu,
-                        f"float-mode SCC stores a rational value for collection {coll}",
-                    )
-                )
+            if isinstance(p, Fraction) != scc.exact:
+                mode, kind = ("exact", "non-rational") if scc.exact else ("float", "rational")
+                message = f"{mode}-mode SCC stores a {kind} value for collection {coll}"
+                violations.append(Violation("storage", menu, message))
                 continue
             if coll & ~menu:
                 violations.append(

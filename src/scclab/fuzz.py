@@ -28,7 +28,6 @@ from .models import (
     ARParams,
     ArAttribute,
     Aspect,
-    EMPTY_CAPABLE,
     EBAParams,
     ICParams,
     LogitParams,
@@ -139,33 +138,24 @@ def sample_params(config: GenConfig) -> ModelSpec:
     full = (1 << n) - 1
     universe = Universe.default(n)
     model = config.model
-    if config.empty_variant and model not in EMPTY_CAPABLE:
-        raise InvalidParamsError(
-            f"model {model.value} has no empty-collection variant"
-        )
 
     if model is ModelTag.LOGIT:
         weights = {t: _grid_weight(rng, grid) for t in nonempty_submasks(full)}
         empty_weight = _grid_weight(rng, grid) if config.empty_variant else None
-        spec = ModelSpec(model, LogitParams(weights, empty_weight), config.empty_variant)
+        params = LogitParams(weights, empty_weight)
     elif model is ModelTag.RCG:
         pool = list(range(1, full + 1))
         cats = rng.sample(pool, rng.randint(1, min(len(pool), 6)))
         ordered = sorted(_covering(cats, n))
         masses = _normalized([rng.randint(1, grid) for _ in ordered])
-        spec = ModelSpec(
-            model, RCGParams(dict(zip(ordered, masses))), config.empty_variant
-        )
+        params = RCGParams(dict(zip(ordered, masses)))
     elif model is ModelTag.IC:
         inclusion = {x: _grid_prob(rng, grid) for x in range(n)}
-        spec = ModelSpec(model, ICParams(inclusion), config.empty_variant)
+        params = ICParams(inclusion)
     elif model is ModelTag.EBA:
         carriers = _sample_carriers(rng, config)
         weights = _normalized([rng.randint(1, grid) for _ in carriers])
-        spec = ModelSpec(
-            model,
-            EBAParams(tuple(Aspect(w, c) for w, c in zip(weights, carriers))),
-        )
+        params = EBAParams(tuple(Aspect(w, c) for w, c in zip(weights, carriers)))
     elif model is ModelTag.AR:
         carriers = _sample_carriers(rng, config)
         weights = _normalized([rng.randint(1, grid) for _ in carriers])
@@ -173,7 +163,7 @@ def sample_params(config: GenConfig) -> ModelSpec:
         for w, c in zip(weights, carriers):
             values = {i: rng.randint(1, grid) for i in bits(c)}
             attrs.append(ArAttribute(w, c, values))
-        spec = ModelSpec(model, ARParams(tuple(attrs)))
+        params = ARParams(tuple(attrs))
     elif model is ModelTag.RRM:
         constraints = None
         for _ in range(200):
@@ -193,7 +183,7 @@ def sample_params(config: GenConfig) -> ModelSpec:
                 f"density {config.constraint_density}"
             )
         salience = {x: _grid_weight(rng, grid) for x in range(n)}
-        spec = ModelSpec(model, RRMParams(salience, constraints))
+        params = RRMParams(salience, constraints)
     elif model is ModelTag.NSC:
         nests = _sample_partition(rng, n, config.nest_count)
         weights = {
@@ -201,15 +191,16 @@ def sample_params(config: GenConfig) -> ModelSpec:
             for nest in nests
             for t in nonempty_submasks(nest)
         }
-        spec = ModelSpec(model, NSCParams(nests, weights))
+        params = NSCParams(nests, weights)
     elif model is ModelTag.NESTED_LOGIT:
         nests = _sample_partition(rng, n, config.nest_count)
         utilities = {x: _grid_weight(rng, grid) for x in range(n)}
         exponents = tuple(Fraction(rng.randint(1, 3)) for _ in nests)
-        spec = ModelSpec(model, NestedLogitParams(nests, utilities, exponents))
+        params = NestedLogitParams(nests, utilities, exponents)
     else:
         raise InvalidParamsError(f"unknown model tag {model}")
 
+    spec = ModelSpec(model, params, config.empty_variant)
     spec.validate(universe)
     return spec
 

@@ -53,6 +53,7 @@ from .models import (
     Aspect,
     ModelSpec,
     ModelTag,
+    evaluate,
     generate_scc,
     menu_row,
 )
@@ -620,31 +621,16 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_eval(args: argparse.Namespace) -> int:
     spec, universe = parse_params(_load_json(args.params))
     menu = universe.mask_of(_labels_from_arg(args.menu))
-    if menu == 0:
-        raise SchemaError("--menu must be non-empty")
-    row = menu_row(spec, menu)
+    payload: Any = {"menu": list(universe.labels_of(menu))}
     if args.collection is None:
-        payload: Any = {
-            "menu": list(universe.labels_of(menu)),
-            "rows": [
-                {"set": list(universe.labels_of(t)), "p": format_prob(v)}
-                for t, v in sorted(row.items())
-            ],
-        }
+        payload["rows"] = [
+            {"set": list(universe.labels_of(t)), "p": format_prob(v)}
+            for t, v in sorted(menu_row(spec, menu).items())
+        ]
     else:
         collection = universe.mask_of(_labels_from_arg(args.collection))
-        if collection & ~menu:
-            raise SchemaError("--set must be contained in --menu")
-        if collection == 0 and not spec.empty_variant:
-            raise SchemaError(
-                "--set may be empty only for an empty-collection variant"
-            )
-        zero: Prob = Fraction(0) if spec.is_exact() else 0.0
-        payload = {
-            "menu": list(universe.labels_of(menu)),
-            "set": list(universe.labels_of(collection)),
-            "p": format_prob(row.get(collection, zero)),
-        }
+        payload["set"] = list(universe.labels_of(collection))
+        payload["p"] = format_prob(evaluate(spec, universe, collection, menu))
     _emit(payload, args.output)
     return _EXIT_OK
 

@@ -8,9 +8,11 @@ the complete SCC (one row per menu/collection pair in the model's support).
 :func:`eval_ar_item` gives the item-level probability of the two-stage
 attribute rule with its decomposition over the first stage.
 
-All arithmetic is exact (Fractions) unless a nested-logit bundle carries a
-non-integer exponent, in which case evaluation degrades to float mode and the
-generated SCC records that in ``mode_notes``.
+A bundle is in exact mode (Fractions) unless one of its numbers is a float
+or, for nested logit, an exponent is not an integer; then the whole bundle
+is in float mode, and a non-integer exponent is recorded in the generated
+SCC's ``mode_notes``.  Rows are put in their bundle's mode in one place,
+``_menu_rows``, behind :func:`menu_row` and :func:`generate_scc`.
 
 Empty-collection variants exist for three models and are selected with an
 ``empty_variant`` flag rather than separate classes: the set-weight (logit)
@@ -567,17 +569,28 @@ _MENU_ROWS: dict[ModelTag, Callable[[ModelSpec, int], dict[int, Weight]]] = {
 }
 
 
+def _menu_rows(spec: ModelSpec, menus: Iterable[int]) -> Iterator[dict[int, Weight]]:
+    """The probability row of each of ``menus`` under an already-validated
+    spec, in the bundle's arithmetic mode: Fractions if the spec is exact,
+    floats otherwise, decided once for all the menus.  A float row that does
+    not sum to 1, as when weights overflow, is refused."""
+    exact = spec.is_exact()
+    coerce = Fraction if exact else float
+    for menu in menus:
+        if menu == 0:
+            raise ShapeError("menu must be non-empty")
+        row = {t: coerce(p) for t, p in _MENU_ROWS[spec.model](spec, menu).items()}
+        if not exact and not _sums_to_one(sum(row.values())):
+            raise InvalidParamsError(
+                f"weights overflow float arithmetic: a row sums to {sum(row.values())!r}, not 1"
+            )
+        yield row
+
+
 def menu_row(spec: ModelSpec, menu: int) -> dict[int, Weight]:
-    """The full probability row of ``menu`` under an already-validated spec.
-    A float row that does not sum to 1, as when weights overflow, is refused."""
-    if menu == 0:
-        raise ShapeError("menu must be non-empty")
-    row = _MENU_ROWS[spec.model](spec, menu)
-    if not all(map(_is_exact, row.values())) and not _sums_to_one(sum(row.values())):
-        raise InvalidParamsError(
-            f"weights overflow float arithmetic: a row sums to {sum(row.values())!r}, not 1"
-        )
-    return row
+    """The full probability row of ``menu``, in the bundle's arithmetic mode
+    (see :func:`_menu_rows`)."""
+    return next(_menu_rows(spec, (menu,)))
 
 
 def _require_menu(menu: int, universe: Universe) -> None:
@@ -595,8 +608,9 @@ def evaluate(spec: ModelSpec, universe: Universe, collection: int, menu: int) ->
         raise ShapeError("collection is not a subset of the menu")
     if collection == 0 and not spec.empty_variant:
         raise ShapeError("empty collection requires the empty-collection variant")
-    value = menu_row(spec, menu).get(collection, 0)
-    return Fraction(value) if spec.is_exact() else float(value)
+    row = menu_row(spec, menu)
+    # the cells share the bundle's mode, so any of them times 0 is its zero
+    return row.get(collection, 0 * next(iter(row.values())))
 
 
 def eval_ar_item(
@@ -660,12 +674,11 @@ def generate_scc(spec: ModelSpec, universe: Universe) -> SCC:
     float mode by refusing a bundle whose weights overflow.
     """
     spec.validate(universe)
-    exact = spec.is_exact()
-    coerce = Fraction if exact else float
-    rows: dict[int, dict[int, Prob]] = {}
-    for menu in range(1, universe.full_mask + 1):
-        row = menu_row(spec, menu)
-        rows[menu] = {t: coerce(p) for t, p in sorted(row.items()) if p > 0}
+    menus = range(1, universe.full_mask + 1)
+    rows: dict[int, dict[int, Prob]] = {
+        menu: {t: p for t, p in sorted(row.items()) if p > 0}
+        for menu, row in zip(menus, _menu_rows(spec, menus))
+    }
     notes: tuple[str, ...] = ()
     params = spec.params
     if isinstance(params, NestedLogitParams) and not params.integer_exponents():
@@ -674,6 +687,6 @@ def generate_scc(spec: ModelSpec, universe: Universe) -> SCC:
         universe=universe,
         rows=rows,
         allows_empty=spec.empty_variant,
-        exact=exact,
+        exact=spec.is_exact(),
         mode_notes=notes,
     )

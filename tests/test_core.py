@@ -132,12 +132,15 @@ class TestValidation:
         assert validate_scc(make_scc(rows, allows_empty=True)) == []
 
     def test_mode_mismatch_is_storage_defect(self):
-        rows = {1: {1: 1.0}}
-        assert any(v.property_id == "storage" for v in validate_scc(make_scc(rows)))
-        assert any(
-            v.property_id == "storage"
-            for v in validate_scc(make_scc({1: {1: F(1)}}, exact=False))
-        )
+        def storage(scc):
+            return [v.detail for v in validate_scc(scc) if v.property_id == "storage"]
+
+        assert storage(make_scc({1: {1: 1.0}})) == [
+            "exact-mode SCC stores a non-rational value for collection 1"
+        ]
+        assert storage(make_scc({1: {1: F(1)}}, exact=False)) == [
+            "float-mode SCC stores a rational value for collection 1"
+        ]
 
     def test_float_mode_slack(self):
         # a row summing to 1 within eps_sum is clean in float mode

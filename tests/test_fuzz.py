@@ -79,8 +79,11 @@ class TestSampling:
 
 class TestSamplingErrors:
     def test_empty_variant_needs_capable_model(self):
-        with pytest.raises(InvalidParamsError):
-            sample_params(GenConfig(3, ModelTag.EBA, seed=0, empty_variant=True))
+        for model in (ModelTag.EBA, ModelTag.AR, ModelTag.RRM, ModelTag.NSC,
+                      ModelTag.NESTED_LOGIT):
+            message = f"model {model.value} has no empty-collection variant"
+            with pytest.raises(InvalidParamsError, match=f"^{message}$"):
+                sample_params(GenConfig(3, model, seed=0, empty_variant=True))
 
     def test_saturated_constraints_are_infeasible(self):
         config = GenConfig(3, ModelTag.RRM, seed=0, constraint_density=1.0)

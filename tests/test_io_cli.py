@@ -337,6 +337,45 @@ class TestCli:
         assert code == 0
         assert payload == {"menu": ["a", "b"], "set": ["a"], "p": "1/2"}
 
+    def test_eval_prints_what_gen_writes_on_mixed_literals(self, tmp_path):
+        # one rational and one decimal rate: the bundle is in float mode, even
+        # on the menu {a}, whose row reads only the rational rate
+        document = {
+            "model": "ic",
+            "items": ["a", "b"],
+            "params": {"inclusion": {"a": "1/2", "b": "0.25"}},
+        }
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps(document))
+        _, scc = self.run(tmp_path, "gen", "--params", str(path))
+        for entry in scc["menus"]:
+            menu = ",".join(entry["menu"])
+            _, row = self.run(tmp_path, "eval", "--params", str(path), "--menu", menu)
+            assert row["rows"] == entry["rows"]
+            for cell in entry["rows"]:
+                _, single = self.run(
+                    tmp_path, "eval", "--params", str(path), "--menu", menu,
+                    "--set", ",".join(cell["set"]),
+                )
+                assert single["p"] == cell["p"]
+        assert scc["menus"][0]["rows"] == [{"set": ["a"], "p": "1.0"}]
+
+    @pytest.mark.parametrize(
+        "menu,collection",
+        [("a", "b"), ("a,b", ""), ("", None), ("", "a")],
+        ids=["set-outside-menu", "empty-set", "empty-menu", "empty-menu-with-set"],
+    )
+    def test_eval_shape_errors_are_usage_errors(
+        self, tmp_path, capsys, params_path, menu, collection
+    ):
+        argv = ["eval", "--params", params_path, "--menu", menu]
+        code, payload = self.run(
+            tmp_path, *argv, *(["--set", collection] if collection is not None else [])
+        )
+        assert (code, payload) == (2, None)
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "nests,exponents",
         [([["c"], ["a", "b"]], ["1", "2"]), ([["a", "b"], ["c"]], ["2", "1"])],

@@ -14,7 +14,7 @@ from scclab.core import (
     nonempty_submasks,
     validate_scc,
 )
-from scclab.fuzz import GenConfig, sample_params
+from scclab.fuzz import ALL_VARIANTS, GenConfig, sample_params
 from scclab.models import (
     ARParams,
     ArAttribute,
@@ -695,3 +695,55 @@ def test_ar_item_matches_hand_pooled(n):
                     got = eval_ar_item(params, universe, x, menu)
                     # repr: the same values of the same types, bit for bit
                     assert repr(got) == repr(_ar_item_oracle(params, x, menu))
+
+
+# ---------------------------------------------------------------------------
+# one arithmetic mode per bundle, whichever function reads it
+
+FLOAT_COPIES = {
+    ModelTag.LOGIT: lambda p: LogitParams(
+        {t: float(w) for t, w in p.weights.items()},
+        None if p.empty_weight is None else float(p.empty_weight),
+    ),
+    ModelTag.IC: lambda p: ICParams({x: float(g) for x, g in p.inclusion.items()}),
+    **{model: copy for model, (_, copy) in ORACLES.items()},
+}
+
+
+def _first_rate_floated(p):
+    """An ic bundle mixing literal kinds: only item 0's rate is a float."""
+    return ICParams({x: float(g) if x == 0 else g for x, g in p.inclusion.items()})
+
+
+def _mode_bundles():
+    """(spec, universe, mode) for fuzz bundles of all eleven variants at
+    n = 1..4: exact, as float copies and, for ic, with one float rate among
+    rationals."""
+    for model, empty in ALL_VARIANTS:
+        for n in range(1, 5):
+            universe = Universe.default(n)
+            spec = sample_params(GenConfig(n, model, seed=900 + n, empty_variant=empty))
+            yield spec, universe, Fraction
+            yield ModelSpec(model, FLOAT_COPIES[model](spec.params), empty), universe, float
+            if model is ModelTag.IC:
+                mixed = _first_rate_floated(spec.params)
+                yield ModelSpec(model, mixed, empty), universe, float
+
+
+def test_row_evaluate_and_dataset_share_the_mode():
+    """menu_row, evaluate and generate_scc agree cell for cell, in type as
+    well as value, and every cell is in the bundle's mode."""
+    for spec, universe, mode in _mode_bundles():
+        scc = generate_scc(spec, universe)
+        assert scc.exact == (mode is Fraction)
+        for menu in range(1, universe.full_mask + 1):
+            row = menu_row(spec, menu)
+            assert {type(p) for p in row.values()} == {mode}, (spec, menu)
+            kept = {t: p for t, p in sorted(row.items()) if p > 0}
+            assert repr(scc.rows[menu]) == repr(kept), (spec, menu)
+            start = 0 if spec.empty_variant else 1
+            for t in range(start, menu + 1):
+                if t & ~menu:
+                    continue
+                value = evaluate(spec, universe, t, menu)
+                assert repr(value) == repr(row.get(t, mode(0))), (spec, menu, t)
