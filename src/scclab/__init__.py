@@ -30,7 +30,6 @@ from .core import (
     WrongVariantError,
     ZeroTotalMenuError,
     bits,
-    is_full_support,
     is_positive,
     is_zero,
     nonempty_submasks,
@@ -39,7 +38,6 @@ from .core import (
     probs_equal,
     require_complete,
     submasks,
-    support,
     validate_scc,
 )
 from .models import (
@@ -63,6 +61,7 @@ from .models import (
 from .axioms import (
     AxiomId,
     AxiomReport,
+    CHARACTERIZING_AXIOMS,
     WITNESS_CAP,
     Witness,
     check_additivity,
@@ -90,7 +89,6 @@ from .identify import (
     identify_nsc,
     identify_rcg,
     identify_rrm,
-    round_trip_verify,
 )
 from .classify import (
     ClassificationReport,
@@ -101,7 +99,6 @@ from .classify import (
 )
 from .fuzz import (
     ALL_VARIANTS,
-    CHARACTERIZING_AXIOMS,
     FuzzFailure,
     FuzzSummary,
     GenConfig,

@@ -378,25 +378,3 @@ def probs_equal(scc: SCC, a: Prob, b: Prob, tol: ToleranceConfig = DEFAULT_TOL) 
         return a == b
     return math.isclose(a, b, rel_tol=tol.eps_eq, abs_tol=tol.eps_eq)
 
-
-def support(scc: SCC, menu: int, tol: ToleranceConfig = DEFAULT_TOL) -> list[int]:
-    """Collections with positive probability at ``menu``, ascending."""
-    row = scc.rows[menu]
-    return sorted(c for c, p in row.items() if is_positive(scc, p, tol))
-
-
-def is_full_support(scc: SCC, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """True iff every non-empty T contained in every menu has mu(T, S) > 0.
-
-    Requires a complete SCC.  The empty collection is never part of the
-    full-support condition, even on empty-collection variants.
-    """
-    require_complete(scc)
-    for menu, row in scc.rows.items():
-        needed = (1 << popcount(menu)) - 1
-        positive = sum(
-            1 for c, p in row.items() if c != 0 and is_positive(scc, p, tol)
-        )
-        if positive != needed:
-            return False
-    return True

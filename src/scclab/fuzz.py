@@ -360,10 +360,11 @@ def fuzz_relationships(
             rng = random.Random(trial_seed)
             gammas = {x: _grid_prob(rng, rational_grid) for x in range(n)}
             ic = ModelSpec(ModelTag.IC, ICParams(gammas), empty_variant=True)
-            row = menu_row(ic, (1 << n) - 1)
+            universe = Universe.default(n)
+            row = menu_row(ic, universe, universe.full_mask)
             weights = {t: w for t, w in row.items() if t}
             spec = ModelSpec(ModelTag.LOGIT, LogitParams(weights))
-            scc = generate_scc(spec, Universe.default(n))
+            scc = generate_scc(spec, universe)
             if not cached_report(scc, AxiomId.REL_ADD).holds:
                 failures.append(
                     FuzzFailure(

@@ -11,7 +11,6 @@ constructions are only valid under them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -35,9 +34,11 @@ from .core import (
     is_positive,
     is_zero,
     nonempty_submasks,
+    probs_equal,
     require_complete,
 )
 from .models import (
+    EMPTY_CAPABLE,
     ICParams,
     LogitParams,
     ModelSpec,
@@ -54,9 +55,9 @@ from .models import (
 class RecoveryResult:
     """A recovered parameter bundle plus its verification status.
 
-    round_trip_exact is True only when the regenerated SCC reproduced the
-    input bit-exactly (always the case for successful exact-mode recovery;
-    float-mode recovery verifies within eps_eq and reports False here).
+    round_trip_exact is True exactly when the dataset is in exact mode: the
+    recovered bundle is then exact and regenerated the input bit for bit.
+    Float-mode recovery verifies within eps_eq and reports False here.
     normalization_note states the scaling convention of the emitted
     parameters, since several bundles are only identified up to a uniform
     positive factor.
@@ -66,57 +67,43 @@ class RecoveryResult:
     round_trip_exact: bool
     normalization_note: str
 
-    @property
-    def model(self) -> ModelTag:
-        return self.model_spec.model
-
 
 def _rows_match(reference: SCC, regen: SCC, tol: ToleranceConfig) -> bool:
-    """Cell-by-cell row comparison; exact iff both sides are exact."""
+    """Cell-by-cell row comparison under the reference's equality rule."""
     if set(reference.rows) != set(regen.rows):
         return False
-    exact = reference.exact and regen.exact
     for menu, ref_row in reference.rows.items():
         new_row = regen.rows[menu]
         for coll in set(ref_row) | set(new_row):
             a = ref_row.get(coll, reference.zero())
             b = new_row.get(coll, regen.zero())
-            if exact:
-                if a != b:
-                    return False
-            elif not math.isclose(
-                float(a), float(b), rel_tol=tol.eps_eq, abs_tol=tol.eps_eq
-            ):
+            if not probs_equal(reference, a, b, tol):
                 return False
     return True
 
 
-def round_trip_verify(
-    scc: SCC, result: RecoveryResult, tol: ToleranceConfig = DEFAULT_TOL
-) -> bool:
-    """Regenerate the SCC from recovered parameters and compare to the input."""
-    regen = generate_scc(result.model_spec, scc.universe)
-    return _rows_match(scc, regen, tol)
-
-
-def _resolve_variant(scc: SCC, empty_variant: Optional[bool]) -> bool:
-    if empty_variant is None:
-        return scc.allows_empty
-    if empty_variant != scc.allows_empty:
-        raise WrongVariantError(
-            "requested variant does not match the SCC's empty-collection flag"
-        )
-    return empty_variant
-
-
 def _require(
-    scc: SCC, model: ModelTag, variant: bool, tol: ToleranceConfig, construction: str
-) -> None:
-    """Refuse unless every characterizing axiom of the model variant holds.
+    scc: SCC,
+    model: ModelTag,
+    empty_variant: Optional[bool],
+    tol: ToleranceConfig,
+    construction: str,
+) -> bool:
+    """The one gate before a recovery: the SCC is complete, a requested
+    empty-collection variant matches its flag, and every characterizing
+    axiom of the model variant holds.  Returns the variant checked, the
+    SCC's flag for a model with an empty-collection variant and the
+    standard one otherwise.
 
     Full support is checked first: it is the cheapest check and the usual
     failure, so it is the precondition reported when several fail.
     """
+    require_complete(scc)
+    if empty_variant is not None and empty_variant != scc.allows_empty:
+        raise WrongVariantError(
+            "requested variant does not match the SCC's empty-collection flag"
+        )
+    variant = scc.allows_empty and model in EMPTY_CAPABLE
     axioms = sorted(
         CHARACTERIZING_AXIOMS[(model, variant)],
         key=lambda axiom: axiom is not AxiomId.FULL_SUPPORT,
@@ -129,11 +116,13 @@ def _require(
                 f"({len(report.witnesses)} witness(es) attached)",
                 report=report,
             )
+    return variant
 
 
 def _finish(
     scc: SCC, spec: ModelSpec, note: str, tol: ToleranceConfig
 ) -> RecoveryResult:
+    """The one round trip: refuse unless the recovered bundle regenerates the input."""
     try:
         regen = generate_scc(spec, scc.universe)
     except (InvalidParamsError, MissingWeightError) as exc:
@@ -145,9 +134,7 @@ def _finish(
             "recovered parameters do not reproduce the dataset"
         )
     return RecoveryResult(
-        model_spec=spec,
-        round_trip_exact=scc.exact and regen.exact,
-        normalization_note=note,
+        model_spec=spec, round_trip_exact=scc.exact, normalization_note=note
     )
 
 
@@ -164,9 +151,7 @@ def identify_logit(
     weight).  The recovered weights are already normalized: they sum to 1
     together with any empty weight.
     """
-    require_complete(scc)
-    variant = _resolve_variant(scc, empty_variant)
-    _require(scc, ModelTag.LOGIT, variant, tol, "set-weight recovery")
+    variant = _require(scc, ModelTag.LOGIT, empty_variant, tol, "set-weight recovery")
     full = scc.universe.full_mask
     row = scc.rows[full]
     weights = {t: row[t] for t in nonempty_submasks(full)}
@@ -194,9 +179,7 @@ def identify_rcg(
     item must appear in some positively weighted category; both conditions
     are enforced on the recovered bundle.
     """
-    require_complete(scc)
-    variant = _resolve_variant(scc, empty_variant)
-    _require(scc, ModelTag.RCG, variant, tol, "category-mass recovery")
+    variant = _require(scc, ModelTag.RCG, empty_variant, tol, "category-mass recovery")
     full = scc.universe.full_mask
     mass = {
         c: p
@@ -225,13 +208,9 @@ def identify_ic(
     menu-independence plus additivity.  A single-item universe is rejected
     (the formula needs the menu X\\x).
     """
-    require_complete(scc)
-    variant = _resolve_variant(scc, empty_variant)
+    variant = _require(scc, ModelTag.IC, empty_variant, tol, "inclusion recovery")
     if scc.universe.n < 2:
-        raise ShapeError(
-            "inclusion-probability recovery needs at least two items"
-        )
-    _require(scc, ModelTag.IC, variant, tol, "inclusion recovery")
+        raise ShapeError("inclusion-probability recovery needs at least two items")
     full = scc.universe.full_mask
     row = scc.rows[full]
     p_full = row.get(full, scc.zero())
@@ -263,8 +242,7 @@ def identify_rrm(scc: SCC, tol: ToleranceConfig = DEFAULT_TOL) -> RecoveryResult
     scaling and is emitted summing to 1 (each s_x is a grand-set
     probability and the revealed constraint sets exhaust the support).
     """
-    require_complete(scc)
-    _require(scc, ModelTag.RRM, False, tol, "reference-point recovery")
+    _require(scc, ModelTag.RRM, None, tol, "reference-point recovery")
     revealed = cached_revealed_constraints(scc, tol)
     full = scc.universe.full_mask
     row = scc.rows[full]
@@ -290,8 +268,7 @@ def identify_nsc(scc: SCC, tol: ToleranceConfig = DEFAULT_TOL) -> RecoveryResult
     scaled by the anchors' binary-menu ratio.  Weights are unique up to
     uniform scaling and only defined on non-empty single-nest collections.
     """
-    require_complete(scc)
-    _require(scc, ModelTag.NSC, False, tol, "nested-choice recovery")
+    _require(scc, ModelTag.NSC, None, tol, "nested-choice recovery")
     nests = cached_revealed_nests(scc, tol)
 
     def ratio(num_coll: int, den_coll: int, menu: int) -> Prob:

@@ -190,15 +190,15 @@ def parse_scc(document: Any, tol: ToleranceConfig = DEFAULT_TOL) -> SCC:
     return scc
 
 
-def scc_to_document(scc: SCC, tol: ToleranceConfig = DEFAULT_TOL) -> dict:
-    """Canonical JSON document for an SCC (zero rows omitted)."""
+def scc_to_document(scc: SCC) -> dict:
+    """Canonical JSON document for an SCC (cells zero under DEFAULT_TOL omitted)."""
     universe = scc.universe
     menus = []
     for menu in scc.menus():
         cells = [
             {"set": list(universe.labels_of(t)), "p": format_prob(v)}
             for t, v in sorted(scc.rows[menu].items())
-            if is_positive(scc, v, tol)
+            if is_positive(scc, v)
         ]
         menus.append({"menu": list(universe.labels_of(menu)), "rows": cells})
     return {
@@ -625,7 +625,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if args.collection is None:
         payload["rows"] = [
             {"set": list(universe.labels_of(t)), "p": format_prob(v)}
-            for t, v in sorted(menu_row(spec, menu).items())
+            for t, v in sorted(menu_row(spec, universe, menu).items())
         ]
     else:
         collection = universe.mask_of(_labels_from_arg(args.collection))

@@ -534,52 +534,65 @@ def _drawn_row(
 
 
 def _nested_logit_draws(
-    params: NestedLogitParams, menu: int
+    params: NestedLogitParams, menu: int, exact: bool
 ) -> Iterator[tuple[Weight, int]]:
-    """The nests that meet the menu, each weighted by its feasible part."""
-    exact = params.is_exact()
+    """The nests that meet the menu, each weighted by its feasible part in
+    the bundle's mode."""
     for i, nest in enumerate(params.nests):
         if nest & menu:
             yield params.induced_weight(nest & menu, i, exact), nest
 
 
-#: The row of a menu under each model, given the spec and the menu.
-_MENU_ROWS: dict[ModelTag, Callable[[ModelSpec, int], dict[int, Weight]]] = {
-    ModelTag.LOGIT: lambda spec, menu: _logit_row(spec.params, menu, spec.empty_variant),
-    ModelTag.RCG: lambda spec, menu: _drawn_row(
+#: The row of a menu under each model, given the spec, the menu and the
+#: bundle's mode (which only nested logit's induced weights read).
+_MENU_ROWS: dict[ModelTag, Callable[[ModelSpec, int, bool], dict[int, Weight]]] = {
+    ModelTag.LOGIT: lambda spec, menu, exact: _logit_row(
+        spec.params, menu, spec.empty_variant
+    ),
+    ModelTag.RCG: lambda spec, menu, exact: _drawn_row(
         ((m, cat) for cat, m in spec.params.mass.items()), menu, spec.empty_variant
     ),
-    ModelTag.IC: lambda spec, menu: _ic_row(spec.params, menu, spec.empty_variant),
-    ModelTag.EBA: lambda spec, menu: _drawn_row(
+    ModelTag.IC: lambda spec, menu, exact: _ic_row(
+        spec.params, menu, spec.empty_variant
+    ),
+    ModelTag.EBA: lambda spec, menu, exact: _drawn_row(
         ((a.weight, a.carrier) for a in spec.params.attributes), menu
     ),
-    ModelTag.AR: lambda spec, menu: _drawn_row(
+    ModelTag.AR: lambda spec, menu, exact: _drawn_row(
         ((a.weight, a.carrier) for a in spec.params.attributes), menu
     ),
-    ModelTag.RRM: lambda spec, menu: _drawn_row(
+    ModelTag.RRM: lambda spec, menu, exact: _drawn_row(
         ((spec.params.salience[x], spec.params.constraints[x]) for x in bits(menu)), menu
     ),
-    ModelTag.NSC: lambda spec, menu: _drawn_row(
+    ModelTag.NSC: lambda spec, menu, exact: _drawn_row(
         ((spec.params.nest_weights[n & menu], n) for n in spec.params.nests if n & menu),
         menu,
     ),
-    ModelTag.NESTED_LOGIT: lambda spec, menu: _drawn_row(
-        _nested_logit_draws(spec.params, menu), menu
+    ModelTag.NESTED_LOGIT: lambda spec, menu, exact: _drawn_row(
+        _nested_logit_draws(spec.params, menu, exact), menu
     ),
 }
 
 
-def _menu_rows(spec: ModelSpec, menus: Iterable[int]) -> Iterator[dict[int, Weight]]:
+def _require_menu(menu: int, universe: Universe) -> None:
+    if not 0 < menu <= universe.full_mask:
+        raise ShapeError("menu must be a non-empty subset of the universe")
+
+
+def _menu_rows(
+    spec: ModelSpec, universe: Universe, menus: Iterable[int]
+) -> Iterator[dict[int, Weight]]:
     """The probability row of each of ``menus`` under an already-validated
     spec, in the bundle's arithmetic mode: Fractions if the spec is exact,
-    floats otherwise, decided once for all the menus.  A float row that does
-    not sum to 1, as when weights overflow, is refused."""
+    floats otherwise, decided once for all the menus.  A menu that is not a
+    non-empty subset of the universe is refused with ShapeError, and a float
+    row that does not sum to 1, as when weights overflow, with
+    InvalidParamsError."""
     exact = spec.is_exact()
     coerce = Fraction if exact else float
     for menu in menus:
-        if menu == 0:
-            raise ShapeError("menu must be non-empty")
-        row = {t: coerce(p) for t, p in _MENU_ROWS[spec.model](spec, menu).items()}
+        _require_menu(menu, universe)
+        row = {t: coerce(p) for t, p in _MENU_ROWS[spec.model](spec, menu, exact).items()}
         if not exact and not _sums_to_one(sum(row.values())):
             raise InvalidParamsError(
                 f"weights overflow float arithmetic: a row sums to {sum(row.values())!r}, not 1"
@@ -587,15 +600,10 @@ def _menu_rows(spec: ModelSpec, menus: Iterable[int]) -> Iterator[dict[int, Weig
         yield row
 
 
-def menu_row(spec: ModelSpec, menu: int) -> dict[int, Weight]:
+def menu_row(spec: ModelSpec, universe: Universe, menu: int) -> dict[int, Weight]:
     """The full probability row of ``menu``, in the bundle's arithmetic mode
     (see :func:`_menu_rows`)."""
-    return next(_menu_rows(spec, (menu,)))
-
-
-def _require_menu(menu: int, universe: Universe) -> None:
-    if not 0 < menu <= universe.full_mask:
-        raise ShapeError(f"menu {menu} is not a non-empty subset of the universe")
+    return next(_menu_rows(spec, universe, (menu,)))
 
 
 def evaluate(spec: ModelSpec, universe: Universe, collection: int, menu: int) -> Weight:
@@ -603,12 +611,11 @@ def evaluate(spec: ModelSpec, universe: Universe, collection: int, menu: int) ->
     ``spec``.  The menu must be a non-empty subset of the universe and the
     collection a subset of the menu, else ShapeError."""
     spec.validate(universe)
-    _require_menu(menu, universe)
+    row = menu_row(spec, universe, menu)
     if collection & ~menu:
         raise ShapeError("collection is not a subset of the menu")
     if collection == 0 and not spec.empty_variant:
         raise ShapeError("empty collection requires the empty-collection variant")
-    row = menu_row(spec, menu)
     # the cells share the bundle's mode, so any of them times 0 is its zero
     return row.get(collection, 0 * next(iter(row.values())))
 
@@ -677,7 +684,7 @@ def generate_scc(spec: ModelSpec, universe: Universe) -> SCC:
     menus = range(1, universe.full_mask + 1)
     rows: dict[int, dict[int, Prob]] = {
         menu: {t: p for t, p in sorted(row.items()) if p > 0}
-        for menu, row in zip(menus, _menu_rows(spec, menus))
+        for menu, row in zip(menus, _menu_rows(spec, universe, menus))
     }
     notes: tuple[str, ...] = ()
     params = spec.params

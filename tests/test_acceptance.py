@@ -96,7 +96,7 @@ def test_criterion_1_fixture_exactness():
     logit = ModelSpec(ModelTag.LOGIT, LogitParams({A: F(2), B: F(1), AB: F(1)}))
     expect(
         "set-weight row",
-        menu_row(logit, AB),
+        menu_row(logit, U2, AB),
         {A: F(1, 2), B: F(1, 4), AB: F(1, 4)},
     )
 
@@ -112,13 +112,13 @@ def test_criterion_1_fixture_exactness():
         ModelTag.RCG, RCGParams({AB: F(1, 2), C: F(1, 4), ABC: F(1, 4)})
     )
     expect(
-        "category row", menu_row(rcg, AC), {A: F(1, 2), C: F(1, 4), AC: F(1, 4)}
+        "category row", menu_row(rcg, U3, AC), {A: F(1, 2), C: F(1, 4), AC: F(1, 4)}
     )
 
     eba = ModelSpec(
         ModelTag.EBA, EBAParams((Aspect(F(3, 5), AB), Aspect(F(2, 5), C)))
     )
-    expect("attribute row", menu_row(eba, ABC), {AB: F(3, 5), C: F(2, 5)})
+    expect("attribute row", menu_row(eba, U3, ABC), {AB: F(3, 5), C: F(2, 5)})
 
     ar = ARParams(
         (ArAttribute(F(1), AB, {0: 1, 1: 2}), ArAttribute(F(1), C, {2: 1}))
@@ -141,7 +141,7 @@ def test_criterion_1_fixture_exactness():
     )
 
     rrm = ModelSpec(ModelTag.RRM, RRMParams({0: F(1), 1: F(1)}, {0: 3, 1: 2}))
-    expect("reference-table row", menu_row(rrm, 3), {3: F(1, 2), 2: F(1, 2)})
+    expect("reference-table row", menu_row(rrm, U2, 3), {3: F(1, 2), 2: F(1, 2)})
 
     _finish(1, "fixture exactness", start, problems, budget=1.0)
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from scclab.axioms import check_full_support
 from scclab.core import (
     IncompleteDatasetError,
     MenuAbsentError,
@@ -13,7 +14,6 @@ from scclab.core import (
     ToleranceConfig,
     Universe,
     bits,
-    is_full_support,
     is_positive,
     is_zero,
     nonempty_submasks,
@@ -22,7 +22,6 @@ from scclab.core import (
     probs_equal,
     require_complete,
     submasks,
-    support,
     validate_scc,
 )
 
@@ -167,10 +166,6 @@ class TestLookupAndSupport:
         with pytest.raises(ShapeError):
             prob_lookup(scc, 3, 1)
 
-    def test_support_ascending(self):
-        scc = make_scc(GOOD_ROWS)
-        assert support(scc, 3) == [1, 2, 3]
-
     def test_zero_positive_equal_float_mode(self):
         scc = make_scc({1: {1: 1.0}}, exact=False)
         assert is_zero(scc, 1e-13)
@@ -192,9 +187,9 @@ class TestCompleteness:
             require_complete(scc)
 
     def test_full_support(self):
-        assert is_full_support(make_scc(GOOD_ROWS))
+        assert check_full_support(make_scc(GOOD_ROWS)).holds
         rows = {1: {1: F(1)}, 2: {2: F(1)}, 3: {1: F(1, 2), 3: F(1, 2)}}
-        assert not is_full_support(make_scc(rows))
+        assert not check_full_support(make_scc(rows)).holds
 
     def test_full_support_ignores_empty_collection(self):
         rows = {
@@ -202,7 +197,7 @@ class TestCompleteness:
             2: {0: F(1, 2), 2: F(1, 2)},
             3: {0: F(1, 4), 1: F(1, 4), 2: F(1, 4), 3: F(1, 4)},
         }
-        assert is_full_support(make_scc(rows, allows_empty=True))
+        assert check_full_support(make_scc(rows, allows_empty=True)).holds
 
     def test_arithmetic_mode_labels(self):
         assert make_scc(GOOD_ROWS).arithmetic_mode == "exact"

@@ -12,13 +12,14 @@ from scclab.core import (
     WrongVariantError,
 )
 from scclab.axioms import AxiomId
+from scclab.fuzz import ALL_VARIANTS, GenConfig, sample_params
 from scclab.identify import (
+    RECOVERIES,
     identify_ic,
     identify_logit,
     identify_nsc,
     identify_rcg,
     identify_rrm,
-    round_trip_verify,
 )
 from scclab.models import (
     ICParams,
@@ -42,10 +43,10 @@ class TestLogitRecovery:
         params = LogitParams({A: F(2), B: F(1), AB: F(1)})
         scc = generate_scc(ModelSpec(ModelTag.LOGIT, params), U2)
         result = identify_logit(scc)
-        assert result.model is ModelTag.LOGIT
+        assert result.model_spec.model is ModelTag.LOGIT
         assert result.round_trip_exact
         assert result.model_spec.params.weights == {A: F(1, 2), B: F(1, 4), AB: F(1, 4)}
-        assert round_trip_verify(scc, result)
+        assert generate_scc(result.model_spec, U2).rows == scc.rows
 
     def test_scaling_invariance(self):
         small = LogitParams({A: F(2), B: F(1), AB: F(1)})
@@ -189,6 +190,14 @@ class TestRRMRecovery:
         with pytest.raises(PreconditionFailedError):
             identify_rrm(scc)
 
+    def test_empty_collection_data_meets_the_standard_axioms(self):
+        # rrm has no empty-collection variant: such data is held to the
+        # standard postulates, not refused as a variant mismatch
+        params = LogitParams({A: F(2), B: F(1), AB: F(1)}, empty_weight=F(4))
+        scc = generate_scc(ModelSpec(ModelTag.LOGIT, params, empty_variant=True), U2)
+        with pytest.raises(PreconditionFailedError):
+            identify_rrm(scc)
+
 
 class TestNSCRecovery:
     EXAMPLE = ModelSpec(
@@ -226,3 +235,34 @@ class TestNSCRecovery:
         scc = generate_scc(ModelSpec(ModelTag.LOGIT, LogitParams(weights)), U3)
         with pytest.raises(PreconditionFailedError):
             identify_nsc(scc)
+
+
+def _criterion_2_datasets():
+    """(model, exact SCC, its float copy): the criterion-2 fuzz bundles of
+    every variant at n = 3 and 4, with each cell of the float copy written
+    as the nearest float."""
+    for index, (model, empty) in enumerate(ALL_VARIANTS):
+        for n in (3, 4):
+            spec = sample_params(GenConfig(n, model, seed=2000 + index, empty_variant=empty))
+            scc = generate_scc(spec, Universe.default(n))
+            rows = {m: {t: float(p) for t, p in row.items()} for m, row in scc.rows.items()}
+            yield model, scc, SCC(scc.universe, rows, allows_empty=empty, exact=False)
+
+
+CRITERION_2 = list(_criterion_2_datasets())
+
+
+@pytest.mark.parametrize(
+    "model, scc, floated",
+    CRITERION_2,
+    ids=[f"{m.value}{'_o' * s.allows_empty}-n{s.universe.n}" for m, s, _ in CRITERION_2],
+)
+def test_recovery_reports_the_dataset_mode(model, scc, floated):
+    """Every recoverable variant identifies from its exact dataset with an
+    exact round trip and from the float copy within eps_eq, each bundle in
+    its dataset's mode."""
+    for data, exact in ((scc, True), (floated, False)):
+        result = RECOVERIES[model](data)
+        assert result.round_trip_exact is exact
+        assert result.model_spec.is_exact() is exact
+        assert generate_scc(result.model_spec, data.universe).exact is exact

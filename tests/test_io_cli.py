@@ -376,6 +376,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_eval_empty_menu_has_one_message(self, tmp_path, capsys, params_path):
+        errors = []
+        for extra in ([], ["--set", "a"]):
+            code, _ = self.run(tmp_path, "eval", "--params", params_path, "--menu", "", *extra)
+            assert code == 2
+            errors.append(capsys.readouterr().err)
+        assert errors == ["error: menu must be a non-empty subset of the universe\n"] * 2
+
     @pytest.mark.parametrize(
         "nests,exponents",
         [([["c"], ["a", "b"]], ["1", "2"]), ([["a", "b"], ["c"]], ["2", "1"])],

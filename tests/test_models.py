@@ -340,6 +340,14 @@ OUTSIDE_UNIVERSE = {
     ),
     "ar_item_past_n": lambda: eval_ar_item(TestAR.PARAMS, U3, 3, 0b1001),
     "ar_item_negative": lambda: eval_ar_item(TestAR.PARAMS, U3, -1, ABC),
+    "row_negative_menu": lambda: menu_row(ModelSpec(ModelTag.NSC, NSC_EXAMPLE), U3, -1),
+    "ic_row_past_full": lambda: menu_row(
+        ModelSpec(ModelTag.IC, ICParams({0: F(1, 2), 1: F(1, 3), 2: F(2, 3)})), U3, 0b1000
+    ),
+    "rcg_row_past_full": lambda: menu_row(
+        ModelSpec(ModelTag.RCG, RCGParams({AB: F(1, 2), C: F(1, 4), ABC: F(1, 4)})),
+        U3, 0b1001,
+    ),
 }
 
 
@@ -347,6 +355,39 @@ OUTSIDE_UNIVERSE = {
 def test_menu_or_item_outside_universe_rejected(call):
     with pytest.raises(ShapeError):
         call()
+
+
+def test_one_menu_message_names_no_bitmask():
+    messages = set()
+    for call in (
+        lambda menu: menu_row(LOGIT_FIXTURE, U2, menu),
+        lambda menu: evaluate(LOGIT_FIXTURE, U2, A, menu),
+    ):
+        for menu in (0, -1, 0b100):
+            with pytest.raises(ShapeError) as err:
+                call(menu)
+            messages.add(str(err.value))
+    assert messages == {"menu must be a non-empty subset of the universe"}
+
+
+def test_nested_logit_mode_is_decided_per_dataset(monkeypatch):
+    """generate_scc asks a nested-logit bundle for its mode as often at n=5
+    (31 menus) as at n=3 (7 menus): the mode is decided once, not per menu."""
+    calls = []
+    is_exact = NestedLogitParams.is_exact
+
+    def counted(params):
+        calls.append(params)
+        return is_exact(params)
+
+    monkeypatch.setattr(NestedLogitParams, "is_exact", counted)
+    counts = []
+    for n in (3, 5):
+        spec = sample_params(GenConfig(n, ModelTag.NESTED_LOGIT, seed=800 + n))
+        calls.clear()
+        generate_scc(spec, Universe.default(n))
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 class TestGenerateScc:
@@ -397,7 +438,7 @@ class TestGenerateScc:
             assert validate_scc(scc) == []
 
     def test_menu_row_matches_eval(self):
-        row = menu_row(ModelSpec(ModelTag.NSC, NSC_EXAMPLE), AC)
+        row = menu_row(ModelSpec(ModelTag.NSC, NSC_EXAMPLE), U3, AC)
         assert row == {A: F(1, 4), C: F(3, 4)}
 
 
@@ -618,13 +659,13 @@ KERNEL_VARIANTS = [(model, False) for model in ORACLES] + [(ModelTag.RCG, True)]
 
 
 def _kernel_bundles(model, empty):
-    """(exact spec, its float copy, menus) of fuzz bundles at n = 2..6."""
+    """(exact spec, its float copy, universe) of fuzz bundles at n = 2..6."""
     for n in range(2, 7):
         for seed in range(4):
             spec = sample_params(GenConfig(n, model, seed=700 + seed, empty_variant=empty))
             floated = ModelSpec(model, ORACLES[model][1](spec.params), empty)
             assert not floated.is_exact()
-            yield spec, floated, range(1, 1 << n)
+            yield spec, floated, Universe.default(n)
 
 
 class TestDrawnRowKernel:
@@ -633,19 +674,19 @@ class TestDrawnRowKernel:
     )
     def test_rows_match_the_replaced_rows(self, model, empty):
         oracle = ORACLES[model][0]
-        for spec, floated, menus in _kernel_bundles(model, empty):
-            for menu in menus:
-                assert menu_row(spec, menu) == oracle(spec, menu)
+        for spec, floated, universe in _kernel_bundles(model, empty):
+            for menu in range(1, universe.full_mask + 1):
+                assert menu_row(spec, universe, menu) == oracle(spec, menu)
                 if model is not ModelTag.RCG or empty:
                     # bit-identical, not merely close
-                    assert menu_row(floated, menu) == oracle(floated, menu)
+                    assert menu_row(floated, universe, menu) == oracle(floated, menu)
 
     def test_float_rcg_rows_are_float_eba_rows(self):
-        for _, floated, menus in _kernel_bundles(ModelTag.RCG, False):
+        for _, floated, universe in _kernel_bundles(ModelTag.RCG, False):
             aspects = tuple(Aspect(m, c) for c, m in floated.params.mass.items())
             eba = ModelSpec(ModelTag.EBA, EBAParams(aspects))
-            for menu in menus:
-                assert menu_row(floated, menu) == menu_row(eba, menu)
+            for menu in range(1, universe.full_mask + 1):
+                assert menu_row(floated, universe, menu) == menu_row(eba, universe, menu)
 
 
 # ---------------------------------------------------------------------------
@@ -737,7 +778,7 @@ def test_row_evaluate_and_dataset_share_the_mode():
         scc = generate_scc(spec, universe)
         assert scc.exact == (mode is Fraction)
         for menu in range(1, universe.full_mask + 1):
-            row = menu_row(spec, menu)
+            row = menu_row(spec, universe, menu)
             assert {type(p) for p in row.values()} == {mode}, (spec, menu)
             kept = {t: p for t, p in sorted(row.items()) if p > 0}
             assert repr(scc.rows[menu]) == repr(kept), (spec, menu)

@@ -1,0 +1,34 @@
+"""The package's public surface: each export comes from its home module."""
+
+import ast
+from pathlib import Path
+
+import scclab
+
+PACKAGE = Path(scclab.__file__).parent
+
+
+def _defined_names(module: str) -> set[str]:
+    """Top-level names a module binds itself, not through an import."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return names
+
+
+def test_each_export_is_imported_from_its_defining_module():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    misplaced = [
+        f"{alias.name} from .{node.module}"
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if alias.name not in _defined_names(node.module)
+    ]
+    assert misplaced == []
