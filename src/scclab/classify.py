@@ -175,8 +175,9 @@ def classify(
     }
 
     if scc.allows_empty:
-        for model in (ModelTag.LOGIT, ModelTag.RCG, ModelTag.IC):
-            membership[f"{model.value}_o"] = member(model)
+        for model, empty in CHARACTERIZING_AXIOMS:
+            if empty:
+                membership[f"{model.value}_o"] = member(model)
     else:
         for model in (
             ModelTag.LOGIT, ModelTag.RCG, ModelTag.IC, ModelTag.RRM, ModelTag.NSC

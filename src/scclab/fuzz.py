@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .axioms import CHARACTERIZING_AXIOMS, AxiomId, cached_report
-from .classify import FAILS, classify, verify_relationships
+from .classify import FAILS, classify
 from .core import (
     InfeasibleStructureError,
     InvalidParamsError,
@@ -413,12 +413,11 @@ def fuzz_relationships(
                     f"{[a.value for a in verdict.failing_axioms]}",
                 )
             )
-        violations = verify_relationships(report)
-        if violations:
+        if report.relationship_violations:
             failures.append(
                 FuzzFailure(
                     trial_seed, model.value, n, empty_variant, "relationships",
-                    ", ".join(violations),
+                    ", ".join(report.relationship_violations),
                 )
             )
     return FuzzSummary(suite="relationships", trials=trials, failures=tuple(failures))

@@ -12,7 +12,7 @@ constructions are only valid under them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from .axioms import (
     CHARACTERIZING_AXIOMS,
@@ -38,7 +38,6 @@ from .core import (
     require_complete,
 )
 from .models import (
-    EMPTY_CAPABLE,
     ICParams,
     LogitParams,
     ModelSpec,
@@ -83,32 +82,23 @@ def _rows_match(reference: SCC, regen: SCC, tol: ToleranceConfig) -> bool:
 
 
 def _require(
-    scc: SCC,
-    model: ModelTag,
-    empty_variant: Optional[bool],
-    tol: ToleranceConfig,
-    construction: str,
-) -> bool:
-    """The one gate before a recovery: the SCC is complete, a requested
-    empty-collection variant matches its flag, and every characterizing
-    axiom of the model variant holds.  Returns the variant checked, the
-    SCC's flag for a model with an empty-collection variant and the
-    standard one otherwise.
+    scc: SCC, model: ModelTag, tol: ToleranceConfig, construction: str
+) -> None:
+    """The one gate before a recovery: the SCC is complete, the model has a
+    variant for its empty-collection flag, and every characterizing axiom of
+    that variant holds.
 
     Full support is checked first: it is the cheapest check and the usual
     failure, so it is the precondition reported when several fail.
     """
     require_complete(scc)
-    if empty_variant is not None and empty_variant != scc.allows_empty:
+    try:
+        axioms = CHARACTERIZING_AXIOMS[(model, scc.allows_empty)]
+    except KeyError:
         raise WrongVariantError(
-            "requested variant does not match the SCC's empty-collection flag"
-        )
-    variant = scc.allows_empty and model in EMPTY_CAPABLE
-    axioms = sorted(
-        CHARACTERIZING_AXIOMS[(model, variant)],
-        key=lambda axiom: axiom is not AxiomId.FULL_SUPPORT,
-    )
-    for axiom in axioms:
+            f"{model.value} has no empty-collection variant"
+        ) from None
+    for axiom in sorted(axioms, key=lambda a: a is not AxiomId.FULL_SUPPORT):
         report = cached_report(scc, axiom, tol)
         if not report.holds:
             raise PreconditionFailedError(
@@ -116,7 +106,6 @@ def _require(
                 f"({len(report.witnesses)} witness(es) attached)",
                 report=report,
             )
-    return variant
 
 
 def _finish(
@@ -138,11 +127,7 @@ def _finish(
     )
 
 
-def identify_logit(
-    scc: SCC,
-    empty_variant: Optional[bool] = None,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> RecoveryResult:
+def identify_logit(scc: SCC, tol: ToleranceConfig = DEFAULT_TOL) -> RecoveryResult:
     """Collection weights read off the grand-set row.
 
     Requires full support plus menu-independence of relative probabilities
@@ -151,12 +136,14 @@ def identify_logit(
     weight).  The recovered weights are already normalized: they sum to 1
     together with any empty weight.
     """
-    variant = _require(scc, ModelTag.LOGIT, empty_variant, tol, "set-weight recovery")
+    _require(scc, ModelTag.LOGIT, tol, "set-weight recovery")
     full = scc.universe.full_mask
     row = scc.rows[full]
     weights = {t: row[t] for t in nonempty_submasks(full)}
-    empty_weight = row.get(0, scc.zero()) if variant else None
-    spec = ModelSpec(ModelTag.LOGIT, LogitParams(weights, empty_weight), variant)
+    empty_weight = row.get(0, scc.zero()) if scc.allows_empty else None
+    spec = ModelSpec(
+        ModelTag.LOGIT, LogitParams(weights, empty_weight), scc.allows_empty
+    )
     return _finish(
         scc,
         spec,
@@ -165,11 +152,7 @@ def identify_logit(
     )
 
 
-def identify_rcg(
-    scc: SCC,
-    empty_variant: Optional[bool] = None,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> RecoveryResult:
+def identify_rcg(scc: SCC, tol: ToleranceConfig = DEFAULT_TOL) -> RecoveryResult:
     """Category masses read off the grand-set row.
 
     Standard form requires kind-1 positivity and relative additivity; the
@@ -179,14 +162,14 @@ def identify_rcg(
     item must appear in some positively weighted category; both conditions
     are enforced on the recovered bundle.
     """
-    variant = _require(scc, ModelTag.RCG, empty_variant, tol, "category-mass recovery")
+    _require(scc, ModelTag.RCG, tol, "category-mass recovery")
     full = scc.universe.full_mask
     mass = {
         c: p
         for c, p in scc.rows[full].items()
         if c != 0 and is_positive(scc, p, tol)
     }
-    spec = ModelSpec(ModelTag.RCG, RCGParams(mass), variant)
+    spec = ModelSpec(ModelTag.RCG, RCGParams(mass), scc.allows_empty)
     return _finish(
         scc,
         spec,
@@ -195,11 +178,7 @@ def identify_rcg(
     )
 
 
-def identify_ic(
-    scc: SCC,
-    empty_variant: Optional[bool] = None,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> RecoveryResult:
+def identify_ic(scc: SCC, tol: ToleranceConfig = DEFAULT_TOL) -> RecoveryResult:
     """Per-item inclusion probabilities from grand-set row ratios.
 
     gamma(x) = p(X) / (p(X) + p(X\\x)) with p the grand-set row.  Standard
@@ -208,7 +187,7 @@ def identify_ic(
     menu-independence plus additivity.  A single-item universe is rejected
     (the formula needs the menu X\\x).
     """
-    variant = _require(scc, ModelTag.IC, empty_variant, tol, "inclusion recovery")
+    _require(scc, ModelTag.IC, tol, "inclusion recovery")
     if scc.universe.n < 2:
         raise ShapeError("inclusion-probability recovery needs at least two items")
     full = scc.universe.full_mask
@@ -225,7 +204,7 @@ def identify_ic(
                 "inclusion probabilities are undefined"
             )
         inclusion[x] = p_full / denom
-    spec = ModelSpec(ModelTag.IC, ICParams(inclusion), variant)
+    spec = ModelSpec(ModelTag.IC, ICParams(inclusion), scc.allows_empty)
     return _finish(
         scc,
         spec,
@@ -242,7 +221,7 @@ def identify_rrm(scc: SCC, tol: ToleranceConfig = DEFAULT_TOL) -> RecoveryResult
     scaling and is emitted summing to 1 (each s_x is a grand-set
     probability and the revealed constraint sets exhaust the support).
     """
-    _require(scc, ModelTag.RRM, None, tol, "reference-point recovery")
+    _require(scc, ModelTag.RRM, tol, "reference-point recovery")
     revealed = cached_revealed_constraints(scc, tol)
     full = scc.universe.full_mask
     row = scc.rows[full]
@@ -268,7 +247,7 @@ def identify_nsc(scc: SCC, tol: ToleranceConfig = DEFAULT_TOL) -> RecoveryResult
     scaled by the anchors' binary-menu ratio.  Weights are unique up to
     uniform scaling and only defined on non-empty single-nest collections.
     """
-    _require(scc, ModelTag.NSC, None, tol, "nested-choice recovery")
+    _require(scc, ModelTag.NSC, tol, "nested-choice recovery")
     nests = cached_revealed_nests(scc, tol)
 
     def ratio(num_coll: int, den_coll: int, menu: int) -> Prob:
@@ -310,8 +289,9 @@ def identify_nsc(scc: SCC, tol: ToleranceConfig = DEFAULT_TOL) -> RecoveryResult
 #: The recovery each model's data goes through, keyed by model tag (a string
 #: enum, so a tag's name finds its entry).  Attribute models recover as
 #: category masses and power-weighted nesting as plain nesting: the
-#: extensional equivalences make the round trip exact.  Every recovery reads
-#: the empty-collection variant from the SCC unless told otherwise.
+#: extensional equivalences make the round trip exact.  Every recovery takes
+#: ``(scc, tol)`` and recovers the variant the SCC's empty-collection flag
+#: names, refusing a model that has no such variant.
 RECOVERIES: dict[ModelTag, Callable[..., RecoveryResult]] = {
     ModelTag.LOGIT: identify_logit,
     ModelTag.RCG: identify_rcg,

@@ -21,6 +21,7 @@ from fractions import Fraction
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from .axioms import (
+    CHARACTERIZING_AXIOMS,
     WITNESS_CAP,
     AxiomId,
     AxiomReport,
@@ -40,6 +41,7 @@ from .core import (
     ShapeError,
     ToleranceConfig,
     Universe,
+    WrongVariantError,
     ZeroTotalMenuError,
     is_positive,
     validate_scc,
@@ -47,7 +49,6 @@ from .core import (
 from .fuzz import ALL_VARIANTS, FuzzSummary, fuzz_characterization, fuzz_relationships
 from .identify import RECOVERIES, RecoveryResult
 from .models import (
-    EMPTY_CAPABLE,
     PARAMS_TYPES,
     ArAttribute,
     Aspect,
@@ -663,30 +664,32 @@ def _cmd_identify(args: argparse.Namespace) -> int:
         for name in _AUTO_ORDER:
             try:
                 result = RECOVERIES[name](scc, tol=tol)
+                break
             except ScclabError as exc:
                 attempts.append({"model": name, "error": str(exc)})
-                continue
-            payload = recovery_to_json(result, scc.universe)
-            payload["identified"] = True
-            _emit(payload, args.output)
-            return _EXIT_OK
-        _emit({"identified": False, "attempts": attempts}, args.output)
-        return _EXIT_FINDINGS
-    empty = token.endswith("_o")
-    model = token[:-2] if empty else token
-    if model not in RECOVERIES or (empty and model not in EMPTY_CAPABLE):
-        raise SchemaError(f"unknown identification target {args.model!r}")
-    try:
-        if empty:
-            result = RECOVERIES[model](scc, empty_variant=True, tol=tol)
         else:
+            _emit({"identified": False, "attempts": attempts}, args.output)
+            return _EXIT_FINDINGS
+    else:
+        try:
+            target = _parse_variant(token)
+        except SchemaError:
+            target = None
+        if target not in CHARACTERIZING_AXIOMS:
+            raise SchemaError(f"unknown identification target {args.model!r}")
+        model, empty = target
+        if empty and not scc.allows_empty:
+            raise WrongVariantError(
+                "requested variant does not match the SCC's empty-collection flag"
+            )
+        try:
             result = RECOVERIES[model](scc, tol=tol)
-    except PreconditionFailedError as exc:
-        payload = {"identified": False, "error": str(exc)}
-        if exc.report is not None:
-            payload["precondition"] = report_to_json(exc.report, scc.universe)
-        _emit(payload, args.output)
-        return _EXIT_FINDINGS
+        except PreconditionFailedError as exc:
+            payload = {"identified": False, "error": str(exc)}
+            if exc.report is not None:
+                payload["precondition"] = report_to_json(exc.report, scc.universe)
+            _emit(payload, args.output)
+            return _EXIT_FINDINGS
     payload = recovery_to_json(result, scc.universe)
     payload["identified"] = True
     _emit(payload, args.output)

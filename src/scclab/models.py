@@ -602,7 +602,9 @@ def _menu_rows(
 
 def menu_row(spec: ModelSpec, universe: Universe, menu: int) -> dict[int, Weight]:
     """The full probability row of ``menu``, in the bundle's arithmetic mode
-    (see :func:`_menu_rows`)."""
+    (see :func:`_menu_rows`).  The spec is validated first, so a bad bundle
+    raises InvalidParamsError."""
+    spec.validate(universe)
     return next(_menu_rows(spec, universe, (menu,)))
 
 
@@ -610,7 +612,6 @@ def evaluate(spec: ModelSpec, universe: Universe, collection: int, menu: int) ->
     """The probability that ``collection`` is chosen from ``menu`` under
     ``spec``.  The menu must be a non-empty subset of the universe and the
     collection a subset of the menu, else ShapeError."""
-    spec.validate(universe)
     row = menu_row(spec, universe, menu)
     if collection & ~menu:
         raise ShapeError("collection is not a subset of the menu")

@@ -16,7 +16,7 @@ from scclab.fuzz import (
     sample_params,
     sample_singleton_params,
 )
-from scclab.models import ModelTag, generate_scc
+from scclab.models import EMPTY_CAPABLE, ModelTag, generate_scc
 
 F = Fraction
 
@@ -31,6 +31,8 @@ class TestCharacterizingTable:
             ModelTag.RCG,
             ModelTag.IC,
         }
+        # models cannot import axioms, so this keeps the two lists together
+        assert {m for m, empty in CHARACTERIZING_AXIOMS if empty} == EMPTY_CAPABLE
 
     def test_known_bundles(self):
         assert CHARACTERIZING_AXIOMS[(ModelTag.LOGIT, False)] == (
@@ -138,6 +140,10 @@ class TestFuzzRuns:
         summary = fuzz_relationships(trials=10, n_range=[3], seed=17)
         assert summary.ok
         assert summary.trials == 10
+
+    def test_relationships_respect_the_small_universe_flag(self):
+        # classify checks no relationship below three items
+        assert fuzz_relationships(trials=30, n_range=[1, 2], seed=0).ok
 
     def test_corrupted_rows_fail_at_necessity(self, monkeypatch):
         def corrupted(spec, universe):

@@ -74,12 +74,6 @@ class TestLogitRecovery:
         assert result.model_spec.params.empty_weight == F(1, 2)
         assert result.round_trip_exact
 
-    def test_explicit_variant_mismatch(self):
-        params = LogitParams({A: F(2), B: F(1), AB: F(1)})
-        scc = generate_scc(ModelSpec(ModelTag.LOGIT, params), U2)
-        with pytest.raises(WrongVariantError):
-            identify_logit(scc, empty_variant=True)
-
 
 class TestRCGRecovery:
     def test_mass_from_grand_row(self):
@@ -190,12 +184,11 @@ class TestRRMRecovery:
         with pytest.raises(PreconditionFailedError):
             identify_rrm(scc)
 
-    def test_empty_collection_data_meets_the_standard_axioms(self):
-        # rrm has no empty-collection variant: such data is held to the
-        # standard postulates, not refused as a variant mismatch
+    def test_empty_collection_data_is_refused(self):
+        # rrm has no empty-collection variant, so such data has no verdict
         params = LogitParams({A: F(2), B: F(1), AB: F(1)}, empty_weight=F(4))
         scc = generate_scc(ModelSpec(ModelTag.LOGIT, params, empty_variant=True), U2)
-        with pytest.raises(PreconditionFailedError):
+        with pytest.raises(WrongVariantError, match="rrm has no empty-collection"):
             identify_rrm(scc)
 
 
@@ -220,6 +213,15 @@ class TestNSCRecovery:
         r1 = identify_nsc(generate_scc(self.EXAMPLE, U3))
         r2 = identify_nsc(generate_scc(scaled, U3))
         assert r1.model_spec.params == r2.model_spec.params
+
+    def test_empty_collection_data_is_refused(self):
+        # every menu chooses itself: standard nsc data, but flagged as the
+        # empty-collection variant, which nsc does not have
+        rows = {menu: {menu: F(1)} for menu in range(1, 8)}
+        scc = SCC(U3, rows, allows_empty=True)
+        with pytest.raises(WrongVariantError, match="nsc has no empty-collection"):
+            identify_nsc(scc)
+        assert identify_nsc(SCC(U3, rows)).round_trip_exact
 
     def test_single_nest_degenerate(self):
         params = NSCParams((ABC,), {t: F(5) for t in range(1, 8)})

@@ -438,6 +438,49 @@ class TestCli:
         assert code == 0
         assert payload["model"] == "nsc"
 
+    @pytest.fixture()
+    def logit_o_path(self, tmp_path):
+        params = LogitParams({A: F(2), B: F(1), AB: F(1)}, empty_weight=F(4))
+        scc = generate_scc(
+            ModelSpec(ModelTag.LOGIT, params, empty_variant=True), Universe.default(2)
+        )
+        path = tmp_path / "logit_o.json"
+        path.write_text(json.dumps(scc_to_document(scc)))
+        return str(path)
+
+    def test_identify_empty_variant_on_standard_data(self, tmp_path, nsc_path, capsys):
+        code, payload = self.run(tmp_path, "identify", nsc_path, "--model", "logit_o")
+        assert code == 2 and payload is None
+        assert capsys.readouterr().err == (
+            "error: requested variant does not match the SCC's "
+            "empty-collection flag\n"
+        )
+
+    @pytest.mark.parametrize("model", ["rrm", "nsc"])
+    def test_identify_model_without_empty_variant(
+        self, tmp_path, logit_o_path, capsys, model
+    ):
+        code, payload = self.run(tmp_path, "identify", logit_o_path, "--model", model)
+        assert code == 2 and payload is None
+        assert capsys.readouterr().err == (
+            f"error: {model} has no empty-collection variant\n"
+        )
+
+    def test_identify_reads_the_variant_from_the_data(self, tmp_path, logit_o_path):
+        for model in ("logit", "logit_o"):
+            code, payload = self.run(
+                tmp_path, "identify", logit_o_path, "--model", model
+            )
+            assert code == 0 and payload["empty_variant"]
+
+    @pytest.mark.parametrize("model", ["foo", "eba_o"])
+    def test_identify_unknown_target(self, tmp_path, nsc_path, capsys, model):
+        code, _ = self.run(tmp_path, "identify", nsc_path, "--model", model)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: unknown identification target {model!r}\n"
+        )
+
     def test_classify(self, tmp_path, nsc_path):
         code, payload = self.run(tmp_path, "classify", nsc_path)
         assert code == 0

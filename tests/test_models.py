@@ -141,6 +141,12 @@ class TestIC:
         with pytest.raises(InvalidParamsError):
             ModelSpec(ModelTag.IC, ICParams({0: F(0), 1: F(1, 2)})).validate(U2)
 
+    def test_menu_row_validates_the_bundle(self):
+        # items 1 and 2 have no inclusion probability
+        spec = ModelSpec(ModelTag.IC, ICParams({0: F(1, 2)}))
+        with pytest.raises(InvalidParamsError):
+            menu_row(spec, U3, ABC)
+
 
 class TestEBA:
     PARAMS = EBAParams((Aspect(F(3, 5), AB), Aspect(F(2, 5), C)))

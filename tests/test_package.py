@@ -1,9 +1,11 @@
 """The package's public surface: each export comes from its home module."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import scclab
+from scclab.identify import RECOVERIES
 
 PACKAGE = Path(scclab.__file__).parent
 
@@ -32,3 +34,8 @@ def test_each_export_is_imported_from_its_defining_module():
         if alias.name not in _defined_names(node.module)
     ]
     assert misplaced == []
+
+
+def test_every_recovery_takes_the_dataset_and_a_tolerance():
+    for model, recovery in RECOVERIES.items():
+        assert list(inspect.signature(recovery).parameters) == ["scc", "tol"], model
