@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .axioms import CHARACTERIZING_AXIOMS, AxiomId, WITNESS_CAP, cached_report
+from .axioms import CHARACTERIZING_AXIOMS, AxiomId, cached_report
 from .core import SCC, DEFAULT_TOL, ToleranceConfig, require_complete
 from .models import ModelTag
 
@@ -135,7 +135,6 @@ def classify(
     scc: SCC,
     tol: ToleranceConfig = DEFAULT_TOL,
     attributes: Optional[Sequence[int]] = None,
-    cap: int = WITNESS_CAP,
 ) -> ClassificationReport:
     """Decide membership in every model class and cross-check the verdicts.
 
@@ -153,11 +152,14 @@ def classify(
     Relationship checks run only on universes with at least three items;
     smaller universes get an assumption flag instead, since several of the
     underlying theorems genuinely fail there.
+
+    The report carries no witnesses, so the verdicts read the memoized
+    reports at the default witness cap, the ones identify and check share.
     """
     require_complete(scc)
 
     def holds(axiom: AxiomId) -> bool:
-        return cached_report(scc, axiom, tol, attributes, cap).holds
+        return cached_report(scc, axiom, tol, attributes).holds
 
     def member(model: ModelTag) -> MembershipVerdict:
         axioms = CHARACTERIZING_AXIOMS[(model, scc.allows_empty)]

@@ -1,7 +1,7 @@
 """Seeded random parameter bundles and property harnesses.
 
-Sampling stays on a rational grid (denominators bounded by
-``rational_grid``) so the whole pipeline remains exact and the theorem
+Sampling stays on a rational grid (numerators and denominators bounded by
+:data:`GRID`) so the whole pipeline remains exact and the theorem
 checks are unconditional: across all suites the expected failure count is
 zero, and any failure is reported with its reproducer seed — the theorems
 are proved, so a disagreement is a library bug, not a mathematical finding.
@@ -44,41 +44,38 @@ from .models import (
 #: The eleven samplable model variants.
 ALL_VARIANTS: tuple[tuple[ModelTag, bool], ...] = tuple(CHARACTERIZING_AXIOMS)
 
+#: Bound on the numerators and denominators of sampled weights.
+GRID = 64
+#: Inclusive range of the nest count (clamped to the universe size).
+NEST_COUNT = (1, 3)
+#: Inclusive range of the number of sampled attribute carriers.
+ATTRIBUTE_COUNT = (2, 5)
+#: Probability that a foreign item joins a sampled constraint set.
+CONSTRAINT_DENSITY = 0.35
+
 
 @dataclass(frozen=True)
 class GenConfig:
-    """Deterministic sampling configuration for one parameter bundle.
-
-    rational_grid bounds numerators/denominators of sampled weights;
-    nest_count and attribute_count are inclusive ranges (clamped to the
-    universe where needed); constraint_density is the probability that a
-    foreign item joins a constraint set.
-    """
+    """Deterministic sampling configuration for one parameter bundle: the
+    universe size, the model variant and the seed.  The grid and the
+    structure ranges are the module constants above."""
 
     n: int
     model: ModelTag
     seed: int
     empty_variant: bool = False
-    rational_grid: int = 64
-    nest_count: tuple[int, int] = (1, 3)
-    attribute_count: tuple[int, int] = (2, 5)
-    constraint_density: float = 0.35
 
     def __post_init__(self):
         if self.n < 1:
             raise InvalidParamsError("universe size must be positive")
-        if self.rational_grid < 2:
-            raise InvalidParamsError("rational grid bound must be at least 2")
-        if not 0.0 <= self.constraint_density <= 1.0:
-            raise InvalidParamsError("constraint density must lie in [0, 1]")
 
 
-def _grid_weight(rng: random.Random, grid: int) -> Fraction:
-    return Fraction(rng.randint(1, grid))
+def _grid_weight(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(1, GRID))
 
 
-def _grid_prob(rng: random.Random, grid: int) -> Fraction:
-    den = rng.randint(2, grid)
+def _grid_prob(rng: random.Random) -> Fraction:
+    den = rng.randint(2, GRID)
     return Fraction(rng.randint(1, den - 1), den)
 
 
@@ -94,7 +91,7 @@ def _sample_partition(rng: random.Random, n: int, count_range: tuple[int, int]) 
         raise InfeasibleStructureError(
             f"cannot split {n} items into at least {lo} non-empty nests"
         )
-    k = rng.randint(max(lo, 1), hi)
+    k = rng.randint(lo, hi)
     items = list(range(n))
     rng.shuffle(items)
     cuts = sorted(rng.sample(range(1, n), k - 1)) if k > 1 else []
@@ -117,12 +114,11 @@ def _covering(sets: list[int], n: int) -> list[int]:
     return sets + [1 << x for x in range(n) if not covered & (1 << x)]
 
 
-def _sample_carriers(rng: random.Random, config: GenConfig) -> list[int]:
+def _sample_carriers(rng: random.Random, n: int) -> list[int]:
     """A carrier family covering the universe (missing items get singletons)."""
-    full = (1 << config.n) - 1
-    lo, hi = config.attribute_count
-    k = rng.randint(max(1, lo), max(1, hi))
-    return _covering([rng.randint(1, full) for _ in range(k)], config.n)
+    full = (1 << n) - 1
+    k = rng.randint(*ATTRIBUTE_COUNT)
+    return _covering([rng.randint(1, full) for _ in range(k)], n)
 
 
 def sample_params(config: GenConfig) -> ModelSpec:
@@ -133,35 +129,34 @@ def sample_params(config: GenConfig) -> ModelSpec:
     InfeasibleStructureError.
     """
     rng = random.Random(config.seed)
-    grid = config.rational_grid
     n = config.n
     full = (1 << n) - 1
     universe = Universe.default(n)
     model = config.model
 
     if model is ModelTag.LOGIT:
-        weights = {t: _grid_weight(rng, grid) for t in nonempty_submasks(full)}
-        empty_weight = _grid_weight(rng, grid) if config.empty_variant else None
+        weights = {t: _grid_weight(rng) for t in nonempty_submasks(full)}
+        empty_weight = _grid_weight(rng) if config.empty_variant else None
         params = LogitParams(weights, empty_weight)
     elif model is ModelTag.RCG:
         pool = list(range(1, full + 1))
         cats = rng.sample(pool, rng.randint(1, min(len(pool), 6)))
         ordered = sorted(_covering(cats, n))
-        masses = _normalized([rng.randint(1, grid) for _ in ordered])
+        masses = _normalized([rng.randint(1, GRID) for _ in ordered])
         params = RCGParams(dict(zip(ordered, masses)))
     elif model is ModelTag.IC:
-        inclusion = {x: _grid_prob(rng, grid) for x in range(n)}
+        inclusion = {x: _grid_prob(rng) for x in range(n)}
         params = ICParams(inclusion)
     elif model is ModelTag.EBA:
-        carriers = _sample_carriers(rng, config)
-        weights = _normalized([rng.randint(1, grid) for _ in carriers])
+        carriers = _sample_carriers(rng, n)
+        weights = _normalized([rng.randint(1, GRID) for _ in carriers])
         params = EBAParams(tuple(Aspect(w, c) for w, c in zip(weights, carriers)))
     elif model is ModelTag.AR:
-        carriers = _sample_carriers(rng, config)
-        weights = _normalized([rng.randint(1, grid) for _ in carriers])
+        carriers = _sample_carriers(rng, n)
+        weights = _normalized([rng.randint(1, GRID) for _ in carriers])
         attrs = []
         for w, c in zip(weights, carriers):
-            values = {i: rng.randint(1, grid) for i in bits(c)}
+            values = {i: rng.randint(1, GRID) for i in bits(c)}
             attrs.append(ArAttribute(w, c, values))
         params = ARParams(tuple(attrs))
     elif model is ModelTag.RRM:
@@ -171,7 +166,7 @@ def sample_params(config: GenConfig) -> ModelSpec:
             for x in range(n):
                 q = 1 << x
                 for y in range(n):
-                    if y != x and rng.random() < config.constraint_density:
+                    if y != x and rng.random() < CONSTRAINT_DENSITY:
                         q |= 1 << y
                 candidate[x] = q
             if len(set(candidate.values())) == n:
@@ -180,21 +175,21 @@ def sample_params(config: GenConfig) -> ModelSpec:
         if constraints is None:
             raise InfeasibleStructureError(
                 "could not draw pairwise-distinct constraint sets at "
-                f"density {config.constraint_density}"
+                f"density {CONSTRAINT_DENSITY}"
             )
-        salience = {x: _grid_weight(rng, grid) for x in range(n)}
+        salience = {x: _grid_weight(rng) for x in range(n)}
         params = RRMParams(salience, constraints)
     elif model is ModelTag.NSC:
-        nests = _sample_partition(rng, n, config.nest_count)
+        nests = _sample_partition(rng, n, NEST_COUNT)
         weights = {
-            t: _grid_weight(rng, grid)
+            t: _grid_weight(rng)
             for nest in nests
             for t in nonempty_submasks(nest)
         }
         params = NSCParams(nests, weights)
     elif model is ModelTag.NESTED_LOGIT:
-        nests = _sample_partition(rng, n, config.nest_count)
-        utilities = {x: _grid_weight(rng, grid) for x in range(n)}
+        nests = _sample_partition(rng, n, NEST_COUNT)
+        utilities = {x: _grid_weight(rng) for x in range(n)}
         exponents = tuple(Fraction(rng.randint(1, 3)) for _ in nests)
         params = NestedLogitParams(nests, utilities, exponents)
     else:
@@ -205,29 +200,27 @@ def sample_params(config: GenConfig) -> ModelSpec:
     return spec
 
 
-def sample_singleton_params(n: int, seed: int, grid: int = 64) -> ModelSpec:
+def sample_singleton_params(n: int, seed: int) -> ModelSpec:
     """A reference-point bundle with identity constraint sets: the generated
     SCC has a singleton representation (only singletons ever chosen, with
     menu-independent relative weights)."""
     rng = random.Random(seed)
-    salience = {x: _grid_weight(rng, grid) for x in range(n)}
+    salience = {x: _grid_weight(rng) for x in range(n)}
     constraints = {x: 1 << x for x in range(n)}
     spec = ModelSpec(ModelTag.RRM, RRMParams(salience, constraints))
     spec.validate(Universe.default(n))
     return spec
 
 
-def sample_nest_invariant_params(
-    n: int, seed: int, grid: int = 64, nest_count: tuple[int, int] = (2, 3)
-) -> ModelSpec:
+def sample_nest_invariant_params(n: int, seed: int) -> ModelSpec:
     """A nested-choice bundle whose weight is constant on each nest: the
     generated SCC is nest-invariant (equivalently, satisfies the
     probabilistic attention filter)."""
     rng = random.Random(seed)
-    nests = _sample_partition(rng, n, nest_count)
+    nests = _sample_partition(rng, n, (2, 3))
     weights: dict[int, Fraction] = {}
     for nest in nests:
-        level = _grid_weight(rng, grid)
+        level = _grid_weight(rng)
         for t in nonempty_submasks(nest):
             weights[t] = level
     spec = ModelSpec(ModelTag.NSC, NSCParams(nests, weights))
@@ -299,7 +292,6 @@ def fuzz_characterization(
     n_range: Sequence[int],
     seed: int,
     empty_variant: bool = False,
-    rational_grid: int = 64,
 ) -> FuzzSummary:
     """Necessity + sufficiency sweep for one model variant.
 
@@ -313,14 +305,7 @@ def fuzz_characterization(
     for _ in range(trials):
         trial_seed = base.getrandbits(64)
         n = base.choice(n_choices)
-        config = GenConfig(
-            n=n,
-            model=model,
-            seed=trial_seed,
-            empty_variant=empty_variant,
-            rational_grid=rational_grid,
-        )
-        spec = sample_params(config)
+        spec = sample_params(GenConfig(n, model, trial_seed, empty_variant))
         meta = FuzzFailure(trial_seed, model.value, n, empty_variant, "", "")
         _run_characterization_trial(spec, Universe.default(n), failures, meta)
     return FuzzSummary(
@@ -330,12 +315,7 @@ def fuzz_characterization(
     )
 
 
-def fuzz_relationships(
-    trials: int,
-    n_range: Sequence[int],
-    seed: int,
-    rational_grid: int = 64,
-) -> FuzzSummary:
+def fuzz_relationships(trials: int, n_range: Sequence[int], seed: int) -> FuzzSummary:
     """Relationship-consistency sweep over random models.
 
     Each trial samples a random model variant, classifies the generated SCC,
@@ -358,7 +338,7 @@ def fuzz_relationships(
             # weights, the grand-set row of the empty-variant ic model with
             # sampled inclusion probabilities (ic = logit AND rcg)
             rng = random.Random(trial_seed)
-            gammas = {x: _grid_prob(rng, rational_grid) for x in range(n)}
+            gammas = {x: _grid_prob(rng) for x in range(n)}
             ic = ModelSpec(ModelTag.IC, ICParams(gammas), empty_variant=True)
             universe = Universe.default(n)
             row = menu_row(ic, universe, universe.full_mask)
@@ -386,14 +366,7 @@ def fuzz_relationships(
         model, empty_variant = ALL_VARIANTS[
             base.randrange(len(ALL_VARIANTS))
         ]
-        config = GenConfig(
-            n=n,
-            model=model,
-            seed=trial_seed,
-            empty_variant=empty_variant,
-            rational_grid=rational_grid,
-        )
-        spec = sample_params(config)
+        spec = sample_params(GenConfig(n, model, trial_seed, empty_variant))
         scc = generate_scc(spec, Universe.default(n))
         report = classify(scc, attributes=_carriers_of(spec))
         key = model.value + ("_o" if empty_variant else "")

@@ -602,18 +602,6 @@ def _parse_variant(token: str) -> tuple[ModelTag, bool]:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     spec, universe = parse_params(_load_json(args.params))
-    if args.model is not None:
-        tag, flagged_empty = _parse_variant(args.model)
-        if tag is not spec.model:
-            raise SchemaError(
-                f"--model {args.model} disagrees with params file "
-                f"({spec.model.value})"
-            )
-        if flagged_empty:
-            args.empty = True
-    if args.empty and not spec.empty_variant:
-        spec = ModelSpec(spec.model, spec.params, empty_variant=True)
-        spec.validate(universe)
     scc = generate_scc(spec, universe)
     _emit(scc_to_document(scc), args.output)
     return _EXIT_OK
@@ -682,6 +670,8 @@ def _cmd_identify(args: argparse.Namespace) -> int:
             raise WrongVariantError(
                 "requested variant does not match the SCC's empty-collection flag"
             )
+        if (model, scc.allows_empty) not in CHARACTERIZING_AXIOMS:
+            raise WrongVariantError(f"{model.value} has no empty-collection variant")
         try:
             result = RECOVERIES[model](scc, tol=tol)
         except PreconditionFailedError as exc:
@@ -716,27 +706,18 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise SchemaError(f"--trials must be at least 1, got {args.trials}")
     token = args.model.strip().lower()
-    summaries: list[FuzzSummary] = []
     if token == "all":
-        for index, (model, empty) in enumerate(ALL_VARIANTS):
-            summaries.append(
-                fuzz_characterization(
-                    model, args.trials, n_values, args.seed + index,
-                    empty_variant=empty,
-                )
-            )
-        summaries.append(
-            fuzz_relationships(args.trials, n_values, args.seed + len(ALL_VARIANTS))
-        )
+        suites = [*ALL_VARIANTS, "relationships"]
     elif token == "relationships":
-        summaries.append(fuzz_relationships(args.trials, n_values, args.seed))
+        suites = [token]
     else:
-        model, empty = _parse_variant(token)
-        summaries.append(
-            fuzz_characterization(
-                model, args.trials, n_values, args.seed, empty_variant=empty
-            )
-        )
+        suites = [_parse_variant(token)]
+    summaries = [
+        fuzz_relationships(args.trials, n_values, seed)
+        if suite == "relationships"
+        else fuzz_characterization(suite[0], args.trials, n_values, seed, suite[1])
+        for seed, suite in enumerate(suites, start=args.seed)
+    ]
     _emit({"summaries": [summary_to_json(s) for s in summaries]}, args.output)
     return _EXIT_OK if all(s.ok for s in summaries) else _EXIT_FINDINGS
 
@@ -758,10 +739,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate an SCC from a parameter bundle")
-    gen.add_argument("--model", help="model tag (cross-checked against the file)")
     gen.add_argument("--params", required=True, help="parameter JSON file")
-    gen.add_argument("--empty", action="store_true",
-                     help="use the empty-collection variant")
     gen.add_argument("-o", "--output", help="output file (default stdout)")
 
     ev = sub.add_parser("eval", help="evaluate one menu row or one probability")

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from scclab import fuzz
 from scclab.axioms import AxiomId
 from scclab.core import SCC, InfeasibleStructureError, InvalidParamsError, Universe
 from scclab.fuzz import (
@@ -87,19 +88,16 @@ class TestSamplingErrors:
             with pytest.raises(InvalidParamsError, match=f"^{message}$"):
                 sample_params(GenConfig(3, model, seed=0, empty_variant=True))
 
-    def test_saturated_constraints_are_infeasible(self):
-        config = GenConfig(3, ModelTag.RRM, seed=0, constraint_density=1.0)
-        with pytest.raises(InfeasibleStructureError):
-            sample_params(config)
+    def test_saturated_constraints_are_infeasible(self, monkeypatch):
+        # every constraint set is the whole universe, so no draw is distinct
+        monkeypatch.setattr(fuzz, "CONSTRAINT_DENSITY", 1.0)
+        with pytest.raises(InfeasibleStructureError, match="density 1.0$"):
+            sample_params(GenConfig(3, ModelTag.RRM, seed=0))
 
     def test_nest_count_above_universe(self):
-        config = GenConfig(3, ModelTag.NSC, seed=0, nest_count=(4, 5))
+        # the nest-invariant sampler asks for at least two nests
         with pytest.raises(InfeasibleStructureError):
-            sample_params(config)
-
-    def test_bad_grid(self):
-        with pytest.raises(InvalidParamsError):
-            GenConfig(3, ModelTag.LOGIT, seed=0, rational_grid=0)
+            sample_nest_invariant_params(1, seed=0)
 
 
 class TestTargetedSamplers:

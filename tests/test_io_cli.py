@@ -326,9 +326,18 @@ class TestCli:
         # no single dataset satisfies every model's axioms, so findings exit
         assert code == 1
 
-    def test_gen_model_cross_check(self, tmp_path, params_path):
-        code, _ = self.run(tmp_path, "gen", "--params", params_path, "--model", "rcg")
-        assert code == 2
+    def test_gen_reads_the_variant_from_the_document(self, tmp_path):
+        document = {**logit_params_document(), "empty_variant": True}
+        document["params"]["empty_weight"] = "4"
+        path = tmp_path / "logit_o.json"
+        path.write_text(json.dumps(document))
+        code, doc = self.run(tmp_path, "gen", "--params", str(path))
+        assert code == 0 and doc["allows_empty"] is True
+
+    def test_gen_takes_only_the_params_document(self, capsys):
+        assert cli_main(["gen", "--help"]) == 0
+        usage = capsys.readouterr().out.splitlines()[0]
+        assert usage == "usage: scclab gen [-h] --params PARAMS [-o OUTPUT]"
 
     def test_eval_single_probability(self, tmp_path, params_path):
         code, payload = self.run(
@@ -456,7 +465,7 @@ class TestCli:
             "empty-collection flag\n"
         )
 
-    @pytest.mark.parametrize("model", ["rrm", "nsc"])
+    @pytest.mark.parametrize("model", ["eba", "ar", "rrm", "nsc", "nested_logit"])
     def test_identify_model_without_empty_variant(
         self, tmp_path, logit_o_path, capsys, model
     ):

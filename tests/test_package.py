@@ -2,9 +2,18 @@
 
 import ast
 import inspect
+from dataclasses import fields
 from pathlib import Path
 
 import scclab
+from scclab.classify import classify
+from scclab.fuzz import (
+    GenConfig,
+    fuzz_characterization,
+    fuzz_relationships,
+    sample_nest_invariant_params,
+    sample_singleton_params,
+)
 from scclab.identify import RECOVERIES
 
 PACKAGE = Path(scclab.__file__).parent
@@ -39,3 +48,16 @@ def test_each_export_is_imported_from_its_defining_module():
 def test_every_recovery_takes_the_dataset_and_a_tolerance():
     for model, recovery in RECOVERIES.items():
         assert list(inspect.signature(recovery).parameters) == ["scc", "tol"], model
+
+
+def test_sampling_and_classification_take_only_what_callers_set():
+    assert [f.name for f in fields(GenConfig)] == ["n", "model", "seed", "empty_variant"]
+    expected = {
+        fuzz_characterization: ["model", "trials", "n_range", "seed", "empty_variant"],
+        fuzz_relationships: ["trials", "n_range", "seed"],
+        sample_singleton_params: ["n", "seed"],
+        sample_nest_invariant_params: ["n", "seed"],
+        classify: ["scc", "tol", "attributes"],
+    }
+    for function, names in expected.items():
+        assert list(inspect.signature(function).parameters) == names, function
