@@ -18,10 +18,10 @@ them:
 * Ratio postulates are decided by cross-multiplication, never division, so
   exact mode involves no rounding and zero denominators need no special
   cases.  In exact mode they cross-multiply the integer rows of
-  :func:`cached_scaled_rows`.  Reported ``lhs``/``rhs`` values are the two
-  sides of the postulate as written, computed from the SCC's own rows
-  (divisions are performed there only when the guards make them well
-  defined).
+  :func:`cached_scaled_rows`.  An equation witness's ``lhs``/``rhs`` are
+  its axiom's ``sides`` at its bindings: the two sides of the postulate as
+  written, computed from the SCC's own rows (divisions are performed there
+  only when the guards make them well defined).
 * Witness bindings are bitmasks under descriptive keys ("S", "S_prime", "x",
   "y", "T", "T_prime", "T_star_1", ...).  Item-valued bindings are 1-bit
   masks.  Every witness is self-certifying: :func:`recheck_witness`
@@ -43,7 +43,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import partial
 from itertools import combinations, repeat
 from operator import eq, itemgetter, mul, sub
@@ -143,6 +142,8 @@ class _Collector:
         self.clean = True
 
     def add(self, bindings: dict[str, int], lhs: Optional[Prob], rhs: Optional[Prob]):
+        """Record a violation of a structural axiom, with the offending
+        probabilities, if any."""
         self.clean = False
         if len(self.witnesses) < self.cap:
             self.witnesses.append(Witness(self.axiom, bindings, lhs, rhs))
@@ -462,10 +463,9 @@ def check_additivity(
     for s, xbit, rest, row_s, row_rest in _removals(scc.rows):
         for t in submasks(rest):
             checked += 1
-            lhs = row_rest.get(t, zero)
             rhs = row_s.get(t, zero) + row_s.get(t | xbit, zero)
-            if not probs_equal(scc, lhs, rhs, tol):
-                out.add({"S": s, "x": xbit, "T": t}, lhs, rhs)
+            if not probs_equal(scc, row_rest.get(t, zero), rhs, tol):
+                out.add_equation(scc, {"S": s, "x": xbit, "T": t}, tol)
     # each singleton menu's lone T = empty instance is vacuous: S\x is not a menu
     return out.report(scc, checked, scc.universe.n)
 
@@ -711,29 +711,12 @@ def check_rrm_suite(
     ]
 
 
-def _chain_witness(
-    scc: SCC,
-    t: int,
-    t2: int,
-    first: tuple[Prob, Prob, int, int, int],
-    second: tuple[Prob, Prob, int, int, int],
-) -> tuple[dict[str, int], Prob, Prob]:
-    """Bindings and chain values of two chains; exact values are Fractions
-    even when the chains were built from scaled integer rows."""
-    ratio = Fraction if scc.exact else (lambda num, den: num / den)
-    num1, den1, star1, s1, sp1 = first
-    num2, den2, star2, s2, sp2 = second
-    bindings = {
-        "T": t,
-        "T_prime": t2,
-        "T_star_1": star1,
-        "S_1": s1,
-        "S_prime_1": sp1,
-        "T_star_2": star2,
-        "S_2": s2,
-        "S_prime_2": sp2,
-    }
-    return bindings, ratio(num1, den1), ratio(num2, den2)
+def _chain_bindings(t: int, t2: int, *chains: tuple[int, int, int]) -> dict[str, int]:
+    """The eight PIIS bindings of two chains from T to T', each (T*, S, S')."""
+    bindings = {"T": t, "T_prime": t2}
+    for tag, (star, s, sp) in zip("12", chains):
+        bindings.update({f"T_star_{tag}": star, f"S_{tag}": s, f"S_prime_{tag}": sp})
+    return bindings
 
 
 def check_piis(
@@ -787,10 +770,7 @@ def check_piis(
             pa0, pb0, s0 = rec
             checked += 1
             if not probs_equal(scc, pa * pb0, pb * pa0, tol):
-                bindings, lhs, rhs = _chain_witness(
-                    scc, a, b, (pa0, pb0, b, s0, s0), (pa, pb, b, s, s)
-                )
-                out.add(bindings, lhs, rhs)
+                out.add_equation(scc, _chain_bindings(a, b, (b, s0, s0), (b, s, s)), tol)
 
     support_colls = sorted({c for row in pos.values() for c in row})
     neighbors: dict[int, set[int]] = {c: set() for c in support_colls}
@@ -862,11 +842,11 @@ def _chain_scan(
     through the least T*.  Returns the comparisons of ordered pairs.
 
     Each unordered pair is scanned once, its products computed in C in the
-    association the witnesses use, lhs = ref_num * (d1*d2) and
+    association the replay uses, lhs = ref_num * (d1*d2) and
     rhs = (n1*n2) * ref_den.  A float pair whose largest difference is
     within ``eps_eq`` passes (the ``abs_tol`` branch of ``math.isclose``).
     Any other pair is replayed per ordered pair in enumeration order, where
-    ``probs_equal`` decides and the witnesses are built.
+    ``probs_equal`` decides and the witnesses' bindings are built.
     """
     # num[a][b] / den[a][b] = mu(a,.)/mu(b,.)
     num: dict[int, dict[int, Prob]] = {c: {} for c in colls}
@@ -904,19 +884,19 @@ def _chain_scan(
     for t, t2 in sorted(suspects):
         if len(out.witnesses) == out.cap:
             break
-        values: list[tuple[Prob, Prob, int, int, int]] = []
+        values: list[tuple[Prob, Prob, tuple[int, int, int]]] = []
         if t2 in neighbors[t]:
             n0, d0, s0 = _edge(edges, t, t2)
             # chains through T* = T' (and T* = T) reduce to the edge ratio
-            values.append((n0, d0, t2, s0, s0))
+            values.append((n0, d0, (t2, s0, s0)))
         for mid in sorted(neighbors[t] & neighbors[t2]):
             n1, d1, s1 = _edge(edges, t, mid)
             n2, d2, s2 = _edge(edges, mid, t2)
-            values.append((n1 * n2, d1 * d2, mid, s1, s2))
-        ref = values[0]
-        for other in values[1:]:
-            if not probs_equal(scc, ref[0] * other[1], other[0] * ref[1], tol):
-                out.add(*_chain_witness(scc, t, t2, ref, other))
+            values.append((n1 * n2, d1 * d2, (mid, s1, s2)))
+        (ref_num, ref_den, ref), *others = values
+        for num, den, chain in others:
+            if not probs_equal(scc, ref_num * den, num * ref_den, tol):
+                out.add_equation(scc, _chain_bindings(t, t2, ref, chain), tol)
     return checked
 
 
@@ -1012,7 +992,7 @@ def check_paf(
                 continue
             checked += 1
             if not probs_equal(scc, lhs, rhs, tol):
-                out.add({"S": s, "x": xbit, "T": t}, lhs, rhs)
+                out.add_equation(scc, {"S": s, "x": xbit, "T": t}, tol)
     return out.report(scc, checked, vacuous)
 
 
@@ -1049,9 +1029,8 @@ def check_special(
     if kind is AxiomId.DET_FULL_CHOICE:
         out = _Collector(AxiomId.DET_FULL_CHOICE, cap)
         for menu in scc.menus():
-            p = prob_lookup(scc, menu, menu)
-            if not probs_equal(scc, p, scc.one(), tol):
-                out.add({"S": menu}, p, scc.one())
+            if not probs_equal(scc, prob_lookup(scc, menu, menu), scc.one(), tol):
+                out.add_equation(scc, {"S": menu}, tol)
         return out.report(scc, (1 << n) - 1, 0)
     if kind is not AxiomId.SINGLETON:
         raise ValueError(f"check_special handles DET_FULL_CHOICE and SINGLETON, got {kind}")
@@ -1222,7 +1201,8 @@ class AxiomSpec(NamedTuple):
     """One registry entry: the ``check`` that decides an axiom, called as
     ``check(scc, tol=..., cap=...)`` plus ``attributes=...`` when it needs
     them; for an equation axiom, the ``sides(scc, bindings, tol)`` of its
-    postulate that its witnesses carry (the scans do not call it); the
+    postulate, which every witness takes its ``lhs``/``rhs`` from (the scans
+    decide on their own arithmetic and call it only to record one); the
     ``recheck`` that :func:`recheck_witness` runs, a re-derivation for a
     structural axiom; and the SCCs on which :func:`full_battery` runs it."""
 

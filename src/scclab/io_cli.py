@@ -44,6 +44,7 @@ from .core import (
     WrongVariantError,
     ZeroTotalMenuError,
     is_positive,
+    require_complete,
     validate_scc,
 )
 from .fuzz import ALL_VARIANTS, FuzzSummary, fuzz_characterization, fuzz_relationships
@@ -648,6 +649,7 @@ def _cmd_identify(args: argparse.Namespace) -> int:
     scc = parse_scc(_load_json(args.scc), tol)
     token = args.model.strip().lower()
     if token == "auto":
+        require_complete(scc)
         attempts = []
         for name in _AUTO_ORDER:
             try:

@@ -477,10 +477,7 @@ class ModelSpec:
 
 def _logit_row(params: LogitParams, menu: int, empty_variant: bool) -> dict[int, Weight]:
     collections = nonempty_submasks(menu)
-    try:
-        den: Weight = sum(params.weights[t] for t in collections)
-    except KeyError as exc:
-        raise MissingWeightError(f"no weight for collection {exc.args[0]}") from None
+    den: Weight = sum(params.weights[t] for t in collections)
     row: dict[int, Weight] = {}
     if empty_variant:
         den = den + params.empty_weight

@@ -13,6 +13,8 @@ from scclab.classify import (
     NOT_APPLICABLE,
     NOT_DECIDED,
     REL_IC_DECOMPOSITION,
+    REL_NSC_PAF_NEST_INVARIANT,
+    REL_NSC_RCG_NEST_INVARIANT,
     REL_REFERENCE_EXCLUSION,
     SMALL_UNIVERSE_FLAG,
     ClassificationReport,
@@ -179,6 +181,17 @@ class TestRelationshipVerification:
         # nested data has restricted support, so full-support models are out
         report = doctored(nsc_report, logit=HOLDS)
         assert REL_REFERENCE_EXCLUSION in verify_relationships(report)
+
+    def test_flags_fabricated_nest_invariance_breaks(self, nsc_report):
+        # the worked nested example is not nest-invariant: it fails the
+        # category membership and the attention filter
+        assert not nsc_report.special["NEST_INVARIANT"]
+        assert not nsc_report.special["PAF"]
+        report = doctored(nsc_report, rcg=HOLDS)
+        assert verify_relationships(report) == [REL_NSC_RCG_NEST_INVARIANT]
+        special = dict(nsc_report.special, PAF=True)
+        report = ClassificationReport(dict(nsc_report.membership), special, (), ())
+        assert verify_relationships(report) == [REL_NSC_PAF_NEST_INVARIANT]
 
     def test_undecided_memberships_are_skipped(self, ic_report):
         membership = dict(ic_report.membership)

@@ -100,6 +100,18 @@ class TestRCGRecovery:
         with pytest.raises(PreconditionFailedError):
             identify_rcg(scc)
 
+    def test_invalid_recovered_bundle_refused(self):
+        # additivity holds on one item, but the grand-set row leaves half its
+        # mass on the empty collection, so the categories sum to 1/2
+        scc = SCC(Universe.default(1), {A: {0: F(1, 2), A: F(1, 2)}}, allows_empty=True)
+        with pytest.raises(PreconditionFailedError) as err:
+            identify_rcg(scc)
+        assert str(err.value) == (
+            "recovered parameters are not a valid bundle: "
+            "category weights must sum to 1, got 1/2"
+        )
+        assert err.value.report is None
+
     def test_rejects_on_failed_postulate(self):
         nsc = ModelSpec(
             ModelTag.NSC, NSCParams((AB, C), {A: F(1), B: F(2), AB: F(4), C: F(3)})

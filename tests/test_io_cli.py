@@ -10,6 +10,7 @@ import pytest
 
 import scclab
 from scclab.core import (
+    SCC,
     MixedFormatError,
     SchemaError,
     Universe,
@@ -46,6 +47,12 @@ NSC_SPEC = ModelSpec(
 def nsc_document():
     scc = generate_scc(NSC_SPEC, Universe.default(3))
     return scc_to_document(scc)
+
+
+def logit3_scc():
+    """Exact logit data over {a,b,c} with full support."""
+    weights = {A: F(4), B: F(2), C: F(1), AB: F(3), AC: F(2), BC: F(5), ABC: F(7)}
+    return generate_scc(ModelSpec(ModelTag.LOGIT, LogitParams(weights)), Universe.default(3))
 
 
 def logit_params_document():
@@ -428,6 +435,33 @@ class TestCli:
         code, _ = self.run(tmp_path, "check", nsc_path, "--axioms", "zorp")
         assert code == 2
 
+    def test_tol_reaches_the_checks(self, tmp_path):
+        # float logit data with one binary-menu ratio off by about 1e-6
+        exact = logit3_scc()
+        rows = {m: {t: float(p) for t, p in row.items()} for m, row in exact.rows.items()}
+        rows[AB][A] += 1e-6
+        rows[AB][B] -= 1e-6
+        path = tmp_path / "nudged.json"
+        path.write_text(json.dumps(scc_to_document(SCC(exact.universe, rows, exact=False))))
+        argv = ["check", str(path), "--axioms", "iis"]
+        code, default = self.run(tmp_path, *argv)
+        assert code == 1 and not default["reports"][0]["holds"]
+        code, loose = self.run(tmp_path, *argv, "--tol", "1e-3")
+        assert code == 0 and loose["reports"][0]["holds"]
+
+    def test_output_goes_to_stdout_without_o(self, tmp_path, nsc_path, capsys):
+        assert cli_main(["check", nsc_path, "--axioms", "rel_add"]) == 1
+        written = capsys.readouterr().out
+        _, payload = self.run(tmp_path, "check", nsc_path, "--axioms", "rel_add")
+        assert json.loads(written) == payload
+        assert written == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    def test_missing_input_file_is_usage_error(self, tmp_path, capsys):
+        missing = str(tmp_path / "absent.json")
+        assert cli_main(["classify", missing]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and missing in err
+
     def test_identify_success(self, tmp_path, nsc_path):
         code, payload = self.run(tmp_path, "identify", nsc_path, "--model", "nsc")
         assert code == 0
@@ -446,6 +480,50 @@ class TestCli:
         code, payload = self.run(tmp_path, "identify", nsc_path, "--model", "auto")
         assert code == 0
         assert payload["model"] == "nsc"
+
+    def test_identify_auto_lists_every_failed_attempt(self, tmp_path):
+        # logit data with two binary-menu probabilities swapped fits no family
+        scc = logit3_scc()
+        rows = {m: dict(row) for m, row in scc.rows.items()}
+        rows[AB][A], rows[AB][B] = rows[AB][B], rows[AB][A]
+        path = tmp_path / "swapped.json"
+        path.write_text(json.dumps(scc_to_document(SCC(scc.universe, rows))))
+        code, payload = self.run(tmp_path, "identify", str(path), "--model", "auto")
+        assert code == 1 and payload["identified"] is False
+        assert [a["model"] for a in payload["attempts"]] == [
+            "logit", "rcg", "ic", "rrm", "nsc"
+        ]
+
+    def test_identify_auto_refuses_an_incomplete_dataset(self, tmp_path, capsys):
+        path = tmp_path / "incomplete.json"
+        path.write_text(json.dumps({
+            "items": ["a", "b", "c"],
+            "menus": [{"menu": ["a"], "rows": [{"set": ["a"], "p": "1"}]}],
+        }))
+        commands = (["identify", "--model", "auto"], ["classify"], ["check", "--axioms", "iis"])
+        for command in commands:
+            code, payload = self.run(tmp_path, command[0], str(path), *command[1:])
+            assert code == 2 and payload is None, command
+            assert capsys.readouterr().err == (
+                "error: operation requires a complete SCC; 6 menu(s) absent\n"
+            ), command
+
+    def test_identify_refuses_an_invalid_recovered_bundle(self, tmp_path):
+        path = tmp_path / "half_empty.json"
+        path.write_text(json.dumps({
+            "items": ["a"],
+            "allows_empty": True,
+            "menus": [
+                {"menu": ["a"], "rows": [{"set": [], "p": "1/2"}, {"set": ["a"], "p": "1/2"}]}
+            ],
+        }))
+        code, payload = self.run(tmp_path, "identify", str(path), "--model", "rcg_o")
+        assert code == 1
+        assert payload == {
+            "identified": False,
+            "error": "recovered parameters are not a valid bundle: "
+            "category weights must sum to 1, got 1/2",
+        }
 
     @pytest.fixture()
     def logit_o_path(self, tmp_path):
@@ -503,6 +581,17 @@ class TestCli:
         )
         assert code == 0
         assert payload["summaries"][0]["ok"]
+
+    @pytest.mark.parametrize("model", ["all", "relationships"])
+    def test_fuzz_suites(self, tmp_path, model):
+        code, payload = self.run(
+            tmp_path, "fuzz", "--model", model, "--trials", "1", "--n", "3", "--seed", "4"
+        )
+        assert code == 0
+        suites = [s["suite"] for s in payload["summaries"]]
+        assert suites[-1] == "relationships"
+        assert len(suites) == (len(ALL_VARIANTS) + 1 if model == "all" else 1)
+        assert all(s["ok"] and s["trials"] == 1 for s in payload["summaries"])
 
     def test_estimate(self, tmp_path):
         counts = tmp_path / "counts.csv"
