@@ -11,10 +11,13 @@ them:
   whose guard holds; ``instances_vacuous`` counts those whose guard is
   unmet.  Their sum is the domain size.  Instances that are trivially true
   by symmetry (identical menus, identical collections) are not in the
-  domain; per-check docstrings state the domain.  Except for PIIS, whose
-  domain is its stages', a check may count in closed form, certify "holds",
-  and compare instances one by one only where its certificate fails and
-  fewer than ``cap`` witnesses are recorded; the counts are the same.
+  domain; per-check docstrings state the domain, and PIIS's domain is its
+  stages'.  A check may count in closed form, certify "holds", and compare
+  instances one by one only where its certificate fails and fewer than
+  ``cap`` witnesses are recorded; the counts are the same.  The grand-row
+  certificate of :func:`_grand_row` settles IIS, IIS_O and PIIS on
+  full-support data, in exact and float mode; in exact mode
+  :func:`_rank_one` certifies the units of IIS, REL_ADD and REL_ADD_1.
 * Ratio postulates are decided by cross-multiplication, never division, so
   exact mode involves no rounding and zero denominators need no special
   cases.  In exact mode they cross-multiply the integer rows of
@@ -35,7 +38,8 @@ classification, identification and the fuzz harness all read these two
 tables.  :func:`run_axiom` always evaluates;
 :func:`cached_report` and the ``cached_revealed_*`` functions keep each
 result in the SCC's memo, so a dataset is decided once per tolerance and
-witness cap; :func:`cached_scaled_rows` keeps the scaled rows there too.
+witness cap; :func:`cached_scaled_rows` keeps the scaled rows there too,
+and :func:`_grand_row` its certificate, once per tolerance.
 """
 
 from __future__ import annotations
@@ -43,9 +47,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from functools import partial
 from itertools import combinations, repeat
-from operator import eq, itemgetter, mul, sub
+from operator import eq, itemgetter, mul, sub, truediv
 from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .core import (
@@ -208,6 +213,132 @@ def _scale_rows(scc: SCC) -> tuple[dict[int, dict[int, Prob]], dict[int, Prob]]:
     return rows, dens
 
 
+class _GrandRow(NamedTuple):
+    """What :func:`_grand_row` decides about a complete SCC.
+
+    ``full_support``: every non-empty collection of every menu is positive,
+    and no collection but those and the empty one is recorded.  ``empty``:
+    the empty collection is positive in every menu (True), in none (False)
+    or in some (None).  ``proportional``: full support holds and every row
+    is proportional to the grand-set row on its menu's collections, the
+    empty one included when ``empty`` is True; exactly in exact mode, and in
+    float mode within the bound of :func:`_float_certified`.
+    """
+
+    full_support: bool
+    empty: Optional[bool]
+    proportional: bool
+
+    def certifies(self, axiom: AxiomId) -> bool:
+        """Whether the certificate settles IIS, IIS_O or PIIS as holding:
+        IIS_O guards on the empty collection too, and PIIS needs every menu
+        to have the same kind of positive collections."""
+        if axiom is AxiomId.IIS_O:
+            return self.proportional and self.empty is True
+        if axiom is AxiomId.PIIS:
+            return self.proportional and self.empty is not None
+        return self.proportional
+
+
+def _grand_row(scc: SCC, tol: ToleranceConfig) -> _GrandRow:
+    """The grand-row certificate of a complete SCC, decided once per tolerance.
+
+    If every collection a check guards on is positive in every menu and each
+    row is proportional to the grand-set row g, mu(T,S) = c_S g(T), then
+    every IIS equation and every PIIS chain telescopes, so IIS, IIS_O and
+    PIIS hold with every guard met: Luce's (1959) ratio scale for set choice.
+    Exact mode tests each menu with one :func:`_rank_one` on the integer rows
+    of :func:`cached_scaled_rows`.  The support scan stops at the first menu
+    that misses or zeroes a non-empty collection.
+    """
+    return _memoized(scc, ("grand_row", tol), lambda: _decide_grand_row(scc, tol))
+
+
+#: The float entries the grand-row certificate accepts: no ratio of two of
+#: them and no product of three leaves the normal range.
+_FLOAT_RANGE = (2.0**-340, 2.0**340)
+
+#: Unit roundoff of IEEE double precision, rounding to nearest.
+_UNIT_ROUNDOFF = Fraction(1, 2**53)
+
+
+def _decide_grand_row(scc: SCC, tol: ToleranceConfig) -> _GrandRow:
+    rows = cached_scaled_rows(scc)[0]
+    menus = scc.menus()
+    empties = 0
+    for s in menus:
+        row = rows[s]
+        subs = nonempty_submasks(s)
+        cells = list(map(row.get, subs, repeat(0)))
+        positive = all(cells) if scc.exact else min(cells) > tol.eps_zero
+        if not positive or len(row) > len(subs) + (0 in row):
+            return _GrandRow(False, None, False)
+        empties += is_positive(scc, row.get(0, 0), tol)
+    empty = True if empties == len(menus) else False if empties == 0 else None
+    family = submasks if empty else nonempty_submasks
+    grand = rows[scc.universe.full_mask]
+    low, high = _FLOAT_RANGE
+    spread, top = 1.0, 0.0
+    # the grand row first, so that its range is checked before it divides
+    for s in reversed(menus):
+        subs = family(s)
+        us = list(map(grand.__getitem__, subs))
+        vs = list(map(rows[s].__getitem__, subs))
+        if scc.exact:
+            if not _rank_one(us, vs):
+                return _GrandRow(True, empty, False)
+            continue
+        if not (math.isfinite(sum(vs)) and low <= min(vs) and max(vs) <= high):
+            return _GrandRow(True, empty, False)
+        ratios = list(map(truediv, vs, us))
+        spread = max(spread, max(ratios) / min(ratios))
+        top = max(top, max(vs))
+    return _GrandRow(True, empty, scc.exact or _float_certified(spread, top, tol.eps_eq))
+
+
+def _float_certified(spread: float, top: float, eps_eq: float) -> bool:
+    """Whether every float comparison of the IIS and PIIS scans must pass on
+    rows whose computed spread, the largest fl(max r / min r) over the rows
+    of their ratios r = fl(mu(T,S) / g(T)) to the grand row, is ``spread``,
+    and whose largest entry is ``top``.
+
+    The proof follows Higham, *Accuracy and Stability of Numerical
+    Algorithms* (2nd ed., 2002), sections 2.2 and 3.1, with unit roundoff
+    u = 2^-53 and gamma_k = k u / (1 - k u).  Every entry lies in
+    ``_FLOAT_RANGE``, so each division and multiplication below is exact up
+    to a factor 1 + d with |d| <= u.
+
+    1. A computed ratio is r(1 + d), so a row's exact spread is at most
+       R = spread (1 + u) / (1 - u)^2.
+    2. Each comparison of the scans sets one product of k entries against
+       another: k = 2 in IIS and PIIS stage 1, k = 3 in stage 3.  Writing
+       mu(T,S) = g(T) r_S(T), the g factors cancel, and the quotient of the
+       two exact products is a product of k quotients r_S(T)/r_S(T') taken
+       within one row each, so it lies in [R^-k, R^k].  Each computed
+       product carries a factor 1 + theta with |theta| <= gamma_(k-1), so
+       the quotient of the computed ones lies within a factor
+       Q_k = R^k (1 + gamma_(k-1)) / (1 - gamma_(k-1)) of 1, and each is at
+       most top^k (1 + gamma_(k-1)).  Their difference is at most the
+       larger times 1 - 1/Q_k, so at most
+       E_k = top^k (1 + gamma_(k-1)) (Q_k - 1).
+    3. The scans round that difference once more and pass it when it is at
+       most ``eps_eq``: the absolute floor of :func:`probs_equal`, and the
+       test of :func:`_chain_scan`.  So (1 + u) max(E_2, E_3) <= eps_eq
+       suffices.  It is evaluated in exact rationals, so the test adds no
+       rounding of its own.
+    """
+    if not math.isfinite(spread):
+        return False
+    u = _UNIT_ROUNDOFF
+    rho = Fraction(spread) * (1 + u) / (1 - u) ** 2
+    worst = Fraction(0)
+    for k in (2, 3):
+        gamma = (k - 1) * u / (1 - (k - 1) * u)
+        q = rho**k * (1 + gamma) / (1 - gamma)
+        worst = max(worst, Fraction(top) ** k * (1 + gamma) * (q - 1))
+    return (1 + u) * worst <= eps_eq
+
+
 def cached_revealed_constraints(
     scc: SCC, tol: ToleranceConfig = DEFAULT_TOL
 ) -> dict[int, int]:
@@ -243,9 +374,14 @@ def check_full_support(
     """Every non-empty collection of every menu has positive probability.
 
     Domain: all (T, S) with non-empty T contained in menu S, which has size
-    3^n - 2^n on a complete SCC.  No guards, so nothing is vacuous.
+    3^n - 2^n on a complete SCC.  No guards, so nothing is vacuous.  The
+    flag of :func:`_grand_row` settles "holds"; otherwise the rows are
+    compared with the achievable family.
     """
     require_complete(scc)
+    if _grand_row(scc, tol).full_support:
+        n = scc.universe.n
+        return _Collector(AxiomId.FULL_SUPPORT, cap).report(scc, 3**n - 2**n, 0)
     return _support_shape_report(scc, tol, cap, AxiomId.FULL_SUPPORT)
 
 
@@ -284,14 +420,34 @@ def check_iis(
     Counts per menu pair, with k collections positive in both menus (the
     empty one excluded in the standard form) and m = 2^|S n S'| - 1: C(k,2)
     checked and C(m,2) - C(k,2) vacuous, or k*m and (m+1-k)*m in the
-    empty-collection form.  Exact mode certifies a menu pair with
-    :func:`_rank_one` on its two rows over the guarded collections (over
-    every subset of S n S' in the empty-collection form) and scans only
-    the pairs that fail it.
+    empty-collection form.  When the grand-row certificate of
+    :func:`_grand_row` holds, every guard does, so the report is "holds"
+    with the whole domain checked, summed in closed form over the sizes of
+    menu intersections.  Otherwise :func:`_iis_scan` decides.
     """
     require_complete(scc)
     axiom = AxiomId.IIS_O if empty_variant else AxiomId.IIS
     out = _Collector(axiom, cap)
+    if _grand_row(scc, tol).certifies(axiom):
+        n = scc.universe.n
+        checked = 0
+        for j in range(1, n + 1):
+            # C(n,j) (3^(n-j) - 1) / 2 menu pairs meet in j items: each other
+            # item is in S only, S' only or neither, and S = S' once
+            pairs, m = math.comb(n, j) * (3 ** (n - j) - 1) // 2, (1 << j) - 1
+            checked += pairs * (m * (m + 1) if empty_variant else m * (m - 1) // 2)
+        return out.report(scc, checked, 0)
+    return out.report(scc, *_iis_scan(scc, tol, out, empty_variant))
+
+
+def _iis_scan(
+    scc: SCC, tol: ToleranceConfig, out: _Collector, empty_variant: bool
+) -> tuple[int, int]:
+    """Both IIS forms, menu pair by menu pair; returns (checked, vacuous).
+    Exact mode certifies a menu pair with :func:`_rank_one` on its two rows
+    over the guarded collections (over every subset of S n S' in the
+    empty-collection form) and compares only the pairs that fail it."""
+    cap = out.cap
     rows = cached_scaled_rows(scc)[0]
     pos = _positive_rows(scc, tol)
     menus = scc.menus()
@@ -334,7 +490,7 @@ def check_iis(
                     out.add_equation(
                         scc, {"T": t, "T_prime": t2, "S": s, "S_prime": s2}, tol
                     )
-    return out.report(scc, checked, vacuous)
+    return checked, vacuous
 
 
 def _iis_sides(
@@ -734,16 +890,16 @@ def check_piis(
        several menus, mu(A,S)/mu(B,S) must not depend on S.  A failure is
        already a chain conflict (take T* = T' = B), reported as such.
     2. If stage 1 is clean, each co-occurring pair has one well-defined
-       ratio.  In exact mode a multiplicative potential is fitted over the
-       co-occurrence graph, each value kept as a numerator and denominator
-       of row values with no division; if every edge ratio matches the
-       potential, a certificate, all chain values telescope and the
-       postulate holds outright.
-    3. Otherwise (and always in float mode, where a long telescoping product
-       would accumulate error), chain values are compared pairwise across
-       intermediates by :func:`_chain_scan`.  It scans each unordered pair
-       once: the comparisons of (T', T) multiply the same numbers as those
-       of (T, T') with the two sides swapped, and both multiplication and
+       ratio.  In exact mode :func:`_fit_potential` fits a multiplicative
+       potential over the co-occurrence graph; if every edge ratio matches
+       it, a certificate, all chain values telescope and the postulate
+       holds outright.
+    3. Otherwise (and in float mode unless the grand-row certificate holds,
+       since a long telescoping product would accumulate error), chain
+       values are compared pairwise across intermediates by
+       :func:`_chain_scan`.  It scans each unordered pair once: the
+       comparisons of (T', T) multiply the same numbers as those of (T, T')
+       with the two sides swapped, and both multiplication and
        ``probs_equal`` are symmetric, so the mirror pair has the same
        verdicts bit for bit.
 
@@ -753,9 +909,25 @@ def check_piis(
     comparisons of ordered pairs in stage 3 (each unordered pair counts
     twice).  ``instances_vacuous`` counts ordered pairs of distinct support
     collections admitting no chain at all.
+
+    When the grand-row certificate of :func:`_grand_row` holds, every stage
+    would pass, so the report is "holds", nothing is vacuous, and the counts
+    of the stages that would run are summed in closed form.  With k_S
+    positive collections in menu S and N in the grand set, every pair of
+    collections co-occurs there: stage 1 repeats sum_S C(k_S,2) - C(N,2)
+    pairs, and then exact mode checks the C(N,2) edges of the potential,
+    float mode the 2 C(N,2) (N-2) chain comparisons of stage 3.
     """
     require_complete(scc)
     out = _Collector(AxiomId.PIIS, cap)
+    grand = _grand_row(scc, tol)
+    if grand.certifies(AxiomId.PIIS):
+        n = scc.universe.n
+        k = [(1 << size) - (not grand.empty) for size in range(n + 1)]
+        pairs = sum(math.comb(n, size) * math.comb(k[size], 2) for size in range(1, n + 1))
+        edges_x = math.comb(k[n], 2)
+        checked = pairs if scc.exact else pairs - edges_x + 2 * edges_x * (k[n] - 2)
+        return out.report(scc, checked, 0)
     pos = _positive_rows(scc, tol)
     checked = 0
 
@@ -786,36 +958,51 @@ def check_piis(
     if not out.clean:
         return out.report(scc, checked, vacuous)
 
-    # Stage 2 (exact mode): multiplicative potential over each component.
+    # Stage 2 (exact mode): a multiplicative potential.
     if scc.exact:
-        # phi(c) = potential[c][0] / potential[c][1]
-        potential: dict[int, tuple[Prob, Prob]] = {}
-        for root in support_colls:
-            if root in potential:
-                continue
-            potential[root] = (1, 1)
-            queue = [root]
-            while queue:
-                cur = queue.pop()
-                phi_num, phi_den = potential[cur]
-                for nxt in sorted(neighbors[cur]):
-                    if nxt in potential:
-                        continue
-                    num, den, _ = _edge(edges, cur, nxt)
-                    # ratio(cur,nxt) = phi(cur)/phi(nxt)
-                    potential[nxt] = (phi_num * den, phi_den * num)
-                    queue.append(nxt)
-        for (a, b), (num, den, _) in edges.items():
-            checked += 1
-            (a_num, a_den), (b_num, b_den) = potential[a], potential[b]
-            if a_num * den * b_den != b_num * num * a_den:
-                break
-        else:
+        fits, compared = _fit_potential(support_colls, neighbors, edges)
+        checked += compared
+        if fits:
             return out.report(scc, checked, vacuous)
 
     # Stage 3: direct chain comparison.
     checked += _chain_scan(scc, tol, out, support_colls, neighbors, edges)
     return out.report(scc, checked, vacuous)
+
+
+def _fit_potential(
+    colls: list[int],
+    neighbors: dict[int, set[int]],
+    edges: dict[tuple[int, int], tuple[Prob, Prob, int]],
+) -> tuple[bool, int]:
+    """PIIS stage 2 (exact mode): a multiplicative potential over each
+    component of the co-occurrence graph, each value kept as a numerator and
+    denominator of row values with no division.  Returns whether every edge
+    ratio matches it, and the edges compared up to the first that does not."""
+    # phi(c) = potential[c][0] / potential[c][1]
+    potential: dict[int, tuple[Prob, Prob]] = {}
+    for root in colls:
+        if root in potential:
+            continue
+        potential[root] = (1, 1)
+        queue = [root]
+        while queue:
+            cur = queue.pop()
+            phi_num, phi_den = potential[cur]
+            for nxt in sorted(neighbors[cur]):
+                if nxt in potential:
+                    continue
+                num, den, _ = _edge(edges, cur, nxt)
+                # ratio(cur,nxt) = phi(cur)/phi(nxt)
+                potential[nxt] = (phi_num * den, phi_den * num)
+                queue.append(nxt)
+    compared = 0
+    for (a, b), (num, den, _) in edges.items():
+        compared += 1
+        (a_num, a_den), (b_num, b_den) = potential[a], potential[b]
+        if a_num * den * b_den != b_num * num * a_den:
+            return False, compared
+    return True, compared
 
 
 def _edge(

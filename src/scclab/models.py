@@ -578,23 +578,27 @@ def _require_menu(menu: int, universe: Universe) -> None:
 
 def _menu_rows(
     spec: ModelSpec, universe: Universe, menus: Iterable[int]
-) -> Iterator[dict[int, Weight]]:
-    """The probability row of each of ``menus`` under an already-validated
-    spec, in the bundle's arithmetic mode: Fractions if the spec is exact,
-    floats otherwise, decided once for all the menus.  A menu that is not a
+) -> tuple[bool, Iterator[dict[int, Weight]]]:
+    """The bundle's arithmetic mode (True if exact), decided once, and the
+    probability row of each of ``menus`` under an already-validated spec in
+    that mode: Fractions if exact, floats otherwise.  A menu that is not a
     non-empty subset of the universe is refused with ShapeError, and a float
     row that does not sum to 1, as when weights overflow, with
     InvalidParamsError."""
     exact = spec.is_exact()
     coerce = Fraction if exact else float
-    for menu in menus:
-        _require_menu(menu, universe)
-        row = {t: coerce(p) for t, p in _MENU_ROWS[spec.model](spec, menu, exact).items()}
-        if not exact and not _sums_to_one(sum(row.values())):
-            raise InvalidParamsError(
-                f"weights overflow float arithmetic: a row sums to {sum(row.values())!r}, not 1"
-            )
-        yield row
+
+    def rows() -> Iterator[dict[int, Weight]]:
+        for menu in menus:
+            _require_menu(menu, universe)
+            row = {t: coerce(p) for t, p in _MENU_ROWS[spec.model](spec, menu, exact).items()}
+            if not exact and not _sums_to_one(sum(row.values())):
+                raise InvalidParamsError(
+                    f"weights overflow float arithmetic: a row sums to {sum(row.values())!r}, not 1"
+                )
+            yield row
+
+    return exact, rows()
 
 
 def menu_row(spec: ModelSpec, universe: Universe, menu: int) -> dict[int, Weight]:
@@ -602,7 +606,7 @@ def menu_row(spec: ModelSpec, universe: Universe, menu: int) -> dict[int, Weight
     (see :func:`_menu_rows`).  The spec is validated first, so a bad bundle
     raises InvalidParamsError."""
     spec.validate(universe)
-    return next(_menu_rows(spec, universe, (menu,)))
+    return next(_menu_rows(spec, universe, (menu,))[1])
 
 
 def evaluate(spec: ModelSpec, universe: Universe, collection: int, menu: int) -> Weight:
@@ -680,9 +684,10 @@ def generate_scc(spec: ModelSpec, universe: Universe) -> SCC:
     """
     spec.validate(universe)
     menus = range(1, universe.full_mask + 1)
+    exact, menu_rows = _menu_rows(spec, universe, menus)
     rows: dict[int, dict[int, Prob]] = {
         menu: {t: p for t, p in sorted(row.items()) if p > 0}
-        for menu, row in zip(menus, _menu_rows(spec, universe, menus))
+        for menu, row in zip(menus, menu_rows)
     }
     notes: tuple[str, ...] = ()
     params = spec.params
@@ -692,6 +697,6 @@ def generate_scc(spec: ModelSpec, universe: Universe) -> SCC:
         universe=universe,
         rows=rows,
         allows_empty=spec.empty_variant,
-        exact=spec.is_exact(),
+        exact=exact,
         mode_notes=notes,
     )

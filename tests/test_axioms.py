@@ -33,8 +33,10 @@ from scclab.axioms import (
     AxiomId,
     Witness,
     AxiomReport,
+    _GrandRow,
     _chain_bindings,
     _edge,
+    _grand_row,
     cached_report,
     cached_revealed_constraints,
     cached_scaled_rows,
@@ -331,19 +333,27 @@ def _copy_rows(scc, exact):
     return {m: {t: cast(p) for t, p in row.items()} for m, row in scc.rows.items()}
 
 
+#: A grand-row certificate that never holds: patched in, every check runs
+#: the path it runs where the certificate fails.
+NO_CERTIFICATE = _GrandRow(False, None, False)
+
+
 @pytest.fixture(scope="module")
 def piis_runs():
-    """check_piis per case and tolerance, and the same with the ordered-pair
-    oracle patched in as stage 3."""
+    """check_piis per case and tolerance without the grand-row certificate,
+    so that full-support data reaches the stages too, and the same with the
+    ordered-pair oracle patched in as stage 3."""
     runs, reached = [], []
     oracle = partial(_ordered_chain_scan, reached=reached)
-    for name, scc in _piis_cases():
-        for tol in (DEFAULT_TOL, ToleranceConfig(eps_eq=1e-2)):
-            fast = check_piis(scc, tol)
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(scclab.axioms, "_chain_scan", oracle)
-                slow = check_piis(scc, tol)
-            runs.append((name, scc, tol, fast, slow))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scclab.axioms, "_grand_row", lambda scc, tol: NO_CERTIFICATE)
+        for name, scc in _piis_cases():
+            for tol in (DEFAULT_TOL, ToleranceConfig(eps_eq=1e-2)):
+                fast = check_piis(scc, tol)
+                with pytest.MonkeyPatch.context() as inner:
+                    inner.setattr(scclab.axioms, "_chain_scan", oracle)
+                    slow = check_piis(scc, tol)
+                runs.append((name, scc, tol, fast, slow))
     return runs, reached
 
 
@@ -578,6 +588,152 @@ class TestRatioCertificates:
                 for cap, r in exact
                 if cap == 10
             ), axiom
+
+
+#: The perturbations of the full-support corpus: one cell scaled, or zeroed.
+PERTURBATIONS = (1.5, 1 + 1e-6, 1 + 1e-10, 0)
+
+
+def _full_support_cases():
+    """(name, change, scc): full-support logit, ic, logit_o and ic_o at
+    n = 3..6, exact and float, unchanged (change None), and at n = 3..5 with
+    one cell T of a menu of two or more cells scaled by each factor of
+    PERTURBATIONS (change (factor, T)).  The cell mu(X, X) is left alone: X
+    is chosen only from X, so scaling it changes no ratio that IIS or PIIS
+    compares."""
+    rng = random.Random(5100)
+    cases = []
+    for model in (ModelTag.LOGIT, ModelTag.IC):
+        for empty in (False, True):
+            for n in (3, 4, 5, 6):
+                config = GenConfig(n, model, seed=5100 + n, empty_variant=empty)
+                base = generate_scc(sample_params(config), Universe.default(n))
+                for exact in (True, False):
+                    for factor in (None, *PERTURBATIONS) if n < 6 else (None,):
+                        rows = _copy_rows(base, exact)
+                        change = None
+                        if factor is not None:
+                            menu = rng.choice([m for m in sorted(rows) if len(rows[m]) > 1])
+                            cell = rng.choice([t for t in rows[menu] if t != 2**n - 1])
+                            rows[menu][cell] *= F(factor) if exact else factor
+                            change = (factor, cell)
+                        name = f"full-{model.value}{'_o' if empty else ''}-n{n}-{exact}-{factor}"
+                        cases.append((name, change, SCC(base.universe, rows, empty, exact)))
+    return cases
+
+
+@pytest.fixture(scope="module")
+def grand_row_runs():
+    """(case, change, scc, tol, certificate, axiom, cap, report, fallback):
+    IIS, IIS_O, PIIS and FULL_SUPPORT through ``run_axiom``, and the same
+    with the certificate patched to fail, on the ratio and PIIS corpora and
+    the full-support corpus, at two tolerances and caps 1 and 10 (the
+    cap-1 fallback is the cap-10 one cut to its first witness).  IIS_O runs
+    on standard data in the full-support corpus only."""
+    cases = [(name, None, scc) for name, scc in _ratio_cases() + _piis_cases()]
+    runs = []
+    for name, change, scc in cases + _full_support_cases():
+        axioms = [AxiomId.IIS, AxiomId.PIIS, AxiomId.FULL_SUPPORT]
+        if scc.allows_empty or name.startswith("full-"):
+            axioms.append(AxiomId.IIS_O)
+        for tol in (DEFAULT_TOL, ToleranceConfig(eps_eq=1e-2)):
+            certificate = _grand_row(scc, tol)
+            for axiom in axioms:
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(scclab.axioms, "_grand_row", lambda *_: NO_CERTIFICATE)
+                    fallback = run_axiom(scc, axiom, tol, cap=10)
+                for cap in (1, 10):
+                    fast = run_axiom(scc, axiom, tol, cap=cap)
+                    slow = replace(fallback, witnesses=fallback.witnesses[:cap])
+                    runs.append((name, change, scc, tol, certificate, axiom, cap, fast, slow))
+    return runs
+
+
+class TestGrandRowCertificate:
+    def test_reports_match_the_fallback(self, grand_row_runs):
+        for name, _, _, tol, _, axiom, cap, fast, slow in grand_row_runs:
+            case = (name, tol.eps_eq, axiom, cap)
+            assert fast.holds == slow.holds, case
+            assert fast.witnesses == slow.witnesses, case
+            assert fast.instances_checked == slow.instances_checked, case
+            assert fast.instances_vacuous == slow.instances_vacuous, case
+            assert fast == slow, case
+
+    def test_full_support_data_is_certified(self, grand_row_runs):
+        plain = {
+            (name, tol.eps_eq): (scc, certificate)
+            for name, change, scc, tol, certificate, *_ in grand_row_runs
+            if name.startswith("full-") and change is None
+        }
+        assert len(plain) == 4 * 4 * 2 * 2  # variants, n = 3..6, modes, tolerances
+        for case, (scc, certificate) in plain.items():
+            assert certificate == _GrandRow(True, scc.allows_empty, True), case
+            assert certificate.certifies(AxiomId.IIS), case
+            assert certificate.certifies(AxiomId.PIIS), case
+            assert certificate.certifies(AxiomId.IIS_O) is scc.allows_empty, case
+
+    def test_perturbed_copies_reach_the_fallback(self, grand_row_runs):
+        seen = set()
+        for name, change, scc, tol, certificate, *_ in grand_row_runs:
+            if change is None or tol != DEFAULT_TOL:
+                continue
+            factor, cell = change
+            seen.add((scc.exact, factor))
+            case = (name, cell)
+            # a float cell off by 1e-10 moves no comparison past eps_eq = 1e-9
+            passes = not scc.exact and factor == 1 + 1e-10
+            if factor == 0 and cell == 0:
+                # IIS does not guard on the empty collection; the others do
+                assert certificate.full_support and certificate.empty is None, case
+                assert certificate.certifies(AxiomId.IIS), case
+            else:
+                assert certificate.proportional is passes, case
+                assert certificate.full_support is (factor != 0), case
+            assert certificate.certifies(AxiomId.PIIS) is passes, case
+            assert certificate.certifies(AxiomId.IIS_O) is (passes and scc.allows_empty), case
+        assert seen == {(exact, f) for exact in (True, False) for f in PERTURBATIONS}
+
+    def test_corpus_reaches_both_branches(self, grand_row_runs):
+        for axiom in (AxiomId.IIS, AxiomId.IIS_O, AxiomId.PIIS):
+            for exact in (True, False):
+                verdicts = {
+                    (certificate.certifies(axiom), fast.holds)
+                    for _, _, scc, _, certificate, ax, _, fast, _ in grand_row_runs
+                    if ax is axiom and scc.exact is exact
+                }
+                assert {(True, True), (False, True), (False, False)} <= verdicts, axiom
+
+    def test_decided_once_per_tolerance(self, monkeypatch):
+        spec = sample_params(GenConfig(4, ModelTag.LOGIT, seed=5200, empty_variant=True))
+        scc = generate_scc(spec, Universe.default(4))
+        calls = []
+        decide = scclab.axioms._decide_grand_row
+
+        def counted(scc, tol):
+            calls.append(tol)
+            return decide(scc, tol)
+
+        monkeypatch.setattr(scclab.axioms, "_decide_grand_row", counted)
+        readers = (AxiomId.IIS, AxiomId.IIS_O, AxiomId.PIIS, AxiomId.FULL_SUPPORT)
+        for tol in (DEFAULT_TOL, DEFAULT_TOL, ToleranceConfig(eps_eq=1e-2)):
+            reports = [r for r in full_battery(scc, tol) if r.axiom in readers]
+            assert len(reports) == 4 and all(r.holds for r in reports)
+        assert calls == [DEFAULT_TOL, ToleranceConfig(eps_eq=1e-2)]
+
+    def test_float_bound_is_refused_past_eps_eq(self):
+        # rows equal to the grand row up to rounding pass; a spread of 1e-6
+        # puts a two-entry product 1e-6 away, past eps_eq = 1e-9
+        assert scclab.axioms._float_certified(1.0, 1.0, 1e-9)
+        assert scclab.axioms._float_certified(1 + 1e-10, 1.0, 1e-9)
+        assert not scclab.axioms._float_certified(1 + 1e-6, 1.0, 1e-9)
+        assert scclab.axioms._float_certified(1 + 1e-6, 1.0, 1e-2)
+        assert not scclab.axioms._float_certified(float("inf"), 1.0, 1e-2)
+        # PIIS stage 3 multiplies three entries: a spread of 1 + 4e-10 moves
+        # its products by about 1.2e-9, two-entry ones by only 8e-10
+        assert scclab.axioms._float_certified(1 + 3e-10, 1.0, 1e-9)
+        assert not scclab.axioms._float_certified(1 + 4e-10, 1.0, 1e-9)
+        # and the entries' size scales the products: 2^3 * 3e-10 > 1e-9
+        assert not scclab.axioms._float_certified(1 + 1e-10, 2.0, 1e-9)
 
 
 class TestPAF:

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 import scclab
+import scclab.axioms
 from scclab.core import (
     SCC,
     MixedFormatError,
@@ -332,6 +333,38 @@ class TestCli:
         assert by_name["IIS"]["holds"] and by_name["FULL_SUPPORT"]["holds"]
         # no single dataset satisfies every model's axioms, so findings exit
         assert code == 1
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+    def test_check_takes_the_grand_row_certificate(self, tmp_path, monkeypatch, capsys, exact):
+        """On full-support logit data at n=6, ``check`` reaches neither the
+        IIS pair scan nor PIIS stages 2 and 3: patched to raise, they leave
+        the output and exit code of the path without the certificate."""
+        scc = generate_scc(sample_params(GenConfig(6, ModelTag.LOGIT, seed=5300)), Universe.default(6))
+        if not exact:
+            rows = {m: {t: float(p) for t, p in row.items()} for m, row in scc.rows.items()}
+            scc = SCC(scc.universe, rows, exact=False)
+        path = tmp_path / "logit.json"
+        path.write_text(json.dumps(scc_to_document(scc)))
+
+        def run(axioms):
+            code = cli_main(["check", str(path), "--axioms", axioms])
+            return code, capsys.readouterr()
+
+        fails = scclab.axioms._GrandRow(False, None, False)
+        with monkeypatch.context() as patch:
+            patch.setattr(scclab.axioms, "_grand_row", lambda scc, tol: fails)
+            expected = {axioms: run(axioms) for axioms in ("all", "iis,piis,full_support")}
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the grand-row certificate should have decided")
+
+        for name in ("_iis_scan", "_fit_potential", "_chain_scan"):
+            monkeypatch.setattr(scclab.axioms, name, unreachable)
+        for axioms, outcome in expected.items():
+            assert run(axioms) == outcome, axioms
+        assert expected["iis,piis,full_support"][0] == 0
+        # logit data violates relative additivity, so the whole battery has findings
+        assert expected["all"][0] == 1
 
     def test_gen_reads_the_variant_from_the_document(self, tmp_path):
         document = {**logit_params_document(), "empty_variant": True}

@@ -377,23 +377,22 @@ def test_one_menu_message_names_no_bitmask():
 
 
 def test_nested_logit_mode_is_decided_per_dataset(monkeypatch):
-    """generate_scc asks a nested-logit bundle for its mode as often at n=5
-    (31 menus) as at n=3 (7 menus): the mode is decided once, not per menu."""
+    """generate_scc decides a nested-logit bundle's mode once per dataset, at
+    n=5 (31 menus) as at n=3 (7 menus), and the SCC's flag is that decision."""
     calls = []
-    is_exact = NestedLogitParams.is_exact
+    is_exact = ModelSpec.is_exact
 
-    def counted(params):
-        calls.append(params)
-        return is_exact(params)
+    def counted(spec):
+        calls.append(spec)
+        return is_exact(spec)
 
-    monkeypatch.setattr(NestedLogitParams, "is_exact", counted)
-    counts = []
+    monkeypatch.setattr(ModelSpec, "is_exact", counted)
     for n in (3, 5):
         spec = sample_params(GenConfig(n, ModelTag.NESTED_LOGIT, seed=800 + n))
         calls.clear()
-        generate_scc(spec, Universe.default(n))
-        counts.append(len(calls))
-    assert counts[0] == counts[1]
+        scc = generate_scc(spec, Universe.default(n))
+        assert len(calls) == 1
+        assert scc.exact is is_exact(spec)
 
 
 class TestGenerateScc:
