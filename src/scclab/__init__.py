@@ -74,6 +74,7 @@ from .axioms import (
     check_relative_additivity,
     check_rrm_suite,
     check_special,
+    characterizing_axioms,
     derive_revealed_constraints,
     derive_revealed_nests,
     full_battery,

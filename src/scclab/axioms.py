@@ -39,7 +39,9 @@ tables.  :func:`run_axiom` always evaluates;
 :func:`cached_report` and the ``cached_revealed_*`` functions keep each
 result in the SCC's memo, so a dataset is decided once per tolerance and
 witness cap; :func:`cached_scaled_rows` keeps the scaled rows there too,
-and :func:`_grand_row` its certificate, once per tolerance.
+and :func:`_positive_rows` the positivity table and :func:`_grand_row` its
+certificate, once per tolerance.  :func:`characterizing_axioms` is the one
+refusal of a model with no variant for a dataset's empty-collection flag.
 """
 
 from __future__ import annotations
@@ -174,11 +176,16 @@ class _Collector:
 
 def _positive_rows(scc: SCC, tol: ToleranceConfig) -> dict[int, dict[int, Prob]]:
     """Per menu, the sub-row of strictly positive entries of
-    :func:`cached_scaled_rows` (mode-aware)."""
-    return {
-        menu: {t: p for t, p in row.items() if is_positive(scc, p, tol)}
-        for menu, row in cached_scaled_rows(scc)[0].items()
-    }
+    :func:`cached_scaled_rows` under :func:`is_positive`: the one positivity
+    table every support test reads, built once per SCC and tolerance."""
+    return _memoized(
+        scc,
+        ("positive_rows", tol),
+        lambda: {
+            menu: {t: p for t, p in row.items() if is_positive(scc, p, tol)}
+            for menu, row in cached_scaled_rows(scc)[0].items()
+        },
+    )
 
 
 def _memoized(scc: SCC, key: tuple, compute: Callable[[], Any]) -> Any:
@@ -264,16 +271,15 @@ _UNIT_ROUNDOFF = Fraction(1, 2**53)
 
 def _decide_grand_row(scc: SCC, tol: ToleranceConfig) -> _GrandRow:
     rows = cached_scaled_rows(scc)[0]
+    pos = _positive_rows(scc, tol)
     menus = scc.menus()
     empties = 0
     for s in menus:
-        row = rows[s]
+        row, positive = rows[s], pos[s]
         subs = nonempty_submasks(s)
-        cells = list(map(row.get, subs, repeat(0)))
-        positive = all(cells) if scc.exact else min(cells) > tol.eps_zero
-        if not positive or len(row) > len(subs) + (0 in row):
+        if not all(map(positive.__contains__, subs)) or len(row) > len(subs) + (0 in row):
             return _GrandRow(False, None, False)
-        empties += is_positive(scc, row.get(0, 0), tol)
+        empties += 0 in positive
     empty = True if empties == len(menus) else False if empties == 0 else None
     family = submasks if empty else nonempty_submasks
     grand = rows[scc.universe.full_mask]
@@ -375,13 +381,10 @@ def check_full_support(
 
     Domain: all (T, S) with non-empty T contained in menu S, which has size
     3^n - 2^n on a complete SCC.  No guards, so nothing is vacuous.  The
-    flag of :func:`_grand_row` settles "holds"; otherwise the rows are
-    compared with the achievable family.
+    rows are compared with the achievable family, every non-empty subset of
+    S, by :func:`_support_shape_report`.
     """
     require_complete(scc)
-    if _grand_row(scc, tol).full_support:
-        n = scc.universe.n
-        return _Collector(AxiomId.FULL_SUPPORT, cap).report(scc, 3**n - 2**n, 0)
     return _support_shape_report(scc, tol, cap, AxiomId.FULL_SUPPORT)
 
 
@@ -420,30 +423,33 @@ def check_iis(
     Counts per menu pair, with k collections positive in both menus (the
     empty one excluded in the standard form) and m = 2^|S n S'| - 1: C(k,2)
     checked and C(m,2) - C(k,2) vacuous, or k*m and (m+1-k)*m in the
-    empty-collection form.  When the grand-row certificate of
-    :func:`_grand_row` holds, every guard does, so the report is "holds"
-    with the whole domain checked, summed in closed form over the sizes of
-    menu intersections.  Otherwise :func:`_iis_scan` decides.
+    empty-collection form.  The domain is summed once in closed form over
+    the sizes of menu intersections, and the vacuous count is the rest of
+    it.  When the grand-row certificate of :func:`_grand_row` holds, every
+    guard does, so the report is "holds" with the whole domain checked.
+    Otherwise :func:`_iis_scan` decides.
     """
     require_complete(scc)
     axiom = AxiomId.IIS_O if empty_variant else AxiomId.IIS
     out = _Collector(axiom, cap)
+    n = scc.universe.n
+    domain = 0
+    for j in range(1, n + 1):
+        # C(n,j) (3^(n-j) - 1) / 2 menu pairs meet in j items: each other
+        # item is in S only, S' only or neither, and S = S' once
+        pairs, m = math.comb(n, j) * (3 ** (n - j) - 1) // 2, (1 << j) - 1
+        domain += pairs * (m * (m + 1) if empty_variant else m * (m - 1) // 2)
     if _grand_row(scc, tol).certifies(axiom):
-        n = scc.universe.n
-        checked = 0
-        for j in range(1, n + 1):
-            # C(n,j) (3^(n-j) - 1) / 2 menu pairs meet in j items: each other
-            # item is in S only, S' only or neither, and S = S' once
-            pairs, m = math.comb(n, j) * (3 ** (n - j) - 1) // 2, (1 << j) - 1
-            checked += pairs * (m * (m + 1) if empty_variant else m * (m - 1) // 2)
-        return out.report(scc, checked, 0)
-    return out.report(scc, *_iis_scan(scc, tol, out, empty_variant))
+        checked = domain
+    else:
+        checked = _iis_scan(scc, tol, out, empty_variant)
+    return out.report(scc, checked, domain - checked)
 
 
 def _iis_scan(
     scc: SCC, tol: ToleranceConfig, out: _Collector, empty_variant: bool
-) -> tuple[int, int]:
-    """Both IIS forms, menu pair by menu pair; returns (checked, vacuous).
+) -> int:
+    """Both IIS forms, menu pair by menu pair; returns the instances checked.
     Exact mode certifies a menu pair with :func:`_rank_one` on its two rows
     over the guarded collections (over every subset of S n S' in the
     empty-collection form) and compares only the pairs that fail it."""
@@ -452,21 +458,18 @@ def _iis_scan(
     pos = _positive_rows(scc, tol)
     menus = scc.menus()
     checked = 0
-    vacuous = 0
     for i, s in enumerate(menus):
         row_s, pos_s = rows[s], pos[s]
         for s2 in menus[i + 1 :]:
             inter = s & s2
             row_s2 = rows[s2]
             common = pos_s.keys() & pos[s2].keys()
-            m = (1 << popcount(inter)) - 1
             if empty_variant:
-                here, domain = len(common) * m, (m + 1) * m
+                here = len(common) * ((1 << popcount(inter)) - 1)
             else:
                 common.discard(0)
-                here, domain = len(common) * (len(common) - 1) // 2, m * (m - 1) // 2
+                here = len(common) * (len(common) - 1) // 2
             checked += here
-            vacuous += domain - here
             if not here or len(out.witnesses) == cap:
                 continue
             if scc.exact:
@@ -490,7 +493,7 @@ def _iis_scan(
                     out.add_equation(
                         scc, {"T": t, "T_prime": t2, "S": s, "S_prime": s2}, tol
                     )
-    return checked, vacuous
+    return checked
 
 
 def _iis_sides(
@@ -1479,6 +1482,15 @@ CHARACTERIZING_AXIOMS: dict[tuple[ModelTag, bool], tuple[AxiomId, ...]] = {
     (ModelTag.RCG, True): (AxiomId.ADDITIVITY,),
     (ModelTag.IC, True): (AxiomId.IIS_O, AxiomId.ADDITIVITY),
 }
+
+
+def characterizing_axioms(model: ModelTag, allows_empty: bool) -> tuple[AxiomId, ...]:
+    """The axioms that characterize ``model`` on data whose empty-collection
+    flag is ``allows_empty``; WrongVariantError if it has no such variant."""
+    try:
+        return CHARACTERIZING_AXIOMS[(model, allows_empty)]
+    except KeyError:
+        raise WrongVariantError(f"{model.value} has no empty-collection variant") from None
 
 
 def run_axiom(

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .axioms import (
-    CHARACTERIZING_AXIOMS,
     AxiomId,
     cached_report,
     cached_revealed_constraints,
     cached_revealed_nests,
+    characterizing_axioms,
 )
 from .core import (
     SCC,
@@ -30,8 +30,6 @@ from .core import (
     Prob,
     ShapeError,
     ToleranceConfig,
-    WrongVariantError,
-    is_positive,
     is_zero,
     nonempty_submasks,
     probs_equal,
@@ -92,12 +90,7 @@ def _require(
     failure, so it is the precondition reported when several fail.
     """
     require_complete(scc)
-    try:
-        axioms = CHARACTERIZING_AXIOMS[(model, scc.allows_empty)]
-    except KeyError:
-        raise WrongVariantError(
-            f"{model.value} has no empty-collection variant"
-        ) from None
+    axioms = characterizing_axioms(model, scc.allows_empty)
     for axiom in sorted(axioms, key=lambda a: a is not AxiomId.FULL_SUPPORT):
         report = cached_report(scc, axiom, tol)
         if not report.holds:
@@ -163,12 +156,8 @@ def identify_rcg(scc: SCC, tol: ToleranceConfig = DEFAULT_TOL) -> RecoveryResult
     are enforced on the recovered bundle.
     """
     _require(scc, ModelTag.RCG, tol, "category-mass recovery")
-    full = scc.universe.full_mask
-    mass = {
-        c: p
-        for c, p in scc.rows[full].items()
-        if c != 0 and is_positive(scc, p, tol)
-    }
+    row = scc.rows[scc.universe.full_mask]
+    mass = {c: row[c] for c in cached_revealed_nests(scc, tol)}
     spec = ModelSpec(ModelTag.RCG, RCGParams(mass), scc.allows_empty)
     return _finish(
         scc,

@@ -27,6 +27,7 @@ from .axioms import (
     AxiomReport,
     Witness,
     cached_report,
+    characterizing_axioms,
     full_battery,
 )
 from .classify import HOLDS, ClassificationReport, classify
@@ -672,8 +673,8 @@ def _cmd_identify(args: argparse.Namespace) -> int:
             raise WrongVariantError(
                 "requested variant does not match the SCC's empty-collection flag"
             )
-        if (model, scc.allows_empty) not in CHARACTERIZING_AXIOMS:
-            raise WrongVariantError(f"{model.value} has no empty-collection variant")
+        # eba, ar and nested_logit recover through rcg and nsc: refuse the tag asked for
+        characterizing_axioms(model, scc.allows_empty)
         try:
             result = RECOVERIES[model](scc, tol=tol)
         except PreconditionFailedError as exc:

@@ -9,8 +9,9 @@ hand, fraction by fraction.
 import random
 from dataclasses import replace
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from itertools import combinations
+from operator import or_
 
 import pytest
 
@@ -23,12 +24,14 @@ from scclab.core import (
     WrongVariantError,
     bits,
     is_positive,
+    prob_lookup,
     probs_equal,
     submasks,
 )
 import scclab.axioms
 from scclab.axioms import (
     AXIOMS,
+    CHARACTERIZING_AXIOMS,
     WITNESS_CAP,
     AxiomId,
     Witness,
@@ -40,6 +43,7 @@ from scclab.axioms import (
     cached_report,
     cached_revealed_constraints,
     cached_scaled_rows,
+    characterizing_axioms,
     check_additivity,
     check_full_support,
     check_iis,
@@ -58,7 +62,7 @@ from scclab.axioms import (
     run_axiom,
     support_transfer_violations,
 )
-from scclab.fuzz import ALL_VARIANTS, GenConfig, sample_params
+from scclab.fuzz import ALL_VARIANTS, GenConfig, _carriers_of, sample_params
 from scclab.models import (
     EBAParams,
     Aspect,
@@ -438,10 +442,77 @@ def _reference_bindings(scc, axiom, tol):
                         yield {"S": s, "x": xbit, "T": t, "T_prime": t2}
 
 
-def _reference(scc, axiom, tol=DEFAULT_TOL, cap=WITNESS_CAP):
-    """An equation axiom decided from its definition: at every instance, its
-    ``sides`` are None (vacuous) or two values, which make a witness when
-    they differ.  The oracle for the scans' counts, verdicts and witnesses."""
+def _revealed_nests(scc, tol):
+    """The non-empty collections positive in the grand-set row, ascending."""
+    full = scc.universe.full_mask
+    return [t for t in submasks(full)[1:] if is_positive(scc, prob_lookup(scc, t, full), tol)]
+
+
+def _generators(scc, axiom, tol, attributes, s):
+    """The generators of a support-shape postulate at menu S, as its
+    docstring states them: every non-empty collection (FULL_SUPPORT), the
+    attribute carriers (POS2), the revealed constraint sets of S's items,
+    x with every y such that mu({x}, {x,y}) is zero (POS3), or the revealed
+    nests (POS4)."""
+    if axiom is AxiomId.FULL_SUPPORT:
+        return submasks(scc.universe.full_mask)[1:]
+    if axiom is AxiomId.POS2:
+        return attributes
+    if axiom is AxiomId.POS4:
+        return _revealed_nests(scc, tol)
+    constraint_sets = []
+    for x in bits(s):
+        q = 1 << x
+        for y in range(scc.universe.n):
+            if not is_positive(scc, prob_lookup(scc, 1 << x, (1 << x) | (1 << y)), tol):
+                q |= 1 << y
+        constraint_sets.append(q)
+    return constraint_sets
+
+
+def _structural_reference(scc, axiom, tol, attributes):
+    """(witnesses, checked) of PARTITION or a support-shape postulate from
+    its definition: T is achievable on S when some generator g has
+    g n S = T, and a non-empty T is a witness at S when it is positive
+    exactly where it is not achievable.  A menu lists its positive
+    unachievable collections first, then its achievable zero ones."""
+    full = scc.universe.full_mask
+    if axiom is AxiomId.PARTITION:
+        nests = _revealed_nests(scc, tol)
+        witnesses = [
+            Witness(axiom, {"T": t, "T_prime": t2}) for t, t2 in combinations(nests, 2) if t & t2
+        ]
+        uncovered = full & ~reduce(or_, nests, 0)
+        if uncovered:
+            witnesses.append(Witness(axiom, {"uncovered": uncovered}))
+        return witnesses, len(nests) * (len(nests) - 1) // 2 + 1
+    witnesses = []
+    for s in scc.menus():
+        achievable = {g & s for g in _generators(scc, axiom, tol, attributes, s)}
+        marked = {
+            t: is_positive(scc, prob_lookup(scc, t, s), tol) for t in submasks(s)[1:]
+        }
+        for positive in (True, False):
+            witnesses += [
+                Witness(axiom, {"T": t, "S": s}, prob_lookup(scc, t, s))
+                for t, shown in marked.items()
+                if shown is positive and (t in achievable) is not positive
+            ]
+    n = scc.universe.n
+    return witnesses, 3**n - 2**n
+
+
+def _reference(scc, axiom, tol=DEFAULT_TOL, cap=WITNESS_CAP, attributes=None):
+    """An axiom decided from its definition.  At every instance of an
+    equation axiom, its ``sides`` are None (vacuous) or two values, which
+    make a witness when they differ; a structural axiom goes through
+    :func:`_structural_reference`.  The oracle for the checks' counts,
+    verdicts and witnesses."""
+    if axiom in STRUCTURAL_AXIOMS:
+        witnesses, checked = _structural_reference(scc, axiom, tol, attributes)
+        return AxiomReport(
+            axiom, not witnesses, tuple(witnesses[:cap]), checked, 0, scc.arithmetic_mode
+        )
     witnesses, checked, vacuous = [], 0, 0
     for bindings in _reference_bindings(scc, axiom, tol):
         sides = AXIOMS[axiom].sides(scc, bindings, tol)
@@ -456,7 +527,7 @@ def _reference(scc, axiom, tol=DEFAULT_TOL, cap=WITNESS_CAP):
     )
 
 
-#: The axioms the reference decides; for the four with a rank-one
+#: The equation axioms the reference decides; for the four with a rank-one
 #: certificate, the bindings naming its unit (a menu pair, or an (S, x)).
 REFERENCE_AXIOMS = {
     AxiomId.IIS: ("S", "S_prime"),
@@ -468,6 +539,15 @@ REFERENCE_AXIOMS = {
     AxiomId.PAF: None,
     AxiomId.DET_FULL_CHOICE: None,
 }
+
+#: The structural axioms the reference decides.
+STRUCTURAL_AXIOMS = (
+    AxiomId.POS2,
+    AxiomId.POS3,
+    AxiomId.POS4,
+    AxiomId.FULL_SUPPORT,
+    AxiomId.PARTITION,
+)
 
 
 def _domain(axiom, n):
@@ -483,14 +563,16 @@ def _domain(axiom, n):
 
 
 def _ratio_cases():
-    """Every variant at n = 3..5, exact and float, unchanged and with one
-    cell scaled or zeroed; both IIS forms run on every one of them."""
+    """(name, scc, the generating bundle's attribute carriers or None):
+    every variant at n = 3..5, exact and float, unchanged and with one cell
+    scaled or zeroed; both IIS forms run on every one of them."""
     rng = random.Random(4100)
     cases = []
     for index, (model, empty) in enumerate(ALL_VARIANTS):
         for n in (3, 4, 5):
             config = GenConfig(n, model, seed=4100 + 3 * index + n, empty_variant=empty)
-            base = generate_scc(sample_params(config), Universe.default(n))
+            spec = sample_params(config)
+            base = generate_scc(spec, Universe.default(n))
             for exact in (True, False):
                 for factor in (None, rng.choice((1.5, 0.7, 0))):
                     rows = _copy_rows(base, exact)
@@ -500,40 +582,42 @@ def _ratio_cases():
                         cell = rng.choice(sorted(rows[menu]))
                         rows[menu][cell] *= F(factor) if exact else factor
                     name = f"{model.value}{'_o' if empty else ''}-n{n}-{exact}-{factor}"
-                    cases.append((name, SCC(base.universe, rows, base.allows_empty, exact)))
+                    scc = SCC(base.universe, rows, base.allows_empty, exact)
+                    cases.append((name, scc, _carriers_of(spec)))
     return cases
 
 
-def _compared(scc, axiom):
+def _compared(scc, axiom, attributes):
     """Whether ``run_axiom`` must match the reference: wherever the axiom
-    applies, IIS_O on standard data too, and REL_ADD_2 in exact mode only,
-    since its scan decides after clearing the adjustment's denominator."""
+    applies, POS2 with the generating bundle's carriers, IIS_O on standard
+    data too, and REL_ADD_2 in exact mode only, since its scan decides after
+    clearing the adjustment's denominator."""
     if axiom is AxiomId.REL_ADD_2 and not scc.exact:
         return False
-    return AXIOMS[axiom].applies(scc, None) or axiom is AxiomId.IIS_O
+    return AXIOMS[axiom].applies(scc, attributes) or axiom is AxiomId.IIS_O
 
 
 @pytest.fixture(scope="module")
 def ratio_runs():
-    """(case, scc, axiom, cap, run_axiom's report, the reference's report);
-    the reference runs once, its cap-1 report the cap-10 one cut to the
-    first witness."""
+    """(case, scc, axiom, cap, run_axiom's report, the reference's report,
+    attribute carriers); the reference runs once, its cap-1 report the
+    cap-10 one cut to the first witness."""
     runs = []
-    for name, scc in _ratio_cases():
-        for axiom in REFERENCE_AXIOMS:
-            if not _compared(scc, axiom):
+    for name, scc, attributes in _ratio_cases():
+        for axiom in (*REFERENCE_AXIOMS, *STRUCTURAL_AXIOMS):
+            if not _compared(scc, axiom, attributes):
                 continue
-            reference = _reference(scc, axiom, cap=10)
+            reference = _reference(scc, axiom, cap=10, attributes=attributes)
             for cap in (1, 10):
-                fast = run_axiom(scc, axiom, cap=cap)
+                fast = run_axiom(scc, axiom, attributes=attributes, cap=cap)
                 cut = replace(reference, witnesses=reference.witnesses[:cap])
-                runs.append((name, scc, axiom, cap, fast, cut))
+                runs.append((name, scc, axiom, cap, fast, cut, attributes))
     return runs
 
 
 class TestRatioCertificates:
     def test_reports_match_the_reference(self, ratio_runs):
-        for name, _, axiom, cap, fast, slow in ratio_runs:
+        for name, _, axiom, cap, fast, slow, _ in ratio_runs:
             case = (name, axiom, cap)
             assert fast.holds == slow.holds, case
             assert fast.witnesses == slow.witnesses, case
@@ -542,13 +626,13 @@ class TestRatioCertificates:
             assert fast == slow, case
 
     def test_witnesses_recheck(self, ratio_runs):
-        for name, scc, axiom, _, fast, _ in ratio_runs:
+        for name, scc, axiom, _, fast, _, attributes in ratio_runs:
             for witness in fast.witnesses:
-                assert recheck_witness(scc, witness), (name, axiom, witness)
+                assert recheck_witness(scc, witness, attributes=attributes), (name, witness)
 
     def test_counts_fill_the_closed_form_domain(self, ratio_runs):
-        for name, scc, axiom, _, fast, _ in ratio_runs:
-            if not REFERENCE_AXIOMS[axiom]:
+        for name, scc, axiom, _, fast, _, _ in ratio_runs:
+            if not REFERENCE_AXIOMS.get(axiom):
                 continue
             domain = _domain(axiom, scc.universe.n)
             assert fast.instances_checked + fast.instances_vacuous == domain, (name, axiom)
@@ -563,19 +647,28 @@ class TestRatioCertificates:
                 assert fast.instances_vacuous == 0, (name, axiom)
 
     def test_corpus_reaches_every_path(self, ratio_runs):
+        for axiom in STRUCTURAL_AXIOMS:
+            # every structural axiom holds somewhere and fails somewhere
+            for exact in (True, False):
+                verdicts = {
+                    r.holds
+                    for _, scc, ax, _, r, _, _ in ratio_runs
+                    if ax is axiom and scc.exact is exact
+                }
+                assert verdicts == {True, False}, (axiom, exact)
         for axiom, unit in REFERENCE_AXIOMS.items():
             # every axiom fails somewhere, in each mode it is compared in
             for exact in (True, False) if axiom is not AxiomId.REL_ADD_2 else (True,):
                 assert any(
                     not r.holds
-                    for _, scc, ax, _, r, _ in ratio_runs
+                    for _, scc, ax, _, r, _, _ in ratio_runs
                     if ax is axiom and scc.exact is exact
                 ), (axiom, exact)
             if not unit:
                 continue
             exact = [
                 (cap, fast)
-                for _, scc, ax, cap, fast, _ in ratio_runs
+                for _, scc, ax, cap, fast, _, _ in ratio_runs
                 if ax is axiom and scc.exact
             ]
             # the certificate settles "holds" with instances checked ...
@@ -630,7 +723,7 @@ def grand_row_runs():
     the full-support corpus, at two tolerances and caps 1 and 10 (the
     cap-1 fallback is the cap-10 one cut to its first witness).  IIS_O runs
     on standard data in the full-support corpus only."""
-    cases = [(name, None, scc) for name, scc in _ratio_cases() + _piis_cases()]
+    cases = [(name, None, scc) for name, scc, *_ in _ratio_cases() + _piis_cases()]
     runs = []
     for name, change, scc in cases + _full_support_cases():
         axioms = [AxiomId.IIS, AxiomId.PIIS, AxiomId.FULL_SUPPORT]
@@ -1058,6 +1151,14 @@ class TestDispatcherAndBattery:
         axioms = [r.axiom for r in full_battery(scc)]
         assert AxiomId.IIS_O in axioms and AxiomId.ADDITIVITY in axioms
 
+    def test_characterizing_axioms_reads_the_table_or_refuses(self):
+        assert len(CHARACTERIZING_AXIOMS) == 11
+        for (model, empty), axioms in CHARACTERIZING_AXIOMS.items():
+            assert characterizing_axioms(model, empty) is axioms
+        with pytest.raises(WrongVariantError) as refusal:
+            characterizing_axioms(ModelTag.RRM, True)
+        assert str(refusal.value) == "rrm has no empty-collection variant"
+
     def test_witness_cap(self, nsc_scc):
         report = check_relative_additivity(nsc_scc, cap=1)
         assert not report.holds
@@ -1098,6 +1199,30 @@ class TestMemo:
             for witness in report.witnesses:
                 assert recheck_witness(scc, witness)
         assert sorted(calls) == ["derive_revealed_constraints", "derive_revealed_nests"]
+
+    def test_positivity_table_built_once_per_tolerance(self, nsc_scc, monkeypatch):
+        spec = sample_params(GenConfig(4, ModelTag.LOGIT, seed=5200))
+        logit = generate_scc(spec, Universe.default(4))
+        tables = []
+        build = scclab.axioms._positive_rows
+
+        def recorded(scc, tol):
+            tables.append((scc, tol, build(scc, tol)))
+            return tables[-1][2]
+
+        monkeypatch.setattr(scclab.axioms, "_positive_rows", recorded)
+        coarse = ToleranceConfig(eps_eq=1e-2)
+        for data in (SCC(U3, nsc_scc.rows), logit):
+            for tol in (DEFAULT_TOL, DEFAULT_TOL, coarse):
+                full_battery(data, tol, attributes=[AB, C] if data.universe.n == 3 else None)
+        # every reader of one SCC and tolerance gets the one table built for them
+        built = {}
+        for scc, tol, table in tables:
+            built.setdefault((id(scc), tol), set()).add(id(table))
+        assert len(built) == 4  # two SCCs at two tolerances
+        assert all(len(ids) == 1 for ids in built.values())
+        assert len(set().union(*built.values())) == 4  # and only for them
+        assert len(tables) > len(built)  # the table has several readers
 
     def test_tolerance_is_part_of_the_revealed_key(self, nsc_scc):
         rows = {m: {t: float(p) for t, p in row.items()} for m, row in nsc_scc.rows.items()}

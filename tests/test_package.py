@@ -61,3 +61,49 @@ def test_sampling_and_classification_take_only_what_callers_set():
     }
     for function, names in expected.items():
         assert list(inspect.signature(function).parameters) == names, function
+
+
+class _Wording(ast.NodeVisitor):
+    """The qualified names of the functions whose string literals contain
+    ``text`` (the module's name for a literal outside any function)."""
+
+    def __init__(self, module: str, text: str):
+        self.scope, self.text, self.found = [module], text, set()
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef
+
+    def visit_Constant(self, node):
+        if isinstance(node.value, str) and self.text in node.value:
+            self.found.add(".".join(self.scope))
+
+
+def _worded(text: str) -> set[str]:
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        visitor = _Wording(path.stem, text)
+        visitor.visit(ast.parse(path.read_text()))
+        found |= visitor.found
+    return found
+
+
+def test_each_shared_rule_is_stated_in_one_module():
+    # the support test's zero threshold is read only by the rule in scclab.core
+    readers = {
+        path.stem
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "eps_zero"
+        or isinstance(node, ast.Constant) and node.value == "eps_zero"
+    }
+    assert readers == {"core"}
+    # a dataset's missing variant is refused by scclab.axioms alone; a params
+    # document naming a variant its model lacks is refused where it is checked
+    assert _worded("has no empty-collection variant") == {
+        "axioms.characterizing_axioms",
+        "models.ModelSpec.validate",
+    }
