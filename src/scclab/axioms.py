@@ -223,16 +223,15 @@ def _scale_rows(scc: SCC) -> tuple[dict[int, dict[int, Prob]], dict[int, Prob]]:
 class _GrandRow(NamedTuple):
     """What :func:`_grand_row` decides about a complete SCC.
 
-    ``full_support``: every non-empty collection of every menu is positive,
-    and no collection but those and the empty one is recorded.  ``empty``:
-    the empty collection is positive in every menu (True), in none (False)
-    or in some (None).  ``proportional``: full support holds and every row
-    is proportional to the grand-set row on its menu's collections, the
-    empty one included when ``empty`` is True; exactly in exact mode, and in
-    float mode within the bound of :func:`_float_certified`.
+    ``empty``: the empty collection is positive in every menu (True), in
+    none (False) or in some (None).  ``proportional``: every non-empty
+    collection of every menu is positive, no other collection but the empty
+    one is recorded, and every row is proportional to the grand-set row on
+    its menu's collections, the empty one included when ``empty`` is True;
+    exactly in exact mode, and in float mode within the bound of
+    :func:`_float_certified`.
     """
 
-    full_support: bool
     empty: Optional[bool]
     proportional: bool
 
@@ -278,7 +277,7 @@ def _decide_grand_row(scc: SCC, tol: ToleranceConfig) -> _GrandRow:
         row, positive = rows[s], pos[s]
         subs = nonempty_submasks(s)
         if not all(map(positive.__contains__, subs)) or len(row) > len(subs) + (0 in row):
-            return _GrandRow(False, None, False)
+            return _GrandRow(None, False)
         empties += 0 in positive
     empty = True if empties == len(menus) else False if empties == 0 else None
     family = submasks if empty else nonempty_submasks
@@ -292,14 +291,14 @@ def _decide_grand_row(scc: SCC, tol: ToleranceConfig) -> _GrandRow:
         vs = list(map(rows[s].__getitem__, subs))
         if scc.exact:
             if not _rank_one(us, vs):
-                return _GrandRow(True, empty, False)
+                return _GrandRow(empty, False)
             continue
         if not (math.isfinite(sum(vs)) and low <= min(vs) and max(vs) <= high):
-            return _GrandRow(True, empty, False)
+            return _GrandRow(empty, False)
         ratios = list(map(truediv, vs, us))
         spread = max(spread, max(ratios) / min(ratios))
         top = max(top, max(vs))
-    return _GrandRow(True, empty, scc.exact or _float_certified(spread, top, tol.eps_eq))
+    return _GrandRow(empty, scc.exact or _float_certified(spread, top, tol.eps_eq))
 
 
 def _float_certified(spread: float, top: float, eps_eq: float) -> bool:

@@ -32,6 +32,8 @@ MAX_ITEMS = 16
 
 _DEFAULT_LABELS = "abcdefghijklmnop"
 
+_ZERO, _ONE = Fraction(0), Fraction(1)  # exact mode's, shared: Fractions are immutable
+
 
 class ScclabError(Exception):
     """Base class for all errors raised by this package."""
@@ -238,10 +240,10 @@ class SCC:
         return "exact" if self.exact else "float"
 
     def zero(self) -> Prob:
-        return Fraction(0) if self.exact else 0.0
+        return _ZERO if self.exact else 0.0
 
     def one(self) -> Prob:
-        return Fraction(1) if self.exact else 1.0
+        return _ONE if self.exact else 1.0
 
     def menus(self) -> list[int]:
         """Menus of the domain in ascending mask order."""

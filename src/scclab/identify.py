@@ -66,14 +66,18 @@ class RecoveryResult:
 
 
 def _rows_match(reference: SCC, regen: SCC, tol: ToleranceConfig) -> bool:
-    """Cell-by-cell row comparison under the reference's equality rule."""
+    """Cell-by-cell row comparison under the reference's equality rule, after
+    a test for equal rows in exact mode (parsed data may record zero cells)."""
+    if reference.exact and reference.rows == regen.rows:
+        return True
     if set(reference.rows) != set(regen.rows):
         return False
+    ref_zero, new_zero = reference.zero(), regen.zero()
     for menu, ref_row in reference.rows.items():
         new_row = regen.rows[menu]
         for coll in set(ref_row) | set(new_row):
-            a = ref_row.get(coll, reference.zero())
-            b = new_row.get(coll, regen.zero())
+            a = ref_row.get(coll, ref_zero)
+            b = new_row.get(coll, new_zero)
             if not probs_equal(reference, a, b, tol):
                 return False
     return True

@@ -12,7 +12,9 @@ A bundle is in exact mode (Fractions) unless one of its numbers is a float
 or, for nested logit, an exponent is not an integer; then the whole bundle
 is in float mode, and a non-integer exponent is recorded in the generated
 SCC's ``mode_notes``.  Rows are put in their bundle's mode in one place,
-``_menu_rows``, behind :func:`menu_row` and :func:`generate_scc`.
+``_menu_rows``, behind :func:`menu_row` and :func:`generate_scc`; it
+coerces only float rows, since an exact bundle's weights are scaled to ints
+once per dataset and its kernel builds each cell once, as a Fraction.
 
 Empty-collection variants exist for three models and are selected with an
 ``empty_variant`` flag rather than separate classes: the set-weight (logit)
@@ -63,9 +65,9 @@ def _is_exact(value: Weight) -> bool:
 
 
 def _div(num: Weight, den: Weight) -> Weight:
-    """Division that never silently drops into floats: int/int stays exact."""
-    if _is_exact(num) and _is_exact(den):
-        return Fraction(num) / Fraction(den)
+    """Division that never silently drops into floats: int/int is a Fraction."""
+    if isinstance(num, int) and isinstance(den, int):
+        return Fraction(num, den)
     return num / den
 
 
@@ -475,46 +477,14 @@ class ModelSpec:
         return self.params.is_exact()
 
 
-def _logit_row(params: LogitParams, menu: int, empty_variant: bool) -> dict[int, Weight]:
-    collections = nonempty_submasks(menu)
-    den: Weight = sum(params.weights[t] for t in collections)
-    row: dict[int, Weight] = {}
-    if empty_variant:
-        den = den + params.empty_weight
-        if params.empty_weight > 0:
-            row[0] = _div(params.empty_weight, den)
-    for t in collections:
-        row[t] = _div(params.weights[t], den)
-    return row
-
-
-def _ic_row(params: ICParams, menu: int, empty_variant: bool) -> dict[int, Weight]:
-    members = list(bits(menu))
-    none_mass: Weight = Fraction(1)
-    for i in members:
-        none_mass = none_mass * (1 - params.inclusion[i])
-    row: dict[int, Weight] = {}
-    for t in nonempty_submasks(menu):
-        p: Weight = Fraction(1)
-        for i in members:
-            g = params.inclusion[i]
-            p = p * (g if t & (1 << i) else 1 - g)
-        row[t] = p
-    if empty_variant:
-        row[0] = none_mass
-        return row
-    den = 1 - none_mass
-    return {t: _div(p, den) for t, p in row.items()}
-
-
 def _drawn_row(
-    draws: Iterable[tuple[Weight, int]], menu: int, empty_variant: bool = False
+    draws: Iterable[tuple[Weight, int]], menu: int, over: Weight | None = None
 ) -> dict[int, Weight]:
     """The row of a model that draws a weighted set and chooses its trace on
     the menu: the (weight, set) draws pooled by trace.  The empty-collection
-    variant keeps the pooled masses as they are; otherwise the empty trace
-    is dropped and the rest is divided by the total weight of the draws with
-    a non-empty trace."""
+    variant divides the pooled masses by ``over``, the draws' scale;
+    otherwise (``over`` None) the empty trace is dropped and the rest is
+    divided by the total weight of the draws with a non-empty trace."""
     acc: dict[int, Weight] = {}
     live: Weight = 0
     for weight, drawn in draws:
@@ -524,8 +494,8 @@ def _drawn_row(
         acc[t] = acc[t] + weight if t in acc else weight
         if t:
             live = live + weight
-    if empty_variant:
-        return acc
+    if over is not None:
+        return {t: _div(w, over) for t, w in acc.items()}
     acc.pop(0, None)
     return {t: _div(w, live) for t, w in acc.items()}
 
@@ -540,32 +510,95 @@ def _nested_logit_draws(
             yield params.induced_weight(nest & menu, i, exact), nest
 
 
-#: The row of a menu under each model, given the spec, the menu and the
-#: bundle's mode (which only nested logit's induced weights read).
-_MENU_ROWS: dict[ModelTag, Callable[[ModelSpec, int, bool], dict[int, Weight]]] = {
-    ModelTag.LOGIT: lambda spec, menu, exact: _logit_row(
-        spec.params, menu, spec.empty_variant
+#: A model's rows as a function of the menu, prepared once per dataset.
+_MenuRows = Callable[[int], dict[int, Weight]]
+
+
+def _scaled(weights: dict[int, Weight], exact: bool) -> tuple[dict[int, Weight], Weight]:
+    """Exact weights as ints, times the lcm of their denominators, with that
+    lcm; float-mode weights as they are, over 1."""
+    if not exact:
+        return weights, 1
+    scale = math.lcm(*(w.denominator for w in weights.values()))
+    return {k: w.numerator * (scale // w.denominator) for k, w in weights.items()}, scale
+
+
+def _logit_rows(spec: ModelSpec, exact: bool) -> _MenuRows:
+    """mu(T, S) = w(T) over the sum of w over S's collections, the empty
+    one's (key 0) included in the empty-collection variant."""
+    empty = {0: spec.params.empty_weight} if spec.empty_variant else {}
+    w, _ = _scaled({**spec.params.weights, **empty}, exact)
+
+    def row(menu: int) -> dict[int, Weight]:
+        collections = nonempty_submasks(menu)
+        den = sum(map(w.__getitem__, collections))
+        if spec.empty_variant:
+            den = den + w[0]
+            collections = [0] * (w[0] > 0) + collections
+        return {t: _div(w[t], den) for t in collections}
+
+    return row
+
+
+def _ic_rows(spec: ModelSpec, exact: bool) -> _MenuRows:
+    """Each rate g = a/b as the factors (a, b - a) over b if exact, else as
+    (g, 1 - g) over 1.  A menu's cells grow by its items in ascending order,
+    one product per cell, over the product of the bases (less the empty
+    draw's mass in the standard variant)."""
+    factors = {
+        i: (g.numerator, g.denominator - g.numerator, g.denominator) if exact else (g, 1 - g, 1)
+        for i, g in spec.params.inclusion.items()
+    }
+
+    def row(menu: int) -> dict[int, Weight]:
+        cells, base = {0: 1}, 1
+        for i in bits(menu):
+            yes, no, b = factors[i]
+            grown = {t: p * no for t, p in cells.items()}
+            grown.update((t | 1 << i, p * yes) for t, p in cells.items())
+            cells, base = grown, base * b
+        if not spec.empty_variant:
+            base = base - cells.pop(0)
+        return {t: _div(p, base) for t, p in cells.items()}
+
+    return row
+
+
+def _draw_rows(
+    spec: ModelSpec, exact: bool, weights: dict[int, Weight],
+    draws: Callable[[dict[int, Weight], int], Iterable[tuple[Weight, int]]],
+) -> _MenuRows:
+    """The rows of a draw model whose ``draws`` on a menu read its
+    ``weights``, scaled once (rcg's empty-collection variant over the scale)."""
+    scaled, scale = _scaled(weights, exact)
+    over = scale if spec.empty_variant else None
+    return lambda menu: _drawn_row(draws(scaled, menu), menu, over)
+
+
+def _attribute_rows(spec: ModelSpec, exact: bool) -> _MenuRows:
+    weights = dict(enumerate(a.weight for a in spec.params.attributes))
+    carriers = [a.carrier for a in spec.params.attributes]
+    return _draw_rows(spec, exact, weights, lambda w, menu: zip(w.values(), carriers))
+
+
+#: The rows of each model, prepared from the spec and the bundle's mode.
+_MENU_ROWS: dict[ModelTag, Callable[[ModelSpec, bool], _MenuRows]] = {
+    ModelTag.LOGIT: _logit_rows,
+    ModelTag.RCG: lambda spec, exact: _draw_rows(
+        spec, exact, spec.params.mass, lambda w, menu: zip(w.values(), w)
     ),
-    ModelTag.RCG: lambda spec, menu, exact: _drawn_row(
-        ((m, cat) for cat, m in spec.params.mass.items()), menu, spec.empty_variant
+    ModelTag.IC: _ic_rows,
+    ModelTag.EBA: _attribute_rows,
+    ModelTag.AR: _attribute_rows,
+    ModelTag.RRM: lambda spec, exact: _draw_rows(
+        spec, exact, spec.params.salience,
+        lambda w, menu: ((w[x], spec.params.constraints[x]) for x in bits(menu)),
     ),
-    ModelTag.IC: lambda spec, menu, exact: _ic_row(
-        spec.params, menu, spec.empty_variant
+    ModelTag.NSC: lambda spec, exact: _draw_rows(
+        spec, exact, spec.params.nest_weights,
+        lambda w, menu: ((w[n & menu], n) for n in spec.params.nests if n & menu),
     ),
-    ModelTag.EBA: lambda spec, menu, exact: _drawn_row(
-        ((a.weight, a.carrier) for a in spec.params.attributes), menu
-    ),
-    ModelTag.AR: lambda spec, menu, exact: _drawn_row(
-        ((a.weight, a.carrier) for a in spec.params.attributes), menu
-    ),
-    ModelTag.RRM: lambda spec, menu, exact: _drawn_row(
-        ((spec.params.salience[x], spec.params.constraints[x]) for x in bits(menu)), menu
-    ),
-    ModelTag.NSC: lambda spec, menu, exact: _drawn_row(
-        ((spec.params.nest_weights[n & menu], n) for n in spec.params.nests if n & menu),
-        menu,
-    ),
-    ModelTag.NESTED_LOGIT: lambda spec, menu, exact: _drawn_row(
+    ModelTag.NESTED_LOGIT: lambda spec, exact: lambda menu: _drawn_row(
         _nested_logit_draws(spec.params, menu, exact), menu
     ),
 }
@@ -581,17 +614,17 @@ def _menu_rows(
 ) -> tuple[bool, Iterator[dict[int, Weight]]]:
     """The bundle's arithmetic mode (True if exact), decided once, and the
     probability row of each of ``menus`` under an already-validated spec in
-    that mode: Fractions if exact, floats otherwise.  A menu that is not a
-    non-empty subset of the universe is refused with ShapeError, and a float
-    row that does not sum to 1, as when weights overflow, with
-    InvalidParamsError."""
+    that mode: Fractions if exact, as the kernels build them, and floats
+    otherwise, coerced here.  A menu that is not a non-empty subset of the
+    universe is refused with ShapeError, and a float row that does not sum
+    to 1, as when weights overflow, with InvalidParamsError."""
     exact = spec.is_exact()
-    coerce = Fraction if exact else float
+    row_of = _MENU_ROWS[spec.model](spec, exact)
 
     def rows() -> Iterator[dict[int, Weight]]:
         for menu in menus:
             _require_menu(menu, universe)
-            row = {t: coerce(p) for t, p in _MENU_ROWS[spec.model](spec, menu, exact).items()}
+            row = row_of(menu) if exact else {t: float(p) for t, p in row_of(menu).items()}
             if not exact and not _sums_to_one(sum(row.values())):
                 raise InvalidParamsError(
                     f"weights overflow float arithmetic: a row sums to {sum(row.values())!r}, not 1"
@@ -645,7 +678,7 @@ def eval_ar_item(
 
     draws = [(a.weight, a.carrier) for a in params.attributes]
     mu = _drawn_row(draws, menu)
-    pooled = _drawn_row(draws, menu, empty_variant=True)
+    pooled = _drawn_row(draws, menu, over=1)
     # the one-shot denominator, summed in document order as mu's is
     live = sum(w for w, carrier in draws if carrier & menu)
 

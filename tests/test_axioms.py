@@ -339,7 +339,7 @@ def _copy_rows(scc, exact):
 
 #: A grand-row certificate that never holds: patched in, every check runs
 #: the path it runs where the certificate fails.
-NO_CERTIFICATE = _GrandRow(False, None, False)
+NO_CERTIFICATE = _GrandRow(None, False)
 
 
 @pytest.fixture(scope="module")
@@ -760,7 +760,7 @@ class TestGrandRowCertificate:
         }
         assert len(plain) == 4 * 4 * 2 * 2  # variants, n = 3..6, modes, tolerances
         for case, (scc, certificate) in plain.items():
-            assert certificate == _GrandRow(True, scc.allows_empty, True), case
+            assert certificate == _GrandRow(scc.allows_empty, True), case
             assert certificate.certifies(AxiomId.IIS), case
             assert certificate.certifies(AxiomId.PIIS), case
             assert certificate.certifies(AxiomId.IIS_O) is scc.allows_empty, case
@@ -777,11 +777,11 @@ class TestGrandRowCertificate:
             passes = not scc.exact and factor == 1 + 1e-10
             if factor == 0 and cell == 0:
                 # IIS does not guard on the empty collection; the others do
-                assert certificate.full_support and certificate.empty is None, case
+                assert certificate.empty is None and certificate.proportional, case
                 assert certificate.certifies(AxiomId.IIS), case
             else:
                 assert certificate.proportional is passes, case
-                assert certificate.full_support is (factor != 0), case
+                assert certificate.empty is (scc.allows_empty if factor else None), case
             assert certificate.certifies(AxiomId.PIIS) is passes, case
             assert certificate.certifies(AxiomId.IIS_O) is (passes and scc.allows_empty), case
         assert seen == {(exact, f) for exact in (True, False) for f in PERTURBATIONS}

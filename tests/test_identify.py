@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from scclab.core import (
+    DEFAULT_TOL,
     PreconditionFailedError,
     SCC,
     ShapeError,
@@ -15,6 +16,7 @@ from scclab.axioms import AxiomId
 from scclab.fuzz import ALL_VARIANTS, GenConfig, sample_params
 from scclab.identify import (
     RECOVERIES,
+    _rows_match,
     identify_ic,
     identify_logit,
     identify_nsc,
@@ -280,3 +282,20 @@ def test_recovery_reports_the_dataset_mode(model, scc, floated):
         assert result.round_trip_exact is exact
         assert result.model_spec.is_exact() is exact
         assert generate_scc(result.model_spec, data.universe).exact is exact
+
+
+def test_round_trip_compares_rows_and_reads_explicit_zeros_as_absent():
+    """Equal exact rows match at once; a parsed dataset's explicit zero cell
+    still matches the regenerated row without it, in either mode, and one
+    changed cell does not."""
+    spec = sample_params(GenConfig(3, ModelTag.LOGIT, seed=2100))
+    scc = generate_scc(spec, U3)
+    assert _rows_match(scc, generate_scc(spec, U3), DEFAULT_TOL)
+    for exact, cast in ((True, F), (False, float)):
+        rows = {m: {t: cast(p) for t, p in row.items()} for m, row in scc.rows.items()}
+        regen = SCC(U3, rows, exact=exact)
+        zeroed = SCC(U3, {**rows, AB: {**rows[AB], 0: cast(0)}}, exact=exact)
+        assert _rows_match(zeroed, regen, DEFAULT_TOL)
+        assert _rows_match(regen, zeroed, DEFAULT_TOL)
+        moved = {**rows, AB: {**rows[AB], A: rows[AB][A] + cast(F(1, 7))}}
+        assert not _rows_match(SCC(U3, moved, exact=exact), regen, DEFAULT_TOL)

@@ -350,7 +350,7 @@ class TestCli:
             code = cli_main(["check", str(path), "--axioms", axioms])
             return code, capsys.readouterr()
 
-        fails = scclab.axioms._GrandRow(False, None, False)
+        fails = scclab.axioms._GrandRow(None, False)
         with monkeypatch.context() as patch:
             patch.setattr(scclab.axioms, "_grand_row", lambda scc, tol: fails)
             expected = {axioms: run(axioms) for axioms in ("all", "iis,piis,full_support")}

@@ -554,13 +554,45 @@ class TestMonotonicity:
 
 
 # ---------------------------------------------------------------------------
-# the draw-and-trace kernel against the per-model rows it replaced
+# the row kernels against the per-model rows they replaced
 
 
 def _div(num, den):
     if isinstance(num, (Fraction, int)) and isinstance(den, (Fraction, int)):
         return Fraction(num) / Fraction(den)
     return num / den
+
+
+def _logit_row(params, menu, empty_variant):
+    collections = nonempty_submasks(menu)
+    den = sum(params.weights[t] for t in collections)
+    row = {}
+    if empty_variant:
+        den = den + params.empty_weight
+        if params.empty_weight > 0:
+            row[0] = _div(params.empty_weight, den)
+    for t in collections:
+        row[t] = _div(params.weights[t], den)
+    return row
+
+
+def _ic_row(params, menu, empty_variant):
+    members = list(bits(menu))
+    none_mass = Fraction(1)
+    for i in members:
+        none_mass = none_mass * (1 - params.inclusion[i])
+    row = {}
+    for t in nonempty_submasks(menu):
+        p = Fraction(1)
+        for i in members:
+            g = params.inclusion[i]
+            p = p * (g if t & (1 << i) else 1 - g)
+        row[t] = p
+    if empty_variant:
+        row[0] = none_mass
+        return row
+    den = 1 - none_mass
+    return {t: _div(p, den) for t, p in row.items()}
 
 
 def _rcg_row(params, menu, empty_variant):
@@ -628,8 +660,19 @@ def _nl_row(params, menu, exact):
     return {t: _div(w, den) for t, w in acc.items()}
 
 
-#: Per set-draw model: the replaced row (as oracle) and a float copy of a bundle.
+#: Per model: the replaced row (as oracle) and a float copy of a bundle.
 ORACLES = {
+    ModelTag.LOGIT: (
+        lambda spec, menu: _logit_row(spec.params, menu, spec.empty_variant),
+        lambda p: LogitParams(
+            {t: float(w) for t, w in p.weights.items()},
+            None if p.empty_weight is None else float(p.empty_weight),
+        ),
+    ),
+    ModelTag.IC: (
+        lambda spec, menu: _ic_row(spec.params, menu, spec.empty_variant),
+        lambda p: ICParams({x: float(g) for x, g in p.inclusion.items()}),
+    ),
     ModelTag.RCG: (
         lambda spec, menu: _rcg_row(spec.params, menu, spec.empty_variant),
         lambda p: RCGParams({c: float(m) for c, m in p.mass.items()}),
@@ -660,7 +703,23 @@ ORACLES = {
     ),
 }
 
-KERNEL_VARIANTS = [(model, False) for model in ORACLES] + [(ModelTag.RCG, True)]
+KERNEL_VARIANTS = [(model, False) for model in ORACLES] + [
+    (model, True) for model in (ModelTag.LOGIT, ModelTag.RCG, ModelTag.IC)
+]
+
+
+def _recovered_logit(params, seed):
+    """Sampled logit weights over their total, as a recovery writes them, so
+    that exact weights have denominators and float sums round; seed 0 gets a
+    zero empty weight, which its rows leave out."""
+    empty = params.empty_weight
+    if empty is not None and seed == 0:
+        empty = 0
+    total = sum(params.weights.values()) + (empty or 0)
+    return LogitParams(
+        {t: F(w, total) for t, w in params.weights.items()},
+        None if empty is None else F(empty, total),
+    )
 
 
 def _kernel_bundles(model, empty):
@@ -668,6 +727,8 @@ def _kernel_bundles(model, empty):
     for n in range(2, 7):
         for seed in range(4):
             spec = sample_params(GenConfig(n, model, seed=700 + seed, empty_variant=empty))
+            if model is ModelTag.LOGIT:
+                spec = ModelSpec(model, _recovered_logit(spec.params, seed), empty)
             floated = ModelSpec(model, ORACLES[model][1](spec.params), empty)
             assert not floated.is_exact()
             yield spec, floated, Universe.default(n)
@@ -686,12 +747,55 @@ class TestDrawnRowKernel:
                     # bit-identical, not merely close
                     assert menu_row(floated, universe, menu) == oracle(floated, menu)
 
+    @pytest.mark.parametrize("empty", [False, True], ids=["standard", "empty"])
+    def test_mixed_bundles_match_the_replaced_rows(self, empty):
+        """Bundles mixing Fraction and float literals run in float mode, on
+        the replaced rows' operands in their order of operations."""
+        mixed = {
+            ModelTag.LOGIT: lambda p: LogitParams(
+                {t: float(w) if t & 1 else w for t, w in p.weights.items()}, p.empty_weight
+            ),
+            ModelTag.IC: _first_rate_floated,
+        }
+        for model, copy in mixed.items():
+            for spec, _, universe in _kernel_bundles(model, empty):
+                spec = ModelSpec(model, copy(spec.params), empty)
+                assert not spec.is_exact()
+                for menu in range(1, universe.full_mask + 1):
+                    expected = {t: float(p) for t, p in ORACLES[model][0](spec, menu).items()}
+                    assert menu_row(spec, universe, menu) == expected
+
     def test_float_rcg_rows_are_float_eba_rows(self):
         for _, floated, universe in _kernel_bundles(ModelTag.RCG, False):
             aspects = tuple(Aspect(m, c) for c, m in floated.params.mass.items())
             eba = ModelSpec(ModelTag.EBA, EBAParams(aspects))
             for menu in range(1, universe.full_mask + 1):
                 assert menu_row(floated, universe, menu) == menu_row(eba, universe, menu)
+
+
+def test_exact_rows_cost_no_fraction_arithmetic_per_cell(monkeypatch):
+    """Exact kernels compute in ints and build each cell once: generating an
+    n=6 dataset takes fewer Fraction operations than it has menus.  Nested
+    logit is left out: its induced weights are Fraction powers."""
+    universe = Universe.default(6)
+    specs = [
+        sample_params(GenConfig(6, model, seed=1700, empty_variant=empty))
+        for model, empty in ALL_VARIANTS
+        if model is not ModelTag.NESTED_LOGIT
+    ]
+    calls = []
+    for op in ("add", "sub", "mul", "truediv"):
+        for name in (f"__{op}__", f"__r{op}__"):
+
+            def counted(a, b, _original=getattr(Fraction, name)):
+                calls.append(a)
+                return _original(a, b)
+
+            monkeypatch.setattr(Fraction, name, counted)
+    for spec in specs:
+        calls.clear()
+        assert generate_scc(spec, universe).exact
+        assert len(calls) < universe.full_mask, (spec.model, spec.empty_variant)
 
 
 # ---------------------------------------------------------------------------
@@ -746,16 +850,6 @@ def test_ar_item_matches_hand_pooled(n):
 # ---------------------------------------------------------------------------
 # one arithmetic mode per bundle, whichever function reads it
 
-FLOAT_COPIES = {
-    ModelTag.LOGIT: lambda p: LogitParams(
-        {t: float(w) for t, w in p.weights.items()},
-        None if p.empty_weight is None else float(p.empty_weight),
-    ),
-    ModelTag.IC: lambda p: ICParams({x: float(g) for x, g in p.inclusion.items()}),
-    **{model: copy for model, (_, copy) in ORACLES.items()},
-}
-
-
 def _first_rate_floated(p):
     """An ic bundle mixing literal kinds: only item 0's rate is a float."""
     return ICParams({x: float(g) if x == 0 else g for x, g in p.inclusion.items()})
@@ -770,7 +864,7 @@ def _mode_bundles():
             universe = Universe.default(n)
             spec = sample_params(GenConfig(n, model, seed=900 + n, empty_variant=empty))
             yield spec, universe, Fraction
-            yield ModelSpec(model, FLOAT_COPIES[model](spec.params), empty), universe, float
+            yield ModelSpec(model, ORACLES[model][1](spec.params), empty), universe, float
             if model is ModelTag.IC:
                 mixed = _first_rate_floated(spec.params)
                 yield ModelSpec(model, mixed, empty), universe, float
