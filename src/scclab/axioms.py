@@ -58,6 +58,7 @@ from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence
 from .core import (
     SCC,
     DEFAULT_TOL,
+    SCALED_ROWS,
     MenuAbsentError,
     MissingAttributesError,
     MissingBinaryMenuError,
@@ -73,6 +74,7 @@ from .core import (
     prob_lookup,
     probs_equal,
     require_complete,
+    scale_row,
     submasks,
 )
 from .models import ModelTag
@@ -199,25 +201,25 @@ def cached_scaled_rows(scc: SCC) -> tuple[dict[int, dict[int, Prob]], dict[int, 
     """The rows the ratio checks compare, and each row's denominator.
 
     In exact mode each row is its entries' integer numerators over their
-    least common denominator, the fraction-free idea of Bareiss (1968).  A
-    comparison with one factor from each row involved on both sides scales
-    both sides alike, so its verdict is unchanged and it runs in ``int``
-    arithmetic; a side lacking some row's factor is multiplied by that row's
-    denominator.  In float mode the rows are ``scc.rows`` unchanged, with
-    unit denominators.
+    least common denominator (:func:`scale_row`), the fraction-free idea of
+    Bareiss (1968).  A comparison with one factor from each row involved on
+    both sides scales both sides alike, so its verdict is unchanged and it
+    runs in ``int`` arithmetic; a side lacking some row's factor is
+    multiplied by that row's denominator.  In float mode the rows are
+    ``scc.rows`` unchanged, with unit denominators.  :func:`validate_scc`
+    leaves a clean exact SCC's scaled rows in the memo, so a parsed dataset
+    is scaled once, while it is validated.
     """
-    return _memoized(scc, ("scaled_rows",), lambda: _scale_rows(scc))
 
+    def scale():
+        if not scc.exact:
+            return scc.rows, dict.fromkeys(scc.rows, 1)
+        rows, dens = {}, {}
+        for menu, row in scc.rows.items():
+            rows[menu], dens[menu] = scale_row(row)
+        return rows, dens
 
-def _scale_rows(scc: SCC) -> tuple[dict[int, dict[int, Prob]], dict[int, Prob]]:
-    if not scc.exact:
-        return scc.rows, dict.fromkeys(scc.rows, 1)
-    rows, dens = {}, {}
-    for menu, row in scc.rows.items():
-        den = math.lcm(*(p.denominator for p in row.values()))
-        rows[menu] = {t: p.numerator * (den // p.denominator) for t, p in row.items()}
-        dens[menu] = den
-    return rows, dens
+    return _memoized(scc, SCALED_ROWS, scale)
 
 
 class _GrandRow(NamedTuple):

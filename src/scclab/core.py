@@ -224,7 +224,8 @@ class SCC:
     nested-logit bundle with a non-integer exponent forcing float mode).
     ``memo`` holds results derived from the rows (axiom reports, revealed
     structure, and the scaled integer rows the exact ratio checks compare)
-    so each is computed once; rows must therefore not be changed after
+    so each is computed once; :func:`validate_scc` fills the scaled rows of
+    a clean exact SCC.  Rows must therefore not be changed after
     construction.
     """
 
@@ -278,6 +279,18 @@ def require_complete(scc: SCC) -> None:
         )
 
 
+def scale_row(row: dict[int, Fraction]) -> tuple[dict[int, int], int]:
+    """An exact row's (or weight map's) values as integer numerators over
+    their least common denominator, and that denominator: the package's one
+    scaling of exact values to ints."""
+    den = math.lcm(*(p.denominator for p in row.values()))
+    return {t: p.numerator * (den // p.denominator) for t, p in row.items()}, den
+
+
+#: The memo key of the scaled rows (see ``axioms.cached_scaled_rows``).
+SCALED_ROWS = ("scaled_rows",)
+
+
 def validate_scc(scc: SCC, tol: ToleranceConfig = DEFAULT_TOL) -> list[Violation]:
     """Check the three defining properties of an SCC.
 
@@ -287,18 +300,20 @@ def validate_scc(scc: SCC, tol: ToleranceConfig = DEFAULT_TOL) -> list[Violation
           (and only non-empty ones unless the SCC allows empty collections).
 
     Returns an empty list iff the SCC is clean.  Violations are data, not
-    errors: each names the offending menu and the failed property.
+    errors: each names the offending menu and the failed property.  An exact
+    row sums to 1 when its :func:`scale_row` numerators sum to their
+    denominator; a clean exact SCC keeps those scaled rows in its memo.
     """
     violations = []
+    rows, dens = {}, {}
     full = scc.universe.full_mask
-    for menu in sorted(scc.rows):
-        row = scc.rows[menu]
+    for menu, row in scc.rows.items():
         if menu == 0 or menu > full:
             violations.append(
                 Violation("iii", menu, "menu must be a non-empty subset of the grand set")
             )
             continue
-        total = Fraction(0) if scc.exact else 0.0
+        kept = {}
         for coll in sorted(row):
             p = row[coll]
             if isinstance(p, Fraction) != scc.exact:
@@ -321,7 +336,7 @@ def validate_scc(scc: SCC, tol: ToleranceConfig = DEFAULT_TOL) -> list[Violation
                 )
                 continue
             if scc.exact:
-                in_range = 0 <= p <= 1
+                in_range = 0 <= p.numerator <= p.denominator
             else:
                 in_range = -tol.eps_zero <= p <= 1 + tol.eps_zero
             if not in_range:
@@ -329,13 +344,24 @@ def validate_scc(scc: SCC, tol: ToleranceConfig = DEFAULT_TOL) -> list[Violation
                     Violation("i", menu, f"probability {p} of collection {coll} outside [0, 1]")
                 )
                 continue
-            total += p
+            kept[coll] = p
         if scc.exact:
-            sums_to_one = total == 1
+            # the whole row, in its stored order, when no cell was skipped
+            rows[menu], dens[menu] = scale_row(row if len(kept) == len(row) else kept)
+            total = sum(rows[menu].values())
+            sums_to_one = total == dens[menu]
         else:
+            total = 0.0
+            for p in kept.values():
+                total += p
             sums_to_one = abs(total - 1.0) <= tol.eps_sum
         if not sums_to_one:
+            total = Fraction(total, dens[menu]) if scc.exact else total
             violations.append(Violation("ii", menu, f"row sums to {total}, not 1"))
+    if violations:
+        violations.sort(key=lambda v: v.menu)  # stable: each menu's own order stays
+    elif scc.exact:
+        scc.memo[SCALED_ROWS] = rows, dens
     return violations
 
 

@@ -69,11 +69,16 @@ def parse_prob_literal(text: str) -> tuple[Prob, bool]:
     """Parse a probability string into ``(value, is_exact)``.
 
     "num/den" and bare integers are exact; any literal containing a decimal
-    point or exponent is a float.  Everything else is a schema error.
+    point or exponent is a float.  Everything else is a schema error.  A
+    "num/den" of plain ASCII digits is read with ``int``; any other reaches
+    ``Fraction``'s own parser, which decides its value or its error.
     """
     token = text.strip()
+    num, slash, den = token.partition("/")
     try:
-        if "/" in token:
+        if slash and token.isascii() and num.isdigit() and den.isdigit():
+            return Fraction(int(num), int(den)), True
+        if slash:
             return Fraction(token), True
         if any(c in token for c in ".eE"):
             value = float(token)
@@ -146,15 +151,22 @@ def parse_scc(document: Any, tol: ToleranceConfig = DEFAULT_TOL) -> SCC:
     if not isinstance(allows_empty, bool):
         raise SchemaError("allows_empty: expected a boolean")
     menus_field = _require_type(document.get("menus", []), list, "menus")
+    masks: dict[tuple, int] = {}  # (allow_empty, *labels) → mask, of label lists accepted
+
+    def mask_of(labels: Any, context: str, allow_empty: bool = True) -> int:
+        key = (allow_empty, *labels) if isinstance(labels, list) else None
+        try:
+            return masks[key]
+        except (KeyError, TypeError):  # unseen, or an unhashable label
+            mask = masks[key] = _mask_from_labels(universe, labels, context, allow_empty)
+            return mask
 
     rows: dict[int, dict[int, Prob]] = {}
     saw_exact = saw_float = False
     for mi, entry in enumerate(menus_field):
         context = f"menus[{mi}]"
         _require_type(entry, dict, context)
-        menu = _mask_from_labels(
-            universe, entry.get("menu"), f"{context}.menu", allow_empty=False
-        )
+        menu = mask_of(entry.get("menu"), f"{context}.menu", allow_empty=False)
         if menu in rows:
             raise SchemaError(f"{context}: duplicate menu {universe.labels_of(menu)}")
         row: dict[int, Prob] = {}
@@ -162,9 +174,7 @@ def parse_scc(document: Any, tol: ToleranceConfig = DEFAULT_TOL) -> SCC:
         for ri, cell in enumerate(cells):
             cell_context = f"{context}.rows[{ri}]"
             _require_type(cell, dict, cell_context)
-            collection = _mask_from_labels(
-                universe, cell.get("set"), f"{cell_context}.set"
-            )
+            collection = mask_of(cell.get("set"), f"{cell_context}.set")
             if collection in row:
                 raise SchemaError(
                     f"{cell_context}: duplicate set {universe.labels_of(collection)}"

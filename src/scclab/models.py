@@ -40,6 +40,7 @@ from .core import (
     Universe,
     bits,
     nonempty_submasks,
+    scale_row,
 )
 
 Weight = Union[Fraction, float]
@@ -515,12 +516,9 @@ _MenuRows = Callable[[int], dict[int, Weight]]
 
 
 def _scaled(weights: dict[int, Weight], exact: bool) -> tuple[dict[int, Weight], Weight]:
-    """Exact weights as ints, times the lcm of their denominators, with that
-    lcm; float-mode weights as they are, over 1."""
-    if not exact:
-        return weights, 1
-    scale = math.lcm(*(w.denominator for w in weights.values()))
-    return {k: w.numerator * (scale // w.denominator) for k, w in weights.items()}, scale
+    """Exact weights as ints over the lcm of their denominators, with that
+    lcm (:func:`scale_row`); float-mode weights as they are, over 1."""
+    return scale_row(weights) if exact else (weights, 1)
 
 
 def _logit_rows(spec: ModelSpec, exact: bool) -> _MenuRows:
@@ -718,8 +716,9 @@ def generate_scc(spec: ModelSpec, universe: Universe) -> SCC:
     spec.validate(universe)
     menus = range(1, universe.full_mask + 1)
     exact, menu_rows = _menu_rows(spec, universe, menus)
+    # no kernel yields a negative cell, so truthiness drops the zero ones
     rows: dict[int, dict[int, Prob]] = {
-        menu: {t: p for t, p in sorted(row.items()) if p > 0}
+        menu: {t: p for t, p in sorted(row.items()) if p}
         for menu, row in zip(menus, menu_rows)
     }
     notes: tuple[str, ...] = ()

@@ -5,14 +5,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from scclab.axioms import check_full_support
+import scclab.axioms
+from scclab.axioms import cached_scaled_rows, check_full_support
 from scclab.core import (
+    DEFAULT_TOL,
     IncompleteDatasetError,
     MenuAbsentError,
     SCC,
     ShapeError,
     ToleranceConfig,
     Universe,
+    Violation,
     bits,
     is_positive,
     is_zero,
@@ -24,6 +27,8 @@ from scclab.core import (
     submasks,
     validate_scc,
 )
+from scclab.fuzz import GenConfig, sample_params
+from scclab.models import ModelTag, generate_scc
 
 F = Fraction
 
@@ -145,6 +150,133 @@ class TestValidation:
         # a row summing to 1 within eps_sum is clean in float mode
         rows = {1: {1: 1.0}, 2: {2: 1.0}, 3: {1: 0.5000000001, 2: 0.4999999999}}
         assert validate_scc(make_scc(rows, exact=False)) == []
+
+
+def _fraction_validation(scc, tol=DEFAULT_TOL):
+    """validate_scc as it read before exact rows were scaled: each row's
+    Fraction sum, and Fraction comparisons for the range."""
+    violations = []
+    full = scc.universe.full_mask
+    for menu in sorted(scc.rows):
+        row = scc.rows[menu]
+        if menu == 0 or menu > full:
+            violations.append(
+                Violation("iii", menu, "menu must be a non-empty subset of the grand set")
+            )
+            continue
+        total = Fraction(0) if scc.exact else 0.0
+        for coll in sorted(row):
+            p = row[coll]
+            if isinstance(p, Fraction) != scc.exact:
+                mode, kind = ("exact", "non-rational") if scc.exact else ("float", "rational")
+                message = f"{mode}-mode SCC stores a {kind} value for collection {coll}"
+                violations.append(Violation("storage", menu, message))
+                continue
+            if coll & ~menu:
+                violations.append(
+                    Violation("iii", menu, f"collection {coll} is not a subset of its menu")
+                )
+                continue
+            if coll == 0 and not scc.allows_empty:
+                violations.append(
+                    Violation("iii", menu, "empty collection recorded on a standard SCC")
+                )
+                continue
+            if scc.exact:
+                in_range = 0 <= p <= 1
+            else:
+                in_range = -tol.eps_zero <= p <= 1 + tol.eps_zero
+            if not in_range:
+                violations.append(
+                    Violation("i", menu, f"probability {p} of collection {coll} outside [0, 1]")
+                )
+                continue
+            total += p
+        if scc.exact:
+            sums_to_one = total == 1
+        else:
+            sums_to_one = abs(total - 1.0) <= tol.eps_sum
+        if not sums_to_one:
+            violations.append(Violation("ii", menu, f"row sums to {total}, not 1"))
+    return violations
+
+
+def _swap(value, exact):
+    """The value in the other arithmetic mode."""
+    return float(value) if exact else Fraction(value)
+
+
+#: name -> (change to a copy of 3-item rows, the property ids it must raise
+#: on a standard SCC); values are built in the SCC's mode by ``num``.
+CORRUPTIONS = {
+    "clean": (lambda rows, num, exact: None, []),
+    "scaled": (lambda rows, num, exact: rows[7].update({1: rows[7][1] * num(3, 2)}), ["ii"]),
+    "negative": (lambda rows, num, exact: rows[6].update({2: -rows[6][2]}), ["i", "ii"]),
+    "above_one": (lambda rows, num, exact: rows[3].update({1: num(2)}), ["i", "ii"]),
+    "non_subset": (lambda rows, num, exact: rows[1].update({3: rows[1].pop(1)}), ["iii", "ii"]),
+    "empty_collection": (lambda rows, num, exact: rows[5].update({0: rows[5].pop(5)}),
+                         ["iii", "ii"]),
+    "storage": (lambda rows, num, exact: rows[7].update({2: _swap(rows[7][2], exact)}),
+                ["storage", "ii"]),
+    "bad_menu": (lambda rows, num, exact: rows.update({0: {0: num(1)}, 8: {8: num(1)}}),
+                 ["iii", "iii"]),
+    "several": (
+        lambda rows, num, exact: (
+            rows[7].update({2: _swap(rows[7][2], exact), 3: num(-1, 4)}),
+            rows[2].update({3: num(1, 2)}),
+        ),
+        ["iii", "storage", "i", "ii"],
+    ),
+}
+
+
+def _validation_case(corruption, exact, allows_empty, reverse):
+    """A 3-item logit dataset with one corruption, in either mode and
+    variant, its menus and cells stored in ascending or descending order."""
+    spec = sample_params(GenConfig(3, ModelTag.LOGIT, seed=3, empty_variant=allows_empty))
+    rows = {
+        menu: {t: p if exact else float(p) for t, p in row.items()}
+        for menu, row in generate_scc(spec, Universe.default(3)).rows.items()
+    }
+    CORRUPTIONS[corruption][0](rows, Fraction if exact else lambda a, b=1: a / b, exact)
+    rows = {m: dict(sorted(rows[m].items(), reverse=reverse)) for m in sorted(rows, reverse=reverse)}
+    return make_scc(rows, n=3, allows_empty=allows_empty, exact=exact)
+
+
+class TestValidationAgainstFractions:
+    """validate_scc returns the Fraction loop's violations, and only a clean
+    exact SCC leaves its scaled rows in the memo."""
+
+    @pytest.mark.parametrize("corruption", list(CORRUPTIONS))
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    @pytest.mark.parametrize("allows_empty", [False, True], ids=["standard", "empty"])
+    @pytest.mark.parametrize("reverse", [False, True], ids=["ascending", "descending"])
+    def test_same_violations(self, corruption, exact, allows_empty, reverse):
+        scc = _validation_case(corruption, exact, allows_empty, reverse)
+        found = validate_scc(scc)
+        assert found == _fraction_validation(scc)
+        if not allows_empty or corruption != "empty_collection":
+            assert [v.property_id for v in found] == CORRUPTIONS[corruption][1]
+        if found or not exact:
+            assert scc.memo == {}
+
+    def test_skipped_cells_are_left_out_of_the_row_sum(self):
+        scc = _validation_case("negative", True, False, False)
+        total = sum(scc.rows[6].values()) - scc.rows[6][2]
+        assert validate_scc(scc)[-1].detail == f"row sums to {total}, not 1"
+
+    @pytest.mark.parametrize("allows_empty", [False, True], ids=["standard", "empty"])
+    @pytest.mark.parametrize("reverse", [False, True], ids=["ascending", "descending"])
+    def test_clean_memo_is_a_fresh_scaling(self, monkeypatch, allows_empty, reverse):
+        scc = _validation_case("clean", True, allows_empty, reverse)
+        fresh = _validation_case("clean", True, allows_empty, reverse)
+        assert validate_scc(scc) == []
+        expected = cached_scaled_rows(fresh)
+        monkeypatch.setattr(scclab.axioms, "scale_row", None)  # no second scaling
+        rows, dens = cached_scaled_rows(scc)
+        assert (rows, dens) == expected
+        assert list(rows) == list(expected[0]) == list(scc.rows)
+        assert all(list(rows[m]) == list(scc.rows[m]) for m in rows)
 
 
 class TestLookupAndSupport:

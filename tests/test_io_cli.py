@@ -85,6 +85,96 @@ class TestProbLiterals:
             parse_prob_literal(bad)
 
 
+def _fraction_literal(text):
+    """The literal parser before its ASCII-digit path: every "num/den"
+    through ``Fraction``'s own parser."""
+    token = text.strip()
+    try:
+        if "/" in token:
+            return Fraction(token), True
+        if any(c in token for c in ".eE"):
+            return float(token), False
+        return Fraction(int(token)), True
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(f"invalid probability literal {text!r}: {exc}") from None
+
+
+def _outcome(parse, text):
+    try:
+        return repr(parse(text))
+    except SchemaError as exc:
+        return f"SchemaError: {exc}"
+
+
+@pytest.mark.parametrize(
+    "token",
+    ["+1/2", "-1/2", " 1/2 ", "1 / 2", "1/-2", "1_0/3", "0010/0020", "1/0", "1/00",
+     "/2", "1/", "", "\u0663/\u0664", "3/6", "12", "\u00b2/3", "1/2/3", "1.5/2"],
+)
+def test_literals_read_as_fractions_parser_reads_them(token):
+    assert _outcome(parse_prob_literal, token) == _outcome(_fraction_literal, token)
+
+
+class TestLabelMasks:
+    """A label list the parser accepted once is looked up, not rebuilt; a
+    later malformed list is still refused with its own message."""
+
+    @staticmethod
+    def document(bad_set=None, bad_menu=None, reordered=False):
+        row = [
+            {"set": [], "p": "1/4"},
+            {"set": ["a", "b"], "p": "1/4"},
+            {"set": ["a"], "p": "1/2"},
+        ]
+        if reordered:
+            row.append({"set": ["b", "a"], "p": "0"})
+        menus = [
+            {"menu": ["a"], "rows": [{"set": ["a"], "p": "1"}]},
+            {"menu": ["a", "b"], "rows": row},
+        ]
+        if bad_set is not None:
+            menus.append({"menu": ["b"], "rows": [{"set": bad_set, "p": "1"}]})
+        if bad_menu is not None:
+            menus.append({"menu": bad_menu, "rows": []})
+        return {"items": ["a", "b"], "allows_empty": True, "menus": menus}
+
+    def test_accepted_lists_parse(self):
+        assert parse_scc(self.document()).rows == {
+            A: {A: F(1)}, AB: {0: F(1, 4), AB: F(1, 4), A: F(1, 2)}
+        }
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ("ab", "expected a list of label strings"),
+            (["a", 1], "expected a list of label strings"),
+            (["a", ["b"]], "expected a list of label strings"),
+            (["a", {"b": 1}], "expected a list of label strings"),
+            (["a", "z"], "unknown item label 'z'"),
+            (["a", "a"], "duplicate item label 'a'"),
+        ],
+        ids=["string", "non-string", "unhashable-list", "unhashable-dict", "unknown",
+             "duplicate"],
+    )
+    def test_malformed_sets_keep_their_messages(self, bad, message):
+        with pytest.raises(SchemaError) as exc:
+            parse_scc(self.document(bad_set=bad))
+        assert str(exc.value) == f"menus[2].rows[0].set: {message}"
+        with pytest.raises(SchemaError) as exc:
+            parse_scc(self.document(bad_menu=bad))
+        assert str(exc.value) == f"menus[2].menu: {message}"
+
+    def test_a_set_in_another_order_is_a_duplicate(self):
+        with pytest.raises(SchemaError) as exc:
+            parse_scc(self.document(reordered=True))
+        assert str(exc.value) == "menus[1].rows[3]: duplicate set ('a', 'b')"
+
+    def test_an_empty_menu_is_refused_after_an_empty_set(self):
+        with pytest.raises(SchemaError) as exc:
+            parse_scc(self.document(bad_menu=[]))
+        assert str(exc.value) == "menus[2].menu: must be non-empty"
+
+
 class TestSccDocuments:
     def test_document_round_trip(self):
         scc = generate_scc(NSC_SPEC, Universe.default(3))

@@ -887,3 +887,32 @@ def test_row_evaluate_and_dataset_share_the_mode():
                     continue
                 value = evaluate(spec, universe, t, menu)
                 assert repr(value) == repr(row.get(t, mode(0))), (spec, menu, t)
+
+
+def _sign_bundles():
+    """(spec, universe) of the fuzz corpus, exact and float, at n = 1..6,
+    and a float logit bundle whose cell for a on {a, b} underflows to 0."""
+    for model, empty in ALL_VARIANTS:
+        for n in range(1, 7):
+            universe = Universe.default(n)
+            for seed in range(3):
+                spec = sample_params(GenConfig(n, model, seed=seed, empty_variant=empty))
+                yield spec, universe
+                yield ModelSpec(model, ORACLES[model][1](spec.params), empty), universe
+    yield ModelSpec(ModelTag.LOGIT, LogitParams({A: 1e-200, B: 1e200, AB: 1.0})), U2
+
+
+def test_generated_cells_are_never_negative():
+    """generate_scc drops zero cells on their truthiness, so it relies on no
+    kernel yielding a negative cell: its rows are those of a ``p > 0``
+    filter."""
+    dropped = 0
+    for spec, universe in _sign_bundles():
+        scc = generate_scc(spec, universe)
+        for menu in range(1, universe.full_mask + 1):
+            row = menu_row(spec, universe, menu)
+            assert all(p >= 0 for p in row.values()), (spec, menu)
+            positive = {t: p for t, p in sorted(row.items()) if p > 0}
+            assert repr(scc.rows[menu]) == repr(positive), (spec, menu)
+            dropped += len(row) - len(positive)
+    assert dropped == 1

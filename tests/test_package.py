@@ -63,12 +63,12 @@ def test_sampling_and_classification_take_only_what_callers_set():
         assert list(inspect.signature(function).parameters) == names, function
 
 
-class _Wording(ast.NodeVisitor):
-    """The qualified names of the functions whose string literals contain
-    ``text`` (the module's name for a literal outside any function)."""
+class _Holders(ast.NodeVisitor):
+    """The qualified names of the functions holding a node that ``match``
+    accepts (the module's name for a node outside any function)."""
 
-    def __init__(self, module: str, text: str):
-        self.scope, self.text, self.found = [module], text, set()
+    def __init__(self, module: str, match):
+        self.scope, self.match, self.found = [module], match, set()
 
     def visit_FunctionDef(self, node):
         self.scope.append(node.name)
@@ -77,18 +77,34 @@ class _Wording(ast.NodeVisitor):
 
     visit_ClassDef = visit_FunctionDef
 
-    def visit_Constant(self, node):
-        if isinstance(node.value, str) and self.text in node.value:
+    def generic_visit(self, node):
+        if self.match(node):
             self.found.add(".".join(self.scope))
+        super().generic_visit(node)
 
 
-def _worded(text: str) -> set[str]:
+def _holders(match) -> set[str]:
     found = set()
     for path in sorted(PACKAGE.glob("*.py")):
-        visitor = _Wording(path.stem, text)
+        visitor = _Holders(path.stem, match)
         visitor.visit(ast.parse(path.read_text()))
         found |= visitor.found
     return found
+
+
+def _worded(text: str) -> set[str]:
+    return _holders(
+        lambda node: isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and text in node.value
+    )
+
+
+def _callers(name: str) -> set[str]:
+    return _holders(
+        lambda node: isinstance(node, ast.Call)
+        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    )
 
 
 def test_each_shared_rule_is_stated_in_one_module():
@@ -106,4 +122,12 @@ def test_each_shared_rule_is_stated_in_one_module():
     assert _worded("has no empty-collection variant") == {
         "axioms.characterizing_axioms",
         "models.ModelSpec.validate",
+    }
+    # exact values are put over their lcm by scclab.core.scale_row alone:
+    # validation, the ratio checks' memo and the model kernels call it
+    assert _callers("lcm") == {"core.scale_row", "models._subset_sum_bits"}
+    assert _callers("scale_row") == {
+        "core.validate_scc",
+        "axioms.cached_scaled_rows.scale",
+        "models._scaled",
     }
