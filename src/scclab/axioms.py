@@ -35,13 +35,15 @@ them:
 and witness ``recheck`` (see :class:`AxiomSpec`); :data:`CHARACTERIZING_AXIOMS`
 maps every model variant to the axioms that characterize it; the suites,
 classification, identification and the fuzz harness all read these two
-tables.  :func:`run_axiom` always evaluates;
-:func:`cached_report` and the ``cached_revealed_*`` functions keep each
-result in the SCC's memo, so a dataset is decided once per tolerance and
-witness cap; :func:`cached_scaled_rows` keeps the scaled rows there too,
-and :func:`_positive_rows` the positivity table and :func:`_grand_row` its
-certificate, once per tolerance.  :func:`characterizing_axioms` is the one
-refusal of a model with no variant for a dataset's empty-collection flag.
+tables.  :func:`run_axiom` always evaluates; :func:`cached_report` keeps
+each report in the SCC's memo, so a dataset is decided once per tolerance
+and witness cap, and :func:`_grand_row` its certificate once per
+tolerance.  Support is a property of the data, not of a tolerance: the
+``cached_revealed_*`` functions, :func:`cached_scaled_rows` and
+:func:`_positive_rows` keep the revealed structure, the scaled rows and
+the positivity table there once per SCC.  :func:`characterizing_axioms`
+is the one refusal of a model with no variant for a dataset's
+empty-collection flag.
 """
 
 from __future__ import annotations
@@ -176,15 +178,15 @@ class _Collector:
         )
 
 
-def _positive_rows(scc: SCC, tol: ToleranceConfig) -> dict[int, dict[int, Prob]]:
+def _positive_rows(scc: SCC) -> dict[int, dict[int, Prob]]:
     """Per menu, the sub-row of strictly positive entries of
     :func:`cached_scaled_rows` under :func:`is_positive`: the one positivity
-    table every support test reads, built once per SCC and tolerance."""
+    table every support test reads, built once per SCC."""
     return _memoized(
         scc,
-        ("positive_rows", tol),
+        ("positive_rows",),
         lambda: {
-            menu: {t: p for t, p in row.items() if is_positive(scc, p, tol)}
+            menu: {t: p for t, p in row.items() if is_positive(scc, p)}
             for menu, row in cached_scaled_rows(scc)[0].items()
         },
     )
@@ -272,7 +274,7 @@ _UNIT_ROUNDOFF = Fraction(1, 2**53)
 
 def _decide_grand_row(scc: SCC, tol: ToleranceConfig) -> _GrandRow:
     rows = cached_scaled_rows(scc)[0]
-    pos = _positive_rows(scc, tol)
+    pos = _positive_rows(scc)
     menus = scc.menus()
     empties = 0
     for s in menus:
@@ -346,18 +348,14 @@ def _float_certified(spread: float, top: float, eps_eq: float) -> bool:
     return (1 + u) * worst <= eps_eq
 
 
-def cached_revealed_constraints(
-    scc: SCC, tol: ToleranceConfig = DEFAULT_TOL
-) -> dict[int, int]:
-    """:func:`derive_revealed_constraints`, derived once per SCC and tolerance."""
-    return _memoized(
-        scc, ("constraints", tol), lambda: derive_revealed_constraints(scc, tol)
-    )
+def cached_revealed_constraints(scc: SCC) -> dict[int, int]:
+    """:func:`derive_revealed_constraints`, derived once per SCC."""
+    return _memoized(scc, ("constraints",), lambda: derive_revealed_constraints(scc))
 
 
-def cached_revealed_nests(scc: SCC, tol: ToleranceConfig = DEFAULT_TOL) -> list[int]:
-    """:func:`derive_revealed_nests`, derived once per SCC and tolerance."""
-    return _memoized(scc, ("nests", tol), lambda: derive_revealed_nests(scc, tol))
+def cached_revealed_nests(scc: SCC) -> list[int]:
+    """:func:`derive_revealed_nests`, derived once per SCC."""
+    return _memoized(scc, ("nests",), lambda: derive_revealed_nests(scc))
 
 
 def _removals(
@@ -386,7 +384,7 @@ def check_full_support(
     S, by :func:`_support_shape_report`.
     """
     require_complete(scc)
-    return _support_shape_report(scc, tol, cap, AxiomId.FULL_SUPPORT)
+    return _support_shape_report(scc, cap, AxiomId.FULL_SUPPORT)
 
 
 def _rank_one(us: Sequence[Prob], vs: Sequence[Prob]) -> bool:
@@ -456,7 +454,7 @@ def _iis_scan(
     empty-collection form) and compares only the pairs that fail it."""
     cap = out.cap
     rows = cached_scaled_rows(scc)[0]
-    pos = _positive_rows(scc, tol)
+    pos = _positive_rows(scc)
     menus = scc.menus()
     checked = 0
     for i, s in enumerate(menus):
@@ -510,7 +508,7 @@ def _iis_sides(
     guards = [mu_t2_s, mu_t2_s2]
     if not empty_variant:
         guards += [mu_t_s, mu_t_s2]
-    if any(is_zero(scc, g, tol) for g in guards):
+    if any(is_zero(scc, g) for g in guards):
         return None
     return mu_t_s * mu_t2_s2, mu_t2_s * mu_t_s2
 
@@ -534,7 +532,7 @@ def _rel_add_scan(
     """
     require_complete(scc)
     constraints = (
-        cached_revealed_constraints(scc, tol) if axiom is AxiomId.REL_ADD_1 else None
+        cached_revealed_constraints(scc) if axiom is AxiomId.REL_ADD_1 else None
     )
     out = _Collector(axiom, cap)
     checked = 0
@@ -581,14 +579,14 @@ def _rel_add_sides(
     rest = s & ~xbit
     adj = scc.zero()
     if axiom is not AxiomId.REL_ADD:
-        revealed = cached_revealed_constraints(scc, tol)
+        revealed = cached_revealed_constraints(scc)
         x = next(bits(xbit))
         if axiom is AxiomId.REL_ADD_1 and revealed[x] & rest in (t, t2):
             return None
         if axiom is AxiomId.REL_ADD_2:
             full = scc.universe.full_mask
             denom = sum((prob_lookup(scc, revealed[y], full) for y in bits(s)), scc.zero())
-            if revealed[x] & rest != t or t == 0 or t2 == t or is_zero(scc, denom, tol):
+            if revealed[x] & rest != t or t == 0 or t2 == t or is_zero(scc, denom):
                 return None
             adj = prob_lookup(scc, revealed[x], full) / denom
     lhs = prob_lookup(scc, t, rest) * (
@@ -638,9 +636,7 @@ def _additivity_sides(scc: SCC, b: dict[str, int], tol: ToleranceConfig) -> Side
     return prob_lookup(scc, t, rest), prob_lookup(scc, t, s) + prob_lookup(scc, t | xbit, s)
 
 
-def derive_revealed_constraints(
-    scc: SCC, tol: ToleranceConfig = DEFAULT_TOL
-) -> dict[int, int]:
+def derive_revealed_constraints(scc: SCC) -> dict[int, int]:
     """Constraint sets revealed by binary-menu zeros.
 
     Item y belongs to the revealed constraint set of x (besides x itself)
@@ -660,30 +656,22 @@ def derive_revealed_constraints(
                 raise MissingBinaryMenuError(
                     f"binary menu {scc.universe.labels_of(pair)} is absent"
                 )
-            if is_zero(scc, prob_lookup(scc, xbit, pair), tol):
+            if is_zero(scc, prob_lookup(scc, xbit, pair)):
                 mask |= 1 << y
         revealed[x] = mask
     return revealed
 
 
-def derive_revealed_nests(scc: SCC, tol: ToleranceConfig = DEFAULT_TOL) -> list[int]:
+def derive_revealed_nests(scc: SCC) -> list[int]:
     """Support of the grand-set row, ascending: the nests revealed by data."""
     full = scc.universe.full_mask
     if full not in scc.rows:
         raise MenuAbsentError("grand-set row required to derive revealed nests")
-    return sorted(
-        t
-        for t, p in scc.rows[full].items()
-        if t != 0 and is_positive(scc, p, tol)
-    )
+    return sorted(t for t, p in scc.rows[full].items() if t != 0 and is_positive(scc, p))
 
 
 def _support_shape_report(
-    scc: SCC,
-    tol: ToleranceConfig,
-    cap: int,
-    axiom: AxiomId,
-    attributes: Optional[Sequence[int]] = None,
+    scc: SCC, cap: int, axiom: AxiomId, attributes: Optional[Sequence[int]] = None
 ) -> AxiomReport:
     """Shared scan for full support and the kind-2/3/4 positivity postulates.
 
@@ -693,9 +681,9 @@ def _support_shape_report(
     comparing the support of each row with the achievable family, so the
     count is arithmetic.
     """
-    achievable_of = _achievable(scc, axiom, tol, attributes)
+    achievable_of = _achievable(scc, axiom, attributes)
     out = _Collector(axiom, cap)
-    pos = _positive_rows(scc, tol)
+    pos = _positive_rows(scc)
     for menu in scc.menus():
         achievable = achievable_of(menu)
         sup = set(pos[menu])
@@ -730,7 +718,7 @@ def check_positivity(
     require_complete(scc)
     if kind == 1:
         out = _Collector(AxiomId.POS1, cap)
-        pos = _positive_rows(scc, tol)
+        pos = _positive_rows(scc)
         checked = 0
         for menu in scc.menus():
             covered = 0
@@ -742,12 +730,12 @@ def check_positivity(
                     out.add({"x": 1 << x, "S": menu}, None, None)
         return out.report(scc, checked, 0)
     if kind in (2, 3, 4):
-        return _support_shape_report(scc, tol, cap, AxiomId(f"POS{kind}"), attributes)
+        return _support_shape_report(scc, cap, AxiomId(f"POS{kind}"), attributes)
     raise ValueError(f"positivity kind must be 1, 2, 3, or 4, got {kind}")
 
 
 def _achievable(
-    scc: SCC, axiom: AxiomId, tol: ToleranceConfig, attributes: Optional[Sequence[int]]
+    scc: SCC, axiom: AxiomId, attributes: Optional[Sequence[int]]
 ) -> Callable[[int], set[int]]:
     """The achievable family of a support-shape postulate as a function of
     the menu S: every non-empty subset of S for FULL_SUPPORT, and for POS2,
@@ -756,7 +744,7 @@ def _achievable(
     if axiom is AxiomId.FULL_SUPPORT:
         return lambda menu: set(nonempty_submasks(menu))
     if axiom is AxiomId.POS3:
-        revealed = cached_revealed_constraints(scc, tol)
+        revealed = cached_revealed_constraints(scc)
         return lambda menu: {revealed[x] & menu for x in bits(menu)}
     if axiom is AxiomId.POS2:
         if attributes is None:
@@ -765,14 +753,14 @@ def _achievable(
             )
         generators = list(attributes)
     else:
-        generators = cached_revealed_nests(scc, tol)
+        generators = cached_revealed_nests(scc)
     return lambda menu: {g & menu for g in generators if g & menu}
 
 
 def _recheck_pos1(scc: SCC, witness: Witness, tol: ToleranceConfig) -> bool:
     b = witness.bindings
     return not any(
-        t & b["x"] and is_positive(scc, p, tol) for t, p in scc.rows[b["S"]].items()
+        t & b["x"] and is_positive(scc, p) for t, p in scc.rows[b["S"]].items()
     )
 
 
@@ -784,9 +772,9 @@ def _recheck_support_shape(
 ) -> bool:
     """(T, S) is positive exactly when T is not achievable at S."""
     s, t = witness.bindings["S"], witness.bindings["T"]
-    achievable = _achievable(scc, witness.axiom, tol, attributes)(s)
+    achievable = _achievable(scc, witness.axiom, attributes)(s)
     p = prob_lookup(scc, t, s)
-    shaped = is_positive(scc, p, tol) != (t in achievable)
+    shaped = is_positive(scc, p) != (t in achievable)
     return shaped and _records(scc, witness, (p, None), tol)
 
 
@@ -795,7 +783,7 @@ def _distinct_constraints_report(
 ) -> AxiomReport:
     """No two items may reveal the same constraint set (n-choose-2 pairs)."""
     require_complete(scc)
-    revealed = cached_revealed_constraints(scc, tol)
+    revealed = cached_revealed_constraints(scc)
     out = _Collector(AxiomId.DISTINCT_Q, cap)
     n = scc.universe.n
     for x, y in combinations(range(n), 2):
@@ -805,7 +793,7 @@ def _distinct_constraints_report(
 
 
 def _recheck_distinct_q(scc: SCC, witness: Witness, tol: ToleranceConfig) -> bool:
-    revealed = cached_revealed_constraints(scc, tol)
+    revealed = cached_revealed_constraints(scc)
     b = witness.bindings
     return revealed[next(bits(b["x"]))] == revealed[next(bits(b["y"]))]
 
@@ -826,7 +814,7 @@ def _rel_add_adjusted(scc: SCC, tol: ToleranceConfig, cap: int) -> AxiomReport:
     instances: T empty, or zero adjustment denominator.
     """
     require_complete(scc)
-    revealed = cached_revealed_constraints(scc, tol)
+    revealed = cached_revealed_constraints(scc)
     out = _Collector(AxiomId.REL_ADD_2, cap)
     rows, dens = cached_scaled_rows(scc)
     row_full = rows[scc.universe.full_mask]
@@ -839,7 +827,7 @@ def _rel_add_adjusted(scc: SCC, tol: ToleranceConfig, cap: int) -> AxiomReport:
         q = revealed[xbit.bit_length() - 1]
         t = q & rest
         others = [t2 for t2 in nonempty_submasks(rest) if t2 != t]
-        if t == 0 or not is_positive(scc, denom, tol):
+        if t == 0 or not is_positive(scc, denom):
             vacuous += len(others)
             continue
         adj_num = row_full.get(q, 0) * dens[s]
@@ -932,7 +920,7 @@ def check_piis(
         edges_x = math.comb(k[n], 2)
         checked = pairs if scc.exact else pairs - edges_x + 2 * edges_x * (k[n] - 2)
         return out.report(scc, checked, 0)
-    pos = _positive_rows(scc, tol)
+    pos = _positive_rows(scc)
     checked = 0
 
     # Stage 1: ratio constancy per unordered co-occurring pair.
@@ -1103,7 +1091,7 @@ def _piis_sides(scc: SCC, b: dict[str, int], tol: ToleranceConfig) -> Sides:
         den1 = prob_lookup(scc, star, s)
         num2 = prob_lookup(scc, star, sp)
         den2 = prob_lookup(scc, b["T_prime"], sp)
-        if any(is_zero(scc, v, tol) for v in (num1, den1, num2, den2)):
+        if any(is_zero(scc, v) for v in (num1, den1, num2, den2)):
             return None
         sides.append(num1 * num2 / (den1 * den2))
     return sides[0], sides[1]
@@ -1117,7 +1105,7 @@ def _partition_report(scc: SCC, tol: ToleranceConfig, cap: int) -> AxiomReport:
     """
     require_complete(scc)
     out = _Collector(AxiomId.PARTITION, cap)
-    nests = cached_revealed_nests(scc, tol)
+    nests = cached_revealed_nests(scc)
     for i in range(len(nests)):
         for j in range(i + 1, len(nests)):
             if nests[i] & nests[j]:
@@ -1133,7 +1121,7 @@ def _partition_report(scc: SCC, tol: ToleranceConfig, cap: int) -> AxiomReport:
 
 def _recheck_partition(scc: SCC, witness: Witness, tol: ToleranceConfig) -> bool:
     b = witness.bindings
-    nests = cached_revealed_nests(scc, tol)
+    nests = cached_revealed_nests(scc)
     if "uncovered" in b:
         union = 0
         for nest in nests:
@@ -1170,15 +1158,11 @@ def check_paf(
     checked = 0
     vacuous = 0
     for s, xbit, rest, row_s, row_rest in _removals(scc.rows):
-        gate = is_zero(scc, row_s.get(xbit, zero), tol)
+        gate = is_zero(scc, row_s.get(xbit, zero))
         for t in nonempty_submasks(rest):
             lhs = row_s.get(t, zero)
             rhs = row_rest.get(t, zero)
-            if not (
-                gate
-                and is_positive(scc, lhs, tol)
-                and is_positive(scc, rhs, tol)
-            ):
+            if not (gate and is_positive(scc, lhs) and is_positive(scc, rhs)):
                 vacuous += 1
                 continue
             checked += 1
@@ -1191,8 +1175,8 @@ def _paf_sides(scc: SCC, b: dict[str, int], tol: ToleranceConfig) -> Sides:
     s, xbit, t = b["S"], b["x"], b["T"]
     lhs = prob_lookup(scc, t, s)
     rhs = prob_lookup(scc, t, s & ~xbit)
-    gate = is_zero(scc, prob_lookup(scc, xbit, s), tol)
-    if not (gate and is_positive(scc, lhs, tol) and is_positive(scc, rhs, tol)):
+    gate = is_zero(scc, prob_lookup(scc, xbit, s))
+    if not (gate and is_positive(scc, lhs) and is_positive(scc, rhs)):
         return None
     return lhs, rhs
 
@@ -1227,7 +1211,7 @@ def check_special(
         raise ValueError(f"check_special handles DET_FULL_CHOICE and SINGLETON, got {kind}")
 
     out = _Collector(AxiomId.SINGLETON, cap)
-    pos = _positive_rows(scc, tol)
+    pos = _positive_rows(scc)
     # clause (i): positive singletons, nothing else positive
     for menu in scc.menus():
         sup = pos[menu]
@@ -1283,10 +1267,10 @@ def _recheck_singleton(scc: SCC, witness: Witness, tol: ToleranceConfig) -> bool
         return _recheck_sides(scc, witness, tol)
     if set(b) == {"x", "S"}:
         p = prob_lookup(scc, b["x"], b["S"])
-        return is_zero(scc, p, tol) and _records(scc, witness, (scc.zero(), None), tol)
+        return is_zero(scc, p) and _records(scc, witness, (scc.zero(), None), tol)
     if set(b) == {"T", "S"}:
         p = prob_lookup(scc, b["T"], b["S"])
-        shaped = popcount(b["T"]) != 1 and is_positive(scc, p, tol)
+        shaped = popcount(b["T"]) != 1 and is_positive(scc, p)
         return shaped and _records(scc, witness, (p, scc.zero()), tol)
     return False
 
@@ -1315,9 +1299,7 @@ def monotonicity_violations(
     return offenders
 
 
-def support_transfer_violations(
-    scc: SCC, tol: ToleranceConfig = DEFAULT_TOL
-) -> list[dict]:
+def support_transfer_violations(scc: SCC) -> list[dict]:
     """Instances where menu shrinkage changes a collection's support status.
 
     Expected under positivity-1 plus relative additivity: for x in S and
@@ -1333,8 +1315,8 @@ def support_transfer_violations(
         for t in nonempty_submasks(rest):
             small = row_rest.get(t, zero)
             pair = row_s.get(t, zero) + row_s.get(t | xbit, zero)
-            small_zero = is_zero(scc, small, tol)
-            pair_zero = is_zero(scc, pair, tol)
+            small_zero = is_zero(scc, small)
+            pair_zero = is_zero(scc, pair)
             if small_zero and not pair_zero:
                 offenders.append(
                     {"S": s, "x": xbit, "T": t, "direction": "zero_spreads"}

@@ -11,8 +11,9 @@ Representation choices made here and relied on everywhere else:
   item i corresponds to bit i of every mask.
 * Menus and collections are plain ``int`` bitmasks.
 * Probabilities are exact :class:`fractions.Fraction` values by default; an
-  SCC may instead run in float mode (``exact=False``), in which case all
-  comparisons go through a :class:`ToleranceConfig`.
+  SCC may instead run in float mode (``exact=False``), in which case support
+  and row sums follow the fixed rules :data:`EPS_ZERO` and :data:`EPS_SUM`,
+  and equations go through a :class:`ToleranceConfig`.
 * Row storage is sparse: a pair (T, S) with no recorded row has probability
   zero.  Only menus present in ``rows`` belong to the domain.
 """
@@ -190,24 +191,27 @@ class Universe:
         return tuple(self.items[i] for i in bits(mask))
 
 
+#: Float values at or below this count as zero support (and a float cell may
+#: lie this far outside [0, 1]); a property of the dataset, not a tolerance.
+EPS_ZERO = 1e-12
+
+#: The allowed deviation of a float row sum from 1.
+EPS_SUM = 1e-9
+
+
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Comparison tolerances for float-mode SCCs; ignored in exact mode.
+    """The equality tolerance of float-mode SCCs; ignored in exact mode.
 
-    eps_eq:   relative (and absolute floor) tolerance for equality of
-              probabilities and of cross-multiplied products.
-    eps_zero: values at or below this threshold count as zero support.
-    eps_sum:  allowed deviation of a menu's row sum from 1.
+    eps_eq: relative (and absolute floor) tolerance for equality of
+            probabilities and of cross-multiplied products.
     """
 
     eps_eq: float = 1e-9
-    eps_zero: float = 1e-12
-    eps_sum: float = 1e-9
 
     def __post_init__(self):
-        for name in ("eps_eq", "eps_zero", "eps_sum"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+        if self.eps_eq <= 0:
+            raise ValueError("eps_eq must be strictly positive")
 
 
 DEFAULT_TOL = ToleranceConfig()
@@ -291,7 +295,15 @@ def scale_row(row: dict[int, Fraction]) -> tuple[dict[int, int], int]:
 SCALED_ROWS = ("scaled_rows",)
 
 
-def validate_scc(scc: SCC, tol: ToleranceConfig = DEFAULT_TOL) -> list[Violation]:
+def sums_to_one(total: Prob) -> bool:
+    """The package's one "sums to 1" rule: an exact total equals 1, a float
+    one lies within :data:`EPS_SUM` of it."""
+    if isinstance(total, float):
+        return abs(total - 1.0) <= EPS_SUM
+    return total == 1
+
+
+def validate_scc(scc: SCC) -> list[Violation]:
     """Check the three defining properties of an SCC.
 
     (i)  every recorded probability lies in [0, 1];
@@ -338,7 +350,7 @@ def validate_scc(scc: SCC, tol: ToleranceConfig = DEFAULT_TOL) -> list[Violation
             if scc.exact:
                 in_range = 0 <= p.numerator <= p.denominator
             else:
-                in_range = -tol.eps_zero <= p <= 1 + tol.eps_zero
+                in_range = -EPS_ZERO <= p <= 1 + EPS_ZERO
             if not in_range:
                 violations.append(
                     Violation("i", menu, f"probability {p} of collection {coll} outside [0, 1]")
@@ -349,13 +361,13 @@ def validate_scc(scc: SCC, tol: ToleranceConfig = DEFAULT_TOL) -> list[Violation
             # the whole row, in its stored order, when no cell was skipped
             rows[menu], dens[menu] = scale_row(row if len(kept) == len(row) else kept)
             total = sum(rows[menu].values())
-            sums_to_one = total == dens[menu]
+            unit = total == dens[menu]
         else:
             total = 0.0
             for p in kept.values():
                 total += p
-            sums_to_one = abs(total - 1.0) <= tol.eps_sum
-        if not sums_to_one:
+            unit = sums_to_one(total)
+        if not unit:
             total = Fraction(total, dens[menu]) if scc.exact else total
             violations.append(Violation("ii", menu, f"row sums to {total}, not 1"))
     if violations:
@@ -384,15 +396,15 @@ def prob_lookup(scc: SCC, collection: int, menu: int) -> Prob:
     return row.get(collection, scc.zero())
 
 
-def is_zero(scc: SCC, p: Prob, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """Support test: exact zero, or at most eps_zero in float mode."""
+def is_zero(scc: SCC, p: Prob) -> bool:
+    """Support test: exact zero, or at most :data:`EPS_ZERO` in float mode."""
     if scc.exact:
         return p == 0
-    return p <= tol.eps_zero
+    return p <= EPS_ZERO
 
 
-def is_positive(scc: SCC, p: Prob, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    return not is_zero(scc, p, tol)
+def is_positive(scc: SCC, p: Prob) -> bool:
+    return not is_zero(scc, p)
 
 
 def probs_equal(scc: SCC, a: Prob, b: Prob, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

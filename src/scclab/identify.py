@@ -161,7 +161,7 @@ def identify_rcg(scc: SCC, tol: ToleranceConfig = DEFAULT_TOL) -> RecoveryResult
     """
     _require(scc, ModelTag.RCG, tol, "category-mass recovery")
     row = scc.rows[scc.universe.full_mask]
-    mass = {c: row[c] for c in cached_revealed_nests(scc, tol)}
+    mass = {c: row[c] for c in cached_revealed_nests(scc)}
     spec = ModelSpec(ModelTag.RCG, RCGParams(mass), scc.allows_empty)
     return _finish(
         scc,
@@ -190,7 +190,7 @@ def identify_ic(scc: SCC, tol: ToleranceConfig = DEFAULT_TOL) -> RecoveryResult:
     for x in range(scc.universe.n):
         p_minus = row.get(full & ~(1 << x), scc.zero())
         denom = p_full + p_minus
-        if is_zero(scc, denom, tol):
+        if is_zero(scc, denom):
             raise PreconditionFailedError(
                 "grand-set probabilities of the full collection and its "
                 f"co-singleton at item {scc.universe.items[x]!r} are both zero; "
@@ -215,7 +215,7 @@ def identify_rrm(scc: SCC, tol: ToleranceConfig = DEFAULT_TOL) -> RecoveryResult
     probability and the revealed constraint sets exhaust the support).
     """
     _require(scc, ModelTag.RRM, tol, "reference-point recovery")
-    revealed = cached_revealed_constraints(scc, tol)
+    revealed = cached_revealed_constraints(scc)
     full = scc.universe.full_mask
     row = scc.rows[full]
     salience = {x: row.get(revealed[x], scc.zero()) for x in range(scc.universe.n)}
@@ -241,13 +241,13 @@ def identify_nsc(scc: SCC, tol: ToleranceConfig = DEFAULT_TOL) -> RecoveryResult
     uniform scaling and only defined on non-empty single-nest collections.
     """
     _require(scc, ModelTag.NSC, tol, "nested-choice recovery")
-    nests = cached_revealed_nests(scc, tol)
+    nests = cached_revealed_nests(scc)
 
     def ratio(num_coll: int, den_coll: int, menu: int) -> Prob:
         row = scc.rows[menu]
         num = row.get(num_coll, scc.zero())
         den = row.get(den_coll, scc.zero())
-        if is_zero(scc, den, tol) or is_zero(scc, num, tol):
+        if is_zero(scc, den) or is_zero(scc, num):
             raise PreconditionFailedError(
                 "nested-choice recovery hit a zero probability where the "
                 "positivity postulate promises support"

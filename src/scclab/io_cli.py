@@ -135,7 +135,7 @@ def _parse_universe(items: Any) -> Universe:
         raise SchemaError(f"items: {exc}") from None
 
 
-def parse_scc(document: Any, tol: ToleranceConfig = DEFAULT_TOL) -> SCC:
+def parse_scc(document: Any) -> SCC:
     """Build an SCC from a parsed JSON document.
 
     The SCC is exact iff every probability is rational-formatted; mixing
@@ -193,7 +193,7 @@ def parse_scc(document: Any, tol: ToleranceConfig = DEFAULT_TOL) -> SCC:
         )
 
     scc = SCC(universe, rows, allows_empty=allows_empty, exact=not saw_float)
-    violations = validate_scc(scc, tol)
+    violations = validate_scc(scc)
     if violations:
         details = "; ".join(
             f"[{v.property_id}] menu {universe.labels_of(v.menu)}: {v.detail}"
@@ -204,7 +204,7 @@ def parse_scc(document: Any, tol: ToleranceConfig = DEFAULT_TOL) -> SCC:
 
 
 def scc_to_document(scc: SCC) -> dict:
-    """Canonical JSON document for an SCC (cells zero under DEFAULT_TOL omitted)."""
+    """Canonical JSON document for an SCC (cells that are zero support omitted)."""
     universe = scc.universe
     menus = []
     for menu in scc.menus():
@@ -640,7 +640,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     tol = _tolerance(args)
     if args.witness_cap < 1:
         raise SchemaError(f"--witness-cap must be at least 1, got {args.witness_cap}")
-    scc = parse_scc(_load_json(args.scc), tol)
+    scc = parse_scc(_load_json(args.scc))
     if args.axioms.strip().lower() == "all":
         reports = full_battery(scc, tol, cap=args.witness_cap)
     else:
@@ -657,7 +657,7 @@ _AUTO_ORDER = ("logit", "rcg", "ic", "rrm", "nsc")
 
 def _cmd_identify(args: argparse.Namespace) -> int:
     tol = _tolerance(args)
-    scc = parse_scc(_load_json(args.scc), tol)
+    scc = parse_scc(_load_json(args.scc))
     token = args.model.strip().lower()
     if token == "auto":
         require_complete(scc)
@@ -701,7 +701,7 @@ def _cmd_identify(args: argparse.Namespace) -> int:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     tol = _tolerance(args)
-    scc = parse_scc(_load_json(args.scc), tol)
+    scc = parse_scc(_load_json(args.scc))
     report = classify(scc, tol=tol)
     _emit(classification_to_json(report), args.output)
     any_membership = any(v.status == HOLDS for v in report.membership.values())
@@ -772,12 +772,12 @@ def _build_parser() -> argparse.ArgumentParser:
     ident = sub.add_parser("identify", help="recover model parameters")
     ident.add_argument("scc", help="SCC JSON file")
     ident.add_argument("--model", required=True, help="model tag or 'auto'")
-    ident.add_argument("--tol", type=float)
+    ident.add_argument("--tol", type=float, help="equality tolerance (float mode)")
     ident.add_argument("-o", "--output")
 
     cls = sub.add_parser("classify", help="full membership classification")
     cls.add_argument("scc", help="SCC JSON file")
-    cls.add_argument("--tol", type=float)
+    cls.add_argument("--tol", type=float, help="equality tolerance (float mode)")
     cls.add_argument("-o", "--output")
 
     fz = sub.add_parser("fuzz", help="seeded property sweeps")

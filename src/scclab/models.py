@@ -8,13 +8,16 @@ the complete SCC (one row per menu/collection pair in the model's support).
 :func:`eval_ar_item` gives the item-level probability of the two-stage
 attribute rule with its decomposition over the first stage.
 
-A bundle is in exact mode (Fractions) unless one of its numbers is a float
-or, for nested logit, an exponent is not an integer; then the whole bundle
-is in float mode, and a non-integer exponent is recorded in the generated
-SCC's ``mode_notes``.  Rows are put in their bundle's mode in one place,
-``_menu_rows``, behind :func:`menu_row` and :func:`generate_scc`; it
-coerces only float rows, since an exact bundle's weights are scaled to ints
-once per dataset and its kernel builds each cell once, as a Fraction.
+A bundle is in exact mode (Fractions) when its weights, masses, rates,
+saliences or utilities are all rational (``int`` or ``Fraction``) and, for
+nested logit, every exponent is integer-valued, whatever its type: an
+exponent of ``2.0`` keeps a bundle of rational utilities exact.  Otherwise
+the whole bundle is in float mode, and a non-integer exponent is recorded
+in the generated SCC's ``mode_notes``.  Rows are put in their bundle's
+mode in one place, ``_menu_rows``, behind :func:`menu_row` and
+:func:`generate_scc`; it coerces only float rows, since an exact bundle's
+weights are scaled to ints once per dataset and its kernel builds each
+cell once, as a Fraction.
 
 Empty-collection variants exist for three models and are selected with an
 ``empty_variant`` flag rather than separate classes: the set-weight (logit)
@@ -41,6 +44,7 @@ from .core import (
     bits,
     nonempty_submasks,
     scale_row,
+    sums_to_one,
 )
 
 Weight = Union[Fraction, float]
@@ -72,19 +76,12 @@ def _div(num: Weight, den: Weight) -> Weight:
     return num / den
 
 
-def _sums_to_one(total: Weight) -> bool:
-    """Exact totals must equal 1; float totals get a small rounding margin."""
-    if _is_exact(total):
-        return total == 1
-    return math.isclose(total, 1.0, rel_tol=1e-9, abs_tol=1e-9)
-
-
 def _validate_draws(
-    draws: list[tuple[Weight, int]], universe: Universe, noun: str, sums_to_one: bool
+    draws: list[tuple[Weight, int]], universe: Universe, noun: str, normalized: bool
 ) -> None:
     """The (weight, set) family of a set-draw model: every set non-empty and
     inside the universe, every weight positive, the sets covering the
-    universe and, if ``sums_to_one``, the weights summing to 1."""
+    universe and, if ``normalized``, the weights summing to 1."""
     full = universe.full_mask
     covered = 0
     total: Weight = Fraction(0)
@@ -96,7 +93,7 @@ def _validate_draws(
             raise InvalidParamsError(f"weight of {noun} {labels} must be positive")
         covered |= drawn
         total = total + weight
-    if sums_to_one and not _sums_to_one(total):
+    if normalized and not sums_to_one(total):
         raise InvalidParamsError(f"{noun} weights must sum to 1, got {total}")
     if covered != full:
         missing = universe.labels_of(full & ~covered)
@@ -157,7 +154,7 @@ class RCGParams:
 
     def validate(self, universe: Universe, empty_variant: bool = False) -> None:
         draws = [(m, cat) for cat, m in self.mass.items()]
-        _validate_draws(draws, universe, "category", sums_to_one=True)
+        _validate_draws(draws, universe, "category", normalized=True)
 
     def is_exact(self) -> bool:
         return all(_is_exact(m) for m in self.mass.values())
@@ -211,7 +208,7 @@ class EBAParams:
         if not self.attributes:
             raise InvalidParamsError("at least one attribute required")
         draws = [(a.weight, a.carrier) for a in self.attributes]
-        _validate_draws(draws, universe, "carrier", sums_to_one=True)
+        _validate_draws(draws, universe, "carrier", normalized=True)
 
     def is_exact(self) -> bool:
         return all(_is_exact(a.weight) for a in self.attributes)
@@ -246,7 +243,7 @@ class ARParams:
         if not self.attributes:
             raise InvalidParamsError("at least one attribute required")
         draws = [(a.weight, a.carrier) for a in self.attributes]
-        _validate_draws(draws, universe, "carrier", sums_to_one=False)
+        _validate_draws(draws, universe, "carrier", normalized=False)
         for a in self.attributes:
             if sorted(a.item_values) != list(bits(a.carrier)):
                 raise InvalidParamsError(
@@ -367,7 +364,8 @@ def _subset_sum_bits(values: list[Weight], exact: bool) -> float:
 class NestedLogitParams:
     """Nested logit: a nested stochastic choice whose weight function is
     induced by item utilities, weight(T) = (sum of v(x) for x in T) ** eta_i
-    for T inside nest i.  Integer exponents keep evaluation exact; any
+    for T inside nest i.  Integer-valued exponents, of any numeric type
+    (``2.0`` included), keep a bundle of rational utilities exact; any
     non-integer exponent forces float mode.
     """
 
@@ -412,15 +410,23 @@ class NestedLogitParams:
             for e in self.exponents
         )
 
-    def induced_weight(self, part: int, nest_index: int, exact: bool) -> Weight:
-        total: Weight = Fraction(0) if exact else 0.0
-        for i in bits(part):
-            v = self.utilities[i]
-            total = total + (v if exact else float(v))
-        e = self.exponents[nest_index]
+    def induced_weights(self, exact: bool) -> dict[int, Weight]:
+        """The weight of every non-empty part of every nest, in floats or,
+        if exact, as ints over one scale: with the utilities over their lcm
+        L (:func:`scale_row`) and E the largest exponent, a part's sum to
+        its nest's exponent e, times L^(E - e)."""
         if exact:
-            return total ** int(e)
-        return float(total) ** float(e)
+            utilities, scale = scale_row(self.utilities)
+            powers = [int(e) for e in self.exponents]
+        else:
+            utilities, scale = {i: float(v) for i, v in self.utilities.items()}, 1
+            powers = [float(e) for e in self.exponents]
+        top = max(powers)
+        return {
+            part: sum(map(utilities.__getitem__, bits(part))) ** e * scale ** (top - e)
+            for nest, e in zip(self.nests, powers)
+            for part in nonempty_submasks(nest)
+        }
 
 
 AnyParams = Union[
@@ -501,16 +507,6 @@ def _drawn_row(
     return {t: _div(w, live) for t, w in acc.items()}
 
 
-def _nested_logit_draws(
-    params: NestedLogitParams, menu: int, exact: bool
-) -> Iterator[tuple[Weight, int]]:
-    """The nests that meet the menu, each weighted by its feasible part in
-    the bundle's mode."""
-    for i, nest in enumerate(params.nests):
-        if nest & menu:
-            yield params.induced_weight(nest & menu, i, exact), nest
-
-
 #: A model's rows as a function of the menu, prepared once per dataset.
 _MenuRows = Callable[[int], dict[int, Weight]]
 
@@ -573,6 +569,14 @@ def _draw_rows(
     return lambda menu: _drawn_row(draws(scaled, menu), menu, over)
 
 
+def _nest_rows(spec: ModelSpec, exact: bool, weights: dict[int, Weight]) -> _MenuRows:
+    """Draw the nests that meet the menu, each by its feasible part's weight."""
+    nests = spec.params.nests
+    return _draw_rows(
+        spec, exact, weights, lambda w, menu: ((w[n & menu], n) for n in nests if n & menu)
+    )
+
+
 def _attribute_rows(spec: ModelSpec, exact: bool) -> _MenuRows:
     weights = dict(enumerate(a.weight for a in spec.params.attributes))
     carriers = [a.carrier for a in spec.params.attributes]
@@ -592,12 +596,9 @@ _MENU_ROWS: dict[ModelTag, Callable[[ModelSpec, bool], _MenuRows]] = {
         spec, exact, spec.params.salience,
         lambda w, menu: ((w[x], spec.params.constraints[x]) for x in bits(menu)),
     ),
-    ModelTag.NSC: lambda spec, exact: _draw_rows(
-        spec, exact, spec.params.nest_weights,
-        lambda w, menu: ((w[n & menu], n) for n in spec.params.nests if n & menu),
-    ),
-    ModelTag.NESTED_LOGIT: lambda spec, exact: lambda menu: _drawn_row(
-        _nested_logit_draws(spec.params, menu, exact), menu
+    ModelTag.NSC: lambda spec, exact: _nest_rows(spec, exact, spec.params.nest_weights),
+    ModelTag.NESTED_LOGIT: lambda spec, exact: _nest_rows(
+        spec, exact, spec.params.induced_weights(exact)
     ),
 }
 
@@ -623,7 +624,7 @@ def _menu_rows(
         for menu in menus:
             _require_menu(menu, universe)
             row = row_of(menu) if exact else {t: float(p) for t, p in row_of(menu).items()}
-            if not exact and not _sums_to_one(sum(row.values())):
+            if not exact and not sums_to_one(sum(row.values())):
                 raise InvalidParamsError(
                     f"weights overflow float arithmetic: a row sums to {sum(row.values())!r}, not 1"
                 )

@@ -383,7 +383,7 @@ class TestPIISChainScan:
         assert any(fast.instances_vacuous for _, _, _, fast, _ in runs)
         for name, scc, tol, fast, _ in runs:
             pos = [
-                {t for t, p in row.items() if is_positive(scc, p, tol)}
+                {t for t, p in row.items() if is_positive(scc, p)}
                 for row in scc.rows.values()
             ]
             colls = set().union(*pos)
@@ -406,7 +406,7 @@ class TestPIISChainScan:
         assert all(fast.holds for name, _, _, fast, _ in runs if name == "logit-n6")
 
 
-def _reference_bindings(scc, axiom, tol):
+def _reference_bindings(scc, axiom):
     """Every instance of an equation axiom's domain as bindings, in the order
     its docstring states: menus S < S' then T then T' for the IIS forms, and
     S, x in S, then T (and T') for the forms over (S, x, S\\x)."""
@@ -424,7 +424,7 @@ def _reference_bindings(scc, axiom, tol):
                 yield {"T": t, "T_prime": t2, "S": s, "S_prime": s2}
     else:
         rel_add_2 = axiom is AxiomId.REL_ADD_2
-        revealed = cached_revealed_constraints(scc, tol) if rel_add_2 else None
+        revealed = cached_revealed_constraints(scc) if rel_add_2 else None
         for s in menus:
             for x in bits(s):
                 xbit, rest = 1 << x, s & ~(1 << x)
@@ -442,13 +442,13 @@ def _reference_bindings(scc, axiom, tol):
                         yield {"S": s, "x": xbit, "T": t, "T_prime": t2}
 
 
-def _revealed_nests(scc, tol):
+def _revealed_nests(scc):
     """The non-empty collections positive in the grand-set row, ascending."""
     full = scc.universe.full_mask
-    return [t for t in submasks(full)[1:] if is_positive(scc, prob_lookup(scc, t, full), tol)]
+    return [t for t in submasks(full)[1:] if is_positive(scc, prob_lookup(scc, t, full))]
 
 
-def _generators(scc, axiom, tol, attributes, s):
+def _generators(scc, axiom, attributes, s):
     """The generators of a support-shape postulate at menu S, as its
     docstring states them: every non-empty collection (FULL_SUPPORT), the
     attribute carriers (POS2), the revealed constraint sets of S's items,
@@ -459,18 +459,18 @@ def _generators(scc, axiom, tol, attributes, s):
     if axiom is AxiomId.POS2:
         return attributes
     if axiom is AxiomId.POS4:
-        return _revealed_nests(scc, tol)
+        return _revealed_nests(scc)
     constraint_sets = []
     for x in bits(s):
         q = 1 << x
         for y in range(scc.universe.n):
-            if not is_positive(scc, prob_lookup(scc, 1 << x, (1 << x) | (1 << y)), tol):
+            if not is_positive(scc, prob_lookup(scc, 1 << x, (1 << x) | (1 << y))):
                 q |= 1 << y
         constraint_sets.append(q)
     return constraint_sets
 
 
-def _structural_reference(scc, axiom, tol, attributes):
+def _structural_reference(scc, axiom, attributes):
     """(witnesses, checked) of PARTITION or a support-shape postulate from
     its definition: T is achievable on S when some generator g has
     g n S = T, and a non-empty T is a witness at S when it is positive
@@ -478,7 +478,7 @@ def _structural_reference(scc, axiom, tol, attributes):
     unachievable collections first, then its achievable zero ones."""
     full = scc.universe.full_mask
     if axiom is AxiomId.PARTITION:
-        nests = _revealed_nests(scc, tol)
+        nests = _revealed_nests(scc)
         witnesses = [
             Witness(axiom, {"T": t, "T_prime": t2}) for t, t2 in combinations(nests, 2) if t & t2
         ]
@@ -488,9 +488,9 @@ def _structural_reference(scc, axiom, tol, attributes):
         return witnesses, len(nests) * (len(nests) - 1) // 2 + 1
     witnesses = []
     for s in scc.menus():
-        achievable = {g & s for g in _generators(scc, axiom, tol, attributes, s)}
+        achievable = {g & s for g in _generators(scc, axiom, attributes, s)}
         marked = {
-            t: is_positive(scc, prob_lookup(scc, t, s), tol) for t in submasks(s)[1:]
+            t: is_positive(scc, prob_lookup(scc, t, s)) for t in submasks(s)[1:]
         }
         for positive in (True, False):
             witnesses += [
@@ -509,12 +509,12 @@ def _reference(scc, axiom, tol=DEFAULT_TOL, cap=WITNESS_CAP, attributes=None):
     :func:`_structural_reference`.  The oracle for the checks' counts,
     verdicts and witnesses."""
     if axiom in STRUCTURAL_AXIOMS:
-        witnesses, checked = _structural_reference(scc, axiom, tol, attributes)
+        witnesses, checked = _structural_reference(scc, axiom, attributes)
         return AxiomReport(
             axiom, not witnesses, tuple(witnesses[:cap]), checked, 0, scc.arithmetic_mode
         )
     witnesses, checked, vacuous = [], 0, 0
-    for bindings in _reference_bindings(scc, axiom, tol):
+    for bindings in _reference_bindings(scc, axiom):
         sides = AXIOMS[axiom].sides(scc, bindings, tol)
         if sides is None:
             vacuous += 1
@@ -1200,39 +1200,53 @@ class TestMemo:
                 assert recheck_witness(scc, witness)
         assert sorted(calls) == ["derive_revealed_constraints", "derive_revealed_nests"]
 
-    def test_positivity_table_built_once_per_tolerance(self, nsc_scc, monkeypatch):
+    def test_positivity_table_built_once_per_scc(self, nsc_scc, monkeypatch):
         spec = sample_params(GenConfig(4, ModelTag.LOGIT, seed=5200))
         logit = generate_scc(spec, Universe.default(4))
         tables = []
         build = scclab.axioms._positive_rows
 
-        def recorded(scc, tol):
-            tables.append((scc, tol, build(scc, tol)))
-            return tables[-1][2]
+        def recorded(scc):
+            tables.append((scc, build(scc)))
+            return tables[-1][1]
 
         monkeypatch.setattr(scclab.axioms, "_positive_rows", recorded)
         coarse = ToleranceConfig(eps_eq=1e-2)
         for data in (SCC(U3, nsc_scc.rows), logit):
             for tol in (DEFAULT_TOL, DEFAULT_TOL, coarse):
                 full_battery(data, tol, attributes=[AB, C] if data.universe.n == 3 else None)
-        # every reader of one SCC and tolerance gets the one table built for them
+        # every reader of one SCC, at every tolerance, gets the one table built for it
         built = {}
-        for scc, tol, table in tables:
-            built.setdefault((id(scc), tol), set()).add(id(table))
-        assert len(built) == 4  # two SCCs at two tolerances
+        for scc, table in tables:
+            built.setdefault(id(scc), set()).add(id(table))
+        assert len(built) == 2  # two SCCs
         assert all(len(ids) == 1 for ids in built.values())
-        assert len(set().union(*built.values())) == 4  # and only for them
+        assert len(set().union(*built.values())) == 2  # and only for them
         assert len(tables) > len(built)  # the table has several readers
 
-    def test_tolerance_is_part_of_the_revealed_key(self, nsc_scc):
+    def test_support_structure_built_once_per_scc(self, nsc_scc, monkeypatch):
+        """The revealed constraints, the revealed nests and the positivity
+        table are properties of the data: each is built once per SCC, at
+        any equality tolerance; the grand-row certificate reads eps_eq."""
         rows = {m: {t: float(p) for t, p in row.items()} for m, row in nsc_scc.rows.items()}
-        rows[AB] = {A: 1e-11, AB: 1 - 1e-11}
+        rows[AB] = {A: 1e-11, AB: 1 - 1e-11}  # positive: above EPS_ZERO
         scc = SCC(U3, rows, exact=False)
-        coarse = ToleranceConfig(eps_zero=1e-10)
-        fine, coarse_q = (derive_revealed_constraints(scc, t) for t in (DEFAULT_TOL, coarse))
-        assert fine != coarse_q
-        assert cached_revealed_constraints(scc, DEFAULT_TOL) == fine
-        assert cached_revealed_constraints(scc, coarse) == coarse_q
+        built = []
+        memoized = scclab.axioms._memoized
+
+        def recorded(scc, key, compute):
+            return memoized(scc, key, lambda: built.append(key[0]) or compute())
+
+        monkeypatch.setattr(scclab.axioms, "_memoized", recorded)
+        for tol in (DEFAULT_TOL, ToleranceConfig(eps_eq=1e-2)):
+            for report in full_battery(scc, tol, attributes=[AB, C]):
+                for witness in report.witnesses:
+                    assert recheck_witness(scc, witness, tol, [AB, C])
+        for key in ("constraints", "nests", "positive_rows"):
+            assert built.count(key) == 1, key
+        assert built.count("grand_row") == 2
+        assert cached_revealed_constraints(scc) == derive_revealed_constraints(scc)
+        assert cached_revealed_constraints(scc)[0] == A  # b is no constraint of a
 
 
 def _kernel_cases():

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import scclab.axioms
+import scclab.core
 from scclab.axioms import cached_scaled_rows, check_full_support
 from scclab.core import (
-    DEFAULT_TOL,
     IncompleteDatasetError,
     MenuAbsentError,
     SCC,
@@ -105,8 +105,6 @@ class TestToleranceConfig:
     def test_positive_required(self):
         with pytest.raises(ValueError):
             ToleranceConfig(eps_eq=0.0)
-        with pytest.raises(ValueError):
-            ToleranceConfig(eps_zero=-1e-9)
 
 
 class TestValidation:
@@ -147,12 +145,12 @@ class TestValidation:
         ]
 
     def test_float_mode_slack(self):
-        # a row summing to 1 within eps_sum is clean in float mode
+        # a row summing to 1 within EPS_SUM is clean in float mode
         rows = {1: {1: 1.0}, 2: {2: 1.0}, 3: {1: 0.5000000001, 2: 0.4999999999}}
         assert validate_scc(make_scc(rows, exact=False)) == []
 
 
-def _fraction_validation(scc, tol=DEFAULT_TOL):
+def _fraction_validation(scc):
     """validate_scc as it read before exact rows were scaled: each row's
     Fraction sum, and Fraction comparisons for the range."""
     violations = []
@@ -185,7 +183,7 @@ def _fraction_validation(scc, tol=DEFAULT_TOL):
             if scc.exact:
                 in_range = 0 <= p <= 1
             else:
-                in_range = -tol.eps_zero <= p <= 1 + tol.eps_zero
+                in_range = -scclab.core.EPS_ZERO <= p <= 1 + scclab.core.EPS_ZERO
             if not in_range:
                 violations.append(
                     Violation("i", menu, f"probability {p} of collection {coll} outside [0, 1]")
@@ -195,7 +193,7 @@ def _fraction_validation(scc, tol=DEFAULT_TOL):
         if scc.exact:
             sums_to_one = total == 1
         else:
-            sums_to_one = abs(total - 1.0) <= tol.eps_sum
+            sums_to_one = abs(total - 1.0) <= scclab.core.EPS_SUM
         if not sums_to_one:
             violations.append(Violation("ii", menu, f"row sums to {total}, not 1"))
     return violations

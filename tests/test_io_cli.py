@@ -547,6 +547,29 @@ class TestCli:
         assert code == 0
         assert payload["p"] == "3/4"
 
+    def test_gen_keeps_a_float_integer_exponent_exact(self, tmp_path):
+        # "2.0" is a float literal but an integer exponent, so a bundle of
+        # rational utilities stays exact: {a,b} weighs (1/2 + 1)^2 = 9/4
+        # against 3 for {c}
+        document = {
+            "model": "nested_logit",
+            "items": ["a", "b", "c"],
+            "params": {
+                "nests": [["a", "b"], ["c"]],
+                "utilities": {"a": "1/2", "b": "1", "c": "3"},
+                "exponents": ["2.0", "1"],
+            },
+        }
+        path = tmp_path / "nl.json"
+        path.write_text(json.dumps(document))
+        code, payload = self.run(tmp_path, "gen", "--params", str(path))
+        assert code == 0
+        grand = payload["menus"][-1]
+        assert grand["menu"] == ["a", "b", "c"]
+        assert grand["rows"] == [{"set": ["a", "b"], "p": "3/7"}, {"set": ["c"], "p": "4/7"}]
+        literals = [cell["p"] for menu in payload["menus"] for cell in menu["rows"]]
+        assert not any("." in p or "e" in p for p in literals)
+
     def test_check_reports_findings(self, tmp_path, nsc_path):
         code, result = self.run(tmp_path, "check", nsc_path, "--axioms", "rel_add")
         assert code == 1

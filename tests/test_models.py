@@ -304,6 +304,16 @@ class TestNestedLogit:
         spec = ModelSpec(ModelTag.NESTED_LOGIT, params)
         assert evaluate(spec, U3, AB, ABC) == F(1, 2)
 
+    def test_rational_utilities_over_unequal_exponents(self):
+        # {a,b} weighs (1/2 + 1/3)^2 = 25/36 against 3/4 = 27/36 for {c};
+        # an exponent of 2.0 is an integer, so the bundle stays exact
+        params = NestedLogitParams((AB, C), {0: F(1, 2), 1: F(1, 3), 2: F(3, 4)}, (2.0, 1))
+        spec = ModelSpec(ModelTag.NESTED_LOGIT, params)
+        assert evaluate(spec, U3, AB, ABC) == F(25, 52)
+        assert evaluate(spec, U3, A, AC) == F(1, 4)
+        scc = generate_scc(spec, U3)
+        assert scc.exact and scc.rows == {m: _nl_row(params, m, True) for m in range(1, 8)}
+
     def test_integer_exponents_stay_exact(self):
         scc = generate_scc(ModelSpec(ModelTag.NESTED_LOGIT, self.PARAMS), U3)
         assert scc.exact and scc.mode_notes == ()
@@ -648,13 +658,24 @@ def _nsc_row(params, menu):
     return {t: _div(w, den) for t, w in acc.items()}
 
 
+def _induced_weight(params, part, nest_index, exact):
+    total = Fraction(0) if exact else 0.0
+    for i in bits(part):
+        v = params.utilities[i]
+        total = total + (v if exact else float(v))
+    e = params.exponents[nest_index]
+    if exact:
+        return total ** int(e)
+    return float(total) ** float(e)
+
+
 def _nl_row(params, menu, exact):
     acc = {}
     den = Fraction(0) if exact else 0.0
     for idx, nest in enumerate(params.nests):
         part = nest & menu
         if part:
-            w = params.induced_weight(part, idx, exact)
+            w = _induced_weight(params, part, idx, exact)
             acc[part] = w
             den = den + w
     return {t: _div(w, den) for t, w in acc.items()}
@@ -775,14 +796,13 @@ class TestDrawnRowKernel:
 
 def test_exact_rows_cost_no_fraction_arithmetic_per_cell(monkeypatch):
     """Exact kernels compute in ints and build each cell once: generating an
-    n=6 dataset takes fewer Fraction operations than it has menus.  Nested
-    logit is left out: its induced weights are Fraction powers."""
+    n=6 dataset takes fewer Fraction operations than it has menus."""
     universe = Universe.default(6)
     specs = [
         sample_params(GenConfig(6, model, seed=1700, empty_variant=empty))
         for model, empty in ALL_VARIANTS
-        if model is not ModelTag.NESTED_LOGIT
     ]
+    assert len(specs) == 11
     calls = []
     for op in ("add", "sub", "mul", "truediv"):
         for name in (f"__{op}__", f"__r{op}__"):

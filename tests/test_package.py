@@ -2,11 +2,14 @@
 
 import ast
 import inspect
+import math
 from dataclasses import fields
 from pathlib import Path
 
 import scclab
+from scclab import axioms, core, io_cli, models
 from scclab.classify import classify
+from scclab.core import SCC, InvalidParamsError, ToleranceConfig, Universe
 from scclab.fuzz import (
     GenConfig,
     fuzz_characterization,
@@ -108,15 +111,20 @@ def _callers(name: str) -> set[str]:
 
 
 def test_each_shared_rule_is_stated_in_one_module():
-    # the support test's zero threshold is read only by the rule in scclab.core
-    readers = {
-        path.stem
-        for path in PACKAGE.glob("*.py")
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Attribute) and node.attr == "eps_zero"
-        or isinstance(node, ast.Constant) and node.value == "eps_zero"
+    # the support and row-sum thresholds are read only by the rules in scclab.core
+    readers = _holders(
+        lambda node: isinstance(node, ast.Name) and node.id in ("EPS_ZERO", "EPS_SUM")
+        or isinstance(node, ast.Attribute) and node.attr in ("EPS_ZERO", "EPS_SUM")
+    )
+    assert readers == {"core", "core.validate_scc", "core.is_zero", "core.sums_to_one"}
+    # a float total "sums to 1" by one rule, for datasets and for model bundles;
+    # the one other float closeness test is the equality of probs_equal
+    assert _callers("sums_to_one") == {
+        "core.validate_scc",
+        "models._validate_draws",
+        "models._menu_rows.rows",
     }
-    assert readers == {"core"}
+    assert _callers("isclose") == {"core.probs_equal"}
     # a dataset's missing variant is refused by scclab.axioms alone; a params
     # document naming a variant its model lacks is refused where it is checked
     assert _worded("has no empty-collection variant") == {
@@ -124,10 +132,65 @@ def test_each_shared_rule_is_stated_in_one_module():
         "models.ModelSpec.validate",
     }
     # exact values are put over their lcm by scclab.core.scale_row alone:
-    # validation, the ratio checks' memo and the model kernels call it
+    # validation, the ratio checks' memo, the model kernels and nested
+    # logit's induced weights call it
     assert _callers("lcm") == {"core.scale_row", "models._subset_sum_bits"}
     assert _callers("scale_row") == {
         "core.validate_scc",
         "axioms.cached_scaled_rows.scale",
         "models._scaled",
+        "models.NestedLogitParams.induced_weights",
     }
+
+
+def test_tolerance_is_only_the_equality_tolerance():
+    """Support is a property of the data: the one tolerance field is eps_eq,
+    and nothing that decides support or validates takes a tolerance."""
+    assert [f.name for f in fields(ToleranceConfig)] == ["eps_eq"]
+    support_rules = [
+        core.is_zero,
+        core.is_positive,
+        core.validate_scc,
+        io_cli.parse_scc,
+        axioms.derive_revealed_constraints,
+        axioms.derive_revealed_nests,
+        axioms.cached_revealed_constraints,
+        axioms.cached_revealed_nests,
+        axioms._positive_rows,
+        axioms._achievable,
+        axioms._support_shape_report,
+        axioms.support_transfer_violations,
+    ]
+    for function in support_rules:
+        assert "tol" not in inspect.signature(function).parameters, function.__name__
+
+
+def _near(target: float, steps: int) -> list[float]:
+    """The ``steps`` doubles on each side of the double nearest ``target``."""
+    below, above, out = target, target, [target]
+    for _ in range(steps):
+        below, above = math.nextafter(below, 0.0), math.nextafter(above, 2.0)
+        out += [below, above]
+    return out
+
+
+def test_datasets_and_bundles_agree_on_float_row_sums():
+    """A float row sum and a bundle's weight total get one verdict at every
+    double within 4,000 steps of 1 + 1e-9 and 1 - 1e-9.  Each total is
+    0.5 + (t - 0.5), which is t exactly, so both read the same double."""
+    universe = Universe.default(2)
+    verdicts = set()
+    for total in _near(1 + 1e-9, 4000) + _near(1 - 1e-9, 4000):
+        cells = {1: 0.5, 2: total - 0.5}
+        scc = SCC(universe, {3: cells}, exact=False)
+        clean = core.validate_scc(scc) == []
+        try:
+            models._validate_draws(
+                [(p, t) for t, p in cells.items()], universe, "category", normalized=True
+            )
+            drawn = True
+        except InvalidParamsError:
+            drawn = False
+        assert clean == drawn, total.hex()
+        verdicts.add(clean)
+    assert verdicts == {True, False}  # both sides of each bound are reached
