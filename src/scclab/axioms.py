@@ -16,8 +16,9 @@ them:
   instances one by one only where its certificate fails and fewer than
   ``cap`` witnesses are recorded; the counts are the same.  The grand-row
   certificate of :func:`_grand_row` settles IIS, IIS_O and PIIS on
-  full-support data, in exact and float mode; in exact mode
-  :func:`_rank_one` certifies the units of IIS, REL_ADD and REL_ADD_1.
+  full-support data, in exact and float mode; :func:`_proportional`
+  certifies the units of IIS, REL_ADD and REL_ADD_1 in both modes, exactly
+  in exact mode and under the grand row's rounding bound in float mode.
 * Ratio postulates are decided by cross-multiplication, never division, so
   exact mode involves no rounding and zero denominators need no special
   cases.  In exact mode they cross-multiply the integer rows of
@@ -52,7 +53,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import combinations, repeat
 from operator import eq, itemgetter, mul, sub, truediv
 from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence
@@ -257,8 +258,8 @@ def _grand_row(scc: SCC, tol: ToleranceConfig) -> _GrandRow:
     row is proportional to the grand-set row g, mu(T,S) = c_S g(T), then
     every IIS equation and every PIIS chain telescopes, so IIS, IIS_O and
     PIIS hold with every guard met: Luce's (1959) ratio scale for set choice.
-    Exact mode tests each menu with one :func:`_rank_one` on the integer rows
-    of :func:`cached_scaled_rows`.  The support scan stops at the first menu
+    Exact mode tests each menu with one :func:`_proportional` on the integer
+    rows of :func:`cached_scaled_rows`.  The support scan stops at the first menu
     that misses or zeroes a non-empty collection.
     """
     return _memoized(scc, ("grand_row", tol), lambda: _decide_grand_row(scc, tol))
@@ -267,6 +268,12 @@ def _grand_row(scc: SCC, tol: ToleranceConfig) -> _GrandRow:
 #: The float entries the grand-row certificate accepts: no ratio of two of
 #: them and no product of three leaves the normal range.
 _FLOAT_RANGE = (2.0**-340, 2.0**340)
+
+
+def _in_float_range(entries: Sequence[float], top: float) -> bool:
+    """Whether every entry is finite, at least ``_FLOAT_RANGE[0]`` and at
+    most ``top``: the range test of both float certificates."""
+    return math.isfinite(sum(entries)) and _FLOAT_RANGE[0] <= min(entries) and max(entries) <= top
 
 #: Unit roundoff of IEEE double precision, rounding to nearest.
 _UNIT_ROUNDOFF = Fraction(1, 2**53)
@@ -286,7 +293,6 @@ def _decide_grand_row(scc: SCC, tol: ToleranceConfig) -> _GrandRow:
     empty = True if empties == len(menus) else False if empties == 0 else None
     family = submasks if empty else nonempty_submasks
     grand = rows[scc.universe.full_mask]
-    low, high = _FLOAT_RANGE
     spread, top = 1.0, 0.0
     # the grand row first, so that its range is checked before it divides
     for s in reversed(menus):
@@ -294,10 +300,10 @@ def _decide_grand_row(scc: SCC, tol: ToleranceConfig) -> _GrandRow:
         us = list(map(grand.__getitem__, subs))
         vs = list(map(rows[s].__getitem__, subs))
         if scc.exact:
-            if not _rank_one(us, vs):
+            if not _proportional(scc, us, vs, tol):
                 return _GrandRow(empty, False)
             continue
-        if not (math.isfinite(sum(vs)) and low <= min(vs) and max(vs) <= high):
+        if not _in_float_range(vs, _FLOAT_RANGE[1]):
             return _GrandRow(empty, False)
         ratios = list(map(truediv, vs, us))
         spread = max(spread, max(ratios) / min(ratios))
@@ -335,6 +341,14 @@ def _float_certified(spread: float, top: float, eps_eq: float) -> bool:
        test of :func:`_chain_scan`.  So (1 + u) max(E_2, E_3) <= eps_eq
        suffices.  It is evaluated in exact rationals, so the test adds no
        rounding of its own.
+    4. A unit of :func:`_proportional` is one row ``vs`` set against one
+       row ``us`` in the grand row's place, with ratios r_T = fl(v_T / u_T).
+       Its comparison sets u_T v_T' against u_T' v_T, two-entry products
+       whose exact quotient is the one quotient r_T' / r_T, in [R^-1, R].
+       That lies inside the [R^-2, R^2] of step 2, so E_2 bounds the
+       difference, and the bound is sound for the units too, though
+       conservative.  The bound grows with ``spread`` and ``top``, so one
+       call confirms every unit at or below both.
     """
     if not math.isfinite(spread):
         return False
@@ -346,6 +360,51 @@ def _float_certified(spread: float, top: float, eps_eq: float) -> bool:
         q = rho**k * (1 + gamma) / (1 - gamma)
         worst = max(worst, Fraction(top) ** k * (1 + gamma) * (q - 1))
     return (1 + u) * worst <= eps_eq
+
+
+#: The largest float entry a unit certificate accepts: every probability,
+#: and every two-cell sum of REL_ADD, of a valid dataset is below it.
+_UNIT_TOP = 1.5
+
+
+@lru_cache(maxsize=None)
+def _unit_limit(eps_eq: float) -> float:
+    """The largest computed spread of a float unit that :func:`_proportional`
+    certifies under ``eps_eq``, derived once per tolerance: 1 + eps_eq/32,
+    confirmed by one :func:`_float_certified` call at entries up to
+    ``_UNIT_TOP``.  0.0 where that call refuses, because rounding alone can
+    exceed eps_eq; then no unit is certified."""
+    limit = 1 + eps_eq / 32
+    return limit if _float_certified(limit, _UNIT_TOP, eps_eq) else 0.0
+
+
+def _proportional(
+    scc: SCC, us: Sequence[Prob], vs: Sequence[Prob], tol: ToleranceConfig
+) -> bool:
+    """Whether every comparison u_T v_T' = u_T' v_T between two columns of
+    the 2 x m matrix with rows ``us`` and ``vs`` must pass: the one test of a
+    unit's proportionality, in both modes.
+
+    Exact mode: :func:`_rank_one`.  Float mode drops the columns that are
+    zero in both rows, which compare 0.0 with 0.0, and refuses a column with
+    one zero and any entry outside ``_FLOAT_RANGE`` or above ``_UNIT_TOP``.
+    It certifies the rest when the spread of their ratios v_T / u_T is at
+    most :func:`_unit_limit`, inside the bound of :func:`_float_certified`.
+    """
+    if scc.exact:
+        return _rank_one(us, vs)
+    limit = _unit_limit(tol.eps_eq)
+    if not limit:
+        return False
+    if 0 in us or 0 in vs:
+        kept = [(u, v) for u, v in zip(us, vs) if u or v]
+        us, vs = [u for u, _ in kept], [v for _, v in kept]
+    if not us:
+        return True
+    if not _in_float_range([*us, *vs], _UNIT_TOP):
+        return False
+    ratios = list(map(truediv, vs, us))
+    return max(ratios) / min(ratios) <= limit
 
 
 def cached_revealed_constraints(scc: SCC) -> dict[int, int]:
@@ -449,9 +508,9 @@ def _iis_scan(
     scc: SCC, tol: ToleranceConfig, out: _Collector, empty_variant: bool
 ) -> int:
     """Both IIS forms, menu pair by menu pair; returns the instances checked.
-    Exact mode certifies a menu pair with :func:`_rank_one` on its two rows
-    over the guarded collections (over every subset of S n S' in the
-    empty-collection form) and compares only the pairs that fail it."""
+    :func:`_proportional` certifies a menu pair, in either mode, on its two
+    rows over the guarded collections (over every subset of S n S' in the
+    empty-collection form), and only the pairs that fail it are compared."""
     cap = out.cap
     rows = cached_scaled_rows(scc)[0]
     pos = _positive_rows(scc)
@@ -471,14 +530,13 @@ def _iis_scan(
             checked += here
             if not here or len(out.witnesses) == cap:
                 continue
-            if scc.exact:
-                if empty_variant:
-                    subs = submasks(inter)
-                    columns = [list(map(r.get, subs, repeat(0))) for r in (row_s, row_s2)]
-                else:
-                    columns = map(itemgetter(*common), (row_s, row_s2))
-                if _rank_one(*columns):
-                    continue
+            if empty_variant:
+                subs = submasks(inter)
+                columns = [list(map(r.get, subs, repeat(0))) for r in (row_s, row_s2)]
+            else:
+                columns = map(itemgetter(*common), (row_s, row_s2))
+            if _proportional(scc, *columns, tol):
+                continue
             guarded = sorted(common)
             pairs = (
                 ((t, t2) for t in submasks(inter) for t2 in guarded if t2 != t)
@@ -526,9 +584,9 @@ def _rel_add_scan(
 
     Counts per (S, x), with m = 2^|S\\x| - 1: C(m,2) checked, or C(m-1,2)
     checked and m-1 vacuous for REL_ADD_1 with a non-empty excluded set.
-    Exact mode certifies an (S, x) with :func:`_rank_one` on the rows
+    :func:`_proportional` certifies an (S, x), in either mode, on the rows
     mu(T,S\\x) and mu(T,S) + mu(T u x,S), the excluded column left out,
-    and scans only those that fail it.
+    and only those that fail it are scanned.
     """
     require_complete(scc)
     constraints = (
@@ -548,7 +606,7 @@ def _rel_add_scan(
             continue
         us = list(map(row_rest.get, subs, repeat(0)))
         vs = [row_s.get(t, 0) + row_s.get(t | xbit, 0) for t in subs]
-        if scc.exact and _rank_one(us, vs):
+        if _proportional(scc, us, vs, tol):
             continue
         for (t, u, v), (t2, u2, v2) in combinations(zip(subs, us, vs), 2):
             if not probs_equal(scc, u * v2, u2 * v, tol):

@@ -153,12 +153,14 @@ def parse_scc(document: Any) -> SCC:
     menus_field = _require_type(document.get("menus", []), list, "menus")
     masks: dict[tuple, int] = {}  # (allow_empty, *labels) → mask, of label lists accepted
 
-    def mask_of(labels: Any, context: str, allow_empty: bool = True) -> int:
+    def mask_of(labels: Any, context: Callable[[], str], allow_empty: bool = True) -> int:
+        """The mask of a label list; ``context()`` names it, and is built only
+        for a list not seen before."""
         key = (allow_empty, *labels) if isinstance(labels, list) else None
         try:
             return masks[key]
         except (KeyError, TypeError):  # unseen, or an unhashable label
-            mask = masks[key] = _mask_from_labels(universe, labels, context, allow_empty)
+            mask = masks[key] = _mask_from_labels(universe, labels, context(), allow_empty)
             return mask
 
     rows: dict[int, dict[int, Prob]] = {}
@@ -166,22 +168,24 @@ def parse_scc(document: Any) -> SCC:
     for mi, entry in enumerate(menus_field):
         context = f"menus[{mi}]"
         _require_type(entry, dict, context)
-        menu = mask_of(entry.get("menu"), f"{context}.menu", allow_empty=False)
+        menu = mask_of(entry.get("menu"), lambda: f"{context}.menu", allow_empty=False)
         if menu in rows:
             raise SchemaError(f"{context}: duplicate menu {universe.labels_of(menu)}")
         row: dict[int, Prob] = {}
         cells = _require_type(entry.get("rows", []), list, f"{context}.rows")
+        # a cell's context is built only for its error: _require_type's rule
+        # for a dict, which no bool passes, is isinstance alone
         for ri, cell in enumerate(cells):
-            cell_context = f"{context}.rows[{ri}]"
-            _require_type(cell, dict, cell_context)
-            collection = mask_of(cell.get("set"), f"{cell_context}.set")
+            if not isinstance(cell, dict):
+                raise SchemaError(f"{context}.rows[{ri}]: expected dict")
+            collection = mask_of(cell.get("set"), lambda: f"{context}.rows[{ri}].set")
             if collection in row:
                 raise SchemaError(
-                    f"{cell_context}: duplicate set {universe.labels_of(collection)}"
+                    f"{context}.rows[{ri}]: duplicate set {universe.labels_of(collection)}"
                 )
             literal = cell.get("p")
             if not isinstance(literal, str):
-                raise SchemaError(f"{cell_context}.p: expected a string")
+                raise SchemaError(f"{context}.rows[{ri}].p: expected a string")
             value, exact = parse_prob_literal(literal)
             saw_exact |= exact
             saw_float |= not exact

@@ -6,6 +6,7 @@ relative additivity and the attention-filter condition were derived by
 hand, fraction by fraction.
 """
 
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -646,7 +647,7 @@ class TestRatioCertificates:
             if full and (scc.allows_empty or axiom is not AxiomId.IIS_O):
                 assert fast.instances_vacuous == 0, (name, axiom)
 
-    def test_corpus_reaches_every_path(self, ratio_runs):
+    def test_corpus_reaches_every_path(self, ratio_runs, unit_runs):
         for axiom in STRUCTURAL_AXIOMS:
             # every structural axiom holds somewhere and fails somewhere
             for exact in (True, False):
@@ -666,20 +667,34 @@ class TestRatioCertificates:
                 ), (axiom, exact)
             if not unit:
                 continue
-            exact = [
-                (cap, fast)
-                for _, scc, ax, cap, fast, _, _ in ratio_runs
-                if ax is axiom and scc.exact
-            ]
-            # the certificate settles "holds" with instances checked ...
-            assert any(r.holds and r.instances_checked for _, r in exact), axiom
-            # ... fails, so the pair is scanned ...
-            assert any(not r.holds for _, r in exact), axiom
-            # ... and at cap 1 a later failing unit is skipped
+            for exact in (True, False):
+                runs = [
+                    (cap, fast)
+                    for _, scc, ax, cap, fast, _, _ in ratio_runs
+                    if ax is axiom and scc.exact is exact
+                ]
+                # the certificate settles "holds" with instances checked ...
+                assert any(r.holds and r.instances_checked for _, r in runs), (axiom, exact)
+                # ... fails, so the pair is scanned ...
+                assert any(not r.holds for _, r in runs), (axiom, exact)
+                # ... and at cap 1 a later failing unit is skipped
+                assert any(
+                    len({tuple(w.bindings[k] for k in unit) for w in r.witnesses}) > 1
+                    for cap, r in runs
+                    if cap == 10
+                ), (axiom, exact)
+            # in float mode the unit certificate itself settles "holds" and
+            # refuses a unit that is then scanned, on the ratio corpus alone
+            ratio = [run for run in unit_runs if not run[0].startswith("full-")]
             assert any(
-                len({tuple(w.bindings[k] for k in unit) for w in r.witnesses}) > 1
-                for cap, r in exact
-                if cap == 10
+                r.holds and r.instances_checked and certified
+                for _, _, _, ax, _, r, certified, _, _ in ratio
+                if ax is axiom
+            ), axiom
+            assert any(
+                not r.holds and refused
+                for _, _, _, ax, _, r, _, refused, _ in ratio
+                if ax is axiom
             ), axiom
 
 
@@ -827,6 +842,185 @@ class TestGrandRowCertificate:
         assert not scclab.axioms._float_certified(1 + 4e-10, 1.0, 1e-9)
         # and the entries' size scales the products: 2^3 * 3e-10 > 1e-9
         assert not scclab.axioms._float_certified(1 + 1e-10, 2.0, 1e-9)
+
+
+#: The tolerances of the float unit runs, and the noise of the noisy float
+#: copies: each level sits near the unit limit, 1 + eps_eq/32, of the
+#: tolerance in its place.
+UNIT_TOLERANCES = (ToleranceConfig(eps_eq=1e-9), ToleranceConfig(eps_eq=1e-2))
+NOISE = (1e-11, 1e-4)
+
+
+def _float_unit_cases():
+    """(name, scc): the float copies of the ratio and full-support corpora,
+    and copies of the unperturbed float full-support cases at n = 3..5 with
+    each cell scaled by 1 + N(0, sigma) for each sigma of NOISE, each row
+    renormalised."""
+    rng = random.Random(5300)
+    cases = [(name, scc) for name, scc, _ in _ratio_cases() if not scc.exact]
+    for name, change, scc in _full_support_cases():
+        if scc.exact:
+            continue
+        cases.append((name, scc))
+        if change is not None or scc.universe.n > 5:
+            continue
+        for sigma in NOISE:
+            rows = {}
+            for menu, row in scc.rows.items():
+                noisy = {t: p * (1 + rng.gauss(0, sigma)) for t, p in row.items()}
+                total = sum(noisy.values())
+                rows[menu] = {t: p / total for t, p in noisy.items()}
+            noisy_scc = SCC(scc.universe, rows, scc.allows_empty, exact=False)
+            cases.append((f"{name}-noise{sigma}", noisy_scc))
+    return cases
+
+
+@pytest.fixture(scope="module")
+def unit_runs():
+    """(case, scc, tol, axiom, cap, report, certified, refused, scanned):
+    IIS, IIS_O, REL_ADD and REL_ADD_1 through ``run_axiom`` on the float
+    unit cases, at each of UNIT_TOLERANCES and caps 1 and 10, with the
+    number of units :func:`_proportional` certified and refused, and the
+    report with its float branch patched to refuse every unit, so that each
+    unit is scanned."""
+    proportional = scclab.axioms._proportional
+    axioms = (AxiomId.IIS, AxiomId.IIS_O, AxiomId.REL_ADD, AxiomId.REL_ADD_1)
+    runs = []
+    for name, scc in _float_unit_cases():
+        for tol in UNIT_TOLERANCES:
+            for axiom in axioms:
+                if not _compared(scc, axiom, None):
+                    continue
+                for cap in (1, 10):
+                    verdicts = []
+
+                    def counted(*args):
+                        verdicts.append(proportional(*args))
+                        return verdicts[-1]
+
+                    with pytest.MonkeyPatch.context() as patch:
+                        patch.setattr(scclab.axioms, "_proportional", counted)
+                        report = run_axiom(scc, axiom, tol, cap=cap)
+                        patch.setattr(
+                            scclab.axioms,
+                            "_proportional",
+                            lambda scc, *args: scc.exact and proportional(scc, *args),
+                        )
+                        scanned = run_axiom(scc, axiom, tol, cap=cap)
+                    certified = verdicts.count(True)
+                    refused = len(verdicts) - certified
+                    runs.append(
+                        (name, scc, tol, axiom, cap, report, certified, refused, scanned)
+                    )
+    return runs
+
+
+class TestFloatUnitCertificate:
+    def test_reports_match_the_scan(self, unit_runs):
+        for name, _, tol, axiom, cap, report, _, _, scanned in unit_runs:
+            case = (name, tol.eps_eq, axiom, cap)
+            assert report.holds == scanned.holds, case
+            assert report.witnesses == scanned.witnesses, case
+            assert report.instances_checked == scanned.instances_checked, case
+            assert report.instances_vacuous == scanned.instances_vacuous, case
+            assert report == scanned, case
+
+    def test_witnesses_recheck(self, unit_runs):
+        for name, scc, tol, axiom, _, report, *_ in unit_runs:
+            for witness in report.witnesses:
+                assert recheck_witness(scc, witness, tol), (name, tol.eps_eq, witness)
+
+    def test_corpus_reaches_both_verdicts(self, unit_runs):
+        for tol, sigma in zip(UNIT_TOLERANCES, NOISE):
+            for axiom in (AxiomId.IIS, AxiomId.IIS_O, AxiomId.REL_ADD, AxiomId.REL_ADD_1):
+                runs = [run for run in unit_runs if run[2] == tol and run[3] is axiom]
+                assert any(certified for *_, certified, _, _ in runs), (tol, axiom)
+                assert any(refused for *_, refused, _ in runs), (tol, axiom)
+            # the noise near this tolerance's limit gets units on both sides of it
+            noisy = [
+                (certified, refused)
+                for name, _, t, _, _, _, certified, refused, _ in unit_runs
+                if t == tol and name.endswith(f"-noise{sigma}")
+            ]
+            assert any(c for c, _ in noisy) and any(r for _, r in noisy), tol
+
+
+#: A float unit: a 2 x 3 matrix whose rows are proportional up to rounding.
+UNIT = ([0.5, 0.25, 0.125], [0.3, 0.15, 0.075])
+
+
+class TestUnitLimit:
+    @staticmethod
+    def proportional(us, vs, eps_eq=1e-9):
+        scc = SCC(Universe.default(1), {1: {1: 1.0}}, exact=False)
+        return scclab.axioms._proportional(scc, us, vs, ToleranceConfig(eps_eq=eps_eq))
+
+    def test_limit_is_certified(self):
+        top = scclab.axioms._UNIT_TOP
+        for eps_eq in (1e-12, 1e-9, 1e-6, 1e-2):
+            limit = scclab.axioms._unit_limit(eps_eq)
+            assert limit == 1 + eps_eq / 32, eps_eq
+            assert scclab.axioms._float_certified(limit, top, eps_eq), eps_eq
+            assert self.proportional(*UNIT, eps_eq)
+
+    def test_no_unit_where_rounding_exceeds_eps_eq(self):
+        assert scclab.axioms._unit_limit(1e-16) == 0.0
+        assert not self.proportional([0.5, 0.5], [0.5, 0.5], 1e-16)
+
+    def test_derived_once_per_tolerance(self, monkeypatch):
+        base = generate_scc(sample_params(GenConfig(4, ModelTag.IC, seed=5200)), Universe.default(4))
+        scc = SCC(base.universe, _copy_rows(base, False), exact=False)
+        calls = []
+        certified = scclab.axioms._float_certified
+
+        def counted(spread, top, eps_eq):
+            calls.append((spread, top, eps_eq))
+            return certified(spread, top, eps_eq)
+
+        monkeypatch.setattr(scclab.axioms, "_float_certified", counted)
+        scclab.axioms._unit_limit.cache_clear()
+        try:
+            tolerances = (ToleranceConfig(eps_eq=3e-9), ToleranceConfig(eps_eq=3e-9),
+                          ToleranceConfig(eps_eq=3e-3))
+            for tol in tolerances:
+                for axiom in (AxiomId.REL_ADD, AxiomId.REL_ADD_1):
+                    assert run_axiom(scc, axiom, tol).holds
+        finally:
+            scclab.axioms._unit_limit.cache_clear()
+        top = scclab.axioms._UNIT_TOP
+        assert calls == [(1 + 3e-9 / 32, top, 3e-9), (1 + 3e-3 / 32, top, 3e-3)]
+
+    def test_zero_columns(self):
+        # a column zero in both rows compares 0.0 with 0.0, so it is dropped
+        assert self.proportional([0.5, 0.0, 0.25], [0.3, 0.0, 0.15])
+        assert self.proportional([0, 0.0], [0.0, 0])
+        # a column zero in one row refuses the certificate
+        assert not self.proportional([0.5, 0.0, 0.25], [0.3, 1e-300, 0.15])
+        assert not self.proportional([0.5, 0.25, 0.25], [0.3, 0.15, 0.0])
+
+    @pytest.mark.parametrize("entry", [math.inf, math.nan, 2.0**-400, -0.25, 1.75])
+    def test_entries_out_of_range(self, entry):
+        for row in (0, 1):
+            for column in (0, 2):
+                unit = [list(UNIT[0]), list(UNIT[1])]
+                unit[row][column] = entry
+                assert not self.proportional(*unit), (row, column)
+
+    def test_rows_scaled_out_of_range(self):
+        # a row scaled by a power of two keeps its ratios equal, so only the
+        # range refuses it: below _FLOAT_RANGE, or above _UNIT_TOP
+        us, vs = UNIT
+        for scale in (2.0**-400, 8.0):
+            assert not self.proportional(us, [v * scale for v in vs]), scale
+            assert not self.proportional([u * scale for u in us], vs), scale
+        assert self.proportional(us, [v * 2.0**-300 for v in vs])
+        assert self.proportional([u * 2.0 for u in us], vs)
+
+    def test_spread_one_ulp_above_the_limit(self):
+        # 0.5 s / 0.5 is s exactly, so the unit's computed spread is s
+        limit = scclab.axioms._unit_limit(DEFAULT_TOL.eps_eq)
+        assert self.proportional([0.5, 0.5], [0.5, 0.5 * limit])
+        assert not self.proportional([0.5, 0.5], [0.5, 0.5 * math.nextafter(limit, 2)])
 
 
 class TestPAF:

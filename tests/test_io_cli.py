@@ -174,6 +174,24 @@ class TestLabelMasks:
             parse_scc(self.document(bad_menu=[]))
         assert str(exc.value) == "menus[2].menu: must be non-empty"
 
+    @pytest.mark.parametrize(
+        "cell,message",
+        [
+            (["a"], "menus[1].rows[3]: expected dict"),
+            (True, "menus[1].rows[3]: expected dict"),
+            ({"set": ["b"]}, "menus[1].rows[3].p: expected a string"),
+            ({"set": ["b"], "p": 0.5}, "menus[1].rows[3].p: expected a string"),
+            ({"set": ["b"], "p": True}, "menus[1].rows[3].p: expected a string"),
+        ],
+        ids=["list", "bool", "no-p", "number-p", "bool-p"],
+    )
+    def test_malformed_cells_keep_their_messages(self, cell, message):
+        document = self.document()
+        document["menus"][1]["rows"].append(cell)
+        with pytest.raises(SchemaError) as exc:
+            parse_scc(document)
+        assert str(exc.value) == message
+
 
 class TestSccDocuments:
     def test_document_round_trip(self):

@@ -143,6 +143,20 @@ def test_each_shared_rule_is_stated_in_one_module():
     }
 
 
+def test_proportionality_is_decided_by_one_rule():
+    """Exact rank one and the float unit limit are read only inside
+    axioms._proportional, which every unit certificate calls; the scans
+    that call it leave the mode to it."""
+    readers = _holders(
+        lambda node: isinstance(node, ast.Name) and node.id in ("_rank_one", "_unit_limit")
+    )
+    assert readers == {"axioms._proportional"}
+    scans = {"axioms._iis_scan", "axioms._rel_add_scan"}
+    assert _callers("_proportional") == scans | {"axioms._decide_grand_row"}
+    mode_tests = _holders(lambda node: isinstance(node, ast.Attribute) and node.attr == "exact")
+    assert not mode_tests & scans
+
+
 def test_tolerance_is_only_the_equality_tolerance():
     """Support is a property of the data: the one tolerance field is eps_eq,
     and nothing that decides support or validates takes a tolerance."""
