@@ -181,8 +181,9 @@ class _Collector:
 
 def _positive_rows(scc: SCC) -> dict[int, dict[int, Prob]]:
     """Per menu, the sub-row of strictly positive entries of
-    :func:`cached_scaled_rows` under :func:`is_positive`: the one positivity
-    table every support test reads, built once per SCC."""
+    :func:`cached_scaled_rows` under :func:`is_positive`, built once per SCC:
+    the one support test of a cell in the scans.  Only the reference paths
+    and two tests of sums call :func:`is_zero` themselves."""
     return _memoized(
         scc,
         ("positive_rows",),
@@ -265,15 +266,17 @@ def _grand_row(scc: SCC, tol: ToleranceConfig) -> _GrandRow:
     return _memoized(scc, ("grand_row", tol), lambda: _decide_grand_row(scc, tol))
 
 
-#: The float entries the grand-row certificate accepts: no ratio of two of
-#: them and no product of three leaves the normal range.
-_FLOAT_RANGE = (2.0**-340, 2.0**340)
+#: The float entries both certificates accept: no ratio of two of them and
+#: no product of three leaves the normal range, and no valid cell (at most
+#: 1 + ``EPS_ZERO``) or two-cell sum of REL_ADD reaches the top.
+_FLOAT_RANGE = (2.0**-340, 1.5)
 
 
-def _in_float_range(entries: Sequence[float], top: float) -> bool:
-    """Whether every entry is finite, at least ``_FLOAT_RANGE[0]`` and at
-    most ``top``: the range test of both float certificates."""
-    return math.isfinite(sum(entries)) and _FLOAT_RANGE[0] <= min(entries) and max(entries) <= top
+def _in_float_range(entries: Sequence[float]) -> bool:
+    """Whether every entry is finite and inside ``_FLOAT_RANGE``: the range
+    test of both float certificates."""
+    low, high = _FLOAT_RANGE
+    return math.isfinite(sum(entries)) and low <= min(entries) and max(entries) <= high
 
 #: Unit roundoff of IEEE double precision, rounding to nearest.
 _UNIT_ROUNDOFF = Fraction(1, 2**53)
@@ -303,7 +306,7 @@ def _decide_grand_row(scc: SCC, tol: ToleranceConfig) -> _GrandRow:
             if not _proportional(scc, us, vs, tol):
                 return _GrandRow(empty, False)
             continue
-        if not _in_float_range(vs, _FLOAT_RANGE[1]):
+        if not _in_float_range(vs):
             return _GrandRow(empty, False)
         ratios = list(map(truediv, vs, us))
         spread = max(spread, max(ratios) / min(ratios))
@@ -362,20 +365,15 @@ def _float_certified(spread: float, top: float, eps_eq: float) -> bool:
     return (1 + u) * worst <= eps_eq
 
 
-#: The largest float entry a unit certificate accepts: every probability,
-#: and every two-cell sum of REL_ADD, of a valid dataset is below it.
-_UNIT_TOP = 1.5
-
-
 @lru_cache(maxsize=None)
 def _unit_limit(eps_eq: float) -> float:
     """The largest computed spread of a float unit that :func:`_proportional`
     certifies under ``eps_eq``, derived once per tolerance: 1 + eps_eq/32,
-    confirmed by one :func:`_float_certified` call at entries up to
-    ``_UNIT_TOP``.  0.0 where that call refuses, because rounding alone can
-    exceed eps_eq; then no unit is certified."""
+    confirmed by one :func:`_float_certified` call at the top of
+    ``_FLOAT_RANGE``.  0.0 where that call refuses, because rounding alone
+    can exceed eps_eq; then no unit is certified."""
     limit = 1 + eps_eq / 32
-    return limit if _float_certified(limit, _UNIT_TOP, eps_eq) else 0.0
+    return limit if _float_certified(limit, _FLOAT_RANGE[1], eps_eq) else 0.0
 
 
 def _proportional(
@@ -387,7 +385,7 @@ def _proportional(
 
     Exact mode: :func:`_rank_one`.  Float mode drops the columns that are
     zero in both rows, which compare 0.0 with 0.0, and refuses a column with
-    one zero and any entry outside ``_FLOAT_RANGE`` or above ``_UNIT_TOP``.
+    one zero and any entry outside ``_FLOAT_RANGE``.
     It certifies the rest when the spread of their ratios v_T / u_T is at
     most :func:`_unit_limit`, inside the bound of :func:`_float_certified`.
     """
@@ -401,7 +399,7 @@ def _proportional(
         us, vs = [u for u, _ in kept], [v for _, v in kept]
     if not us:
         return True
-    if not _in_float_range([*us, *vs], _UNIT_TOP):
+    if not _in_float_range([*us, *vs]):
         return False
     ratios = list(map(truediv, vs, us))
     return max(ratios) / min(ratios) <= limit
@@ -510,7 +508,8 @@ def _iis_scan(
     """Both IIS forms, menu pair by menu pair; returns the instances checked.
     :func:`_proportional` certifies a menu pair, in either mode, on its two
     rows over the guarded collections (over every subset of S n S' in the
-    empty-collection form), and only the pairs that fail it are compared."""
+    empty-collection form), and only the pairs that fail it are compared; a
+    pair of one comparison is compared directly, which costs less."""
     cap = out.cap
     rows = cached_scaled_rows(scc)[0]
     pos = _positive_rows(scc)
@@ -530,13 +529,14 @@ def _iis_scan(
             checked += here
             if not here or len(out.witnesses) == cap:
                 continue
-            if empty_variant:
-                subs = submasks(inter)
-                columns = [list(map(r.get, subs, repeat(0))) for r in (row_s, row_s2)]
-            else:
-                columns = map(itemgetter(*common), (row_s, row_s2))
-            if _proportional(scc, *columns, tol):
-                continue
+            if here > 1:
+                if empty_variant:
+                    subs = submasks(inter)
+                    columns = [list(map(r.get, subs, repeat(0))) for r in (row_s, row_s2)]
+                else:
+                    columns = map(itemgetter(*common), (row_s, row_s2))
+                if _proportional(scc, *columns, tol):
+                    continue
             guarded = sorted(common)
             pairs = (
                 ((t, t2) for t in submasks(inter) for t2 in guarded if t2 != t)
@@ -702,6 +702,7 @@ def derive_revealed_constraints(scc: SCC) -> dict[int, int]:
     Needs every binary menu; completeness is otherwise not required.
     """
     n = scc.universe.n
+    pos = _positive_rows(scc)
     revealed: dict[int, int] = {}
     for x in range(n):
         xbit = 1 << x
@@ -714,7 +715,7 @@ def derive_revealed_constraints(scc: SCC) -> dict[int, int]:
                 raise MissingBinaryMenuError(
                     f"binary menu {scc.universe.labels_of(pair)} is absent"
                 )
-            if is_zero(scc, prob_lookup(scc, xbit, pair)):
+            if xbit not in pos[pair]:
                 mask |= 1 << y
         revealed[x] = mask
     return revealed
@@ -725,7 +726,7 @@ def derive_revealed_nests(scc: SCC) -> list[int]:
     full = scc.universe.full_mask
     if full not in scc.rows:
         raise MenuAbsentError("grand-set row required to derive revealed nests")
-    return sorted(t for t, p in scc.rows[full].items() if t != 0 and is_positive(scc, p))
+    return sorted(_positive_rows(scc)[full].keys() - {0})
 
 
 def _support_shape_report(
@@ -777,16 +778,14 @@ def check_positivity(
     if kind == 1:
         out = _Collector(AxiomId.POS1, cap)
         pos = _positive_rows(scc)
-        checked = 0
         for menu in scc.menus():
             covered = 0
             for t in pos[menu]:
                 covered |= t
-            for x in bits(menu):
-                checked += 1
-                if not covered & (1 << x):
-                    out.add({"x": 1 << x, "S": menu}, None, None)
-        return out.report(scc, checked, 0)
+            for x in bits(menu & ~covered):
+                out.add({"x": 1 << x, "S": menu}, None, None)
+        n = scc.universe.n
+        return out.report(scc, n << (n - 1), 0)
     if kind in (2, 3, 4):
         return _support_shape_report(scc, cap, AxiomId(f"POS{kind}"), attributes)
     raise ValueError(f"positivity kind must be 1, 2, 3, or 4, got {kind}")
@@ -1160,14 +1159,16 @@ def _partition_report(scc: SCC, tol: ToleranceConfig, cap: int) -> AxiomReport:
 
     Domain: one disjointness instance per nest pair plus one coverage
     instance.  Coverage failures bind the uncovered items under "uncovered".
+    The count is fixed, so the pair scan stops once ``cap`` pairs overlap.
     """
     require_complete(scc)
     out = _Collector(AxiomId.PARTITION, cap)
     nests = cached_revealed_nests(scc)
-    for i in range(len(nests)):
-        for j in range(i + 1, len(nests)):
-            if nests[i] & nests[j]:
-                out.add({"T": nests[i], "T_prime": nests[j]}, None, None)
+    for t, t2 in combinations(nests, 2):
+        if t & t2:
+            out.add({"T": t, "T_prime": t2}, None, None)
+            if len(out.witnesses) == cap:
+                break
     union = 0
     for nest in nests:
         union |= nest
@@ -1207,26 +1208,24 @@ def check_paf(
     If item x is never chosen alone from S (mu({x},S) = 0), dropping x must
     not move the probability of any collection still chosen on both sides:
     mu(T,S) = mu(T,S\\x) whenever both are positive.  Domain: all (S, x, T)
-    with non-empty T contained in S\\x; instances failing the three-part
-    guard are vacuous.
+    with non-empty T contained in S\\x, n (3^(n-1) - 2^(n-1)) instances; only
+    those meeting the three-part guard in :func:`_positive_rows` are
+    compared, and the rest are vacuous.  Assumes a valid SCC, as
+    :func:`_iis_scan` does.
     """
     require_complete(scc)
     out = _Collector(AxiomId.PAF, cap)
-    zero = scc.zero()
+    pos = _positive_rows(scc)
     checked = 0
-    vacuous = 0
     for s, xbit, rest, row_s, row_rest in _removals(scc.rows):
-        gate = is_zero(scc, row_s.get(xbit, zero))
-        for t in nonempty_submasks(rest):
-            lhs = row_s.get(t, zero)
-            rhs = row_rest.get(t, zero)
-            if not (gate and is_positive(scc, lhs) and is_positive(scc, rhs)):
-                vacuous += 1
-                continue
+        if xbit in pos[s]:
+            continue
+        for t in sorted(pos[s].keys() & pos[rest].keys() - {0}):
             checked += 1
-            if not probs_equal(scc, lhs, rhs, tol):
+            if not probs_equal(scc, row_s[t], row_rest[t], tol):
                 out.add_equation(scc, {"S": s, "x": xbit, "T": t}, tol)
-    return out.report(scc, checked, vacuous)
+    n = scc.universe.n
+    return out.report(scc, checked, n * (3 ** (n - 1) - 2 ** (n - 1)) - checked)
 
 
 def _paf_sides(scc: SCC, b: dict[str, int], tol: ToleranceConfig) -> Sides:

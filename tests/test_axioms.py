@@ -43,6 +43,7 @@ from scclab.axioms import (
     _grand_row,
     cached_report,
     cached_revealed_constraints,
+    cached_revealed_nests,
     cached_scaled_rows,
     characterizing_axioms,
     check_additivity,
@@ -268,6 +269,25 @@ class TestRevealedStructure:
         assert piis.instances_checked == 3  # one potential check per edge
         assert partition.instances_checked == 2  # one disjointness pair + coverage
 
+    def test_partition_stops_once_the_cap_is_full(self, monkeypatch):
+        # on full-support data every pair of the 255 nests overlaps; the
+        # count is C(255, 2) + 1 whichever pairs are scanned
+        spec = sample_params(GenConfig(8, ModelTag.LOGIT, seed=5300))
+        scc = generate_scc(spec, Universe.default(8))
+        cached_revealed_nests(scc)
+        calls = []
+        add = scclab.axioms._Collector.add
+
+        def counted(collector, *args):
+            calls.append(args)
+            return add(collector, *args)
+
+        monkeypatch.setattr(scclab.axioms._Collector, "add", counted)
+        report = scclab.axioms._partition_report(scc, DEFAULT_TOL, 10)
+        assert not report.holds and len(report.witnesses) == 10
+        assert report.instances_checked == 255 * 254 // 2 + 1
+        assert len(calls) <= 10
+
 
 class TestPIIS:
     def test_holds_on_full_support_logit(self, logit_scc):
@@ -472,12 +492,24 @@ def _generators(scc, axiom, attributes, s):
 
 
 def _structural_reference(scc, axiom, attributes):
-    """(witnesses, checked) of PARTITION or a support-shape postulate from
-    its definition: T is achievable on S when some generator g has
-    g n S = T, and a non-empty T is a witness at S when it is positive
-    exactly where it is not achievable.  A menu lists its positive
-    unachievable collections first, then its achievable zero ones."""
+    """(witnesses, checked) of POS1, PARTITION or a support-shape postulate
+    from its definition.  POS1: an item x of S is a witness when no positive
+    collection of S contains it, over the sum of |S| instances.  Support
+    shape: T is achievable on S when some generator g has g n S = T, and a
+    non-empty T is a witness at S when it is positive exactly where it is
+    not achievable.  A menu lists its positive unachievable collections
+    first, then its achievable zero ones."""
     full = scc.universe.full_mask
+    if axiom is AxiomId.POS1:
+        witnesses = [
+            Witness(axiom, {"x": 1 << x, "S": s})
+            for s in scc.menus()
+            for x in bits(s)
+            if not any(
+                t >> x & 1 and is_positive(scc, prob_lookup(scc, t, s)) for t in submasks(s)
+            )
+        ]
+        return witnesses, sum(s.bit_count() for s in scc.menus())
     if axiom is AxiomId.PARTITION:
         nests = _revealed_nests(scc)
         witnesses = [
@@ -543,6 +575,7 @@ REFERENCE_AXIOMS = {
 
 #: The structural axioms the reference decides.
 STRUCTURAL_AXIOMS = (
+    AxiomId.POS1,
     AxiomId.POS2,
     AxiomId.POS3,
     AxiomId.POS4,
@@ -956,7 +989,7 @@ class TestUnitLimit:
         return scclab.axioms._proportional(scc, us, vs, ToleranceConfig(eps_eq=eps_eq))
 
     def test_limit_is_certified(self):
-        top = scclab.axioms._UNIT_TOP
+        top = scclab.axioms._FLOAT_RANGE[1]
         for eps_eq in (1e-12, 1e-9, 1e-6, 1e-2):
             limit = scclab.axioms._unit_limit(eps_eq)
             assert limit == 1 + eps_eq / 32, eps_eq
@@ -987,7 +1020,7 @@ class TestUnitLimit:
                     assert run_axiom(scc, axiom, tol).holds
         finally:
             scclab.axioms._unit_limit.cache_clear()
-        top = scclab.axioms._UNIT_TOP
+        top = scclab.axioms._FLOAT_RANGE[1]
         assert calls == [(1 + 3e-9 / 32, top, 3e-9), (1 + 3e-3 / 32, top, 3e-3)]
 
     def test_zero_columns(self):
@@ -1008,7 +1041,7 @@ class TestUnitLimit:
 
     def test_rows_scaled_out_of_range(self):
         # a row scaled by a power of two keeps its ratios equal, so only the
-        # range refuses it: below _FLOAT_RANGE, or above _UNIT_TOP
+        # range refuses it: below or above _FLOAT_RANGE
         us, vs = UNIT
         for scale in (2.0**-400, 8.0):
             assert not self.proportional(us, [v * scale for v in vs]), scale
@@ -1041,6 +1074,38 @@ class TestPAF:
         report = check_paf(logit_scc)
         assert report.holds
         assert report.instances_checked == 0
+
+    def test_reads_the_positivity_table(self, monkeypatch):
+        """The scan tests no cell for support: its gate and guard come from
+        the positivity table, built before counting, and only the sides of a
+        recorded witness test cells (one is_zero and two is_positive each).
+        Each checked instance is one comparison."""
+        calls = []
+        for name in ("is_zero", "is_positive", "probs_equal"):
+
+            def counted(*args, _name=name, _original=getattr(scclab.axioms, name)):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(scclab.axioms, name, counted)
+        universe = Universe.default(8)
+        verdicts = set()
+        for model, seed in ((ModelTag.LOGIT, 5300), (ModelTag.RCG, 5300), (ModelTag.RCG, 5301)):
+            scc = generate_scc(sample_params(GenConfig(8, model, seed=seed)), universe)
+            scclab.axioms._positive_rows(scc)
+            calls.clear()
+            report = check_paf(scc)
+            support = calls.count("is_zero") + calls.count("is_positive")
+            assert support == 3 * len(report.witnesses), (model, seed)
+            assert calls.count("probs_equal") == report.instances_checked, (model, seed)
+            verdicts.add((model, report.holds, report.instances_checked > 0))
+        # full support leaves every instance vacuous; sparse data both holds
+        # and fails on instances it checks
+        assert verdicts == {
+            (ModelTag.LOGIT, True, False),
+            (ModelTag.RCG, True, True),
+            (ModelTag.RCG, False, True),
+        }
 
 
 class TestSpecialClasses:

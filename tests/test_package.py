@@ -157,6 +157,32 @@ def test_proportionality_is_decided_by_one_rule():
     assert not mode_tests & scans
 
 
+def test_support_is_read_from_one_table():
+    """Every support test of a cell in the scans reads axioms._positive_rows.
+    In scclab.axioms, is_zero and is_positive are called only by the table,
+    by the reference paths (the sides and recheck functions) and by two
+    tests of sums, where zero-support float cells may add up past EPS_ZERO;
+    both float certificates test one range."""
+    callers = {
+        holder
+        for holder in _callers("is_zero") | _callers("is_positive")
+        if holder.startswith("axioms.")
+    }
+    assert callers == {
+        "axioms._positive_rows",
+        "axioms._iis_sides",
+        "axioms._rel_add_sides",
+        "axioms._piis_sides",
+        "axioms._paf_sides",
+        "axioms._recheck_pos1",
+        "axioms._recheck_support_shape",
+        "axioms._recheck_singleton",
+        "axioms._rel_add_adjusted",
+        "axioms.support_transfer_violations",
+    }
+    assert list(inspect.signature(axioms._in_float_range).parameters) == ["entries"]
+
+
 def test_tolerance_is_only_the_equality_tolerance():
     """Support is a property of the data: the one tolerance field is eps_eq,
     and nothing that decides support or validates takes a tolerance."""
