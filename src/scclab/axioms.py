@@ -11,12 +11,13 @@ them:
   whose guard holds; ``instances_vacuous`` counts those whose guard is
   unmet.  Their sum is the domain size.  Instances that are trivially true
   by symmetry (identical menus, identical collections) are not in the
-  domain; per-check docstrings state the domain, and PIIS's domain is its
-  stages'.  A check may count in closed form, certify "holds", and compare
-  instances one by one only where its certificate fails and fewer than
-  ``cap`` witnesses are recorded; the counts are the same.  The grand-row
-  certificate of :func:`_grand_row` settles IIS, IIS_O and PIIS on
-  full-support data, in exact and float mode; :func:`_proportional`
+  domain; per-check docstrings state the domain, and :data:`AXIOMS` its
+  size, as ``domain``, except where that depends on the data: PIIS,
+  REL_ADD_2 and PARTITION count their own.  A check may certify "holds", and
+  compare instances one by one only where its certificate fails and fewer
+  than ``cap`` witnesses are recorded; the counts are the same.  The
+  grand-row certificate of :func:`_grand_row` settles IIS, IIS_O and PIIS
+  on full-support data, in exact and float mode; :func:`_proportional`
   certifies the units of IIS, REL_ADD and REL_ADD_1 in both modes, exactly
   in exact mode and under the grand row's rounding bound in float mode.
 * Ratio postulates are decided by cross-multiplication, never division, so
@@ -160,13 +161,17 @@ class _Collector:
         if len(self.witnesses) < self.cap:
             self.witnesses.append(Witness(self.axiom, bindings, lhs, rhs))
 
-    def add_equation(self, scc: SCC, bindings: dict[str, int], tol: ToleranceConfig):
+    def add_equation(self, scc: SCC, bindings: dict[str, int]):
         """Record a violation of an equation axiom; under the cap, its sides
         are computed from the SCC's rows by the axiom's ``sides``."""
         self.clean = False
         if len(self.witnesses) < self.cap:
-            sides = AXIOMS[self.axiom].sides(scc, bindings, tol)
+            sides = AXIOMS[self.axiom].sides(scc, bindings)
             self.witnesses.append(Witness(self.axiom, bindings, *sides))
+
+    def domain(self, scc: SCC) -> int:
+        """The size of the axiom's domain on ``scc``, read from the registry."""
+        return AXIOMS[self.axiom].domain(scc.universe.n, scc.allows_empty)
 
     def report(self, scc: SCC, checked: int, vacuous: int) -> AxiomReport:
         return AxiomReport(
@@ -479,26 +484,17 @@ def check_iis(
     Counts per menu pair, with k collections positive in both menus (the
     empty one excluded in the standard form) and m = 2^|S n S'| - 1: C(k,2)
     checked and C(m,2) - C(k,2) vacuous, or k*m and (m+1-k)*m in the
-    empty-collection form.  The domain is summed once in closed form over
-    the sizes of menu intersections, and the vacuous count is the rest of
-    it.  When the grand-row certificate of :func:`_grand_row` holds, every
-    guard does, so the report is "holds" with the whole domain checked.
+    empty-collection form; the vacuous count is the rest of the domain.
+    When the grand-row certificate of :func:`_grand_row` holds, every guard
+    does, so the report is "holds" with the whole domain checked.
     Otherwise :func:`_iis_scan` decides.
     """
     require_complete(scc)
     axiom = AxiomId.IIS_O if empty_variant else AxiomId.IIS
     out = _Collector(axiom, cap)
-    n = scc.universe.n
-    domain = 0
-    for j in range(1, n + 1):
-        # C(n,j) (3^(n-j) - 1) / 2 menu pairs meet in j items: each other
-        # item is in S only, S' only or neither, and S = S' once
-        pairs, m = math.comb(n, j) * (3 ** (n - j) - 1) // 2, (1 << j) - 1
-        domain += pairs * (m * (m + 1) if empty_variant else m * (m - 1) // 2)
-    if _grand_row(scc, tol).certifies(axiom):
-        checked = domain
-    else:
-        checked = _iis_scan(scc, tol, out, empty_variant)
+    domain = out.domain(scc)
+    certified = _grand_row(scc, tol).certifies(axiom)
+    checked = domain if certified else _iis_scan(scc, tol, out, empty_variant)
     return out.report(scc, checked, domain - checked)
 
 
@@ -547,15 +543,11 @@ def _iis_scan(
                 lhs = row_s.get(t, 0) * row_s2[t2]
                 rhs = row_s[t2] * row_s2.get(t, 0)
                 if not probs_equal(scc, lhs, rhs, tol):
-                    out.add_equation(
-                        scc, {"T": t, "T_prime": t2, "S": s, "S_prime": s2}, tol
-                    )
+                    out.add_equation(scc, {"T": t, "T_prime": t2, "S": s, "S_prime": s2})
     return checked
 
 
-def _iis_sides(
-    scc: SCC, b: dict[str, int], tol: ToleranceConfig, empty_variant: bool
-) -> Sides:
+def _iis_sides(scc: SCC, b: dict[str, int], empty_variant: bool) -> Sides:
     """mu(T,S) * mu(T',S') and mu(T',S) * mu(T,S'), or None unless the
     probabilities :func:`check_iis` guards on are positive."""
     s, s2, t, t2 = b["S"], b["S_prime"], b["T"], b["T_prime"]
@@ -583,7 +575,8 @@ def _rel_add_scan(
     vacuous instead of checked.
 
     Counts per (S, x), with m = 2^|S\\x| - 1: C(m,2) checked, or C(m-1,2)
-    checked and m-1 vacuous for REL_ADD_1 with a non-empty excluded set.
+    checked and m-1 vacuous for REL_ADD_1 with a non-empty excluded set;
+    the vacuous ones are added up, and the rest of the domain is checked.
     :func:`_proportional` certifies an (S, x), in either mode, on the rows
     mu(T,S\\x) and mu(T,S) + mu(T u x,S), the excluded column left out,
     and only those that fail it are scanned.
@@ -593,7 +586,6 @@ def _rel_add_scan(
         cached_revealed_constraints(scc) if axiom is AxiomId.REL_ADD_1 else None
     )
     out = _Collector(axiom, cap)
-    checked = 0
     vacuous = 0
     for s, xbit, rest, row_s, row_rest in _removals(cached_scaled_rows(scc)[0]):
         subs = nonempty_submasks(rest)
@@ -601,7 +593,6 @@ def _rel_add_scan(
         if excluded:
             subs.remove(excluded)
             vacuous += len(subs)
-        checked += len(subs) * (len(subs) - 1) // 2
         if len(out.witnesses) == cap:
             continue
         us = list(map(row_rest.get, subs, repeat(0)))
@@ -610,8 +601,8 @@ def _rel_add_scan(
             continue
         for (t, u, v), (t2, u2, v2) in combinations(zip(subs, us, vs), 2):
             if not probs_equal(scc, u * v2, u2 * v, tol):
-                out.add_equation(scc, {"S": s, "x": xbit, "T": t, "T_prime": t2}, tol)
-    return out.report(scc, checked, vacuous)
+                out.add_equation(scc, {"S": s, "x": xbit, "T": t, "T_prime": t2})
+    return out.report(scc, out.domain(scc) - vacuous, vacuous)
 
 
 def check_relative_additivity(
@@ -626,9 +617,7 @@ def check_relative_additivity(
     return _rel_add_scan(scc, tol, cap, AxiomId.REL_ADD)
 
 
-def _rel_add_sides(
-    scc: SCC, b: dict[str, int], tol: ToleranceConfig, axiom: AxiomId
-) -> Sides:
+def _rel_add_sides(scc: SCC, b: dict[str, int], axiom: AxiomId) -> Sides:
     """The equation of REL_ADD, REL_ADD_1 and REL_ADD_2 as
     :func:`_rel_add_adjusted` states it, adj(x,S) = 0 but in REL_ADD_2.  None
     where a guard fails: REL_ADD_1 keeps T and T' off Q(x) n S\\x; REL_ADD_2
@@ -664,8 +653,8 @@ def check_additivity(
     mu(T, S\\x) = mu(T,S) + mu(T u x, S) for every menu S, x in S, and every
     T contained in S\\x including the empty collection (stated in rearranged
     sum form; the postulate is usually written as a difference).  Only
-    empty-collection SCCs qualify; instances at singleton menus (where S\\x
-    is not a menu) are vacuous.
+    empty-collection SCCs qualify.  The domain has n 3^(n-1) instances, of
+    which the n at singleton menus (where S\\x is not a menu) are vacuous.
     """
     require_complete(scc)
     if not scc.allows_empty:
@@ -675,18 +664,16 @@ def check_additivity(
         )
     out = _Collector(AxiomId.ADDITIVITY, cap)
     zero = scc.zero()
-    checked = 0
     for s, xbit, rest, row_s, row_rest in _removals(scc.rows):
         for t in submasks(rest):
-            checked += 1
             rhs = row_s.get(t, zero) + row_s.get(t | xbit, zero)
             if not probs_equal(scc, row_rest.get(t, zero), rhs, tol):
-                out.add_equation(scc, {"S": s, "x": xbit, "T": t}, tol)
-    # each singleton menu's lone T = empty instance is vacuous: S\x is not a menu
-    return out.report(scc, checked, scc.universe.n)
+                out.add_equation(scc, {"S": s, "x": xbit, "T": t})
+    n = scc.universe.n
+    return out.report(scc, out.domain(scc) - n, n)
 
 
-def _additivity_sides(scc: SCC, b: dict[str, int], tol: ToleranceConfig) -> Sides:
+def _additivity_sides(scc: SCC, b: dict[str, int]) -> Sides:
     s, xbit, t = b["S"], b["x"], b["T"]
     rest = s & ~xbit
     if rest == 0:
@@ -737,8 +724,7 @@ def _support_shape_report(
     Each states: mu(T,S) > 0 iff T is in the achievable family of S (see
     :func:`_achievable`).  The quantifier ranges over all non-empty T
     contained in S, a domain of size 3^n - 2^n; violations are located by
-    comparing the support of each row with the achievable family, so the
-    count is arithmetic.
+    comparing the support of each row with the achievable family.
     """
     achievable_of = _achievable(scc, axiom, attributes)
     out = _Collector(axiom, cap)
@@ -751,8 +737,7 @@ def _support_shape_report(
             out.add({"T": t, "S": menu}, prob_lookup(scc, t, menu), None)
         for t in sorted(achievable - sup):
             out.add({"T": t, "S": menu}, prob_lookup(scc, t, menu), None)
-    n = scc.universe.n
-    return out.report(scc, 3**n - 2**n, 0)
+    return out.report(scc, out.domain(scc), 0)
 
 
 def check_positivity(
@@ -784,8 +769,7 @@ def check_positivity(
                 covered |= t
             for x in bits(menu & ~covered):
                 out.add({"x": 1 << x, "S": menu}, None, None)
-        n = scc.universe.n
-        return out.report(scc, n << (n - 1), 0)
+        return out.report(scc, out.domain(scc), 0)
     if kind in (2, 3, 4):
         return _support_shape_report(scc, cap, AxiomId(f"POS{kind}"), attributes)
     raise ValueError(f"positivity kind must be 1, 2, 3, or 4, got {kind}")
@@ -842,11 +826,10 @@ def _distinct_constraints_report(
     require_complete(scc)
     revealed = cached_revealed_constraints(scc)
     out = _Collector(AxiomId.DISTINCT_Q, cap)
-    n = scc.universe.n
-    for x, y in combinations(range(n), 2):
+    for x, y in combinations(range(scc.universe.n), 2):
         if revealed[x] == revealed[y]:
             out.add({"x": 1 << x, "y": 1 << y}, None, None)
-    return out.report(scc, n * (n - 1) // 2, 0)
+    return out.report(scc, out.domain(scc), 0)
 
 
 def _recheck_distinct_q(scc: SCC, witness: Witness, tol: ToleranceConfig) -> bool:
@@ -897,7 +880,7 @@ def _rel_add_adjusted(scc: SCC, tol: ToleranceConfig, cap: int) -> AxiomReport:
             cleared_lhs = denom * mu_t_rest * t2_sum + adj_num * mu_t2_rest
             cleared_rhs = denom * mu_t2_rest * t_sum
             if not probs_equal(scc, cleared_lhs, cleared_rhs, tol):
-                out.add_equation(scc, {"S": s, "x": xbit, "T": t, "T_prime": t2}, tol)
+                out.add_equation(scc, {"S": s, "x": xbit, "T": t, "T_prime": t2})
     return out.report(scc, checked, vacuous)
 
 
@@ -991,7 +974,7 @@ def check_piis(
             pa0, pb0, s0 = rec
             checked += 1
             if not probs_equal(scc, pa * pb0, pb * pa0, tol):
-                out.add_equation(scc, _chain_bindings(a, b, (b, s0, s0), (b, s, s)), tol)
+                out.add_equation(scc, _chain_bindings(a, b, (b, s0, s0), (b, s, s)))
 
     support_colls = sorted({c for row in pos.values() for c in row})
     neighbors: dict[int, set[int]] = {c: set() for c in support_colls}
@@ -1132,11 +1115,11 @@ def _chain_scan(
         (ref_num, ref_den, ref), *others = values
         for num, den, chain in others:
             if not probs_equal(scc, ref_num * den, num * ref_den, tol):
-                out.add_equation(scc, _chain_bindings(t, t2, ref, chain), tol)
+                out.add_equation(scc, _chain_bindings(t, t2, ref, chain))
     return checked
 
 
-def _piis_sides(scc: SCC, b: dict[str, int], tol: ToleranceConfig) -> Sides:
+def _piis_sides(scc: SCC, b: dict[str, int]) -> Sides:
     """The values of chains 1 and 2 from T to T', or None unless all their
     probabilities are positive."""
     sides = []
@@ -1210,8 +1193,8 @@ def check_paf(
     mu(T,S) = mu(T,S\\x) whenever both are positive.  Domain: all (S, x, T)
     with non-empty T contained in S\\x, n (3^(n-1) - 2^(n-1)) instances; only
     those meeting the three-part guard in :func:`_positive_rows` are
-    compared, and the rest are vacuous.  Assumes a valid SCC, as
-    :func:`_iis_scan` does.
+    counted and compared, and the rest are vacuous.  Assumes a valid SCC,
+    as :func:`_iis_scan` does.
     """
     require_complete(scc)
     out = _Collector(AxiomId.PAF, cap)
@@ -1223,12 +1206,11 @@ def check_paf(
         for t in sorted(pos[s].keys() & pos[rest].keys() - {0}):
             checked += 1
             if not probs_equal(scc, row_s[t], row_rest[t], tol):
-                out.add_equation(scc, {"S": s, "x": xbit, "T": t}, tol)
-    n = scc.universe.n
-    return out.report(scc, checked, n * (3 ** (n - 1) - 2 ** (n - 1)) - checked)
+                out.add_equation(scc, {"S": s, "x": xbit, "T": t})
+    return out.report(scc, checked, out.domain(scc) - checked)
 
 
-def _paf_sides(scc: SCC, b: dict[str, int], tol: ToleranceConfig) -> Sides:
+def _paf_sides(scc: SCC, b: dict[str, int]) -> Sides:
     s, xbit, t = b["S"], b["x"], b["T"]
     lhs = prob_lookup(scc, t, s)
     rhs = prob_lookup(scc, t, s & ~xbit)
@@ -1253,17 +1235,16 @@ def check_special(
     empty-collection SCCs the empty collection counts as "other").
     Clause (ii): singleton probability ratios are menu-independent, decided
     by cross-multiplying each menu containing a pair {x,y} against the
-    binary menu {x,y} as reference.  Counts are arithmetic over the stated
-    domains; violations are located through row supports.
+    binary menu {x,y} as reference.  Nothing is vacuous, and violations are
+    located through row supports.
     """
     require_complete(scc)
-    n = scc.universe.n
     if kind is AxiomId.DET_FULL_CHOICE:
         out = _Collector(AxiomId.DET_FULL_CHOICE, cap)
         for menu in scc.menus():
             if not probs_equal(scc, prob_lookup(scc, menu, menu), scc.one(), tol):
-                out.add_equation(scc, {"S": menu}, tol)
-        return out.report(scc, (1 << n) - 1, 0)
+                out.add_equation(scc, {"S": menu})
+        return out.report(scc, out.domain(scc), 0)
     if kind is not AxiomId.SINGLETON:
         raise ValueError(f"check_special handles DET_FULL_CHOICE and SINGLETON, got {kind}")
 
@@ -1278,14 +1259,9 @@ def check_special(
         for t in sorted(sup):
             if popcount(t) != 1:
                 out.add({"T": t, "S": menu}, scc.rows[menu][t], scc.zero())
-    # clause (i) spans all non-empty (T, S) pairs: positivity demands on the
-    # singletons, zero demands on everything else
-    checked = 3**n - 2**n
-    if scc.allows_empty:
-        checked += (1 << n) - 1  # one empty-collection zero demand per menu
     # clause (ii): ratio stability against the binary reference menu
     rows = cached_scaled_rows(scc)[0]
-    for x, y in combinations(range(n), 2):
+    for x, y in combinations(range(scc.universe.n), 2):
         xbit, ybit = 1 << x, 1 << y
         ref = xbit | ybit
         ref_x = rows[ref].get(xbit, 0)
@@ -1293,21 +1269,18 @@ def check_special(
         for menu in scc.menus():
             if menu & ref != ref or menu == ref:
                 continue
-            checked += 1
             lhs = rows[menu].get(xbit, 0) * ref_y
             rhs = ref_x * rows[menu].get(ybit, 0)
             if not probs_equal(scc, lhs, rhs, tol):
-                out.add_equation(
-                    scc, {"x": xbit, "y": ybit, "S": menu, "S_prime": ref}, tol
-                )
-    return out.report(scc, checked, 0)
+                out.add_equation(scc, {"x": xbit, "y": ybit, "S": menu, "S_prime": ref})
+    return out.report(scc, out.domain(scc), 0)
 
 
-def _det_full_choice_sides(scc: SCC, b: dict[str, int], tol: ToleranceConfig) -> Sides:
+def _det_full_choice_sides(scc: SCC, b: dict[str, int]) -> Sides:
     return prob_lookup(scc, b["S"], b["S"]), scc.one()
 
 
-def _singleton_ratio_sides(scc: SCC, b: dict[str, int], tol: ToleranceConfig) -> Sides:
+def _singleton_ratio_sides(scc: SCC, b: dict[str, int]) -> Sides:
     """SINGLETON clause (ii) at menu S against the reference menu S'."""
     xbit, ybit, s, ref = b["x"], b["y"], b["S"], b["S_prime"]
     lhs = prob_lookup(scc, xbit, s) * prob_lookup(scc, ybit, ref)
@@ -1409,7 +1382,7 @@ def recheck_witness(
 def _recheck_sides(scc: SCC, witness: Witness, tol: ToleranceConfig) -> bool:
     """An equation witness: its bindings satisfy the axiom's guards, the
     sides recomputed there differ, and they match the recorded lhs/rhs."""
-    sides = AXIOMS[witness.axiom].sides(scc, witness.bindings, tol)
+    sides = AXIOMS[witness.axiom].sides(scc, witness.bindings)
     if sides is None or probs_equal(scc, *sides, tol):
         return False
     return _records(scc, witness, sides, tol)
@@ -1430,17 +1403,20 @@ def _records(
 class AxiomSpec(NamedTuple):
     """One registry entry: the ``check`` that decides an axiom, called as
     ``check(scc, tol=..., cap=...)`` plus ``attributes=...`` when it needs
-    them; for an equation axiom, the ``sides(scc, bindings, tol)`` of its
+    them; for an equation axiom, the ``sides(scc, bindings)`` of its
     postulate, which every witness takes its ``lhs``/``rhs`` from (the scans
     decide on their own arithmetic and call it only to record one); the
     ``recheck`` that :func:`recheck_witness` runs, a re-derivation for a
-    structural axiom; and the SCCs on which :func:`full_battery` runs it."""
+    structural axiom; the SCCs on which :func:`full_battery` runs it; and,
+    where n items and the empty-collection flag e fix the domain, its size
+    ``domain(n, e)``, every report's checked plus vacuous count."""
 
     check: Callable[..., AxiomReport]
-    sides: Optional[Callable[[SCC, dict[str, int], ToleranceConfig], Sides]] = None
+    sides: Optional[Callable[[SCC, dict[str, int]], Sides]] = None
     recheck: Callable[..., bool] = _recheck_sides
     empty_only: bool = False  # runs only on empty-collection SCCs
     needs_attributes: bool = False  # runs only when attribute carriers are given
+    domain: Optional[Callable[[int, bool], int]] = None
 
     def applies(self, scc: SCC, attributes: Optional[Sequence[int]]) -> bool:
         return (scc.allows_empty or not self.empty_only) and (
@@ -1448,35 +1424,63 @@ class AxiomSpec(NamedTuple):
         )
 
 
+def _rel_add_domain(n: int, e: bool) -> int:  # REL_ADD and REL_ADD_1
+    return n * (5 ** (n - 1) - 3**n + 2**n) // 2
+
+
+def _support_domain(n: int, e: bool) -> int:  # POS2-POS4 and FULL_SUPPORT
+    return 3**n - 2**n
+
+
 #: The axiom registry, in declaration order.
 AXIOMS: dict[AxiomId, AxiomSpec] = {
     AxiomId.IIS: AxiomSpec(
-        partial(check_iis, empty_variant=False), partial(_iis_sides, empty_variant=False)
+        partial(check_iis, empty_variant=False),
+        partial(_iis_sides, empty_variant=False),
+        domain=lambda n, e: (7**n - 4 * 5**n + 2 * 4**n + 3 ** (n + 1) - 2 ** (n + 1)) // 4,
     ),
     AxiomId.IIS_O: AxiomSpec(
         partial(check_iis, empty_variant=True),
         partial(_iis_sides, empty_variant=True),
         empty_only=True,
+        domain=lambda n, e: (7**n - 2 * 5**n + 3**n) // 2,
     ),
     AxiomId.REL_ADD: AxiomSpec(
-        check_relative_additivity, partial(_rel_add_sides, axiom=AxiomId.REL_ADD)
+        check_relative_additivity,
+        partial(_rel_add_sides, axiom=AxiomId.REL_ADD),
+        domain=_rel_add_domain,
     ),
-    AxiomId.ADDITIVITY: AxiomSpec(check_additivity, _additivity_sides, empty_only=True),
-    AxiomId.POS1: AxiomSpec(partial(check_positivity, kind=1), recheck=_recheck_pos1),
+    AxiomId.ADDITIVITY: AxiomSpec(
+        check_additivity,
+        _additivity_sides,
+        empty_only=True,
+        domain=lambda n, e: n * 3 ** (n - 1),
+    ),
+    AxiomId.POS1: AxiomSpec(
+        partial(check_positivity, kind=1),
+        recheck=_recheck_pos1,
+        domain=lambda n, e: n * 2 ** (n - 1),
+    ),
     AxiomId.POS2: AxiomSpec(
         partial(check_positivity, kind=2),
         recheck=_recheck_support_shape,
         needs_attributes=True,
+        domain=_support_domain,
     ),
     AxiomId.DISTINCT_Q: AxiomSpec(
-        _distinct_constraints_report, recheck=_recheck_distinct_q
+        _distinct_constraints_report,
+        recheck=_recheck_distinct_q,
+        domain=lambda n, e: n * (n - 1) // 2,
     ),
     AxiomId.POS3: AxiomSpec(
-        partial(check_positivity, kind=3), recheck=_recheck_support_shape
+        partial(check_positivity, kind=3),
+        recheck=_recheck_support_shape,
+        domain=_support_domain,
     ),
     AxiomId.REL_ADD_1: AxiomSpec(
         partial(_rel_add_scan, axiom=AxiomId.REL_ADD_1),
         partial(_rel_add_sides, axiom=AxiomId.REL_ADD_1),
+        domain=_rel_add_domain,
     ),
     AxiomId.REL_ADD_2: AxiomSpec(
         _rel_add_adjusted, partial(_rel_add_sides, axiom=AxiomId.REL_ADD_2)
@@ -1484,17 +1488,27 @@ AXIOMS: dict[AxiomId, AxiomSpec] = {
     AxiomId.PIIS: AxiomSpec(check_piis, _piis_sides),
     AxiomId.PARTITION: AxiomSpec(_partition_report, recheck=_recheck_partition),
     AxiomId.POS4: AxiomSpec(
-        partial(check_positivity, kind=4), recheck=_recheck_support_shape
+        partial(check_positivity, kind=4),
+        recheck=_recheck_support_shape,
+        domain=_support_domain,
     ),
-    AxiomId.PAF: AxiomSpec(check_paf, _paf_sides),
-    AxiomId.FULL_SUPPORT: AxiomSpec(check_full_support, recheck=_recheck_support_shape),
+    AxiomId.PAF: AxiomSpec(
+        check_paf, _paf_sides, domain=lambda n, e: n * (3 ** (n - 1) - 2 ** (n - 1))
+    ),
+    AxiomId.FULL_SUPPORT: AxiomSpec(
+        check_full_support, recheck=_recheck_support_shape, domain=_support_domain
+    ),
     AxiomId.DET_FULL_CHOICE: AxiomSpec(
-        partial(check_special, kind=AxiomId.DET_FULL_CHOICE), _det_full_choice_sides
+        partial(check_special, kind=AxiomId.DET_FULL_CHOICE),
+        _det_full_choice_sides,
+        domain=lambda n, e: 2**n - 1,
     ),
     AxiomId.SINGLETON: AxiomSpec(
         partial(check_special, kind=AxiomId.SINGLETON),
         _singleton_ratio_sides,
         _recheck_singleton,
+        # the last term is clause (ii)'s C(n,2) (2^(n-2) - 1), kept an int at n = 1
+        domain=lambda n, e: 3**n - 2**n + e * (2**n - 1) + n * (n - 1) * (2**n - 4) // 8,
     ),
 }
 

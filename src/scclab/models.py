@@ -152,7 +152,7 @@ class RCGParams:
 
     mass: dict[int, Weight]
 
-    def validate(self, universe: Universe, empty_variant: bool = False) -> None:
+    def validate(self, universe: Universe) -> None:
         draws = [(m, cat) for cat, m in self.mass.items()]
         _validate_draws(draws, universe, "category", normalized=True)
 
@@ -171,7 +171,7 @@ class ICParams:
 
     inclusion: dict[int, Weight]
 
-    def validate(self, universe: Universe, empty_variant: bool = False) -> None:
+    def validate(self, universe: Universe) -> None:
         if sorted(self.inclusion) != list(range(universe.n)):
             raise InvalidParamsError(
                 "inclusion probabilities must be defined for every item index"
@@ -474,7 +474,7 @@ class ModelSpec:
             raise InvalidParamsError(
                 f"model {self.model.value} has no empty-collection variant"
             )
-        if self.model in EMPTY_CAPABLE:
+        if self.model is ModelTag.LOGIT:
             self.params.validate(universe, self.empty_variant)
         else:
             self.params.validate(universe)

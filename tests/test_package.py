@@ -61,6 +61,9 @@ def test_sampling_and_classification_take_only_what_callers_set():
         sample_singleton_params: ["n", "seed"],
         sample_nest_invariant_params: ["n", "seed"],
         classify: ["scc", "tol", "attributes"],
+        # only the logit bundle reads the empty-collection flag
+        models.RCGParams.validate: ["self", "universe"],
+        models.ICParams.validate: ["self", "universe"],
     }
     for function, names in expected.items():
         assert list(inspect.signature(function).parameters) == names, function
@@ -234,3 +237,28 @@ def test_datasets_and_bundles_agree_on_float_row_sums():
         assert clean == drawn, total.hex()
         verdicts.add(clean)
     assert verdicts == {True, False}  # both sides of each bound are reached
+
+
+def test_closed_forms_are_stated_in_the_registry():
+    """In scclab.axioms, a power is taken only by the domain table (the
+    registry and the two forms it shares), by the float rounding bound
+    :func:`axioms._float_certified` and by the two constants it reads, so
+    no scan states a closed form of its own."""
+    tree = ast.parse((PACKAGE / "axioms.py").read_text())
+    holders = set()
+    for node in tree.body:
+        if not any(isinstance(getattr(inner, "op", None), ast.Pow) for inner in ast.walk(node)):
+            continue
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            holders.add(node.name)
+        else:
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            holders.update(target.id for target in targets)
+    assert holders == {
+        "_FLOAT_RANGE",
+        "_UNIT_ROUNDOFF",
+        "_float_certified",
+        "_rel_add_domain",
+        "_support_domain",
+        "AXIOMS",
+    }
