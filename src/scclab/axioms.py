@@ -1266,9 +1266,8 @@ def check_special(
         ref = xbit | ybit
         ref_x = rows[ref].get(xbit, 0)
         ref_y = rows[ref].get(ybit, 0)
-        for menu in scc.menus():
-            if menu & ref != ref or menu == ref:
-                continue
+        for extra in nonempty_submasks(scc.universe.full_mask & ~ref):
+            menu = ref | extra
             lhs = rows[menu].get(xbit, 0) * ref_y
             rhs = ref_x * rows[menu].get(ybit, 0)
             if not probs_equal(scc, lhs, rhs, tol):

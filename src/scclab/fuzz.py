@@ -10,9 +10,9 @@ are proved, so a disagreement is a library bug, not a mathematical finding.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .axioms import CHARACTERIZING_AXIOMS, AxiomId, cached_report
 from .classify import FAILS, classify
@@ -147,18 +147,16 @@ def sample_params(config: GenConfig) -> ModelSpec:
     elif model is ModelTag.IC:
         inclusion = {x: _grid_prob(rng) for x in range(n)}
         params = ICParams(inclusion)
-    elif model is ModelTag.EBA:
+    elif model in (ModelTag.EBA, ModelTag.AR):
         carriers = _sample_carriers(rng, n)
         weights = _normalized([rng.randint(1, GRID) for _ in carriers])
-        params = EBAParams(tuple(Aspect(w, c) for w, c in zip(weights, carriers)))
-    elif model is ModelTag.AR:
-        carriers = _sample_carriers(rng, n)
-        weights = _normalized([rng.randint(1, GRID) for _ in carriers])
-        attrs = []
-        for w, c in zip(weights, carriers):
-            values = {i: rng.randint(1, GRID) for i in bits(c)}
-            attrs.append(ArAttribute(w, c, values))
-        params = ARParams(tuple(attrs))
+        if model is ModelTag.EBA:
+            params = EBAParams(tuple(Aspect(w, c) for w, c in zip(weights, carriers)))
+        else:
+            params = ARParams(tuple(
+                ArAttribute(w, c, {i: rng.randint(1, GRID) for i in bits(c)})
+                for w, c in zip(weights, carriers)
+            ))
     elif model is ModelTag.RRM:
         constraints = None
         for _ in range(200):
@@ -257,28 +255,35 @@ def _carriers_of(spec: ModelSpec) -> Optional[list[int]]:
     return None
 
 
-def _run_characterization_trial(
-    spec: ModelSpec, universe: Universe, failures: list[FuzzFailure], meta: FuzzFailure
-) -> None:
-    scc = generate_scc(spec, universe)
+def _trials(
+    seed: int, trials: int, n_range: Sequence[int]
+) -> Iterator[tuple[random.Random, int, int]]:
+    """Both sweeps' trial stream: each trial's reproducer seed and universe
+    size, drawn in that order from one ``random.Random(seed)``, yielded with
+    the stream so that a sweep can draw more for the trial."""
+    stream = random.Random(seed)
+    n_choices = list(n_range)
+    for _ in range(trials):
+        yield stream, stream.getrandbits(64), stream.choice(n_choices)
+
+
+def _characterization_trial(
+    model: ModelTag, empty_variant: bool, trial_seed: int, n: int
+) -> list[tuple[str, str]]:
+    """The (stage, detail) of a sampled bundle's first failure: a
+    characterizing axiom that fails on its SCC, or a recovery that raises."""
+    spec = sample_params(GenConfig(n, model, trial_seed, empty_variant))
+    scc = generate_scc(spec, Universe.default(n))
     attributes = _carriers_of(spec)
-    for axiom in CHARACTERIZING_AXIOMS[(spec.model, spec.empty_variant)]:
+    for axiom in CHARACTERIZING_AXIOMS[(model, empty_variant)]:
         report = cached_report(scc, axiom, attributes=attributes)
         if not report.holds:
-            failures.append(
-                replace(
-                    meta,
-                    stage="necessity",
-                    detail=f"{axiom.value} failed with {len(report.witnesses)} witness(es)",
-                )
-            )
-            return
+            return [("necessity", f"{axiom.value} failed with {len(report.witnesses)} witness(es)")]
     try:
-        RECOVERIES[spec.model](scc)
+        RECOVERIES[model](scc)
     except Exception as exc:  # harness boundary: report, never crash the sweep
-        failures.append(
-            replace(meta, stage="identification", detail=f"{type(exc).__name__}: {exc}")
-        )
+        return [("identification", f"{type(exc).__name__}: {exc}")]
+    return []
 
 
 def fuzz_characterization(
@@ -294,20 +299,64 @@ def fuzz_characterization(
     characterizing axiom to hold, recovers parameters, and requires an exact
     round trip.  Deterministic in ``seed``.
     """
-    base = random.Random(seed)
-    failures: list[FuzzFailure] = []
-    n_choices = list(n_range)
-    for _ in range(trials):
-        trial_seed = base.getrandbits(64)
-        n = base.choice(n_choices)
-        spec = sample_params(GenConfig(n, model, trial_seed, empty_variant))
-        meta = FuzzFailure(trial_seed, model.value, n, empty_variant, "", "")
-        _run_characterization_trial(spec, Universe.default(n), failures, meta)
+    failures = [
+        FuzzFailure(trial_seed, model.value, n, empty_variant, stage, detail)
+        for _, trial_seed, n in _trials(seed, trials, n_range)
+        for stage, detail in _characterization_trial(model, empty_variant, trial_seed, n)
+    ]
     return FuzzSummary(
         suite=f"characterization:{model.value}{'_o' if empty_variant else ''}",
         trials=trials,
         failures=tuple(failures),
     )
+
+
+def _probe_trial(trial_seed: int, n: int) -> list[tuple[str, str]]:
+    """The implication probe's failure, if any.  Its set-weight bundle has
+    product-form weights: the grand-set row of the empty-variant ic model
+    with sampled inclusion probabilities (ic = logit AND rcg)."""
+    rng = random.Random(trial_seed)
+    gammas = {x: _grid_prob(rng) for x in range(n)}
+    ic = ModelSpec(ModelTag.IC, ICParams(gammas), empty_variant=True)
+    universe = Universe.default(n)
+    row = menu_row(ic, universe, universe.full_mask)
+    weights = {t: w for t, w in row.items() if t}
+    scc = generate_scc(ModelSpec(ModelTag.LOGIT, LogitParams(weights)), universe)
+    if not cached_report(scc, AxiomId.REL_ADD).holds:
+        detail = "product-form weights should satisfy relative additivity"
+    elif not classify(scc).membership["ic"].holds:
+        detail = (
+            "set-weight bundle satisfying relative additivity is not "
+            "classified as independent inclusion"
+        )
+    else:
+        return []
+    return [("probe", detail)]
+
+
+def _membership_trial(
+    model: ModelTag, empty_variant: bool, trial_seed: int, n: int
+) -> list[tuple[str, str]]:
+    """The (stage, detail) failures of a sampled bundle's classification: its
+    own model's membership, then the relationship violations."""
+    spec = sample_params(GenConfig(n, model, trial_seed, empty_variant))
+    report = classify(generate_scc(spec, Universe.default(n)), attributes=_carriers_of(spec))
+    key = model.value + ("_o" if empty_variant else "")
+    verdict = report.membership[key]
+    if model is ModelTag.NESTED_LOGIT:
+        # power-form weights are generally not decidable from finite
+        # rational data; the nested-choice level must still hold and the
+        # power-form verdict must not be an outright failure
+        ok = report.membership["nsc"].holds and verdict.status != FAILS
+    else:
+        ok = verdict.holds
+    problems = []
+    if not ok:
+        failing = [a.value for a in verdict.failing_axioms]
+        problems.append(("membership", f"generated SCC not classified as {key}: {failing}"))
+    if report.relationship_violations:
+        problems.append(("relationships", ", ".join(report.relationship_violations)))
+    return problems
 
 
 def fuzz_relationships(trials: int, n_range: Sequence[int], seed: int) -> FuzzSummary:
@@ -321,71 +370,14 @@ def fuzz_relationships(trials: int, n_range: Sequence[int], seed: int) -> FuzzSu
     (these satisfy relative additivity by construction, so the implication
     is actually exercised rather than vacuously skipped).
     """
-    base = random.Random(seed)
     failures: list[FuzzFailure] = []
-    n_choices = list(n_range)
-
-    for index in range(trials):
-        trial_seed = base.getrandbits(64)
-        n = base.choice(n_choices)
+    for index, (stream, trial_seed, n) in enumerate(_trials(seed, trials, n_range)):
         if index % 5 == 4:
-            # implication probe: a set-weight bundle with product-form
-            # weights, the grand-set row of the empty-variant ic model with
-            # sampled inclusion probabilities (ic = logit AND rcg)
-            rng = random.Random(trial_seed)
-            gammas = {x: _grid_prob(rng) for x in range(n)}
-            ic = ModelSpec(ModelTag.IC, ICParams(gammas), empty_variant=True)
-            universe = Universe.default(n)
-            row = menu_row(ic, universe, universe.full_mask)
-            weights = {t: w for t, w in row.items() if t}
-            spec = ModelSpec(ModelTag.LOGIT, LogitParams(weights))
-            scc = generate_scc(spec, universe)
-            if not cached_report(scc, AxiomId.REL_ADD).holds:
-                failures.append(
-                    FuzzFailure(
-                        trial_seed, "logit-product-form", n, False, "probe",
-                        "product-form weights should satisfy relative additivity",
-                    )
-                )
-                continue
-            report = classify(scc)
-            if not report.membership["ic"].holds:
-                failures.append(
-                    FuzzFailure(
-                        trial_seed, "logit-product-form", n, False, "probe",
-                        "set-weight bundle satisfying relative additivity is "
-                        "not classified as independent inclusion",
-                    )
-                )
-            continue
-        model, empty_variant = ALL_VARIANTS[
-            base.randrange(len(ALL_VARIANTS))
-        ]
-        spec = sample_params(GenConfig(n, model, trial_seed, empty_variant))
-        scc = generate_scc(spec, Universe.default(n))
-        report = classify(scc, attributes=_carriers_of(spec))
-        key = model.value + ("_o" if empty_variant else "")
-        verdict = report.membership[key]
-        if model is ModelTag.NESTED_LOGIT:
-            # power-form weights are generally not decidable from finite
-            # rational data; the nested-choice level must still hold and the
-            # power-form verdict must not be an outright failure
-            ok = report.membership["nsc"].holds and verdict.status != FAILS
+            name, empty_variant = "logit-product-form", False
+            problems = _probe_trial(trial_seed, n)
         else:
-            ok = verdict.holds
-        if not ok:
-            failures.append(
-                FuzzFailure(
-                    trial_seed, model.value, n, empty_variant, "membership",
-                    f"generated SCC not classified as {key}: "
-                    f"{[a.value for a in verdict.failing_axioms]}",
-                )
-            )
-        if report.relationship_violations:
-            failures.append(
-                FuzzFailure(
-                    trial_seed, model.value, n, empty_variant, "relationships",
-                    ", ".join(report.relationship_violations),
-                )
-            )
+            model, empty_variant = ALL_VARIANTS[stream.randrange(len(ALL_VARIANTS))]
+            name = model.value
+            problems = _membership_trial(model, empty_variant, trial_seed, n)
+        failures += [FuzzFailure(trial_seed, name, n, empty_variant, *pair) for pair in problems]
     return FuzzSummary(suite="relationships", trials=trials, failures=tuple(failures))

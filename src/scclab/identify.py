@@ -66,12 +66,11 @@ class RecoveryResult:
 
 
 def _rows_match(reference: SCC, regen: SCC, tol: ToleranceConfig) -> bool:
-    """Cell-by-cell row comparison under the reference's equality rule, after
-    a test for equal rows in exact mode (parsed data may record zero cells)."""
+    """Cell-by-cell row comparison of two complete SCCs under the
+    reference's equality rule, after a test for equal rows in exact mode
+    (parsed data may record zero cells)."""
     if reference.exact and reference.rows == regen.rows:
         return True
-    if set(reference.rows) != set(regen.rows):
-        return False
     ref_zero, new_zero = reference.zero(), regen.zero()
     for menu, ref_row in reference.rows.items():
         new_row = regen.rows[menu]

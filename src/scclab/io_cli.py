@@ -16,9 +16,9 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Any, Callable, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .axioms import (
     CHARACTERIZING_AXIOMS,
@@ -450,17 +450,7 @@ def summary_to_json(summary: FuzzSummary) -> dict:
         "suite": summary.suite,
         "trials": summary.trials,
         "ok": summary.ok,
-        "failures": [
-            {
-                "seed": f.seed,
-                "model": f.model,
-                "n": f.n,
-                "empty_variant": f.empty_variant,
-                "stage": f.stage,
-                "detail": f.detail,
-            }
-            for f in summary.failures
-        ],
+        "failures": [asdict(f) for f in summary.failures],
     }
 
 
@@ -480,11 +470,21 @@ class CountsTable:
     counts: dict[tuple[int, int], int]
 
 
+def _csv_records(reader: Any) -> Iterator[list[str]]:
+    """The reader's records; a line it cannot read (a field past the csv
+    module's size limit, say) is a SchemaError naming the line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise SchemaError(f"line {reader.line_num}: {exc}") from None
+
+
 def parse_counts(text: str) -> CountsTable:
     """Parse a `menu;set;count` CSV (fields are comma-separated label lists)."""
     reader = csv.reader(io.StringIO(text), delimiter=";")
+    records = _csv_records(reader)
     try:
-        header = next(reader)
+        header = next(records)
     except StopIteration:
         raise SchemaError("counts table is empty") from None
     if [h.strip() for h in header] != ["menu", "set", "count"]:
@@ -492,7 +492,7 @@ def parse_counts(text: str) -> CountsTable:
 
     raw: list[tuple[int, list[str], list[str], int]] = []
     labels: set[str] = set()
-    for record in reader:
+    for record in records:
         line_no = reader.line_num  # a quoted field may span file lines
         if not record or (len(record) == 1 and not record[0].strip()):
             continue
@@ -581,9 +581,10 @@ def _read_text(path: str) -> str:
 
 
 def _load_json(path: str) -> Any:
+    # ValueError covers JSONDecodeError and a number past Python's digit limit
     try:
         return json.loads(_read_text(path))
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"{path}: not valid JSON ({exc})") from None
 
 

@@ -1,15 +1,31 @@
 """Randomized self-tests: parameter sampling and characterization fuzzing."""
 
+import dataclasses
+import json
 from fractions import Fraction
 
 import pytest
 
 from scclab import fuzz
-from scclab.axioms import AxiomId
-from scclab.core import SCC, InfeasibleStructureError, InvalidParamsError, Universe
+from scclab.axioms import AxiomId, AxiomReport
+from scclab.classify import (
+    FAILS,
+    REL_IC_DECOMPOSITION,
+    REL_RRM_RCG_SINGLETON,
+    MembershipVerdict,
+    classify,
+)
+from scclab.core import (
+    SCC,
+    InfeasibleStructureError,
+    InvalidParamsError,
+    PreconditionFailedError,
+    Universe,
+)
 from scclab.fuzz import (
     ALL_VARIANTS,
     CHARACTERIZING_AXIOMS,
+    FuzzFailure,
     GenConfig,
     fuzz_characterization,
     fuzz_relationships,
@@ -17,6 +33,7 @@ from scclab.fuzz import (
     sample_params,
     sample_singleton_params,
 )
+from scclab.io_cli import cli_main
 from scclab.models import EMPTY_CAPABLE, ModelTag, generate_scc
 
 F = Fraction
@@ -158,3 +175,119 @@ class TestFuzzRuns:
         for failure in summary.failures:
             assert failure.stage == "necessity"
             assert failure.detail.startswith("IIS failed with ")
+
+
+def _refuse(scc):
+    raise PreconditionFailedError("recovery refused")
+
+
+def _failing_report(scc, axiom, **kwargs):
+    return AxiomReport(axiom, False, (), 0, 0, "exact")
+
+
+def _ic_fails(scc, **kwargs):
+    report = classify(scc, **kwargs)
+    failing = MembershipVerdict(FAILS, (AxiomId.ADDITIVITY,))
+    return dataclasses.replace(report, membership={**report.membership, "ic": failing})
+
+
+def _nothing_holds(scc, **kwargs):
+    report = classify(scc, **kwargs)
+    failing = MembershipVerdict(FAILS, (AxiomId.IIS,))
+    return dataclasses.replace(report, membership=dict.fromkeys(report.membership, failing))
+
+
+def _violations(scc, **kwargs):
+    violations = (REL_IC_DECOMPOSITION, REL_RRM_RCG_SINGLETON)
+    return dataclasses.replace(classify(scc, **kwargs), relationship_violations=violations)
+
+
+_PROBE_DETAIL = (
+    "set-weight bundle satisfying relative additivity is not classified as "
+    "independent inclusion"
+)
+_VIOLATIONS = f"{REL_IC_DECOMPOSITION}, {REL_RRM_RCG_SINGLETON}"
+_FAILURE_KEYS = ("seed", "model", "n", "empty_variant", "stage", "detail")
+
+# Each stage forced by one patch of scclab.fuzz: (attribute, replacement),
+# the fuzz arguments (model, trials, sizes, seed), and the failures as
+# (seed, model, n, empty_variant, stage, detail).
+FORCED_STAGES = {
+    "identification": (
+        ("RECOVERIES", {**fuzz.RECOVERIES, ModelTag.LOGIT: _refuse}),
+        ("logit", 2, "2,3", 5),
+        [
+            (4712128852136459333, "logit", 3, False, "identification",
+             "PreconditionFailedError: recovery refused"),
+            (12736496262939004471, "logit", 2, False, "identification",
+             "PreconditionFailedError: recovery refused"),
+        ],
+    ),
+    "probe-relative-additivity": (
+        ("cached_report", _failing_report),
+        ("relationships", 5, "3", 5),
+        [
+            (8652796568164751743, "logit-product-form", 3, False, "probe",
+             "product-form weights should satisfy relative additivity"),
+        ],
+    ),
+    "probe-independent-inclusion": (
+        ("classify", _ic_fails),
+        ("relationships", 5, "2,3", 5),
+        [(8652796568164751743, "logit-product-form", 2, False, "probe", _PROBE_DETAIL)],
+    ),
+    "membership": (
+        ("classify", _nothing_holds),
+        ("relationships", 4, "2,3", 5),
+        [
+            (4712128852136459333, "ic", 3, True, "membership",
+             "generated SCC not classified as ic_o: ['IIS']"),
+            (9777509567454608800, "nested_logit", 2, False, "membership",
+             "generated SCC not classified as nested_logit: ['IIS']"),
+            (17401859983685269623, "ic", 2, True, "membership",
+             "generated SCC not classified as ic_o: ['IIS']"),
+            (16618680901832163640, "rcg", 2, False, "membership",
+             "generated SCC not classified as rcg: ['IIS']"),
+        ],
+    ),
+    "relationships": (
+        ("classify", _violations),
+        ("relationships", 4, "2,3", 5),
+        [
+            (4712128852136459333, "ic", 3, True, "relationships", _VIOLATIONS),
+            (9777509567454608800, "nested_logit", 2, False, "relationships", _VIOLATIONS),
+            (17401859983685269623, "ic", 2, True, "relationships", _VIOLATIONS),
+            (16618680901832163640, "rcg", 2, False, "relationships", _VIOLATIONS),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("stage", FORCED_STAGES)
+class TestForcedFailures:
+    """Every failure stage a sweep reports, forced by a patch: the records
+    carry the trial's reproducer seed, its model, size and flag, and the
+    stage's own detail."""
+
+    def test_summary_records(self, monkeypatch, stage):
+        (name, replacement), (model, trials, sizes, seed), expected = FORCED_STAGES[stage]
+        monkeypatch.setattr(fuzz, name, replacement)
+        n_range = [int(n) for n in sizes.split(",")]
+        if model == "relationships":
+            summary = fuzz_relationships(trials, n_range, seed)
+        else:
+            summary = fuzz_characterization(ModelTag(model), trials, n_range, seed)
+        assert summary.failures == tuple(FuzzFailure(*record) for record in expected)
+        assert not summary.ok
+
+    def test_cli_records(self, monkeypatch, tmp_path, stage):
+        (name, replacement), (model, trials, sizes, seed), expected = FORCED_STAGES[stage]
+        monkeypatch.setattr(fuzz, name, replacement)
+        out = tmp_path / "fuzz.json"
+        argv = ["fuzz", "--model", model, "--trials", str(trials), "--n", sizes,
+                "--seed", str(seed), "-o", str(out)]
+        assert cli_main(argv) == 1
+        (summary,) = json.loads(out.read_text())["summaries"]
+        assert summary["ok"] is False
+        assert summary["trials"] == trials
+        assert summary["failures"] == [dict(zip(_FAILURE_KEYS, r)) for r in expected]

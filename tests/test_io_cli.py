@@ -790,22 +790,37 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize(
-        "command,name,content",
+        "command,name,content,message",
         [
             ("check", "rows.json",
-             b'{"items": ["a"], "menus": [{"menu": ["a"], "rows": 5}]}'),
-            ("check", "latin1.json", b'{"items": ["\xe9"], "menus": []}'),
-            ("estimate", "latin1.csv", b"menu;set;count\n\xe9;\xe9;1\n"),
-            ("classify", "deep.json", b"[" * 50_000),
+             b'{"items": ["a"], "menus": [{"menu": ["a"], "rows": 5}]}',
+             "menus[0].rows: expected list"),
+            ("check", "latin1.json", b'{"items": ["\xe9"], "menus": []}',
+             "FILE: not valid UTF-8 ("),
+            ("estimate", "latin1.csv", b"menu;set;count\n\xe9;\xe9;1\n",
+             "FILE: not valid UTF-8 ("),
+            ("classify", "deep.json", b"[" * 50_000, "FILE: not valid JSON ("),
+            # Python's own limits: integer digits, and the csv field size
+            ("check", "number.json",
+             b'{"items": ["a"], "allows_empty": ' + b"9" * 5000 + b"}",
+             "FILE: not valid JSON (Exceeds the limit (4300 digits)"),
+            ("estimate", "field.csv",
+             b"menu;set;count\na;a;1\na;" + b"a" * 131_073 + b";1\n",
+             "line 3: field larger than field limit (131072)"),
         ],
-        ids=["rows-not-a-list", "json-not-utf8", "csv-not-utf8", "json-too-deep"],
+        ids=["rows-not-a-list", "json-not-utf8", "csv-not-utf8", "json-too-deep",
+             "json-long-number", "csv-long-field"],
     )
-    def test_malformed_file_is_usage_error(self, tmp_path, capsys, command, name, content):
+    def test_malformed_file_is_usage_error(
+        self, tmp_path, capsys, command, name, content, message
+    ):
         path = tmp_path / name
         path.write_bytes(content)
         argv = [command, str(path)] + (["--axioms", "all"] if command == "check" else [])
         assert cli_main(argv) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + message.replace("FILE", str(path)))
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "model,params,message,command",
