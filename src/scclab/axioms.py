@@ -7,13 +7,19 @@ them:
 * Enumeration is sequential and lexicographic on bitmasks (menus ascending,
   then items ascending, then collections ascending), so reports are
   deterministic for a fixed SCC and tolerance.
+* Every check opens one frame, :class:`_Collector`, before it reads the
+  data: it refuses an incomplete SCC (IncompleteDatasetError), then a
+  witness cap below 1 (ValueError), and it makes the report.
 * ``instances_checked`` counts the guarded instances of the domain, those
   whose guard holds; ``instances_vacuous`` counts those whose guard is
   unmet.  Their sum is the domain size.  Instances that are trivially true
   by symmetry (identical menus, identical collections) are not in the
   domain; per-check docstrings state the domain, and :data:`AXIOMS` its
   size, as ``domain``, except where that depends on the data: PIIS,
-  REL_ADD_2 and PARTITION count their own.  A check may certify "holds", and
+  REL_ADD_2 and PARTITION count their own.  Where the registry states the
+  size, a check gives the frame the one count it finds, or none when
+  nothing is vacuous, and the frame fills in the other as the rest of the
+  domain.  A check may certify "holds", and
   compare instances one by one only where its certificate fails and fewer
   than ``cap`` witnesses are recorded; the counts are the same.  The
   grand-row certificate of :func:`_grand_row` settles IIS, IIS_O and PIIS
@@ -144,11 +150,15 @@ class AxiomReport:
 
 
 class _Collector:
-    """Accumulates witnesses up to a cap; the verdict tracks all violations."""
+    """The frame of one check: it refuses an incomplete SCC, then a cap
+    below 1, accumulates witnesses up to the cap (the verdict tracks all
+    violations), and reports the counts."""
 
-    def __init__(self, axiom: AxiomId, cap: int):
+    def __init__(self, scc: SCC, axiom: AxiomId, cap: int):
+        require_complete(scc)
         if cap < 1:
             raise ValueError("witness cap must be at least 1")
+        self.scc = scc
         self.axiom = axiom
         self.cap = cap
         self.witnesses: list[Witness] = []
@@ -161,26 +171,31 @@ class _Collector:
         if len(self.witnesses) < self.cap:
             self.witnesses.append(Witness(self.axiom, bindings, lhs, rhs))
 
-    def add_equation(self, scc: SCC, bindings: dict[str, int]):
+    def add_equation(self, bindings: dict[str, int]):
         """Record a violation of an equation axiom; under the cap, its sides
         are computed from the SCC's rows by the axiom's ``sides``."""
         self.clean = False
         if len(self.witnesses) < self.cap:
-            sides = AXIOMS[self.axiom].sides(scc, bindings)
+            sides = AXIOMS[self.axiom].sides(self.scc, bindings)
             self.witnesses.append(Witness(self.axiom, bindings, *sides))
 
-    def domain(self, scc: SCC) -> int:
-        """The size of the axiom's domain on ``scc``, read from the registry."""
-        return AXIOMS[self.axiom].domain(scc.universe.n, scc.allows_empty)
-
-    def report(self, scc: SCC, checked: int, vacuous: int) -> AxiomReport:
+    def report(self, checked: Optional[int] = None, vacuous: int = 0) -> AxiomReport:
+        """The report, with whichever count the registry's ``domain`` fixes
+        filled in as the rest of the domain; with no count given, nothing
+        is vacuous."""
+        domain = AXIOMS[self.axiom].domain
+        if domain is not None:
+            size = domain(self.scc.universe.n, self.scc.allows_empty)
+            if checked is None:
+                checked = size - vacuous
+            vacuous = size - checked
         return AxiomReport(
             axiom=self.axiom,
             holds=self.clean,
             witnesses=tuple(self.witnesses),
             instances_checked=checked,
             instances_vacuous=vacuous,
-            arithmetic_mode=scc.arithmetic_mode,
+            arithmetic_mode=self.scc.arithmetic_mode,
         )
 
 
@@ -445,7 +460,6 @@ def check_full_support(
     rows are compared with the achievable family, every non-empty subset of
     S, by :func:`_support_shape_report`.
     """
-    require_complete(scc)
     return _support_shape_report(scc, cap, AxiomId.FULL_SUPPORT)
 
 
@@ -489,13 +503,11 @@ def check_iis(
     does, so the report is "holds" with the whole domain checked.
     Otherwise :func:`_iis_scan` decides.
     """
-    require_complete(scc)
     axiom = AxiomId.IIS_O if empty_variant else AxiomId.IIS
-    out = _Collector(axiom, cap)
-    domain = out.domain(scc)
-    certified = _grand_row(scc, tol).certifies(axiom)
-    checked = domain if certified else _iis_scan(scc, tol, out, empty_variant)
-    return out.report(scc, checked, domain - checked)
+    out = _Collector(scc, axiom, cap)
+    if _grand_row(scc, tol).certifies(axiom):
+        return out.report()
+    return out.report(_iis_scan(scc, tol, out, empty_variant))
 
 
 def _iis_scan(
@@ -506,7 +518,6 @@ def _iis_scan(
     rows over the guarded collections (over every subset of S n S' in the
     empty-collection form), and only the pairs that fail it are compared; a
     pair of one comparison is compared directly, which costs less."""
-    cap = out.cap
     rows = cached_scaled_rows(scc)[0]
     pos = _positive_rows(scc)
     menus = scc.menus()
@@ -523,7 +534,7 @@ def _iis_scan(
                 common.discard(0)
                 here = len(common) * (len(common) - 1) // 2
             checked += here
-            if not here or len(out.witnesses) == cap:
+            if not here or len(out.witnesses) == out.cap:
                 continue
             if here > 1:
                 if empty_variant:
@@ -543,7 +554,7 @@ def _iis_scan(
                 lhs = row_s.get(t, 0) * row_s2[t2]
                 rhs = row_s[t2] * row_s2.get(t, 0)
                 if not probs_equal(scc, lhs, rhs, tol):
-                    out.add_equation(scc, {"T": t, "T_prime": t2, "S": s, "S_prime": s2})
+                    out.add_equation({"T": t, "T_prime": t2, "S": s, "S_prime": s2})
     return checked
 
 
@@ -581,11 +592,10 @@ def _rel_add_scan(
     mu(T,S\\x) and mu(T,S) + mu(T u x,S), the excluded column left out,
     and only those that fail it are scanned.
     """
-    require_complete(scc)
+    out = _Collector(scc, axiom, cap)
     constraints = (
         cached_revealed_constraints(scc) if axiom is AxiomId.REL_ADD_1 else None
     )
-    out = _Collector(axiom, cap)
     vacuous = 0
     for s, xbit, rest, row_s, row_rest in _removals(cached_scaled_rows(scc)[0]):
         subs = nonempty_submasks(rest)
@@ -601,8 +611,8 @@ def _rel_add_scan(
             continue
         for (t, u, v), (t2, u2, v2) in combinations(zip(subs, us, vs), 2):
             if not probs_equal(scc, u * v2, u2 * v, tol):
-                out.add_equation(scc, {"S": s, "x": xbit, "T": t, "T_prime": t2})
-    return out.report(scc, out.domain(scc) - vacuous, vacuous)
+                out.add_equation({"S": s, "x": xbit, "T": t, "T_prime": t2})
+    return out.report(vacuous=vacuous)
 
 
 def check_relative_additivity(
@@ -656,21 +666,19 @@ def check_additivity(
     empty-collection SCCs qualify.  The domain has n 3^(n-1) instances, of
     which the n at singleton menus (where S\\x is not a menu) are vacuous.
     """
-    require_complete(scc)
+    out = _Collector(scc, AxiomId.ADDITIVITY, cap)
     if not scc.allows_empty:
         raise WrongVariantError(
             "additivity is a postulate on empty-collection SCCs; "
             "this SCC does not allow the empty collection"
         )
-    out = _Collector(AxiomId.ADDITIVITY, cap)
     zero = scc.zero()
     for s, xbit, rest, row_s, row_rest in _removals(scc.rows):
         for t in submasks(rest):
             rhs = row_s.get(t, zero) + row_s.get(t | xbit, zero)
             if not probs_equal(scc, row_rest.get(t, zero), rhs, tol):
-                out.add_equation(scc, {"S": s, "x": xbit, "T": t})
-    n = scc.universe.n
-    return out.report(scc, out.domain(scc) - n, n)
+                out.add_equation({"S": s, "x": xbit, "T": t})
+    return out.report(vacuous=scc.universe.n)
 
 
 def _additivity_sides(scc: SCC, b: dict[str, int]) -> Sides:
@@ -726,8 +734,8 @@ def _support_shape_report(
     contained in S, a domain of size 3^n - 2^n; violations are located by
     comparing the support of each row with the achievable family.
     """
+    out = _Collector(scc, axiom, cap)
     achievable_of = _achievable(scc, axiom, attributes)
-    out = _Collector(axiom, cap)
     pos = _positive_rows(scc)
     for menu in scc.menus():
         achievable = achievable_of(menu)
@@ -737,7 +745,7 @@ def _support_shape_report(
             out.add({"T": t, "S": menu}, prob_lookup(scc, t, menu), None)
         for t in sorted(achievable - sup):
             out.add({"T": t, "S": menu}, prob_lookup(scc, t, menu), None)
-    return out.report(scc, out.domain(scc), 0)
+    return out.report()
 
 
 def check_positivity(
@@ -759,9 +767,8 @@ def check_positivity(
     Kinds 2-4 quantify over all non-empty T contained in S (see
     :func:`_support_shape_report`).
     """
-    require_complete(scc)
     if kind == 1:
-        out = _Collector(AxiomId.POS1, cap)
+        out = _Collector(scc, AxiomId.POS1, cap)
         pos = _positive_rows(scc)
         for menu in scc.menus():
             covered = 0
@@ -769,7 +776,7 @@ def check_positivity(
                 covered |= t
             for x in bits(menu & ~covered):
                 out.add({"x": 1 << x, "S": menu}, None, None)
-        return out.report(scc, out.domain(scc), 0)
+        return out.report()
     if kind in (2, 3, 4):
         return _support_shape_report(scc, cap, AxiomId(f"POS{kind}"), attributes)
     raise ValueError(f"positivity kind must be 1, 2, 3, or 4, got {kind}")
@@ -823,13 +830,12 @@ def _distinct_constraints_report(
     scc: SCC, tol: ToleranceConfig, cap: int
 ) -> AxiomReport:
     """No two items may reveal the same constraint set (n-choose-2 pairs)."""
-    require_complete(scc)
+    out = _Collector(scc, AxiomId.DISTINCT_Q, cap)
     revealed = cached_revealed_constraints(scc)
-    out = _Collector(AxiomId.DISTINCT_Q, cap)
     for x, y in combinations(range(scc.universe.n), 2):
         if revealed[x] == revealed[y]:
             out.add({"x": 1 << x, "y": 1 << y}, None, None)
-    return out.report(scc, out.domain(scc), 0)
+    return out.report()
 
 
 def _recheck_distinct_q(scc: SCC, witness: Witness, tol: ToleranceConfig) -> bool:
@@ -853,9 +859,8 @@ def _rel_add_adjusted(scc: SCC, tol: ToleranceConfig, cap: int) -> AxiomReport:
     factor from row S, is multiplied by row S's denominator.  Vacuous
     instances: T empty, or zero adjustment denominator.
     """
-    require_complete(scc)
+    out = _Collector(scc, AxiomId.REL_ADD_2, cap)
     revealed = cached_revealed_constraints(scc)
-    out = _Collector(AxiomId.REL_ADD_2, cap)
     rows, dens = cached_scaled_rows(scc)
     row_full = rows[scc.universe.full_mask]
     checked = 0
@@ -880,8 +885,8 @@ def _rel_add_adjusted(scc: SCC, tol: ToleranceConfig, cap: int) -> AxiomReport:
             cleared_lhs = denom * mu_t_rest * t2_sum + adj_num * mu_t2_rest
             cleared_rhs = denom * mu_t2_rest * t_sum
             if not probs_equal(scc, cleared_lhs, cleared_rhs, tol):
-                out.add_equation(scc, {"S": s, "x": xbit, "T": t, "T_prime": t2})
-    return out.report(scc, checked, vacuous)
+                out.add_equation({"S": s, "x": xbit, "T": t, "T_prime": t2})
+    return out.report(checked, vacuous)
 
 
 def check_rrm_suite(
@@ -950,8 +955,7 @@ def check_piis(
     pairs, and then exact mode checks the C(N,2) edges of the potential,
     float mode the 2 C(N,2) (N-2) chain comparisons of stage 3.
     """
-    require_complete(scc)
-    out = _Collector(AxiomId.PIIS, cap)
+    out = _Collector(scc, AxiomId.PIIS, cap)
     grand = _grand_row(scc, tol)
     if grand.certifies(AxiomId.PIIS):
         n = scc.universe.n
@@ -959,7 +963,7 @@ def check_piis(
         pairs = sum(math.comb(n, size) * math.comb(k[size], 2) for size in range(1, n + 1))
         edges_x = math.comb(k[n], 2)
         checked = pairs if scc.exact else pairs - edges_x + 2 * edges_x * (k[n] - 2)
-        return out.report(scc, checked, 0)
+        return out.report(checked)
     pos = _positive_rows(scc)
     checked = 0
 
@@ -974,7 +978,7 @@ def check_piis(
             pa0, pb0, s0 = rec
             checked += 1
             if not probs_equal(scc, pa * pb0, pb * pa0, tol):
-                out.add_equation(scc, _chain_bindings(a, b, (b, s0, s0), (b, s, s)))
+                out.add_equation(_chain_bindings(a, b, (b, s0, s0), (b, s, s)))
 
     support_colls = sorted({c for row in pos.values() for c in row})
     neighbors: dict[int, set[int]] = {c: set() for c in support_colls}
@@ -988,18 +992,18 @@ def check_piis(
         if t2 not in neighbors[t] and not (neighbors[t] & neighbors[t2])
     )
     if not out.clean:
-        return out.report(scc, checked, vacuous)
+        return out.report(checked, vacuous)
 
     # Stage 2 (exact mode): a multiplicative potential.
     if scc.exact:
         fits, compared = _fit_potential(support_colls, neighbors, edges)
         checked += compared
         if fits:
-            return out.report(scc, checked, vacuous)
+            return out.report(checked, vacuous)
 
     # Stage 3: direct chain comparison.
     checked += _chain_scan(scc, tol, out, support_colls, neighbors, edges)
-    return out.report(scc, checked, vacuous)
+    return out.report(checked, vacuous)
 
 
 def _fit_potential(
@@ -1115,7 +1119,7 @@ def _chain_scan(
         (ref_num, ref_den, ref), *others = values
         for num, den, chain in others:
             if not probs_equal(scc, ref_num * den, num * ref_den, tol):
-                out.add_equation(scc, _chain_bindings(t, t2, ref, chain))
+                out.add_equation(_chain_bindings(t, t2, ref, chain))
     return checked
 
 
@@ -1144,8 +1148,7 @@ def _partition_report(scc: SCC, tol: ToleranceConfig, cap: int) -> AxiomReport:
     instance.  Coverage failures bind the uncovered items under "uncovered".
     The count is fixed, so the pair scan stops once ``cap`` pairs overlap.
     """
-    require_complete(scc)
-    out = _Collector(AxiomId.PARTITION, cap)
+    out = _Collector(scc, AxiomId.PARTITION, cap)
     nests = cached_revealed_nests(scc)
     for t, t2 in combinations(nests, 2):
         if t & t2:
@@ -1158,7 +1161,7 @@ def _partition_report(scc: SCC, tol: ToleranceConfig, cap: int) -> AxiomReport:
     uncovered = scc.universe.full_mask & ~union
     if uncovered:
         out.add({"uncovered": uncovered}, None, None)
-    return out.report(scc, len(nests) * (len(nests) - 1) // 2 + 1, 0)
+    return out.report(len(nests) * (len(nests) - 1) // 2 + 1)
 
 
 def _recheck_partition(scc: SCC, witness: Witness, tol: ToleranceConfig) -> bool:
@@ -1196,8 +1199,7 @@ def check_paf(
     counted and compared, and the rest are vacuous.  Assumes a valid SCC,
     as :func:`_iis_scan` does.
     """
-    require_complete(scc)
-    out = _Collector(AxiomId.PAF, cap)
+    out = _Collector(scc, AxiomId.PAF, cap)
     pos = _positive_rows(scc)
     checked = 0
     for s, xbit, rest, row_s, row_rest in _removals(scc.rows):
@@ -1206,8 +1208,8 @@ def check_paf(
         for t in sorted(pos[s].keys() & pos[rest].keys() - {0}):
             checked += 1
             if not probs_equal(scc, row_s[t], row_rest[t], tol):
-                out.add_equation(scc, {"S": s, "x": xbit, "T": t})
-    return out.report(scc, checked, out.domain(scc) - checked)
+                out.add_equation({"S": s, "x": xbit, "T": t})
+    return out.report(checked)
 
 
 def _paf_sides(scc: SCC, b: dict[str, int]) -> Sides:
@@ -1238,17 +1240,16 @@ def check_special(
     binary menu {x,y} as reference.  Nothing is vacuous, and violations are
     located through row supports.
     """
-    require_complete(scc)
     if kind is AxiomId.DET_FULL_CHOICE:
-        out = _Collector(AxiomId.DET_FULL_CHOICE, cap)
+        out = _Collector(scc, AxiomId.DET_FULL_CHOICE, cap)
         for menu in scc.menus():
             if not probs_equal(scc, prob_lookup(scc, menu, menu), scc.one(), tol):
-                out.add_equation(scc, {"S": menu})
-        return out.report(scc, out.domain(scc), 0)
+                out.add_equation({"S": menu})
+        return out.report()
     if kind is not AxiomId.SINGLETON:
         raise ValueError(f"check_special handles DET_FULL_CHOICE and SINGLETON, got {kind}")
 
-    out = _Collector(AxiomId.SINGLETON, cap)
+    out = _Collector(scc, AxiomId.SINGLETON, cap)
     pos = _positive_rows(scc)
     # clause (i): positive singletons, nothing else positive
     for menu in scc.menus():
@@ -1271,8 +1272,8 @@ def check_special(
             lhs = rows[menu].get(xbit, 0) * ref_y
             rhs = ref_x * rows[menu].get(ybit, 0)
             if not probs_equal(scc, lhs, rhs, tol):
-                out.add_equation(scc, {"x": xbit, "y": ybit, "S": menu, "S_prime": ref})
-    return out.report(scc, out.domain(scc), 0)
+                out.add_equation({"x": xbit, "y": ybit, "S": menu, "S_prime": ref})
+    return out.report()
 
 
 def _det_full_choice_sides(scc: SCC, b: dict[str, int]) -> Sides:
@@ -1535,6 +1536,11 @@ CHARACTERIZING_AXIOMS: dict[tuple[ModelTag, bool], tuple[AxiomId, ...]] = {
     (ModelTag.RCG, True): (AxiomId.ADDITIVITY,),
     (ModelTag.IC, True): (AxiomId.IIS_O, AxiomId.ADDITIVITY),
 }
+
+#: The standard models whose own axioms decide their membership, in the
+#: order classification lists them and ``identify --model auto`` tries them;
+#: eba, ar and nested_logit are read through rcg and nsc.
+SELF_CHARACTERIZED = (ModelTag.LOGIT, ModelTag.RCG, ModelTag.IC, ModelTag.RRM, ModelTag.NSC)
 
 
 def characterizing_axioms(model: ModelTag, allows_empty: bool) -> tuple[AxiomId, ...]:

@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .axioms import CHARACTERIZING_AXIOMS, AxiomId, cached_report
-from .core import SCC, DEFAULT_TOL, ToleranceConfig, require_complete
-from .models import ModelTag
+from .axioms import CHARACTERIZING_AXIOMS, SELF_CHARACTERIZED, AxiomId, cached_report
+from .core import SCC, DEFAULT_TOL, ToleranceConfig
+from .models import ModelTag, variant_name
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -156,8 +156,6 @@ def classify(
     The report carries no witnesses, so the verdicts read the memoized
     reports at the default witness cap, the ones identify and check share.
     """
-    require_complete(scc)
-
     def holds(axiom: AxiomId) -> bool:
         return cached_report(scc, axiom, tol, attributes).holds
 
@@ -179,11 +177,9 @@ def classify(
     if scc.allows_empty:
         for model, empty in CHARACTERIZING_AXIOMS:
             if empty:
-                membership[f"{model.value}_o"] = member(model)
+                membership[variant_name(model, empty)] = member(model)
     else:
-        for model in (
-            ModelTag.LOGIT, ModelTag.RCG, ModelTag.IC, ModelTag.RRM, ModelTag.NSC
-        ):
+        for model in SELF_CHARACTERIZED:
             membership[model.value] = member(model)
         # endogenous attribute selection is extensionally the category
         # model, and the two-stage attribute rule's collection level is

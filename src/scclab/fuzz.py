@@ -39,6 +39,7 @@ from .models import (
     RRMParams,
     generate_scc,
     menu_row,
+    variant_name,
 )
 
 #: The eleven samplable model variants.
@@ -305,7 +306,7 @@ def fuzz_characterization(
         for stage, detail in _characterization_trial(model, empty_variant, trial_seed, n)
     ]
     return FuzzSummary(
-        suite=f"characterization:{model.value}{'_o' if empty_variant else ''}",
+        suite=f"characterization:{variant_name(model, empty_variant)}",
         trials=trials,
         failures=tuple(failures),
     )
@@ -341,7 +342,7 @@ def _membership_trial(
     own model's membership, then the relationship violations."""
     spec = sample_params(GenConfig(n, model, trial_seed, empty_variant))
     report = classify(generate_scc(spec, Universe.default(n)), attributes=_carriers_of(spec))
-    key = model.value + ("_o" if empty_variant else "")
+    key = variant_name(model, empty_variant)
     verdict = report.membership[key]
     if model is ModelTag.NESTED_LOGIT:
         # power-form weights are generally not decidable from finite

@@ -28,7 +28,6 @@ from .core import (
     MissingWeightError,
     PreconditionFailedError,
     Prob,
-    ShapeError,
     ToleranceConfig,
     is_zero,
     nonempty_submasks,
@@ -176,12 +175,16 @@ def identify_ic(scc: SCC, tol: ToleranceConfig = DEFAULT_TOL) -> RecoveryResult:
     gamma(x) = p(X) / (p(X) + p(X\\x)) with p the grand-set row.  Standard
     form requires full support, menu-independence, and relative additivity;
     the empty-collection form requires the empty-collection
-    menu-independence plus additivity.  A single-item universe is rejected
-    (the formula needs the menu X\\x).
+    menu-independence plus additivity.  On a one-item universe the
+    empty-collection form reads X\\x as the empty collection, so gamma is
+    the item's own probability; the standard form's row is {x: 1} at every
+    rate, so the rate is not identified and 1/2 is emitted.
     """
     _require(scc, ModelTag.IC, tol, "inclusion recovery")
-    if scc.universe.n < 2:
-        raise ShapeError("inclusion-probability recovery needs at least two items")
+    if scc.universe.n == 1 and not scc.allows_empty:
+        spec = ModelSpec(ModelTag.IC, ICParams({0: scc.one() / 2}))
+        note = "one item: the inclusion probability is not identified; 1/2 emitted"
+        return _finish(scc, spec, note, tol)
     full = scc.universe.full_mask
     row = scc.rows[full]
     p_full = row.get(full, scc.zero())

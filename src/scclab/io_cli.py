@@ -22,6 +22,7 @@ from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .axioms import (
     CHARACTERIZING_AXIOMS,
+    SELF_CHARACTERIZED,
     WITNESS_CAP,
     AxiomId,
     AxiomReport,
@@ -59,6 +60,7 @@ from .models import (
     evaluate,
     generate_scc,
     menu_row,
+    parse_variant,
 )
 
 # ---------------------------------------------------------------------------
@@ -609,14 +611,6 @@ def _parse_axiom_list(text: str) -> list[AxiomId]:
     return out
 
 
-def _parse_variant(token: str) -> tuple[ModelTag, bool]:
-    name, empty = (token[:-2], True) if token.endswith("_o") else (token, False)
-    try:
-        return ModelTag(name), empty
-    except ValueError:
-        raise SchemaError(f"unknown model tag {token!r}") from None
-
-
 def _cmd_gen(args: argparse.Namespace) -> int:
     spec, universe = parse_params(_load_json(args.params))
     scc = generate_scc(spec, universe)
@@ -657,9 +651,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return _EXIT_OK if all(r.holds for r in reports) else _EXIT_FINDINGS
 
 
-_AUTO_ORDER = ("logit", "rcg", "ic", "rrm", "nsc")
-
-
 def _cmd_identify(args: argparse.Namespace) -> int:
     tol = _tolerance(args)
     scc = parse_scc(_load_json(args.scc))
@@ -667,18 +658,18 @@ def _cmd_identify(args: argparse.Namespace) -> int:
     if token == "auto":
         require_complete(scc)
         attempts = []
-        for name in _AUTO_ORDER:
+        for model in SELF_CHARACTERIZED:
             try:
-                result = RECOVERIES[name](scc, tol=tol)
+                result = RECOVERIES[model](scc, tol=tol)
                 break
             except ScclabError as exc:
-                attempts.append({"model": name, "error": str(exc)})
+                attempts.append({"model": model.value, "error": str(exc)})
         else:
             _emit({"identified": False, "attempts": attempts}, args.output)
             return _EXIT_FINDINGS
     else:
         try:
-            target = _parse_variant(token)
+            target = parse_variant(token)
         except SchemaError:
             target = None
         if target not in CHARACTERIZING_AXIOMS:
@@ -729,7 +720,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     elif token == "relationships":
         suites = [token]
     else:
-        suites = [_parse_variant(token)]
+        suites = [parse_variant(token)]
     summaries = [
         fuzz_relationships(args.trials, n_values, seed)
         if suite == "relationships"

@@ -39,6 +39,7 @@ from .core import (
     InvalidParamsError,
     MissingWeightError,
     Prob,
+    SchemaError,
     ShapeError,
     Universe,
     bits,
@@ -63,6 +64,21 @@ class ModelTag(str, Enum):
 
 #: Models that have an empty-collection variant.
 EMPTY_CAPABLE = frozenset({ModelTag.LOGIT, ModelTag.RCG, ModelTag.IC})
+
+
+def variant_name(model: ModelTag, empty_variant: bool) -> str:
+    """A model variant's name: its tag, with "_o" for the empty-collection variant."""
+    return model.value + ("_o" if empty_variant else "")
+
+
+def parse_variant(name: str) -> tuple[ModelTag, bool]:
+    """The (model, empty-variant flag) that ``name`` spells, read as
+    :func:`variant_name` writes it; SchemaError for an unknown tag."""
+    tag, empty = (name[:-2], True) if name.endswith("_o") else (name, False)
+    try:
+        return ModelTag(tag), empty
+    except ValueError:
+        raise SchemaError(f"unknown model tag {name!r}") from None
 
 
 def _is_exact(value: Weight) -> bool:

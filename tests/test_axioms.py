@@ -18,6 +18,7 @@ import pytest
 
 from scclab.core import (
     DEFAULT_TOL,
+    IncompleteDatasetError,
     MissingAttributesError,
     SCC,
     ToleranceConfig,
@@ -323,7 +324,7 @@ def _ordered_chain_scan(scc, tol, out, colls, neighbors, edges, *, reached):
                 checked += 1
                 ref_num, ref_den, ref = values[0]
                 if not probs_equal(scc, ref_num * den, num * ref_den, tol):
-                    out.add_equation(scc, _chain_bindings(t, t2, ref, chain))
+                    out.add_equation(_chain_bindings(t, t2, ref, chain))
     reached.append((scc.exact, clean and not out.clean))
     return checked
 
@@ -1500,6 +1501,59 @@ class TestDispatcherAndBattery:
         # the verdict and instance counts are unaffected by the cap
         full = check_relative_additivity(nsc_scc)
         assert report.instances_checked == full.instances_checked
+
+
+FRAME_ATTRIBUTES = (AB, C)
+
+#: Every registry entry through run_axiom, and every public check by name,
+#: each called as ``check(scc, cap=...)``.
+FRAMED = {
+    **{
+        f"run_axiom_{axiom.value}": partial(
+            run_axiom, axiom=axiom, attributes=FRAME_ATTRIBUTES
+        )
+        for axiom in AXIOMS
+    },
+    "check_full_support": check_full_support,
+    "check_iis": check_iis,
+    "check_iis_o": partial(check_iis, empty_variant=True),
+    "check_relative_additivity": check_relative_additivity,
+    "check_additivity": check_additivity,
+    **{
+        f"check_positivity_{kind}": partial(
+            check_positivity, kind=kind, attributes=FRAME_ATTRIBUTES
+        )
+        for kind in (1, 2, 3, 4)
+    },
+    "check_piis": check_piis,
+    "check_paf": check_paf,
+    "check_special_det": partial(check_special, kind=AxiomId.DET_FULL_CHOICE),
+    "check_special_singleton": partial(check_special, kind=AxiomId.SINGLETON),
+    "check_rrm_suite": check_rrm_suite,
+    "check_nsc_structure": check_nsc_structure,
+}
+
+
+@pytest.mark.parametrize("name", FRAMED)
+class TestFrame:
+    """Every check, through the registry or by its public name, refuses an
+    incomplete SCC and a witness cap below 1.  The data allow the empty
+    collection, so that every check applies."""
+
+    @staticmethod
+    def _complete():
+        params = RCGParams({AB: F(1, 2), C: F(1, 2)})
+        return generate_scc(ModelSpec(ModelTag.RCG, params, empty_variant=True), U3)
+
+    def test_incomplete_scc_is_refused(self, name):
+        rows = dict(self._complete().rows)
+        del rows[AB]
+        with pytest.raises(IncompleteDatasetError):
+            FRAMED[name](SCC(U3, rows, allows_empty=True))
+
+    def test_cap_below_one_is_refused(self, name):
+        with pytest.raises(ValueError, match="witness cap must be at least 1"):
+            FRAMED[name](self._complete(), cap=0)
 
 
 class TestMemo:

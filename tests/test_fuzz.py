@@ -160,6 +160,17 @@ class TestFuzzRuns:
         # classify checks no relationship below three items
         assert fuzz_relationships(trials=30, n_range=[1, 2], seed=0).ok
 
+    @pytest.mark.parametrize("model", ["ic", "ic_o"])
+    def test_one_item_inclusion_suites_pass(self, tmp_path, model):
+        # one-item ic data recovers: at rate 1/2 in the standard form, where
+        # the rate is not identified, and from the grand row in the _o form
+        summary = fuzz_characterization(ModelTag.IC, 4, [1], 0, model == "ic_o")
+        assert summary.ok and summary.suite == f"characterization:{model}"
+        out = tmp_path / "fuzz.json"
+        argv = ["fuzz", "--model", model, "--trials", "4", "--n", "1", "--seed", "0"]
+        assert cli_main([*argv, "-o", str(out)]) == 0
+        assert json.loads(out.read_text())["summaries"][0]["ok"] is True
+
     def test_corrupted_rows_fail_at_necessity(self, monkeypatch):
         def corrupted(spec, universe):
             rows = {m: dict(row) for m, row in generate_scc(spec, universe).rows.items()}

@@ -8,7 +8,6 @@ from scclab.core import (
     DEFAULT_TOL,
     PreconditionFailedError,
     SCC,
-    ShapeError,
     Universe,
     WrongVariantError,
 )
@@ -147,12 +146,18 @@ class TestICRecovery:
         rcg_mass = identify_rcg(scc).model_spec.params.mass
         assert logit_weights == rcg_mass
 
-    def test_needs_two_items(self):
-        scc = generate_scc(
-            ModelSpec(ModelTag.LOGIT, LogitParams({1: F(1)})), Universe.default(1)
-        )
-        with pytest.raises(ShapeError):
-            identify_ic(scc)
+    def test_one_item_universe(self):
+        # standard data on one item is the row {x: 1} at every rate, so the
+        # rate is not identified and 1/2 is emitted; the empty-collection
+        # form reads X\x as the empty collection and recovers the rate
+        for gamma in (F(1, 3), 1 / 3):
+            for empty, rate, note in ((False, F(1, 2), "not identified"), (True, gamma, "ratios")):
+                spec = ModelSpec(ModelTag.IC, ICParams({0: gamma}), empty_variant=empty)
+                result = RECOVERIES[ModelTag.IC](generate_scc(spec, Universe.default(1)))
+                assert result.model_spec.params.inclusion == {0: rate}
+                assert result.model_spec.empty_variant is empty
+                assert result.round_trip_exact is isinstance(gamma, F)
+                assert note in result.normalization_note
 
     def test_empty_variant(self):
         params = ICParams({0: F(1, 2), 1: F(1, 3)})

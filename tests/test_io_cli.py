@@ -30,6 +30,7 @@ from scclab.io_cli import (
     scc_to_document,
 )
 from scclab.models import (
+    ICParams,
     LogitParams,
     ModelSpec,
     ModelTag,
@@ -671,6 +672,19 @@ class TestCli:
             assert capsys.readouterr().err == (
                 "error: operation requires a complete SCC; 6 menu(s) absent\n"
             ), command
+
+    @pytest.mark.parametrize("model", ["ic", "ic_o"])
+    def test_identify_one_item_inclusion(self, tmp_path, model):
+        # one item: the standard rate is not identified and 1/2 is emitted;
+        # the empty-collection form recovers the rate from the grand row
+        empty = model == "ic_o"
+        spec = ModelSpec(ModelTag.IC, ICParams({0: Fraction(1, 3)}), empty_variant=empty)
+        path = tmp_path / f"{model}.json"
+        path.write_text(json.dumps(scc_to_document(generate_scc(spec, Universe.default(1)))))
+        code, payload = self.run(tmp_path, "identify", str(path), "--model", model)
+        assert code == 0 and payload["identified"] and payload["model"] == "ic"
+        assert payload["params"] == {"inclusion": {"a": "1/3" if empty else "1/2"}}
+        assert payload["empty_variant"] is empty
 
     def test_identify_refuses_an_invalid_recovered_bundle(self, tmp_path):
         path = tmp_path / "half_empty.json"

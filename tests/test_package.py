@@ -186,6 +186,23 @@ def test_support_is_read_from_one_table():
     assert list(inspect.signature(axioms._in_float_range).parameters) == ["entries"]
 
 
+def test_each_check_opens_one_frame():
+    """Every check builds one axioms._Collector, which refuses an incomplete
+    SCC; the other callers of require_complete keep no collector (the two
+    consequence scans) or run before any check (the recovery gate and
+    ``identify --model auto``).  The registry's closed-form domain is read
+    only where a report fills the count it fixes."""
+    assert _callers("require_complete") == {
+        "axioms._Collector.__init__",
+        "axioms.monotonicity_violations",
+        "axioms.support_transfer_violations",
+        "identify._require",
+        "io_cli._cmd_identify",
+    }
+    readers = _holders(lambda node: isinstance(node, ast.Attribute) and node.attr == "domain")
+    assert readers == {"axioms._Collector.report"}
+
+
 def test_tolerance_is_only_the_equality_tolerance():
     """Support is a property of the data: the one tolerance field is eps_eq,
     and nothing that decides support or validates takes a tolerance."""
