@@ -164,6 +164,12 @@ class _Collector:
         self.witnesses: list[Witness] = []
         self.clean = True
 
+    @property
+    def full(self) -> bool:
+        """Whether ``cap`` witnesses are recorded: scanning on could change
+        only the counts."""
+        return len(self.witnesses) == self.cap
+
     def add(self, bindings: dict[str, int], lhs: Optional[Prob], rhs: Optional[Prob]):
         """Record a violation of a structural axiom, with the offending
         probabilities, if any."""
@@ -230,14 +236,17 @@ def cached_scaled_rows(scc: SCC) -> tuple[dict[int, dict[int, Prob]], dict[int, 
     both sides scales both sides alike, so its verdict is unchanged and it
     runs in ``int`` arithmetic; a side lacking some row's factor is
     multiplied by that row's denominator.  In float mode the rows are
-    ``scc.rows`` unchanged, with unit denominators.  :func:`validate_scc`
+    ``scc.rows`` unchanged, over denominators of 1.0, so a product with
+    one is the same float and costs a float product.  :func:`validate_scc`
     leaves a clean exact SCC's scaled rows in the memo, so a parsed dataset
-    is scaled once, while it is validated.
+    is scaled once, while it is validated, and
+    :func:`~scclab.models.generate_scc` leaves a generated one's, reduced
+    from the model kernels' integer rows, so it is never scaled here.
     """
 
     def scale():
         if not scc.exact:
-            return scc.rows, dict.fromkeys(scc.rows, 1)
+            return scc.rows, dict.fromkeys(scc.rows, 1.0)
         rows, dens = {}, {}
         for menu, row in scc.rows.items():
             rows[menu], dens[menu] = scale_row(row)
@@ -534,7 +543,7 @@ def _iis_scan(
                 common.discard(0)
                 here = len(common) * (len(common) - 1) // 2
             checked += here
-            if not here or len(out.witnesses) == out.cap:
+            if not here or out.full:
                 continue
             if here > 1:
                 if empty_variant:
@@ -603,7 +612,7 @@ def _rel_add_scan(
         if excluded:
             subs.remove(excluded)
             vacuous += len(subs)
-        if len(out.witnesses) == cap:
+        if out.full:
             continue
         us = list(map(row_rest.get, subs, repeat(0)))
         vs = [row_s.get(t, 0) + row_s.get(t | xbit, 0) for t in subs]
@@ -665,6 +674,9 @@ def check_additivity(
     sum form; the postulate is usually written as a difference).  Only
     empty-collection SCCs qualify.  The domain has n 3^(n-1) instances, of
     which the n at singleton menus (where S\\x is not a menu) are vacuous.
+    Both sides are compared over the rows of :func:`cached_scaled_rows`,
+    each times the other row's denominator (1.0 in float mode), and the scan
+    stops once the cap is full, since the counts do not depend on it.
     """
     out = _Collector(scc, AxiomId.ADDITIVITY, cap)
     if not scc.allows_empty:
@@ -672,11 +684,15 @@ def check_additivity(
             "additivity is a postulate on empty-collection SCCs; "
             "this SCC does not allow the empty collection"
         )
-    zero = scc.zero()
-    for s, xbit, rest, row_s, row_rest in _removals(scc.rows):
+    rows, dens = cached_scaled_rows(scc)
+    for s, xbit, rest, row_s, row_rest in _removals(rows):
+        if out.full:
+            break
+        den_s, den_rest = dens[s], dens[rest]
         for t in submasks(rest):
-            rhs = row_s.get(t, zero) + row_s.get(t | xbit, zero)
-            if not probs_equal(scc, row_rest.get(t, zero), rhs, tol):
+            lhs = row_rest.get(t, 0) * den_s
+            rhs = (row_s.get(t, 0) + row_s.get(t | xbit, 0)) * den_rest
+            if not probs_equal(scc, lhs, rhs, tol):
                 out.add_equation({"S": s, "x": xbit, "T": t})
     return out.report(vacuous=scc.universe.n)
 
@@ -1105,7 +1121,7 @@ def _chain_scan(
                 suspects += [(t, t2), (t2, t)]
 
     for t, t2 in sorted(suspects):
-        if len(out.witnesses) == out.cap:
+        if out.full:
             break
         values: list[tuple[Prob, Prob, tuple[int, int, int]]] = []
         if t2 in neighbors[t]:
@@ -1153,7 +1169,7 @@ def _partition_report(scc: SCC, tol: ToleranceConfig, cap: int) -> AxiomReport:
     for t, t2 in combinations(nests, 2):
         if t & t2:
             out.add({"T": t, "T_prime": t2}, None, None)
-            if len(out.witnesses) == cap:
+            if out.full:
                 break
     union = 0
     for nest in nests:
@@ -1237,8 +1253,8 @@ def check_special(
     empty-collection SCCs the empty collection counts as "other").
     Clause (ii): singleton probability ratios are menu-independent, decided
     by cross-multiplying each menu containing a pair {x,y} against the
-    binary menu {x,y} as reference.  Nothing is vacuous, and violations are
-    located through row supports.
+    binary menu {x,y} as reference.  Nothing is vacuous, violations are
+    located through row supports, and the scan stops once the cap is full.
     """
     if kind is AxiomId.DET_FULL_CHOICE:
         out = _Collector(scc, AxiomId.DET_FULL_CHOICE, cap)
@@ -1253,6 +1269,8 @@ def check_special(
     pos = _positive_rows(scc)
     # clause (i): positive singletons, nothing else positive
     for menu in scc.menus():
+        if out.full:
+            break
         sup = pos[menu]
         for x in bits(menu):
             if (1 << x) not in sup:
@@ -1263,6 +1281,8 @@ def check_special(
     # clause (ii): ratio stability against the binary reference menu
     rows = cached_scaled_rows(scc)[0]
     for x, y in combinations(range(scc.universe.n), 2):
+        if out.full:
+            break
         xbit, ybit = 1 << x, 1 << y
         ref = xbit | ybit
         ref_x = rows[ref].get(xbit, 0)

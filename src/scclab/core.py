@@ -229,8 +229,8 @@ class SCC:
     ``memo`` holds results derived from the rows (axiom reports, revealed
     structure, and the scaled integer rows the exact ratio checks compare)
     so each is computed once; :func:`validate_scc` fills the scaled rows of
-    a clean exact SCC.  Rows must therefore not be changed after
-    construction.
+    a clean exact SCC, and ``models.generate_scc`` those of a generated
+    one.  Rows must therefore not be changed after construction.
     """
 
     universe: Universe
@@ -291,16 +291,24 @@ def scale_row(row: dict[int, Fraction]) -> tuple[dict[int, int], int]:
     return {t: p.numerator * (den // p.denominator) for t, p in row.items()}, den
 
 
+def reduce_row(cells: dict[int, int], den: int) -> tuple[dict[int, int], int]:
+    """Integer masses over a common denominator, divided by the gcd of all
+    of them: the :func:`scale_row` form of the row of Fractions they give,
+    since lcm_t(den / gcd(c_t, den)) = den / gcd(den, c_1, ...), found
+    without building a Fraction."""
+    g = math.gcd(den, *cells.values())
+    return {t: c // g for t, c in cells.items()}, den // g
+
+
 #: The memo key of the scaled rows (see ``axioms.cached_scaled_rows``).
 SCALED_ROWS = ("scaled_rows",)
 
 
-def sums_to_one(total: Prob) -> bool:
-    """The package's one "sums to 1" rule: an exact total equals 1, a float
-    one lies within :data:`EPS_SUM` of it."""
-    if isinstance(total, float):
-        return abs(total - 1.0) <= EPS_SUM
-    return total == 1
+def sums_to_one(total: float) -> bool:
+    """The package's one "sums to 1" rule for a float total: it lies within
+    :data:`EPS_SUM` of 1.  Exact totals are compared in ints, as
+    :func:`scale_row` numerators against their denominator."""
+    return abs(total - 1.0) <= EPS_SUM
 
 
 def validate_scc(scc: SCC) -> list[Violation]:

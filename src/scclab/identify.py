@@ -2,11 +2,14 @@
 
 Each recovery follows the constructive sufficiency argument for its model:
 check the characterizing axioms, read the parameters off the data (mostly
-the grand-set row), rebuild the SCC from them, and verify the rebuild
-matches the input — exactly in exact mode, within eps_eq cell-by-cell in
-float mode.  Recovery refuses to run (PreconditionFailedError) instead of
-returning best-effort parameters when the axioms fail, because the
-constructions are only valid under them.
+the grand-set row), and verify that they reproduce the input.  In exact
+mode the recovered bundle's rows come from the model kernels as reduced
+integer rows and must equal the dataset's scaled rows
+(:func:`~scclab.axioms.cached_scaled_rows`), so no Fraction is built and no
+SCC regenerated; in float mode the regenerated SCC must match the input
+within eps_eq cell by cell.  Recovery refuses to run
+(PreconditionFailedError) instead of returning best-effort parameters when
+the axioms fail, because the constructions are only valid under them.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from typing import Callable
 from .axioms import (
     AxiomId,
     cached_report,
+    cached_scaled_rows,
     cached_revealed_constraints,
     cached_revealed_nests,
     characterizing_axioms,
@@ -43,6 +47,7 @@ from .models import (
     RCGParams,
     RRMParams,
     Weight,
+    _menu_rows,
     generate_scc,
 )
 
@@ -52,7 +57,7 @@ class RecoveryResult:
     """A recovered parameter bundle plus its verification status.
 
     round_trip_exact is True exactly when the dataset is in exact mode: the
-    recovered bundle is then exact and regenerated the input bit for bit.
+    recovered bundle is then exact and reproduced the input bit for bit.
     Float-mode recovery verifies within eps_eq and reports False here.
     normalization_note states the scaling convention of the emitted
     parameters, since several bundles are only identified up to a uniform
@@ -65,20 +70,28 @@ class RecoveryResult:
 
 
 def _rows_match(reference: SCC, regen: SCC, tol: ToleranceConfig) -> bool:
-    """Cell-by-cell row comparison of two complete SCCs under the
-    reference's equality rule, after a test for equal rows in exact mode
-    (parsed data may record zero cells)."""
-    if reference.exact and reference.rows == regen.rows:
-        return True
-    ref_zero, new_zero = reference.zero(), regen.zero()
+    """Cell-by-cell row comparison of two complete float SCCs within eps_eq,
+    a cell recorded on one side only against 0.0 (parsed data may record
+    zero cells)."""
     for menu, ref_row in reference.rows.items():
         new_row = regen.rows[menu]
         for coll in set(ref_row) | set(new_row):
-            a = ref_row.get(coll, ref_zero)
-            b = new_row.get(coll, new_zero)
-            if not probs_equal(reference, a, b, tol):
+            if not probs_equal(reference, ref_row.get(coll, 0.0), new_row.get(coll, 0.0), tol):
                 return False
     return True
+
+
+def _reproduces(scc: SCC, spec: ModelSpec) -> bool:
+    """Whether a validated bundle's reduced integer rows, which hold no zero
+    cell, are the exact dataset's scaled rows less their recorded zero
+    cells.  Both are the :func:`~scclab.core.scale_row` form of their
+    values, which is canonical, so equal values are equal dicts."""
+    rows, dens = cached_scaled_rows(scc)
+    menus = range(1, scc.universe.full_mask + 1)
+    return all(
+        den == dens[menu] and cells == {t: c for t, c in rows[menu].items() if c}
+        for menu, (cells, den) in zip(menus, _menu_rows(spec, scc.universe, menus)[1])
+    )
 
 
 def _require(
@@ -106,14 +119,20 @@ def _require(
 def _finish(
     scc: SCC, spec: ModelSpec, note: str, tol: ToleranceConfig
 ) -> RecoveryResult:
-    """The one round trip: refuse unless the recovered bundle regenerates the input."""
+    """The one round trip: refuse unless the recovered bundle is valid and
+    reproduces the input, exactly (:func:`_reproduces`) or within eps_eq
+    (:func:`_rows_match`) in the dataset's mode."""
     try:
-        regen = generate_scc(spec, scc.universe)
+        if scc.exact:
+            spec.validate(scc.universe)
+            reproduces = _reproduces(scc, spec)
+        else:
+            reproduces = _rows_match(scc, generate_scc(spec, scc.universe), tol)
     except (InvalidParamsError, MissingWeightError) as exc:
         raise PreconditionFailedError(
             f"recovered parameters are not a valid bundle: {exc}"
         ) from exc
-    if not _rows_match(scc, regen, tol):
+    if not reproduces:
         raise PreconditionFailedError(
             "recovered parameters do not reproduce the dataset"
         )

@@ -14,10 +14,13 @@ nested logit, every exponent is integer-valued, whatever its type: an
 exponent of ``2.0`` keeps a bundle of rational utilities exact.  Otherwise
 the whole bundle is in float mode, and a non-integer exponent is recorded
 in the generated SCC's ``mode_notes``.  Rows are put in their bundle's
-mode in one place, ``_menu_rows``, behind :func:`menu_row` and
-:func:`generate_scc`; it coerces only float rows, since an exact bundle's
-weights are scaled to ints once per dataset and its kernel builds each
-cell once, as a Fraction.
+mode in one place, ``_menu_rows``, behind :func:`menu_row`,
+:func:`generate_scc` and the exact round trip of ``scclab.identify``.  It
+divides and coerces only float rows: an exact bundle's weights are scaled
+to ints once per dataset, and each kernel row's integer masses are reduced
+once, by their gcd, to the integer row the exact axiom checks compare.
+Fractions are built from those rows, one per cell, only where a caller
+asks for probabilities.
 
 Empty-collection variants exist for three models and are selected with an
 ``empty_variant`` flag rather than separate classes: the set-weight (logit)
@@ -36,6 +39,7 @@ from typing import Callable, Iterable, Iterator, Union
 
 from .core import (
     SCC,
+    SCALED_ROWS,
     InvalidParamsError,
     MissingWeightError,
     Prob,
@@ -44,6 +48,7 @@ from .core import (
     Universe,
     bits,
     nonempty_submasks,
+    reduce_row,
     scale_row,
     sums_to_one,
 )
@@ -97,10 +102,10 @@ def _validate_draws(
 ) -> None:
     """The (weight, set) family of a set-draw model: every set non-empty and
     inside the universe, every weight positive, the sets covering the
-    universe and, if ``normalized``, the weights summing to 1."""
+    universe and, if ``normalized``, the weights summing to 1 (exact ones
+    in ints, by :func:`_scaled`, so no Fraction is built)."""
     full = universe.full_mask
     covered = 0
-    total: Weight = Fraction(0)
     for weight, drawn in draws:
         if drawn == 0 or drawn & ~full:
             raise InvalidParamsError(f"invalid {noun} {drawn}")
@@ -108,9 +113,13 @@ def _validate_draws(
             labels = universe.labels_of(drawn)
             raise InvalidParamsError(f"weight of {noun} {labels} must be positive")
         covered |= drawn
-        total = total + weight
-    if normalized and not sums_to_one(total):
-        raise InvalidParamsError(f"{noun} weights must sum to 1, got {total}")
+    if normalized:
+        weights = dict(enumerate(weight for weight, _ in draws))
+        exact = all(map(_is_exact, weights.values()))
+        masses, den = _scaled(weights, exact)
+        total = sum(masses.values())
+        if not (total == den if exact else sums_to_one(total)):
+            raise InvalidParamsError(f"{noun} weights must sum to 1, got {sum(weights.values())}")
     if covered != full:
         missing = universe.labels_of(full & ~covered)
         raise InvalidParamsError(f"items {missing} belong to no {noun}")
@@ -502,12 +511,12 @@ class ModelSpec:
 
 def _drawn_row(
     draws: Iterable[tuple[Weight, int]], menu: int, over: Weight | None = None
-) -> dict[int, Weight]:
+) -> tuple[dict[int, Weight], Weight]:
     """The row of a model that draws a weighted set and chooses its trace on
-    the menu: the (weight, set) draws pooled by trace.  The empty-collection
-    variant divides the pooled masses by ``over``, the draws' scale;
-    otherwise (``over`` None) the empty trace is dropped and the rest is
-    divided by the total weight of the draws with a non-empty trace."""
+    the menu: the (weight, set) draws pooled by trace, over a denominator.
+    The empty-collection variant's is ``over``, the draws' scale; otherwise
+    (``over`` None) the empty trace is dropped and the denominator is the
+    total weight of the draws with a non-empty trace."""
     acc: dict[int, Weight] = {}
     live: Weight = 0
     for weight, drawn in draws:
@@ -518,13 +527,14 @@ def _drawn_row(
         if t:
             live = live + weight
     if over is not None:
-        return {t: _div(w, over) for t, w in acc.items()}
+        return acc, over
     acc.pop(0, None)
-    return {t: _div(w, live) for t, w in acc.items()}
+    return acc, live
 
 
-#: A model's rows as a function of the menu, prepared once per dataset.
-_MenuRows = Callable[[int], dict[int, Weight]]
+#: A model's rows as a function of the menu, prepared once per dataset: each
+#: row as its cells' masses over their common denominator, ints if exact.
+_MenuRows = Callable[[int], tuple[dict[int, Weight], Weight]]
 
 
 def _scaled(weights: dict[int, Weight], exact: bool) -> tuple[dict[int, Weight], Weight]:
@@ -539,13 +549,13 @@ def _logit_rows(spec: ModelSpec, exact: bool) -> _MenuRows:
     empty = {0: spec.params.empty_weight} if spec.empty_variant else {}
     w, _ = _scaled({**spec.params.weights, **empty}, exact)
 
-    def row(menu: int) -> dict[int, Weight]:
+    def row(menu: int) -> tuple[dict[int, Weight], Weight]:
         collections = nonempty_submasks(menu)
         den = sum(map(w.__getitem__, collections))
         if spec.empty_variant:
             den = den + w[0]
             collections = [0] * (w[0] > 0) + collections
-        return {t: _div(w[t], den) for t in collections}
+        return {t: w[t] for t in collections}, den
 
     return row
 
@@ -560,7 +570,7 @@ def _ic_rows(spec: ModelSpec, exact: bool) -> _MenuRows:
         for i, g in spec.params.inclusion.items()
     }
 
-    def row(menu: int) -> dict[int, Weight]:
+    def row(menu: int) -> tuple[dict[int, Weight], Weight]:
         cells, base = {0: 1}, 1
         for i in bits(menu):
             yes, no, b = factors[i]
@@ -569,7 +579,7 @@ def _ic_rows(spec: ModelSpec, exact: bool) -> _MenuRows:
             cells, base = grown, base * b
         if not spec.empty_variant:
             base = base - cells.pop(0)
-        return {t: _div(p, base) for t, p in cells.items()}
+        return cells, base
 
     return row
 
@@ -626,25 +636,31 @@ def _require_menu(menu: int, universe: Universe) -> None:
 
 def _menu_rows(
     spec: ModelSpec, universe: Universe, menus: Iterable[int]
-) -> tuple[bool, Iterator[dict[int, Weight]]]:
+) -> tuple[bool, Iterator[tuple[dict[int, Weight], Weight]]]:
     """The bundle's arithmetic mode (True if exact), decided once, and the
-    probability row of each of ``menus`` under an already-validated spec in
-    that mode: Fractions if exact, as the kernels build them, and floats
-    otherwise, coerced here.  A menu that is not a non-empty subset of the
-    universe is refused with ShapeError, and a float row that does not sum
-    to 1, as when weights overflow, with InvalidParamsError."""
+    row of each of ``menus`` under an already-validated spec in that mode,
+    as cells over a denominator: if exact, the kernel's integer masses
+    reduced by :func:`reduce_row`, the row's :func:`scale_row` form, and
+    otherwise float probabilities, divided and coerced here, over 1.  A
+    menu that is not a non-empty subset of the universe is refused with
+    ShapeError, and a float row that does not sum to 1, as when weights
+    overflow, with InvalidParamsError."""
     exact = spec.is_exact()
     row_of = _MENU_ROWS[spec.model](spec, exact)
 
-    def rows() -> Iterator[dict[int, Weight]]:
+    def rows() -> Iterator[tuple[dict[int, Weight], Weight]]:
         for menu in menus:
             _require_menu(menu, universe)
-            row = row_of(menu) if exact else {t: float(p) for t, p in row_of(menu).items()}
-            if not exact and not sums_to_one(sum(row.values())):
+            cells, den = row_of(menu)
+            if exact:
+                yield reduce_row(cells, den)
+                continue
+            row = {t: float(_div(p, den)) for t, p in cells.items()}
+            if not sums_to_one(sum(row.values())):
                 raise InvalidParamsError(
                     f"weights overflow float arithmetic: a row sums to {sum(row.values())!r}, not 1"
                 )
-            yield row
+            yield row, 1
 
     return exact, rows()
 
@@ -654,7 +670,9 @@ def menu_row(spec: ModelSpec, universe: Universe, menu: int) -> dict[int, Weight
     (see :func:`_menu_rows`).  The spec is validated first, so a bad bundle
     raises InvalidParamsError."""
     spec.validate(universe)
-    return next(_menu_rows(spec, universe, (menu,))[1])
+    exact, rows = _menu_rows(spec, universe, (menu,))
+    cells, den = next(rows)
+    return {t: Fraction(c, den) for t, c in cells.items()} if exact else cells
 
 
 def evaluate(spec: ModelSpec, universe: Universe, collection: int, menu: int) -> Weight:
@@ -692,10 +710,8 @@ def eval_ar_item(
         raise ShapeError("item must belong to the menu")
 
     draws = [(a.weight, a.carrier) for a in params.attributes]
-    mu = _drawn_row(draws, menu)
-    pooled = _drawn_row(draws, menu, over=1)
-    # the one-shot denominator, summed in document order as mu's is
-    live = sum(w for w, carrier in draws if carrier & menu)
+    pooled, live = _drawn_row(draws, menu)
+    mu = {t: _div(w, live) for t, w in pooled.items()}
 
     # One-shot formula: draw an attribute among the feasible ones, then an
     # item proportionally to its value on that attribute within the menu.
@@ -728,24 +744,32 @@ def generate_scc(spec: ModelSpec, universe: Universe) -> SCC:
     One row per (menu, collection) pair in the model's support; exact mode
     unless the bundle itself forces floats.  The result always satisfies the
     three defining SCC properties: by construction in exact mode, and in
-    float mode by refusing a bundle whose weights overflow.
+    float mode by refusing a bundle whose weights overflow.  An exact SCC's
+    Fractions are built from its reduced integer rows, which it keeps in
+    its memo as :func:`~scclab.core.validate_scc` does a parsed one's, so
+    the axiom checks never scale it again.
     """
     spec.validate(universe)
     menus = range(1, universe.full_mask + 1)
     exact, menu_rows = _menu_rows(spec, universe, menus)
-    # no kernel yields a negative cell, so truthiness drops the zero ones
-    rows: dict[int, dict[int, Prob]] = {
-        menu: {t: p for t, p in sorted(row.items()) if p}
-        for menu, row in zip(menus, menu_rows)
-    }
+    rows: dict[int, dict[int, Prob]] = {}
+    scaled, dens = {}, {}
+    for menu, (cells, den) in zip(menus, menu_rows):
+        # no kernel yields a negative cell, so truthiness drops the zero ones
+        kept = {t: c for t, c in sorted(cells.items()) if c}
+        rows[menu] = {t: Fraction(c, den) for t, c in kept.items()} if exact else kept
+        scaled[menu], dens[menu] = kept, den
     notes: tuple[str, ...] = ()
     params = spec.params
     if isinstance(params, NestedLogitParams) and not params.integer_exponents():
         notes = ("non-integer nest exponent: evaluated in float mode",)
-    return SCC(
+    scc = SCC(
         universe=universe,
         rows=rows,
         allows_empty=spec.empty_variant,
         exact=exact,
         mode_notes=notes,
     )
+    if exact:
+        scc.memo[SCALED_ROWS] = scaled, dens
+    return scc

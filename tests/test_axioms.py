@@ -65,7 +65,13 @@ from scclab.axioms import (
     run_axiom,
     support_transfer_violations,
 )
-from scclab.fuzz import ALL_VARIANTS, GenConfig, _carriers_of, sample_params
+from scclab.fuzz import (
+    ALL_VARIANTS,
+    GenConfig,
+    _carriers_of,
+    sample_params,
+    sample_singleton_params,
+)
 from scclab.models import (
     EBAParams,
     Aspect,
@@ -805,6 +811,69 @@ class TestRatioCertificates:
                 for _, _, _, ax, _, r, _, refused, _ in ratio
                 if ax is axiom
             ), axiom
+
+
+def _singleton_cases():
+    """(name, scc) for SINGLETON: singleton data at n = 3..5, exact and
+    float, as sampled and with the first item's cell of every menu of three
+    or more items scaled by 3/2, so that clause (ii) fails often; and
+    logit data, which fails clause (i) at every menu of two or more items."""
+    cases = []
+    for n in (3, 4, 5):
+        base = generate_scc(sample_singleton_params(n, seed=5400 + n), Universe.default(n))
+        logit_spec = sample_params(GenConfig(n, ModelTag.LOGIT, seed=5400 + n))
+        logit = generate_scc(logit_spec, base.universe)
+        for exact in (True, False):
+            rows = _copy_rows(base, exact)
+            cases.append((f"singleton-n{n}-{exact}", SCC(base.universe, rows, exact=exact)))
+            drifted = _copy_rows(base, exact)
+            for menu, row in drifted.items():
+                if menu.bit_count() > 2:
+                    low = menu & -menu
+                    row[low] *= F(3, 2) if exact else 1.5
+            cases.append((f"drifted-n{n}-{exact}", SCC(base.universe, drifted, exact=exact)))
+            rows = _copy_rows(logit, exact)
+            cases.append((f"logit-n{n}-{exact}", SCC(base.universe, rows, exact=exact)))
+    return cases
+
+
+class TestCapFullExits:
+    """ADDITIVITY on the scaled rows, and the two checks whose counts the
+    registry fixes that stop once the cap is full."""
+
+    @pytest.mark.parametrize("cap", [1, 10])
+    def test_additivity_matches_the_reference(self, cap):
+        """The exact and float empty-collection copies of the full-support
+        corpus, one cell perturbed or none."""
+        seen = set()
+        for name, _, scc in _full_support_cases():
+            if not scc.allows_empty:
+                continue
+            report = check_additivity(scc, cap=cap)
+            reference = _reference(scc, AxiomId.ADDITIVITY, cap=cap)
+            assert report.holds == reference.holds, name
+            assert report.witnesses == reference.witnesses, name
+            assert report.instances_checked == reference.instances_checked, name
+            assert report.instances_vacuous == reference.instances_vacuous, name
+            assert report == reference, name
+            seen.add((scc.exact, report.holds, len(report.witnesses) == cap))
+        # in each mode it holds somewhere and fails with the cap full somewhere
+        for exact in (True, False):
+            assert {(exact, True, False), (exact, False, True)} <= seen, exact
+
+    def test_singleton_stops_with_the_same_report(self):
+        """At caps 1 and 10 the report is the uncapped one cut to the cap,
+        with both clauses filling a cap of 10 somewhere."""
+        filled = set()
+        for name, scc in _singleton_cases():
+            whole = check_special(scc, AxiomId.SINGLETON, cap=10**6)
+            for cap in (1, 10):
+                report = check_special(scc, AxiomId.SINGLETON, cap=cap)
+                assert report == replace(whole, witnesses=whole.witnesses[:cap]), (name, cap)
+                if len(report.witnesses) == 10:
+                    filled.add(frozenset(report.witnesses[-1].bindings))
+        assert filled == {frozenset({"T", "S"}), frozenset({"x", "y", "S", "S_prime"})}
+        assert any(check_special(scc, AxiomId.SINGLETON).holds for _, scc in _singleton_cases())
 
 
 #: The perturbations of the full-support corpus: one cell scaled, or zeroed.

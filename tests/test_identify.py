@@ -10,11 +10,13 @@ from scclab.core import (
     SCC,
     Universe,
     WrongVariantError,
+    validate_scc,
 )
-from scclab.axioms import AxiomId
+from scclab.axioms import SELF_CHARACTERIZED, AxiomId, cached_scaled_rows
 from scclab.fuzz import ALL_VARIANTS, GenConfig, sample_params
 from scclab.identify import (
     RECOVERIES,
+    _finish,
     _rows_match,
     identify_ic,
     identify_logit,
@@ -290,17 +292,82 @@ def test_recovery_reports_the_dataset_mode(model, scc, floated):
 
 
 def test_round_trip_compares_rows_and_reads_explicit_zeros_as_absent():
-    """Equal exact rows match at once; a parsed dataset's explicit zero cell
-    still matches the regenerated row without it, in either mode, and one
-    changed cell does not."""
+    """Float rows: a parsed dataset's explicit zero cell still matches the
+    regenerated row without it, both ways, and one changed cell does not."""
     spec = sample_params(GenConfig(3, ModelTag.LOGIT, seed=2100))
     scc = generate_scc(spec, U3)
-    assert _rows_match(scc, generate_scc(spec, U3), DEFAULT_TOL)
-    for exact, cast in ((True, F), (False, float)):
-        rows = {m: {t: cast(p) for t, p in row.items()} for m, row in scc.rows.items()}
-        regen = SCC(U3, rows, exact=exact)
-        zeroed = SCC(U3, {**rows, AB: {**rows[AB], 0: cast(0)}}, exact=exact)
-        assert _rows_match(zeroed, regen, DEFAULT_TOL)
-        assert _rows_match(regen, zeroed, DEFAULT_TOL)
-        moved = {**rows, AB: {**rows[AB], A: rows[AB][A] + cast(F(1, 7))}}
-        assert not _rows_match(SCC(U3, moved, exact=exact), regen, DEFAULT_TOL)
+    rows = {m: {t: float(p) for t, p in row.items()} for m, row in scc.rows.items()}
+    regen = SCC(U3, rows, exact=False)
+    zeroed = SCC(U3, {**rows, AB: {**rows[AB], 0: 0.0}}, exact=False)
+    assert _rows_match(zeroed, regen, DEFAULT_TOL)
+    assert _rows_match(regen, zeroed, DEFAULT_TOL)
+    moved = {**rows, AB: {**rows[AB], A: rows[AB][A] + 1 / 7}}
+    assert not _rows_match(SCC(U3, moved, exact=False), regen, DEFAULT_TOL)
+
+
+class TestExactRoundTrip:
+    """_finish on exact data: the recovered bundle's reduced integer rows
+    against the dataset's scaled rows."""
+
+    def test_recorded_zero_cell_is_accepted(self):
+        spec = ModelSpec(ModelTag.NSC, NSCParams((AB, C), {A: F(1), B: F(2), AB: F(4), C: F(3)}))
+        scc = generate_scc(spec, U3)
+        assert AC not in scc.rows[ABC]
+        zeroed = SCC(U3, {**scc.rows, ABC: {**scc.rows[ABC], AC: F(0)}})
+        assert validate_scc(zeroed) == []
+        assert cached_scaled_rows(zeroed)[0][ABC][AC] == 0
+        assert _finish(zeroed, spec, "", DEFAULT_TOL).round_trip_exact
+        assert identify_nsc(zeroed).round_trip_exact
+
+    def test_moved_cell_is_refused(self):
+        spec = sample_params(GenConfig(3, ModelTag.LOGIT, seed=2100))
+        row = generate_scc(spec, U3).rows[AB]
+        assert row[A] != row[B]
+        moved = SCC(U3, {**generate_scc(spec, U3).rows, AB: {**row, A: row[B], B: row[A]}})
+        assert validate_scc(moved) == []
+        with pytest.raises(PreconditionFailedError) as err:
+            _finish(moved, spec, "", DEFAULT_TOL)
+        assert str(err.value) == "recovered parameters do not reproduce the dataset"
+        assert err.value.report is None
+        # the same integer row over another denominator is another row
+        halved = SCC(U3, {**generate_scc(spec, U3).rows, A: {A: F(1, 2)}})
+        with pytest.raises(PreconditionFailedError, match="do not reproduce"):
+            _finish(halved, spec, "", DEFAULT_TOL)
+
+    def test_invalid_bundle_is_refused(self):
+        scc = generate_scc(sample_params(GenConfig(3, ModelTag.LOGIT, seed=2100)), U3)
+        bundle = ModelSpec(ModelTag.LOGIT, LogitParams({A: F(1), B: F(1), AB: F(1)}))
+        with pytest.raises(PreconditionFailedError) as err:
+            _finish(scc, bundle, "", DEFAULT_TOL)
+        assert str(err.value) == (
+            "recovered parameters are not a valid bundle: "
+            "set weights must cover all 7 non-empty collections, got 3"
+        )
+        assert err.value.report is None
+
+
+SELF_VARIANTS = [(m, e) for m, e in ALL_VARIANTS if m in SELF_CHARACTERIZED]
+
+
+@pytest.mark.parametrize(
+    "model, empty", SELF_VARIANTS, ids=[m.value + "_o" * e for m, e in SELF_VARIANTS]
+)
+def test_exact_round_trip_builds_no_fraction(monkeypatch, model, empty):
+    """The exact round trip of a self-characterized model at n = 6, bundle
+    validation included, constructs no Fraction."""
+    scc = generate_scc(
+        sample_params(GenConfig(6, model, seed=2200, empty_variant=empty)), Universe.default(6)
+    )
+    result = RECOVERIES[model](scc)
+    built = []
+    original = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    finished = _finish(scc, result.model_spec, result.normalization_note, DEFAULT_TOL)
+    monkeypatch.undo()
+    assert finished == result
+    assert built == []

@@ -6,16 +6,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scclab.core import (
+    SCALED_ROWS,
     InvalidParamsError,
     MissingWeightError,
     ShapeError,
     Universe,
     bits,
     nonempty_submasks,
+    reduce_row,
+    scale_row,
     validate_scc,
 )
 from scclab.fuzz import ALL_VARIANTS, GenConfig, sample_params
 from scclab.models import (
+    _MENU_ROWS,
     ARParams,
     ArAttribute,
     Aspect,
@@ -816,6 +820,46 @@ def test_exact_rows_cost_no_fraction_arithmetic_per_cell(monkeypatch):
         calls.clear()
         assert generate_scc(spec, universe).exact
         assert len(calls) < universe.full_mask, (spec.model, spec.empty_variant)
+
+
+@pytest.mark.parametrize(
+    "model, empty", ALL_VARIANTS, ids=[m.value + "_o" * e for m, e in ALL_VARIANTS]
+)
+def test_generated_memo_is_the_scaled_rows(model, empty):
+    """The reduced rows generate_scc leaves in its memo are scale_row of its
+    rows, numerators, denominators and cell order, at n = 1..6."""
+    for n in range(1, 7):
+        universe = Universe.default(n)
+        for seed in range(3):
+            spec = sample_params(GenConfig(n, model, seed=1900 + seed, empty_variant=empty))
+            scc = generate_scc(spec, universe)
+            assert scc.exact
+            rows, dens = scc.memo[SCALED_ROWS]
+            assert rows.keys() == scc.rows.keys()
+            for menu, row in scc.rows.items():
+                assert (rows[menu], dens[menu]) == scale_row(row), (n, seed, menu)
+                assert list(rows[menu]) == list(row)
+
+
+@pytest.mark.parametrize("empty", [False, True], ids=["standard", "empty"])
+def test_reduced_rows_with_zero_cells_are_scaled_rows(monkeypatch, empty):
+    """An inclusion rate of 1, outside the model, zeroes every cell without
+    its item: reduce_row of each kernel row, zero cells kept, is scale_row
+    of its Fractions, and generate_scc's memo, zero cells dropped, is
+    scale_row of its rows."""
+    spec = ModelSpec(ModelTag.IC, ICParams({0: F(1), 1: F(1, 3), 2: F(2, 5)}), empty)
+    kernel = _MENU_ROWS[ModelTag.IC](spec, True)
+    zeros = 0
+    for menu in range(1, U3.full_mask + 1):
+        cells, den = kernel(menu)
+        zeros += list(cells.values()).count(0)
+        assert reduce_row(cells, den) == scale_row({t: F(c, den) for t, c in cells.items()})
+    assert zeros
+    monkeypatch.setattr(ICParams, "validate", lambda self, universe: None)
+    scc = generate_scc(spec, U3)
+    rows, dens = scc.memo[SCALED_ROWS]
+    for menu, row in scc.rows.items():
+        assert (rows[menu], dens[menu]) == scale_row(row)
 
 
 # ---------------------------------------------------------------------------

@@ -135,14 +135,59 @@ def test_each_shared_rule_is_stated_in_one_module():
         "models.ModelSpec.validate",
     }
     # exact values are put over their lcm by scclab.core.scale_row alone:
-    # validation, the ratio checks' memo, the model kernels and nested
-    # logit's induced weights call it
+    # validation, the ratio checks' memo, the model kernels (whose weights
+    # are also summed so by _validate_draws) and nested logit's induced
+    # weights call it
     assert _callers("lcm") == {"core.scale_row", "models._subset_sum_bits"}
     assert _callers("scale_row") == {
         "core.validate_scc",
         "axioms.cached_scaled_rows.scale",
         "models._scaled",
         "models.NestedLogitParams.induced_weights",
+    }
+    # a kernel row's integer masses become that form by one gcd reduction,
+    # scclab.core.reduce_row, called once per row by the one mode decision
+    assert _callers("gcd") == {"core.reduce_row"}
+    assert _callers("reduce_row") == {"models._menu_rows.rows"}
+
+
+def test_exact_round_trip_reads_only_scaled_rows():
+    """In exact mode _finish validates the bundle and calls _reproduces,
+    which compares the kernels' reduced rows with the dataset's
+    cached_scaled_rows: no Fraction row of either is read and no SCC is
+    regenerated, which only the float branch does."""
+    tree = ast.parse((PACKAGE / "identify.py").read_text())
+    finish = next(
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_finish"
+    )
+    branch = next(
+        node
+        for node in ast.walk(finish)
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "scc.exact"
+    )
+
+    def called(nodes):
+        calls = [c.func for node in nodes for c in ast.walk(node) if isinstance(c, ast.Call)]
+        return {getattr(f, "id", None) or f.attr for f in calls}
+
+    assert called(branch.body) == {"validate", "_reproduces"}
+    assert called(branch.orelse) == {"_rows_match", "generate_scc"}
+    assert _callers("_menu_rows") == {
+        "models.menu_row",
+        "models.generate_scc",
+        "identify._reproduces",
+    }
+    assert {h for h in _callers("cached_scaled_rows") if h.startswith("identify.")} == {
+        "identify._reproduces"
+    }
+    row_readers = _holders(lambda node: isinstance(node, ast.Attribute) and node.attr == "rows")
+    assert {h for h in row_readers if h.startswith("identify.")} == {
+        "identify._rows_match",
+        "identify.identify_logit",
+        "identify.identify_rcg",
+        "identify.identify_ic",
+        "identify.identify_rrm",
+        "identify.identify_nsc.ratio",
     }
 
 
