@@ -24,7 +24,8 @@ them:
   than ``cap`` witnesses are recorded; the counts are the same.  The
   grand-row certificate of :func:`_grand_row` settles IIS, IIS_O and PIIS
   on full-support data, in exact and float mode; :func:`_proportional`
-  certifies the units of IIS, REL_ADD and REL_ADD_1 in both modes, exactly
+  certifies the units of IIS (a list of the co-occurrence index, or a menu
+  pair), REL_ADD and REL_ADD_1 in both modes, exactly
   in exact mode and under the grand row's rounding bound in float mode.
 * Ratio postulates are decided by cross-multiplication, never division, so
   exact mode involves no rounding and zero denominators need no special
@@ -47,11 +48,12 @@ tables.  :func:`run_axiom` always evaluates; :func:`cached_report` keeps
 each report in the SCC's memo, so a dataset is decided once per tolerance
 and witness cap, and :func:`_grand_row` its certificate once per
 tolerance.  Support is a property of the data, not of a tolerance: the
-``cached_revealed_*`` functions, :func:`cached_scaled_rows` and
-:func:`_positive_rows` keep the revealed structure, the scaled rows and
-the positivity table there once per SCC.  :func:`characterizing_axioms`
-is the one refusal of a model with no variant for a dataset's
-empty-collection flag.
+``cached_revealed_*`` functions, :func:`cached_scaled_rows`,
+:func:`_positive_rows` and :func:`_cooccurrence` keep the revealed
+structure, the scaled rows, the positivity table and, on sparse data,
+the co-occurrence index of IIS and PIIS there once per SCC.
+:func:`characterizing_axioms` is the one refusal of a model with no
+variant for a dataset's empty-collection flag.
 """
 
 from __future__ import annotations
@@ -61,8 +63,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import combinations, repeat
-from operator import eq, itemgetter, mul, sub, truediv
+from heapq import merge
+from itertools import combinations, islice, repeat
+from operator import eq, mul, sub, truediv
 from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .core import (
@@ -508,9 +511,11 @@ def check_iis(
     empty one excluded in the standard form) and m = 2^|S n S'| - 1: C(k,2)
     checked and C(m,2) - C(k,2) vacuous, or k*m and (m+1-k)*m in the
     empty-collection form; the vacuous count is the rest of the domain.
-    When the grand-row certificate of :func:`_grand_row` holds, every guard
-    does, so the report is "holds" with the whole domain checked.
-    Otherwise :func:`_iis_scan` decides.
+    Equivalently, a pair T < T' of the standard form positive together in
+    m menus, a list of the co-occurrence index :func:`_cooccurrence`, holds
+    C(m,2) checked instances.  When the grand-row certificate of
+    :func:`_grand_row` holds, every guard does, so the report is "holds"
+    with the whole domain checked.  Otherwise :func:`_iis_scan` decides.
     """
     axiom = AxiomId.IIS_O if empty_variant else AxiomId.IIS
     out = _Collector(scc, axiom, cap)
@@ -522,49 +527,116 @@ def check_iis(
 def _iis_scan(
     scc: SCC, tol: ToleranceConfig, out: _Collector, empty_variant: bool
 ) -> int:
-    """Both IIS forms, menu pair by menu pair; returns the instances checked.
-    :func:`_proportional` certifies a menu pair, in either mode, on its two
-    rows over the guarded collections (over every subset of S n S' in the
-    empty-collection form), and only the pairs that fail it are compared; a
-    pair of one comparison is compared directly, which costs less."""
-    rows = cached_scaled_rows(scc)[0]
-    pos = _positive_rows(scc)
-    menus = scc.menus()
+    """Both IIS forms; returns the instances checked.  Every count is read
+    before the comparisons, which stop once the cap is full.
+
+    The standard form reads the co-occurrence index :func:`_cooccurrence`:
+    each list of m menus counts C(m,2), :func:`_proportional` certifies it
+    on its two columns of cells, and :func:`_iis_violations` compares the
+    menu pairs of the lists it refuses, merged into the order (S, S', T, T')
+    of a scan menu pair by menu pair.  It does so on dense data too, where
+    the index has more entries than there are menu pairs and is dropped
+    after the check.
+
+    The empty-collection form runs over the menu pairs that share a positive
+    collection, which :func:`_menu_pairs` gives; the others have nothing
+    guarded.  :func:`_proportional` certifies a menu pair, in either mode,
+    on its two rows over the cells of either row inside S n S' (T is zero
+    in both menus elsewhere, which makes both sides zero), and only the
+    pairs that fail it are compared; a pair of one comparison is compared
+    directly, which costs less."""
     checked = 0
-    for i, s in enumerate(menus):
-        row_s, pos_s = rows[s], pos[s]
-        for s2 in menus[i + 1 :]:
-            inter = s & s2
-            row_s2 = rows[s2]
-            common = pos_s.keys() & pos[s2].keys()
-            if empty_variant:
-                here = len(common) * ((1 << popcount(inter)) - 1)
-            else:
-                common.discard(0)
-                here = len(common) * (len(common) - 1) // 2
-            checked += here
-            if not here or out.full:
+    if not empty_variant:
+        suspects = []
+        for (t, t2), cells in _cooccurrence(scc).items():
+            m = len(cells) // 3
+            if not t or m < 2:
                 continue
-            if here > 1:
-                if empty_variant:
-                    subs = submasks(inter)
-                    columns = [list(map(r.get, subs, repeat(0))) for r in (row_s, row_s2)]
-                else:
-                    columns = map(itemgetter(*common), (row_s, row_s2))
-                if _proportional(scc, *columns, tol):
+            checked += m * (m - 1) // 2
+            if m > 2 and _proportional(scc, cells[1::3], cells[2::3], tol):
+                continue
+            suspects.append(_iis_violations(scc, tol, t, t2, cells))
+        for s, s2, t, t2 in islice(merge(*suspects), out.cap):
+            out.add_equation({"T": t, "T_prime": t2, "S": s, "S_prime": s2})
+        return checked
+    pos = _positive_rows(scc)
+    rows = cached_scaled_rows(scc)[0]
+    for s, s2 in _menu_pairs(pos, scc.menus()):
+        inter = s & s2
+        common = pos[s].keys() & pos[s2].keys()
+        here = len(common) * ((1 << inter.bit_count()) - 1)
+        checked += here
+        if not here or out.full:
+            continue
+        row_s, row_s2 = rows[s], rows[s2]
+        subs = sorted({t for row in (row_s, row_s2) for t in row if t & inter == t})
+        if here > 1:
+            columns = [list(map(r.get, subs, repeat(0))) for r in (row_s, row_s2)]
+            if _proportional(scc, *columns, tol):
+                continue
+        guarded = sorted(common)
+        for t in subs:
+            for t2 in guarded:
+                if t2 == t:
                     continue
-            guarded = sorted(common)
-            pairs = (
-                ((t, t2) for t in submasks(inter) for t2 in guarded if t2 != t)
-                if empty_variant
-                else combinations(guarded, 2)
-            )
-            for t, t2 in pairs:
                 lhs = row_s.get(t, 0) * row_s2[t2]
                 rhs = row_s[t2] * row_s2.get(t, 0)
                 if not probs_equal(scc, lhs, rhs, tol):
                     out.add_equation({"T": t, "T_prime": t2, "S": s, "S_prime": s2})
     return checked
+
+
+def _cooccurrence(scc: SCC) -> dict[tuple[int, int], list[Prob]]:
+    """The co-occurrence index, built from :func:`_positive_rows`: for each
+    pair of collections A < B positive together in some menu (the empty one
+    included), the flat list S, mu(A,S), mu(B,S), S', ... of the menus where
+    both are positive, ascending, each with its two cells.  The pairs are in
+    the order of their first menu, then A, then B.  It is the one
+    enumeration of co-occurring positive pairs, which IIS's standard form
+    and PIIS stage 1 read, and it has sum_S C(k_S,2) entries over the k_S
+    positive collections of each menu S.  The SCC's memo keeps it where
+    that is no more than the menu pairs, as on sparse data; a denser index,
+    up to about 5^n/2 entries, is built for each reader and dropped."""
+
+    def build():
+        index: dict[tuple[int, int], list[Prob]] = {}
+        for s in scc.menus():
+            for (a, pa), (b, pb) in combinations(sorted(pos[s].items()), 2):
+                index.setdefault((a, b), []).extend((s, pa, pb))
+        return index
+
+    pos = _positive_rows(scc)
+    if sum(math.comb(len(row), 2) for row in pos.values()) > math.comb(len(pos), 2):
+        return build()
+    return _memoized(scc, ("cooccurrence",), build)
+
+
+def _iis_violations(
+    scc: SCC, tol: ToleranceConfig, t: int, t2: int, cells: list[Prob]
+) -> Iterator[tuple[int, int, int, int]]:
+    """(S, S', T, T') for each menu pair S < S' of the co-occurrence list
+    ``cells`` of T < T' where mu(T,S) * mu(T',S') = mu(T',S) * mu(T,S')
+    fails, in order."""
+    entries = zip(cells[0::3], cells[1::3], cells[2::3])
+    for (s, u, v), (s2, u2, v2) in combinations(entries, 2):
+        if not probs_equal(scc, u * v2, v * u2, tol):
+            yield s, s2, t, t2
+
+
+def _menu_pairs(
+    pos: dict[int, dict[int, Prob]], menus: list[int]
+) -> Iterator[tuple[int, int]]:
+    """The menu pairs S < S' that share a positive collection, ascending,
+    found by listing the menus where each collection is positive."""
+    by_collection: dict[int, list[int]] = {}
+    for s in menus:
+        for t in pos[s]:
+            by_collection.setdefault(t, []).append(s)
+    later: dict[int, set[int]] = {s: set() for s in menus}
+    for ms in by_collection.values():
+        for i, s in enumerate(ms):
+            later[s].update(ms[i + 1 :])
+    return ((s, s2) for s in menus for s2 in sorted(later[s]))
 
 
 def _iis_sides(scc: SCC, b: dict[str, int], empty_variant: bool) -> Sides:
@@ -941,7 +1013,14 @@ def check_piis(
 
     1. Per-pair ratio constancy: for collections A, B jointly positive in
        several menus, mu(A,S)/mu(B,S) must not depend on S.  A failure is
-       already a chain conflict (take T* = T' = B), reported as such.
+       already a chain conflict (take T* = T' = B), reported as such.  The
+       pairs and their menus are the lists of the co-occurrence index
+       :func:`_cooccurrence`, which IIS reads too: a list of m menus counts
+       its m - 1 later menus, each compared with the first by
+       :func:`_ratio_conflicts`, and the conflicts come merged in the order
+       of a scan menu by menu (menu, then A, then B), so the comparisons
+       stop once the cap is full.  Each list's first menu gives the pair's
+       ratio for the stages below.
     2. If stage 1 is clean, each co-occurring pair has one well-defined
        ratio.  In exact mode :func:`_fit_potential` fits a multiplicative
        potential over the co-occurrence graph; if every edge ratio matches
@@ -958,10 +1037,11 @@ def check_piis(
 
     The domain is defined by these stages, so ``instances_checked`` counts
     the instances of the stages run: the repeated co-occurrences of stage 1,
-    the potential's edges up to the first inconsistent one, and the chain
-    comparisons of ordered pairs in stage 3 (each unordered pair counts
-    twice).  ``instances_vacuous`` counts ordered pairs of distinct support
-    collections admitting no chain at all.
+    read off the index before any comparison, the potential's edges up to
+    the first inconsistent one, and the chain comparisons of ordered pairs
+    in stage 3 (each unordered pair counts twice).  ``instances_vacuous``
+    counts ordered pairs of distinct support collections admitting no chain
+    at all.
 
     When the grand-row certificate of :func:`_grand_row` holds, every stage
     would pass, so the report is "holds", nothing is vacuous, and the counts
@@ -981,20 +1061,18 @@ def check_piis(
         checked = pairs if scc.exact else pairs - edges_x + 2 * edges_x * (k[n] - 2)
         return out.report(checked)
     pos = _positive_rows(scc)
-    checked = 0
+    index = _cooccurrence(scc)
 
     # Stage 1: ratio constancy per unordered co-occurring pair.
-    edges: dict[tuple[int, int], tuple[Prob, Prob, int]] = {}
-    for s in scc.menus():
-        for (a, pa), (b, pb) in combinations(sorted(pos[s].items()), 2):
-            rec = edges.get((a, b))
-            if rec is None:
-                edges[(a, b)] = (pa, pb, s)
-                continue
-            pa0, pb0, s0 = rec
-            checked += 1
-            if not probs_equal(scc, pa * pb0, pb * pa0, tol):
-                out.add_equation(_chain_bindings(a, b, (b, s0, s0), (b, s, s)))
+    checked = sum(len(cells) // 3 - 1 for cells in index.values())
+    conflicts = [
+        _ratio_conflicts(scc, tol, a, b, cells)
+        for (a, b), cells in index.items()
+        if len(cells) > 3
+    ]
+    for s, a, b, s0 in islice(merge(*conflicts), cap):
+        out.add_equation(_chain_bindings(a, b, (b, s0, s0), (b, s, s)))
+    edges = {pair: (cells[1], cells[2], cells[0]) for pair, cells in index.items()}
 
     support_colls = sorted({c for row in pos.values() for c in row})
     neighbors: dict[int, set[int]] = {c: set() for c in support_colls}
@@ -1020,6 +1098,18 @@ def check_piis(
     # Stage 3: direct chain comparison.
     checked += _chain_scan(scc, tol, out, support_colls, neighbors, edges)
     return out.report(checked, vacuous)
+
+
+def _ratio_conflicts(
+    scc: SCC, tol: ToleranceConfig, a: int, b: int, cells: list[Prob]
+) -> Iterator[tuple[int, int, int, int]]:
+    """(S, A, B, S0) for each later menu S of the co-occurrence list ``cells``
+    of A < B where mu(A,S)/mu(B,S) differs from the ratio at its first menu
+    S0, compared as mu(A,S) mu(B,S0) against mu(B,S) mu(A,S0), in menu order."""
+    s0, pa0, pb0 = cells[:3]
+    for s, pa, pb in zip(cells[3::3], cells[4::3], cells[5::3]):
+        if not probs_equal(scc, pa * pb0, pb * pa0, tol):
+            yield s, a, b, s0
 
 
 def _fit_potential(

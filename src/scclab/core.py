@@ -256,9 +256,8 @@ class SCC:
 
     def is_complete(self) -> bool:
         """True iff every non-empty subset of the grand set is a menu."""
-        return len(self.rows) == (1 << self.universe.n) - 1 and all(
-            0 < s <= self.universe.full_mask for s in self.rows
-        )
+        full = self.universe.full_mask
+        return len(self.rows) == full and all(0 < s <= full for s in self.rows)
 
 
 @dataclass(frozen=True)

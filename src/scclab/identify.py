@@ -90,7 +90,7 @@ def _reproduces(scc: SCC, spec: ModelSpec) -> bool:
     menus = range(1, scc.universe.full_mask + 1)
     return all(
         den == dens[menu] and cells == {t: c for t, c in rows[menu].items() if c}
-        for menu, (cells, den) in zip(menus, _menu_rows(spec, scc.universe, menus)[1])
+        for menu, (cells, den) in zip(menus, _menu_rows(spec, menus)[1])
     )
 
 

@@ -635,22 +635,22 @@ def _require_menu(menu: int, universe: Universe) -> None:
 
 
 def _menu_rows(
-    spec: ModelSpec, universe: Universe, menus: Iterable[int]
+    spec: ModelSpec, menus: Iterable[int]
 ) -> tuple[bool, Iterator[tuple[dict[int, Weight], Weight]]]:
     """The bundle's arithmetic mode (True if exact), decided once, and the
     row of each of ``menus`` under an already-validated spec in that mode,
     as cells over a denominator: if exact, the kernel's integer masses
     reduced by :func:`reduce_row`, the row's :func:`scale_row` form, and
-    otherwise float probabilities, divided and coerced here, over 1.  A
-    menu that is not a non-empty subset of the universe is refused with
-    ShapeError, and a float row that does not sum to 1, as when weights
-    overflow, with InvalidParamsError."""
+    otherwise float probabilities, divided and coerced here, over 1.  Each
+    menu must be a non-empty subset of the universe; the callers pass
+    ``range(1, full_mask + 1)`` or, through :func:`menu_row`, one checked
+    menu.  A float row that does not sum to 1, as when weights overflow, is
+    refused with InvalidParamsError."""
     exact = spec.is_exact()
     row_of = _MENU_ROWS[spec.model](spec, exact)
 
     def rows() -> Iterator[tuple[dict[int, Weight], Weight]]:
         for menu in menus:
-            _require_menu(menu, universe)
             cells, den = row_of(menu)
             if exact:
                 yield reduce_row(cells, den)
@@ -668,9 +668,11 @@ def _menu_rows(
 def menu_row(spec: ModelSpec, universe: Universe, menu: int) -> dict[int, Weight]:
     """The full probability row of ``menu``, in the bundle's arithmetic mode
     (see :func:`_menu_rows`).  The spec is validated first, so a bad bundle
-    raises InvalidParamsError."""
+    raises InvalidParamsError, and then the menu, which must be a non-empty
+    subset of the universe, else ShapeError."""
     spec.validate(universe)
-    exact, rows = _menu_rows(spec, universe, (menu,))
+    _require_menu(menu, universe)
+    exact, rows = _menu_rows(spec, (menu,))
     cells, den = next(rows)
     return {t: Fraction(c, den) for t, c in cells.items()} if exact else cells
 
@@ -751,7 +753,7 @@ def generate_scc(spec: ModelSpec, universe: Universe) -> SCC:
     """
     spec.validate(universe)
     menus = range(1, universe.full_mask + 1)
-    exact, menu_rows = _menu_rows(spec, universe, menus)
+    exact, menu_rows = _menu_rows(spec, menus)
     rows: dict[int, dict[int, Prob]] = {}
     scaled, dens = {}, {}
     for menu, (cells, den) in zip(menus, menu_rows):

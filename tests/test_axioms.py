@@ -8,6 +8,7 @@ hand, fraction by fraction.
 
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from functools import partial, reduce
@@ -811,6 +812,243 @@ class TestRatioCertificates:
                 for _, _, _, ax, _, r, _, refused, _ in ratio
                 if ax is axiom
             ), axiom
+
+
+#: The variants that draw a weighted set and choose its trace on the menu,
+#: whose rows are sparse, each with a seed at n = 6 where IIS and PIIS hold
+#: with instances checked (rcg, rrm, nsc, nested_logit) or fail on several
+#: pairs of collections (rcg_o, eba, ar).
+SET_DRAWS = {
+    (ModelTag.RCG, False): 6114,
+    (ModelTag.RCG, True): 6102,
+    (ModelTag.EBA, False): 6126,
+    (ModelTag.AR, False): 6105,
+    (ModelTag.RRM, False): 6128,
+    (ModelTag.NSC, False): 6104,
+    (ModelTag.NESTED_LOGIT, False): 6102,
+}
+
+
+def _sparse_cases():
+    """(name, scc): each set-draw variant at n = 6, exact and float, as
+    sampled and with one cell scaled or zeroed."""
+    rng = random.Random(6100)
+    cases = []
+    for (model, empty), seed in SET_DRAWS.items():
+        config = GenConfig(6, model, seed=seed, empty_variant=empty)
+        base = generate_scc(sample_params(config), Universe.default(6))
+        for exact in (True, False):
+            for factor in (None, rng.choice((1.5, 0.7, 0))):
+                rows = _copy_rows(base, exact)
+                if factor is not None:
+                    menu = rng.choice([m for m in sorted(rows) if len(rows[m]) > 1])
+                    cell = rng.choice(sorted(rows[menu]))
+                    rows[menu][cell] *= F(factor) if exact else factor
+                name = f"{model.value}{'_o' if empty else ''}-n6-{exact}-{factor}"
+                cases.append((name, SCC(base.universe, rows, base.allows_empty, exact)))
+    return cases
+
+
+def _menu_major_piis(scc, tol, cap):
+    """PIIS with stage 1 scanned menu by menu, as its docstring states it:
+    each pair of a menu's positive collections against the pair's first
+    menu, then the vacuous pairs from their definition and the module's
+    stages 2 and 3 on the first menus' ratios.  The oracle for stage 1 on
+    the co-occurrence index, where the grand-row certificate fails."""
+    out = scclab.axioms._Collector(scc, AxiomId.PIIS, cap)
+    pos = scclab.axioms._positive_rows(scc)
+    checked, edges = 0, {}
+    for s in scc.menus():
+        for (a, pa), (b, pb) in combinations(sorted(pos[s].items()), 2):
+            if (a, b) not in edges:
+                edges[a, b] = (pa, pb, s)
+                continue
+            pa0, pb0, s0 = edges[a, b]
+            checked += 1
+            if not probs_equal(scc, pa * pb0, pb * pa0, tol):
+                out.add_equation(_chain_bindings(a, b, (b, s0, s0), (b, s, s)))
+    colls = sorted({t for row in pos.values() for t in row})
+    near = {t: set() for t in colls}
+    for a, b in edges:
+        near[a].add(b)
+        near[b].add(a)
+    vacuous = sum(
+        1
+        for t in colls
+        for t2 in colls
+        if t != t2 and t2 not in near[t] and not near[t] & near[t2]
+    )
+    if out.clean and scc.exact:
+        fits, compared = scclab.axioms._fit_potential(colls, near, edges)
+        checked += compared
+        if fits:
+            return out.report(checked, vacuous)
+    if out.clean:
+        checked += scclab.axioms._chain_scan(scc, tol, out, colls, near, edges)
+    return out.report(checked, vacuous)
+
+
+def _index_sizes(scc):
+    """(the co-occurrence index's entries, sum_S C(k_S,2); the menu pairs).
+    The SCC's memo keeps the index only where the first is no larger."""
+    pos = scclab.axioms._positive_rows(scc)
+    return sum(math.comb(len(row), 2) for row in pos.values()), math.comb(len(scc.rows), 2)
+
+
+@pytest.fixture(scope="module")
+def sparse_runs():
+    """(case, scc, axiom, cap, run_axiom's report, the oracle's report): IIS
+    against the reference and PIIS against the menu-major scan on the sparse
+    corpus, and IIS_O against the reference on its empty-collection cases and
+    its unchanged exact standard ones, at caps 1 and 10."""
+    runs = []
+    for name, scc in _sparse_cases():
+        assert not _grand_row(scc, DEFAULT_TOL).proportional, name
+        axioms = [AxiomId.IIS, AxiomId.PIIS]
+        if scc.allows_empty or scc.exact and name.endswith("None"):
+            axioms.append(AxiomId.IIS_O)
+        for axiom in axioms:
+            whole = None if axiom is AxiomId.PIIS else _reference(scc, axiom, cap=10)
+            for cap in (1, 10):
+                slow = (
+                    _menu_major_piis(scc, DEFAULT_TOL, cap)
+                    if whole is None
+                    else replace(whole, witnesses=whole.witnesses[:cap])
+                )
+                runs.append((name, scc, axiom, cap, run_axiom(scc, axiom, cap=cap), slow))
+    return runs
+
+
+def _count_table_reads(monkeypatch, scc):
+    """The menus whose row of the positivity table is read from here on,
+    in order, as a list that fills as the scans run."""
+    reads = []
+
+    class Counted(dict):
+        def __getitem__(self, menu):
+            reads.append(menu)
+            return super().__getitem__(menu)
+
+    table = Counted(scclab.axioms._positive_rows(scc))
+    monkeypatch.setattr(scclab.axioms, "_positive_rows", lambda _: table)
+    return reads
+
+
+class TestCooccurrenceIndex:
+    """IIS and PIIS stage 1 on the co-occurrence index, and IIS_O's loop
+    over the menu pairs that share a positive collection."""
+
+    def test_reports_match_the_oracle(self, sparse_runs):
+        for name, _, axiom, cap, fast, slow in sparse_runs:
+            case = (name, axiom, cap)
+            assert fast.holds == slow.holds, case
+            assert fast.witnesses == slow.witnesses, case
+            assert fast.instances_checked == slow.instances_checked, case
+            assert fast.instances_vacuous == slow.instances_vacuous, case
+            assert fast == slow, case
+
+    def test_witnesses_recheck(self, sparse_runs):
+        for name, scc, _, _, fast, _ in sparse_runs:
+            for witness in fast.witnesses:
+                assert recheck_witness(scc, witness), (name, witness)
+
+    def test_corpus_reaches_every_path(self, sparse_runs):
+        for axiom in (AxiomId.IIS, AxiomId.IIS_O, AxiomId.PIIS):
+            for exact in (True, False):
+                runs = [
+                    (cap, r)
+                    for _, scc, ax, cap, r, _ in sparse_runs
+                    if ax is axiom and scc.exact is exact
+                ]
+                if axiom is not AxiomId.IIS_O:
+                    assert any(r.holds and r.instances_checked for _, r in runs), (axiom, exact)
+                # at cap 1 a later failing pair of collections is skipped
+                assert any(
+                    len({(w.bindings["T"], w.bindings["T_prime"]) for w in r.witnesses}) > 1
+                    for cap, r in runs
+                    if cap == 10
+                ), (axiom, exact)
+
+    def test_iis_o_draws_t_from_every_recorded_cell(self):
+        # mu({b},{a,b}) = 1e-13 is recorded but not positive, and {b} is absent
+        # from {a,b,c}; under a tolerance below it, T = {b} against T' = {a}
+        # breaks the equation, so T is drawn from the recorded cells
+        spec = sample_params(GenConfig(3, ModelTag.LOGIT, seed=6200, empty_variant=True))
+        rows = _copy_rows(generate_scc(spec, U3), False)
+        rows[AB][B] = 1e-13
+        del rows[ABC][B]
+        scc = SCC(U3, rows, allows_empty=True, exact=False)
+        tol = ToleranceConfig(eps_eq=1e-20)
+        report = check_iis(scc, tol, empty_variant=True)
+        assert report == _reference(scc, AxiomId.IIS_O, tol)
+        assert {"T": B, "T_prime": A, "S": AB, "S_prime": ABC} in [
+            w.bindings for w in report.witnesses
+        ]
+
+    def test_iis_visits_no_menu_pair_outside_the_index(self, monkeypatch):
+        # exact rcg at n = 8: 2,873 index entries against 32,385 menu pairs
+        spec = sample_params(GenConfig(8, ModelTag.RCG, seed=908))
+        scc = generate_scc(spec, Universe.default(8))
+        assert _index_sizes(scc) == (2873, 32385)
+        _grand_row(scc, DEFAULT_TOL)
+        reads = _count_table_reads(monkeypatch, scc)
+        products = []
+        for name in ("__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
+
+            def counted(a, b, _original=getattr(F, name)):
+                products.append(a)
+                return _original(a, b)
+
+            monkeypatch.setattr(F, name, counted)
+        report = check_iis(scc, cap=10)
+        assert not report.holds and len(report.witnesses) == 10
+        assert report.instances_checked == 17766
+        # the index reads each menu's positive cells once, and nothing else does
+        assert reads == scc.menus()
+        # the comparisons multiply ints: only the witnesses' two sides are Fractions
+        assert len(products) == 2 * len(report.witnesses)
+
+    def test_iis_o_visits_only_the_menu_pairs_that_share_a_collection(self, monkeypatch):
+        # exact rcg_o at n = 7: 6,641 of the 8,001 menu pairs share a positive
+        # collection, and the others have nothing guarded
+        spec = sample_params(GenConfig(7, ModelTag.RCG, seed=907, empty_variant=True))
+        scc = generate_scc(spec, Universe.default(7))
+        pos = scclab.axioms._positive_rows(scc)
+        sharing = [
+            (s, s2) for s, s2 in combinations(scc.menus(), 2) if pos[s].keys() & pos[s2].keys()
+        ]
+        assert len(sharing) == 6641
+        _grand_row(scc, DEFAULT_TOL)
+        reads = _count_table_reads(monkeypatch, scc)
+        report = check_iis(scc, empty_variant=True)
+        assert not report.holds and report.instances_checked == 59394
+        # one read per menu to list the sharing pairs, then two per pair visited
+        assert reads == scc.menus() + [s for pair in sharing for s in pair]
+
+    def test_a_dense_index_is_dropped_after_each_check(self):
+        # exact logit at n = 7 with one cell of a 6-item menu zeroed: the
+        # certificate refuses it, and its index, 35,848 entries against 8,001
+        # menu pairs, is built for each check and not kept in the memo
+        spec = sample_params(GenConfig(7, ModelTag.LOGIT, seed=907))
+        base = generate_scc(spec, Universe.default(7))
+        rows = _copy_rows(base, True)
+        menu = next(m for m in sorted(rows) if m.bit_count() == 6)
+        del rows[menu][min(rows[menu])]
+        total = sum(rows[menu].values())
+        rows[menu] = {t: p / total for t, p in rows[menu].items()}
+        scc = SCC(base.universe, rows, exact=True)
+        assert _index_sizes(scc) == (35848, 8001)
+        assert not _grand_row(scc, DEFAULT_TOL).proportional
+        scclab.axioms.cached_scaled_rows(scc)
+        for check in (check_iis, check_piis):
+            tracemalloc.start()
+            try:
+                report = check(scc)
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert report.holds and report.instances_checked, check
+            assert held < peak / 10, (check, held, peak)
 
 
 def _singleton_cases():

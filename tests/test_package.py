@@ -193,16 +193,44 @@ def test_exact_round_trip_reads_only_scaled_rows():
 
 def test_proportionality_is_decided_by_one_rule():
     """Exact rank one and the float unit limit are read only inside
-    axioms._proportional, which every unit certificate calls; the scans
-    that call it leave the mode to it."""
+    axioms._proportional, which every unit certificate calls: IIS's on a
+    list of the co-occurrence index or, in the empty-collection form, on a
+    menu pair, both in _iis_scan.
+    The scans that call it, and the helpers that compare what it refuses
+    or enumerate what it certifies, leave the mode to it and to
+    probs_equal."""
     readers = _holders(
         lambda node: isinstance(node, ast.Name) and node.id in ("_rank_one", "_unit_limit")
     )
     assert readers == {"axioms._proportional"}
     scans = {"axioms._iis_scan", "axioms._rel_add_scan"}
     assert _callers("_proportional") == scans | {"axioms._decide_grand_row"}
+    helpers = {
+        "axioms._cooccurrence",
+        "axioms._cooccurrence.build",
+        "axioms._iis_violations",
+        "axioms._menu_pairs",
+        "axioms._ratio_conflicts",
+    }
     mode_tests = _holders(lambda node: isinstance(node, ast.Attribute) and node.attr == "exact")
-    assert not mode_tests & scans
+    assert not mode_tests & (scans | helpers)
+
+
+def test_cooccurring_pairs_are_enumerated_once():
+    """The co-occurrence index, axioms._cooccurrence, is the one enumeration
+    of the pairs of a menu's positive collections in scclab.axioms:
+    check_piis reads it for stage 1, and check_iis through _iis_scan for
+    the standard form; the empty-collection form keeps a menu-pair loop.
+    Neither check walks the menus itself."""
+    assert _callers("_cooccurrence") == {"axioms._iis_scan", "axioms.check_piis"}
+    row_pairs = _holders(
+        lambda node: isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "combinations"
+        and "pos[" in ast.unparse(node.args[0])
+    )
+    assert row_pairs == {"axioms._cooccurrence.build"}
+    walkers = _callers("menus") | _callers("combinations")
+    assert not walkers & {"axioms.check_iis", "axioms.check_piis"}
 
 
 def test_support_is_read_from_one_table():
