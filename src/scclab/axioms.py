@@ -668,10 +668,11 @@ def _rel_add_scan(
 
     Counts per (S, x), with m = 2^|S\\x| - 1: C(m,2) checked, or C(m-1,2)
     checked and m-1 vacuous for REL_ADD_1 with a non-empty excluded set;
-    the vacuous ones are added up, and the rest of the domain is checked.
-    :func:`_proportional` certifies an (S, x), in either mode, on the rows
-    mu(T,S\\x) and mu(T,S) + mu(T u x,S), the excluded column left out,
-    and only those that fail it are scanned.
+    the vacuous ones are added up first, and the rest of the domain is
+    checked.  Until the cap is full, :func:`_proportional` certifies an
+    (S, x), in either mode, on the rows mu(T,S\\x) and mu(T,S) +
+    mu(T u x,S), the excluded column left out, and only those that fail it
+    are scanned; after that no subset of S\\x is listed.
     """
     out = _Collector(scc, axiom, cap)
     constraints = (
@@ -679,13 +680,14 @@ def _rel_add_scan(
     )
     vacuous = 0
     for s, xbit, rest, row_s, row_rest in _removals(cached_scaled_rows(scc)[0]):
-        subs = nonempty_submasks(rest)
         excluded = constraints[xbit.bit_length() - 1] & rest if constraints else 0
         if excluded:
-            subs.remove(excluded)
-            vacuous += len(subs)
+            vacuous += (1 << rest.bit_count()) - 2
         if out.full:
             continue
+        subs = nonempty_submasks(rest)
+        if excluded:
+            subs.remove(excluded)
         us = list(map(row_rest.get, subs, repeat(0)))
         vs = [row_s.get(t, 0) + row_s.get(t | xbit, 0) for t in subs]
         if _proportional(scc, us, vs, tol):
@@ -693,6 +695,8 @@ def _rel_add_scan(
         for (t, u, v), (t2, u2, v2) in combinations(zip(subs, us, vs), 2):
             if not probs_equal(scc, u * v2, u2 * v, tol):
                 out.add_equation({"S": s, "x": xbit, "T": t, "T_prime": t2})
+                if out.full:
+                    break
     return out.report(vacuous=vacuous)
 
 
@@ -819,13 +823,17 @@ def _support_shape_report(
 
     Each states: mu(T,S) > 0 iff T is in the achievable family of S (see
     :func:`_achievable`).  The quantifier ranges over all non-empty T
-    contained in S, a domain of size 3^n - 2^n; violations are located by
-    comparing the support of each row with the achievable family.
+    contained in S, a domain of size 3^n - 2^n, which the registry states,
+    so the count comes first; violations are located by comparing the
+    support of each row with the achievable family, menu by menu, and the
+    scan stops once the cap is full.
     """
     out = _Collector(scc, axiom, cap)
     achievable_of = _achievable(scc, axiom, attributes)
     pos = _positive_rows(scc)
     for menu in scc.menus():
+        if out.full:
+            break
         achievable = achievable_of(menu)
         sup = set(pos[menu])
         sup.discard(0)
@@ -945,7 +953,10 @@ def _rel_add_adjusted(scc: SCC, tol: ToleranceConfig, cap: int) -> AxiomReport:
     grand-set rows (Q = revealed constraint sets).  Decided after clearing
     the denominator; on scaled rows the adjustment term, which lacks a
     factor from row S, is multiplied by row S's denominator.  Vacuous
-    instances: T empty, or zero adjustment denominator.
+    instances: T empty, or zero adjustment denominator.  Counts come
+    first: an (S, x) has 2^|S\\x| - 1 instances, less one when T is
+    non-empty, all checked or all vacuous; its T' are listed only while
+    the cap is not full.
     """
     out = _Collector(scc, AxiomId.REL_ADD_2, cap)
     revealed = cached_revealed_constraints(scc)
@@ -954,26 +965,30 @@ def _rel_add_adjusted(scc: SCC, tol: ToleranceConfig, cap: int) -> AxiomReport:
     checked = 0
     vacuous = 0
     for s, xbit, rest, row_s, row_rest in _removals(rows):
-        denom = 0
-        for y in bits(s):
-            denom = denom + row_full.get(revealed[y], 0)
         q = revealed[xbit.bit_length() - 1]
         t = q & rest
-        others = [t2 for t2 in nonempty_submasks(rest) if t2 != t]
-        if t == 0 or not is_positive(scc, denom):
-            vacuous += len(others)
+        size = (1 << rest.bit_count()) - 1 - (t != 0)
+        denom = sum(row_full.get(revealed[y], 0) for y in bits(s)) if t else 0
+        if not is_positive(scc, denom):
+            vacuous += size
+            continue
+        checked += size
+        if out.full:
             continue
         adj_num = row_full.get(q, 0) * dens[s]
         t_sum = row_s.get(t, 0) + row_s.get(t | xbit, 0)
         mu_t_rest = row_rest.get(t, 0)
-        for t2 in others:
-            checked += 1
+        for t2 in nonempty_submasks(rest):
+            if t2 == t:
+                continue
             t2_sum = row_s.get(t2, 0) + row_s.get(t2 | xbit, 0)
             mu_t2_rest = row_rest.get(t2, 0)
             cleared_lhs = denom * mu_t_rest * t2_sum + adj_num * mu_t2_rest
             cleared_rhs = denom * mu_t2_rest * t_sum
             if not probs_equal(scc, cleared_lhs, cleared_rhs, tol):
                 out.add_equation({"S": s, "x": xbit, "T": t, "T_prime": t2})
+                if out.full:
+                    break
     return out.report(checked, vacuous)
 
 
@@ -1041,7 +1056,8 @@ def check_piis(
     the first inconsistent one, and the chain comparisons of ordered pairs
     in stage 3 (each unordered pair counts twice).  ``instances_vacuous``
     counts ordered pairs of distinct support collections admitting no chain
-    at all.
+    at all, twice the unordered pairs :func:`_distant_pairs` counts on the
+    neighbour bitsets, whatever stage 1 finds.
 
     When the grand-row certificate of :func:`_grand_row` holds, every stage
     would pass, so the report is "holds", nothing is vacuous, and the counts
@@ -1079,12 +1095,7 @@ def check_piis(
     for a, b in edges:
         neighbors[a].add(b)
         neighbors[b].add(a)
-    vacuous = 2 * sum(
-        1
-        for i, t in enumerate(support_colls)
-        for t2 in support_colls[i + 1 :]
-        if t2 not in neighbors[t] and not (neighbors[t] & neighbors[t2])
-    )
+    vacuous = 2 * _distant_pairs(support_colls, neighbors)
     if not out.clean:
         return out.report(checked, vacuous)
 
@@ -1098,6 +1109,35 @@ def check_piis(
     # Stage 3: direct chain comparison.
     checked += _chain_scan(scc, tol, out, support_colls, neighbors, edges)
     return out.report(checked, vacuous)
+
+
+def _distant_pairs(colls: list[int], neighbors: dict[int, set[int]]) -> int:
+    """The unordered pairs of ``colls`` more than two steps apart in the
+    co-occurrence graph ``neighbors``: C(N,2) less the later collections
+    that each reaches through the union of its own neighbour bitset and
+    its neighbours', sum deg^2 unions.  A collection adjacent to every
+    other, as on dense data, takes its bitset without reading its
+    neighbours, and one whose neighbours cover every later one takes no
+    union."""
+    size = len(colls)
+    everyone = (1 << size) - 1
+    bit = {c: 1 << i for i, c in enumerate(colls)}
+    near: dict[int, int] = {}
+    for c, ns in neighbors.items():
+        if len(ns) == size - 1:
+            near[c] = everyone ^ bit[c]
+        else:
+            near[c] = sum(map(bit.__getitem__, ns))
+    within = 0
+    for i, t in enumerate(colls):
+        later = everyone >> (i + 1) << (i + 1)
+        reach = near[t] & later
+        for mid in neighbors[t]:
+            if reach == later:
+                break
+            reach |= near[mid] & later
+        within += reach.bit_count()
+    return math.comb(size, 2) - within
 
 
 def _ratio_conflicts(
@@ -1302,8 +1342,9 @@ def check_paf(
     mu(T,S) = mu(T,S\\x) whenever both are positive.  Domain: all (S, x, T)
     with non-empty T contained in S\\x, n (3^(n-1) - 2^(n-1)) instances; only
     those meeting the three-part guard in :func:`_positive_rows` are
-    counted and compared, and the rest are vacuous.  Assumes a valid SCC,
-    as :func:`_iis_scan` does.
+    checked, and the rest are vacuous.  Each (S, x) counts its guarded T
+    first, and they are compared only until the cap is full.  Assumes a
+    valid SCC, as :func:`_iis_scan` does.
     """
     out = _Collector(scc, AxiomId.PAF, cap)
     pos = _positive_rows(scc)
@@ -1311,10 +1352,15 @@ def check_paf(
     for s, xbit, rest, row_s, row_rest in _removals(scc.rows):
         if xbit in pos[s]:
             continue
-        for t in sorted(pos[s].keys() & pos[rest].keys() - {0}):
-            checked += 1
+        guarded = pos[s].keys() & pos[rest].keys() - {0}
+        checked += len(guarded)
+        if out.full:
+            continue
+        for t in sorted(guarded):
             if not probs_equal(scc, row_s[t], row_rest[t], tol):
                 out.add_equation({"S": s, "x": xbit, "T": t})
+                if out.full:
+                    break
     return out.report(checked)
 
 

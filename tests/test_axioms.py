@@ -8,6 +8,7 @@ hand, fraction by fraction.
 
 import math
 import random
+import timeit
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -708,14 +709,14 @@ def _compared(scc, axiom, attributes):
     return AXIOMS[axiom].applies(scc, attributes) or axiom is AxiomId.IIS_O
 
 
-@pytest.fixture(scope="module")
-def ratio_runs():
+def _reference_runs(cases, axioms):
     """(case, scc, axiom, cap, run_axiom's report, the reference's report,
-    attribute carriers); the reference runs once, its cap-1 report the
-    cap-10 one cut to the first witness."""
+    attribute carriers) for each (name, scc, carriers) of ``cases`` and each
+    of ``axioms`` compared there, at caps 1 and 10; the reference runs once,
+    its cap-1 report the cap-10 one cut to the first witness."""
     runs = []
-    for name, scc, attributes in _ratio_cases():
-        for axiom in (*REFERENCE_AXIOMS, *STRUCTURAL_AXIOMS):
+    for name, scc, attributes in cases:
+        for axiom in axioms:
             if not _compared(scc, axiom, attributes):
                 continue
             reference = _reference(scc, axiom, cap=10, attributes=attributes)
@@ -724,6 +725,13 @@ def ratio_runs():
                 cut = replace(reference, witnesses=reference.witnesses[:cap])
                 runs.append((name, scc, axiom, cap, fast, cut, attributes))
     return runs
+
+
+@pytest.fixture(scope="module")
+def ratio_runs():
+    """Every axiom the reference decides, and the structural ones, on the
+    ratio corpus."""
+    return _reference_runs(_ratio_cases(), (*REFERENCE_AXIOMS, *STRUCTURAL_AXIOMS))
 
 
 class TestRatioCertificates:
@@ -919,6 +927,19 @@ def sparse_runs():
     return runs
 
 
+def _zeroed_logit(n, seed, size, cell=min):
+    """Exact logit at n items with one cell of the first menu of ``size``
+    items dropped, ``cell`` of its collections, and that row renormalised."""
+    spec = sample_params(GenConfig(n, ModelTag.LOGIT, seed=seed))
+    base = generate_scc(spec, Universe.default(n))
+    rows = _copy_rows(base, True)
+    menu = next(m for m in sorted(rows) if m.bit_count() == size)
+    del rows[menu][cell(rows[menu])]
+    total = sum(rows[menu].values())
+    rows[menu] = {t: p / total for t, p in rows[menu].items()}
+    return SCC(base.universe, rows, exact=True)
+
+
 def _count_table_reads(monkeypatch, scc):
     """The menus whose row of the positivity table is read from here on,
     in order, as a list that fills as the scans run."""
@@ -1029,14 +1050,7 @@ class TestCooccurrenceIndex:
         # exact logit at n = 7 with one cell of a 6-item menu zeroed: the
         # certificate refuses it, and its index, 35,848 entries against 8,001
         # menu pairs, is built for each check and not kept in the memo
-        spec = sample_params(GenConfig(7, ModelTag.LOGIT, seed=907))
-        base = generate_scc(spec, Universe.default(7))
-        rows = _copy_rows(base, True)
-        menu = next(m for m in sorted(rows) if m.bit_count() == 6)
-        del rows[menu][min(rows[menu])]
-        total = sum(rows[menu].values())
-        rows[menu] = {t: p / total for t, p in rows[menu].items()}
-        scc = SCC(base.universe, rows, exact=True)
+        scc = _zeroed_logit(7, 907, 6)
         assert _index_sizes(scc) == (35848, 8001)
         assert not _grand_row(scc, DEFAULT_TOL).proportional
         scclab.axioms.cached_scaled_rows(scc)
@@ -1049,6 +1063,78 @@ class TestCooccurrenceIndex:
                 tracemalloc.stop()
             assert report.holds and report.instances_checked, check
             assert held < peak / 10, (check, held, peak)
+
+
+def _cooccurrence_graph(scc):
+    """PIIS's support collections and their neighbours in the co-occurrence
+    graph, as check_piis builds them."""
+    pos = scclab.axioms._positive_rows(scc)
+    colls = sorted({c for row in pos.values() for c in row})
+    neighbors = {c: set() for c in colls}
+    for a, b in scclab.axioms._cooccurrence(scc):
+        neighbors[a].add(b)
+        neighbors[b].add(a)
+    return colls, neighbors
+
+
+def _pairwise_distant(colls, neighbors):
+    """The pairs of collections neither adjacent nor with a common neighbour,
+    each pair tested with one set intersection."""
+    return sum(
+        1
+        for i, t in enumerate(colls)
+        for t2 in colls[i + 1 :]
+        if t2 not in neighbors[t] and not neighbors[t] & neighbors[t2]
+    )
+
+
+class TestDistantPairs:
+    """PIIS's vacuous count on neighbour bitsets against the pairwise test."""
+
+    def test_bitsets_count_the_pairwise_test(self):
+        # the sparse corpus, rrm and nsc data with distant pairs, and dense
+        # data with one cell zeroed: in a 7-item menu, where the grand row
+        # makes every pair adjacent, or the largest proper collection of the
+        # grand row, so that half the collections miss one neighbour
+        cases = [scc for _, scc in _sparse_cases()]
+        for model, n in ((ModelTag.RRM, 7), (ModelTag.NSC, 6)):
+            spec = sample_params(GenConfig(n, model, seed=900 + n))
+            cases.append(generate_scc(spec, Universe.default(n)))
+        cases += [_zeroed_logit(8, 908, 7), _zeroed_logit(6, 906, 6, cell=lambda row: 62)]
+        counts = []
+        for scc in cases:
+            colls, neighbors = _cooccurrence_graph(scc)
+            count = scclab.axioms._distant_pairs(colls, neighbors)
+            assert count == _pairwise_distant(colls, neighbors)
+            counts.append(count)
+        assert any(counts) and not all(counts)
+
+    def test_dense_data_reads_no_neighbour_set_for_its_bitsets(self):
+        # every pair adjacent: each collection's bitset is everyone but
+        # itself, and its scan reads at most one neighbour before it stops
+        colls, neighbors = _cooccurrence_graph(_zeroed_logit(8, 908, 7))
+        read = []
+
+        class Counted(set):
+            def __iter__(self):
+                for item in set.__iter__(self):
+                    read.append(item)
+                    yield item
+
+        counted = {c: Counted(ns) for c, ns in neighbors.items()}
+        assert scclab.axioms._distant_pairs(colls, counted) == 0
+        assert len(read) <= len(colls)
+
+    def test_dense_data_is_not_slower(self):
+        # exact logit at n = 8 with one cell of a 7-item menu zeroed: 255
+        # support collections, every pair adjacent
+        colls, neighbors = _cooccurrence_graph(_zeroed_logit(8, 908, 7))
+        assert len(colls) == 255
+
+        def fastest(count):
+            return min(timeit.repeat(partial(count, colls, neighbors), number=1, repeat=7))
+
+        assert fastest(scclab.axioms._distant_pairs) <= fastest(_pairwise_distant)
 
 
 def _singleton_cases():
@@ -1073,6 +1159,37 @@ def _singleton_cases():
             rows = _copy_rows(logit, exact)
             cases.append((f"logit-n{n}-{exact}", SCC(base.universe, rows, exact=exact)))
     return cases
+
+
+def _listed_submasks(monkeypatch):
+    """The masks whose non-empty submasks scclab.axioms lists from here on,
+    in order, as a list that fills as the scans run."""
+    listed = []
+    submasks_of = scclab.axioms.nonempty_submasks
+    monkeypatch.setattr(
+        scclab.axioms, "nonempty_submasks", lambda mask: listed.append(mask) or submasks_of(mask)
+    )
+    return listed
+
+
+def _compare_events(monkeypatch):
+    """The probs_equal calls ("compare") and equation witnesses ("witness")
+    of scclab.axioms from here on, in order."""
+    events = []
+    probs_equal_of = scclab.axioms.probs_equal
+    add_equation = scclab.axioms._Collector.add_equation
+
+    def compared(*args):
+        events.append("compare")
+        return probs_equal_of(*args)
+
+    def recorded(collector, bindings):
+        events.append("witness")
+        return add_equation(collector, bindings)
+
+    monkeypatch.setattr(scclab.axioms, "probs_equal", compared)
+    monkeypatch.setattr(scclab.axioms._Collector, "add_equation", recorded)
+    return events
 
 
 class TestCapFullExits:
@@ -1112,6 +1229,130 @@ class TestCapFullExits:
                     filled.add(frozenset(report.witnesses[-1].bindings))
         assert filled == {frozenset({"T", "S"}), frozenset({"x", "y", "S", "S_prime"})}
         assert any(check_special(scc, AxiomId.SINGLETON).holds for _, scc in _singleton_cases())
+
+    @pytest.mark.parametrize(
+        "model, axiom", [(ModelTag.LOGIT, AxiomId.POS3), (ModelTag.RCG, AxiomId.FULL_SUPPORT)]
+    )
+    def test_support_shapes_stop_once_the_cap_is_full(self, monkeypatch, model, axiom):
+        """The achievable family is built for the menus up to the cap-th
+        witness's and for no later one; the count is the registry's."""
+        scc = generate_scc(sample_params(GenConfig(8, model, seed=908)), Universe.default(8))
+        whole = run_axiom(scc, axiom, cap=10**6)
+        read = []
+        achievable = scclab.axioms._achievable
+
+        def counted(*args):
+            family = achievable(*args)
+            return lambda menu: read.append(menu) or family(menu)
+
+        monkeypatch.setattr(scclab.axioms, "_achievable", counted)
+        report = run_axiom(scc, axiom, cap=10)
+        assert report == replace(whole, witnesses=whole.witnesses[:10])
+        menus = scc.menus()
+        last = menus.index(report.witnesses[-1].bindings["S"])
+        assert read == menus[: last + 1] and last + 1 < len(menus)
+
+    def test_rel_add_2_lists_only_checked_units_under_the_cap(self, monkeypatch):
+        """Exact rcg at n = 8: the T' of an (S, x) are listed only when its
+        instances are checked and the cap is not yet full; a vacuous unit,
+        one with T empty or a zero adjustment denominator, is counted
+        without them; and no comparison follows the cap-th witness."""
+        scc = generate_scc(sample_params(GenConfig(8, ModelTag.RCG, seed=5301)), Universe.default(8))
+        whole = run_axiom(scc, AxiomId.REL_ADD_2, cap=10**6)
+        listed, events = _listed_submasks(monkeypatch), _compare_events(monkeypatch)
+        report = run_axiom(scc, AxiomId.REL_ADD_2, cap=10)
+        assert report == replace(whole, witnesses=whole.witnesses[:10])
+        assert events.count("witness") == 10 and events[-1] == "witness"
+        revealed = cached_revealed_constraints(scc)
+        full = scc.universe.full_mask
+        last = report.witnesses[-1].bindings
+        units = []  # (S, x, S\x, whether checked), in scan order, to the last witness's
+        for s in scc.menus():
+            for x in bits(s) if s.bit_count() > 1 else ():
+                rest = s & ~(1 << x)
+                denom = sum(prob_lookup(scc, revealed[y], full) for y in bits(s))
+                units.append((s, 1 << x, rest, bool(revealed[x] & rest) and denom > 0))
+        end = units.index((last["S"], last["x"], last["S"] & ~last["x"], True)) + 1
+        assert listed == [rest for _, _, rest, checked in units[:end] if checked]
+        # vacuous units come before the cap fills, and checked ones after it
+        assert not all(checked for *_, checked in units[:end])
+        assert any(checked for *_, checked in units[end:])
+
+    @pytest.mark.parametrize("axiom", [AxiomId.REL_ADD, AxiomId.REL_ADD_1])
+    def test_rel_add_lists_no_subset_once_the_cap_is_full(self, monkeypatch, axiom):
+        """Exact logit at n = 7: the subsets of S\\x are listed for each
+        (S, x) up to the cap-th witness's, and for no later one, and no
+        comparison follows that witness."""
+        scc = generate_scc(sample_params(GenConfig(7, ModelTag.LOGIT, seed=907)), Universe.default(7))
+        whole = run_axiom(scc, axiom, cap=10**6)
+        listed, events = _listed_submasks(monkeypatch), _compare_events(monkeypatch)
+        report = run_axiom(scc, axiom, cap=10)
+        assert report == replace(whole, witnesses=whole.witnesses[:10])
+        assert events.count("witness") == 10 and events[-1] == "witness"
+        units = [(s, 1 << x) for s in scc.menus() if s.bit_count() > 1 for x in bits(s)]
+        last = report.witnesses[-1].bindings
+        end = units.index((last["S"], last["x"])) + 1
+        assert listed == [s & ~x for s, x in units[:end]] and end < len(units)
+
+    @pytest.mark.parametrize("cap", [1, 10])
+    def test_paf_compares_nothing_once_the_cap_is_full(self, monkeypatch, cap):
+        """Exact rcg at n = 8, where the first witness's (S, x) has later
+        guarded collections: no probs_equal call follows the cap-th witness,
+        and the guarded instances after it are counted."""
+        scc = generate_scc(sample_params(GenConfig(8, ModelTag.RCG, seed=908)), Universe.default(8))
+        whole = check_paf(scc, cap=10**6)
+        events = _compare_events(monkeypatch)
+        report = check_paf(scc, cap=cap)
+        assert report == replace(whole, witnesses=whole.witnesses[:cap])
+        assert events.count("witness") == cap and events[-1] == "witness"
+        assert events.count("compare") < report.instances_checked
+
+
+#: The scans that count first and stop once the cap is full, whose every
+#: instance the reference decides (REL_ADD_2 in exact mode only).
+CAPPED_AXIOMS = (
+    AxiomId.FULL_SUPPORT,
+    AxiomId.POS3,
+    AxiomId.POS4,
+    AxiomId.REL_ADD,
+    AxiomId.REL_ADD_1,
+    AxiomId.REL_ADD_2,
+    AxiomId.PAF,
+)
+
+
+@pytest.fixture(scope="module")
+def capped_runs():
+    """The runs of :func:`_reference_runs` for CAPPED_AXIOMS, under the
+    name of their corpus: the full-support corpus and the sparse corpus of
+    TestCooccurrenceIndex."""
+    corpora = {
+        "full-support": [(name, scc, None) for name, _, scc in _full_support_cases()],
+        "sparse": [(name, scc, None) for name, scc in _sparse_cases()],
+    }
+    return {corpus: _reference_runs(cases, CAPPED_AXIOMS) for corpus, cases in corpora.items()}
+
+
+class TestCappedScans:
+    def test_reports_match_the_reference(self, capped_runs):
+        for runs in capped_runs.values():
+            for name, _, axiom, cap, fast, slow, _ in runs:
+                assert fast == slow, (name, axiom, cap)
+
+    def test_each_corpus_fills_every_cap(self, capped_runs):
+        """Each axiom fills the cap in each corpus and each mode it is
+        compared in, so every exit is taken; a cap of 10 fills somewhere."""
+        filled = {
+            (corpus, axiom, scc.exact, cap)
+            for corpus, runs in capped_runs.items()
+            for _, scc, axiom, cap, fast, _, _ in runs
+            if len(fast.witnesses) == cap
+        }
+        for corpus in ("full-support", "sparse"):
+            for axiom in CAPPED_AXIOMS:
+                for exact in (True, False) if axiom is not AxiomId.REL_ADD_2 else (True,):
+                    assert (corpus, axiom, exact, 1) in filled, (corpus, axiom, exact)
+        assert {axiom for _, axiom, _, cap in filled if cap == 10} == set(CAPPED_AXIOMS)
 
 
 #: The perturbations of the full-support corpus: one cell scaled, or zeroed.
@@ -1462,7 +1703,8 @@ class TestPAF:
         """The scan tests no cell for support: its gate and guard come from
         the positivity table, built before counting, and only the sides of a
         recorded witness test cells (one is_zero and two is_positive each).
-        Each checked instance is one comparison."""
+        Under a cap that never fills, each checked instance is one
+        comparison."""
         calls = []
         for name in ("is_zero", "is_positive", "probs_equal"):
 
@@ -1477,7 +1719,7 @@ class TestPAF:
             scc = generate_scc(sample_params(GenConfig(8, model, seed=seed)), universe)
             scclab.axioms._positive_rows(scc)
             calls.clear()
-            report = check_paf(scc)
+            report = check_paf(scc, cap=10**6)
             support = calls.count("is_zero") + calls.count("is_positive")
             assert support == 3 * len(report.witnesses), (model, seed)
             assert calls.count("probs_equal") == report.instances_checked, (model, seed)

@@ -5,17 +5,27 @@ variant (rcg, rcg_o, nsc, rrm, eba, nested_logit) at n = 7, whose sparse
 rows the grand-row certificate cannot settle; each is written as an exact
 and as a float document.  One more dataset is exact logit at n = 6 with one
 cell of a five-item menu zeroed and its row renormalised, which the
-grand-row certificate refuses.  On each, ``cli_main`` runs ``check --axioms
-all`` at witness caps 10 and 1, ``classify`` and ``identify --model auto``;
-one SHA-256 digest per dataset covers every exit code, stdout and stderr.
-A change meant to keep every output must keep every digest.  Run this file
-as a script to print the table for a change that moves outputs on purpose.
+grand-row certificate refuses.  The full-support variants (logit, ic,
+logit_o, ic_o) are sampled at n = 6 as exact documents, on which POS3,
+REL_ADD and REL_ADD_1 fill the witness cap, and logit and logit_o also as
+noisy float documents, each cell times 1 + N(0, 1e-3) and the row
+renormalised.  On each, ``cli_main`` runs ``check --axioms all`` at witness
+caps 10 and 1, ``classify`` and ``identify --model auto``, and on a noisy
+document the same four commands again with ``--tol 1e-2``, under a digest
+of its own; one SHA-256 digest per dataset covers every exit code, stdout
+and stderr.  One more digest covers ``check --axioms all`` on a corpus of
+29 documents that the CLI refuses with exit code 2: no JSON, a wrong type
+or label, a bad literal, a row that fails validation or a missing menu.
+A change meant to keep every output must keep every digest.
+Run this file as a script to print the table for a change that moves
+outputs on purpose.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import random
 import sys
 from fractions import Fraction
 
@@ -35,15 +45,28 @@ SPARSE = (
     (ModelTag.NESTED_LOGIT, False),
 )
 SPARSE_N = 7
+#: The full-support variants sampled at n = DENSE_N, and those of them
+#: also written as noisy float documents.
+DENSE = (
+    (ModelTag.LOGIT, False),
+    (ModelTag.IC, False),
+    (ModelTag.LOGIT, True),
+    (ModelTag.IC, True),
+)
+NOISY = ((ModelTag.LOGIT, False), (ModelTag.LOGIT, True))
+DENSE_N = 6
 COMMANDS = (
     ["check", "--axioms", "all"],
     ["check", "--axioms", "all", "--witness-cap", "1"],
     ["classify"],
     ["identify", "--model", "auto"],
 )
+LOOSE = ["--tol", "1e-2"]
 
 #: Digests per dataset, "<model>/<standard|empty>/<exact|float>" at n = N,
-#: prefixed with "n7/" at n = SPARSE_N, and the zeroed-cell logit.
+#: prefixed with "n7/" at n = SPARSE_N and "n6/" at n = DENSE_N (the noisy
+#: documents under "noisy" and, with --tol 1e-2, "noisy-tol-1e-2"), the
+#: zeroed-cell logit and the malformed-document corpus.
 GOLDEN = {
     "logit/standard/exact": "035bae87b40ba1ba66b7c703d448e2f59bdf9c2b1c044b52b2c745bd962f6207",
     "logit/standard/float": "84b514a0ae7e17d4042e11dd30de84e15c865b8400341f6b064c3182dd69390e",
@@ -80,6 +103,15 @@ GOLDEN = {
     "n7/nested_logit/standard/exact": "e8ebc8f64d92402001fd10025c7b3844c1267758fb2427f70a0731d8784ac07e",
     "n7/nested_logit/standard/float": "909bab5a91f724884edece14e2bc067939185896e9ad45328a9617b2d0ce1b18",
     "n6/logit/standard/exact-zeroed": "ebefdbef151137e09df96ee72c154edb1fe96544c2ac1bbb74eac7a4752babd7",
+    "n6/logit/standard/exact": "df0097b2bcd367ff430bd3c30be9796e3f350107e33411217678424c93889f91",
+    "n6/logit/standard/noisy": "c84d0f19feb66022b8f7d47e51237bcb1bef5b8291ebd53a5c1d6c67877a69d2",
+    "n6/logit/standard/noisy-tol-1e-2": "849c4db7c6d4d5dae8c739a69cd64b936b8a5b3b4f387fb1379c7c7fcd70418c",
+    "n6/ic/standard/exact": "a8c25a7bbfa7b60c039d2398d14bb0583df7f798650853867393bf3171de875f",
+    "n6/logit/empty/exact": "064635ba46db0b8f6700140340976fbe9af6530c197aff555bed7558d0e28ffd",
+    "n6/logit/empty/noisy": "6e93e5583e630a45ede168d2496457809de635312cc81c223f502fe0bbb2d39f",
+    "n6/logit/empty/noisy-tol-1e-2": "a5368255372232b7a2026154e476f1babb48aaa5d3f24ed36b278bd63f3c1709",
+    "n6/ic/empty/exact": "a69fd564d717f8159198eed06451899f5a7353abf2f4c81473045c810a718834",
+    "malformed": "2fe64d9ba07ee5b39220a3124e159007390f6c7c6a9c07e3b3085bec1fbcdf4d",
 }
 
 
@@ -116,6 +148,88 @@ def _zeroed_logit() -> dict:
     return document
 
 
+def _noisy_copy(exact: dict, seed: int) -> dict:
+    """The document with every cell times 1 + N(0, 1e-3) and each row
+    renormalised, written as float literals."""
+    rng = random.Random(seed)
+    menus = []
+    for entry in exact["menus"]:
+        cells = [float(Fraction(cell["p"])) * (1 + rng.gauss(0, 1e-3)) for cell in entry["rows"]]
+        total = sum(cells)
+        rows = [{"set": c["set"], "p": repr(p / total)} for c, p in zip(entry["rows"], cells)]
+        menus.append({"menu": entry["menu"], "rows": rows})
+    return {**exact, "menus": menus}
+
+
+#: Edits of a valid exact logit document at n = 2, whose menus are {a},
+#: {b} and {a, b}: the path to a value and the value put there, or DROP to
+#: remove it.  Each breaks one rule of the format, of validation or of
+#: completeness.
+DROP = object()
+EDITS = (
+    ("items", DROP),
+    ("items", "ab"),
+    ("items", ["a", "a"]),
+    ("allows_empty", "no"),
+    ("menus", {}),
+    ("menus", 0, ["a"]),
+    ("menus", 0, "menu", ["z"]),
+    ("menus", 0, "menu", []),
+    ("menus", 1, "menu", ["a"]),
+    ("menus", 0, DROP),
+    ("menus", 2, "rows", 0, "a"),
+    ("menus", 2, "rows", 0, "set", [1]),
+    ("menus", 2, "rows", 0, "set", []),
+    ("menus", 2, "rows", 1, "set", ["a"]),
+    ("menus", 0, "rows", 0, "set", ["b"]),
+    ("menus", 2, "rows", 0, "p", 0.5),
+    ("menus", 2, "rows", 0, "p", "half"),
+    ("menus", 2, "rows", 0, "p", "1/0"),
+    ("menus", 2, "rows", 0, "p", "nan"),
+    ("menus", 2, "rows", 0, "p", "-1/2"),
+    ("menus", 2, "rows", 0, "p", "3/2"),
+    ("menus", 2, "rows", 0, "p", "0.5"),
+    ("menus", 2, "rows", 0, "p", "1" * 5000),
+    ("menus", 2, "rows", 2, DROP),
+)
+
+
+#: CPython's default limit on the digits of an int-string conversion, which
+#: the two 5,000-digit numbers of the malformed corpus exceed.  The corpus
+#: runs under it whatever limit the interpreter was started with, since the
+#: CLI's refusal quotes the error; Python 3.10.0-3.10.6 has no limit, and
+#: there the corpus is not digested.
+DIGIT_LIMIT = 4300
+
+
+@contextlib.contextmanager
+def _digit_limit():
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(DIGIT_LIMIT)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+def _malformed() -> list[bytes]:
+    """File contents that the CLI must refuse: bytes that are no JSON
+    document, then the valid document under each of EDITS."""
+    corpus = [b"", b"{", b"[]", b'{"items": ["\xff"]}', b"1" * 5000]
+    base = json.dumps(_document(ModelTag.LOGIT, False, 2, 4500))
+    for *path, key, value in EDITS:
+        document = json.loads(base)
+        parent = document
+        for step in path:
+            parent = parent[step]
+        if value is DROP:
+            del parent[key]
+        else:
+            parent[key] = value
+        corpus.append(json.dumps(document).encode())
+    return corpus
+
+
 def _documents():
     """Each dataset of the corpus under its name."""
     for index, (model, empty) in enumerate(ALL_VARIANTS):
@@ -129,32 +243,52 @@ def _documents():
         yield f"{name}/exact", exact
         yield f"{name}/float", _float_copy(exact)
     yield "n6/logit/standard/exact-zeroed", _zeroed_logit()
+    for index, (model, empty) in enumerate(DENSE):
+        exact = _document(model, empty, DENSE_N, 4400 + index)
+        name = f"n{DENSE_N}/{model.value}/{'empty' if empty else 'standard'}"
+        yield f"{name}/exact", exact
+        if (model, empty) in NOISY:
+            yield f"{name}/noisy", _noisy_copy(exact, 4400 + index)
 
 
-def _digest(path) -> str:
-    """The digest of every command's exit code, stdout and stderr on ``path``,
-    with the path itself written as "DATA"."""
-    digest = hashlib.sha256()
-    for command in COMMANDS:
+def _digest(digest, path, commands) -> None:
+    """Add each command's exit code, stdout and stderr on ``path`` to
+    ``digest``, with the path itself written as "DATA"."""
+    for command in commands:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli_main([command[0], str(path), *command[1:]])
         record = [code, out.getvalue(), err.getvalue()]
         digest.update(json.dumps(record).replace(str(path), "DATA").encode())
-    return digest.hexdigest()
 
 
 def _digests(directory) -> dict[str, str]:
     table = {}
+    path = directory / "data.json"
     for name, document in _documents():
-        path = directory / "data.json"
         path.write_text(json.dumps(document))
-        table[name] = _digest(path)
+        runs = {name: COMMANDS}
+        if name.endswith("/noisy"):
+            runs[f"{name}-tol-1e-2"] = [[*command, *LOOSE] for command in COMMANDS]
+        for key, commands in runs.items():
+            digest = hashlib.sha256()
+            _digest(digest, path, commands)
+            table[key] = digest.hexdigest()
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return table
+    digest = hashlib.sha256()
+    with _digit_limit():
+        for content in _malformed():
+            path.write_bytes(content)
+            _digest(digest, path, COMMANDS[:1])
+    table["malformed"] = digest.hexdigest()
     return table
 
 
 def test_outputs_match_the_pinned_digests(tmp_path):
-    assert _digests(tmp_path) == GOLDEN
+    table = _digests(tmp_path)
+    assert table == {name: GOLDEN[name] for name in table}
+    assert table.keys() >= GOLDEN.keys() - {"malformed"}
 
 
 if __name__ == "__main__":

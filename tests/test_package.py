@@ -276,6 +276,29 @@ def test_each_check_opens_one_frame():
     assert readers == {"axioms._Collector.report"}
 
 
+def test_capped_scans_read_the_full_cap():
+    """A scan whose counts are stated before it compares stops once its
+    witness cap is full, which it reads as ``out.full``: the support shapes,
+    the three relative-additivity scans and PAF among them, so that no
+    rewrite drops an exit without this failing."""
+    readers = _holders(
+        lambda node: isinstance(node, ast.Attribute)
+        and node.attr == "full"
+        and getattr(node.value, "id", None) == "out"
+    )
+    assert readers == {
+        "axioms._iis_scan",
+        "axioms._rel_add_scan",
+        "axioms.check_additivity",
+        "axioms._support_shape_report",
+        "axioms._rel_add_adjusted",
+        "axioms._chain_scan",
+        "axioms._partition_report",
+        "axioms.check_paf",
+        "axioms.check_special",
+    }
+
+
 def test_tolerance_is_only_the_equality_tolerance():
     """Support is a property of the data: the one tolerance field is eps_eq,
     and nothing that decides support or validates takes a tolerance."""
