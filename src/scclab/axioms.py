@@ -23,7 +23,10 @@ them:
   compare instances one by one only where its certificate fails and fewer
   than ``cap`` witnesses are recorded; the counts are the same.  The
   grand-row certificate of :func:`_grand_row` settles IIS, IIS_O and PIIS
-  on full-support data, in exact and float mode; :func:`_proportional`
+  on full-support data, in exact and float mode; the marginal certificate
+  of :func:`_marginal_certificate` settles REL_ADD and REL_ADD_1 in exact
+  mode on rows that are multiples of the grand row's marginals, as
+  random-choice-set data are; :func:`_proportional`
   certifies the units of IIS (a list of the co-occurrence index, or a menu
   pair), REL_ADD and REL_ADD_1 in both modes, exactly
   in exact mode and under the grand row's rounding bound in float mode.
@@ -49,9 +52,11 @@ each report in the SCC's memo, so a dataset is decided once per tolerance
 and witness cap, and :func:`_grand_row` its certificate once per
 tolerance.  Support is a property of the data, not of a tolerance: the
 ``cached_revealed_*`` functions, :func:`cached_scaled_rows`,
-:func:`_positive_rows` and :func:`_cooccurrence` keep the revealed
-structure, the scaled rows, the positivity table and, on sparse data,
-the co-occurrence index of IIS and PIIS there once per SCC.
+:func:`_positive_rows`, :func:`_cooccurrence` and
+:func:`_marginal_certificate` keep the revealed structure, the scaled
+rows, the positivity table, on sparse data the co-occurrence index of
+IIS and PIIS, and the exact-only marginal certificate there once per
+SCC.
 :func:`characterizing_axioms` is the one refusal of a model with no
 variant for a dataset's empty-collection flag.
 """
@@ -655,6 +660,70 @@ def _iis_sides(scc: SCC, b: dict[str, int], empty_variant: bool) -> Sides:
     return mu_t_s * mu_t2_s2, mu_t2_s * mu_t_s2
 
 
+def _marginal_certificate(scc: SCC, tol: ToleranceConfig) -> bool:
+    """Whether every menu's row is a multiple of the grand row's marginal on
+    it, so that every unit of REL_ADD and REL_ADD_1 is rank one: the
+    random-choice-set representation, in which each row is the trace on its
+    menu of one distribution over sets, rescaled.  Exact mode only, where
+    the tolerance plays no part, so it is decided once per SCC.
+
+    Let g be the grand-set row and G_S its marginal on menu S,
+    G_S(T) = sum of g(D) over the D with D n S = T.
+
+    1. Suppose mu(T,S) = c_S G_S(T) for every menu S and every non-empty
+       T in S, where c_S may be 0.
+    2. For x in S and non-empty T in S\\x, T and T u x are non-empty, and
+       the D with D n S equal to T or to T u x are those with
+       D n (S\\x) = T.  So mu(T,S) + mu(T u x,S) = c_S G_{S\\x}(T).
+    3. By step 1, mu(T,S\\x) = c_{S\\x} G_{S\\x}(T).  Both rows of the
+       (S, x) unit are multiples of G_{S\\x} on its columns, so the unit
+       is rank one and every REL_ADD instance of it holds.
+    4. A REL_ADD_1 unit is its REL_ADD unit less one column, so it is
+       rank one too.
+
+    Each menu is tested by :func:`_proportional` on G_S and its row, over
+    the non-empty T positive in either, ascending.  Rank one there is
+    step 1 unless G_S is zero on every non-empty T while the row is not,
+    so such a menu refuses.  The walk is depth-first from the grand set,
+    each menu reached once by removing items in descending order, and
+    G_{S\\y} is G_S with each T merged into T \\ y; only non-zero entries
+    are kept, so sparse data costs its support, and only the marginals of
+    one chain of menus are alive at a time.
+    """
+    return _memoized(scc, ("marginals",), lambda: _decide_marginals(scc, tol))
+
+
+def _decide_marginals(scc: SCC, tol: ToleranceConfig) -> bool:
+    if not scc.exact:
+        return False
+    pos = _positive_rows(scc)
+
+    def holds(s: int, marginal: dict[int, Prob], below: int) -> bool:
+        row = pos[s]
+        if not marginal and len(row) > (0 in row):
+            return False
+        subs = sorted(marginal.keys() | row.keys() - {0})
+        us, vs = (list(map(cells.get, subs, repeat(0))) for cells in (marginal, row))
+        if not _proportional(scc, us, vs, tol):
+            return False
+        if s.bit_count() < 2:
+            return True
+        for y in bits(s & ((1 << below) - 1)):
+            ybit = 1 << y
+            child: dict[int, Prob] = {}
+            for t, g in marginal.items():
+                if t != ybit:
+                    t &= ~ybit
+                    child[t] = child.get(t, 0) + g
+            if not holds(s & ~ybit, child, y):
+                return False
+        return True
+
+    full = scc.universe.full_mask
+    grand = {t: g for t, g in pos[full].items() if t}
+    return holds(full, grand, scc.universe.n)
+
+
 def _rel_add_scan(
     scc: SCC, tol: ToleranceConfig, cap: int, axiom: AxiomId
 ) -> AxiomReport:
@@ -669,21 +738,24 @@ def _rel_add_scan(
     Counts per (S, x), with m = 2^|S\\x| - 1: C(m,2) checked, or C(m-1,2)
     checked and m-1 vacuous for REL_ADD_1 with a non-empty excluded set;
     the vacuous ones are added up first, and the rest of the domain is
-    checked.  Until the cap is full, :func:`_proportional` certifies an
-    (S, x), in either mode, on the rows mu(T,S\\x) and mu(T,S) +
-    mu(T u x,S), the excluded column left out, and only those that fail it
-    are scanned; after that no subset of S\\x is listed.
+    checked.  When :func:`_marginal_certificate` holds, every unit is rank
+    one and none is built.  Otherwise, until the cap is full,
+    :func:`_proportional` certifies an (S, x), in either mode, on the rows
+    mu(T,S\\x) and mu(T,S) + mu(T u x,S), the excluded column left out, and
+    only those that fail it are scanned; after that no subset of S\\x is
+    listed.
     """
     out = _Collector(scc, axiom, cap)
     constraints = (
         cached_revealed_constraints(scc) if axiom is AxiomId.REL_ADD_1 else None
     )
+    certified = _marginal_certificate(scc, tol)
     vacuous = 0
     for s, xbit, rest, row_s, row_rest in _removals(cached_scaled_rows(scc)[0]):
         excluded = constraints[xbit.bit_length() - 1] & rest if constraints else 0
         if excluded:
             vacuous += (1 << rest.bit_count()) - 2
-        if out.full:
+        if certified or out.full:
             continue
         subs = nonempty_submasks(rest)
         if excluded:
@@ -708,6 +780,10 @@ def check_relative_additivity(
     mu(T, S\\x) * [mu(T',S) + mu(T' u x, S)] = mu(T', S\\x) * [mu(T,S) +
     mu(T u x, S)] for every menu S, item x in S, and distinct non-empty
     T, T' contained in S\\x.  No guards: zero probabilities participate.
+    In exact mode, where every row is a multiple of the grand row's
+    marginal on its menu (:func:`_marginal_certificate`), the report is
+    "holds" with the whole domain checked and no (S, x) visited; otherwise
+    :func:`_rel_add_scan` certifies or scans each (S, x).
     """
     return _rel_add_scan(scc, tol, cap, AxiomId.REL_ADD)
 
@@ -950,11 +1026,11 @@ def _rel_add_adjusted(scc: SCC, tol: ToleranceConfig, cap: int) -> AxiomReport:
             = mu(T',S\\x) * [mu(T,S) + mu(T u x,S) - adj(x,S)]
 
     where adj(x,S) = mu(Q(x),X) / sum over y in S of mu(Q(y),X), read from
-    grand-set rows (Q = revealed constraint sets).  Decided after clearing
-    the denominator; on scaled rows the adjustment term, which lacks a
-    factor from row S, is multiplied by row S's denominator.  Vacuous
-    instances: T empty, or zero adjustment denominator.  Counts come
-    first: an (S, x) has 2^|S\\x| - 1 instances, less one when T is
+    grand-set rows (Q = revealed constraint sets).  Both sides are scaled
+    by :func:`_adjustment`: exact mode clears the adjustment's denominator,
+    and float mode compares the equation as written, as its ``sides`` do.
+    Vacuous instances: T empty, or zero adjustment denominator.  Counts
+    come first: an (S, x) has 2^|S\\x| - 1 instances, less one when T is
     non-empty, all checked or all vacuous; its T' are listed only while
     the cap is not full.
     """
@@ -975,21 +1051,32 @@ def _rel_add_adjusted(scc: SCC, tol: ToleranceConfig, cap: int) -> AxiomReport:
         checked += size
         if out.full:
             continue
-        adj_num = row_full.get(q, 0) * dens[s]
-        t_sum = row_s.get(t, 0) + row_s.get(t | xbit, 0)
-        mu_t_rest = row_rest.get(t, 0)
+        scale, shift = _adjustment(scc, row_full.get(q, 0) * dens[s], denom)
+        lhs_factor = scale * row_rest.get(t, 0)
+        rhs_factor = scale * (row_s.get(t, 0) + row_s.get(t | xbit, 0)) - shift
         for t2 in nonempty_submasks(rest):
             if t2 == t:
                 continue
-            t2_sum = row_s.get(t2, 0) + row_s.get(t2 | xbit, 0)
-            mu_t2_rest = row_rest.get(t2, 0)
-            cleared_lhs = denom * mu_t_rest * t2_sum + adj_num * mu_t2_rest
-            cleared_rhs = denom * mu_t2_rest * t_sum
-            if not probs_equal(scc, cleared_lhs, cleared_rhs, tol):
+            lhs = lhs_factor * (row_s.get(t2, 0) + row_s.get(t2 | xbit, 0))
+            if not probs_equal(scc, lhs, row_rest.get(t2, 0) * rhs_factor, tol):
                 out.add_equation({"S": s, "x": xbit, "T": t, "T_prime": t2})
                 if out.full:
                     break
     return out.report(checked, vacuous)
+
+
+def _adjustment(scc: SCC, num: Prob, denom: Prob) -> tuple[Prob, Prob]:
+    """REL_ADD_2's adjustment adj(x,S) = num / denom, with ``num`` on row S's
+    scale, as (scale, shift): the scan compares scale mu(T,S\\x) [mu(T',S) +
+    mu(T' u x,S)] with mu(T',S\\x) [scale (mu(T,S) + mu(T u x,S)) - shift].
+    Exact mode clears the denominator, (denom, num), so the comparison stays
+    in ``int``s.  Float mode divides, (1.0, num / denom), so it compares the
+    products that :func:`_rel_add_sides` computes, bit for bit, since the
+    absolute floor of :func:`probs_equal` does not scale with denom, which
+    can exceed 1."""
+    if scc.exact:
+        return denom, num
+    return 1.0, num / denom
 
 
 def check_rrm_suite(

@@ -701,11 +701,8 @@ def _ratio_cases():
 
 def _compared(scc, axiom, attributes):
     """Whether ``run_axiom`` must match the reference: wherever the axiom
-    applies, POS2 with the generating bundle's carriers, IIS_O on standard
-    data too, and REL_ADD_2 in exact mode only, since its scan decides after
-    clearing the adjustment's denominator."""
-    if axiom is AxiomId.REL_ADD_2 and not scc.exact:
-        return False
+    applies, POS2 with the generating bundle's carriers, and IIS_O on
+    standard data too."""
     return AXIOMS[axiom].applies(scc, attributes) or axiom is AxiomId.IIS_O
 
 
@@ -771,6 +768,26 @@ class TestRatioCertificates:
         # the reference decides neither DISTINCT_Q nor SINGLETON
         assert tested == DOMAIN_AXIOMS - {AxiomId.DISTINCT_Q, AxiomId.SINGLETON}
 
+    def test_float_rel_add_2_compares_its_sides(self):
+        """Float nested logit at n = 5 under eps_eq = 1e-2, where the
+        adjustment denominator reaches past 1: the scan compares the
+        equation as its sides state it, not both sides times that
+        denominator, so its report is the reference's and every witness
+        rechecks."""
+        spec = sample_params(GenConfig(5, ModelTag.NESTED_LOGIT, seed=8570))
+        rows = _copy_rows(generate_scc(spec, Universe.default(5)), False)
+        scc = SCC(Universe.default(5), rows, exact=False)
+        revealed = cached_revealed_constraints(scc)
+        grand = scc.rows[scc.universe.full_mask]
+        assert sum(grand.get(q, 0) for q in revealed.values()) > 1
+        tol = ToleranceConfig(eps_eq=1e-2)
+        whole = _reference(scc, AxiomId.REL_ADD_2, tol, cap=10)
+        assert not whole.holds
+        for cap in (1, 10):
+            report = run_axiom(scc, AxiomId.REL_ADD_2, tol, cap=cap)
+            assert report == replace(whole, witnesses=whole.witnesses[:cap]), cap
+            assert all(recheck_witness(scc, w, tol) for w in report.witnesses), cap
+
     def test_corpus_reaches_every_path(self, ratio_runs, unit_runs):
         for axiom in STRUCTURAL_AXIOMS:
             # every structural axiom holds somewhere and fails somewhere
@@ -783,7 +800,7 @@ class TestRatioCertificates:
                 assert verdicts == {True, False}, (axiom, exact)
         for axiom, unit in REFERENCE_AXIOMS.items():
             # every axiom fails somewhere, in each mode it is compared in
-            for exact in (True, False) if axiom is not AxiomId.REL_ADD_2 else (True,):
+            for exact in (True, False):
                 assert any(
                     not r.holds
                     for _, scc, ax, _, r, _, _ in ratio_runs
@@ -1065,6 +1082,192 @@ class TestCooccurrenceIndex:
             assert held < peak / 10, (check, held, peak)
 
 
+def _moved_mass(scc):
+    """(copy, menu): exact ``scc`` with half of the second positive
+    non-empty cell of its last menu of n - 1 items that has two moved to
+    the first, so that the row still sums to 1."""
+    rows = _copy_rows(scc, True)
+    size = scc.universe.n - 1
+    menu = next(
+        m
+        for m in sorted(rows, reverse=True)
+        if m.bit_count() == size and len(rows[m].keys() - {0}) > 1
+    )
+    first, second = [t for t in sorted(rows[menu]) if t][:2]
+    rows[menu][first] += rows[menu][second] / 2
+    rows[menu][second] /= 2
+    return SCC(scc.universe, rows, scc.allows_empty, exact=True), menu
+
+
+def _marginal(scc, s):
+    """The grand row's marginal on menu S from its definition: G_S(T), the
+    sum of mu(D, X) over the D with D n S = T, for each non-empty T."""
+    marginal = {}
+    for d, p in scc.rows[scc.universe.full_mask].items():
+        if d & s:
+            marginal[d & s] = marginal.get(d & s, 0) + p
+    return marginal
+
+
+def _marginal_cases():
+    """(name, scc, moved menu or None): the exact cases of the ratio and
+    sparse corpora, and a moved-mass copy (:func:`_moved_mass`) of each
+    unperturbed sparse one."""
+    cases = [(name, scc, None) for name, scc, _ in _ratio_cases() if scc.exact]
+    for name, scc in _sparse_cases():
+        if not scc.exact:
+            continue
+        cases.append((name, scc, None))
+        if name.endswith("None"):
+            cases.append((f"{name}-moved", *_moved_mass(scc)))
+    return cases
+
+
+@pytest.fixture(scope="module")
+def marginal_runs():
+    """(case, scc, moved menu, certified, axiom, cap, report, refused,
+    reference): REL_ADD and REL_ADD_1 through ``run_axiom``, the same with
+    the marginal certificate patched to refuse, and the reference, on
+    :func:`_marginal_cases` at caps 1 and 10."""
+    runs = []
+    for name, scc, moved in _marginal_cases():
+        certified = scclab.axioms._marginal_certificate(scc, DEFAULT_TOL)
+        for axiom in (AxiomId.REL_ADD, AxiomId.REL_ADD_1):
+            whole = _reference(scc, axiom, cap=10)
+            for cap in (1, 10):
+                report = run_axiom(scc, axiom, cap=cap)
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(scclab.axioms, "_marginal_certificate", lambda *_: False)
+                    refused = run_axiom(scc, axiom, cap=cap)
+                reference = replace(whole, witnesses=whole.witnesses[:cap])
+                runs.append((name, scc, moved, certified, axiom, cap, report, refused, reference))
+    return runs
+
+
+class TestMarginalCertificate:
+    """REL_ADD and REL_ADD_1 settled by the grand row's marginals in exact
+    mode, and the per-unit scan where they refuse."""
+
+    def test_reports_match_the_reference(self, marginal_runs):
+        for name, _, _, _, axiom, cap, report, refused, reference in marginal_runs:
+            case = (name, axiom, cap)
+            assert refused == reference, case
+            assert report == reference, case
+
+    def test_corpus_reaches_both_sides(self, marginal_runs):
+        for axiom in (AxiomId.REL_ADD, AxiomId.REL_ADD_1):
+            for sparse in (True, False):
+                verdicts = {
+                    (certified, report.holds)
+                    for name, _, _, certified, ax, _, report, _, _ in marginal_runs
+                    if ax is axiom and ("-n6-" in name) is sparse
+                }
+                # certified data holds, and refused data reaches the scan
+                assert {(True, True), (False, False)} <= verdicts, (axiom, sparse)
+                # REL_ADD_1 holds unit by unit on rrm data, which it refuses
+                assert ((False, True) in verdicts) is (axiom is AxiomId.REL_ADD_1), (axiom, sparse)
+
+    def test_moved_mass_is_refused_at_its_menu(self, marginal_runs, monkeypatch):
+        certified = {name: ok for name, _, _, ok, *_ in marginal_runs}
+        moved = {name: (scc, menu) for name, scc, menu, *_ in marginal_runs if menu}
+        assert len(moved) == len(SET_DRAWS)
+        refused = 0
+        for name, (scc, menu) in moved.items():
+            if not certified[name.removesuffix("-moved")]:
+                continue
+            with monkeypatch.context() as patch:
+                reads = _count_table_reads(patch, scc)
+                assert not scclab.axioms._decide_marginals(scc, DEFAULT_TOL), name
+            # the walk stops at the menu whose row no longer fits its marginal
+            assert reads[-1] == menu, name
+            refused += 1
+        assert refused == 4  # rcg, rcg_o, eba and ar
+
+    def test_float_data_is_never_certified(self):
+        verdicts = {
+            (scc.exact, scclab.axioms._marginal_certificate(scc, DEFAULT_TOL))
+            for _, scc in _sparse_cases()
+        }
+        assert verdicts == {(True, True), (True, False), (False, False)}
+
+    def test_a_vanishing_marginal_under_a_positive_row_is_refused(self):
+        """Over {a, b, c, d}, the grand row chooses {a}, so the marginals on
+        the menus without a vanish on every non-empty collection.  Those
+        rows choose the empty collection, but {b, c} and {b, c, d} choose
+        {b} and {c} in different ratios, which breaks REL_ADD at
+        ({b, c, d}, d).  Every row is rank one against its marginal, so the
+        guard alone refuses."""
+        a, b, c, d = 1, 2, 4, 8
+        half, quarter = F(1, 2), F(1, 4)
+        rows = {s: {a: F(1)} if s & a else {0: F(1)} for s in range(1, 16)}
+        rows[b | c] = {b: half, c: half}
+        rows[b | c | d] = {b: quarter, c: 3 * quarter}
+        scc = SCC(Universe.default(4), rows, allows_empty=True)
+        for s in scc.menus():
+            marginal = _marginal(scc, s)
+            subs = sorted(marginal.keys() | rows[s].keys() - {0})
+            us = [marginal.get(t, 0) for t in subs]
+            vs = [rows[s].get(t, 0) for t in subs]
+            assert scclab.axioms._proportional(scc, us, vs, DEFAULT_TOL), s
+        assert not _marginal(scc, b | c) and not _marginal(scc, b | c | d)
+        assert not scclab.axioms._marginal_certificate(scc, DEFAULT_TOL)
+        report = check_relative_additivity(scc)
+        assert report == _reference(scc, AxiomId.REL_ADD)
+        assert [w.bindings for w in report.witnesses] == [
+            {"S": b | c | d, "x": d, "T": b, "T_prime": c}
+        ]
+        # a vanishing marginal under a row on the empty collection alone is
+        # the multiple 0, so with those two rows there the certificate holds
+        rows[b | c] = rows[b | c | d] = {0: F(1)}
+        scc = SCC(Universe.default(4), rows, allows_empty=True)
+        assert scclab.axioms._marginal_certificate(scc, DEFAULT_TOL)
+        assert check_relative_additivity(scc) == _reference(scc, AxiomId.REL_ADD)
+
+    def test_walk_reads_each_menu_once(self, monkeypatch):
+        """The walk reads the grand row for its marginal, then reaches each
+        menu once from the grand set, on certified data, where it visits
+        them all."""
+        spec = sample_params(GenConfig(6, ModelTag.RCG, seed=SET_DRAWS[ModelTag.RCG, False]))
+        scc = generate_scc(spec, Universe.default(6))
+        reads = _count_table_reads(monkeypatch, scc)
+        assert scclab.axioms._decide_marginals(scc, DEFAULT_TOL)
+        assert reads[:2] == [scc.universe.full_mask] * 2
+        assert sorted(reads[1:]) == scc.menus()
+
+    def test_walk_keeps_one_chain_of_marginals(self):
+        """Exact ic at n = 9: the walk's peak stays below a quarter of the
+        memory of the scaled rows' dicts alone, without their values."""
+        scc = generate_scc(sample_params(GenConfig(9, ModelTag.IC, seed=909)), Universe.default(9))
+        rows = cached_scaled_rows(scc)[0]
+        scclab.axioms._positive_rows(scc)
+        tracemalloc.start()
+        try:
+            copied = {menu: dict(row) for menu, row in rows.items()}
+            size, _ = tracemalloc.get_traced_memory()
+            del copied
+            tracemalloc.reset_peak()
+            base, _ = tracemalloc.get_traced_memory()
+            assert scclab.axioms._decide_marginals(scc, DEFAULT_TOL)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - base < size / 4, (peak - base, size)
+
+    def test_certified_rows_fit_their_marginals(self, marginal_runs):
+        """Where the certificate holds, each menu's row is a multiple of
+        the grand row's marginal on it, as :func:`_marginal` defines it."""
+        certified = {name: scc for name, scc, _, ok, *_ in marginal_runs if ok}
+        assert certified
+        for name, scc in certified.items():
+            for s in scc.menus():
+                marginal = _marginal(scc, s)
+                row = {t: p for t, p in scc.rows[s].items() if t and p}
+                if not row:
+                    continue
+                scale = sum(row.values()) / sum(marginal.values())
+                assert row == {t: g * scale for t, g in marginal.items()}, (name, s)
+
+
 def _cooccurrence_graph(scc):
     """PIIS's support collections and their neighbours in the co-occurrence
     graph, as check_piis builds them."""
@@ -1309,7 +1512,7 @@ class TestCapFullExits:
 
 
 #: The scans that count first and stop once the cap is full, whose every
-#: instance the reference decides (REL_ADD_2 in exact mode only).
+#: instance the reference decides.
 CAPPED_AXIOMS = (
     AxiomId.FULL_SUPPORT,
     AxiomId.POS3,
@@ -1350,7 +1553,7 @@ class TestCappedScans:
         }
         for corpus in ("full-support", "sparse"):
             for axiom in CAPPED_AXIOMS:
-                for exact in (True, False) if axiom is not AxiomId.REL_ADD_2 else (True,):
+                for exact in (True, False):
                     assert (corpus, axiom, exact, 1) in filled, (corpus, axiom, exact)
         assert {axiom for _, axiom, _, cap in filled if cap == 10} == set(CAPPED_AXIOMS)
 

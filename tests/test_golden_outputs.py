@@ -13,7 +13,10 @@ renormalised.  On each, ``cli_main`` runs ``check --axioms all`` at witness
 caps 10 and 1, ``classify`` and ``identify --model auto``, and on a noisy
 document the same four commands again with ``--tol 1e-2``, under a digest
 of its own; one SHA-256 digest per dataset covers every exit code, stdout
-and stderr.  One more digest covers ``check --axioms all`` on a corpus of
+and stderr.  Three more exact documents at n = 6 run the two ``check``
+commands alone: eba and ar, which the marginal certificate of REL_ADD
+settles, and rcg with mass moved between two cells of one menu, which it
+refuses.  One more digest covers ``check --axioms all`` on a corpus of
 29 documents that the CLI refuses with exit code 2: no JSON, a wrong type
 or label, a bad literal, a row that fails validation or a missing menu.
 A change meant to keep every output must keep every digest.
@@ -61,12 +64,15 @@ COMMANDS = (
     ["classify"],
     ["identify", "--model", "auto"],
 )
+#: The documents that run the two ``check`` commands alone.
+CHECKED = ("n6/eba/standard/exact", "n6/ar/standard/exact", "n6/rcg/standard/exact-moved")
 LOOSE = ["--tol", "1e-2"]
 
 #: Digests per dataset, "<model>/<standard|empty>/<exact|float>" at n = N,
 #: prefixed with "n7/" at n = SPARSE_N and "n6/" at n = DENSE_N (the noisy
 #: documents under "noisy" and, with --tol 1e-2, "noisy-tol-1e-2"), the
-#: zeroed-cell logit and the malformed-document corpus.
+#: zeroed-cell logit, the CHECKED documents and the malformed-document
+#: corpus.
 GOLDEN = {
     "logit/standard/exact": "035bae87b40ba1ba66b7c703d448e2f59bdf9c2b1c044b52b2c745bd962f6207",
     "logit/standard/float": "84b514a0ae7e17d4042e11dd30de84e15c865b8400341f6b064c3182dd69390e",
@@ -111,6 +117,9 @@ GOLDEN = {
     "n6/logit/empty/noisy": "6e93e5583e630a45ede168d2496457809de635312cc81c223f502fe0bbb2d39f",
     "n6/logit/empty/noisy-tol-1e-2": "a5368255372232b7a2026154e476f1babb48aaa5d3f24ed36b278bd63f3c1709",
     "n6/ic/empty/exact": "a69fd564d717f8159198eed06451899f5a7353abf2f4c81473045c810a718834",
+    "n6/eba/standard/exact": "a98dab636a5803564cc328ad8553a4a8ec33f8b359ed7742d90f8972baad9a55",
+    "n6/ar/standard/exact": "0aa5cbe956ebc981963aed08ba5f791a64005618fbdf5327c60986e2bbb6220c",
+    "n6/rcg/standard/exact-moved": "9046461f1bd8a5122f89ff2c9110cc5bda312d3b2ca3afa57a8eb5e7e200ee29",
     "malformed": "2fe64d9ba07ee5b39220a3124e159007390f6c7c6a9c07e3b3085bec1fbcdf4d",
 }
 
@@ -145,6 +154,23 @@ def _zeroed_logit() -> dict:
     kept = entry["rows"][1:]
     total = sum(Fraction(cell["p"]) for cell in kept)
     entry["rows"] = [{**cell, "p": str(Fraction(cell["p"]) / total)} for cell in kept]
+    return document
+
+
+def _moved_rcg() -> dict:
+    """Exact rcg at n = 6 with half of the second non-empty cell of the
+    last five-item menu that has two moved to the first, so that the row
+    still sums to 1."""
+    document = _document(ModelTag.RCG, False, 6, 4602)
+    entry = next(
+        e
+        for e in reversed(document["menus"])
+        if len(e["menu"]) == 5 and sum(1 for cell in e["rows"] if cell["set"]) > 1
+    )
+    first, second = [cell for cell in entry["rows"] if cell["set"]][:2]
+    half = Fraction(second["p"]) / 2
+    first["p"] = str(Fraction(first["p"]) + half)
+    second["p"] = str(half)
     return document
 
 
@@ -249,6 +275,9 @@ def _documents():
         yield f"{name}/exact", exact
         if (model, empty) in NOISY:
             yield f"{name}/noisy", _noisy_copy(exact, 4400 + index)
+    yield CHECKED[0], _document(ModelTag.EBA, False, 6, 4600)
+    yield CHECKED[1], _document(ModelTag.AR, False, 6, 4601)
+    yield CHECKED[2], _moved_rcg()
 
 
 def _digest(digest, path, commands) -> None:
@@ -267,7 +296,7 @@ def _digests(directory) -> dict[str, str]:
     path = directory / "data.json"
     for name, document in _documents():
         path.write_text(json.dumps(document))
-        runs = {name: COMMANDS}
+        runs = {name: COMMANDS[:2] if name in CHECKED else COMMANDS}
         if name.endswith("/noisy"):
             runs[f"{name}-tol-1e-2"] = [[*command, *LOOSE] for command in COMMANDS]
         for key, commands in runs.items():

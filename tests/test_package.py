@@ -195,7 +195,8 @@ def test_proportionality_is_decided_by_one_rule():
     """Exact rank one and the float unit limit are read only inside
     axioms._proportional, which every unit certificate calls: IIS's on a
     list of the co-occurrence index or, in the empty-collection form, on a
-    menu pair, both in _iis_scan.
+    menu pair, both in _iis_scan, and the grand-row and marginal
+    certificates on each menu.
     The scans that call it, and the helpers that compare what it refuses
     or enumerate what it certifies, leave the mode to it and to
     probs_equal."""
@@ -204,7 +205,8 @@ def test_proportionality_is_decided_by_one_rule():
     )
     assert readers == {"axioms._proportional"}
     scans = {"axioms._iis_scan", "axioms._rel_add_scan"}
-    assert _callers("_proportional") == scans | {"axioms._decide_grand_row"}
+    certificates = {"axioms._decide_grand_row", "axioms._decide_marginals.holds"}
+    assert _callers("_proportional") == scans | certificates
     helpers = {
         "axioms._cooccurrence",
         "axioms._cooccurrence.build",
@@ -214,6 +216,27 @@ def test_proportionality_is_decided_by_one_rule():
     }
     mode_tests = _holders(lambda node: isinstance(node, ast.Attribute) and node.attr == "exact")
     assert not mode_tests & (scans | helpers)
+
+
+def test_scans_leave_the_mode_to_the_certificates():
+    """_rel_add_scan reads the marginal certificate, which alone decides
+    that it cannot hold in float mode, as _decide_grand_row does for the
+    grand row.  No scan of IIS or of the REL_ADD family tests the mode; the
+    places in scclab.axioms that do are the scaled rows, the two
+    certificates, _proportional, REL_ADD_2's adjustment, and PIIS's
+    exact-only stage 2 and float tolerance in stage 3."""
+    assert _callers("_marginal_certificate") == {"axioms._rel_add_scan"}
+    assert _callers("_decide_marginals") == {"axioms._marginal_certificate"}
+    mode_tests = _holders(lambda node: isinstance(node, ast.Attribute) and node.attr == "exact")
+    assert {holder for holder in mode_tests if holder.startswith("axioms.")} == {
+        "axioms.cached_scaled_rows.scale",
+        "axioms._decide_grand_row",
+        "axioms._decide_marginals",
+        "axioms._proportional",
+        "axioms._adjustment",
+        "axioms.check_piis",
+        "axioms._chain_scan",
+    }
 
 
 def test_cooccurring_pairs_are_enumerated_once():
