@@ -2,12 +2,13 @@
 
 Each recovery follows the constructive sufficiency argument for its model:
 check the characterizing axioms, read the parameters off the data (mostly
-the grand-set row), and verify that they reproduce the input.  In exact
-mode the recovered bundle's rows come from the model kernels as reduced
-integer rows and must equal the dataset's scaled rows
-(:func:`~scclab.axioms.cached_scaled_rows`), so no Fraction is built and no
-SCC regenerated; in float mode the regenerated SCC must match the input
-within eps_eq cell by cell.  Recovery refuses to run
+the grand-set row), and verify that they reproduce the input.  In both
+modes the recovered bundle's rows come from the model kernels over their
+denominators (reduced integer rows if exact, floats over 1 otherwise) and
+are compared with the dataset's scaled rows
+(:func:`~scclab.axioms.cached_scaled_rows`): bit for bit in exact mode,
+where no Fraction is built, and within eps_eq in float mode.  No SCC is
+regenerated.  Recovery refuses to run
 (PreconditionFailedError) instead of returning best-effort parameters when
 the axioms fail, because the constructions are only valid under them.
 """
@@ -48,7 +49,6 @@ from .models import (
     RRMParams,
     Weight,
     _menu_rows,
-    generate_scc,
 )
 
 
@@ -69,28 +69,30 @@ class RecoveryResult:
     normalization_note: str
 
 
-def _rows_match(reference: SCC, regen: SCC, tol: ToleranceConfig) -> bool:
-    """Cell-by-cell row comparison of two complete float SCCs within eps_eq,
-    a cell recorded on one side only against 0.0 (parsed data may record
-    zero cells)."""
-    for menu, ref_row in reference.rows.items():
-        new_row = regen.rows[menu]
-        for coll in set(ref_row) | set(new_row):
-            if not probs_equal(reference, ref_row.get(coll, 0.0), new_row.get(coll, 0.0), tol):
-                return False
-    return True
+def _reproduces(scc: SCC, spec: ModelSpec, tol: ToleranceConfig) -> bool:
+    """Whether a validated bundle's rows, from
+    :func:`~scclab.models._menu_rows`, are the dataset's scaled rows.
 
-
-def _reproduces(scc: SCC, spec: ModelSpec) -> bool:
-    """Whether a validated bundle's reduced integer rows, which hold no zero
-    cell, are the exact dataset's scaled rows less their recorded zero
-    cells.  Both are the :func:`~scclab.core.scale_row` form of their
-    values, which is canonical, so equal values are equal dicts."""
+    Each row must have its dataset row's denominator: exact rows are both
+    in the canonical :func:`~scclab.core.scale_row` form, and float rows
+    are over 1.  Its cells must equal the dataset row's, as equal dicts or
+    else cell by cell under :func:`~scclab.core.probs_equal`, a cell
+    recorded on one side only counting as 0 (parsed data may record zero
+    cells).  Every row is built before any is compared, so a float bundle
+    whose weights overflow is refused as invalid wherever its bad row is.
+    """
     rows, dens = cached_scaled_rows(scc)
     menus = range(1, scc.universe.full_mask + 1)
     return all(
-        den == dens[menu] and cells == {t: c for t, c in rows[menu].items() if c}
-        for menu, (cells, den) in zip(menus, _menu_rows(spec, menus)[1])
+        den == dens[menu]
+        and (
+            cells == rows[menu]
+            or all(
+                probs_equal(scc, cells.get(t, 0), rows[menu].get(t, 0), tol)
+                for t in cells.keys() | rows[menu].keys()
+            )
+        )
+        for menu, (cells, den) in zip(menus, list(_menu_rows(spec, menus)[1]))
     )
 
 
@@ -120,14 +122,11 @@ def _finish(
     scc: SCC, spec: ModelSpec, note: str, tol: ToleranceConfig
 ) -> RecoveryResult:
     """The one round trip: refuse unless the recovered bundle is valid and
-    reproduces the input, exactly (:func:`_reproduces`) or within eps_eq
-    (:func:`_rows_match`) in the dataset's mode."""
+    its rows reproduce the input's (:func:`_reproduces`), exactly or within
+    eps_eq in the dataset's mode."""
     try:
-        if scc.exact:
-            spec.validate(scc.universe)
-            reproduces = _reproduces(scc, spec)
-        else:
-            reproduces = _rows_match(scc, generate_scc(spec, scc.universe), tol)
+        spec.validate(scc.universe)
+        reproduces = _reproduces(scc, spec, tol)
     except (InvalidParamsError, MissingWeightError) as exc:
         raise PreconditionFailedError(
             f"recovered parameters are not a valid bundle: {exc}"

@@ -813,10 +813,7 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else _EXIT_USAGE
     try:
         return _DISPATCH[args.command](args)
-    except ScclabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
-    except OSError as exc:
+    except (ScclabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
 

@@ -15,7 +15,7 @@ exponent of ``2.0`` keeps a bundle of rational utilities exact.  Otherwise
 the whole bundle is in float mode, and a non-integer exponent is recorded
 in the generated SCC's ``mode_notes``.  Rows are put in their bundle's
 mode in one place, ``_menu_rows``, behind :func:`menu_row`,
-:func:`generate_scc` and the exact round trip of ``scclab.identify``.  It
+:func:`generate_scc` and the round trip of ``scclab.identify``.  It
 divides and coerces only float rows: an exact bundle's weights are scaled
 to ints once per dataset, and each kernel row's integer masses are reduced
 once, by their gcd, to the integer row the exact axiom checks compare.
@@ -718,8 +718,9 @@ def eval_ar_item(
     # One-shot formula: draw an attribute among the feasible ones, then an
     # item proportionally to its value on that attribute within the menu.
     # Traces go in first-occurrence order, attributes in document order.
-    p: Weight = Fraction(0)
-    rho: dict[int, Weight] = dict.fromkeys(mu, Fraction(0))
+    # Sums start at the bundle's own zero, so a float bundle's stay floats.
+    p: Weight = Fraction(0) if params.is_exact() else 0.0
+    rho: dict[int, Weight] = dict.fromkeys(mu, p)
     for t in mu:
         if not t & bit:
             continue

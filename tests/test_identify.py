@@ -6,10 +6,13 @@ import pytest
 
 from scclab.core import (
     DEFAULT_TOL,
+    InvalidParamsError,
+    MissingWeightError,
     PreconditionFailedError,
     SCC,
     Universe,
     WrongVariantError,
+    probs_equal,
     validate_scc,
 )
 from scclab.axioms import SELF_CHARACTERIZED, AxiomId, cached_scaled_rows
@@ -17,7 +20,6 @@ from scclab.fuzz import ALL_VARIANTS, GenConfig, sample_params
 from scclab.identify import (
     RECOVERIES,
     _finish,
-    _rows_match,
     identify_ic,
     identify_logit,
     identify_nsc,
@@ -291,20 +293,6 @@ def test_recovery_reports_the_dataset_mode(model, scc, floated):
         assert generate_scc(result.model_spec, data.universe).exact is exact
 
 
-def test_round_trip_compares_rows_and_reads_explicit_zeros_as_absent():
-    """Float rows: a parsed dataset's explicit zero cell still matches the
-    regenerated row without it, both ways, and one changed cell does not."""
-    spec = sample_params(GenConfig(3, ModelTag.LOGIT, seed=2100))
-    scc = generate_scc(spec, U3)
-    rows = {m: {t: float(p) for t, p in row.items()} for m, row in scc.rows.items()}
-    regen = SCC(U3, rows, exact=False)
-    zeroed = SCC(U3, {**rows, AB: {**rows[AB], 0: 0.0}}, exact=False)
-    assert _rows_match(zeroed, regen, DEFAULT_TOL)
-    assert _rows_match(regen, zeroed, DEFAULT_TOL)
-    moved = {**rows, AB: {**rows[AB], A: rows[AB][A] + 1 / 7}}
-    assert not _rows_match(SCC(U3, moved, exact=False), regen, DEFAULT_TOL)
-
-
 class TestExactRoundTrip:
     """_finish on exact data: the recovered bundle's reduced integer rows
     against the dataset's scaled rows."""
@@ -344,6 +332,147 @@ class TestExactRoundTrip:
             "set weights must cover all 7 non-empty collections, got 3"
         )
         assert err.value.report is None
+
+
+class TestFloatRoundTrip:
+    """_finish on float data: the recovered bundle's float rows against the
+    dataset's rows within eps_eq."""
+
+    def test_recorded_zero_cell_is_accepted(self):
+        weights = {A: 1.0, B: 2.0, AB: 4.0, C: 3.0}
+        spec = ModelSpec(ModelTag.NSC, NSCParams((AB, C), weights))
+        scc = generate_scc(spec, U3)
+        assert not scc.exact and AC not in scc.rows[ABC]
+        zeroed = SCC(U3, {**scc.rows, ABC: {**scc.rows[ABC], AC: 0.0}}, exact=False)
+        assert validate_scc(zeroed) == []
+        assert _finish(zeroed, spec, "", DEFAULT_TOL).round_trip_exact is False
+        assert identify_nsc(zeroed).round_trip_exact is False
+
+    @staticmethod
+    def _logit():
+        """TestExactRoundTrip's logit bundle with float weights."""
+        weights = sample_params(GenConfig(3, ModelTag.LOGIT, seed=2100)).params.weights
+        return ModelSpec(ModelTag.LOGIT, LogitParams({t: float(w) for t, w in weights.items()}))
+
+    def test_moved_cell_is_refused(self):
+        spec = self._logit()
+        rows = generate_scc(spec, U3).rows
+        row = rows[AB]
+        assert row[A] != row[B]
+        moved = SCC(U3, {**rows, AB: {**row, A: row[B], B: row[A]}}, exact=False)
+        assert validate_scc(moved) == []
+        with pytest.raises(PreconditionFailedError) as err:
+            _finish(moved, spec, "", DEFAULT_TOL)
+        assert str(err.value) == "recovered parameters do not reproduce the dataset"
+        assert err.value.report is None
+
+    def test_invalid_bundle_is_refused(self):
+        scc = generate_scc(self._logit(), U3)
+        bundle = ModelSpec(ModelTag.LOGIT, LogitParams({A: 1.0, B: 1.0, AB: 1.0}))
+        with pytest.raises(PreconditionFailedError) as err:
+            _finish(scc, bundle, "", DEFAULT_TOL)
+        assert str(err.value) == (
+            "recovered parameters are not a valid bundle: "
+            "set weights must cover all 7 non-empty collections, got 3"
+        )
+        assert err.value.report is None
+
+    def test_overflowing_bundle_is_refused(self):
+        """The overflow of a float bundle's row is raised while the rows are
+        read, inside the round trip, and refuses the bundle as invalid."""
+        rows = {A: {A: 1.0}, B: {B: 1.0}, AB: dict.fromkeys((A, B, AB), 1 / 3)}
+        scc = SCC(U2, rows, exact=False)
+        bundle = ModelSpec(ModelTag.LOGIT, LogitParams(dict.fromkeys((A, B, AB), 1e308)))
+        with pytest.raises(PreconditionFailedError) as err:
+            _finish(scc, bundle, "", DEFAULT_TOL)
+        assert str(err.value) == (
+            "recovered parameters are not a valid bundle: "
+            "weights overflow float arithmetic: a row sums to 0.0, not 1"
+        )
+
+
+def _regenerated_verdict(scc, spec, tol=DEFAULT_TOL):
+    """Oracle: the float round trip that regenerated the whole SCC and
+    compared it with the dataset cell by cell within eps_eq, a cell recorded
+    on one side only against 0.0.  None if the bundle reproduces the data,
+    else the refusal's message."""
+    try:
+        regen = generate_scc(spec, scc.universe)
+    except (InvalidParamsError, MissingWeightError) as exc:
+        return f"recovered parameters are not a valid bundle: {exc}"
+    for menu, row in scc.rows.items():
+        new = regen.rows[menu]
+        for t in set(row) | set(new):
+            if not probs_equal(scc, row.get(t, 0.0), new.get(t, 0.0), tol):
+                return "recovered parameters do not reproduce the dataset"
+    return None
+
+
+def _finish_verdict(scc, spec):
+    try:
+        _finish(scc, spec, "", DEFAULT_TOL)
+    except PreconditionFailedError as exc:
+        return str(exc)
+    return None
+
+
+def _scaled_cell(scc, menu, factor):
+    """A float copy of ``scc`` with the largest cell of ``menu`` scaled."""
+    row = scc.rows[menu]
+    t = max(row, key=row.__getitem__)
+    rows = {**scc.rows, menu: {**row, t: row[t] * factor}}
+    return SCC(scc.universe, rows, allows_empty=scc.allows_empty, exact=False)
+
+
+def _float_sweep():
+    """(dataset, bundle) pairs on float data.
+
+    Each criterion-2 float copy goes with the bundle recovered from it,
+    unchanged and with the largest cell of the grand-set row or of the menu
+    {a, b} scaled by 1 +- k * eps_eq.  Three datasets whose cells are the
+    ints 0 and 1 go with the exact bundle recovered from the first.  Last
+    come an invalid exact bundle and a float bundle that overflows."""
+    eps = DEFAULT_TOL.eps_eq
+    factors = [1 + sign * k * eps for k in (0.5, 2, 10) for sign in (1, -1)]
+    for model, _, floated in CRITERION_2:
+        spec = RECOVERIES[model](floated).model_spec
+        yield floated, spec
+        for menu in (floated.universe.full_mask, AB):
+            for factor in factors:
+                yield _scaled_cell(floated, menu, factor), spec
+    ints = [
+        {A: {A: 1}, B: {B: 1}, AB: {AB: 1}},
+        {A: {A: 1}, B: {B: 1}, AB: {AB: 1, A: 0, B: 0}},
+        {A: {A: 1}, B: {B: 1}, AB: {A: 1}},
+    ]
+    int_sccs = [SCC(U2, rows, exact=False) for rows in ints]
+    recovered = identify_rcg(int_sccs[0])
+    assert recovered.model_spec.is_exact() and not recovered.round_trip_exact
+    for scc in int_sccs:
+        assert validate_scc(scc) == []
+        yield scc, recovered.model_spec
+    # an exact category family that misses item b, on data that never picks b
+    only_a = SCC(U2, {A: {A: 1, 0: 0}, B: {0: 1}, AB: {A: 1}}, allows_empty=True, exact=False)
+    yield only_a, ModelSpec(ModelTag.RCG, RCGParams({A: 1}), True)
+    # a float bundle whose row of {a} differs from the data's and whose row
+    # of {a, b} overflows: the overflow decides, wherever its row is
+    rows = {A: {0: 0.25, A: 0.75}, B: {0: 0.5, B: 0.5}, AB: {0: 1.0}}
+    uneven = SCC(U2, rows, allows_empty=True, exact=False)
+    big = LogitParams(dict.fromkeys((A, B, AB), 5e307), 5e307)
+    yield uneven, ModelSpec(ModelTag.LOGIT, big, True)
+
+
+def test_float_round_trip_agrees_with_regeneration():
+    """On float data, comparing the bundle's rows with the dataset's gives
+    the verdict and the message of regenerating the SCC and comparing it."""
+    verdicts = []
+    for scc, spec in _float_sweep():
+        verdict = _finish_verdict(scc, spec)
+        assert verdict == _regenerated_verdict(scc, spec), (scc, spec)
+        verdicts.append(verdict)
+    assert None in verdicts
+    assert "recovered parameters do not reproduce the dataset" in verdicts
+    assert any(v and "not a valid bundle" in v for v in verdicts)
 
 
 SELF_VARIANTS = [(m, e) for m, e in ALL_VARIANTS if m in SELF_CHARACTERIZED]

@@ -875,7 +875,8 @@ def _ar_item_oracle(params, item, menu):
         if t:
             live = live + a.weight
             groups.setdefault(t, []).append(a)
-    p = Fraction(0)
+    zero = Fraction(0) if params.is_exact() else 0.0
+    p = zero
     for t, attrs in groups.items():
         for a in attrs:
             value_total = sum(a.item_values[i] for i in bits(t))
@@ -886,7 +887,7 @@ def _ar_item_oracle(params, item, menu):
     for t, attrs in sorted(groups.items()):
         group_weight = sum(a.weight for a in attrs)
         mu = _div(group_weight, live)
-        rho = Fraction(0)
+        rho = zero
         if t & bit:
             for a in attrs:
                 value_total = sum(a.item_values[i] for i in bits(t))
@@ -936,7 +937,8 @@ def _mode_bundles():
 
 def test_row_evaluate_and_dataset_share_the_mode():
     """menu_row, evaluate and generate_scc agree cell for cell, in type as
-    well as value, and every cell is in the bundle's mode."""
+    well as value, and every cell is in the bundle's mode, as is every value
+    eval_ar_item gives for an ar bundle."""
     for spec, universe, mode in _mode_bundles():
         scc = generate_scc(spec, universe)
         assert scc.exact == (mode is Fraction)
@@ -951,6 +953,11 @@ def test_row_evaluate_and_dataset_share_the_mode():
                     continue
                 value = evaluate(spec, universe, t, menu)
                 assert repr(value) == repr(row.get(t, mode(0))), (spec, menu, t)
+            if spec.model is ModelTag.AR:
+                for x in bits(menu):
+                    p, decomposition = eval_ar_item(spec.params, universe, x, menu)
+                    values = [p, *(v for pair in decomposition.values() for v in pair)]
+                    assert {type(v) for v in values} == {mode}, (spec, menu, x)
 
 
 def _sign_bundles():

@@ -151,38 +151,40 @@ def test_each_shared_rule_is_stated_in_one_module():
     assert _callers("reduce_row") == {"models._menu_rows.rows"}
 
 
-def test_exact_round_trip_reads_only_scaled_rows():
-    """In exact mode _finish validates the bundle and calls _reproduces,
-    which compares the kernels' reduced rows with the dataset's
-    cached_scaled_rows: no Fraction row of either is read and no SCC is
-    regenerated, which only the float branch does."""
+def test_one_round_trip_compares_kernel_rows_with_scaled_rows():
+    """_finish takes one path in both modes: it validates the bundle and
+    calls _reproduces, which compares the kernels' rows (_menu_rows) with
+    the dataset's cached_scaled_rows, so no SCC is regenerated (nor is
+    generate_scc imported) and no Fraction row of either is read."""
     tree = ast.parse((PACKAGE / "identify.py").read_text())
     finish = next(
         node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_finish"
     )
-    branch = next(
-        node
+    tests = [
+        node.test if isinstance(node, (ast.If, ast.IfExp)) else node
         for node in ast.walk(finish)
-        if isinstance(node, ast.If) and ast.unparse(node.test) == "scc.exact"
-    )
-
-    def called(nodes):
-        calls = [c.func for node in nodes for c in ast.walk(node) if isinstance(c, ast.Call)]
-        return {getattr(f, "id", None) or f.attr for f in calls}
-
-    assert called(branch.body) == {"validate", "_reproduces"}
-    assert called(branch.orelse) == {"_rows_match", "generate_scc"}
+        if isinstance(node, (ast.If, ast.IfExp, ast.BoolOp))
+    ]
+    assert not [n for t in tests for n in ast.walk(t) if getattr(n, "attr", None) == "exact"]
+    calls = [c.func for c in ast.walk(finish) if isinstance(c, ast.Call)]
+    assert {getattr(f, "id", None) or f.attr for f in calls} == {
+        "validate",
+        "_reproduces",
+        "PreconditionFailedError",
+        "RecoveryResult",
+    }
+    assert not {h for h in _callers("generate_scc") if h.startswith("identify")}
+    assert not hasattr(scclab.identify, "generate_scc")
     assert _callers("_menu_rows") == {
         "models.menu_row",
         "models.generate_scc",
         "identify._reproduces",
     }
-    assert {h for h in _callers("cached_scaled_rows") if h.startswith("identify.")} == {
+    assert {h for h in _callers("cached_scaled_rows") if h.startswith("identify")} == {
         "identify._reproduces"
     }
     row_readers = _holders(lambda node: isinstance(node, ast.Attribute) and node.attr == "rows")
-    assert {h for h in row_readers if h.startswith("identify.")} == {
-        "identify._rows_match",
+    assert {h for h in row_readers if h.startswith("identify")} == {
         "identify.identify_logit",
         "identify.identify_rcg",
         "identify.identify_ic",
