@@ -245,11 +245,11 @@ def cached_scaled_rows(scc: SCC) -> tuple[dict[int, dict[int, Prob]], dict[int, 
     runs in ``int`` arithmetic; a side lacking some row's factor is
     multiplied by that row's denominator.  In float mode the rows are
     ``scc.rows`` unchanged, over denominators of 1.0, so a product with
-    one is the same float and costs a float product.  :func:`validate_scc`
-    leaves a clean exact SCC's scaled rows in the memo, so a parsed dataset
-    is scaled once, while it is validated, and
-    :func:`~scclab.models.generate_scc` leaves a generated one's, reduced
-    from the model kernels' integer rows, so it is never scaled here.
+    one is the same float and costs a float product.  An exact SCC that
+    ``parse_scc`` or :func:`~scclab.models.generate_scc` built holds these
+    rows as its one row form (:meth:`~scclab.core.SCC.from_scaled`), and
+    :func:`~scclab.core.validate_scc` leaves a clean dict-built one's in
+    the memo, so only an unvalidated dict-built SCC is scaled here.
     """
 
     def scale():
@@ -1430,13 +1430,15 @@ def check_paf(
     with non-empty T contained in S\\x, n (3^(n-1) - 2^(n-1)) instances; only
     those meeting the three-part guard in :func:`_positive_rows` are
     checked, and the rest are vacuous.  Each (S, x) counts its guarded T
-    first, and they are compared only until the cap is full.  Assumes a
-    valid SCC, as :func:`_iis_scan` does.
+    first, and they are compared only until the cap is full, on the rows of
+    :func:`cached_scaled_rows`, each side times the other row's
+    denominator.  Assumes a valid SCC, as :func:`_iis_scan` does.
     """
     out = _Collector(scc, AxiomId.PAF, cap)
     pos = _positive_rows(scc)
+    rows, dens = cached_scaled_rows(scc)
     checked = 0
-    for s, xbit, rest, row_s, row_rest in _removals(scc.rows):
+    for s, xbit, rest, row_s, row_rest in _removals(rows):
         if xbit in pos[s]:
             continue
         guarded = pos[s].keys() & pos[rest].keys() - {0}
@@ -1444,7 +1446,7 @@ def check_paf(
         if out.full:
             continue
         for t in sorted(guarded):
-            if not probs_equal(scc, row_s[t], row_rest[t], tol):
+            if not probs_equal(scc, row_s[t] * dens[rest], row_rest[t] * dens[s], tol):
                 out.add_equation({"S": s, "x": xbit, "T": t})
                 if out.full:
                     break
@@ -1469,7 +1471,9 @@ def check_special(
 ) -> AxiomReport:
     """Deterministic-full-choice and singleton-representation tests.
 
-    DET_FULL_CHOICE: mu(S,S) = 1 for every menu (one instance per menu).
+    DET_FULL_CHOICE: mu(S,S) = 1 for every menu (one instance per menu),
+    read as the scaled cell of S against its row's denominator; the scan
+    stops once the cap is full.
 
     SINGLETON, clause (i): every singleton is chosen with positive
     probability from every menu, and no other collection ever is (on
@@ -1481,8 +1485,11 @@ def check_special(
     """
     if kind is AxiomId.DET_FULL_CHOICE:
         out = _Collector(scc, AxiomId.DET_FULL_CHOICE, cap)
+        rows, dens = cached_scaled_rows(scc)
         for menu in scc.menus():
-            if not probs_equal(scc, prob_lookup(scc, menu, menu), scc.one(), tol):
+            if out.full:
+                break
+            if not probs_equal(scc, rows[menu].get(menu, 0), dens[menu], tol):
                 out.add_equation({"S": menu})
         return out.report()
     if kind is not AxiomId.SINGLETON:

@@ -18,7 +18,7 @@ import math
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .axioms import (
     CHARACTERIZING_AXIOMS,
@@ -47,7 +47,7 @@ from .core import (
     ZeroTotalMenuError,
     is_positive,
     require_complete,
-    validate_scc,
+    validate_rows,
 )
 from .fuzz import ALL_VARIANTS, FuzzSummary, fuzz_characterization, fuzz_relationships
 from .identify import RECOVERIES, RecoveryResult
@@ -67,29 +67,45 @@ from .models import (
 # probability literals
 
 
-def parse_prob_literal(text: str) -> tuple[Prob, bool]:
-    """Parse a probability string into ``(value, is_exact)``.
+def _literal(text: str) -> Union[tuple[int, int], float]:
+    """A probability string as a ``(numerator, denominator)`` pair of ints,
+    the denominator positive, if it is exact, or as a float.
 
     "num/den" and bare integers are exact; any literal containing a decimal
     point or exponent is a float.  Everything else is a schema error.  A
-    "num/den" of plain ASCII digits is read with ``int``; any other reaches
-    ``Fraction``'s own parser, which decides its value or its error.
+    "num/den" or an integer of plain ASCII digits is read with ``int``, and
+    the pair is not reduced; any other exact literal reaches ``Fraction``'s
+    own parser (or, for an integer, ``int``'s), which decides its value or
+    its error, as it does for a zero denominator.
     """
     token = text.strip()
     num, slash, den = token.partition("/")
     try:
         if slash and token.isascii() and num.isdigit() and den.isdigit():
-            return Fraction(int(num), int(den)), True
+            pair = int(num), int(den)
+            if not pair[1]:
+                Fraction(*pair)  # raises the ZeroDivisionError quoted below
+            return pair
         if slash:
-            return Fraction(token), True
+            value = Fraction(token)
+            return value.numerator, value.denominator
         if any(c in token for c in ".eE"):
             value = float(token)
             if not math.isfinite(value):
                 raise ValueError("not finite")
-            return value, False
-        return Fraction(int(token)), True
+            return value
+        return int(token), 1
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"invalid probability literal {text!r}: {exc}") from None
+
+
+def parse_prob_literal(text: str) -> tuple[Prob, bool]:
+    """Parse a probability string into ``(value, is_exact)``, an exact value
+    as a Fraction (see :func:`_literal`)."""
+    value = _literal(text)
+    if isinstance(value, tuple):
+        return Fraction(*value), True
+    return value, False
 
 
 def format_prob(value: Prob) -> str:
@@ -141,9 +157,13 @@ def parse_scc(document: Any) -> SCC:
     """Build an SCC from a parsed JSON document.
 
     The SCC is exact iff every probability is rational-formatted; mixing
-    rational and decimal literals in one document is rejected.  The result
-    must pass validation, otherwise the violation list is reported as a
-    schema error.
+    rational and decimal literals in one document is rejected.  Exact
+    literals are read as pairs of ints (:func:`_literal`), and the rows are
+    decided on them and scaled by :func:`~scclab.core.validate_rows`, so no
+    Fraction is built: the SCC's Fraction rows are built from its scaled
+    rows when read (:class:`~scclab.core.FractionRows`).  The rows must
+    pass validation, otherwise the violation list is reported as a schema
+    error.
     """
     _require_type(document, dict, "document")
     if "items" not in document:
@@ -153,34 +173,29 @@ def parse_scc(document: Any) -> SCC:
     if not isinstance(allows_empty, bool):
         raise SchemaError("allows_empty: expected a boolean")
     menus_field = _require_type(document.get("menus", []), list, "menus")
-    masks: dict[tuple, int] = {}  # (allow_empty, *labels) → mask, of label lists accepted
+    sets: dict[tuple, int] = {}  # the mask of each collection label list accepted
 
-    def mask_of(labels: Any, context: Callable[[], str], allow_empty: bool = True) -> int:
-        """The mask of a label list; ``context()`` names it, and is built only
-        for a list not seen before."""
-        key = (allow_empty, *labels) if isinstance(labels, list) else None
-        try:
-            return masks[key]
-        except (KeyError, TypeError):  # unseen, or an unhashable label
-            mask = masks[key] = _mask_from_labels(universe, labels, context(), allow_empty)
-            return mask
-
-    rows: dict[int, dict[int, Prob]] = {}
+    rows: dict[int, dict[int, Any]] = {}
     saw_exact = saw_float = False
     for mi, entry in enumerate(menus_field):
         context = f"menus[{mi}]"
         _require_type(entry, dict, context)
-        menu = mask_of(entry.get("menu"), lambda: f"{context}.menu", allow_empty=False)
+        menu = _mask_from_labels(universe, entry.get("menu"), f"{context}.menu", allow_empty=False)
         if menu in rows:
             raise SchemaError(f"{context}: duplicate menu {universe.labels_of(menu)}")
-        row: dict[int, Prob] = {}
+        row: dict[int, Any] = {}
         cells = _require_type(entry.get("rows", []), list, f"{context}.rows")
         # a cell's context is built only for its error: _require_type's rule
         # for a dict, which no bool passes, is isinstance alone
         for ri, cell in enumerate(cells):
             if not isinstance(cell, dict):
                 raise SchemaError(f"{context}.rows[{ri}]: expected dict")
-            collection = mask_of(cell.get("set"), lambda: f"{context}.rows[{ri}].set")
+            labels = cell.get("set")
+            try:  # a list seen before; KeyError if unseen, TypeError if unhashable
+                collection = sets[tuple(labels) if isinstance(labels, list) else None]
+            except (KeyError, TypeError):
+                collection = _mask_from_labels(universe, labels, f"{context}.rows[{ri}].set")
+                sets[tuple(labels)] = collection
             if collection in row:
                 raise SchemaError(
                     f"{context}.rows[{ri}]: duplicate set {universe.labels_of(collection)}"
@@ -188,25 +203,27 @@ def parse_scc(document: Any) -> SCC:
             literal = cell.get("p")
             if not isinstance(literal, str):
                 raise SchemaError(f"{context}.rows[{ri}].p: expected a string")
-            value, exact = parse_prob_literal(literal)
-            saw_exact |= exact
-            saw_float |= not exact
-            row[collection] = value
+            value = row[collection] = _literal(literal)
+            if isinstance(value, tuple):
+                saw_exact = True
+            else:
+                saw_float = True
         rows[menu] = row
     if saw_exact and saw_float:
         raise MixedFormatError(
             "document mixes rational and decimal probability literals"
         )
 
-    scc = SCC(universe, rows, allows_empty=allows_empty, exact=not saw_float)
-    violations = validate_scc(scc)
+    violations, scaled = validate_rows(rows, universe.full_mask, allows_empty, not saw_float)
     if violations:
         details = "; ".join(
             f"[{v.property_id}] menu {universe.labels_of(v.menu)}: {v.detail}"
             for v in violations[:5]
         )
         raise SchemaError(f"dataset fails validation ({len(violations)} issue(s)): {details}")
-    return scc
+    if scaled is None:
+        return SCC(universe, rows, allows_empty=allows_empty, exact=False)
+    return SCC.from_scaled(universe, *scaled, allows_empty)
 
 
 def scc_to_document(scc: SCC) -> dict:

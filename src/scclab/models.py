@@ -39,10 +39,8 @@ from typing import Callable, Iterable, Iterator, Union
 
 from .core import (
     SCC,
-    SCALED_ROWS,
     InvalidParamsError,
     MissingWeightError,
-    Prob,
     SchemaError,
     ShapeError,
     Universe,
@@ -711,15 +709,18 @@ def eval_ar_item(
     if not menu & bit:
         raise ShapeError("item must belong to the menu")
 
+    # Sums start at the bundle's own zero, so a float bundle's stay floats,
+    # its menu total too where only its rational weights meet the menu.
+    zero: Weight = Fraction(0) if params.is_exact() else 0.0
     draws = [(a.weight, a.carrier) for a in params.attributes]
     pooled, live = _drawn_row(draws, menu)
+    live = live + zero
     mu = {t: _div(w, live) for t, w in pooled.items()}
 
     # One-shot formula: draw an attribute among the feasible ones, then an
     # item proportionally to its value on that attribute within the menu.
     # Traces go in first-occurrence order, attributes in document order.
-    # Sums start at the bundle's own zero, so a float bundle's stay floats.
-    p: Weight = Fraction(0) if params.is_exact() else 0.0
+    p = zero
     rho: dict[int, Weight] = dict.fromkeys(mu, p)
     for t in mu:
         if not t & bit:
@@ -747,32 +748,31 @@ def generate_scc(spec: ModelSpec, universe: Universe) -> SCC:
     One row per (menu, collection) pair in the model's support; exact mode
     unless the bundle itself forces floats.  The result always satisfies the
     three defining SCC properties: by construction in exact mode, and in
-    float mode by refusing a bundle whose weights overflow.  An exact SCC's
-    Fractions are built from its reduced integer rows, which it keeps in
-    its memo as :func:`~scclab.core.validate_scc` does a parsed one's, so
-    the axiom checks never scale it again.
+    float mode by refusing a bundle whose weights overflow.  An exact SCC
+    holds the kernels' reduced integer rows (:meth:`SCC.from_scaled`), the
+    form :func:`~scclab.core.validate_rows` gives a parsed one, so no
+    Fraction is built until a row is read and the axiom checks never scale
+    it again.
     """
     spec.validate(universe)
     menus = range(1, universe.full_mask + 1)
     exact, menu_rows = _menu_rows(spec, menus)
-    rows: dict[int, dict[int, Prob]] = {}
-    scaled, dens = {}, {}
+    rows: dict[int, dict[int, Weight]] = {}
+    dens = {}
     for menu, (cells, den) in zip(menus, menu_rows):
         # no kernel yields a negative cell, so truthiness drops the zero ones
-        kept = {t: c for t, c in sorted(cells.items()) if c}
-        rows[menu] = {t: Fraction(c, den) for t, c in kept.items()} if exact else kept
-        scaled[menu], dens[menu] = kept, den
+        rows[menu] = {t: c for t, c in sorted(cells.items()) if c}
+        dens[menu] = den
+    if exact:
+        return SCC.from_scaled(universe, rows, dens, spec.empty_variant)
     notes: tuple[str, ...] = ()
     params = spec.params
     if isinstance(params, NestedLogitParams) and not params.integer_exponents():
         notes = ("non-integer nest exponent: evaluated in float mode",)
-    scc = SCC(
+    return SCC(
         universe=universe,
         rows=rows,
         allows_empty=spec.empty_variant,
-        exact=exact,
+        exact=False,
         mode_notes=notes,
     )
-    if exact:
-        scc.memo[SCALED_ROWS] = scaled, dens
-    return scc

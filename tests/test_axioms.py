@@ -1396,7 +1396,7 @@ def _compare_events(monkeypatch):
 
 
 class TestCapFullExits:
-    """ADDITIVITY on the scaled rows, and the two checks whose counts the
+    """ADDITIVITY on the scaled rows, and the checks whose counts the
     registry fixes that stop once the cap is full."""
 
     @pytest.mark.parametrize("cap", [1, 10])
@@ -1432,6 +1432,22 @@ class TestCapFullExits:
                     filled.add(frozenset(report.witnesses[-1].bindings))
         assert filled == {frozenset({"T", "S"}), frozenset({"x", "y", "S", "S_prime"})}
         assert any(check_special(scc, AxiomId.SINGLETON).holds for _, scc in _singleton_cases())
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    def test_det_full_choice_stops_once_the_cap_is_full(self, monkeypatch, exact):
+        """Logit at n = 6 fails at each of its 57 menus of two or more items:
+        no comparison follows the cap-th witness, the report is the uncapped
+        one cut to the cap, and the count is the registry's, one per menu."""
+        scc = generate_scc(sample_params(GenConfig(6, ModelTag.LOGIT, seed=906)), Universe.default(6))
+        if not exact:
+            rows = {m: {t: float(p) for t, p in row.items()} for m, row in scc.rows.items()}
+            scc = SCC(scc.universe, rows, exact=False)
+        whole = run_axiom(scc, AxiomId.DET_FULL_CHOICE, cap=10**6)
+        assert len(whole.witnesses) == 57 and whole.instances_checked == 63
+        events = _compare_events(monkeypatch)
+        report = run_axiom(scc, AxiomId.DET_FULL_CHOICE, cap=10)
+        assert report == replace(whole, witnesses=whole.witnesses[:10])
+        assert events.count("witness") == 10 and events[-1] == "witness"
 
     @pytest.mark.parametrize(
         "model, axiom", [(ModelTag.LOGIT, AxiomId.POS3), (ModelTag.RCG, AxiomId.FULL_SUPPORT)]

@@ -11,6 +11,7 @@ from scclab.axioms import cached_scaled_rows, check_full_support
 from scclab.core import (
     IncompleteDatasetError,
     MenuAbsentError,
+    SCALED_ROWS,
     SCC,
     ShapeError,
     ToleranceConfig,
@@ -24,6 +25,7 @@ from scclab.core import (
     prob_lookup,
     probs_equal,
     require_complete,
+    scale_row,
     submasks,
     validate_scc,
 )
@@ -143,6 +145,11 @@ class TestValidation:
         assert storage(make_scc({1: {1: F(1)}}, exact=False)) == [
             "float-mode SCC stores a rational value for collection 1"
         ]
+        # a (numerator, denominator) pair is how the rule reads a Fraction,
+        # not a value an SCC may store
+        assert storage(make_scc({1: {1: (1, 1)}})) == [
+            "exact-mode SCC stores a non-rational value for collection 1"
+        ]
 
     def test_float_mode_slack(self):
         # a row summing to 1 within EPS_SUM is clean in float mode
@@ -210,6 +217,11 @@ CORRUPTIONS = {
     "clean": (lambda rows, num, exact: None, []),
     "scaled": (lambda rows, num, exact: rows[7].update({1: rows[7][1] * num(3, 2)}), ["ii"]),
     "negative": (lambda rows, num, exact: rows[6].update({2: -rows[6][2]}), ["i", "ii"]),
+    # a negative cell whose row still sums to 1
+    "offset": (
+        lambda rows, num, exact: rows[6].update({2: -rows[6][2], 6: rows[6][6] + 2 * rows[6][2]}),
+        ["i", "ii"],
+    ),
     "above_one": (lambda rows, num, exact: rows[3].update({1: num(2)}), ["i", "ii"]),
     "non_subset": (lambda rows, num, exact: rows[1].update({3: rows[1].pop(1)}), ["iii", "ii"]),
     "empty_collection": (lambda rows, num, exact: rows[5].update({0: rows[5].pop(5)}),
@@ -262,6 +274,21 @@ class TestValidationAgainstFractions:
         scc = _validation_case("negative", True, False, False)
         total = sum(scc.rows[6].values()) - scc.rows[6][2]
         assert validate_scc(scc)[-1].detail == f"row sums to {total}, not 1"
+
+    @pytest.mark.parametrize(
+        "corruption", [c for c in CORRUPTIONS if c not in ("storage", "several")]
+    )
+    def test_integer_rows_get_the_violations_of_their_fractions(self, corruption):
+        """An SCC held as integer rows (SCC.from_scaled) gets the violations
+        of its dict-built copy, and a clean one keeps the scaled rows it
+        holds."""
+        copy = _validation_case(corruption, True, False, False)
+        scaled = {menu: scale_row(row) for menu, row in copy.rows.items()}
+        cells = {menu: c for menu, (c, _) in scaled.items()}
+        scc = SCC.from_scaled(copy.universe, cells, {m: d for m, (_, d) in scaled.items()}, False)
+        held = scc.memo[SCALED_ROWS]
+        assert validate_scc(scc) == validate_scc(copy)
+        assert scc.memo[SCALED_ROWS] is held
 
     @pytest.mark.parametrize("allows_empty", [False, True], ids=["standard", "empty"])
     @pytest.mark.parametrize("reverse", [False, True], ids=["ascending", "descending"])

@@ -19,6 +19,9 @@ settles, and rcg with mass moved between two cells of one menu, which it
 refuses.  One more digest covers ``check --axioms all`` on a corpus of
 29 documents that the CLI refuses with exit code 2: no JSON, a wrong type
 or label, a bad literal, a row that fails validation or a missing menu.
+Another covers the same command on 22 documents that put a probability
+literal at an edge of the integer literal path into a cell, where it is
+refused or fails validation.
 A change meant to keep every output must keep every digest.
 Run this file as a script to print the table for a change that moves
 outputs on purpose.
@@ -32,10 +35,10 @@ import random
 import sys
 from fractions import Fraction
 
-from scclab.core import Universe
+from scclab.core import SCC, Universe
 from scclab.fuzz import ALL_VARIANTS, GenConfig, sample_params
-from scclab.io_cli import cli_main, scc_to_document
-from scclab.models import ModelTag, generate_scc
+from scclab.io_cli import cli_main, parse_scc, scc_to_document
+from scclab.models import ModelTag, generate_scc, menu_row
 
 N = 4
 #: The set-draw variants sampled at n = SPARSE_N, as (model, empty variant).
@@ -71,8 +74,8 @@ LOOSE = ["--tol", "1e-2"]
 #: Digests per dataset, "<model>/<standard|empty>/<exact|float>" at n = N,
 #: prefixed with "n7/" at n = SPARSE_N and "n6/" at n = DENSE_N (the noisy
 #: documents under "noisy" and, with --tol 1e-2, "noisy-tol-1e-2"), the
-#: zeroed-cell logit, the CHECKED documents and the malformed-document
-#: corpus.
+#: zeroed-cell logit, the CHECKED documents and the two malformed-document
+#: corpora.
 GOLDEN = {
     "logit/standard/exact": "035bae87b40ba1ba66b7c703d448e2f59bdf9c2b1c044b52b2c745bd962f6207",
     "logit/standard/float": "84b514a0ae7e17d4042e11dd30de84e15c865b8400341f6b064c3182dd69390e",
@@ -121,6 +124,7 @@ GOLDEN = {
     "n6/ar/standard/exact": "0aa5cbe956ebc981963aed08ba5f791a64005618fbdf5327c60986e2bbb6220c",
     "n6/rcg/standard/exact-moved": "9046461f1bd8a5122f89ff2c9110cc5bda312d3b2ca3afa57a8eb5e7e200ee29",
     "malformed": "2fe64d9ba07ee5b39220a3124e159007390f6c7c6a9c07e3b3085bec1fbcdf4d",
+    "malformed-literals": "0df2b2bdd64b329862ab4462f3fbde46e14045ebfe1a9c280900a6f4664252b8",
 }
 
 
@@ -227,6 +231,18 @@ EDITS = (
 #: there the corpus is not digested.
 DIGIT_LIMIT = 4300
 
+#: Probability literals at the edges of the integer literal path: valid
+#: values with a reducible, zero-padded, signed or padded spelling or with
+#: non-ASCII digits, a zero denominator, values outside [0, 1], a second
+#: slash and a numerator one digit past DIGIT_LIMIT.  Each is put in the
+#: one cell of {a}, where every value but 1 fails the row sum, and in the
+#: first cell of {a, b}, where it meets the row's other denominators.
+LITERALS = (
+    "2/4", "01/02", "0/0", "1/0", "3/2", "-1/2", "+1/2", " 1/2 ",
+    "１/２", "1/2/3", "1" * (DIGIT_LIMIT + 1) + "/2",
+)
+LITERAL_CELLS = (("menus", 0, "rows", 0, "p"), ("menus", 2, "rows", 0, "p"))
+
 
 @contextlib.contextmanager
 def _digit_limit():
@@ -238,22 +254,31 @@ def _digit_limit():
         sys.set_int_max_str_digits(before)
 
 
+def _edited(path: tuple, value) -> bytes:
+    """The valid n = 2 document with ``value`` put at ``path``, or with the
+    entry there removed if ``value`` is DROP."""
+    document = _document(ModelTag.LOGIT, False, 2, 4500)
+    *steps, key = path
+    parent = document
+    for step in steps:
+        parent = parent[step]
+    if value is DROP:
+        del parent[key]
+    else:
+        parent[key] = value
+    return json.dumps(document).encode()
+
+
 def _malformed() -> list[bytes]:
     """File contents that the CLI must refuse: bytes that are no JSON
     document, then the valid document under each of EDITS."""
     corpus = [b"", b"{", b"[]", b'{"items": ["\xff"]}', b"1" * 5000]
-    base = json.dumps(_document(ModelTag.LOGIT, False, 2, 4500))
-    for *path, key, value in EDITS:
-        document = json.loads(base)
-        parent = document
-        for step in path:
-            parent = parent[step]
-        if value is DROP:
-            del parent[key]
-        else:
-            parent[key] = value
-        corpus.append(json.dumps(document).encode())
-    return corpus
+    return corpus + [_edited(tuple(path), value) for *path, value in EDITS]
+
+
+def _literal_edges() -> list[bytes]:
+    """The valid document with each of LITERALS in each of LITERAL_CELLS."""
+    return [_edited(cell, literal) for literal in LITERALS for cell in LITERAL_CELLS]
 
 
 def _documents():
@@ -305,19 +330,111 @@ def _digests(directory) -> dict[str, str]:
             table[key] = digest.hexdigest()
     if not hasattr(sys, "set_int_max_str_digits"):
         return table
-    digest = hashlib.sha256()
-    with _digit_limit():
-        for content in _malformed():
-            path.write_bytes(content)
-            _digest(digest, path, COMMANDS[:1])
-    table["malformed"] = digest.hexdigest()
+    for key, corpus in (("malformed", _malformed()), ("malformed-literals", _literal_edges())):
+        digest = hashlib.sha256()
+        with _digit_limit():
+            for content in corpus:
+                path.write_bytes(content)
+                _digest(digest, path, COMMANDS[:1])
+        table[key] = digest.hexdigest()
     return table
 
 
 def test_outputs_match_the_pinned_digests(tmp_path):
     table = _digests(tmp_path)
     assert table == {name: GOLDEN[name] for name in table}
-    assert table.keys() >= GOLDEN.keys() - {"malformed"}
+    assert table.keys() >= GOLDEN.keys() - {"malformed", "malformed-literals"}
+
+
+
+# ---------------------------------------------------------------------------
+# exact rows are held scaled and read as the Fraction rows they stand for
+
+
+@contextlib.contextmanager
+def _counted_fractions():
+    """A one-element list that counts the Fractions built inside the block."""
+    count = [0]
+    original = vars(Fraction)["__new__"]
+
+    def counting(cls, *args, **kwargs):
+        count[0] += 1
+        return original.__func__(cls, *args, **kwargs)
+
+    Fraction.__new__ = staticmethod(counting)
+    try:
+        yield count
+    finally:
+        Fraction.__new__ = original
+
+
+def _document_rows(document: dict) -> dict:
+    """A document's rows with each literal read as a float if it has a
+    decimal point or exponent, else as a Fraction, in document order."""
+    universe = Universe.from_labels(document["items"])
+    return {
+        universe.mask_of(entry["menu"]): {
+            universe.mask_of(cell["set"]): (
+                float if any(c in cell["p"] for c in ".eE") else Fraction
+            )(cell["p"])
+            for cell in entry["rows"]
+        }
+        for entry in document["menus"]
+    }
+
+
+def _reads_as(scc: SCC, eager: dict) -> None:
+    """The SCC's rows read as ``eager``, value, type and order, and the SCC
+    equals and has the repr of the SCC built from ``eager``."""
+    assert repr(dict(scc.rows.items())) == repr(eager)
+    assert dict(scc.rows.items()) == eager
+    copy = SCC(scc.universe, eager, scc.allows_empty, scc.exact, scc.mode_notes)
+    assert scc == copy and copy == scc
+    assert repr(scc) == repr(copy)
+
+
+def _fuzz_bundles():
+    """(spec, universe) of every variant at n = 1..7 from fuzz seeds."""
+    for model, empty in ALL_VARIANTS:
+        for n in range(1, 8):
+            spec = sample_params(GenConfig(n, model, seed=4700 + n, empty_variant=empty))
+            yield spec, Universe.default(n)
+
+
+def test_parsed_rows_read_as_the_documents_fractions():
+    """Every document of the corpus and every fuzz dataset at n = 1..7,
+    parsed: no Fraction is built until a row is read, and the rows then
+    read as each literal's Fraction (or float) in document order."""
+    documents = [document for _, document in _documents()]
+    documents += [scc_to_document(generate_scc(*bundle)) for bundle in _fuzz_bundles()]
+    exact = 0
+    for document in documents:
+        document = json.loads(json.dumps(document))
+        with _counted_fractions() as built:
+            scc = parse_scc(document)
+            assert len(scc.rows) == len(document["menus"])
+            assert all(menu in scc.rows for menu in scc.menus())
+        assert built == [0]
+        exact += scc.exact
+        _reads_as(scc, _document_rows(document))
+    assert 0 < exact < len(documents)
+
+
+def test_generated_rows_read_as_the_kernel_fractions():
+    """Every fuzz dataset at n = 1..7, generated: no Fraction is built but
+    by the bundle's own validation until a row is read, and the rows then
+    read as ``menu_row``'s non-zero cells in ascending order."""
+    for spec, universe in _fuzz_bundles():
+        with _counted_fractions() as validating:
+            spec.validate(universe)
+        with _counted_fractions() as built:
+            scc = generate_scc(spec, universe)
+        assert built == validating
+        eager = {
+            menu: {t: p for t, p in sorted(menu_row(spec, universe, menu).items()) if p}
+            for menu in range(1, universe.full_mask + 1)
+        }
+        _reads_as(scc, eager)
 
 
 if __name__ == "__main__":

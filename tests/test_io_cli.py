@@ -16,6 +16,7 @@ from scclab.core import (
     SchemaError,
     Universe,
     ZeroTotalMenuError,
+    validate_scc,
 )
 from scclab.fuzz import ALL_VARIANTS, GenConfig, sample_params
 from scclab.io_cli import (
@@ -201,6 +202,31 @@ class TestSccDocuments:
         parsed = parse_scc(doc)
         assert parsed == scc
         assert scc_to_document(parsed) == doc  # canonical form is a fixed point
+
+    def test_exact_literals_are_scaled_as_the_fractions_they_spell(self):
+        """Unreduced, zero-padded, signed and padded literals read as their
+        Fractions, and the parsed SCC's scaled rows are the scale_row form
+        that validate_scc leaves for the dict-built copy, in the same order."""
+        doc = {
+            "items": ["a", "b"],
+            "menus": [
+                {"menu": ["a", "b"], "rows": [
+                    {"set": ["a", "b"], "p": "06/08"},
+                    {"set": ["a"], "p": "2/8"},
+                    {"set": ["b"], "p": "-0/5"},
+                ]},
+                {"menu": ["a"], "rows": [{"set": ["a"], "p": "2/2"}]},
+                {"menu": ["b"], "rows": [{"set": ["b"], "p": " +3/3 "}]},
+            ],
+        }
+        scc = parse_scc(doc)
+        rows = {AB: {AB: F(3, 4), A: F(1, 4), B: F(0)}, A: {A: F(1)}, B: {B: F(1)}}
+        assert repr(dict(scc.rows.items())) == repr(rows)
+        copy = SCC(scc.universe, rows)
+        assert validate_scc(copy) == []
+        scaled = scclab.axioms.cached_scaled_rows(scc)
+        assert scaled == ({AB: {AB: 3, A: 1, B: 0}, A: {A: 1}, B: {B: 1}}, {AB: 4, A: 1, B: 1})
+        assert repr(scaled) == repr(scclab.axioms.cached_scaled_rows(copy))
 
     def test_float_documents_parse_inexact(self):
         doc = {

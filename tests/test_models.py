@@ -1,5 +1,6 @@
 """Model evaluators: hand-derived fixtures, validation, and equivalences."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -920,19 +921,34 @@ def _first_rate_floated(p):
     return ICParams({x: float(g) if x == 0 else g for x, g in p.inclusion.items()})
 
 
+def _last_weight_floated(p):
+    """An ar bundle mixing literal kinds: only the last attribute's weight is
+    a float, so the menus that its carrier misses meet rational weights only."""
+    *rational, last = p.attributes
+    return ARParams((*rational, replace(last, weight=float(last.weight))))
+
+
+#: The mixed ar bundle on {a, b, c}: a float weight on {c} alone.
+MIXED_AR = ARParams(
+    (ArAttribute(F(1, 2), A | B, {0: 1, 1: 2}), ArAttribute(0.5, C, {2: 3}))
+)
+
+
 def _mode_bundles():
     """(spec, universe, mode) for fuzz bundles of all eleven variants at
-    n = 1..4: exact, as float copies and, for ic, with one float rate among
-    rationals."""
+    n = 1..4: exact, as float copies and, for ic and ar, with one float
+    rate or weight among rationals; and MIXED_AR."""
+    mixers = {ModelTag.IC: _first_rate_floated, ModelTag.AR: _last_weight_floated}
     for model, empty in ALL_VARIANTS:
         for n in range(1, 5):
             universe = Universe.default(n)
             spec = sample_params(GenConfig(n, model, seed=900 + n, empty_variant=empty))
             yield spec, universe, Fraction
             yield ModelSpec(model, ORACLES[model][1](spec.params), empty), universe, float
-            if model is ModelTag.IC:
-                mixed = _first_rate_floated(spec.params)
+            if model in mixers:
+                mixed = mixers[model](spec.params)
                 yield ModelSpec(model, mixed, empty), universe, float
+    yield ModelSpec(ModelTag.AR, MIXED_AR), U3, float
 
 
 def test_row_evaluate_and_dataset_share_the_mode():

@@ -119,11 +119,11 @@ def test_each_shared_rule_is_stated_in_one_module():
         lambda node: isinstance(node, ast.Name) and node.id in ("EPS_ZERO", "EPS_SUM")
         or isinstance(node, ast.Attribute) and node.attr in ("EPS_ZERO", "EPS_SUM")
     )
-    assert readers == {"core", "core.validate_scc", "core.is_zero", "core.sums_to_one"}
+    assert readers == {"core", "core._row_violations", "core.is_zero", "core.sums_to_one"}
     # a float total "sums to 1" by one rule, for datasets and for model bundles;
     # the one other float closeness test is the equality of probs_equal
     assert _callers("sums_to_one") == {
-        "core.validate_scc",
+        "core._row_violations",
         "models._validate_draws",
         "models._menu_rows.rows",
     }
@@ -134,21 +134,49 @@ def test_each_shared_rule_is_stated_in_one_module():
         "axioms.characterizing_axioms",
         "models.ModelSpec.validate",
     }
-    # exact values are put over their lcm by scclab.core.scale_row alone:
-    # validation, the ratio checks' memo, the model kernels (whose weights
-    # are also summed so by _validate_draws) and nested logit's induced
-    # weights call it
-    assert _callers("lcm") == {"core.scale_row", "models._subset_sum_bits"}
+    # exact values are put over their lcm by scclab.core._over_lcm alone, on
+    # (numerator, denominator) pairs: the one row rule's, and those of the
+    # Fractions of scale_row, which the ratio checks' memo of a dict-built
+    # SCC, the model kernels (whose weights are also summed so by
+    # _validate_draws) and nested logit's induced weights call; the bundle
+    # size bound reads only the lcm of its weights' denominators
+    assert _callers("lcm") == {"core._over_lcm", "models._subset_sum_bits"}
     assert _callers("scale_row") == {
-        "core.validate_scc",
         "axioms.cached_scaled_rows.scale",
         "models._scaled",
         "models.NestedLogitParams.induced_weights",
     }
-    # a kernel row's integer masses become that form by one gcd reduction,
-    # scclab.core.reduce_row, called once per row by the one mode decision
+    assert _callers("_over_lcm") == {"core.scale_row", "core._row_violations"}
+    # integer masses over a common multiple of their denominators become
+    # that form by one gcd reduction, scclab.core.reduce_row, called once
+    # per row by the one mode decision of the kernels and by the row rule
     assert _callers("gcd") == {"core.reduce_row"}
-    assert _callers("reduce_row") == {"models._menu_rows.rows"}
+    assert _callers("reduce_row") == {"models._menu_rows.rows", "core._row_violations"}
+
+
+def test_fraction_rows_are_built_only_when_read():
+    """An exact SCC read from a document or generated from a bundle holds
+    its scaled rows: parse_scc and generate_scc build it with
+    SCC.from_scaled, whose rows are a core.FractionRows, the one place in
+    scclab.core that builds a Fraction row; the row rule builds one only
+    for a defect's message.  Neither builder calls Fraction or
+    validate_scc, which reads an SCC's Fractions."""
+    assert _callers("from_scaled") == {"io_cli.parse_scc", "models.generate_scc"}
+    assert _callers("FractionRows") == {"core.SCC.from_scaled"}
+    builders = _callers("Fraction")
+    assert {h for h in builders if h.startswith("core.")} == {
+        "core.FractionRows.__getitem__",
+        "core._row_violations",
+    }
+    assert not builders & {
+        "io_cli.parse_scc",
+        "models.generate_scc",
+        "models._menu_rows.rows",
+        "core.validate_rows",
+        "core.SCC.from_scaled",
+    }
+    assert _callers("validate_rows") == {"core.validate_scc", "io_cli.parse_scc"}
+    assert not _callers("validate_scc")
 
 
 def test_one_round_trip_compares_kernel_rows_with_scaled_rows():
