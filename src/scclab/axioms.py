@@ -27,9 +27,9 @@ them:
   of :func:`_marginal_certificate` settles REL_ADD and REL_ADD_1 in exact
   mode on rows that are multiples of the grand row's marginals, as
   random-choice-set data are; :func:`_proportional`
-  certifies the units of IIS (a list of the co-occurrence index, or a menu
-  pair), REL_ADD and REL_ADD_1 in both modes, exactly
-  in exact mode and under the grand row's rounding bound in float mode.
+  certifies the grand row's rows and the units of IIS (a list of the
+  co-occurrence index, or a menu pair), REL_ADD and REL_ADD_1 in both
+  modes, exactly in exact mode and under :func:`_unit_limit` in float mode.
 * Ratio postulates are decided by cross-multiplication, never division, so
   exact mode involves no rounding and zero denominators need no special
   cases.  In exact mode they cross-multiply the integer rows of
@@ -269,10 +269,10 @@ class _GrandRow(NamedTuple):
     ``empty``: the empty collection is positive in every menu (True), in
     none (False) or in some (None).  ``proportional``: every non-empty
     collection of every menu is positive, no other collection but the empty
-    one is recorded, and every row is proportional to the grand-set row on
-    its menu's collections, the empty one included when ``empty`` is True;
-    exactly in exact mode, and in float mode within the bound of
-    :func:`_float_certified`.
+    one is recorded, and :func:`_proportional` certifies every row against
+    the grand-set row on its menu's collections, the empty one included
+    when ``empty`` is True: exactly in exact mode, and in float mode within
+    the unit limit of :func:`_unit_limit`.
     """
 
     empty: Optional[bool]
@@ -296,24 +296,17 @@ def _grand_row(scc: SCC, tol: ToleranceConfig) -> _GrandRow:
     row is proportional to the grand-set row g, mu(T,S) = c_S g(T), then
     every IIS equation and every PIIS chain telescopes, so IIS, IIS_O and
     PIIS hold with every guard met: Luce's (1959) ratio scale for set choice.
-    Exact mode tests each menu with one :func:`_proportional` on the integer
-    rows of :func:`cached_scaled_rows`.  The support scan stops at the first menu
-    that misses or zeroes a non-empty collection.
+    Each menu is tested with one :func:`_proportional` on its row and g, in
+    both modes, on the rows of :func:`cached_scaled_rows`.  The support scan
+    stops at the first menu that misses or zeroes a non-empty collection.
     """
     return _memoized(scc, ("grand_row", tol), lambda: _decide_grand_row(scc, tol))
 
 
-#: The float entries both certificates accept: no ratio of two of them and
-#: no product of three leaves the normal range, and no valid cell (at most
-#: 1 + ``EPS_ZERO``) or two-cell sum of REL_ADD reaches the top.
-_FLOAT_RANGE = (2.0**-340, 1.5)
-
-
-def _in_float_range(entries: Sequence[float]) -> bool:
-    """Whether every entry is finite and inside ``_FLOAT_RANGE``: the range
-    test of both float certificates."""
-    low, high = _FLOAT_RANGE
-    return math.isfinite(sum(entries)) and low <= min(entries) and max(entries) <= high
+#: The float entries that :func:`_proportional` accepts: no ratio of two of
+#: them and no product of three leaves the normal range, and no valid cell
+#: (at most 1 + ``EPS_ZERO``) or two-cell sum of REL_ADD reaches the top.
+_FLOAT_RANGE = (2.0**-340, 1 + 2.0**-10)
 
 #: Unit roundoff of IEEE double precision, rounding to nearest.
 _UNIT_ROUNDOFF = Fraction(1, 2**53)
@@ -333,22 +326,14 @@ def _decide_grand_row(scc: SCC, tol: ToleranceConfig) -> _GrandRow:
     empty = True if empties == len(menus) else False if empties == 0 else None
     family = submasks if empty else nonempty_submasks
     grand = rows[scc.universe.full_mask]
-    spread, top = 1.0, 0.0
-    # the grand row first, so that its range is checked before it divides
+    # the grand row first, set against itself, which tests its range
     for s in reversed(menus):
         subs = family(s)
         us = list(map(grand.__getitem__, subs))
         vs = list(map(rows[s].__getitem__, subs))
-        if scc.exact:
-            if not _proportional(scc, us, vs, tol):
-                return _GrandRow(empty, False)
-            continue
-        if not _in_float_range(vs):
+        if not _proportional(scc, us, vs, tol):
             return _GrandRow(empty, False)
-        ratios = list(map(truediv, vs, us))
-        spread = max(spread, max(ratios) / min(ratios))
-        top = max(top, max(vs))
-    return _GrandRow(empty, scc.exact or _float_certified(spread, top, tol.eps_eq))
+    return _GrandRow(empty, True)
 
 
 def _float_certified(spread: float, top: float, eps_eq: float) -> bool:
@@ -381,14 +366,13 @@ def _float_certified(spread: float, top: float, eps_eq: float) -> bool:
        test of :func:`_chain_scan`.  So (1 + u) max(E_2, E_3) <= eps_eq
        suffices.  It is evaluated in exact rationals, so the test adds no
        rounding of its own.
-    4. A unit of :func:`_proportional` is one row ``vs`` set against one
-       row ``us`` in the grand row's place, with ratios r_T = fl(v_T / u_T).
-       Its comparison sets u_T v_T' against u_T' v_T, two-entry products
-       whose exact quotient is the one quotient r_T' / r_T, in [R^-1, R].
-       That lies inside the [R^-2, R^2] of step 2, so E_2 bounds the
-       difference, and the bound is sound for the units too, though
-       conservative.  The bound grows with ``spread`` and ``top``, so one
-       call confirms every unit at or below both.
+    4. A unit of :func:`_proportional` sets one row ``vs`` against one
+       row ``us``, with ratios r_T = fl(v_T / u_T); ``us`` is g in the
+       grand-row certificate.  Any unit's comparison sets u_T v_T' against
+       u_T' v_T, whose exact quotient r_T' / r_T is in [R^-1, R], inside
+       the [R^-2, R^2] of step 2, so E_2 bounds it, conservatively.
+       The bound grows with ``spread`` and ``top``, so one call, that of
+       :func:`_unit_limit`, confirms every unit at or below both.
     """
     if not math.isfinite(spread):
         return False
@@ -405,11 +389,11 @@ def _float_certified(spread: float, top: float, eps_eq: float) -> bool:
 @lru_cache(maxsize=None)
 def _unit_limit(eps_eq: float) -> float:
     """The largest computed spread of a float unit that :func:`_proportional`
-    certifies under ``eps_eq``, derived once per tolerance: 1 + eps_eq/32,
-    confirmed by one :func:`_float_certified` call at the top of
-    ``_FLOAT_RANGE``.  0.0 where that call refuses, because rounding alone
-    can exceed eps_eq; then no unit is certified."""
-    limit = 1 + eps_eq / 32
+    certifies under ``eps_eq``, derived once per tolerance: 1 + eps_eq/3.2,
+    near the eps_eq/3 of PIIS's three-entry products, confirmed by the one
+    :func:`_float_certified` call, at the top of ``_FLOAT_RANGE``.  0.0
+    where it refuses, as rounding alone can exceed eps_eq."""
+    limit = 1 + eps_eq / 3.2
     return limit if _float_certified(limit, _FLOAT_RANGE[1], eps_eq) else 0.0
 
 
@@ -422,7 +406,7 @@ def _proportional(
 
     Exact mode: :func:`_rank_one`.  Float mode drops the columns that are
     zero in both rows, which compare 0.0 with 0.0, and refuses a column with
-    one zero and any entry outside ``_FLOAT_RANGE``.
+    one zero and any entry not finite or outside ``_FLOAT_RANGE``.
     It certifies the rest when the spread of their ratios v_T / u_T is at
     most :func:`_unit_limit`, inside the bound of :func:`_float_certified`.
     """
@@ -436,7 +420,8 @@ def _proportional(
         us, vs = [u for u, _ in kept], [v for _, v in kept]
     if not us:
         return True
-    if not _in_float_range([*us, *vs]):
+    (low, high), entries = _FLOAT_RANGE, [*us, *vs]
+    if not (math.isfinite(sum(entries)) and low <= min(entries) and max(entries) <= high):
         return False
     ratios = list(map(truediv, vs, us))
     return max(ratios) / min(ratios) <= limit
@@ -737,27 +722,23 @@ def _rel_add_scan(
 
     Counts per (S, x), with m = 2^|S\\x| - 1: C(m,2) checked, or C(m-1,2)
     checked and m-1 vacuous for REL_ADD_1 with a non-empty excluded set;
-    the vacuous ones are added up first, and the rest of the domain is
-    checked.  When :func:`_marginal_certificate` holds, every unit is rank
-    one and none is built.  Otherwise, until the cap is full,
-    :func:`_proportional` certifies an (S, x), in either mode, on the rows
-    mu(T,S\\x) and mu(T,S) + mu(T u x,S), the excluded column left out, and
-    only those that fail it are scanned; after that no subset of S\\x is
-    listed.
+    :func:`_rel_add_1_vacuous` counts the vacuous ones in closed form, and
+    the rest of the domain is checked.  When :func:`_marginal_certificate`
+    holds, every unit is rank one and no (S, x) is visited.  Otherwise,
+    until the cap is full, :func:`_proportional` certifies an (S, x), in
+    either mode, on the rows mu(T,S\\x) and mu(T,S) + mu(T u x,S), the
+    excluded column left out, and only those that fail it are scanned.
     """
     out = _Collector(scc, axiom, cap)
     constraints = (
         cached_revealed_constraints(scc) if axiom is AxiomId.REL_ADD_1 else None
     )
-    certified = _marginal_certificate(scc, tol)
-    vacuous = 0
+    vacuous = _rel_add_1_vacuous(scc.universe.n, constraints) if constraints else 0
+    if _marginal_certificate(scc, tol):
+        return out.report(vacuous=vacuous)
     for s, xbit, rest, row_s, row_rest in _removals(cached_scaled_rows(scc)[0]):
-        excluded = constraints[xbit.bit_length() - 1] & rest if constraints else 0
-        if excluded:
-            vacuous += (1 << rest.bit_count()) - 2
-        if certified or out.full:
-            continue
         subs = nonempty_submasks(rest)
+        excluded = constraints[xbit.bit_length() - 1] & rest if constraints else 0
         if excluded:
             subs.remove(excluded)
         us = list(map(row_rest.get, subs, repeat(0)))
@@ -769,6 +750,8 @@ def _rel_add_scan(
                 out.add_equation({"S": s, "x": xbit, "T": t, "T_prime": t2})
                 if out.full:
                     break
+        if out.full:
+            break
     return out.report(vacuous=vacuous)
 
 
@@ -1676,6 +1659,15 @@ class AxiomSpec(NamedTuple):
 
 def _rel_add_domain(n: int, e: bool) -> int:  # REL_ADD and REL_ADD_1
     return n * (5 ** (n - 1) - 3**n + 2**n) // 2
+
+
+def _rel_add_1_vacuous(n: int, constraints: dict[int, int]) -> int:
+    """REL_ADD_1's vacuous count: per item x, the 2^|R| - 2 pairs touching
+    Q(x) n R for each R = S\\x that meets Q(x)\\x, which is the sum over
+    non-empty R, 3^(n-1) - 2^n + 1, less that over the R of the
+    m = n - 1 - |Q(x)\\x| items outside Q(x), 3^m - 2^(m+1) + 1."""
+    ms = (n - 1 - (q & ~(1 << x)).bit_count() for x, q in constraints.items())
+    return sum(3 ** (n - 1) - 2**n - 3**m + 2 ** (m + 1) for m in ms)
 
 
 def _support_domain(n: int, e: bool) -> int:  # POS2-POS4 and FULL_SUPPORT

@@ -38,7 +38,8 @@ from typing import Any, Iterable, Iterator, Optional, Union
 Prob = Union[Fraction, float]
 
 #: Hard cap on universe size (bitmasks are machine words, enumeration is
-#: exponential).  Exhaustive axiom checks are intended for n <= 8.
+#: exponential).  Exhaustive axiom checks grow exponentially with n: data
+#: the certificates settle checks in seconds at n = 11, other data costs more.
 MAX_ITEMS = 16
 
 _DEFAULT_LABELS = "abcdefghijklmnop"
@@ -220,8 +221,8 @@ class ToleranceConfig:
     eps_eq: float = 1e-9
 
     def __post_init__(self):
-        if self.eps_eq <= 0:
-            raise ValueError("eps_eq must be strictly positive")
+        if not 0 < self.eps_eq < math.inf:
+            raise ValueError(f"eps_eq must be positive and finite, got {self.eps_eq}")
 
 
 DEFAULT_TOL = ToleranceConfig()

@@ -6,6 +6,7 @@ relative additivity and the attention-filter condition were derived by
 hand, fraction by fraction.
 """
 
+import hashlib
 import math
 import random
 import timeit
@@ -13,7 +14,7 @@ import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import combinations
+from itertools import combinations, product
 from operator import or_
 
 import pytest
@@ -28,6 +29,8 @@ from scclab.core import (
     WrongVariantError,
     bits,
     is_positive,
+    nonempty_submasks,
+    popcount,
     prob_lookup,
     probs_equal,
     submasks,
@@ -544,7 +547,28 @@ def _structural_reference(scc, axiom, attributes):
     return witnesses, 3**n - 2**n
 
 
+#: The reference's reports with at most WITNESS_CAP witnesses, under the
+#: digest of the dataset's repr, the axiom, the tolerance and, for a
+#: structural axiom, the attribute carriers: the differential fixtures,
+#: which build their corpora anew and share cases, decide each once.
+_REFERENCES = {}
+
+
 def _reference(scc, axiom, tol=DEFAULT_TOL, cap=WITNESS_CAP, attributes=None):
+    """An axiom decided from its definition, its witnesses cut to ``cap``
+    (at most WITNESS_CAP), decided once per dataset's contents through
+    ``_REFERENCES``."""
+    assert 1 <= cap <= WITNESS_CAP
+    carriers = tuple(attributes) if attributes is not None and axiom in STRUCTURAL_AXIOMS else None
+    digest = hashlib.blake2b(repr(scc).encode(), digest_size=16).digest()
+    key = (digest, axiom, tol, carriers)
+    if key not in _REFERENCES:
+        _REFERENCES[key] = _decide_reference(scc, axiom, tol, attributes)
+    whole = _REFERENCES[key]
+    return replace(whole, witnesses=whole.witnesses[:cap])
+
+
+def _decide_reference(scc, axiom, tol, attributes, cap=WITNESS_CAP):
     """An axiom decided from its definition.  At every instance of an
     equation axiom, its ``sides`` are None (vacuous) or two values, which
     make a witness when they differ; a structural axiom goes through
@@ -672,6 +696,35 @@ class TestDomains:
                     case = (axiom, n, allows_empty)
                     assert type(size) is int, case
                     assert size == sum(1 for _ in _instances(axiom, n, allows_empty)), case
+
+    def test_rel_add_1_vacuous_count_is_the_closed_form(self):
+        """Against the pairs that touch each (S, x)'s excluded collection
+        Q(x) n S\\x: every family of constraint sets Q(x) (each holding x)
+        at n = 1..3, and seeded ones at n = 4..7."""
+        rng = random.Random(5400)
+
+        def touching(n, constraints):
+            return sum(
+                (1 << (s & ~(1 << x)).bit_count()) - 2
+                for s in range(1, 1 << n)
+                if s.bit_count() > 1
+                for x in bits(s)
+                if constraints[x] & s & ~(1 << x)
+            )
+
+        families = [
+            (n, dict(enumerate(qs)))
+            for n in (1, 2, 3)
+            for qs in product(*[[q for q in range(1 << n) if q >> x & 1] for x in range(n)])
+        ]
+        families += [
+            (n, {x: rng.randrange(1 << n) | 1 << x for x in range(n)})
+            for n in (4, 5, 6, 7)
+            for _ in range(20)
+        ]
+        for n, constraints in families:
+            closed = scclab.axioms._rel_add_1_vacuous(n, constraints)
+            assert closed == touching(n, constraints), (n, constraints)
 
 
 def _ratio_cases():
@@ -1513,6 +1566,29 @@ class TestCapFullExits:
         end = units.index((last["S"], last["x"])) + 1
         assert listed == [s & ~x for s, x in units[:end]] and end < len(units)
 
+    @pytest.mark.parametrize("axiom", [AxiomId.REL_ADD, AxiomId.REL_ADD_1])
+    def test_rel_add_takes_no_step_under_the_certificate(self, monkeypatch, axiom):
+        """Exact rcg at n = 7, which the marginal certificate settles: no
+        (S, x) is visited, and the report is the one the scan gives with
+        the certificate refused."""
+        scc = generate_scc(sample_params(GenConfig(7, ModelTag.RCG, seed=907)), Universe.default(7))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scclab.axioms, "_marginal_certificate", lambda *_: False)
+            scanned = run_axiom(scc, axiom, cap=10)
+        steps = []
+        removals = scclab.axioms._removals
+
+        def counted(rows):
+            for step in removals(rows):
+                steps.append(step[:2])
+                yield step
+
+        monkeypatch.setattr(scclab.axioms, "_removals", counted)
+        report = run_axiom(scc, axiom, cap=10)
+        assert report == scanned and report.holds
+        assert bool(report.instances_vacuous) is (axiom is AxiomId.REL_ADD_1)
+        assert steps == []
+
     @pytest.mark.parametrize("cap", [1, 10])
     def test_paf_compares_nothing_once_the_cap_is_full(self, monkeypatch, cap):
         """Exact rcg at n = 8, where the first witness's (S, x) has later
@@ -1720,9 +1796,78 @@ class TestGrandRowCertificate:
         assert not scclab.axioms._float_certified(1 + 1e-10, 2.0, 1e-9)
 
 
+#: The float range of the global grand-row bound below, whose top admitted
+#: entries up to 1.5.
+GLOBAL_BOUND_RANGE = (2.0**-340, 1.5)
+
+
+def _global_bound(scc, tol):
+    """The float grand-row certificate as one global bound, the oracle of
+    the certificate's rows: the support scan of :func:`_grand_row`, then
+    the largest spread of any row's ratios to the grand row and the largest
+    entry, confirmed together by one ``_float_certified`` call."""
+    rows, pos, menus = scc.rows, scclab.axioms._positive_rows(scc), scc.menus()
+    for s in menus:
+        subs = nonempty_submasks(s)
+        if not all(t in pos[s] for t in subs) or len(rows[s]) > len(subs) + (0 in rows[s]):
+            return _GrandRow(None, False)
+    empties = sum(0 in pos[s] for s in menus)
+    empty = True if empties == len(menus) else False if empties == 0 else None
+    family = submasks if empty else nonempty_submasks
+    grand = rows[scc.universe.full_mask]
+    low, high = GLOBAL_BOUND_RANGE
+    spread, top = 1.0, 0.0
+    for s in reversed(menus):
+        vs = [rows[s][t] for t in family(s)]
+        if not (math.isfinite(sum(vs)) and low <= min(vs) and max(vs) <= high):
+            return _GrandRow(empty, False)
+        ratios = [v / grand[t] for t, v in zip(family(s), vs)]
+        spread = max(spread, max(ratios) / min(ratios))
+        top = max(top, max(vs))
+    return _GrandRow(empty, scclab.axioms._float_certified(spread, top, tol.eps_eq))
+
+
+class TestGrandRowUnits:
+    """The grand-row certificate is one :func:`_proportional` unit per
+    menu, under the one unit limit."""
+
+    def test_float_rows_match_the_global_bound(self):
+        """On the float cases of the full-support, ratio and PIIS corpora,
+        the certificate holds exactly where the global bound does: never
+        where it refuses (the unit limit is inside it), and wherever it
+        holds, the cell off by 1 + 1e-10 included."""
+        cases = [(name, scc) for name, _, scc in _full_support_cases()]
+        cases += [(name, scc) for name, scc, _ in _ratio_cases()] + _piis_cases()
+        verdicts = set()
+        for name, scc in cases:
+            if scc.exact:
+                continue
+            for tol in UNIT_TOLERANCES:
+                oracle = _global_bound(scc, tol)
+                assert _grand_row(scc, tol) == oracle, (name, tol.eps_eq)
+                verdicts.add((tol.eps_eq, oracle.proportional, str(1 + 1e-10) in name))
+        for eps_eq in (1e-9, 1e-2):
+            assert {(eps_eq, True, False), (eps_eq, False, False), (eps_eq, True, True)} <= verdicts
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_one_unit_per_menu(self, monkeypatch, exact):
+        base = generate_scc(sample_params(GenConfig(4, ModelTag.LOGIT, seed=5200)), Universe.default(4))
+        scc = SCC(base.universe, _copy_rows(base, exact), exact=exact)
+        proportional = scclab.axioms._proportional
+        units = []
+
+        def counted(scc, us, vs, tol):
+            units.append(len(us))
+            return proportional(scc, us, vs, tol)
+
+        monkeypatch.setattr(scclab.axioms, "_proportional", counted)
+        assert _grand_row(scc, DEFAULT_TOL) == _GrandRow(False, True)
+        assert units == [(1 << popcount(s)) - 1 for s in reversed(scc.menus())]
+
+
 #: The tolerances of the float unit runs, and the noise of the noisy float
-#: copies: each level sits near the unit limit, 1 + eps_eq/32, of the
-#: tolerance in its place.
+#: copies: each level puts units on both sides of the unit limit,
+#: 1 + eps_eq/3.2, of the tolerance in its place.
 UNIT_TOLERANCES = (ToleranceConfig(eps_eq=1e-9), ToleranceConfig(eps_eq=1e-2))
 NOISE = (1e-11, 1e-4)
 
@@ -1833,11 +1978,13 @@ class TestUnitLimit:
 
     def test_limit_is_certified(self):
         top = scclab.axioms._FLOAT_RANGE[1]
-        for eps_eq in (1e-12, 1e-9, 1e-6, 1e-2):
+        assert top == 1 + 2**-10
+        for eps_eq in (m * 10.0**-k for k in range(3, 13) for m in (1, 2, 5)):
             limit = scclab.axioms._unit_limit(eps_eq)
-            assert limit == 1 + eps_eq / 32, eps_eq
+            assert limit == 1 + eps_eq / 3.2, eps_eq
             assert scclab.axioms._float_certified(limit, top, eps_eq), eps_eq
             assert self.proportional(*UNIT, eps_eq)
+        assert scclab.axioms._unit_limit(1e-2) == 1 + 1e-2 / 3.2
 
     def test_no_unit_where_rounding_exceeds_eps_eq(self):
         assert scclab.axioms._unit_limit(1e-16) == 0.0
@@ -1864,7 +2011,7 @@ class TestUnitLimit:
         finally:
             scclab.axioms._unit_limit.cache_clear()
         top = scclab.axioms._FLOAT_RANGE[1]
-        assert calls == [(1 + 3e-9 / 32, top, 3e-9), (1 + 3e-3 / 32, top, 3e-3)]
+        assert calls == [(1 + 3e-9 / 3.2, top, 3e-9), (1 + 3e-3 / 3.2, top, 3e-3)]
 
     def test_zero_columns(self):
         # a column zero in both rows compares 0.0 with 0.0, so it is dropped

@@ -1,5 +1,6 @@
 """Bitmask utilities, universes, and SCC storage/validation."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -107,6 +108,16 @@ class TestToleranceConfig:
     def test_positive_required(self):
         with pytest.raises(ValueError):
             ToleranceConfig(eps_eq=0.0)
+
+    @pytest.mark.parametrize("eps_eq", [math.nan, math.inf, -math.inf, -1e-9])
+    def test_finite_required(self, eps_eq):
+        # the CLI refuses such a --tol itself; a library caller meets this
+        with pytest.raises(ValueError, match="positive and finite"):
+            ToleranceConfig(eps_eq=eps_eq)
+
+    def test_smallest_and_largest_accepted(self):
+        for eps_eq in (5e-324, 1e-9, 1.0, 1.7976931348623157e308):
+            assert ToleranceConfig(eps_eq=eps_eq).eps_eq == eps_eq
 
 
 class TestValidation:

@@ -21,7 +21,11 @@ refuses.  One more digest covers ``check --axioms all`` on a corpus of
 or label, a bad literal, a row that fails validation or a missing menu.
 Another covers the same command on 22 documents that put a probability
 literal at an edge of the integer literal path into a cell, where it is
-refused or fails validation.
+refused or fails validation.  ``gen`` runs on a parameter bundle of each
+of the eleven variants at n = 4 and each set-draw variant at n = 7, each
+written as an exact and as a float bundle, under a digest of its own; one
+more digest covers ``estimate`` on a seeded corpus of counts tables,
+six of which it refuses.
 A change meant to keep every output must keep every digest.
 Run this file as a script to print the table for a change that moves
 outputs on purpose.
@@ -37,7 +41,7 @@ from fractions import Fraction
 
 from scclab.core import SCC, Universe
 from scclab.fuzz import ALL_VARIANTS, GenConfig, sample_params
-from scclab.io_cli import cli_main, parse_scc, scc_to_document
+from scclab.io_cli import cli_main, params_to_document, parse_scc, scc_to_document
 from scclab.models import ModelTag, generate_scc, menu_row
 
 N = 4
@@ -74,8 +78,8 @@ LOOSE = ["--tol", "1e-2"]
 #: Digests per dataset, "<model>/<standard|empty>/<exact|float>" at n = N,
 #: prefixed with "n7/" at n = SPARSE_N and "n6/" at n = DENSE_N (the noisy
 #: documents under "noisy" and, with --tol 1e-2, "noisy-tol-1e-2"), the
-#: zeroed-cell logit, the CHECKED documents and the two malformed-document
-#: corpora.
+#: zeroed-cell logit, the CHECKED documents, the ``gen`` bundles under
+#: "gen/", the counts corpus and the two malformed-document corpora.
 GOLDEN = {
     "logit/standard/exact": "035bae87b40ba1ba66b7c703d448e2f59bdf9c2b1c044b52b2c745bd962f6207",
     "logit/standard/float": "84b514a0ae7e17d4042e11dd30de84e15c865b8400341f6b064c3182dd69390e",
@@ -123,6 +127,41 @@ GOLDEN = {
     "n6/eba/standard/exact": "a98dab636a5803564cc328ad8553a4a8ec33f8b359ed7742d90f8972baad9a55",
     "n6/ar/standard/exact": "0aa5cbe956ebc981963aed08ba5f791a64005618fbdf5327c60986e2bbb6220c",
     "n6/rcg/standard/exact-moved": "9046461f1bd8a5122f89ff2c9110cc5bda312d3b2ca3afa57a8eb5e7e200ee29",
+    "gen/logit/standard/exact": "75e512536bf94162af69bdaa7103f5741d042eb93adc5afe856c4d62e5daa8a8",
+    "gen/logit/standard/float": "4a0eaf85a184adfc6c64ed948c1c4f6075173e7b84014cd31ea6969e9a82bb2b",
+    "gen/rcg/standard/exact": "d6a859cb6636dca1075a9bcf3a3553b57841e9596575175a01b52e552693aa48",
+    "gen/rcg/standard/float": "36532ab6e92001507bed5cfb690e801e8e416357a814d4056177ff4cfb40b3f7",
+    "gen/ic/standard/exact": "0cad3c43346196a5cc31330bb973bb708979fcb433e0628dc8eaae76fe85323d",
+    "gen/ic/standard/float": "4d6296e24c88014e46acfa426f8e2a9f8bab43633046cf56d250bf18048ab8f3",
+    "gen/eba/standard/exact": "c9d26aa8466809503df029b766423ef4d826b537c1b88ce73363973d0dff7921",
+    "gen/eba/standard/float": "76ad9c315049876d978ec5b8e9b8de031731800c196bc0d263c7c465c9419a30",
+    "gen/ar/standard/exact": "af4677d0394de3f2544d096882831aab0fc3edb98cdfde82aaad988d61f8b311",
+    "gen/ar/standard/float": "3cbd4fa79c430e63db0ad9fa0e2d6d5f31b9774e0126013d4ff1a70dd6b29001",
+    "gen/rrm/standard/exact": "ed3cbbb32c69ae2385d59da58b3b0a25b47fbc9ff7f278ae2e4330fa69b72343",
+    "gen/rrm/standard/float": "447cc48c9e43d4f8de008a230c6e1351e238065550732821967b1c809279ab01",
+    "gen/nsc/standard/exact": "e2e3cce1f0ff219f0389e8aa49c6fdfe17167b27d32bbc08dbf2c9605d6d8801",
+    "gen/nsc/standard/float": "21baa7c5f24d084c7ebb57c3634e2849d09a82ba2c506f80a0e800da3af226d1",
+    "gen/nested_logit/standard/exact": "797709e53d04833bc948a5fc4259629b3ffacef6385665a359cfeb8f59ac88de",
+    "gen/nested_logit/standard/float": "53934d21671481c9c806b56472128e4f787e490ec70d80bab480b0ebaa5a7428",
+    "gen/logit/empty/exact": "ea257e55e2ca136f43abb8f0cafac963fbd3f4fcde487262df46c5412010b2fa",
+    "gen/logit/empty/float": "f6f2f898b6278498595db05a83fbe88e528e414e6050956553896a3d5272e0fc",
+    "gen/rcg/empty/exact": "ad787bbba337036bf705945164f71693cd8158ae33e5f8b3f92eaf95220f9ab0",
+    "gen/rcg/empty/float": "42b160b859ab93ddcfd2fecd64ec18256ca99911b777e382a4d103e085f0b6c3",
+    "gen/ic/empty/exact": "7eebbd8d73b107190788b9bd957025ba7bda2cfe9f63d7d2640a5343c81e0e95",
+    "gen/ic/empty/float": "36ee02d221c48b4731959e96220ce9c4090c53762651d2ea385786ecdba581d7",
+    "gen/n7/rcg/standard/exact": "7ad7a16753ccb8714f27e774e242c1e271d6e47799da372a453bd13c4d26ce53",
+    "gen/n7/rcg/standard/float": "5d0d0f63d2bbf3c6116e1c502600cad58dd53242d96f3b708418f98b3e0b0926",
+    "gen/n7/rcg/empty/exact": "9649dc1202d4ddc2b6c4ddeeed8d7b1d1ee2adb0f632d5dd0dacf52fdc6d2432",
+    "gen/n7/rcg/empty/float": "7ab576dcb6de3ff3aef25f1112b1e50c223a79c8081f0e08b99b37212f6b4612",
+    "gen/n7/nsc/standard/exact": "208711c3ce3765835544b0d4f967d29cfc43ad2bc8828937d56824d5adeb5686",
+    "gen/n7/nsc/standard/float": "0487a24c03e1bb7e5f0c96885dbcad712c9c597d78caa893967329508341c354",
+    "gen/n7/rrm/standard/exact": "e68623f49e6c4926ace7250ee66fac2de7ad116d40032dfce8ad839bca9b91f9",
+    "gen/n7/rrm/standard/float": "0ef5c984fdef81ca383d6a6db9f5ab3da6a0df0f87fc5f9ba1e04fd8bd168bd7",
+    "gen/n7/eba/standard/exact": "89d35afd8681cb9c77f123405c80fa7965c2f696ea918380393edf8dd7cd6861",
+    "gen/n7/eba/standard/float": "d8217a2f1f05619237c0dc4534a2fc7c109f357cdb374031b981b2d0e09a3e28",
+    "gen/n7/nested_logit/standard/exact": "092cdda96817c50ee1e3994f5c2a5b7afbebfe5f269e33836171d2295fb47600",
+    "gen/n7/nested_logit/standard/float": "123c4e5ac6fbe46fa29f8992b44efbb177df7e9ad65f3c4c69c4afbe5d7126ac",
+    "estimate": "ee20da77b8c3521104084a1709ad9a327276cd1d32fa66004e38aba98b62c183",
     "malformed": "2fe64d9ba07ee5b39220a3124e159007390f6c7c6a9c07e3b3085bec1fbcdf4d",
     "malformed-literals": "0df2b2bdd64b329862ab4462f3fbde46e14045ebfe1a9c280900a6f4664252b8",
 }
@@ -305,15 +344,86 @@ def _documents():
     yield CHECKED[2], _moved_rcg()
 
 
+def _float_params(value):
+    """A params document's value with every number literal written as the
+    nearest float's literal; labels and integer item values are kept."""
+    if isinstance(value, dict):
+        return {key: _float_params(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_float_params(item) for item in value]
+    if isinstance(value, str):
+        try:
+            return repr(float(Fraction(value)))
+        except ValueError:
+            return value
+    return value
+
+
+def _params():
+    """Each parameter bundle of the ``gen`` corpus under its name: the
+    eleven variants at n = N and the SPARSE variants at n = SPARSE_N, as
+    exact and as float bundles.  The seeds give nsc and nested_logit more
+    than one nest at both sizes; one nest chooses each whole menu."""
+    variants = [(N, model, empty, 4802 + index) for index, (model, empty) in enumerate(ALL_VARIANTS)]
+    variants += [(SPARSE_N, model, empty, 4902 + index) for index, (model, empty) in enumerate(SPARSE)]
+    for n, model, empty, seed in variants:
+        spec = sample_params(GenConfig(n, model, seed=seed, empty_variant=empty))
+        exact = params_to_document(spec, Universe.default(n))
+        name = f"gen/{'' if n == N else f'n{n}/'}{model.value}/{'empty' if empty else 'standard'}"
+        yield f"{name}/exact", exact
+        yield f"{name}/float", {**exact, "params": _float_params(exact["params"])}
+
+
+def _counts_table(rng: random.Random, n: int, empty: bool) -> list[str]:
+    """The lines of a counts table over n items: every collection of every
+    menu (the empty one too if ``empty``) with a count that is 0 one time
+    in three and otherwise 1..50, the menu's first count at least 1."""
+    labels = Universe.default(n).labels_of
+    lines = []
+    for menu in range(1, 1 << n):
+        collections = [t for t in range(1 << n) if t & menu == t and (t or empty)]
+        for index, t in enumerate(collections):
+            count = 0 if index and rng.random() < 1 / 3 else rng.randint(1, 50)
+            lines.append(f"{','.join(labels(menu))};{','.join(labels(t))};{count}")
+    return lines
+
+
+def _counts_corpus() -> list[str]:
+    """CSV texts for ``estimate``: seeded tables at n = 2..4, with and
+    without the empty collection, then one shuffled with duplicated rows
+    and a quoted field, one missing a menu, and six that it refuses."""
+    rng = random.Random(5000)
+    header = "menu;set;count"
+    tables = [_counts_table(rng, n, empty) for n, empty in ((2, False), (3, False), (3, True), (4, False))]
+    shuffled = tables[1] + tables[1][::3]
+    rng.shuffle(shuffled)
+    shuffled[0] = '"{}";{};{}'.format(*shuffled[0].split(";"))
+    texts = ["\n".join([header, *lines]) + "\n" for lines in [*tables, shuffled, tables[3][1:]]]
+    texts += [
+        "",
+        "menu,set,count\na;a;1\n",
+        f"{header}\na;a\n",
+        f"{header}\na,b;a;-1\na,b;b;2\n",
+        f"{header}\na;b;1\nb;b;1\n",
+        f"{header}\na;a;0\nb;b;3\n",
+    ]
+    return texts
+
+
+def _record(argv: list[str], path) -> bytes:
+    """The exit code, stdout and stderr of ``cli_main(argv)``, with
+    ``path`` written as "DATA"."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    record = [code, out.getvalue(), err.getvalue()]
+    return json.dumps(record).replace(str(path), "DATA").encode()
+
+
 def _digest(digest, path, commands) -> None:
-    """Add each command's exit code, stdout and stderr on ``path`` to
-    ``digest``, with the path itself written as "DATA"."""
+    """Add each command's record on ``path`` to ``digest``."""
     for command in commands:
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli_main([command[0], str(path), *command[1:]])
-        record = [code, out.getvalue(), err.getvalue()]
-        digest.update(json.dumps(record).replace(str(path), "DATA").encode())
+        digest.update(_record([command[0], str(path), *command[1:]], path))
 
 
 def _digests(directory) -> dict[str, str]:
@@ -328,6 +438,14 @@ def _digests(directory) -> dict[str, str]:
             digest = hashlib.sha256()
             _digest(digest, path, commands)
             table[key] = digest.hexdigest()
+    for name, document in _params():
+        path.write_text(json.dumps(document))
+        table[name] = hashlib.sha256(_record(["gen", "--params", str(path)], path)).hexdigest()
+    digest = hashlib.sha256()
+    for text in _counts_corpus():
+        path.write_text(text)
+        _digest(digest, path, [["estimate"]])
+    table["estimate"] = digest.hexdigest()
     if not hasattr(sys, "set_int_max_str_digits"):
         return table
     for key, corpus in (("malformed", _malformed()), ("malformed-literals", _literal_edges())):

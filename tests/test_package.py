@@ -226,16 +226,25 @@ def test_proportionality_is_decided_by_one_rule():
     axioms._proportional, which every unit certificate calls: IIS's on a
     list of the co-occurrence index or, in the empty-collection form, on a
     menu pair, both in _iis_scan, and the grand-row and marginal
-    certificates on each menu.
-    The scans that call it, and the helpers that compare what it refuses
-    or enumerate what it certifies, leave the mode to it and to
-    probs_equal."""
+    certificates on each menu.  The float range is read by it and by the
+    unit limit, whose one _float_certified call is the one float
+    confirmation.
+    The scans and the grand-row certificate that call it, and the helpers
+    that compare what it refuses or enumerate what it certifies, leave the
+    mode to it and to probs_equal."""
     readers = _holders(
         lambda node: isinstance(node, ast.Name) and node.id in ("_rank_one", "_unit_limit")
     )
     assert readers == {"axioms._proportional"}
-    scans = {"axioms._iis_scan", "axioms._rel_add_scan"}
-    certificates = {"axioms._decide_grand_row", "axioms._decide_marginals.holds"}
+    ranged = _holders(
+        lambda node: isinstance(node, ast.Name)
+        and node.id == "_FLOAT_RANGE"
+        and isinstance(node.ctx, ast.Load)
+    )
+    assert ranged == {"axioms._proportional", "axioms._unit_limit"}
+    assert _callers("_float_certified") == {"axioms._unit_limit"}
+    scans = {"axioms._iis_scan", "axioms._rel_add_scan", "axioms._decide_grand_row"}
+    certificates = {"axioms._decide_marginals.holds"}
     assert _callers("_proportional") == scans | certificates
     helpers = {
         "axioms._cooccurrence",
@@ -250,17 +259,16 @@ def test_proportionality_is_decided_by_one_rule():
 
 def test_scans_leave_the_mode_to_the_certificates():
     """_rel_add_scan reads the marginal certificate, which alone decides
-    that it cannot hold in float mode, as _decide_grand_row does for the
-    grand row.  No scan of IIS or of the REL_ADD family tests the mode; the
-    places in scclab.axioms that do are the scaled rows, the two
-    certificates, _proportional, REL_ADD_2's adjustment, and PIIS's
-    exact-only stage 2 and float tolerance in stage 3."""
+    that it cannot hold in float mode.  No scan of IIS or of the REL_ADD
+    family, nor the grand-row certificate, tests the mode; the places in
+    scclab.axioms that do are the scaled rows, the marginal certificate,
+    _proportional, REL_ADD_2's adjustment, and PIIS's exact-only stage 2
+    and float tolerance in stage 3."""
     assert _callers("_marginal_certificate") == {"axioms._rel_add_scan"}
     assert _callers("_decide_marginals") == {"axioms._marginal_certificate"}
     mode_tests = _holders(lambda node: isinstance(node, ast.Attribute) and node.attr == "exact")
     assert {holder for holder in mode_tests if holder.startswith("axioms.")} == {
         "axioms.cached_scaled_rows.scale",
-        "axioms._decide_grand_row",
         "axioms._decide_marginals",
         "axioms._proportional",
         "axioms._adjustment",
@@ -290,8 +298,7 @@ def test_support_is_read_from_one_table():
     """Every support test of a cell in the scans reads axioms._positive_rows.
     In scclab.axioms, is_zero and is_positive are called only by the table,
     by the reference paths (the sides and recheck functions) and by two
-    tests of sums, where zero-support float cells may add up past EPS_ZERO;
-    both float certificates test one range."""
+    tests of sums, where zero-support float cells may add up past EPS_ZERO."""
     callers = {
         holder
         for holder in _callers("is_zero") | _callers("is_positive")
@@ -309,7 +316,6 @@ def test_support_is_read_from_one_table():
         "axioms._rel_add_adjusted",
         "axioms.support_transfer_violations",
     }
-    assert list(inspect.signature(axioms._in_float_range).parameters) == ["entries"]
 
 
 def test_each_check_opens_one_frame():
@@ -407,9 +413,10 @@ def test_datasets_and_bundles_agree_on_float_row_sums():
 
 def test_closed_forms_are_stated_in_the_registry():
     """In scclab.axioms, a power is taken only by the domain table (the
-    registry and the two forms it shares), by the float rounding bound
-    :func:`axioms._float_certified` and by the two constants it reads, so
-    no scan states a closed form of its own."""
+    registry and the two forms it shares), by REL_ADD_1's vacuous count
+    beside them, by the float rounding bound :func:`axioms._float_certified`
+    and by the two constants it reads, so no scan states a closed form of
+    its own."""
     tree = ast.parse((PACKAGE / "axioms.py").read_text())
     holders = set()
     for node in tree.body:
@@ -425,6 +432,7 @@ def test_closed_forms_are_stated_in_the_registry():
         "_UNIT_ROUNDOFF",
         "_float_certified",
         "_rel_add_domain",
+        "_rel_add_1_vacuous",
         "_support_domain",
         "AXIOMS",
     }
