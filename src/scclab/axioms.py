@@ -71,7 +71,7 @@ from functools import lru_cache, partial
 from heapq import merge
 from itertools import combinations, islice, repeat
 from operator import eq, mul, sub, truediv
-from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Collection, Iterator, NamedTuple, Optional, Sequence
 
 from .core import (
     SCC,
@@ -1085,6 +1085,11 @@ def _chain_bindings(t: int, t2: int, *chains: tuple[int, int, int]) -> dict[str,
     return bindings
 
 
+#: PIIS's ratio table (num, den, menu): num[a][b], den[a][b] and menu[a][b]
+#: are mu(a,S0), mu(b,S0) and S0 at the first menu S0 of a co-occurring pair.
+_Ratios = tuple[dict[int, dict[int, Prob]], dict[int, dict[int, Prob]], dict[int, dict[int, int]]]
+
+
 def check_piis(
     scc: SCC, tol: ToleranceConfig = DEFAULT_TOL, cap: int = WITNESS_CAP
 ) -> AxiomReport:
@@ -1105,12 +1110,13 @@ def check_piis(
        :func:`_ratio_conflicts`, and the conflicts come merged in the order
        of a scan menu by menu (menu, then A, then B), so the comparisons
        stop once the cap is full.  Each list's first menu gives the pair's
-       ratio for the stages below.
+       ratio for the stages below, read once into one table,
+       :data:`_Ratios`, whose keys give the co-occurrence graph.
     2. If stage 1 is clean, each co-occurring pair has one well-defined
        ratio.  In exact mode :func:`_fit_potential` fits a multiplicative
        potential over the co-occurrence graph; if every edge ratio matches
-       it, a certificate, all chain values telescope and the postulate
-       holds outright.
+       it, compared in the index's order, a certificate, all chain values
+       telescope and the postulate holds outright.
     3. Otherwise (and in float mode unless the grand-row certificate holds,
        since a long telescoping product would accumulate error), chain
        values are compared pairwise across intermediates by
@@ -1158,26 +1164,30 @@ def check_piis(
     ]
     for s, a, b, s0 in islice(merge(*conflicts), cap):
         out.add_equation(_chain_bindings(a, b, (b, s0, s0), (b, s, s)))
-    edges = {pair: (cells[1], cells[2], cells[0]) for pair, cells in index.items()}
 
+    # The ratio table of stages 2 and 3 (_Ratios) and the graph of its keys.
     support_colls = sorted({c for row in pos.values() for c in row})
-    neighbors: dict[int, set[int]] = {c: set() for c in support_colls}
-    for a, b in edges:
-        neighbors[a].add(b)
-        neighbors[b].add(a)
+    table: _Ratios = tuple({c: {} for c in support_colls} for _ in range(3))
+    num, den, menu = table
+    for (a, b), cells in index.items():
+        s0, pa, pb = cells[:3]
+        num[a][b] = den[b][a] = pa
+        den[a][b] = num[b][a] = pb
+        menu[a][b] = menu[b][a] = s0
+    neighbors = {c: set(num[c]) for c in support_colls}
     vacuous = 2 * _distant_pairs(support_colls, neighbors)
     if not out.clean:
         return out.report(checked, vacuous)
 
     # Stage 2 (exact mode): a multiplicative potential.
     if scc.exact:
-        fits, compared = _fit_potential(support_colls, neighbors, edges)
+        fits, compared = _fit_potential(support_colls, index, table)
         checked += compared
         if fits:
             return out.report(checked, vacuous)
 
     # Stage 3: direct chain comparison.
-    checked += _chain_scan(scc, tol, out, support_colls, neighbors, edges)
+    checked += _chain_scan(scc, tol, out, support_colls, neighbors, table)
     return out.report(checked, vacuous)
 
 
@@ -1223,14 +1233,14 @@ def _ratio_conflicts(
 
 
 def _fit_potential(
-    colls: list[int],
-    neighbors: dict[int, set[int]],
-    edges: dict[tuple[int, int], tuple[Prob, Prob, int]],
+    colls: list[int], pairs: Collection[tuple[int, int]], table: _Ratios
 ) -> tuple[bool, int]:
     """PIIS stage 2 (exact mode): a multiplicative potential over each
-    component of the co-occurrence graph, each value kept as a numerator and
-    denominator of row values with no division.  Returns whether every edge
-    ratio matches it, and the edges compared up to the first that does not."""
+    component of the graph of ``table``, each value kept as a numerator and
+    denominator of row values with no division.  Returns whether the ratio
+    of every pair of ``pairs``, in order, matches it, and the pairs compared
+    up to the first that does not."""
+    num, den, _ = table
     # phi(c) = potential[c][0] / potential[c][1]
     potential: dict[int, tuple[Prob, Prob]] = {}
     for root in colls:
@@ -1241,31 +1251,17 @@ def _fit_potential(
         while queue:
             cur = queue.pop()
             phi_num, phi_den = potential[cur]
-            for nxt in sorted(neighbors[cur]):
+            for nxt in sorted(num[cur]):
                 if nxt in potential:
                     continue
-                num, den, _ = _edge(edges, cur, nxt)
                 # ratio(cur,nxt) = phi(cur)/phi(nxt)
-                potential[nxt] = (phi_num * den, phi_den * num)
+                potential[nxt] = (phi_num * den[cur][nxt], phi_den * num[cur][nxt])
                 queue.append(nxt)
-    compared = 0
-    for (a, b), (num, den, _) in edges.items():
-        compared += 1
+    for compared, (a, b) in enumerate(pairs, 1):
         (a_num, a_den), (b_num, b_den) = potential[a], potential[b]
-        if a_num * den * b_den != b_num * num * a_den:
+        if a_num * den[a][b] * b_den != b_num * num[a][b] * a_den:
             return False, compared
-    return True, compared
-
-
-def _edge(
-    edges: dict[tuple[int, int], tuple[Prob, Prob, int]], a: int, b: int
-) -> tuple[Prob, Prob, int]:
-    """Oriented ratio mu(a,.)/mu(b,.) with its canonical menu."""
-    if a < b:
-        num, den, s0 = edges[(a, b)]
-        return num, den, s0
-    den, num, s0 = edges[(b, a)]
-    return num, den, s0
+    return True, len(pairs)
 
 
 def _chain_scan(
@@ -1274,11 +1270,12 @@ def _chain_scan(
     out: _Collector,
     colls: list[int],
     neighbors: dict[int, set[int]],
-    edges: dict[tuple[int, int], tuple[Prob, Prob, int]],
+    table: _Ratios,
 ) -> int:
     """PIIS stage 3: per pair (T, T'), the chain through each common
     neighbour T* against a reference, the edge T-T' itself or else the chain
-    through the least T*.  Returns the comparisons of ordered pairs.
+    through the least T*, read off ``table`` and its graph ``neighbors``.
+    Returns the comparisons of ordered pairs.
 
     Each unordered pair is scanned once, its products computed in C in the
     association the replay uses, lhs = ref_num * (d1*d2) and
@@ -1287,12 +1284,7 @@ def _chain_scan(
     Any other pair is replayed per ordered pair in enumeration order, where
     ``probs_equal`` decides and the witnesses' bindings are built.
     """
-    # num[a][b] / den[a][b] = mu(a,.)/mu(b,.)
-    num: dict[int, dict[int, Prob]] = {c: {} for c in colls}
-    den: dict[int, dict[int, Prob]] = {c: {} for c in colls}
-    for (a, b), (pa, pb, _) in edges.items():
-        num[a][b] = den[b][a] = pa
-        den[a][b] = num[b][a] = pb
+    num, den, menu = table
     checked = 0
     suspects: list[tuple[int, int]] = []
     for i, t in enumerate(colls):
@@ -1325,16 +1317,15 @@ def _chain_scan(
             break
         values: list[tuple[Prob, Prob, tuple[int, int, int]]] = []
         if t2 in neighbors[t]:
-            n0, d0, s0 = _edge(edges, t, t2)
+            s0 = menu[t][t2]
             # chains through T* = T' (and T* = T) reduce to the edge ratio
-            values.append((n0, d0, (t2, s0, s0)))
+            values.append((num[t][t2], den[t][t2], (t2, s0, s0)))
         for mid in sorted(neighbors[t] & neighbors[t2]):
-            n1, d1, s1 = _edge(edges, t, mid)
-            n2, d2, s2 = _edge(edges, mid, t2)
-            values.append((n1 * n2, d1 * d2, (mid, s1, s2)))
+            chain = (mid, menu[t][mid], menu[mid][t2])
+            values.append((num[t][mid] * num[mid][t2], den[t][mid] * den[mid][t2], chain))
         (ref_num, ref_den, ref), *others = values
-        for num, den, chain in others:
-            if not probs_equal(scc, ref_num * den, num * ref_den, tol):
+        for n, d, chain in others:
+            if not probs_equal(scc, ref_num * d, n * ref_den, tol):
                 out.add_equation(_chain_bindings(t, t2, ref, chain))
     return checked
 

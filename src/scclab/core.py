@@ -147,7 +147,8 @@ class Universe:
     """An ordered finite set of item labels.
 
     Labels are stored sorted lexicographically; item i maps to bit i of every
-    mask used with this universe.
+    mask used with this universe.  A label is non-empty and has no ',' and no
+    leading or trailing whitespace, so that a comma-separated list names it.
     """
 
     items: tuple[str, ...]
@@ -160,6 +161,11 @@ class Universe:
             )
         if len(set(self.items)) != len(self.items):
             raise ShapeError("universe labels must be pairwise distinct")
+        for label in self.items:
+            if not label or "," in label or label != label.strip():
+                raise ShapeError(
+                    f"label {label!r} must be non-empty, with no ',' and no outer whitespace"
+                )
         object.__setattr__(self, "items", tuple(sorted(self.items)))
 
     @classmethod

@@ -642,8 +642,8 @@ def _menu_rows(
     otherwise float probabilities, divided and coerced here, over 1.  Each
     menu must be a non-empty subset of the universe; the callers pass
     ``range(1, full_mask + 1)`` or, through :func:`menu_row`, one checked
-    menu.  A float row that does not sum to 1, as when weights overflow, is
-    refused with InvalidParamsError."""
+    menu.  A float row whose denominator rounds to 0, or that does not sum
+    to 1 as when weights overflow, is refused with InvalidParamsError."""
     exact = spec.is_exact()
     row_of = _MENU_ROWS[spec.model](spec, exact)
 
@@ -653,6 +653,8 @@ def _menu_rows(
             if exact:
                 yield reduce_row(cells, den)
                 continue
+            if not den:
+                raise InvalidParamsError("float arithmetic rounds a row's denominator to 0")
             row = {t: float(_div(p, den)) for t, p in cells.items()}
             if not sums_to_one(sum(row.values())):
                 raise InvalidParamsError(

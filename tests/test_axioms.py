@@ -45,7 +45,6 @@ from scclab.axioms import (
     AxiomReport,
     _GrandRow,
     _chain_bindings,
-    _edge,
     _grand_row,
     cached_report,
     cached_revealed_constraints,
@@ -314,9 +313,33 @@ class TestPIIS:
         assert all(recheck_witness(perturbed, w) for w in report.witnesses)
 
 
-def _ordered_chain_scan(scc, tol, out, colls, neighbors, edges, *, reached):
+def _edge(edges, a, b):
+    """Oriented ratio mu(a,.)/mu(b,.) with its canonical menu, from
+    ``edges``, which maps each pair a < b to (mu(a,S0), mu(b,S0), S0)."""
+    if a < b:
+        num, den, s0 = edges[(a, b)]
+        return num, den, s0
+    den, num, s0 = edges[(b, a)]
+    return num, den, s0
+
+
+def _graph(colls, edges):
+    """The neighbour sets of ``colls`` under the pairs of ``edges``."""
+    near = {t: set() for t in colls}
+    for a, b in edges:
+        near[a].add(b)
+        near[b].add(a)
+    return near
+
+
+def _ordered_chain_scan(scc, tol, out, colls, neighbors, table, *, reached):
     """PIIS stage 3 as one scan over ordered pairs, the oracle for
-    ``_chain_scan``; ``reached`` records (exact mode, found a failure)."""
+    ``_chain_scan``; ``reached`` records (exact mode, found a failure).
+    It reads each pair's ratio at its first menu off the co-occurrence
+    index, not off the module's ``table`` and ``neighbors``."""
+    index = scclab.axioms._cooccurrence(scc)
+    edges = {pair: (cells[1], cells[2], cells[0]) for pair, cells in index.items()}
+    neighbors = _graph(colls, edges)
     checked = 0
     clean = out.clean
     for t in colls:
@@ -946,10 +969,13 @@ def _menu_major_piis(scc, tol, cap):
             if not probs_equal(scc, pa * pb0, pb * pa0, tol):
                 out.add_equation(_chain_bindings(a, b, (b, s0, s0), (b, s, s)))
     colls = sorted({t for row in pos.values() for t in row})
-    near = {t: set() for t in colls}
-    for a, b in edges:
-        near[a].add(b)
-        near[b].add(a)
+    near = _graph(colls, edges)
+    # the module's ratio table, num[a][b], den[a][b] and menu[a][b], from edges
+    table = tuple({t: {} for t in colls} for _ in range(3))
+    for a in colls:
+        for b in near[a]:
+            for part, value in zip(table, _edge(edges, a, b)):
+                part[a][b] = value
     vacuous = sum(
         1
         for t in colls
@@ -957,12 +983,12 @@ def _menu_major_piis(scc, tol, cap):
         if t != t2 and t2 not in near[t] and not near[t] & near[t2]
     )
     if out.clean and scc.exact:
-        fits, compared = scclab.axioms._fit_potential(colls, near, edges)
+        fits, compared = scclab.axioms._fit_potential(colls, edges, table)
         checked += compared
         if fits:
             return out.report(checked, vacuous)
     if out.clean:
-        checked += scclab.axioms._chain_scan(scc, tol, out, colls, near, edges)
+        checked += scclab.axioms._chain_scan(scc, tol, out, colls, near, table)
     return out.report(checked, vacuous)
 
 

@@ -97,6 +97,18 @@ class TestUniverse:
         with pytest.raises(ShapeError):
             Universe.from_labels(["a", "a"])
 
+    @pytest.mark.parametrize(
+        "labels", [["a,b", "c"], [" x", "y"], ["", "z"], ["x\t", "y"]], ids=repr
+    )
+    def test_unnameable_labels_rejected(self, labels):
+        """A label list is split on ',' and each part stripped, so a label
+        that is empty, holds ',' or is padded by whitespace is refused."""
+        with pytest.raises(ShapeError, match="must be non-empty, with no ','"):
+            Universe.from_labels(labels)
+
+    def test_inner_space_and_unicode_labels_accepted(self):
+        assert Universe.from_labels(["New York", "é"]).items == ("New York", "é")
+
     def test_size_bounds(self):
         with pytest.raises(ShapeError):
             Universe.default(0)

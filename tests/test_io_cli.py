@@ -372,6 +372,50 @@ class TestParamsDocuments:
             parse_params(doc)
 
 
+#: Labels that a comma-separated label list cannot name.
+UNNAMEABLE = [["a,b", "c"], [" x", "y"], ["", "z"], ["x\t", "y"]]
+
+
+class TestUnnameableLabels:
+    """A universe's labels must be nameable in a label list, which is split
+    on ',' with each part stripped: in a dataset, a params document and on
+    the command line, other labels are a schema error naming the items."""
+
+    @staticmethod
+    def documents(labels):
+        scc = {
+            "items": labels,
+            "menus": [{"menu": [labels[0]], "rows": [{"set": [labels[0]], "p": "1"}]}],
+        }
+        params = {
+            "model": "logit",
+            "items": labels,
+            "params": {"weights": {label: "1" for label in labels}},
+        }
+        return scc, params
+
+    @pytest.mark.parametrize("labels", UNNAMEABLE, ids=repr)
+    def test_parsers_refuse_them(self, labels):
+        for document, parse in zip(self.documents(labels), (parse_scc, parse_params)):
+            with pytest.raises(SchemaError, match=r"^items: label .* must be non-empty"):
+                parse(document)
+
+    @pytest.mark.parametrize("labels", UNNAMEABLE, ids=repr)
+    def test_cli_exits_2_with_one_error_line(self, tmp_path, capsys, labels):
+        scc, params = self.documents(labels)
+        for name, document, argv in (
+            ("scc.json", scc, ["check", "--axioms", "all"]),
+            ("params.json", params, ["gen", "--params"]),
+        ):
+            path = tmp_path / name
+            path.write_text(json.dumps(document))
+            assert cli_main([*argv, str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: items: label ")
+            assert captured.err.count("\n") == 1
+
+
 class TestCountsTables:
     def test_frequencies(self):
         text = "menu;set;count\na,b;a;50\na,b;b;25\na,b;a,b;25\n"
@@ -896,6 +940,22 @@ class TestCli:
         menu = ["--menu", "a,b"] if command == "eval" else []
         assert cli_main([command, "--params", str(path), *menu]) == 2
         assert capsys.readouterr().err.startswith("error: " + message)
+
+    @pytest.mark.parametrize("command", ["gen", "eval"])
+    def test_float_ic_denominator_rounding_to_zero_is_a_usage_error(
+        self, tmp_path, capsys, command
+    ):
+        """An inclusion rate of 1e-17 leaves the standard variant's
+        denominator 1 - (1 - g) at 0.0 on the menu {a}: refused, not a
+        traceback."""
+        document = {"model": "ic", "items": ["a", "b"],
+                    "params": {"inclusion": {"a": "1e-17", "b": "0.5"}}}
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(document))
+        menu = ["--menu", "a"] if command == "eval" else []
+        assert cli_main([command, "--params", str(path), *menu]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: float arithmetic rounds a row's denominator to 0\n"
 
     def test_package_runs_as_a_module(self):
         src = os.path.dirname(os.path.dirname(scclab.__file__))

@@ -421,6 +421,17 @@ class TestGenerateScc:
             values = set(scc.rows[menu].values())
             assert len(values) == 1  # uniform over non-empty subsets
 
+    def test_float_denominator_rounding_to_zero_is_refused(self):
+        """A float ic rate of 1e-17 leaves the standard variant's
+        denominator 1 - (1 - g) at 0.0 on the menu {a}."""
+        spec = ModelSpec(ModelTag.IC, ICParams({0: 1e-17, 1: 0.5}))
+        with pytest.raises(InvalidParamsError, match="denominator to 0"):
+            generate_scc(spec, U2)
+        with pytest.raises(InvalidParamsError, match="denominator to 0"):
+            menu_row(spec, U2, A)
+        # a menu whose denominator stays positive keeps its row
+        assert menu_row(spec, U2, AB) == {A: 1e-17, B: 1.0, AB: 1e-17}
+
     def test_nsc_example_support_size(self):
         scc = generate_scc(ModelSpec(ModelTag.NSC, NSC_EXAMPLE), U3)
         assert validate_scc(scc) == []

@@ -4,6 +4,7 @@ import ast
 import inspect
 import math
 from dataclasses import fields
+from functools import cache
 from pathlib import Path
 
 import scclab
@@ -22,11 +23,17 @@ from scclab.identify import RECOVERIES
 PACKAGE = Path(scclab.__file__).parent
 
 
+@cache
+def _tree(module: str) -> ast.Module:
+    """The syntax tree of one of the package's modules, parsed once."""
+    return ast.parse((PACKAGE / f"{module}.py").read_text())
+
+
+@cache
 def _defined_names(module: str) -> set[str]:
     """Top-level names a module binds itself, not through an import."""
-    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
     names = set()
-    for node in tree.body:
+    for node in _tree(module).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names.add(node.name)
         elif isinstance(node, ast.Assign):
@@ -37,7 +44,7 @@ def _defined_names(module: str) -> set[str]:
 
 
 def test_each_export_is_imported_from_its_defining_module():
-    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    tree = _tree("__init__")
     misplaced = [
         f"{alias.name} from .{node.module}"
         for node in tree.body
@@ -69,33 +76,27 @@ def test_sampling_and_classification_take_only_what_callers_set():
         assert list(inspect.signature(function).parameters) == names, function
 
 
-class _Holders(ast.NodeVisitor):
-    """The qualified names of the functions holding a node that ``match``
-    accepts (the module's name for a node outside any function)."""
-
-    def __init__(self, module: str, match):
-        self.scope, self.match, self.found = [module], match, set()
-
-    def visit_FunctionDef(self, node):
-        self.scope.append(node.name)
-        self.generic_visit(node)
-        self.scope.pop()
-
-    visit_ClassDef = visit_FunctionDef
-
-    def generic_visit(self, node):
-        if self.match(node):
-            self.found.add(".".join(self.scope))
-        super().generic_visit(node)
+@cache
+def _scoped_nodes() -> list[tuple[str, ast.AST]]:
+    """Every node of the package's modules, walked once, with the qualified
+    name of the function or class holding it (the module's name for a node
+    outside any; a definition holds itself)."""
+    scoped = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        stack = [(path.stem, _tree(path.stem))]
+        while stack:
+            scope, node = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                scope = f"{scope}.{node.name}"
+            scoped.append((scope, node))
+            stack += [(scope, child) for child in ast.iter_child_nodes(node)]
+    return scoped
 
 
 def _holders(match) -> set[str]:
-    found = set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        visitor = _Holders(path.stem, match)
-        visitor.visit(ast.parse(path.read_text()))
-        found |= visitor.found
-    return found
+    """The qualified names of the functions holding a node that ``match``
+    accepts (the module's name for a node outside any function)."""
+    return {scope for scope, node in _scoped_nodes() if match(node)}
 
 
 def _worded(text: str) -> set[str]:
@@ -184,9 +185,10 @@ def test_one_round_trip_compares_kernel_rows_with_scaled_rows():
     calls _reproduces, which compares the kernels' rows (_menu_rows) with
     the dataset's cached_scaled_rows, so no SCC is regenerated (nor is
     generate_scc imported) and no Fraction row of either is read."""
-    tree = ast.parse((PACKAGE / "identify.py").read_text())
     finish = next(
-        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_finish"
+        node
+        for node in _tree("identify").body
+        if isinstance(node, ast.FunctionDef) and node.name == "_finish"
     )
     tests = [
         node.test if isinstance(node, (ast.If, ast.IfExp)) else node
@@ -292,6 +294,32 @@ def test_cooccurring_pairs_are_enumerated_once():
     assert row_pairs == {"axioms._cooccurrence.build"}
     walkers = _callers("menus") | _callers("combinations")
     assert not walkers & {"axioms.check_iis", "axioms.check_piis"}
+
+
+def test_piis_reads_one_ratio_table():
+    """check_piis reads the co-occurrence index once into one oriented
+    ratio table, num[a][b], den[a][b] and menu[a][b]; its stages 2 and 3
+    take the table and build none of their own (stage 2's one dict is its
+    potential), and no helper orients a pair's ratio apart from it."""
+    assert not hasattr(axioms, "_edge")
+    fillers = _holders(
+        lambda node: isinstance(node, ast.Subscript)
+        and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Subscript)
+        and getattr(node.value.value, "id", None) in ("num", "den", "menu")
+    )
+    assert {h for h in fillers if h.startswith("axioms.")} == {"axioms.check_piis"}
+    for stage, built in ((axioms._fit_potential, ["potential"]), (axioms._chain_scan, [])):
+        node = next(n for n in _tree("axioms").body if getattr(n, "name", None) == stage.__name__)
+        assigned = [
+            ast.unparse(target)
+            for a in ast.walk(node)
+            if isinstance(a, (ast.Assign, ast.AnnAssign))
+            and isinstance(a.value, (ast.Dict, ast.DictComp, ast.SetComp))
+            for target in (a.targets if isinstance(a, ast.Assign) else [a.target])
+        ]
+        assert assigned == built, stage.__name__
+        assert list(inspect.signature(stage).parameters)[-1] == "table", stage.__name__
 
 
 def test_support_is_read_from_one_table():
@@ -417,9 +445,8 @@ def test_closed_forms_are_stated_in_the_registry():
     beside them, by the float rounding bound :func:`axioms._float_certified`
     and by the two constants it reads, so no scan states a closed form of
     its own."""
-    tree = ast.parse((PACKAGE / "axioms.py").read_text())
     holders = set()
-    for node in tree.body:
+    for node in _tree("axioms").body:
         if not any(isinstance(getattr(inner, "op", None), ast.Pow) for inner in ast.walk(node)):
             continue
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
