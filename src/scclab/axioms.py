@@ -64,12 +64,13 @@ variant for a dataset's empty-collection flag.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, partial
 from heapq import merge
-from itertools import combinations, islice, repeat
+from itertools import combinations, product, repeat
 from operator import eq, mul, sub, truediv
 from typing import Any, Callable, Collection, Iterator, NamedTuple, Optional, Sequence
 
@@ -505,7 +506,8 @@ def check_iis(
     m menus, a list of the co-occurrence index :func:`_cooccurrence`, holds
     C(m,2) checked instances.  When the grand-row certificate of
     :func:`_grand_row` holds, every guard does, so the report is "holds"
-    with the whole domain checked.  Otherwise :func:`_iis_scan` decides.
+    with the whole domain checked.  Otherwise :func:`_iis_scan` decides,
+    the empty-collection form from a per-menu tally of shared collections.
     """
     axiom = AxiomId.IIS_O if empty_variant else AxiomId.IIS
     out = _Collector(scc, axiom, cap)
@@ -528,13 +530,14 @@ def _iis_scan(
     the index has more entries than there are menu pairs and is dropped
     after the check.
 
-    The empty-collection form runs over the menu pairs that share a positive
-    collection, which :func:`_menu_pairs` gives; the others have nothing
-    guarded.  :func:`_proportional` certifies a menu pair, in either mode,
-    on its two rows over the cells of either row inside S n S' (T is zero
-    in both menus elsewhere, which makes both sides zero), and only the
-    pairs that fail it are compared; a pair of one comparison is compared
-    directly, which costs less."""
+    The empty-collection form consumes, in menu order, the list of menus
+    where each collection is positive: at menu S, a tally of the later S'
+    sharing k of its positive collections counts k * (2^|S n S'| - 1) per
+    S' before any comparison.  While the cap is open, :func:`_proportional`
+    certifies each (S, S'), in either mode, on its two rows over the cells
+    of either row inside S n S' (T is zero in both menus elsewhere, so both
+    sides are), and only the pairs it refuses are compared, directly where
+    there is one comparison, which costs less."""
     checked = 0
     if not empty_variant:
         suspects = []
@@ -546,27 +549,37 @@ def _iis_scan(
             if m > 2 and _proportional(scc, cells[1::3], cells[2::3], tol):
                 continue
             suspects.append(_iis_violations(scc, tol, t, t2, cells))
-        for s, s2, t, t2 in islice(merge(*suspects), out.cap):
+        for s, s2, t, t2 in merge(*suspects):
             out.add_equation({"T": t, "T_prime": t2, "S": s, "S_prime": s2})
+            if out.full:
+                break
         return checked
     pos = _positive_rows(scc)
     rows = cached_scaled_rows(scc)[0]
-    for s, s2 in _menu_pairs(pos, scc.menus()):
-        inter = s & s2
-        common = pos[s].keys() & pos[s2].keys()
-        here = len(common) * ((1 << inter.bit_count()) - 1)
-        checked += here
-        if not here or out.full:
+    menus = scc.menus()
+    later: dict[int, list[int]] = {}  # descending: the menu reached is last
+    for s in reversed(menus):
+        for t in pos[s]:
+            later.setdefault(t, []).append(s)
+    for s in menus:
+        shared: Counter[int] = Counter()
+        for t in pos[s]:
+            later[t].pop()
+            shared.update(later[t])
+        sizes = map((1).__lshift__, map(int.bit_count, map(s.__and__, shared)))
+        checked += sum(map(mul, shared.values(), sizes)) - sum(shared.values())
+        if out.full:
             continue
-        row_s, row_s2 = rows[s], rows[s2]
-        subs = sorted({t for row in (row_s, row_s2) for t in row if t & inter == t})
-        if here > 1:
-            columns = [list(map(r.get, subs, repeat(0))) for r in (row_s, row_s2)]
-            if _proportional(scc, *columns, tol):
-                continue
-        guarded = sorted(common)
-        for t in subs:
-            for t2 in guarded:
+        for s2 in sorted(filter(s.__and__, shared)):
+            if out.full:
+                break
+            inter, row_s, row_s2 = s & s2, rows[s], rows[s2]
+            subs = sorted({t for row in (row_s, row_s2) for t in row if t & inter == t})
+            if shared[s2] * ((1 << inter.bit_count()) - 1) > 1:
+                columns = [list(map(r.get, subs, repeat(0))) for r in (row_s, row_s2)]
+                if _proportional(scc, *columns, tol):
+                    continue
+            for t, t2 in product(subs, sorted(pos[s].keys() & pos[s2].keys())):
                 if t2 == t:
                     continue
                 lhs = row_s.get(t, 0) * row_s2[t2]
@@ -611,22 +624,6 @@ def _iis_violations(
     for (s, u, v), (s2, u2, v2) in combinations(entries, 2):
         if not probs_equal(scc, u * v2, v * u2, tol):
             yield s, s2, t, t2
-
-
-def _menu_pairs(
-    pos: dict[int, dict[int, Prob]], menus: list[int]
-) -> Iterator[tuple[int, int]]:
-    """The menu pairs S < S' that share a positive collection, ascending,
-    found by listing the menus where each collection is positive."""
-    by_collection: dict[int, list[int]] = {}
-    for s in menus:
-        for t in pos[s]:
-            by_collection.setdefault(t, []).append(s)
-    later: dict[int, set[int]] = {s: set() for s in menus}
-    for ms in by_collection.values():
-        for i, s in enumerate(ms):
-            later[s].update(ms[i + 1 :])
-    return ((s, s2) for s in menus for s2 in sorted(later[s]))
 
 
 def _iis_sides(scc: SCC, b: dict[str, int], empty_variant: bool) -> Sides:
@@ -896,9 +893,7 @@ def _support_shape_report(
         achievable = achievable_of(menu)
         sup = set(pos[menu])
         sup.discard(0)
-        for t in sorted(sup - achievable):
-            out.add({"T": t, "S": menu}, prob_lookup(scc, t, menu), None)
-        for t in sorted(achievable - sup):
+        for t in sorted(sup - achievable) + sorted(achievable - sup):
             out.add({"T": t, "S": menu}, prob_lookup(scc, t, menu), None)
     return out.report()
 
@@ -1021,8 +1016,7 @@ def _rel_add_adjusted(scc: SCC, tol: ToleranceConfig, cap: int) -> AxiomReport:
     revealed = cached_revealed_constraints(scc)
     rows, dens = cached_scaled_rows(scc)
     row_full = rows[scc.universe.full_mask]
-    checked = 0
-    vacuous = 0
+    checked = vacuous = 0
     for s, xbit, rest, row_s, row_rest in _removals(rows):
         q = revealed[xbit.bit_length() - 1]
         t = q & rest
@@ -1109,9 +1103,9 @@ def check_piis(
        its m - 1 later menus, each compared with the first by
        :func:`_ratio_conflicts`, and the conflicts come merged in the order
        of a scan menu by menu (menu, then A, then B), so the comparisons
-       stop once the cap is full.  Each list's first menu gives the pair's
-       ratio for the stages below, read once into one table,
-       :data:`_Ratios`, whose keys give the co-occurrence graph.
+       stop once the cap is full.  The index's keys give the co-occurrence
+       graph, and past a clean stage 1 each list's first menu gives the
+       pair's ratio, read once into one table, :data:`_Ratios`.
     2. If stage 1 is clean, each co-occurring pair has one well-defined
        ratio.  In exact mode :func:`_fit_potential` fits a multiplicative
        potential over the co-occurrence graph; if every edge ratio matches
@@ -1162,11 +1156,20 @@ def check_piis(
         for (a, b), cells in index.items()
         if len(cells) > 3
     ]
-    for s, a, b, s0 in islice(merge(*conflicts), cap):
+    for s, a, b, s0 in merge(*conflicts):
         out.add_equation(_chain_bindings(a, b, (b, s0, s0), (b, s, s)))
+        if out.full:
+            break
 
-    # The ratio table of stages 2 and 3 (_Ratios) and the graph of its keys.
+    # The co-occurrence graph, and the ratio table of stages 2 and 3 (_Ratios).
     support_colls = sorted({c for row in pos.values() for c in row})
+    neighbors: dict[int, set[int]] = {c: set() for c in support_colls}
+    for a, b in index:
+        neighbors[a].add(b)
+        neighbors[b].add(a)
+    vacuous = 2 * _distant_pairs(support_colls, neighbors)
+    if not out.clean:
+        return out.report(checked, vacuous)
     table: _Ratios = tuple({c: {} for c in support_colls} for _ in range(3))
     num, den, menu = table
     for (a, b), cells in index.items():
@@ -1174,10 +1177,6 @@ def check_piis(
         num[a][b] = den[b][a] = pa
         den[a][b] = num[b][a] = pb
         menu[a][b] = menu[b][a] = s0
-    neighbors = {c: set(num[c]) for c in support_colls}
-    vacuous = 2 * _distant_pairs(support_colls, neighbors)
-    if not out.clean:
-        return out.report(checked, vacuous)
 
     # Stage 2 (exact mode): a multiplicative potential.
     if scc.exact:

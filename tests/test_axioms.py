@@ -9,6 +9,7 @@ hand, fraction by fraction.
 import hashlib
 import math
 import random
+import sys
 import timeit
 import tracemalloc
 from dataclasses import replace
@@ -999,18 +1000,56 @@ def _index_sizes(scc):
     return sum(math.comb(len(row), 2) for row in pos.values()), math.comb(len(scc.rows), 2)
 
 
+def _singleton_rcg_o(n, exact):
+    """rcg_o on n items with one singleton category per item, item i of mass
+    (i+1)/(n(n+1)/2): the empty collection is positive in every menu but the
+    grand set, as an outside option that most menus give mass to."""
+    total = n * (n + 1) // 2
+    mass = {1 << i: F(i + 1, total) if exact else (i + 1) / total for i in range(n)}
+    spec = ModelSpec(ModelTag.RCG, RCGParams(mass), empty_variant=True)
+    return generate_scc(spec, Universe.default(n))
+
+
+def _unweighted_abc_logit_o(exact):
+    """logit_o at n = 5 (seed 905) with the weight of {a,b,c} set to 0: its
+    cell dropped from every menu that holds it and those rows renormalised."""
+    spec = sample_params(GenConfig(5, ModelTag.LOGIT, seed=905, empty_variant=True))
+    base = generate_scc(spec, Universe.default(5))
+    rows = _copy_rows(base, exact)
+    for menu, row in rows.items():
+        if row.pop(ABC, None) is not None:
+            total = sum(row.values())
+            rows[menu] = {t: p / total for t, p in row.items()}
+    return SCC(base.universe, rows, allows_empty=True, exact=exact)
+
+
+def _iis_o_cases():
+    """(name, scc): the empty-collection cases that only IIS_O reads, exact
+    and float: the singleton rcg_o at n = 5-7, which fails, and the logit_o
+    without {a,b,c}, which holds though the grand-row certificate refuses."""
+    cases = []
+    for exact in (True, False):
+        cases += [(f"singleton-rcg_o-n{n}-{exact}", _singleton_rcg_o(n, exact)) for n in (5, 6, 7)]
+        cases.append((f"logit_o-no-abc-{exact}", _unweighted_abc_logit_o(exact)))
+    return cases
+
+
 @pytest.fixture(scope="module")
 def sparse_runs():
     """(case, scc, axiom, cap, run_axiom's report, the oracle's report): IIS
     against the reference and PIIS against the menu-major scan on the sparse
-    corpus, and IIS_O against the reference on its empty-collection cases and
-    its unchanged exact standard ones, at caps 1 and 10."""
-    runs = []
+    corpus, and IIS_O against the reference on its empty-collection cases,
+    its unchanged exact standard ones and :func:`_iis_o_cases`, at caps 1
+    and 10."""
+    runs, cases = [], []
     for name, scc in _sparse_cases():
-        assert not _grand_row(scc, DEFAULT_TOL).proportional, name
         axioms = [AxiomId.IIS, AxiomId.PIIS]
         if scc.allows_empty or scc.exact and name.endswith("None"):
             axioms.append(AxiomId.IIS_O)
+        cases.append((name, scc, axioms))
+    cases += [(name, scc, [AxiomId.IIS_O]) for name, scc in _iis_o_cases()]
+    for name, scc, axioms in cases:
+        assert not _grand_row(scc, DEFAULT_TOL).proportional, name
         for axiom in axioms:
             whole = None if axiom is AxiomId.PIIS else _reference(scc, axiom, cap=10)
             for cap in (1, 10):
@@ -1052,8 +1091,8 @@ def _count_table_reads(monkeypatch, scc):
 
 
 class TestCooccurrenceIndex:
-    """IIS and PIIS stage 1 on the co-occurrence index, and IIS_O's loop
-    over the menu pairs that share a positive collection."""
+    """IIS and PIIS stage 1 on the co-occurrence index, and IIS_O's per-menu
+    tally of the later menus that share a positive collection."""
 
     def test_reports_match_the_oracle(self, sparse_runs):
         for name, _, axiom, cap, fast, slow in sparse_runs:
@@ -1125,6 +1164,25 @@ class TestCooccurrenceIndex:
         # the comparisons multiply ints: only the witnesses' two sides are Fractions
         assert len(products) == 2 * len(report.witnesses)
 
+    def test_iis_o_corpus_covers_an_outside_option_and_a_refused_certificate(
+        self, sparse_runs
+    ):
+        reports = {
+            (name, cap): fast
+            for name, _, axiom, cap, fast, _ in sparse_runs
+            if axiom is AxiomId.IIS_O
+        }
+        for exact in (True, False):
+            # the empty collection is positive in 30 of the 31 menus at n = 5
+            scc = _singleton_rcg_o(5, exact)
+            assert sum(0 in row for row in scclab.axioms._positive_rows(scc).values()) == 30
+            for n in (5, 6, 7):
+                report = reports[f"singleton-rcg_o-n{n}-{exact}", 10]
+                assert not report.holds and len(report.witnesses) == 10, (n, exact)
+            report = reports[f"logit_o-no-abc-{exact}", 10]
+            assert report.holds, exact
+            assert (report.instances_checked, report.instances_vacuous) == (5342, 58), exact
+
     def test_iis_o_visits_only_the_menu_pairs_that_share_a_collection(self, monkeypatch):
         # exact rcg_o at n = 7: 6,641 of the 8,001 menu pairs share a positive
         # collection, and the others have nothing guarded
@@ -1139,8 +1197,15 @@ class TestCooccurrenceIndex:
         reads = _count_table_reads(monkeypatch, scc)
         report = check_iis(scc, empty_variant=True)
         assert not report.holds and report.instances_checked == 59394
-        # one read per menu to list the sharing pairs, then two per pair visited
-        assert reads == scc.menus() + [s for pair in sharing for s in pair]
+        # the cap fills at menu {a}, after six pairs that _proportional refuses
+        compared = [(A, AB), (A, AC), (A, ABC), (A, 9), (A, 11), (A, 17)]
+        witnessed = [(w.bindings["S"], w.bindings["S_prime"]) for w in report.witnesses]
+        assert list(dict.fromkeys(witnessed)) == compared
+        # one read per menu to list each collection's menus, one per menu for
+        # its tally, and two per pair compared while the cap is open
+        menus = scc.menus()
+        pairs = [menu for pair in compared for menu in pair]
+        assert reads == menus[::-1] + [A] + pairs + menus[1:]
 
     def test_a_dense_index_is_dropped_after_each_check(self):
         # exact logit at n = 7 with one cell of a 6-item menu zeroed: the
@@ -1159,6 +1224,21 @@ class TestCooccurrenceIndex:
                 tracemalloc.stop()
             assert report.holds and report.instances_checked, check
             assert held < peak / 10, (check, held, peak)
+
+    def test_iis_o_builds_nothing_per_menu_pair(self):
+        # the singleton rcg_o at n = 8: 255 menus and 1,278 positive cells,
+        # where the empty collection alone is shared by 32,131 menu pairs
+        scc = _singleton_rcg_o(8, True)
+        assert sum(map(len, scclab.axioms._positive_rows(scc).values())) == 1278
+        _grand_row(scc, DEFAULT_TOL)
+        tracemalloc.start()
+        try:
+            report = check_iis(scc, empty_variant=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not report.holds and report.instances_checked == 695822
+        assert peak < 256 * 1024, peak
 
 
 def _moved_mass(scc):
@@ -1477,6 +1557,20 @@ def _compare_events(monkeypatch):
 class TestCapFullExits:
     """ADDITIVITY on the scaled rows, and the checks whose counts the
     registry fixes that stop once the cap is full."""
+
+    @pytest.mark.parametrize("axiom", [AxiomId.IIS, AxiomId.PIIS])
+    @pytest.mark.parametrize(
+        "model,empty", [(ModelTag.RCG, False), (ModelTag.NSC, False), (ModelTag.RCG, True)]
+    )
+    def test_a_cap_past_sys_maxsize_is_read_as_any_other(self, axiom, model, empty):
+        """IIS and PIIS stage 1 stop their merged witness streams on the
+        collector's cap, which may exceed the largest index: on the rcg
+        data, which fail, and on the nsc data, which hold."""
+        spec = sample_params(GenConfig(5, model, seed=3, empty_variant=empty))
+        scc = generate_scc(spec, Universe.default(5))
+        report = run_axiom(scc, axiom, cap=sys.maxsize + 1)
+        assert report.holds is (model is ModelTag.NSC)
+        assert report == run_axiom(scc, axiom, cap=10**6)
 
     @pytest.mark.parametrize("cap", [1, 10])
     def test_additivity_matches_the_reference(self, cap):

@@ -115,6 +115,23 @@ class TestUniverse:
         with pytest.raises(ShapeError):
             Universe.default(17)
 
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            (lambda: Universe.from_labels([]), "between 1 and 16 items, got 0"),
+            (
+                lambda: Universe.from_labels([f"x{i}" for i in range(17)]),
+                "between 1 and 16 items, got 17",
+            ),
+            (lambda: Universe.default(3).labels_of(-1), "mask -1 outside universe of 3"),
+            (lambda: Universe.default(3).labels_of(8), "mask 8 outside universe of 3"),
+        ],
+        ids=["no-labels", "17-labels", "negative-mask", "mask-past-full"],
+    )
+    def test_out_of_range_is_refused(self, call, message):
+        with pytest.raises(ShapeError, match=message):
+            call()
+
 
 class TestToleranceConfig:
     def test_positive_required(self):

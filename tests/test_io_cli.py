@@ -957,6 +957,59 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == "error: float arithmetic rounds a row's denominator to 0\n"
 
+    @pytest.mark.parametrize(
+        "argv,content,message",
+        [
+            (
+                ["gen", "--params", "FILE"],
+                {"model": "rcg", "items": ["a", "b"], "params": {"mass": {"a,z": "1"}}},
+                "params.mass['a,z']: unknown item label 'z'",
+            ),
+            (
+                ["gen", "--params", "FILE"],
+                {"model": "rcg", "items": ["a", "b"]},
+                "document: missing 'params'",
+            ),
+            (
+                ["gen", "--params", "FILE"],
+                {"model": "rcg", "items": ["a"], "params": {"mass": {"a": "1"}},
+                 "empty_variant": "yes"},
+                "empty_variant: expected a boolean",
+            ),
+            (["estimate", "FILE"], "menu;set;count\n;a;1\n", "line 2: menu must be non-empty"),
+            (["check", "FILE", "--axioms", ","], nsc_document(), "no axioms requested"),
+            (
+                ["fuzz", "--model", "logit", "--trials", "1", "--n", ",", "--seed", "0"],
+                None,
+                "--n must list at least one universe size",
+            ),
+        ],
+        ids=["unknown-key-label", "missing-field", "non-boolean-variant", "empty-counts-menu",
+             "no-axioms", "no-universe-sizes"],
+    )
+    def test_refusals_are_usage_errors(self, tmp_path, capsys, argv, content, message):
+        path = tmp_path / "input"
+        if content is not None:
+            path.write_text(content if isinstance(content, str) else json.dumps(content))
+        assert cli_main([str(path) if a == "FILE" else a for a in argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    def test_a_witness_cap_past_sys_maxsize_is_read(self, tmp_path, capsys):
+        """A cap above sys.maxsize reaches the merged witness streams of IIS
+        and PIIS stage 1: the reports of a cap of 10**6, exit 1, and nothing
+        on stderr."""
+        scc = generate_scc(sample_params(GenConfig(5, ModelTag.RCG, seed=3)), Universe.default(5))
+        path = tmp_path / "rcg.json"
+        path.write_text(json.dumps(scc_to_document(scc)))
+        argv = ["check", str(path), "--axioms", "all", "--witness-cap"]
+        assert cli_main([*argv, "99999999999999999999"]) == 1
+        huge = capsys.readouterr()
+        assert huge.err == ""
+        assert cli_main([*argv, str(10**6)]) == 1
+        assert capsys.readouterr().out == huge.out
+
     def test_package_runs_as_a_module(self):
         src = os.path.dirname(os.path.dirname(scclab.__file__))
         done = subprocess.run(

@@ -378,6 +378,115 @@ def test_menu_or_item_outside_universe_rejected(call):
         call()
 
 
+def _logit_weights(key=ABC, weight=F(1)):
+    """Weight 1 on each non-empty collection over {a,b,c} but {a,b,c}, and
+    ``weight`` on ``key``."""
+    return {**dict.fromkeys(nonempty_submasks(ABC)[:-1], F(1)), key: weight}
+
+
+#: Bundles and calls that validation refuses, with the error and message.
+REFUSED = {
+    "draws_empty_set": (
+        lambda: RCGParams({0: F(1, 2), ABC: F(1, 2)}).validate(U3),
+        InvalidParamsError, "invalid category 0",
+    ),
+    "draws_outside_universe": (
+        lambda: RCGParams({0b1001: F(1, 2), ABC: F(1, 2)}).validate(U3),
+        InvalidParamsError, "invalid category 9",
+    ),
+    "draws_nonpositive_weight": (
+        lambda: RCGParams({AB: F(0), ABC: F(1)}).validate(U3),
+        InvalidParamsError, r"weight of category \('a', 'b'\) must be positive",
+    ),
+    "logit_empty_key": (
+        lambda: LogitParams(_logit_weights(key=0)).validate(U3),
+        InvalidParamsError, "invalid collection key 0",
+    ),
+    "logit_key_outside_universe": (
+        lambda: LogitParams(_logit_weights(key=0b1000)).validate(U3),
+        InvalidParamsError, "invalid collection key 8",
+    ),
+    "logit_nonpositive_weight": (
+        lambda: LogitParams(_logit_weights(weight=F(0))).validate(U3),
+        InvalidParamsError, "weight of collection 7 must be positive",
+    ),
+    "logit_negative_empty_weight": (
+        lambda: LogitParams(_logit_weights(), F(-1)).validate(U3, empty_variant=True),
+        InvalidParamsError, "empty_weight must be non-negative",
+    ),
+    "eba_no_attributes": (
+        lambda: EBAParams(()).validate(U3),
+        InvalidParamsError, "at least one attribute required",
+    ),
+    "ar_no_attributes": (
+        lambda: ARParams(()).validate(U3),
+        InvalidParamsError, "at least one attribute required",
+    ),
+    "ar_zero_item_value": (
+        lambda: ARParams((ArAttribute(F(1), ABC, {0: 1, 1: 0, 2: 1}),)).validate(U3),
+        InvalidParamsError, "item values must be positive integers",
+    ),
+    "ar_fractional_item_value": (
+        lambda: ARParams((ArAttribute(F(1), ABC, {0: 1, 1: 1.5, 2: 1}),)).validate(U3),
+        InvalidParamsError, "item values must be positive integers",
+    ),
+    "rrm_item_missing": (
+        lambda: RRMParams({0: F(1), 1: F(1)}, {0: A, 1: B}).validate(U3),
+        InvalidParamsError, "salience and constraint set must be defined for every item",
+    ),
+    "rrm_nonpositive_salience": (
+        lambda: RRMParams({0: F(1), 1: F(0), 2: F(1)}, {0: A, 1: B, 2: C}).validate(U3),
+        InvalidParamsError, "salience of item 1 must be positive",
+    ),
+    "rrm_constraint_leaves_universe": (
+        lambda: RRMParams({0: F(1), 1: F(1), 2: F(1)}, {0: 0b1001, 1: B, 2: C}).validate(U3),
+        InvalidParamsError, "constraint set of item 0 leaves the universe",
+    ),
+    "partition_empty_nest": (
+        lambda: NSCParams((0, ABC), {t: F(1) for t in nonempty_submasks(ABC)}).validate(U3),
+        InvalidParamsError, "invalid nest 0",
+    ),
+    "partition_nest_outside_universe": (
+        lambda: NSCParams((AB, 0b1100), NSC_EXAMPLE.nest_weights).validate(U3),
+        InvalidParamsError, "invalid nest 12",
+    ),
+    "nsc_nonpositive_weight": (
+        lambda: NSCParams((AB, C), {**NSC_EXAMPLE.nest_weights, B: F(0)}).validate(U3),
+        InvalidParamsError, r"weight of \('b',\) must be positive",
+    ),
+    "nested_logit_exponent_count": (
+        lambda: NestedLogitParams((AB, C), {0: 1, 1: 1, 2: 1}, (1,)).validate(U3),
+        InvalidParamsError, "one exponent per nest required",
+    ),
+    "nested_logit_missing_utility": (
+        lambda: NestedLogitParams((AB, C), {0: 1, 1: 1}, (1, 1)).validate(U3),
+        InvalidParamsError, "utilities must be defined for every item",
+    ),
+    "nested_logit_nonpositive_utility": (
+        lambda: NestedLogitParams((AB, C), {0: 1, 1: 0, 2: 1}, (1, 1)).validate(U3),
+        InvalidParamsError, "utilities must be positive",
+    ),
+    "nested_logit_nonpositive_exponent": (
+        lambda: NestedLogitParams((AB, C), {0: 1, 1: 1, 2: 1}, (1, 0)).validate(U3),
+        InvalidParamsError, "exponents must be positive",
+    ),
+    "spec_wrong_params_class": (
+        lambda: ModelSpec(ModelTag.RCG, logit_fixture()).validate(U2),
+        InvalidParamsError, "model rcg expects RCGParams, got LogitParams",
+    ),
+    "ar_item_outside_menu": (
+        lambda: eval_ar_item(TestAR.PARAMS, U3, 2, AB),
+        ShapeError, "item must belong to the menu",
+    ),
+}
+
+
+@pytest.mark.parametrize("call,error,message", REFUSED.values(), ids=REFUSED.keys())
+def test_invalid_bundles_and_calls_are_refused(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_one_menu_message_names_no_bitmask():
     messages = set()
     for call in (

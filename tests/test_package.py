@@ -227,7 +227,7 @@ def test_proportionality_is_decided_by_one_rule():
     """Exact rank one and the float unit limit are read only inside
     axioms._proportional, which every unit certificate calls: IIS's on a
     list of the co-occurrence index or, in the empty-collection form, on a
-    menu pair, both in _iis_scan, and the grand-row and marginal
+    menu pair of a menu's tally, both in _iis_scan, and the grand-row and marginal
     certificates on each menu.  The float range is read by it and by the
     unit limit, whose one _float_certified call is the one float
     confirmation.
@@ -252,7 +252,6 @@ def test_proportionality_is_decided_by_one_rule():
         "axioms._cooccurrence",
         "axioms._cooccurrence.build",
         "axioms._iis_violations",
-        "axioms._menu_pairs",
         "axioms._ratio_conflicts",
     }
     mode_tests = _holders(lambda node: isinstance(node, ast.Attribute) and node.attr == "exact")
@@ -283,7 +282,8 @@ def test_cooccurring_pairs_are_enumerated_once():
     """The co-occurrence index, axioms._cooccurrence, is the one enumeration
     of the pairs of a menu's positive collections in scclab.axioms:
     check_piis reads it for stage 1, and check_iis through _iis_scan for
-    the standard form; the empty-collection form keeps a menu-pair loop.
+    the standard form; the empty-collection form tallies each menu's
+    partners from per-collection menu lists as its scan reaches the menu.
     Neither check walks the menus itself."""
     assert _callers("_cooccurrence") == {"axioms._iis_scan", "axioms.check_piis"}
     row_pairs = _holders(
@@ -297,10 +297,12 @@ def test_cooccurring_pairs_are_enumerated_once():
 
 
 def test_piis_reads_one_ratio_table():
-    """check_piis reads the co-occurrence index once into one oriented
-    ratio table, num[a][b], den[a][b] and menu[a][b]; its stages 2 and 3
-    take the table and build none of their own (stage 2's one dict is its
-    potential), and no helper orients a pair's ratio apart from it."""
+    """check_piis reads the co-occurrence index once, where stage 1 is
+    clean, into one oriented ratio table, num[a][b], den[a][b] and
+    menu[a][b] (the neighbour sets come from the index's keys); its
+    stages 2 and 3 take the table and build none of their own (stage 2's
+    one dict is its potential), and no helper orients a pair's ratio
+    apart from it."""
     assert not hasattr(axioms, "_edge")
     fillers = _holders(
         lambda node: isinstance(node, ast.Subscript)
@@ -366,8 +368,9 @@ def test_each_check_opens_one_frame():
 def test_capped_scans_read_the_full_cap():
     """A scan whose counts are stated before it compares stops once its
     witness cap is full, which it reads as ``out.full``: the support shapes,
-    the three relative-additivity scans and PAF among them, so that no
-    rewrite drops an exit without this failing."""
+    the three relative-additivity scans and PAF among them, and the merged
+    witness streams of IIS and PIIS stage 1, so that no rewrite drops an
+    exit without this failing."""
     readers = _holders(
         lambda node: isinstance(node, ast.Attribute)
         and node.attr == "full"
@@ -380,6 +383,7 @@ def test_capped_scans_read_the_full_cap():
         "axioms._support_shape_report",
         "axioms._rel_add_adjusted",
         "axioms._chain_scan",
+        "axioms.check_piis",
         "axioms._partition_report",
         "axioms.check_paf",
         "axioms.check_special",
