@@ -33,15 +33,19 @@ them:
 * Ratio postulates are decided by cross-multiplication, never division, so
   exact mode involves no rounding and zero denominators need no special
   cases.  In exact mode they cross-multiply the integer rows of
-  :func:`cached_scaled_rows`.  An equation witness's ``lhs``/``rhs`` are
-  its axiom's ``sides`` at its bindings: the two sides of the postulate as
-  written, computed from the SCC's own rows (divisions are performed there
-  only when the guards make them well defined).
+  :func:`cached_scaled_rows`.
+* A witness's ``lhs``/``rhs`` are its axiom's ``sides`` at its bindings,
+  computed from the SCC's own rows, and recorded nowhere else: an
+  equation's two sides as written (divisions are performed there only when
+  the guards make them well defined), the offending probability of a
+  support condition and the zero it demands, or nothing (POS1, DISTINCT_Q,
+  PARTITION).
 * Witness bindings are bitmasks under descriptive keys ("S", "S_prime", "x",
   "y", "T", "T_prime", "T_star_1", ...).  Item-valued bindings are 1-bit
   masks.  Every witness is self-certifying: :func:`recheck_witness`
-  recomputes the two sides of an equation axiom's postulate at the bindings,
-  or re-derives a structural axiom's violated condition, from the raw rows.
+  re-derives the violated condition from the raw rows (for an equation
+  axiom, that its two sides differ) and compares the recorded values with
+  ``sides`` there.
 
 :data:`AXIOMS` holds each axiom's check, applicability, equation ``sides``
 and witness ``recheck`` (see :class:`AxiomSpec`); :data:`CHARACTERIZING_AXIOMS`
@@ -101,8 +105,9 @@ from .models import ModelTag
 #: Default cap on the number of witnesses kept per report.
 WITNESS_CAP = 10
 
-#: The two sides of an equation axiom at some bindings, or None where a guard fails.
-Sides = Optional[tuple[Prob, Prob]]
+#: What a witness records at some bindings (an equation's two sides, or a
+#: structural axiom's values, None where it has none); None where a guard fails.
+Sides = Optional[tuple[Optional[Prob], Optional[Prob]]]
 
 
 class AxiomId(str, Enum):
@@ -130,9 +135,8 @@ class Witness:
     """One concrete violation of an axiom.
 
     ``bindings`` instantiates the violated quantifier (masks keyed by role).
-    ``lhs``/``rhs`` are the two sides of the violated equation.  Structural
-    axioms (existence/distinctness conditions) are certified by re-derivation
-    instead; their values, when given, are the offending probabilities.
+    ``lhs``/``rhs`` are its axiom's ``sides`` there: the two sides of the
+    violated equation, or a structural axiom's values, None where it has none.
     """
 
     axiom: AxiomId
@@ -160,8 +164,8 @@ class AxiomReport:
 
 class _Collector:
     """The frame of one check: it refuses an incomplete SCC, then a cap
-    below 1, accumulates witnesses up to the cap (the verdict tracks all
-    violations), and reports the counts."""
+    below 1, records each violation by :meth:`add` (the verdict tracks all
+    of them, the witnesses stop at the cap), and reports the counts."""
 
     def __init__(self, scc: SCC, axiom: AxiomId, cap: int):
         require_complete(scc)
@@ -179,16 +183,9 @@ class _Collector:
         only the counts."""
         return len(self.witnesses) == self.cap
 
-    def add(self, bindings: dict[str, int], lhs: Optional[Prob], rhs: Optional[Prob]):
-        """Record a violation of a structural axiom, with the offending
-        probabilities, if any."""
-        self.clean = False
-        if len(self.witnesses) < self.cap:
-            self.witnesses.append(Witness(self.axiom, bindings, lhs, rhs))
-
-    def add_equation(self, bindings: dict[str, int]):
-        """Record a violation of an equation axiom; under the cap, its sides
-        are computed from the SCC's rows by the axiom's ``sides``."""
+    def add(self, bindings: dict[str, int]):
+        """Record a violation; under the cap, its lhs/rhs are computed from
+        the SCC's rows by the axiom's ``sides``."""
         self.clean = False
         if len(self.witnesses) < self.cap:
             sides = AXIOMS[self.axiom].sides(self.scc, bindings)
@@ -550,7 +547,7 @@ def _iis_scan(
                 continue
             suspects.append(_iis_violations(scc, tol, t, t2, cells))
         for s, s2, t, t2 in merge(*suspects):
-            out.add_equation({"T": t, "T_prime": t2, "S": s, "S_prime": s2})
+            out.add({"T": t, "T_prime": t2, "S": s, "S_prime": s2})
             if out.full:
                 break
         return checked
@@ -585,7 +582,7 @@ def _iis_scan(
                 lhs = row_s.get(t, 0) * row_s2[t2]
                 rhs = row_s[t2] * row_s2.get(t, 0)
                 if not probs_equal(scc, lhs, rhs, tol):
-                    out.add_equation({"T": t, "T_prime": t2, "S": s, "S_prime": s2})
+                    out.add({"T": t, "T_prime": t2, "S": s, "S_prime": s2})
     return checked
 
 
@@ -744,7 +741,7 @@ def _rel_add_scan(
             continue
         for (t, u, v), (t2, u2, v2) in combinations(zip(subs, us, vs), 2):
             if not probs_equal(scc, u * v2, u2 * v, tol):
-                out.add_equation({"S": s, "x": xbit, "T": t, "T_prime": t2})
+                out.add({"S": s, "x": xbit, "T": t, "T_prime": t2})
                 if out.full:
                     break
         if out.full:
@@ -825,7 +822,7 @@ def check_additivity(
             lhs = row_rest.get(t, 0) * den_s
             rhs = (row_s.get(t, 0) + row_s.get(t | xbit, 0)) * den_rest
             if not probs_equal(scc, lhs, rhs, tol):
-                out.add_equation({"S": s, "x": xbit, "T": t})
+                out.add({"S": s, "x": xbit, "T": t})
     return out.report(vacuous=scc.universe.n)
 
 
@@ -894,7 +891,7 @@ def _support_shape_report(
         sup = set(pos[menu])
         sup.discard(0)
         for t in sorted(sup - achievable) + sorted(achievable - sup):
-            out.add({"T": t, "S": menu}, prob_lookup(scc, t, menu), None)
+            out.add({"T": t, "S": menu})
     return out.report()
 
 
@@ -925,7 +922,7 @@ def check_positivity(
             for t in pos[menu]:
                 covered |= t
             for x in bits(menu & ~covered):
-                out.add({"x": 1 << x, "S": menu}, None, None)
+                out.add({"x": 1 << x, "S": menu})
         return out.report()
     if kind in (2, 3, 4):
         return _support_shape_report(scc, cap, AxiomId(f"POS{kind}"), attributes)
@@ -971,9 +968,12 @@ def _recheck_support_shape(
     """(T, S) is positive exactly when T is not achievable at S."""
     s, t = witness.bindings["S"], witness.bindings["T"]
     achievable = _achievable(scc, witness.axiom, attributes)(s)
-    p = prob_lookup(scc, t, s)
-    shaped = is_positive(scc, p) != (t in achievable)
-    return shaped and _records(scc, witness, (p, None), tol)
+    return is_positive(scc, prob_lookup(scc, t, s)) != (t in achievable)
+
+
+def _support_shape_sides(scc: SCC, b: dict[str, int]) -> Sides:
+    """What a POS2-POS4 or FULL_SUPPORT witness records: mu(T,S)."""
+    return prob_lookup(scc, b["T"], b["S"]), None
 
 
 def _distinct_constraints_report(
@@ -984,7 +984,7 @@ def _distinct_constraints_report(
     revealed = cached_revealed_constraints(scc)
     for x, y in combinations(range(scc.universe.n), 2):
         if revealed[x] == revealed[y]:
-            out.add({"x": 1 << x, "y": 1 << y}, None, None)
+            out.add({"x": 1 << x, "y": 1 << y})
     return out.report()
 
 
@@ -1036,7 +1036,7 @@ def _rel_add_adjusted(scc: SCC, tol: ToleranceConfig, cap: int) -> AxiomReport:
                 continue
             lhs = lhs_factor * (row_s.get(t2, 0) + row_s.get(t2 | xbit, 0))
             if not probs_equal(scc, lhs, row_rest.get(t2, 0) * rhs_factor, tol):
-                out.add_equation({"S": s, "x": xbit, "T": t, "T_prime": t2})
+                out.add({"S": s, "x": xbit, "T": t, "T_prime": t2})
                 if out.full:
                     break
     return out.report(checked, vacuous)
@@ -1104,8 +1104,9 @@ def check_piis(
        :func:`_ratio_conflicts`, and the conflicts come merged in the order
        of a scan menu by menu (menu, then A, then B), so the comparisons
        stop once the cap is full.  The index's keys give the co-occurrence
-       graph, and past a clean stage 1 each list's first menu gives the
-       pair's ratio, read once into one table, :data:`_Ratios`.
+       graph; an empty index ends the scan here, and past a clean stage 1
+       each list's first menu gives the pair's ratio, read once into one
+       table, :data:`_Ratios`.
     2. If stage 1 is clean, each co-occurring pair has one well-defined
        ratio.  In exact mode :func:`_fit_potential` fits a multiplicative
        potential over the co-occurrence graph; if every edge ratio matches
@@ -1157,7 +1158,7 @@ def check_piis(
         if len(cells) > 3
     ]
     for s, a, b, s0 in merge(*conflicts):
-        out.add_equation(_chain_bindings(a, b, (b, s0, s0), (b, s, s)))
+        out.add(_chain_bindings(a, b, (b, s0, s0), (b, s, s)))
         if out.full:
             break
 
@@ -1168,7 +1169,7 @@ def check_piis(
         neighbors[a].add(b)
         neighbors[b].add(a)
     vacuous = 2 * _distant_pairs(support_colls, neighbors)
-    if not out.clean:
+    if not out.clean or not index:
         return out.report(checked, vacuous)
     table: _Ratios = tuple({c: {} for c in support_colls} for _ in range(3))
     num, den, menu = table
@@ -1325,7 +1326,7 @@ def _chain_scan(
         (ref_num, ref_den, ref), *others = values
         for n, d, chain in others:
             if not probs_equal(scc, ref_num * d, n * ref_den, tol):
-                out.add_equation(_chain_bindings(t, t2, ref, chain))
+                out.add(_chain_bindings(t, t2, ref, chain))
     return checked
 
 
@@ -1358,7 +1359,7 @@ def _partition_report(scc: SCC, tol: ToleranceConfig, cap: int) -> AxiomReport:
     nests = cached_revealed_nests(scc)
     for t, t2 in combinations(nests, 2):
         if t & t2:
-            out.add({"T": t, "T_prime": t2}, None, None)
+            out.add({"T": t, "T_prime": t2})
             if out.full:
                 break
     union = 0
@@ -1366,7 +1367,7 @@ def _partition_report(scc: SCC, tol: ToleranceConfig, cap: int) -> AxiomReport:
         union |= nest
     uncovered = scc.universe.full_mask & ~union
     if uncovered:
-        out.add({"uncovered": uncovered}, None, None)
+        out.add({"uncovered": uncovered})
     return out.report(len(nests) * (len(nests) - 1) // 2 + 1)
 
 
@@ -1420,7 +1421,7 @@ def check_paf(
             continue
         for t in sorted(guarded):
             if not probs_equal(scc, row_s[t] * dens[rest], row_rest[t] * dens[s], tol):
-                out.add_equation({"S": s, "x": xbit, "T": t})
+                out.add({"S": s, "x": xbit, "T": t})
                 if out.full:
                     break
     return out.report(checked)
@@ -1463,7 +1464,7 @@ def check_special(
             if out.full:
                 break
             if not probs_equal(scc, rows[menu].get(menu, 0), dens[menu], tol):
-                out.add_equation({"S": menu})
+                out.add({"S": menu})
         return out.report()
     if kind is not AxiomId.SINGLETON:
         raise ValueError(f"check_special handles DET_FULL_CHOICE and SINGLETON, got {kind}")
@@ -1477,10 +1478,10 @@ def check_special(
         sup = pos[menu]
         for x in bits(menu):
             if (1 << x) not in sup:
-                out.add({"x": 1 << x, "S": menu}, scc.zero(), None)
+                out.add({"x": 1 << x, "S": menu})
         for t in sorted(sup):
             if popcount(t) != 1:
-                out.add({"T": t, "S": menu}, scc.rows[menu][t], scc.zero())
+                out.add({"T": t, "S": menu})
     # clause (ii): ratio stability against the binary reference menu
     rows = cached_scaled_rows(scc)[0]
     for x, y in combinations(range(scc.universe.n), 2):
@@ -1495,7 +1496,7 @@ def check_special(
             lhs = rows[menu].get(xbit, 0) * ref_y
             rhs = ref_x * rows[menu].get(ybit, 0)
             if not probs_equal(scc, lhs, rhs, tol):
-                out.add_equation({"x": xbit, "y": ybit, "S": menu, "S_prime": ref})
+                out.add({"x": xbit, "y": ybit, "S": menu, "S_prime": ref})
     return out.report()
 
 
@@ -1503,12 +1504,18 @@ def _det_full_choice_sides(scc: SCC, b: dict[str, int]) -> Sides:
     return prob_lookup(scc, b["S"], b["S"]), scc.one()
 
 
-def _singleton_ratio_sides(scc: SCC, b: dict[str, int]) -> Sides:
-    """SINGLETON clause (ii) at menu S against the reference menu S'."""
-    xbit, ybit, s, ref = b["x"], b["y"], b["S"], b["S_prime"]
-    lhs = prob_lookup(scc, xbit, s) * prob_lookup(scc, ybit, ref)
-    rhs = prob_lookup(scc, xbit, ref) * prob_lookup(scc, ybit, s)
-    return lhs, rhs
+def _singleton_sides(scc: SCC, b: dict[str, int]) -> Sides:
+    """SINGLETON clause (ii) at menu S against the reference menu S'; for
+    clause (i), the zero an unchosen singleton x records, or mu(T,S) of
+    another collection chosen and the zero it should be."""
+    if "y" in b:
+        xbit, ybit, s, ref = b["x"], b["y"], b["S"], b["S_prime"]
+        lhs = prob_lookup(scc, xbit, s) * prob_lookup(scc, ybit, ref)
+        rhs = prob_lookup(scc, xbit, ref) * prob_lookup(scc, ybit, s)
+        return lhs, rhs
+    if "x" in b:
+        return scc.zero(), None
+    return prob_lookup(scc, b["T"], b["S"]), scc.zero()
 
 
 def _recheck_singleton(scc: SCC, witness: Witness, tol: ToleranceConfig) -> bool:
@@ -1519,12 +1526,9 @@ def _recheck_singleton(scc: SCC, witness: Witness, tol: ToleranceConfig) -> bool
     if set(b) == {"x", "y", "S", "S_prime"}:
         return _recheck_sides(scc, witness, tol)
     if set(b) == {"x", "S"}:
-        p = prob_lookup(scc, b["x"], b["S"])
-        return is_zero(scc, p) and _records(scc, witness, (scc.zero(), None), tol)
+        return is_zero(scc, prob_lookup(scc, b["x"], b["S"]))
     if set(b) == {"T", "S"}:
-        p = prob_lookup(scc, b["T"], b["S"])
-        shaped = popcount(b["T"]) != 1 and is_positive(scc, p)
-        return shaped and _records(scc, witness, (p, scc.zero()), tol)
+        return popcount(b["T"]) != 1 and is_positive(scc, prob_lookup(scc, b["T"], b["S"]))
     return False
 
 
@@ -1587,36 +1591,36 @@ def recheck_witness(
     tol: ToleranceConfig = DEFAULT_TOL,
     attributes: Optional[Sequence[int]] = None,
 ) -> bool:
-    """True iff the witness still certifies a genuine violation on ``scc``,
-    as its axiom's ``recheck`` decides (kind-2 positivity needs the same
-    ``attributes`` context the original check used).  Bindings that miss a
-    role, bind an item role (x, y) to other than one item, or name a menu
-    outside the domain or a collection outside its menu certify nothing."""
+    """True iff the witness still certifies a genuine violation on ``scc``:
+    its axiom's ``recheck`` re-derives the violated condition (kind-2
+    positivity needs the same ``attributes`` context the original check
+    used), and its recorded lhs/rhs are the axiom's ``sides`` there.
+    Bindings that miss a role, bind an item role (x, y) to other than one
+    item, or name a menu outside the domain or a collection outside its
+    menu certify nothing."""
     spec = AXIOMS[witness.axiom]
     context = {"attributes": attributes} if spec.needs_attributes else {}
     if any(popcount(witness.bindings.get(role, 1)) != 1 for role in ("x", "y")):
         return False
     try:
-        return spec.recheck(scc, witness, tol, **context)
+        return spec.recheck(scc, witness, tol, **context) and _records(
+            scc, witness, spec.sides(scc, witness.bindings), tol
+        )
     except (KeyError, MenuAbsentError, ShapeError):
         return False
 
 
 def _recheck_sides(scc: SCC, witness: Witness, tol: ToleranceConfig) -> bool:
-    """An equation witness: its bindings satisfy the axiom's guards, the
-    sides recomputed there differ, and they match the recorded lhs/rhs."""
+    """An equation witness: its bindings satisfy the axiom's guards and the
+    sides recomputed there differ."""
     sides = AXIOMS[witness.axiom].sides(scc, witness.bindings)
-    if sides is None or probs_equal(scc, *sides, tol):
-        return False
-    return _records(scc, witness, sides, tol)
+    return sides is not None and not probs_equal(scc, *sides, tol)
 
 
-def _records(
-    scc: SCC, witness: Witness, values: tuple[Optional[Prob], ...], tol: ToleranceConfig
-) -> bool:
-    """True iff the witness's lhs and rhs, where recorded, equal ``values``:
-    the probabilities at its bindings, or the zero a support condition
-    demands of them (None where the axiom records nothing)."""
+def _records(scc: SCC, witness: Witness, values: Sides, tol: ToleranceConfig) -> bool:
+    """True iff the witness's lhs and rhs, where recorded, equal ``values``,
+    its axiom's ``sides`` at its bindings (a value recorded where ``sides``
+    has None is forged)."""
     return all(
         recorded is None or (value is not None and probs_equal(scc, value, recorded, tol))
         for value, recorded in zip(values, (witness.lhs, witness.rhs))
@@ -1626,16 +1630,17 @@ def _records(
 class AxiomSpec(NamedTuple):
     """One registry entry: the ``check`` that decides an axiom, called as
     ``check(scc, tol=..., cap=...)`` plus ``attributes=...`` when it needs
-    them; for an equation axiom, the ``sides(scc, bindings)`` of its
-    postulate, which every witness takes its ``lhs``/``rhs`` from (the scans
-    decide on their own arithmetic and call it only to record one); the
-    ``recheck`` that :func:`recheck_witness` runs, a re-derivation for a
-    structural axiom; the SCCs on which :func:`full_battery` runs it; and,
-    where n items and the empty-collection flag e fix the domain, its size
-    ``domain(n, e)``, every report's checked plus vacuous count."""
+    them; the ``sides(scc, bindings)`` that every witness records as its
+    ``lhs``/``rhs``, which :func:`recheck_witness` compares them with: an
+    equation's two sides (the scans decide on their own arithmetic and call
+    it only to record a witness), a structural axiom's values, or none by
+    default; the ``recheck`` that re-derives the violated condition; the
+    SCCs on which :func:`full_battery` runs it; and, where n items and the
+    empty-collection flag e fix the domain, its size ``domain(n, e)``,
+    every report's checked plus vacuous count."""
 
     check: Callable[..., AxiomReport]
-    sides: Optional[Callable[[SCC, dict[str, int]], Sides]] = None
+    sides: Callable[[SCC, dict[str, int]], Sides] = lambda scc, bindings: (None, None)
     recheck: Callable[..., bool] = _recheck_sides
     empty_only: bool = False  # runs only on empty-collection SCCs
     needs_attributes: bool = False  # runs only when attribute carriers are given
@@ -1660,8 +1665,14 @@ def _rel_add_1_vacuous(n: int, constraints: dict[int, int]) -> int:
     return sum(3 ** (n - 1) - 2**n - 3**m + 2 ** (m + 1) for m in ms)
 
 
-def _support_domain(n: int, e: bool) -> int:  # POS2-POS4 and FULL_SUPPORT
+def _support_domain(n: int, e: bool) -> int:
     return 3**n - 2**n
+
+
+#: The registry fields that POS2-POS4 and FULL_SUPPORT share.
+_SUPPORT_SHAPE = dict(
+    sides=_support_shape_sides, recheck=_recheck_support_shape, domain=_support_domain
+)
 
 
 #: The axiom registry, in declaration order.
@@ -1694,21 +1705,14 @@ AXIOMS: dict[AxiomId, AxiomSpec] = {
         domain=lambda n, e: n * 2 ** (n - 1),
     ),
     AxiomId.POS2: AxiomSpec(
-        partial(check_positivity, kind=2),
-        recheck=_recheck_support_shape,
-        needs_attributes=True,
-        domain=_support_domain,
+        partial(check_positivity, kind=2), needs_attributes=True, **_SUPPORT_SHAPE
     ),
     AxiomId.DISTINCT_Q: AxiomSpec(
         _distinct_constraints_report,
         recheck=_recheck_distinct_q,
         domain=lambda n, e: n * (n - 1) // 2,
     ),
-    AxiomId.POS3: AxiomSpec(
-        partial(check_positivity, kind=3),
-        recheck=_recheck_support_shape,
-        domain=_support_domain,
-    ),
+    AxiomId.POS3: AxiomSpec(partial(check_positivity, kind=3), **_SUPPORT_SHAPE),
     AxiomId.REL_ADD_1: AxiomSpec(
         partial(_rel_add_scan, axiom=AxiomId.REL_ADD_1),
         partial(_rel_add_sides, axiom=AxiomId.REL_ADD_1),
@@ -1719,17 +1723,11 @@ AXIOMS: dict[AxiomId, AxiomSpec] = {
     ),
     AxiomId.PIIS: AxiomSpec(check_piis, _piis_sides),
     AxiomId.PARTITION: AxiomSpec(_partition_report, recheck=_recheck_partition),
-    AxiomId.POS4: AxiomSpec(
-        partial(check_positivity, kind=4),
-        recheck=_recheck_support_shape,
-        domain=_support_domain,
-    ),
+    AxiomId.POS4: AxiomSpec(partial(check_positivity, kind=4), **_SUPPORT_SHAPE),
     AxiomId.PAF: AxiomSpec(
         check_paf, _paf_sides, domain=lambda n, e: n * (3 ** (n - 1) - 2 ** (n - 1))
     ),
-    AxiomId.FULL_SUPPORT: AxiomSpec(
-        check_full_support, recheck=_recheck_support_shape, domain=_support_domain
-    ),
+    AxiomId.FULL_SUPPORT: AxiomSpec(check_full_support, **_SUPPORT_SHAPE),
     AxiomId.DET_FULL_CHOICE: AxiomSpec(
         partial(check_special, kind=AxiomId.DET_FULL_CHOICE),
         _det_full_choice_sides,
@@ -1737,7 +1735,7 @@ AXIOMS: dict[AxiomId, AxiomSpec] = {
     ),
     AxiomId.SINGLETON: AxiomSpec(
         partial(check_special, kind=AxiomId.SINGLETON),
-        _singleton_ratio_sides,
+        _singleton_sides,
         _recheck_singleton,
         # the last term is clause (ii)'s C(n,2) (2^(n-2) - 1), kept an int at n = 1
         domain=lambda n, e: 3**n - 2**n + e * (2**n - 1) + n * (n - 1) * (2**n - 4) // 8,

@@ -15,7 +15,7 @@ import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import combinations, product
+from itertools import combinations, cycle, product
 from operator import or_
 
 import pytest
@@ -77,6 +77,7 @@ from scclab.fuzz import (
     sample_params,
     sample_singleton_params,
 )
+from scclab.io_cli import parse_scc, scc_to_document
 from scclab.models import (
     EBAParams,
     Aspect,
@@ -290,9 +291,9 @@ class TestRevealedStructure:
         calls = []
         add = scclab.axioms._Collector.add
 
-        def counted(collector, *args):
-            calls.append(args)
-            return add(collector, *args)
+        def counted(collector, bindings):
+            calls.append(bindings)
+            return add(collector, bindings)
 
         monkeypatch.setattr(scclab.axioms._Collector, "add", counted)
         report = scclab.axioms._partition_report(scc, DEFAULT_TOL, 10)
@@ -312,6 +313,26 @@ class TestPIIS:
         report = check_piis(perturbed)
         assert not report.holds
         assert all(recheck_witness(perturbed, w) for w in report.witnesses)
+
+    @pytest.mark.parametrize("model", [ModelTag.NSC, ModelTag.NESTED_LOGIT])
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    def test_no_cooccurring_pair_runs_no_later_stage(self, monkeypatch, model, exact):
+        """One nest at n = 7: each menu has one positive collection, so no
+        pair co-occurs.  Nothing is checked, all 127 * 126 ordered pairs of
+        support collections are vacuous, and neither the potential nor the
+        chain scan runs."""
+        base = generate_scc(sample_params(GenConfig(7, model, seed=1)), Universe.default(7))
+        scc = base if exact else SCC(base.universe, _copy_rows(base, False), exact=False)
+
+        def refused(*args):
+            raise AssertionError("a stage past stage 1 ran")
+
+        monkeypatch.setattr(scclab.axioms, "_fit_potential", refused)
+        monkeypatch.setattr(scclab.axioms, "_chain_scan", refused)
+        report = check_piis(scc)
+        assert not scclab.axioms._cooccurrence(scc)
+        assert report.holds and not report.witnesses
+        assert (report.instances_checked, report.instances_vacuous) == (0, 127 * 126)
 
 
 def _edge(edges, a, b):
@@ -359,7 +380,7 @@ def _ordered_chain_scan(scc, tol, out, colls, neighbors, table, *, reached):
                 checked += 1
                 ref_num, ref_den, ref = values[0]
                 if not probs_equal(scc, ref_num * den, num * ref_den, tol):
-                    out.add_equation(_chain_bindings(t, t2, ref, chain))
+                    out.add(_chain_bindings(t, t2, ref, chain))
     reached.append((scc.exact, clean and not out.clean))
     return checked
 
@@ -916,6 +937,102 @@ class TestRatioCertificates:
             ), axiom
 
 
+#: Literals of zero-support cells, per exact mode: the last two floats are
+#: positive, but below the support threshold.
+ZERO_LITERALS = {True: ("0", "0/3", "-0"), False: ("0.0", "-0.0", "1e-13", "1e-300")}
+
+
+def _recorded_zero_cases():
+    """(name, scc, carriers): every variant at n = 4, exact and float,
+    parsed from its document with a zero-support cell, the literals of
+    ZERO_LITERALS in turn, on each collection the document does not record
+    (the empty one only on empty-collection data)."""
+    universe = Universe.default(4)
+    cases = []
+    for index, (model, empty) in enumerate(ALL_VARIANTS):
+        spec = sample_params(GenConfig(4, model, seed=7400 + index, empty_variant=empty))
+        base = generate_scc(spec, universe)
+        for exact in (True, False):
+            document = scc_to_document(SCC(universe, _copy_rows(base, exact), empty, exact))
+            literals = cycle(ZERO_LITERALS[exact])
+            for entry in document["menus"]:
+                menu = universe.mask_of(entry["menu"])
+                recorded = {universe.mask_of(cell["set"]) for cell in entry["rows"]}
+                for t in submasks(menu) if empty else nonempty_submasks(menu):
+                    if t not in recorded:
+                        cell = {"set": list(universe.labels_of(t)), "p": next(literals)}
+                        entry["rows"].append(cell)
+            name = f"{model.value}{'_o' if empty else ''}-n4-{exact}"
+            cases.append((name, parse_scc(document), _carriers_of(spec)))
+    return cases
+
+
+#: The tolerances the recorded-zero corpus is decided at, per exact mode.
+ZERO_CELL_TOLS = {
+    True: (DEFAULT_TOL,),
+    False: (DEFAULT_TOL, ToleranceConfig(eps_eq=1e-6), ToleranceConfig(eps_eq=1e-2)),
+}
+
+
+@pytest.fixture(scope="module")
+def recorded_zero_runs():
+    """(case, scc, tol, cap, run_axiom's report, the reference's report,
+    carriers): every equation axiom the reference decides, at each of
+    ZERO_CELL_TOLS, and the structural ones, on the recorded-zero corpus,
+    at caps 1 and 10."""
+    runs = []
+    for name, scc, carriers in _recorded_zero_cases():
+        for tol in ZERO_CELL_TOLS[scc.exact]:
+            axioms = [*REFERENCE_AXIOMS, *(STRUCTURAL_AXIOMS if tol is DEFAULT_TOL else ())]
+            for axiom in axioms:
+                if not _compared(scc, axiom, carriers):
+                    continue
+                whole = _reference(scc, axiom, tol, cap=10, attributes=carriers)
+                for cap in (1, 10):
+                    fast = run_axiom(scc, axiom, tol, attributes=carriers, cap=cap)
+                    cut = replace(whole, witnesses=whole.witnesses[:cap])
+                    runs.append((name, scc, tol, cap, fast, cut, carriers))
+    return runs
+
+
+class TestRecordedZeroCells:
+    """Zero-support cells that a document records, read through the scans."""
+
+    def test_reports_match_the_reference(self, recorded_zero_runs):
+        for name, _, tol, cap, fast, slow, _ in recorded_zero_runs:
+            case = (name, fast.axiom, tol.eps_eq, cap)
+            assert fast.holds == slow.holds, case
+            assert fast.witnesses == slow.witnesses, case
+            assert fast.instances_checked == slow.instances_checked, case
+            assert fast.instances_vacuous == slow.instances_vacuous, case
+            assert fast == slow, case
+
+    def test_witnesses_recheck(self, recorded_zero_runs):
+        for name, scc, tol, _, fast, _, carriers in recorded_zero_runs:
+            for witness in fast.witnesses:
+                assert recheck_witness(scc, witness, tol, carriers), (name, witness)
+
+    def test_corpus_records_every_literal_and_fails_somewhere(self, recorded_zero_runs):
+        """Each literal of ZERO_LITERALS is recorded in the rows the scans
+        read, and in each mode some equation axiom fails."""
+        cases = {id(scc): scc for _, scc, *_ in recorded_zero_runs}
+        for exact in (True, False):
+            zeros = {
+                repr(p)
+                for scc in cases.values()
+                if scc.exact is exact
+                for row in cached_scaled_rows(scc)[0].values()
+                for p in row.values()
+                if not is_positive(scc, p)
+            }
+            assert zeros == ({"0"} if exact else {"0.0", "-0.0", "1e-13", "1e-300"}), exact
+            assert any(
+                not fast.holds and fast.axiom in REFERENCE_AXIOMS
+                for _, scc, _, _, fast, _, _ in recorded_zero_runs
+                if scc.exact is exact
+            ), exact
+
+
 #: The variants that draw a weighted set and choose its trace on the menu,
 #: whose rows are sparse, each with a seed at n = 6 where IIS and PIIS hold
 #: with instances checked (rcg, rrm, nsc, nested_logit) or fail on several
@@ -968,7 +1085,7 @@ def _menu_major_piis(scc, tol, cap):
             pa0, pb0, s0 = edges[a, b]
             checked += 1
             if not probs_equal(scc, pa * pb0, pb * pa0, tol):
-                out.add_equation(_chain_bindings(a, b, (b, s0, s0), (b, s, s)))
+                out.add(_chain_bindings(a, b, (b, s0, s0), (b, s, s)))
     colls = sorted({t for row in pos.values() for t in row})
     near = _graph(colls, edges)
     # the module's ratio table, num[a][b], den[a][b] and menu[a][b], from edges
@@ -1535,11 +1652,11 @@ def _listed_submasks(monkeypatch):
 
 
 def _compare_events(monkeypatch):
-    """The probs_equal calls ("compare") and equation witnesses ("witness")
+    """The probs_equal calls ("compare") and recorded witnesses ("witness")
     of scclab.axioms from here on, in order."""
     events = []
     probs_equal_of = scclab.axioms.probs_equal
-    add_equation = scclab.axioms._Collector.add_equation
+    add = scclab.axioms._Collector.add
 
     def compared(*args):
         events.append("compare")
@@ -1547,10 +1664,10 @@ def _compare_events(monkeypatch):
 
     def recorded(collector, bindings):
         events.append("witness")
-        return add_equation(collector, bindings)
+        return add(collector, bindings)
 
     monkeypatch.setattr(scclab.axioms, "probs_equal", compared)
-    monkeypatch.setattr(scclab.axioms._Collector, "add_equation", recorded)
+    monkeypatch.setattr(scclab.axioms._Collector, "add", recorded)
     return events
 
 
@@ -2425,7 +2542,8 @@ TAMPERS = {
 
 #: Axioms whose witnesses record a probability at their bindings: both sides
 #: of an equation, or the offending probability of a support condition.  The
-#: recheck recomputes every recorded value; the other axioms record none.
+#: recheck recomputes every recorded value; the other axioms record none, and
+#: a value given to one of their witnesses is forged.
 RECORDING_AXIOMS = set(AxiomId) - {AxiomId.POS1, AxiomId.DISTINCT_Q, AxiomId.PARTITION}
 
 
@@ -2450,18 +2568,39 @@ class TestRecheckEveryAxiom:
                 assert recheck_witness(scc, witness, attributes=carriers), (name, witness)
 
     def test_tampered_lhs_rejected(self, recheck_runs):
+        """A recorded lhs moved by 1/2 is refused, and so is an lhs or an
+        rhs given to a witness of an axiom that records no value."""
         reached = set()
         for name, scc, carriers, report in recheck_runs:
+            half = F(1, 2) if scc.exact else 0.5
             for witness in report.witnesses:
                 if witness.lhs is None:
                     assert witness.axiom not in RECORDING_AXIOMS
-                    continue
-                lhs = witness.lhs + (F(1, 2) if scc.exact else 0.5)
-                fake = Witness(witness.axiom, witness.bindings, lhs, witness.rhs)
-                assert not recheck_witness(scc, fake, attributes=carriers), (name, witness)
+                    fakes = (replace(witness, lhs=half), replace(witness, rhs=half))
+                else:
+                    fakes = (replace(witness, lhs=witness.lhs + half),)
+                for fake in fakes:
+                    assert not recheck_witness(scc, fake, attributes=carriers), (name, fake)
                 reached.add((witness.axiom, frozenset(witness.bindings)))
-        assert {axiom for axiom, _ in reached} == RECORDING_AXIOMS
+        assert {axiom for axiom, _ in reached} == set(AxiomId)
         assert len({k for a, k in reached if a is AxiomId.SINGLETON}) == 3
+
+    def test_forged_values_of_hand_picked_witnesses_rejected(self):
+        """POS1 on two items whose {a, b} row is {b: 1}, DISTINCT_Q on nsc
+        and PARTITION on rrm at n = 4 (seed 0): each witness is reported and
+        rechecks, and with lhs 1/2 it does not."""
+        two = SCC(Universe.default(2), {A: {A: F(1)}, B: {B: F(1)}, AB: {B: F(1)}})
+        cases = [(two, Witness(AxiomId.POS1, {"x": A, "S": AB}))]
+        for model, axiom, bindings in (
+            (ModelTag.NSC, AxiomId.DISTINCT_Q, {"x": A, "y": B}),
+            (ModelTag.RRM, AxiomId.PARTITION, {"T": A, "T_prime": AB}),
+        ):
+            scc = generate_scc(sample_params(GenConfig(4, model, seed=0)), Universe.default(4))
+            cases.append((scc, Witness(axiom, bindings)))
+        for scc, witness in cases:
+            assert witness in run_axiom(scc, witness.axiom, cap=10**6).witnesses
+            assert recheck_witness(scc, witness), witness
+            assert not recheck_witness(scc, replace(witness, lhs=F(1, 2))), witness
 
     def test_tampered_bindings_rejected(self, recheck_runs):
         reached = set()

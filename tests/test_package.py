@@ -348,6 +348,33 @@ def test_support_is_read_from_one_table():
     }
 
 
+def test_witnesses_are_recorded_one_way():
+    """In scclab.axioms a witness is built only by axioms._Collector.add,
+    which every scan calls with one argument, its bindings, and which takes
+    its lhs/rhs from the axiom's ``sides``; besides it, ``sides`` is read
+    only by the rechecks, and the recorded values are compared with it by
+    ``_records`` alone, which only recheck_witness calls."""
+    assert not hasattr(axioms._Collector, "add_equation")
+    in_axioms = lambda holders: {h for h in holders if h.split(".")[0] == "axioms"}
+    assert in_axioms(_callers("Witness")) == {"axioms._Collector.add"}
+    assert _callers("_records") == {"axioms.recheck_witness"}
+    readers = _holders(lambda node: isinstance(node, ast.Attribute) and node.attr == "sides")
+    assert in_axioms(readers) == {
+        "axioms._Collector.add",
+        "axioms.recheck_witness",
+        "axioms._recheck_sides",
+    }
+    adds = [
+        node
+        for scope, node in _scoped_nodes()
+        if scope.split(".")[0] == "axioms"
+        and isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) == "add"
+        and getattr(node.func.value, "id", None) == "out"
+    ]
+    assert adds and all(len(call.args) == 1 and not call.keywords for call in adds)
+
+
 def test_each_check_opens_one_frame():
     """Every check builds one axioms._Collector, which refuses an incomplete
     SCC; the other callers of require_complete keep no collector (the two
