@@ -665,11 +665,22 @@ def _marginal_certificate(scc: SCC, tol: ToleranceConfig) -> bool:
     step 1 unless G_S is zero on every non-empty T while the row is not,
     so such a menu refuses.  The walk is depth-first from the grand set,
     each menu reached once by removing items in descending order, and
-    G_{S\\y} is G_S with each T merged into T \\ y; only non-zero entries
-    are kept, so sparse data costs its support, and only the marginals of
-    one chain of menus are alive at a time.
+    G_{S\\y} is :func:`_marginal` of G_S onto S\\y.  G starts from the
+    positive cells of g, so sparse data costs its support, and only the
+    marginals of one chain of menus are alive at a time.
     """
     return _memoized(scc, ("marginals",), lambda: _decide_marginals(scc, tol))
+
+
+def _marginal(cells: dict[int, Prob], xbit: int) -> dict[int, Prob]:
+    """The one merge of a row or marginal ``cells`` of menu S onto S\\x: each
+    T is added into T\\x and the empty result dropped, so T holds
+    mu(T,S) + mu(T u x,S) wherever one of the two is recorded, and only there."""
+    merged: dict[int, Prob] = {}
+    for t, p in cells.items():
+        if t := t & ~xbit:
+            merged[t] = merged.get(t, 0) + p
+    return merged
 
 
 def _decide_marginals(scc: SCC, tol: ToleranceConfig) -> bool:
@@ -688,13 +699,7 @@ def _decide_marginals(scc: SCC, tol: ToleranceConfig) -> bool:
         if s.bit_count() < 2:
             return True
         for y in bits(s & ((1 << below) - 1)):
-            ybit = 1 << y
-            child: dict[int, Prob] = {}
-            for t, g in marginal.items():
-                if t != ybit:
-                    t &= ~ybit
-                    child[t] = child.get(t, 0) + g
-            if not holds(s & ~ybit, child, y):
+            if not holds(s & ~(1 << y), _marginal(marginal, 1 << y), y):
                 return False
         return True
 
@@ -1009,8 +1014,9 @@ def _rel_add_adjusted(scc: SCC, tol: ToleranceConfig, cap: int) -> AxiomReport:
     and float mode compares the equation as written, as its ``sides`` do.
     Vacuous instances: T empty, or zero adjustment denominator.  Counts
     come first: an (S, x) has 2^|S\\x| - 1 instances, less one when T is
-    non-empty, all checked or all vacuous; its T' are listed only while
-    the cap is not full.
+    non-empty, all checked or all vacuous.  Under the cap, only the T'
+    recorded in row S\\x or in row S's :func:`_marginal` are compared,
+    ascending: at any other T' both sides are zero, so it holds.
     """
     out = _Collector(scc, AxiomId.REL_ADD_2, cap)
     revealed = cached_revealed_constraints(scc)
@@ -1028,13 +1034,12 @@ def _rel_add_adjusted(scc: SCC, tol: ToleranceConfig, cap: int) -> AxiomReport:
         checked += size
         if out.full:
             continue
+        sums = _marginal(row_s, xbit)
         scale, shift = _adjustment(scc, row_full.get(q, 0) * dens[s], denom)
         lhs_factor = scale * row_rest.get(t, 0)
-        rhs_factor = scale * (row_s.get(t, 0) + row_s.get(t | xbit, 0)) - shift
-        for t2 in nonempty_submasks(rest):
-            if t2 == t:
-                continue
-            lhs = lhs_factor * (row_s.get(t2, 0) + row_s.get(t2 | xbit, 0))
+        rhs_factor = scale * sums.get(t, 0) - shift
+        for t2 in sorted((sums.keys() | row_rest.keys()) - {0, t}):
+            lhs = lhs_factor * sums.get(t2, 0)
             if not probs_equal(scc, lhs, row_rest.get(t2, 0) * rhs_factor, tol):
                 out.add({"S": s, "x": xbit, "T": t, "T_prime": t2})
                 if out.full:
@@ -1563,25 +1568,19 @@ def support_transfer_violations(scc: SCC) -> list[dict]:
     non-empty T contained in S\\x, mu(T,S\\x) = 0 iff mu(T,S) + mu(T u x, S)
     = 0.  Violations carry the direction that failed ("zero_spreads" when a
     zero at the smaller menu meets positive mass at the larger one,
-    "support_drops" for the converse).
+    "support_drops" for the converse): per (S, x), the T, ascending, where
+    row S\\x's positive collections (:func:`_positive_rows`) and the positive
+    sums of row S's :func:`_marginal` differ; the sums are tested themselves,
+    as zero-support float cells may add up to a positive sum.
     """
     require_complete(scc)
-    zero = scc.zero()
+    pos = _positive_rows(scc)
     offenders = []
-    for s, xbit, rest, row_s, row_rest in _removals(scc.rows):
-        for t in nonempty_submasks(rest):
-            small = row_rest.get(t, zero)
-            pair = row_s.get(t, zero) + row_s.get(t | xbit, zero)
-            small_zero = is_zero(scc, small)
-            pair_zero = is_zero(scc, pair)
-            if small_zero and not pair_zero:
-                offenders.append(
-                    {"S": s, "x": xbit, "T": t, "direction": "zero_spreads"}
-                )
-            elif not small_zero and pair_zero:
-                offenders.append(
-                    {"S": s, "x": xbit, "T": t, "direction": "support_drops"}
-                )
+    for s, xbit, rest, row_s, _ in _removals(cached_scaled_rows(scc)[0]):
+        summed = {t for t, p in _marginal(row_s, xbit).items() if is_positive(scc, p)}
+        for t in sorted(summed ^ (pos[rest].keys() - {0})):
+            direction = "zero_spreads" if t in summed else "support_drops"
+            offenders.append({"S": s, "x": xbit, "T": t, "direction": direction})
     return offenders
 
 

@@ -23,13 +23,16 @@ import pytest
 from scclab.core import (
     DEFAULT_TOL,
     IncompleteDatasetError,
+    MenuAbsentError,
     MissingAttributesError,
+    MissingBinaryMenuError,
     SCC,
     ToleranceConfig,
     Universe,
     WrongVariantError,
     bits,
     is_positive,
+    is_zero,
     nonempty_submasks,
     popcount,
     prob_lookup,
@@ -1651,6 +1654,20 @@ def _listed_submasks(monkeypatch):
     return listed
 
 
+def _listed_marginals(monkeypatch, scc):
+    """The (S, x) whose row S scclab.axioms merges onto S\\x by _marginal
+    from here on, in order, as a list that fills as the scans run."""
+    listed = []
+    menu_of = {id(row): s for s, row in cached_scaled_rows(scc)[0].items()}
+    marginal = scclab.axioms._marginal
+    monkeypatch.setattr(
+        scclab.axioms,
+        "_marginal",
+        lambda cells, xbit: listed.append((menu_of.get(id(cells)), xbit)) or marginal(cells, xbit),
+    )
+    return listed
+
+
 def _compare_events(monkeypatch):
     """The probs_equal calls ("compare") and recorded witnesses ("witness")
     of scclab.axioms from here on, in order."""
@@ -1762,13 +1779,14 @@ class TestCapFullExits:
         assert read == menus[: last + 1] and last + 1 < len(menus)
 
     def test_rel_add_2_lists_only_checked_units_under_the_cap(self, monkeypatch):
-        """Exact rcg at n = 8: the T' of an (S, x) are listed only when its
-        instances are checked and the cap is not yet full; a vacuous unit,
-        one with T empty or a zero adjustment denominator, is counted
-        without them; and no comparison follows the cap-th witness."""
+        """Exact rcg at n = 8: the T' of an (S, x) are listed, by one
+        _marginal call on row S, only when its instances are checked and
+        the cap is not yet full; a vacuous unit, one with T empty or a zero
+        adjustment denominator, is counted without them; and no comparison
+        follows the cap-th witness."""
         scc = generate_scc(sample_params(GenConfig(8, ModelTag.RCG, seed=5301)), Universe.default(8))
         whole = run_axiom(scc, AxiomId.REL_ADD_2, cap=10**6)
-        listed, events = _listed_submasks(monkeypatch), _compare_events(monkeypatch)
+        listed, events = _listed_marginals(monkeypatch, scc), _compare_events(monkeypatch)
         report = run_axiom(scc, AxiomId.REL_ADD_2, cap=10)
         assert report == replace(whole, witnesses=whole.witnesses[:10])
         assert events.count("witness") == 10 and events[-1] == "witness"
@@ -1782,10 +1800,30 @@ class TestCapFullExits:
                 denom = sum(prob_lookup(scc, revealed[y], full) for y in bits(s))
                 units.append((s, 1 << x, rest, bool(revealed[x] & rest) and denom > 0))
         end = units.index((last["S"], last["x"], last["S"] & ~last["x"], True)) + 1
-        assert listed == [rest for _, _, rest, checked in units[:end] if checked]
+        assert listed == [(s, x) for s, x, _, checked in units[:end] if checked]
         # vacuous units come before the cap fills, and checked ones after it
         assert not all(checked for *_, checked in units[:end])
         assert any(checked for *_, checked in units[end:])
+
+    def test_rel_add_2_compares_only_the_recorded_collections(self, monkeypatch):
+        """Exact rrm at n = 9, uncapped: a checked (S, x) makes at most
+        |row S| + |row S\\x| comparisons, not one per subset of S\\x, and
+        none is made outside a listed unit."""
+        scc = generate_scc(sample_params(GenConfig(9, ModelTag.RRM, seed=909)), Universe.default(9))
+        rows = cached_scaled_rows(scc)[0]
+        listed, compared = _listed_marginals(monkeypatch, scc), []
+        probs_equal_of = scclab.axioms.probs_equal
+        monkeypatch.setattr(
+            scclab.axioms,
+            "probs_equal",
+            lambda *args: compared.append(len(listed)) or probs_equal_of(*args),
+        )
+        report = run_axiom(scc, AxiomId.REL_ADD_2, cap=10**6)
+        assert report.holds and report.instances_checked > 5 * len(compared) > 0
+        per_unit = [compared.count(unit) for unit in range(len(listed) + 1)]
+        assert per_unit[0] == 0
+        for (s, x), count in zip(listed, per_unit[1:]):
+            assert count <= len(rows[s]) + len(rows[s & ~x]), (s, x)
 
     @pytest.mark.parametrize("axiom", [AxiomId.REL_ADD, AxiomId.REL_ADD_1])
     def test_rel_add_lists_no_subset_once_the_cap_is_full(self, monkeypatch, axiom):
@@ -1865,7 +1903,51 @@ def capped_runs():
     return {corpus: _reference_runs(cases, CAPPED_AXIOMS) for corpus, cases in corpora.items()}
 
 
+def _dropped_column_cases():
+    """(name, scc, (S, x, T')): rrm at n = 4 (seeds 0-4) and nsc (seed 0),
+    exact and float, with the first checked REL_ADD_2 unit (S, x) of a
+    three-item S that has a T' recorded at S\\x and in row S's marginal
+    losing that marginal: mu(T',S) and mu(T' u x,S) move onto mu(S,S)."""
+    universe = Universe.default(4)
+    cases = []
+    for model, seed in [*((ModelTag.RRM, seed) for seed in range(5)), (ModelTag.NSC, 0)]:
+        base = generate_scc(sample_params(GenConfig(4, model, seed=seed)), universe)
+        revealed = cached_revealed_constraints(base)
+        s, xbit, t2 = next(
+            (s, 1 << x, t2)
+            for s in base.menus()
+            if s.bit_count() == 3
+            for x in bits(s)
+            if revealed[x] & s & ~(1 << x)
+            for t2 in sorted(base.rows[s & ~(1 << x)])
+            if t2 not in (0, revealed[x] & s & ~(1 << x))
+            and (t2 in base.rows[s] or t2 | 1 << x in base.rows[s])
+        )
+        for exact in (True, False):
+            rows = _copy_rows(base, exact)
+            moved = rows[s].pop(t2, 0) + rows[s].pop(t2 | xbit, 0)
+            rows[s][s] = rows[s].get(s, 0) + moved
+            cases.append((f"{model.value}-{seed}-{exact}", SCC(universe, rows, exact=exact), (s, xbit, t2)))
+    return cases
+
+
 class TestCappedScans:
+    def test_rel_add_2_compares_the_collections_of_row_s_less_x(self):
+        """A T' positive at S\\x but unrecorded in row S's marginal is
+        compared: its witness is reported as the reference reports it (in
+        all but rrm seed 1, where mu(T,S) + mu(T u x,S) = adj(x,S), so both
+        sides are 0)."""
+        reported = 0
+        for name, scc, (s, xbit, t2) in _dropped_column_cases():
+            whole = _reference(scc, AxiomId.REL_ADD_2, cap=10)
+            for cap in (1, 10):
+                report = run_axiom(scc, AxiomId.REL_ADD_2, cap=cap)
+                assert report == replace(whole, witnesses=whole.witnesses[:cap]), (name, cap)
+            bindings = [(w.bindings["S"], w.bindings["x"], w.bindings["T_prime"]) for w in whole.witnesses]
+            reported += (s, xbit, t2) in bindings
+            assert all(recheck_witness(scc, w) for w in whole.witnesses), name
+        assert reported == 10
+
     def test_reports_match_the_reference(self, capped_runs):
         for runs in capped_runs.values():
             for name, _, axiom, cap, fast, slow, _ in runs:
@@ -2376,8 +2458,92 @@ class TestSpecialClasses:
         assert all(recheck_witness(scc, w) for w in ratio_witnesses)
 
 
+def _support_transfer_loop(scc):
+    """The subset loop support_transfer_violations ran before it read the
+    positivity table: every non-empty T of every S\\x, tested on the
+    SCC's own rows (Fractions or floats)."""
+    zero = scc.zero()
+    offenders = []
+    for s in scc.menus():
+        for x in bits(s) if s.bit_count() > 1 else ():
+            xbit = 1 << x
+            row_s, row_rest = scc.rows[s], scc.rows[s & ~xbit]
+            for t in nonempty_submasks(s & ~xbit):
+                small_zero = is_zero(scc, row_rest.get(t, zero))
+                pair_zero = is_zero(scc, row_s.get(t, zero) + row_s.get(t | xbit, zero))
+                if small_zero and not pair_zero:
+                    offenders.append({"S": s, "x": xbit, "T": t, "direction": "zero_spreads"})
+                elif not small_zero and pair_zero:
+                    offenders.append({"S": s, "x": xbit, "T": t, "direction": "support_drops"})
+    return offenders
+
+
+def _zeroed_cell(scc, rng):
+    """A copy of ``scc`` with one positive cell of a random menu of two or
+    more positive cells zeroed and that row renormalised; None where no
+    menu has two."""
+    rows = {m: dict(row) for m, row in scc.rows.items()}
+    menus = [m for m in sorted(rows) if sum(map(bool, rows[m].values())) > 1]
+    if not menus:
+        return None
+    menu = rng.choice(menus)
+    rows[menu][rng.choice(sorted(t for t, p in rows[menu].items() if p))] *= 0
+    total = sum(rows[menu].values())
+    rows[menu] = {t: p / total for t, p in rows[menu].items()}
+    return SCC(scc.universe, rows, scc.allows_empty, scc.exact)
+
+
+def _support_transfer_cases():
+    """(name, scc): every variant at n = 3..6, exact and float: as
+    generated, with one cell zeroed (:func:`_zeroed_cell`), and parsed
+    from its document with a zero-support cell, "0" exact and "0.0" or
+    "7e-13" float, on each collection it does not record."""
+    rng = random.Random(5400)
+    cases = []
+    for n in range(3, 7):
+        universe = Universe.default(n)
+        for index, (model, empty) in enumerate(ALL_VARIANTS):
+            spec = sample_params(GenConfig(n, model, seed=5400 + 20 * n + index, empty_variant=empty))
+            base = generate_scc(spec, universe)
+            for exact in (True, False):
+                name = f"{model.value}{'_o' if empty else ''}-n{n}-{exact}"
+                scc = SCC(universe, _copy_rows(base, exact), empty, exact)
+                document = scc_to_document(scc)
+                literals = cycle(("0",) if exact else ("0.0", "7e-13"))
+                for entry in document["menus"]:
+                    menu = universe.mask_of(entry["menu"])
+                    recorded = {universe.mask_of(cell["set"]) for cell in entry["rows"]}
+                    for t in submasks(menu) if empty else nonempty_submasks(menu):
+                        if t not in recorded:
+                            entry["rows"].append({"set": list(universe.labels_of(t)), "p": next(literals)})
+                cases += [
+                    (name, scc),
+                    (f"{name}-zeroed", _zeroed_cell(scc, rng)),
+                    (f"{name}-recorded", parse_scc(document)),
+                ]
+    return [(name, scc) for name, scc in cases if scc is not None]
+
+
 class TestDerivedConsequences:
     """Monotonicity and the support-transfer property as diagnostics."""
+
+    def test_support_transfer_matches_the_subset_loop(self):
+        found = set()
+        for name, scc in _support_transfer_cases():
+            offenders = support_transfer_violations(scc)
+            assert offenders == _support_transfer_loop(scc), name
+            found |= {(scc.exact, v["direction"]) for v in offenders}
+        # both directions are reached in both modes
+        assert found == set(product((True, False), ("zero_spreads", "support_drops")))
+
+    def test_float_cells_below_support_add_up_past_it(self):
+        """Two recorded cells of 7e-13, each below the support threshold,
+        sum to positive mass at {a} where {a} is unchosen at {a}."""
+        rows = {A: {0: 1.0}, B: {B: 1.0}, AB: {A: 7e-13, AB: 7e-13, B: 1 - 1.4e-12}}
+        scc = SCC(Universe.default(2), rows, allows_empty=True, exact=False)
+        found = support_transfer_violations(scc)
+        assert found == _support_transfer_loop(scc)
+        assert {"S": AB, "x": B, "T": A, "direction": "zero_spreads"} in found
 
     def test_clean_on_rel_add_data(self, ic_scc):
         assert monotonicity_violations(ic_scc) == []
@@ -2897,3 +3063,50 @@ class TestScaledRows:
         rows = {m: {t: float(p) for t, p in row.items()} for m, row in logit_scc.rows.items()}
         scc = SCC(U3, rows, exact=False)
         assert cached_scaled_rows(scc)[0] is scc.rows
+
+
+#: Two items, each binary row one half: complete, with mu({a,b}, {a,b}) = 0.
+HALVES = SCC(Universe.default(2), {A: {A: F(1)}, B: {B: F(1)}, AB: {A: F(1, 2), B: F(1, 2)}})
+#: Two items and no binary menu, so no grand set either.
+SINGLETONS = SCC(Universe.default(2), {A: {A: F(1)}, B: {B: F(1)}})
+
+#: Calls no other test makes: (call, the error it raises and its message,
+#: or False for a witness that recheck_witness must refuse).
+UNREACHED = {
+    "positivity_kind_5": (
+        lambda: check_positivity(HALVES, kind=5),
+        (ValueError, "positivity kind must be 1, 2, 3, or 4, got 5"),
+    ),
+    "special_pos1": (
+        lambda: check_special(HALVES, AxiomId.POS1),
+        (ValueError, "check_special handles DET_FULL_CHOICE and SINGLETON"),
+    ),
+    "constraints_without_binary_menu": (
+        lambda: derive_revealed_constraints(SINGLETONS),
+        (MissingBinaryMenuError, "binary menu .* is absent"),
+    ),
+    "nests_without_grand_set": (
+        lambda: derive_revealed_nests(SINGLETONS),
+        (MenuAbsentError, "grand-set row required"),
+    ),
+    # chain 1 passes through mu({a,b}, {a,b}) = 0
+    "piis_chain_through_a_zero_cell": (
+        lambda: recheck_witness(HALVES, Witness(AxiomId.PIIS, _chain_bindings(A, B, (AB, AB, AB), (B, AB, AB)))),
+        False,
+    ),
+    # no clause of SINGLETON binds T, S and y
+    "singleton_foreign_bindings": (
+        lambda: recheck_witness(HALVES, Witness(AxiomId.SINGLETON, {"T": AB, "S": AB, "y": B})),
+        False,
+    ),
+}
+
+
+@pytest.mark.parametrize("call,outcome", UNREACHED.values(), ids=UNREACHED.keys())
+def test_unreached_refusals(call, outcome):
+    if outcome is False:
+        assert call() is False
+        return
+    error, message = outcome
+    with pytest.raises(error, match=message):
+        call()

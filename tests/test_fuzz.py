@@ -111,6 +111,18 @@ class TestSamplingErrors:
         with pytest.raises(InfeasibleStructureError, match="density 1.0$"):
             sample_params(GenConfig(3, ModelTag.RRM, seed=0))
 
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            (lambda: GenConfig(0, ModelTag.RCG, seed=0), "universe size must be positive"),
+            (lambda: sample_params(GenConfig(3, "rcg", seed=0)), "unknown model tag rcg"),
+        ],
+        ids=["empty-universe", "str-model"],
+    )
+    def test_invalid_configs_are_refused(self, call, message):
+        with pytest.raises(InvalidParamsError, match=f"^{message}$"):
+            call()
+
     def test_nest_count_above_universe(self):
         # the nest-invariant sampler asks for at least two nests
         with pytest.raises(InfeasibleStructureError):

@@ -15,7 +15,7 @@ from scclab.core import (
     probs_equal,
     validate_scc,
 )
-from scclab.axioms import SELF_CHARACTERIZED, AxiomId, cached_scaled_rows
+from scclab.axioms import SELF_CHARACTERIZED, AxiomId, cached_scaled_rows, run_axiom
 from scclab.fuzz import ALL_VARIANTS, GenConfig, sample_params
 from scclab.identify import (
     RECOVERIES,
@@ -500,3 +500,15 @@ def test_exact_round_trip_builds_no_fraction(monkeypatch, model, empty):
     monkeypatch.undo()
     assert finished == result
     assert built == []
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_ic_refuses_a_dataset_that_chooses_nothing(exact):
+    """Two items, the empty collection chosen from every menu: IIS_O and
+    ADDITIVITY hold, so the gate passes, but no inclusion rate is defined."""
+    one = F(1) if exact else 1.0
+    scc = SCC(U2, {A: {0: one}, B: {0: one}, AB: {0: one}}, allows_empty=True, exact=exact)
+    for axiom in (AxiomId.IIS_O, AxiomId.ADDITIVITY):
+        assert run_axiom(scc, axiom).holds, axiom
+    with pytest.raises(PreconditionFailedError, match="inclusion probabilities are undefined$"):
+        identify_ic(scc)

@@ -773,6 +773,19 @@ class TestCli:
             "category weights must sum to 1, got 1/2",
         }
 
+    def test_identify_ic_o_on_a_dataset_that_chooses_nothing(self, tmp_path):
+        path = tmp_path / "nothing.json"
+        path.write_text(json.dumps({
+            "items": ["a", "b"],
+            "allows_empty": True,
+            "menus": [{"menu": menu, "rows": [{"set": [], "p": "1"}]}
+                      for menu in (["a"], ["b"], ["a", "b"])],
+        }))
+        code, payload = self.run(tmp_path, "identify", str(path), "--model", "ic_o")
+        assert code == 1
+        assert payload["identified"] is False
+        assert payload["error"].endswith("inclusion probabilities are undefined")
+
     @pytest.fixture()
     def logit_o_path(self, tmp_path):
         params = LogitParams({A: F(2), B: F(1), AB: F(1)}, empty_weight=F(4))

@@ -203,6 +203,20 @@ class TestAR:
         assert mu == F(1, 2) and rho == F(1, 3)
         assert mu * rho == F(1, 6)
 
+    def test_int_weights_stay_exact(self):
+        """Int weights 1 and 2: every probability eval_ar_item and menu_row
+        return is a Fraction, so the decomposition's exact check runs, and
+        it recombines exactly (a float rho would skip that check)."""
+        params = ARParams((ArAttribute(1, AB, {0: 1, 1: 2}), ArAttribute(2, BC, {1: 1, 2: 3})))
+        spec = ModelSpec(ModelTag.AR, params)
+        for menu in (AB, BC, ABC):
+            assert all(type(p) is Fraction for p in menu_row(spec, U3, menu).values())
+            for item in bits(menu):
+                p, decomposition = eval_ar_item(params, U3, item, menu)
+                values = [p, *(v for pair in decomposition.values() for v in pair)]
+                assert all(type(v) is Fraction for v in values), (menu, item)
+                assert p == sum(mu * rho for mu, rho in decomposition.values())
+
     def test_item_identity(self):
         # p(x, S) equals the mu-weighted second-stage mixture, exactly
         for menu in nonempty_submasks(ABC):

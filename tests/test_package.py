@@ -324,6 +324,22 @@ def test_piis_reads_one_ratio_table():
         assert list(inspect.signature(stage).parameters)[-1] == "table", stage.__name__
 
 
+def test_one_marginal_onto_a_menu_less_x():
+    """axioms._marginal is the one merge of a row or marginal of S onto
+    S\\x: the marginal certificate builds each child's marginal with it,
+    and REL_ADD_2 and support transfer set it against row S\\x.  Those two
+    scans list no subsets of S\\x, and read the scaled rows, not SCC.rows."""
+    assert _callers("_marginal") == {
+        "axioms._decide_marginals.holds",
+        "axioms._rel_add_adjusted",
+        "axioms.support_transfer_violations",
+    }
+    scans = {"axioms._rel_add_adjusted", "axioms.support_transfer_violations"}
+    assert not (_callers("submasks") | _callers("nonempty_submasks")) & scans
+    row_readers = _holders(lambda node: isinstance(node, ast.Attribute) and node.attr == "rows")
+    assert not row_readers & scans
+
+
 def test_support_is_read_from_one_table():
     """Every support test of a cell in the scans reads axioms._positive_rows.
     In scclab.axioms, is_zero and is_positive are called only by the table,
