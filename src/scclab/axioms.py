@@ -72,7 +72,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 from heapq import merge
 from itertools import combinations, product, repeat
 from operator import eq, mul, sub, truediv
@@ -856,7 +856,7 @@ def derive_revealed_constraints(scc: SCC) -> dict[int, int]:
             if y == x:
                 continue
             pair = xbit | (1 << y)
-            if pair not in scc.rows:
+            if pair not in pos:
                 raise MissingBinaryMenuError(
                     f"binary menu {scc.universe.labels_of(pair)} is absent"
                 )
@@ -868,10 +868,10 @@ def derive_revealed_constraints(scc: SCC) -> dict[int, int]:
 
 def derive_revealed_nests(scc: SCC) -> list[int]:
     """Support of the grand-set row, ascending: the nests revealed by data."""
-    full = scc.universe.full_mask
-    if full not in scc.rows:
+    row = _positive_rows(scc).get(scc.universe.full_mask)
+    if row is None:
         raise MenuAbsentError("grand-set row required to derive revealed nests")
-    return sorted(_positive_rows(scc)[full].keys() - {0})
+    return sorted(row.keys() - {0})
 
 
 def _support_shape_report(
@@ -1012,8 +1012,9 @@ def _rel_add_adjusted(scc: SCC, tol: ToleranceConfig, cap: int) -> AxiomReport:
     grand-set rows (Q = revealed constraint sets).  Both sides are scaled
     by :func:`_adjustment`: exact mode clears the adjustment's denominator,
     and float mode compares the equation as written, as its ``sides`` do.
-    Vacuous instances: T empty, or zero adjustment denominator.  Counts
-    come first: an (S, x) has 2^|S\\x| - 1 instances, less one when T is
+    Vacuous instances: T empty, or zero adjustment denominator, which is
+    summed once per S, when a non-empty T first needs it.  Counts come
+    first: an (S, x) has 2^|S\\x| - 1 instances, less one when T is
     non-empty, all checked or all vacuous.  Under the cap, only the T'
     recorded in row S\\x or in row S's :func:`_marginal` are compared,
     ascending: at any other T' both sides are zero, so it holds.
@@ -1022,12 +1023,13 @@ def _rel_add_adjusted(scc: SCC, tol: ToleranceConfig, cap: int) -> AxiomReport:
     revealed = cached_revealed_constraints(scc)
     rows, dens = cached_scaled_rows(scc)
     row_full = rows[scc.universe.full_mask]
+    adj_denom = cache(lambda s: sum(row_full.get(revealed[y], 0) for y in bits(s)))
     checked = vacuous = 0
     for s, xbit, rest, row_s, row_rest in _removals(rows):
         q = revealed[xbit.bit_length() - 1]
         t = q & rest
         size = (1 << rest.bit_count()) - 1 - (t != 0)
-        denom = sum(row_full.get(revealed[y], 0) for y in bits(s)) if t else 0
+        denom = adj_denom(s) if t else 0
         if not is_positive(scc, denom):
             vacuous += size
             continue
@@ -1545,19 +1547,20 @@ def monotonicity_violations(
     Relative additivity implies mu(T,S) <= mu(T,S\\x) for every x in S and
     non-empty T contained in S\\x; the returned dicts carry the offending
     bindings and both values.  (Exact mode compares exactly; float mode
-    allows eps_eq slack.)
+    allows eps_eq slack.)  Only the T recorded in row S or in row S\\x of
+    :func:`cached_scaled_rows` are compared, each side times the other
+    row's denominator: any other T is zero on both sides (a float cell of
+    row S\\x may be recorded below zero, so its T are compared too).
     """
     require_complete(scc)
-    zero = scc.zero()
+    rows, dens = cached_scaled_rows(scc)
     offenders = []
-    for s, xbit, rest, row_s, row_rest in _removals(scc.rows):
-        for t in nonempty_submasks(rest):
-            larger = row_s.get(t, zero)
-            smaller = row_rest.get(t, zero)
+    for s, xbit, rest, row_s, row_rest in _removals(rows):
+        for t in sorted({t for row in (row_s, row_rest) for t in row if t and t & rest == t}):
+            larger, smaller = row_s.get(t, 0) * dens[rest], row_rest.get(t, 0) * dens[s]
             if larger > smaller and not probs_equal(scc, larger, smaller, tol):
-                offenders.append(
-                    {"S": s, "x": xbit, "T": t, "lhs": larger, "rhs": smaller}
-                )
+                lhs, rhs = prob_lookup(scc, t, s), prob_lookup(scc, t, rest)
+                offenders.append({"S": s, "x": xbit, "T": t, "lhs": lhs, "rhs": rhs})
     return offenders
 
 

@@ -608,12 +608,10 @@ def _load_json(path: str) -> Any:
 
 
 def _tolerance(args: argparse.Namespace) -> ToleranceConfig:
-    tol = getattr(args, "tol", None)
-    if tol is None:
-        return DEFAULT_TOL
-    if not 0 < tol < math.inf:
-        raise SchemaError(f"--tol must be positive and finite, got {tol}")
-    return ToleranceConfig(eps_eq=tol)
+    try:
+        return DEFAULT_TOL if args.tol is None else ToleranceConfig(eps_eq=args.tol)
+    except ValueError:
+        raise SchemaError(f"--tol must be positive and finite, got {args.tol}") from None
 
 
 def _parse_axiom_list(text: str) -> list[AxiomId]:

@@ -12,6 +12,7 @@ import random
 import sys
 import timeit
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from functools import partial, reduce
@@ -1825,6 +1826,21 @@ class TestCapFullExits:
         for (s, x), count in zip(listed, per_unit[1:]):
             assert count <= len(rows[s]) + len(rows[s & ~x]), (s, x)
 
+    def test_rel_add_2_sums_each_adjustment_denominator_once(self, monkeypatch):
+        """Exact rrm at n = 9, uncapped, with the tables built first: the
+        items of a menu of two or more are listed at most twice, once for
+        its (S, x) and once for its adjustment denominator, not once per x."""
+        scc = generate_scc(sample_params(GenConfig(9, ModelTag.RRM, seed=909)), Universe.default(9))
+        cached_revealed_constraints(scc)
+        whole = run_axiom(scc, AxiomId.REL_ADD_2, cap=10**6)
+        listed = []
+        bits_of = scclab.axioms.bits
+        monkeypatch.setattr(scclab.axioms, "bits", lambda mask: listed.append(mask) or bits_of(mask))
+        assert run_axiom(scc, AxiomId.REL_ADD_2, cap=10**6) == whole
+        menus = [s for s in scc.menus() if s.bit_count() > 1]
+        assert set(listed) <= set(menus) and max(Counter(listed).values()) <= 2
+        assert len(menus) < len(listed) <= 2 * len(menus)
+
     @pytest.mark.parametrize("axiom", [AxiomId.REL_ADD, AxiomId.REL_ADD_1])
     def test_rel_add_lists_no_subset_once_the_cap_is_full(self, monkeypatch, axiom):
         """Exact logit at n = 7: the subsets of S\\x are listed for each
@@ -2478,6 +2494,23 @@ def _support_transfer_loop(scc):
     return offenders
 
 
+def _monotonicity_loop(scc, tol):
+    """The subset loop monotonicity_violations ran before it read the
+    scaled rows: every non-empty T of every S\\x, compared on the SCC's
+    own rows (Fractions or floats)."""
+    zero = scc.zero()
+    offenders = []
+    for s in scc.menus():
+        for x in bits(s) if s.bit_count() > 1 else ():
+            xbit = 1 << x
+            row_s, row_rest = scc.rows[s], scc.rows[s & ~xbit]
+            for t in nonempty_submasks(s & ~xbit):
+                larger, smaller = row_s.get(t, zero), row_rest.get(t, zero)
+                if larger > smaller and not probs_equal(scc, larger, smaller, tol):
+                    offenders.append({"S": s, "x": xbit, "T": t, "lhs": larger, "rhs": smaller})
+    return offenders
+
+
 def _zeroed_cell(scc, rng):
     """A copy of ``scc`` with one positive cell of a random menu of two or
     more positive cells zeroed and that row renormalised; None where no
@@ -2544,6 +2577,47 @@ class TestDerivedConsequences:
         found = support_transfer_violations(scc)
         assert found == _support_transfer_loop(scc)
         assert {"S": AB, "x": B, "T": A, "direction": "zero_spreads"} in found
+
+    def test_monotonicity_matches_the_subset_loop(self):
+        """The support-transfer corpus at three tolerances: the same
+        offenders in the same order, with values of the same types."""
+        found = set()
+        for name, scc in _support_transfer_cases():
+            for eps in (1e-9, 1e-2, 1e-15):
+                tol = ToleranceConfig(eps_eq=eps)
+                offenders, oracle = monotonicity_violations(scc, tol), _monotonicity_loop(scc, tol)
+                assert offenders == oracle, (name, eps)
+                types = [[type(v) for v in entry.values()] for entry in offenders]
+                assert types == [[type(v) for v in entry.values()] for entry in oracle], (name, eps)
+                found.add((scc.exact, bool(offenders)))
+        # each mode has clean cases and cases with offenders
+        assert found == set(product((True, False), (True, False)))
+
+    def test_monotonicity_compares_row_s_less_x_below_zero(self):
+        """A float cell of row S\\x recorded below zero, at a collection
+        that row S does not record: 0 at {a,b,c} exceeds -5e-13 at {a,b}."""
+        document = {
+            "items": ["a", "b", "c"],
+            "menus": [
+                {"menu": list(menu), "rows": [{"set": list(t), "p": p} for t, p in cells]}
+                for menu, cells in [
+                    ("a", [("a", "1.0")]),
+                    ("b", [("b", "1.0")]),
+                    ("c", [("c", "1.0")]),
+                    ("ab", [("a", "-5e-13"), ("b", "1.0000000000005")]),
+                    ("ac", [("a", "0.5"), ("c", "0.5")]),
+                    ("bc", [("b", "0.5"), ("c", "0.5")]),
+                    ("abc", [("b", "0.5"), ("c", "0.5")]),
+                ]
+            ],
+        }
+        scc = parse_scc(document)
+        tol = ToleranceConfig(eps_eq=1e-15)
+        found = monotonicity_violations(scc, tol)
+        assert found == _monotonicity_loop(scc, tol)
+        entry = next(v for v in found if (v["S"], v["x"], v["T"]) == (ABC, C, A))
+        assert entry["lhs"] == 0.0 and entry["rhs"] == -5e-13
+        assert type(entry["lhs"]) is float and type(entry["rhs"]) is float
 
     def test_clean_on_rel_add_data(self, ic_scc):
         assert monotonicity_violations(ic_scc) == []

@@ -883,8 +883,13 @@ class TestCli:
         ],
     )
     def test_bad_option_value_is_usage_error(self, nsc_path, capsys, argv):
+        """Each exits 2 with an error line; a bad --tol's line is pinned in full."""
         assert cli_main([nsc_path if a == "SCC" else a for a in argv]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        if "--tol" in argv:
+            shown = {"-1": "-1.0", "nan": "nan", "inf": "inf"}[argv[-1]]
+            assert err == f"error: --tol must be positive and finite, got {shown}\n"
 
     @pytest.mark.parametrize(
         "command,name,content,message",

@@ -340,6 +340,20 @@ def test_one_marginal_onto_a_menu_less_x():
     assert not row_readers & scans
 
 
+def test_scans_read_one_row_form():
+    """Every scan in scclab.axioms reads the rows of cached_scaled_rows:
+    SCC.rows is read there only by that conversion and by the reference
+    path _recheck_pos1, and monotonicity_violations, like the marginal's
+    two scans, lists no subsets of S\\x."""
+    row_readers = _holders(lambda node: isinstance(node, ast.Attribute) and node.attr == "rows")
+    assert {h for h in row_readers if h.split(".")[0] == "axioms"} == {
+        "axioms.cached_scaled_rows.scale",
+        "axioms._recheck_pos1",
+    }
+    listers = _callers("submasks") | _callers("nonempty_submasks")
+    assert "axioms.monotonicity_violations" not in listers
+
+
 def test_support_is_read_from_one_table():
     """Every support test of a cell in the scans reads axioms._positive_rows.
     In scclab.axioms, is_zero and is_positive are called only by the table,
