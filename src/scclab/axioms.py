@@ -30,6 +30,11 @@ them:
   certifies the grand row's rows and the units of IIS (a list of the
   co-occurrence index, or a menu pair), REL_ADD and REL_ADD_1 in both
   modes, exactly in exact mode and under :func:`_unit_limit` in float mode.
+* Every (S, x) scan of :func:`_removals` compares only the collections
+  recorded in row S\\x or in row S, merged onto S\\x by :func:`_marginal`
+  where the postulate sums mu(T,S) + mu(T u x,S): both sides are zero at
+  any other, where every equation and support test holds.  So no scan
+  lists the subsets of S\\x.
 * Ratio postulates are decided by cross-multiplication, never division, so
   exact mode involves no rounding and zero denominators need no special
   cases.  In exact mode they cross-multiply the integer rows of
@@ -674,12 +679,14 @@ def _marginal_certificate(scc: SCC, tol: ToleranceConfig) -> bool:
 
 def _marginal(cells: dict[int, Prob], xbit: int) -> dict[int, Prob]:
     """The one merge of a row or marginal ``cells`` of menu S onto S\\x: each
-    T is added into T\\x and the empty result dropped, so T holds
-    mu(T,S) + mu(T u x,S) wherever one of the two is recorded, and only there."""
+    T is added into T\\x, so T holds mu(T,S) + mu(T u x,S) wherever one of
+    the two is recorded, and only there; the empty result is dropped, and a
+    caller that needs it adds it."""
     merged: dict[int, Prob] = {}
+    keep = ~xbit
     for t, p in cells.items():
-        if t := t & ~xbit:
-            merged[t] = merged.get(t, 0) + p
+        if t := t & keep:
+            merged[t] = merged[t] + p if t in merged else p
     return merged
 
 
@@ -725,8 +732,9 @@ def _rel_add_scan(
     the rest of the domain is checked.  When :func:`_marginal_certificate`
     holds, every unit is rank one and no (S, x) is visited.  Otherwise,
     until the cap is full, :func:`_proportional` certifies an (S, x), in
-    either mode, on the rows mu(T,S\\x) and mu(T,S) + mu(T u x,S), the
-    excluded column left out, and only those that fail it are scanned.
+    either mode, on row S\\x and row S's :func:`_marginal`, over the
+    non-empty T recorded in either, the excluded one left out, and only
+    those that fail it are scanned.
     """
     out = _Collector(scc, axiom, cap)
     constraints = (
@@ -736,12 +744,11 @@ def _rel_add_scan(
     if _marginal_certificate(scc, tol):
         return out.report(vacuous=vacuous)
     for s, xbit, rest, row_s, row_rest in _removals(cached_scaled_rows(scc)[0]):
-        subs = nonempty_submasks(rest)
+        sums = _marginal(row_s, xbit)
         excluded = constraints[xbit.bit_length() - 1] & rest if constraints else 0
-        if excluded:
-            subs.remove(excluded)
+        subs = sorted((sums.keys() | row_rest.keys()) - {0, excluded})
         us = list(map(row_rest.get, subs, repeat(0)))
-        vs = [row_s.get(t, 0) + row_s.get(t | xbit, 0) for t in subs]
+        vs = list(map(sums.get, subs, repeat(0)))
         if _proportional(scc, us, vs, tol):
             continue
         for (t, u, v), (t2, u2, v2) in combinations(zip(subs, us, vs), 2):
@@ -765,7 +772,8 @@ def check_relative_additivity(
     In exact mode, where every row is a multiple of the grand row's
     marginal on its menu (:func:`_marginal_certificate`), the report is
     "holds" with the whole domain checked and no (S, x) visited; otherwise
-    :func:`_rel_add_scan` certifies or scans each (S, x).
+    :func:`_rel_add_scan` certifies or scans each (S, x) on the T recorded
+    in row S\\x or in row S's :func:`_marginal`.
     """
     return _rel_add_scan(scc, tol, cap, AxiomId.REL_ADD)
 
@@ -808,9 +816,11 @@ def check_additivity(
     sum form; the postulate is usually written as a difference).  Only
     empty-collection SCCs qualify.  The domain has n 3^(n-1) instances, of
     which the n at singleton menus (where S\\x is not a menu) are vacuous.
-    Both sides are compared over the rows of :func:`cached_scaled_rows`,
-    each times the other row's denominator (1.0 in float mode), and the scan
-    stops once the cap is full, since the counts do not depend on it.
+    Per (S, x), row S\\x is compared with row S's :func:`_marginal` and
+    the empty collection's mu(empty,S) + mu({x},S), which the marginal
+    drops, on the rows of :func:`cached_scaled_rows`, each side times the
+    other row's denominator (1.0 in float mode); the scan stops once the
+    cap is full, since the counts do not depend on it.
     """
     out = _Collector(scc, AxiomId.ADDITIVITY, cap)
     if not scc.allows_empty:
@@ -823,10 +833,11 @@ def check_additivity(
         if out.full:
             break
         den_s, den_rest = dens[s], dens[rest]
-        for t in submasks(rest):
+        sums = _marginal(row_s, xbit)
+        sums[0] = row_s.get(0, 0) + row_s.get(xbit, 0)
+        for t in sorted(sums.keys() | row_rest.keys()):
             lhs = row_rest.get(t, 0) * den_s
-            rhs = (row_s.get(t, 0) + row_s.get(t | xbit, 0)) * den_rest
-            if not probs_equal(scc, lhs, rhs, tol):
+            if not probs_equal(scc, lhs, sums.get(t, 0) * den_rest, tol):
                 out.add({"S": s, "x": xbit, "T": t})
     return out.report(vacuous=scc.universe.n)
 

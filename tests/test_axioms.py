@@ -1843,19 +1843,64 @@ class TestCapFullExits:
 
     @pytest.mark.parametrize("axiom", [AxiomId.REL_ADD, AxiomId.REL_ADD_1])
     def test_rel_add_lists_no_subset_once_the_cap_is_full(self, monkeypatch, axiom):
-        """Exact logit at n = 7: the subsets of S\\x are listed for each
-        (S, x) up to the cap-th witness's, and for no later one, and no
-        comparison follows that witness."""
+        """Exact logit at n = 7: row S is merged onto S\\x by one _marginal
+        call for each (S, x), in scan order, up to the cap-th witness's, and
+        for no later one; no subset of S\\x is listed, and no comparison
+        follows that witness."""
         scc = generate_scc(sample_params(GenConfig(7, ModelTag.LOGIT, seed=907)), Universe.default(7))
         whole = run_axiom(scc, axiom, cap=10**6)
-        listed, events = _listed_submasks(monkeypatch), _compare_events(monkeypatch)
+        listed, events = _listed_marginals(monkeypatch, scc), _compare_events(monkeypatch)
+        subsets = _listed_submasks(monkeypatch)
         report = run_axiom(scc, axiom, cap=10)
         assert report == replace(whole, witnesses=whole.witnesses[:10])
         assert events.count("witness") == 10 and events[-1] == "witness"
         units = [(s, 1 << x) for s in scc.menus() if s.bit_count() > 1 for x in bits(s)]
         last = report.witnesses[-1].bindings
         end = units.index((last["S"], last["x"])) + 1
-        assert listed == [s & ~x for s, x in units[:end]] and end < len(units)
+        assert listed == units[:end] and end < len(units)
+        assert subsets == []
+
+    @pytest.mark.parametrize(
+        "model, axiom", [(ModelTag.RRM, AxiomId.REL_ADD_1), (ModelTag.RCG, AxiomId.ADDITIVITY)]
+    )
+    def test_rel_add_1_and_additivity_compare_only_the_recorded_collections(
+        self, monkeypatch, model, axiom
+    ):
+        """Exact rrm and rcg_o at n = 9, uncapped: every (S, x) is merged by
+        one _marginal call and compares at most |row S| + |row S\\x|
+        columns, plus one for the empty collection, not one per subset of
+        S\\x; the report is the subset loop's."""
+        empty = axiom is AxiomId.ADDITIVITY
+        spec = sample_params(GenConfig(9, model, seed=909, empty_variant=empty))
+        scc = generate_scc(spec, Universe.default(9))
+        whole = run_axiom(scc, axiom, cap=10**6)
+        assert [w.bindings for w in whole.witnesses] == _subset_loop(scc, axiom)
+        rows = cached_scaled_rows(scc)[0]
+        listed, columns = _listed_marginals(monkeypatch, scc), Counter()
+        if empty:
+            probs_equal_of = scclab.axioms.probs_equal
+
+            def counted(*args):
+                columns[len(listed)] += 1
+                return probs_equal_of(*args)
+
+            monkeypatch.setattr(scclab.axioms, "probs_equal", counted)
+        else:
+            proportional = scclab.axioms._proportional
+
+            def counted(scc, us, vs, tol):
+                columns[len(listed)] += len(us)
+                return proportional(scc, us, vs, tol)
+
+            monkeypatch.setattr(scclab.axioms, "_proportional", counted)
+        assert run_axiom(scc, axiom, cap=10**6) == whole
+        units = [(s, 1 << x) for s in scc.menus() if s.bit_count() > 1 for x in bits(s)]
+        assert listed == units and columns[0] == 0
+        subsets = 0
+        for unit, (s, x) in enumerate(listed, 1):
+            assert columns[unit] <= len(rows[s]) + len(rows[s & ~x]) + empty, (s, x)
+            subsets += 1 << (s & ~x).bit_count()
+        assert 2 * sum(columns.values()) < subsets
 
     @pytest.mark.parametrize("axiom", [AxiomId.REL_ADD, AxiomId.REL_ADD_1])
     def test_rel_add_takes_no_step_under_the_certificate(self, monkeypatch, axiom):
@@ -2509,6 +2554,36 @@ def _monotonicity_loop(scc, tol):
                 if larger > smaller and not probs_equal(scc, larger, smaller, tol):
                     offenders.append({"S": s, "x": xbit, "T": t, "lhs": larger, "rhs": smaller})
     return offenders
+
+
+def _subset_loop(scc, axiom, tol=DEFAULT_TOL):
+    """The bindings of every violation of REL_ADD_1 or ADDITIVITY, in scan
+    order, from the loops those scans ran before they read row S's
+    marginal: every subset of S\\x, compared on the scaled rows, with a
+    REL_ADD_1 unit certified by _proportional on all its columns."""
+    rows, dens = cached_scaled_rows(scc)
+    revealed = cached_revealed_constraints(scc)
+    found = []
+    for s in scc.menus():
+        for x in bits(s) if s.bit_count() > 1 else ():
+            xbit, rest = 1 << x, s & ~(1 << x)
+            row_s, row_rest = rows[s], rows[rest]
+            if axiom is AxiomId.ADDITIVITY:
+                for t in submasks(rest):
+                    lhs = row_rest.get(t, 0) * dens[s]
+                    rhs = (row_s.get(t, 0) + row_s.get(t | xbit, 0)) * dens[rest]
+                    if not probs_equal(scc, lhs, rhs, tol):
+                        found.append({"S": s, "x": xbit, "T": t})
+                continue
+            subs = [t for t in nonempty_submasks(rest) if t != revealed[x] & rest]
+            us = [row_rest.get(t, 0) for t in subs]
+            vs = [row_s.get(t, 0) + row_s.get(t | xbit, 0) for t in subs]
+            if scclab.axioms._proportional(scc, us, vs, tol):
+                continue
+            for (t, u, v), (t2, u2, v2) in combinations(zip(subs, us, vs), 2):
+                if not probs_equal(scc, u * v2, u2 * v, tol):
+                    found.append({"S": s, "x": xbit, "T": t, "T_prime": t2})
+    return found
 
 
 def _zeroed_cell(scc, rng):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import scclab.identify
 from scclab.core import (
     DEFAULT_TOL,
     InvalidParamsError,
@@ -260,6 +261,25 @@ class TestNSCRecovery:
         scc = generate_scc(ModelSpec(ModelTag.LOGIT, LogitParams(weights)), U3)
         with pytest.raises(PreconditionFailedError):
             identify_nsc(scc)
+
+    def test_zero_anchor_cell_is_refused_past_the_gate(self, monkeypatch):
+        """The ladder's own zero-probability refusal, which the positivity
+        gate keeps every dataset from reaching: with the first anchor's cell
+        of the anchors' binary menu moved onto the second, the gate refuses
+        first, and with the gate passed the ladder refuses with the
+        precondition, not a ZeroDivisionError."""
+        rows = generate_scc(self.EXAMPLE, U3).rows
+        moved = SCC(U3, {**rows, AC: {A: F(0), C: F(1)}})
+        assert validate_scc(moved) == [] and rows[AC][A] > 0
+        with pytest.raises(PreconditionFailedError, match="requires POS4"):
+            identify_nsc(moved)
+        monkeypatch.setattr(scclab.identify, "_require", lambda *args: None)
+        with pytest.raises(PreconditionFailedError) as err:
+            identify_nsc(moved)
+        assert str(err.value) == (
+            "nested-choice recovery hit a zero probability where the "
+            "positivity postulate promises support"
+        )
 
 
 def _criterion_2_datasets():

@@ -327,15 +327,19 @@ def test_piis_reads_one_ratio_table():
 def test_one_marginal_onto_a_menu_less_x():
     """axioms._marginal is the one merge of a row or marginal of S onto
     S\\x: the marginal certificate builds each child's marginal with it,
-    and REL_ADD_2 and support transfer set it against row S\\x.  Those two
-    scans list no subsets of S\\x, and read the scaled rows, not SCC.rows."""
-    assert _callers("_marginal") == {
-        "axioms._decide_marginals.holds",
+    and REL_ADD, REL_ADD_1, ADDITIVITY, REL_ADD_2 and support transfer set
+    it against row S\\x.  No scan over axioms._removals lists the subsets
+    of S\\x, and the marginal's scans read the scaled rows, not SCC.rows."""
+    scans = {
+        "axioms._rel_add_scan",
+        "axioms.check_additivity",
         "axioms._rel_add_adjusted",
         "axioms.support_transfer_violations",
     }
-    scans = {"axioms._rel_add_adjusted", "axioms.support_transfer_violations"}
-    assert not (_callers("submasks") | _callers("nonempty_submasks")) & scans
+    assert _callers("_marginal") == scans | {"axioms._decide_marginals.holds"}
+    removal_scans = _callers("_removals")
+    assert scans < removal_scans
+    assert not (_callers("submasks") | _callers("nonempty_submasks")) & removal_scans
     row_readers = _holders(lambda node: isinstance(node, ast.Attribute) and node.attr == "rows")
     assert not row_readers & scans
 
@@ -343,15 +347,13 @@ def test_one_marginal_onto_a_menu_less_x():
 def test_scans_read_one_row_form():
     """Every scan in scclab.axioms reads the rows of cached_scaled_rows:
     SCC.rows is read there only by that conversion and by the reference
-    path _recheck_pos1, and monotonicity_violations, like the marginal's
-    two scans, lists no subsets of S\\x."""
+    path _recheck_pos1 (that no scan over axioms._removals lists subsets is
+    pinned by test_one_marginal_onto_a_menu_less_x)."""
     row_readers = _holders(lambda node: isinstance(node, ast.Attribute) and node.attr == "rows")
     assert {h for h in row_readers if h.split(".")[0] == "axioms"} == {
         "axioms.cached_scaled_rows.scale",
         "axioms._recheck_pos1",
     }
-    listers = _callers("submasks") | _callers("nonempty_submasks")
-    assert "axioms.monotonicity_violations" not in listers
 
 
 def test_support_is_read_from_one_table():
