@@ -24,9 +24,9 @@ them:
   than ``cap`` witnesses are recorded; the counts are the same.  The
   grand-row certificate of :func:`_grand_row` settles IIS, IIS_O and PIIS
   on full-support data, in exact and float mode; the marginal certificate
-  of :func:`_marginal_certificate` settles REL_ADD and REL_ADD_1 in exact
-  mode on rows that are multiples of the grand row's marginals, as
-  random-choice-set data are; :func:`_proportional`
+  of :func:`_marginal_certificate` settles REL_ADD and REL_ADD_1 on rows
+  that are multiples of the grand row's marginals, as random-choice-set
+  data are, in exact and float mode; :func:`_proportional`
   certifies the grand row's rows and the units of IIS (a list of the
   co-occurrence index, or a menu pair), REL_ADD and REL_ADD_1 in both
   modes, exactly in exact mode and under :func:`_unit_limit` in float mode.
@@ -58,14 +58,13 @@ maps every model variant to the axioms that characterize it; the suites,
 classification, identification and the fuzz harness all read these two
 tables.  :func:`run_axiom` always evaluates; :func:`cached_report` keeps
 each report in the SCC's memo, so a dataset is decided once per tolerance
-and witness cap, and :func:`_grand_row` its certificate once per
-tolerance.  Support is a property of the data, not of a tolerance: the
-``cached_revealed_*`` functions, :func:`cached_scaled_rows`,
-:func:`_positive_rows`, :func:`_cooccurrence` and
-:func:`_marginal_certificate` keep the revealed structure, the scaled
-rows, the positivity table, on sparse data the co-occurrence index of
-IIS and PIIS, and the exact-only marginal certificate there once per
-SCC.
+and witness cap, and :func:`_grand_row` and :func:`_marginal_certificate`
+their certificates once per tolerance.  Support is a property of the
+data, not of a tolerance: the ``cached_revealed_*`` functions,
+:func:`cached_scaled_rows`, :func:`_positive_rows` and
+:func:`_cooccurrence` keep the revealed structure, the scaled rows, the
+positivity table and, on sparse data, the co-occurrence index of IIS and
+PIIS there once per SCC.
 :func:`characterizing_axioms` is the one refusal of a model with no
 variant for a dataset's empty-collection flag.
 """
@@ -86,6 +85,7 @@ from typing import Any, Callable, Collection, Iterator, NamedTuple, Optional, Se
 from .core import (
     SCC,
     DEFAULT_TOL,
+    MAX_ITEMS,
     SCALED_ROWS,
     MenuAbsentError,
     MissingAttributesError,
@@ -400,8 +400,49 @@ def _unit_limit(eps_eq: float) -> float:
     return limit if _float_certified(limit, _FLOAT_RANGE[1], eps_eq) else 0.0
 
 
+@lru_cache(maxsize=None)
+def _marginal_limit(eps_eq: float) -> float:
+    """The largest computed spread of a menu's row against its computed
+    marginal G'_S that the marginal certificate passes in float mode,
+    derived once per tolerance as a corollary of the unit limit U of
+    :func:`_unit_limit`: 1 + eps_eq/8, or 0.0 where the bound below
+    fails, as it does wherever U is 0.0.
+
+    With u and gamma_k as in :func:`_float_certified`, G_S the exact
+    marginal and n at most ``MAX_ITEMS``:
+
+    1. A menu's exact ratios mu(T,S) / G'_S(T) spread by at most
+       R_L = L (1 + u) / (1 - u)^2 (step 1 there).
+    2. G'_S is n - |S| merges of the grand row's non-negative cells, so
+       G'_S(T) = G_S(T) (1 + theta) with |theta| <= gamma_(n-|S|)
+       (Higham, section 3.1), and mu(T,S) / G_S(T) spreads by at most
+       R_L (1 + gamma_(n-|S|)) / (1 - gamma_(n-|S|)).
+    3. In an (S, x) unit, mu(T,S) + mu(T u x,S) over
+       G_(S\\x)(T) = G_S(T) + G_S(T u x) lies between the two cells'
+       ratios to G_S, and is rounded once.  Row S\\x is step 2 at
+       n - |S| + 1 <= n - 1.  As (1 + gamma_k)(1 + u) <= 1 + gamma_(k+1),
+       the unit's exact spread is at most
+       R_L^2 ((1 + gamma_(n-1)) / (1 - gamma_(n-1)))^2.
+    4. Where that is at most U (1 + u) / (1 - u)^2, the spread step 1
+       of :func:`_float_certified` allows a unit certified under U, step 4
+       there bounds each of the unit's comparisons: its columns are zero
+       in both rows or in neither, its cells lie in ``_FLOAT_RANGE``, as
+       the walk tested them, and its two-cell sums of a valid row stay
+       below the range's top.
+    """
+    u = _UNIT_ROUNDOFF
+    gamma = (MAX_ITEMS - 1) * u / (1 - (MAX_ITEMS - 1) * u)
+    widening = (1 + u) / (1 - u) ** 2 * ((1 + gamma) / (1 - gamma)) ** 2
+    limit = 1 + eps_eq / 8
+    return limit if Fraction(limit) ** 2 * widening <= _unit_limit(eps_eq) else 0.0
+
+
 def _proportional(
-    scc: SCC, us: Sequence[Prob], vs: Sequence[Prob], tol: ToleranceConfig
+    scc: SCC,
+    us: Sequence[Prob],
+    vs: Sequence[Prob],
+    tol: ToleranceConfig,
+    limit: Optional[float] = None,
 ) -> bool:
     """Whether every comparison u_T v_T' = u_T' v_T between two columns of
     the 2 x m matrix with rows ``us`` and ``vs`` must pass: the one test of a
@@ -411,11 +452,14 @@ def _proportional(
     zero in both rows, which compare 0.0 with 0.0, and refuses a column with
     one zero and any entry not finite or outside ``_FLOAT_RANGE``.
     It certifies the rest when the spread of their ratios v_T / u_T is at
-    most :func:`_unit_limit`, inside the bound of :func:`_float_certified`.
+    most ``limit``: by default :func:`_unit_limit`, inside the bound of
+    :func:`_float_certified`, and for the marginal certificate's menus
+    :func:`_marginal_limit`, its corollary.
     """
     if scc.exact:
         return _rank_one(us, vs)
-    limit = _unit_limit(tol.eps_eq)
+    if limit is None:
+        limit = _unit_limit(tol.eps_eq)
     if not limit:
         return False
     if 0 in us or 0 in vs:
@@ -648,8 +692,8 @@ def _marginal_certificate(scc: SCC, tol: ToleranceConfig) -> bool:
     """Whether every menu's row is a multiple of the grand row's marginal on
     it, so that every unit of REL_ADD and REL_ADD_1 is rank one: the
     random-choice-set representation, in which each row is the trace on its
-    menu of one distribution over sets, rescaled.  Exact mode only, where
-    the tolerance plays no part, so it is decided once per SCC.
+    menu of one distribution over sets, rescaled.  It is decided once per
+    SCC and tolerance, in both modes.
 
     Let g be the grand-set row and G_S its marginal on menu S,
     G_S(T) = sum of g(D) over the D with D n S = T.
@@ -665,16 +709,20 @@ def _marginal_certificate(scc: SCC, tol: ToleranceConfig) -> bool:
     4. A REL_ADD_1 unit is its REL_ADD unit less one column, so it is
        rank one too.
 
-    Each menu is tested by :func:`_proportional` on G_S and its row, over
-    the non-empty T positive in either, ascending.  Rank one there is
-    step 1 unless G_S is zero on every non-empty T while the row is not,
-    so such a menu refuses.  The walk is depth-first from the grand set,
-    each menu reached once by removing items in descending order, and
+    Each menu is tested by :func:`_proportional` on G_S and its row of
+    :func:`cached_scaled_rows`, the row the scans compare, over the
+    non-empty T recorded in either, ascending: exactly in exact mode, and
+    in float mode under :func:`_marginal_limit`, whose bound puts every
+    (S, x) unit within the unit limit, where no comparison of the scans
+    can fail.  Rank one there is step 1 unless G_S is zero on every
+    non-empty T while the positivity table holds one in the row, so such
+    a menu refuses.  The walk is depth-first from the grand set, each
+    menu reached once by removing items in descending order, and
     G_{S\\y} is :func:`_marginal` of G_S onto S\\y.  G starts from the
     positive cells of g, so sparse data costs its support, and only the
     marginals of one chain of menus are alive at a time.
     """
-    return _memoized(scc, ("marginals",), lambda: _decide_marginals(scc, tol))
+    return _memoized(scc, ("marginals", tol), lambda: _decide_marginals(scc, tol))
 
 
 def _marginal(cells: dict[int, Prob], xbit: int) -> dict[int, Prob]:
@@ -691,17 +739,16 @@ def _marginal(cells: dict[int, Prob], xbit: int) -> dict[int, Prob]:
 
 
 def _decide_marginals(scc: SCC, tol: ToleranceConfig) -> bool:
-    if not scc.exact:
-        return False
-    pos = _positive_rows(scc)
+    rows, pos = cached_scaled_rows(scc)[0], _positive_rows(scc)
+    limit = _marginal_limit(tol.eps_eq)
 
     def holds(s: int, marginal: dict[int, Prob], below: int) -> bool:
-        row = pos[s]
-        if not marginal and len(row) > (0 in row):
+        row, positive = rows[s], pos[s]
+        if not marginal and len(positive) > (0 in positive):
             return False
         subs = sorted(marginal.keys() | row.keys() - {0})
         us, vs = (list(map(cells.get, subs, repeat(0))) for cells in (marginal, row))
-        if not _proportional(scc, us, vs, tol):
+        if not _proportional(scc, us, vs, tol, limit):
             return False
         if s.bit_count() < 2:
             return True
@@ -730,7 +777,8 @@ def _rel_add_scan(
     checked and m-1 vacuous for REL_ADD_1 with a non-empty excluded set;
     :func:`_rel_add_1_vacuous` counts the vacuous ones in closed form, and
     the rest of the domain is checked.  When :func:`_marginal_certificate`
-    holds, every unit is rank one and no (S, x) is visited.  Otherwise,
+    holds, in either mode, every unit is rank one (within the unit limit
+    in float mode) and no (S, x) is visited.  Otherwise,
     until the cap is full, :func:`_proportional` certifies an (S, x), in
     either mode, on row S\\x and row S's :func:`_marginal`, over the
     non-empty T recorded in either, the excluded one left out, and only
@@ -769,9 +817,10 @@ def check_relative_additivity(
     mu(T, S\\x) * [mu(T',S) + mu(T' u x, S)] = mu(T', S\\x) * [mu(T,S) +
     mu(T u x, S)] for every menu S, item x in S, and distinct non-empty
     T, T' contained in S\\x.  No guards: zero probabilities participate.
-    In exact mode, where every row is a multiple of the grand row's
-    marginal on its menu (:func:`_marginal_certificate`), the report is
-    "holds" with the whole domain checked and no (S, x) visited; otherwise
+    Where every row is a multiple of the grand row's marginal on its menu
+    (:func:`_marginal_certificate`: exactly in exact mode, within its
+    proven limit in float mode), the report is "holds" with the whole
+    domain checked and no (S, x) visited; otherwise
     :func:`_rel_add_scan` certifies or scans each (S, x) on the T recorded
     in row S\\x or in row S's :func:`_marginal`.
     """

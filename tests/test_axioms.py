@@ -23,6 +23,7 @@ import pytest
 
 from scclab.core import (
     DEFAULT_TOL,
+    MAX_ITEMS,
     IncompleteDatasetError,
     MenuAbsentError,
     MissingAttributesError,
@@ -1389,17 +1390,39 @@ def _marginal(scc, s):
     return marginal
 
 
+#: The noise of the marginal certificate's noisy float copies: at the
+#: default tolerance, the first leaves copies of random-choice-set data
+#: within the certificate's limit, 1 + eps_eq/8, and the second puts most
+#: of them beyond it.
+MARGINAL_NOISE = (1e-12, 1e-10)
+
+
+def _noisy(scc, sigma, rng):
+    """A float copy of ``scc`` with each cell scaled by 1 + N(0, sigma) and
+    each row renormalised."""
+    rows = {}
+    for menu, row in scc.rows.items():
+        noisy = {t: p * (1 + rng.gauss(0, sigma)) for t, p in row.items()}
+        total = sum(noisy.values())
+        rows[menu] = {t: p / total for t, p in noisy.items()}
+    return SCC(scc.universe, rows, scc.allows_empty, exact=False)
+
+
 def _marginal_cases():
-    """(name, scc, moved menu or None): the exact cases of the ratio and
-    sparse corpora, and a moved-mass copy (:func:`_moved_mass`) of each
-    unperturbed sparse one."""
-    cases = [(name, scc, None) for name, scc, _ in _ratio_cases() if scc.exact]
+    """(name, scc, moved menu or None): the cases of the ratio and sparse
+    corpora, exact and float, a moved-mass copy (:func:`_moved_mass`) of
+    each unperturbed exact sparse one, and a noisy copy (:func:`_noisy`) of
+    each unperturbed float one at each sigma of MARGINAL_NOISE."""
+    cases = [(name, scc, None) for name, scc, _ in _ratio_cases()]
     for name, scc in _sparse_cases():
-        if not scc.exact:
-            continue
         cases.append((name, scc, None))
-        if name.endswith("None"):
+        if scc.exact and name.endswith("None"):
             cases.append((f"{name}-moved", *_moved_mass(scc)))
+    rng = random.Random(5400)
+    for name, scc, _ in list(cases):
+        if not scc.exact and name.endswith("None"):
+            for sigma in MARGINAL_NOISE:
+                cases.append((f"{name}-noise{sigma}", _noisy(scc, sigma, rng), None))
     return cases
 
 
@@ -1408,7 +1431,7 @@ def marginal_runs():
     """(case, scc, moved menu, certified, axiom, cap, report, refused,
     reference): REL_ADD and REL_ADD_1 through ``run_axiom``, the same with
     the marginal certificate patched to refuse, and the reference, on
-    :func:`_marginal_cases` at caps 1 and 10."""
+    :func:`_marginal_cases` at caps 1 and 10, at the default tolerance."""
     runs = []
     for name, scc, moved in _marginal_cases():
         certified = scclab.axioms._marginal_certificate(scc, DEFAULT_TOL)
@@ -1425,8 +1448,8 @@ def marginal_runs():
 
 
 class TestMarginalCertificate:
-    """REL_ADD and REL_ADD_1 settled by the grand row's marginals in exact
-    mode, and the per-unit scan where they refuse."""
+    """REL_ADD and REL_ADD_1 settled by the grand row's marginals, in exact
+    and float mode, and the per-unit scan where they refuse."""
 
     def test_reports_match_the_reference(self, marginal_runs):
         for name, _, _, _, axiom, cap, report, refused, reference in marginal_runs:
@@ -1439,8 +1462,8 @@ class TestMarginalCertificate:
             for sparse in (True, False):
                 verdicts = {
                     (certified, report.holds)
-                    for name, _, _, certified, ax, _, report, _, _ in marginal_runs
-                    if ax is axiom and ("-n6-" in name) is sparse
+                    for name, scc, _, certified, ax, _, report, _, _ in marginal_runs
+                    if ax is axiom and ("-n6-" in name) is sparse and scc.exact
                 }
                 # certified data holds, and refused data reaches the scan
                 assert {(True, True), (False, False)} <= verdicts, (axiom, sparse)
@@ -1463,12 +1486,82 @@ class TestMarginalCertificate:
             refused += 1
         assert refused == 4  # rcg, rcg_o, eba and ar
 
-    def test_float_data_is_never_certified(self):
-        verdicts = {
-            (scc.exact, scclab.axioms._marginal_certificate(scc, DEFAULT_TOL))
-            for _, scc in _sparse_cases()
+    def test_float_copies_are_certified_where_exact_ones_are(self):
+        verdicts = {}
+        for name, scc in _sparse_cases():
+            if name.endswith("None"):
+                certified = scclab.axioms._marginal_certificate(scc, DEFAULT_TOL)
+                verdicts.setdefault(name.split("-")[0], set()).add((scc.exact, certified))
+        assert verdicts == {
+            **{model: {(True, True), (False, True)} for model in ("rcg", "rcg_o", "eba", "ar")},
+            **{model: {(True, False), (False, False)} for model in ("rrm", "nsc", "nested_logit")},
         }
-        assert verdicts == {(True, True), (True, False), (False, False)}
+
+    def test_noise_reaches_both_sides_of_the_limit(self, marginal_runs):
+        """Among the noisy copies of float data that the certificate
+        settles, the small noise keeps copies within its limit, and the
+        large noise keeps a few there and puts the rest beyond it, where
+        the scan decides."""
+        certified = {name: ok for name, _, _, ok, *_ in marginal_runs}
+        verdicts = {}
+        for sigma in MARGINAL_NOISE:
+            suffix = f"-noise{sigma}"
+            verdicts[sigma] = {
+                ok
+                for name, ok in certified.items()
+                if name.endswith(suffix) and certified[name.removesuffix(suffix)]
+            }
+        small, large = MARGINAL_NOISE
+        assert True in verdicts[small] and verdicts[large] == {True, False}
+
+    def test_certificate_is_kept_per_tolerance(self, monkeypatch):
+        """Float ic data is certified at eps_eq 1e-9; at 1e-16, where no
+        unit limit exists, the same SCC's walk refuses, and the reports are
+        the scan's."""
+        base = generate_scc(sample_params(GenConfig(5, ModelTag.IC, seed=5405)), Universe.default(5))
+        scc = SCC(base.universe, _copy_rows(base, False), exact=False)
+        loose, tight = ToleranceConfig(eps_eq=1e-9), ToleranceConfig(eps_eq=1e-16)
+        assert scclab.axioms._unit_limit(tight.eps_eq) == 0.0
+        assert scclab.axioms._marginal_certificate(scc, loose)
+        assert not scclab.axioms._marginal_certificate(scc, tight)
+        for axiom in (AxiomId.REL_ADD, AxiomId.REL_ADD_1):
+            report = run_axiom(scc, axiom, tight)
+            with monkeypatch.context() as patch:
+                patch.setattr(scclab.axioms, "_marginal_certificate", lambda *_: False)
+                assert report == run_axiom(scc, axiom, tight), axiom
+
+    @pytest.mark.parametrize("cell", ["5e-13", "0.0", "-5e-13"])
+    def test_walk_reads_the_cells_the_scan_compares(self, cell):
+        """A float cell at or below EPS_ZERO, which the positivity table
+        drops, recorded at {a,b} in row {a,b}, where the grand row's
+        marginal is zero: the walk refuses wherever the cell is not 0.0,
+        and at eps_eq 2e-13 the scan finds it against mu({a},{a,b,c})."""
+        document = {
+            "items": ["a", "b", "c"],
+            "menus": [
+                {"menu": list(menu), "rows": [{"set": list(t), "p": p} for t, p in cells]}
+                for menu, cells in [
+                    ("a", [("a", "1.0")]),
+                    ("b", [("b", "1.0")]),
+                    ("c", [("c", "1.0")]),
+                    ("ab", [("a", "0.8571428571428571"), ("b", "0.14285714285714285"), ("ab", cell)]),
+                    ("ac", [("a", "0.8571428571428571"), ("c", "0.14285714285714285")]),
+                    ("bc", [("b", "0.5"), ("c", "0.5")]),
+                    ("abc", [("a", "0.75"), ("b", "0.125"), ("c", "0.125")]),
+                ]
+            ],
+        }
+        scc = parse_scc(document)
+        assert scclab.axioms._positive_rows(scc)[AB].keys() == {A, B}
+        for tol in (DEFAULT_TOL, ToleranceConfig(eps_eq=2e-13)):
+            certified = scclab.axioms._marginal_certificate(scc, tol)
+            assert certified is (cell == "0.0"), tol
+            for axiom in (AxiomId.REL_ADD, AxiomId.REL_ADD_1):
+                whole = _reference(scc, axiom, tol, cap=10)
+                assert whole.holds is (certified or tol is DEFAULT_TOL), (tol, axiom)
+                for cap in (1, 10):
+                    report = run_axiom(scc, axiom, tol, cap=cap)
+                    assert report == replace(whole, witnesses=whole.witnesses[:cap])
 
     def test_a_vanishing_marginal_under_a_positive_row_is_refused(self):
         """Over {a, b, c, d}, the grand row chooses {a}, so the marginals on
@@ -1536,7 +1629,7 @@ class TestMarginalCertificate:
     def test_certified_rows_fit_their_marginals(self, marginal_runs):
         """Where the certificate holds, each menu's row is a multiple of
         the grand row's marginal on it, as :func:`_marginal` defines it."""
-        certified = {name: scc for name, scc, _, ok, *_ in marginal_runs if ok}
+        certified = {name: scc for name, scc, _, ok, *_ in marginal_runs if ok and scc.exact}
         assert certified
         for name, scc in certified.items():
             for s in scc.menus():
@@ -2254,9 +2347,8 @@ NOISE = (1e-11, 1e-4)
 
 def _float_unit_cases():
     """(name, scc): the float copies of the ratio and full-support corpora,
-    and copies of the unperturbed float full-support cases at n = 3..5 with
-    each cell scaled by 1 + N(0, sigma) for each sigma of NOISE, each row
-    renormalised."""
+    and a noisy copy (:func:`_noisy`) of each unperturbed float
+    full-support case at n = 3..5 for each sigma of NOISE."""
     rng = random.Random(5300)
     cases = [(name, scc) for name, scc, _ in _ratio_cases() if not scc.exact]
     for name, change, scc in _full_support_cases():
@@ -2266,13 +2358,7 @@ def _float_unit_cases():
         if change is not None or scc.universe.n > 5:
             continue
         for sigma in NOISE:
-            rows = {}
-            for menu, row in scc.rows.items():
-                noisy = {t: p * (1 + rng.gauss(0, sigma)) for t, p in row.items()}
-                total = sum(noisy.values())
-                rows[menu] = {t: p / total for t, p in noisy.items()}
-            noisy_scc = SCC(scc.universe, rows, scc.allows_empty, exact=False)
-            cases.append((f"{name}-noise{sigma}", noisy_scc))
+            cases.append((f"{name}-noise{sigma}", _noisy(scc, sigma, rng)))
     return cases
 
 
@@ -2370,6 +2456,29 @@ class TestUnitLimit:
         assert scclab.axioms._unit_limit(1e-16) == 0.0
         assert not self.proportional([0.5, 0.5], [0.5, 0.5], 1e-16)
 
+    def test_marginal_limit_is_certified(self):
+        """The marginal certificate's limit L, 1 + eps_eq/8, against the
+        bound its docstring derives: two menus' exact spreads, each widened
+        by the rounding of a marginal of up to MAX_ITEMS - 1 merges, within
+        the exact spread the unit limit allows; and 0.0 wherever the unit
+        limit is."""
+        u, merges = Fraction(1, 2**53), MAX_ITEMS - 1
+        gamma = merges * u / (1 - merges * u)
+
+        def exact(spread):
+            return Fraction(spread) * (1 + u) / (1 - u) ** 2
+
+        for eps_eq in (m * 10.0**-k for k in range(3, 13) for m in (1, 2, 5)):
+            limit = scclab.axioms._marginal_limit(eps_eq)
+            unit = scclab.axioms._unit_limit(eps_eq)
+            assert limit == 1 + eps_eq / 8, eps_eq
+            assert (exact(limit) * (1 + gamma) / (1 - gamma)) ** 2 <= exact(unit), eps_eq
+        for eps_eq in (m * 10.0**-k for k in range(3, 18) for m in (1, 2, 5)):
+            if not scclab.axioms._unit_limit(eps_eq):
+                assert scclab.axioms._marginal_limit(eps_eq) == 0.0, eps_eq
+        scc = SCC(Universe.default(1), {1: {1: 1.0}}, exact=False)
+        assert not scclab.axioms._proportional(scc, *UNIT, DEFAULT_TOL, 0.0)
+
     def test_derived_once_per_tolerance(self, monkeypatch):
         base = generate_scc(sample_params(GenConfig(4, ModelTag.IC, seed=5200)), Universe.default(4))
         scc = SCC(base.universe, _copy_rows(base, False), exact=False)
@@ -2381,7 +2490,9 @@ class TestUnitLimit:
             return certified(spread, top, eps_eq)
 
         monkeypatch.setattr(scclab.axioms, "_float_certified", counted)
-        scclab.axioms._unit_limit.cache_clear()
+        limits = (scclab.axioms._unit_limit, scclab.axioms._marginal_limit)
+        for limit in limits:
+            limit.cache_clear()
         try:
             tolerances = (ToleranceConfig(eps_eq=3e-9), ToleranceConfig(eps_eq=3e-9),
                           ToleranceConfig(eps_eq=3e-3))
@@ -2389,7 +2500,8 @@ class TestUnitLimit:
                 for axiom in (AxiomId.REL_ADD, AxiomId.REL_ADD_1):
                     assert run_axiom(scc, axiom, tol).holds
         finally:
-            scclab.axioms._unit_limit.cache_clear()
+            for limit in limits:
+                limit.cache_clear()
         top = scclab.axioms._FLOAT_RANGE[1]
         assert calls == [(1 + 3e-9 / 3.2, top, 3e-9), (1 + 3e-3 / 3.2, top, 3e-3)]
 

@@ -230,14 +230,16 @@ def test_proportionality_is_decided_by_one_rule():
     menu pair of a menu's tally, both in _iis_scan, and the grand-row and marginal
     certificates on each menu.  The float range is read by it and by the
     unit limit, whose one _float_certified call is the one float
-    confirmation.
-    The scans and the grand-row certificate that call it, and the helpers
+    confirmation; the marginal certificate's limit is derived from the
+    unit limit alone, and only the marginal walk passes it.
+    The scans and the certificates that call it, and the helpers
     that compare what it refuses or enumerate what it certifies, leave the
     mode to it and to probs_equal."""
-    readers = _holders(
-        lambda node: isinstance(node, ast.Name) and node.id in ("_rank_one", "_unit_limit")
-    )
+    readers = _holders(lambda node: isinstance(node, ast.Name) and node.id == "_rank_one")
     assert readers == {"axioms._proportional"}
+    limits = _holders(lambda node: isinstance(node, ast.Name) and node.id == "_unit_limit")
+    assert limits == {"axioms._proportional", "axioms._marginal_limit"}
+    assert _callers("_marginal_limit") == {"axioms._decide_marginals"}
     ranged = _holders(
         lambda node: isinstance(node, ast.Name)
         and node.id == "_FLOAT_RANGE"
@@ -255,22 +257,20 @@ def test_proportionality_is_decided_by_one_rule():
         "axioms._ratio_conflicts",
     }
     mode_tests = _holders(lambda node: isinstance(node, ast.Attribute) and node.attr == "exact")
-    assert not mode_tests & (scans | helpers)
+    assert not mode_tests & (scans | helpers | {"axioms._decide_marginals"})
 
 
 def test_scans_leave_the_mode_to_the_certificates():
-    """_rel_add_scan reads the marginal certificate, which alone decides
-    that it cannot hold in float mode.  No scan of IIS or of the REL_ADD
-    family, nor the grand-row certificate, tests the mode; the places in
-    scclab.axioms that do are the scaled rows, the marginal certificate,
-    _proportional, REL_ADD_2's adjustment, and PIIS's exact-only stage 2
-    and float tolerance in stage 3."""
+    """_rel_add_scan reads the marginal certificate, which runs one walk in
+    both modes.  No scan of IIS or of the REL_ADD family, nor either
+    certificate, tests the mode; the places in scclab.axioms that do are
+    the scaled rows, _proportional, REL_ADD_2's adjustment, and PIIS's
+    exact-only stage 2 and float tolerance in stage 3."""
     assert _callers("_marginal_certificate") == {"axioms._rel_add_scan"}
     assert _callers("_decide_marginals") == {"axioms._marginal_certificate"}
     mode_tests = _holders(lambda node: isinstance(node, ast.Attribute) and node.attr == "exact")
     assert {holder for holder in mode_tests if holder.startswith("axioms.")} == {
         "axioms.cached_scaled_rows.scale",
-        "axioms._decide_marginals",
         "axioms._proportional",
         "axioms._adjustment",
         "axioms.check_piis",
@@ -506,8 +506,9 @@ def test_closed_forms_are_stated_in_the_registry():
     """In scclab.axioms, a power is taken only by the domain table (the
     registry and the two forms it shares), by REL_ADD_1's vacuous count
     beside them, by the float rounding bound :func:`axioms._float_certified`
-    and by the two constants it reads, so no scan states a closed form of
-    its own."""
+    and by the two constants it reads, and by its corollary
+    :func:`axioms._marginal_limit`, so no scan states a closed form of its
+    own."""
     holders = set()
     for node in _tree("axioms").body:
         if not any(isinstance(getattr(inner, "op", None), ast.Pow) for inner in ast.walk(node)):
@@ -521,6 +522,7 @@ def test_closed_forms_are_stated_in_the_registry():
         "_FLOAT_RANGE",
         "_UNIT_ROUNDOFF",
         "_float_certified",
+        "_marginal_limit",
         "_rel_add_domain",
         "_rel_add_1_vacuous",
         "_support_domain",
