@@ -339,7 +339,7 @@ def _decide_grand_row(scc: SCC, tol: ToleranceConfig) -> _GrandRow:
     return _GrandRow(empty, True)
 
 
-def _float_certified(spread: float, top: float, eps_eq: float) -> bool:
+def _float_certified(spread: Prob, top: float, eps_eq: float) -> bool:
     """Whether every float comparison of the IIS and PIIS scans must pass on
     rows whose computed spread, the largest fl(max r / min r) over the rows
     of their ratios r = fl(mu(T,S) / g(T)) to the grand row, is ``spread``,
@@ -375,9 +375,10 @@ def _float_certified(spread: float, top: float, eps_eq: float) -> bool:
        u_T' v_T, whose exact quotient r_T' / r_T is in [R^-1, R], inside
        the [R^-2, R^2] of step 2, so E_2 bounds it, conservatively.
        The bound grows with ``spread`` and ``top``, so one call, that of
-       :func:`_unit_limit`, confirms every unit at or below both.
+       :func:`_unit_limit` at the widened spread of a marginal walk's
+       (S, x) unit, confirms every unit at or below both.
     """
-    if not math.isfinite(spread):
+    if not spread < math.inf:  # math.isfinite would float() a Fraction past the range
         return False
     u = _UNIT_ROUNDOFF
     rho = Fraction(spread) * (1 + u) / (1 - u) ** 2
@@ -391,25 +392,20 @@ def _float_certified(spread: float, top: float, eps_eq: float) -> bool:
 
 @lru_cache(maxsize=None)
 def _unit_limit(eps_eq: float) -> float:
-    """The largest computed spread of a float unit that :func:`_proportional`
-    certifies under ``eps_eq``, derived once per tolerance: 1 + eps_eq/3.2,
-    near the eps_eq/3 of PIIS's three-entry products, confirmed by the one
-    :func:`_float_certified` call, at the top of ``_FLOAT_RANGE``.  0.0
-    where it refuses, as rounding alone can exceed eps_eq."""
-    limit = 1 + eps_eq / 3.2
-    return limit if _float_certified(limit, _FLOAT_RANGE[1], eps_eq) else 0.0
+    """The largest computed spread L of a float unit that
+    :func:`_proportional` certifies under ``eps_eq``, derived once per
+    tolerance: 1 + eps_eq/8, or 0.0 where the one :func:`_float_certified`
+    call refuses, as rounding alone can exceed eps_eq.  The call is made
+    at the top of ``_FLOAT_RANGE`` and at the spread L^2 W, in exact
+    rationals, which covers both kinds of unit the limit passes.
 
+    A single unit of computed spread at most L: L <= L^2 W, and the bound
+    grows with the spread.
 
-@lru_cache(maxsize=None)
-def _marginal_limit(eps_eq: float) -> float:
-    """The largest computed spread of a menu's row against its computed
-    marginal G'_S that the marginal certificate passes in float mode,
-    derived once per tolerance as a corollary of the unit limit U of
-    :func:`_unit_limit`: 1 + eps_eq/8, or 0.0 where the bound below
-    fails, as it does wherever U is 0.0.
-
-    With u and gamma_k as in :func:`_float_certified`, G_S the exact
-    marginal and n at most ``MAX_ITEMS``:
+    An (S, x) unit of an SCC whose menus the marginal walk passed, each
+    row within L of its computed marginal G'_S.  With u and gamma_k as in
+    :func:`_float_certified`, G_S the exact marginal and n at most
+    ``MAX_ITEMS``:
 
     1. A menu's exact ratios mu(T,S) / G'_S(T) spread by at most
        R_L = L (1 + u) / (1 - u)^2 (step 1 there).
@@ -422,27 +418,25 @@ def _marginal_limit(eps_eq: float) -> float:
        ratios to G_S, and is rounded once.  Row S\\x is step 2 at
        n - |S| + 1 <= n - 1.  As (1 + gamma_k)(1 + u) <= 1 + gamma_(k+1),
        the unit's exact spread is at most
-       R_L^2 ((1 + gamma_(n-1)) / (1 - gamma_(n-1)))^2.
-    4. Where that is at most U (1 + u) / (1 - u)^2, the spread step 1
-       of :func:`_float_certified` allows a unit certified under U, step 4
-       there bounds each of the unit's comparisons: its columns are zero
-       in both rows or in neither, its cells lie in ``_FLOAT_RANGE``, as
-       the walk tested them, and its two-cell sums of a valid row stay
+       R_L^2 ((1 + gamma_(n-1)) / (1 - gamma_(n-1)))^2, which is
+       L^2 W (1 + u) / (1 - u)^2 with the widening
+       W = ((1 + gamma_(n-1)) / (1 - gamma_(n-1)))^2 (1 + u) / (1 - u)^2:
+       the exact spread step 1 of :func:`_float_certified` allows at L^2 W.
+       Step 4 there bounds each of the unit's comparisons: its columns are
+       zero in both rows or in neither, its cells lie in ``_FLOAT_RANGE``,
+       as the walk tested them, and its two-cell sums of a valid row stay
        below the range's top.
     """
     u = _UNIT_ROUNDOFF
     gamma = (MAX_ITEMS - 1) * u / (1 - (MAX_ITEMS - 1) * u)
     widening = (1 + u) / (1 - u) ** 2 * ((1 + gamma) / (1 - gamma)) ** 2
     limit = 1 + eps_eq / 8
-    return limit if Fraction(limit) ** 2 * widening <= _unit_limit(eps_eq) else 0.0
+    spread = Fraction(limit) ** 2 * widening
+    return limit if _float_certified(spread, _FLOAT_RANGE[1], eps_eq) else 0.0
 
 
 def _proportional(
-    scc: SCC,
-    us: Sequence[Prob],
-    vs: Sequence[Prob],
-    tol: ToleranceConfig,
-    limit: Optional[float] = None,
+    scc: SCC, us: Sequence[Prob], vs: Sequence[Prob], tol: ToleranceConfig
 ) -> bool:
     """Whether every comparison u_T v_T' = u_T' v_T between two columns of
     the 2 x m matrix with rows ``us`` and ``vs`` must pass: the one test of a
@@ -452,14 +446,12 @@ def _proportional(
     zero in both rows, which compare 0.0 with 0.0, and refuses a column with
     one zero and any entry not finite or outside ``_FLOAT_RANGE``.
     It certifies the rest when the spread of their ratios v_T / u_T is at
-    most ``limit``: by default :func:`_unit_limit`, inside the bound of
-    :func:`_float_certified`, and for the marginal certificate's menus
-    :func:`_marginal_limit`, its corollary.
+    most the one float limit, :func:`_unit_limit`, whose bound covers a
+    unit of any scan and every (S, x) unit of a marginal walk that passes.
     """
     if scc.exact:
         return _rank_one(us, vs)
-    if limit is None:
-        limit = _unit_limit(tol.eps_eq)
+    limit = _unit_limit(tol.eps_eq)
     if not limit:
         return False
     if 0 in us or 0 in vs:
@@ -712,9 +704,9 @@ def _marginal_certificate(scc: SCC, tol: ToleranceConfig) -> bool:
     Each menu is tested by :func:`_proportional` on G_S and its row of
     :func:`cached_scaled_rows`, the row the scans compare, over the
     non-empty T recorded in either, ascending: exactly in exact mode, and
-    in float mode under :func:`_marginal_limit`, whose bound puts every
-    (S, x) unit within the unit limit, where no comparison of the scans
-    can fail.  Rank one there is step 1 unless G_S is zero on every
+    in float mode under the one limit of :func:`_unit_limit`, whose bound
+    covers every (S, x) unit of a walk that passes, where no comparison of
+    the scans can fail.  Rank one there is step 1 unless G_S is zero on every
     non-empty T while the positivity table holds one in the row, so such
     a menu refuses.  The walk is depth-first from the grand set, each
     menu reached once by removing items in descending order, and
@@ -740,7 +732,6 @@ def _marginal(cells: dict[int, Prob], xbit: int) -> dict[int, Prob]:
 
 def _decide_marginals(scc: SCC, tol: ToleranceConfig) -> bool:
     rows, pos = cached_scaled_rows(scc)[0], _positive_rows(scc)
-    limit = _marginal_limit(tol.eps_eq)
 
     def holds(s: int, marginal: dict[int, Prob], below: int) -> bool:
         row, positive = rows[s], pos[s]
@@ -748,7 +739,7 @@ def _decide_marginals(scc: SCC, tol: ToleranceConfig) -> bool:
             return False
         subs = sorted(marginal.keys() | row.keys() - {0})
         us, vs = (list(map(cells.get, subs, repeat(0))) for cells in (marginal, row))
-        if not _proportional(scc, us, vs, tol, limit):
+        if not _proportional(scc, us, vs, tol):
             return False
         if s.bit_count() < 2:
             return True

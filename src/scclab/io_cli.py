@@ -831,6 +831,9 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
     except (ScclabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return _EXIT_USAGE
 
 
 def main() -> None:

@@ -2261,6 +2261,7 @@ class TestGrandRowCertificate:
         assert not scclab.axioms._float_certified(1 + 1e-6, 1.0, 1e-9)
         assert scclab.axioms._float_certified(1 + 1e-6, 1.0, 1e-2)
         assert not scclab.axioms._float_certified(float("inf"), 1.0, 1e-2)
+        assert not scclab.axioms._float_certified(math.nan, 1.0, 1e-2)
         # PIIS stage 3 multiplies three entries: a spread of 1 + 4e-10 moves
         # its products by about 1.2e-9, two-entry ones by only 8e-10
         assert scclab.axioms._float_certified(1 + 3e-10, 1.0, 1e-9)
@@ -2340,7 +2341,7 @@ class TestGrandRowUnits:
 
 #: The tolerances of the float unit runs, and the noise of the noisy float
 #: copies: each level puts units on both sides of the unit limit,
-#: 1 + eps_eq/3.2, of the tolerance in its place.
+#: 1 + eps_eq/8, of the tolerance in its place.
 UNIT_TOLERANCES = (ToleranceConfig(eps_eq=1e-9), ToleranceConfig(eps_eq=1e-2))
 NOISE = (1e-11, 1e-4)
 
@@ -2436,6 +2437,16 @@ class TestFloatUnitCertificate:
 UNIT = ([0.5, 0.25, 0.125], [0.3, 0.15, 0.075])
 
 
+def _walk_spread(eps_eq):
+    """L^2 W of :func:`_unit_limit` for L = 1 + eps_eq/8, in exact
+    rationals: the widening W of a unit of two menus, each widened by the
+    rounding of a marginal of up to MAX_ITEMS - 1 merges."""
+    u, merges = Fraction(1, 2**53), MAX_ITEMS - 1
+    gamma = merges * u / (1 - merges * u)
+    widening = ((1 + gamma) / (1 - gamma)) ** 2 * (1 + u) / (1 - u) ** 2
+    return Fraction(1 + eps_eq / 8) ** 2 * widening
+
+
 class TestUnitLimit:
     @staticmethod
     def proportional(us, vs, eps_eq=1e-9):
@@ -2443,41 +2454,34 @@ class TestUnitLimit:
         return scclab.axioms._proportional(scc, us, vs, ToleranceConfig(eps_eq=eps_eq))
 
     def test_limit_is_certified(self):
+        """The one float limit L, 1 + eps_eq/8, confirmed at the range top
+        at L^2 W, the spread its docstring derives for an (S, x) unit of two
+        menus, each within L of a marginal of up to MAX_ITEMS - 1 merges; a
+        single unit's spread L is inside it; and 0.0 wherever that bound
+        fails."""
         top = scclab.axioms._FLOAT_RANGE[1]
         assert top == 1 + 2**-10
-        for eps_eq in (m * 10.0**-k for k in range(3, 13) for m in (1, 2, 5)):
+        for eps_eq in (m * 10.0**-k for k in range(1, 13) for m in (1, 2, 5)):
             limit = scclab.axioms._unit_limit(eps_eq)
-            assert limit == 1 + eps_eq / 3.2, eps_eq
+            assert limit == 1 + eps_eq / 8, eps_eq
+            assert scclab.axioms._float_certified(_walk_spread(eps_eq), top, eps_eq), eps_eq
             assert scclab.axioms._float_certified(limit, top, eps_eq), eps_eq
             assert self.proportional(*UNIT, eps_eq)
-        assert scclab.axioms._unit_limit(1e-2) == 1 + 1e-2 / 3.2
+        for eps_eq in (m * 10.0**-k for k in range(0, 18) for m in (1, 2, 5)):
+            if not scclab.axioms._float_certified(_walk_spread(eps_eq), top, eps_eq):
+                assert scclab.axioms._unit_limit(eps_eq) == 0.0, eps_eq
+                assert not self.proportional(*UNIT, eps_eq)
 
     def test_no_unit_where_rounding_exceeds_eps_eq(self):
         assert scclab.axioms._unit_limit(1e-16) == 0.0
         assert not self.proportional([0.5, 0.5], [0.5, 0.5], 1e-16)
 
-    def test_marginal_limit_is_certified(self):
-        """The marginal certificate's limit L, 1 + eps_eq/8, against the
-        bound its docstring derives: two menus' exact spreads, each widened
-        by the rounding of a marginal of up to MAX_ITEMS - 1 merges, within
-        the exact spread the unit limit allows; and 0.0 wherever the unit
-        limit is."""
-        u, merges = Fraction(1, 2**53), MAX_ITEMS - 1
-        gamma = merges * u / (1 - merges * u)
-
-        def exact(spread):
-            return Fraction(spread) * (1 + u) / (1 - u) ** 2
-
-        for eps_eq in (m * 10.0**-k for k in range(3, 13) for m in (1, 2, 5)):
-            limit = scclab.axioms._marginal_limit(eps_eq)
-            unit = scclab.axioms._unit_limit(eps_eq)
-            assert limit == 1 + eps_eq / 8, eps_eq
-            assert (exact(limit) * (1 + gamma) / (1 - gamma)) ** 2 <= exact(unit), eps_eq
-        for eps_eq in (m * 10.0**-k for k in range(3, 18) for m in (1, 2, 5)):
-            if not scclab.axioms._unit_limit(eps_eq):
-                assert scclab.axioms._marginal_limit(eps_eq) == 0.0, eps_eq
-        scc = SCC(Universe.default(1), {1: {1: 1.0}}, exact=False)
-        assert not scclab.axioms._proportional(scc, *UNIT, DEFAULT_TOL, 0.0)
+    @pytest.mark.parametrize("eps_eq", [1.0, 1e200, sys.float_info.max])
+    def test_no_unit_at_a_wide_tolerance(self, eps_eq):
+        # L^2 W is a Fraction past the float range from eps_eq near 1e155:
+        # refused, with no conversion to float on the way
+        assert scclab.axioms._unit_limit(eps_eq) == 0.0
+        assert not self.proportional(*UNIT, eps_eq)
 
     def test_derived_once_per_tolerance(self, monkeypatch):
         base = generate_scc(sample_params(GenConfig(4, ModelTag.IC, seed=5200)), Universe.default(4))
@@ -2490,9 +2494,7 @@ class TestUnitLimit:
             return certified(spread, top, eps_eq)
 
         monkeypatch.setattr(scclab.axioms, "_float_certified", counted)
-        limits = (scclab.axioms._unit_limit, scclab.axioms._marginal_limit)
-        for limit in limits:
-            limit.cache_clear()
+        scclab.axioms._unit_limit.cache_clear()
         try:
             tolerances = (ToleranceConfig(eps_eq=3e-9), ToleranceConfig(eps_eq=3e-9),
                           ToleranceConfig(eps_eq=3e-3))
@@ -2500,10 +2502,9 @@ class TestUnitLimit:
                 for axiom in (AxiomId.REL_ADD, AxiomId.REL_ADD_1):
                     assert run_axiom(scc, axiom, tol).holds
         finally:
-            for limit in limits:
-                limit.cache_clear()
+            scclab.axioms._unit_limit.cache_clear()
         top = scclab.axioms._FLOAT_RANGE[1]
-        assert calls == [(1 + 3e-9 / 3.2, top, 3e-9), (1 + 3e-3 / 3.2, top, 3e-3)]
+        assert calls == [(_walk_spread(3e-9), top, 3e-9), (_walk_spread(3e-3), top, 3e-3)]
 
     def test_zero_columns(self):
         # a column zero in both rows compares 0.0 with 0.0, so it is dropped
@@ -2536,6 +2537,71 @@ class TestUnitLimit:
         limit = scclab.axioms._unit_limit(DEFAULT_TOL.eps_eq)
         assert self.proportional([0.5, 0.5], [0.5, 0.5 * limit])
         assert not self.proportional([0.5, 0.5], [0.5, 0.5 * math.nextafter(limit, 2)])
+
+
+#: The tolerances where the one limit's coverage differs from the grand
+#: row's former limit, 1 + eps_eq/3.2: units are certified at 0.2 and 0.5,
+#: where that limit refused them, and none at 5e-14, where it certified.
+COVERAGE_TOLERANCES = tuple(ToleranceConfig(eps_eq=e) for e in (0.2, 0.5, 5e-14))
+
+
+@pytest.fixture(scope="module")
+def coverage_runs():
+    """(case, scc, tol, report, certified, refused): ``full_battery`` on a
+    float copy of every variant at n = 4..6 at each of COVERAGE_TOLERANCES,
+    with the number of units :func:`_proportional` certified, and the
+    battery on a second copy with the grand-row and marginal certificates
+    and :func:`_proportional` patched to refuse, so that every unit is
+    scanned."""
+    proportional = scclab.axioms._proportional
+    runs = []
+    for index, (model, empty) in enumerate(ALL_VARIANTS):
+        for n in (4, 5, 6):
+            config = GenConfig(n, model, seed=5600 + 3 * index + n, empty_variant=empty)
+            base = generate_scc(sample_params(config), Universe.default(n))
+            name = f"{model.value}{'_o' if empty else ''}-n{n}"
+            for tol in COVERAGE_TOLERANCES:
+                scc, copy = (
+                    SCC(base.universe, _copy_rows(base, False), empty, exact=False)
+                    for _ in range(2)
+                )
+                verdicts = []
+
+                def counted(*args):
+                    verdicts.append(proportional(*args))
+                    return verdicts[-1]
+
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(scclab.axioms, "_proportional", counted)
+                    report = full_battery(scc, tol)
+                    patch.setattr(scclab.axioms, "_proportional", lambda *_: False)
+                    patch.setattr(scclab.axioms, "_grand_row", lambda *_: NO_CERTIFICATE)
+                    patch.setattr(scclab.axioms, "_marginal_certificate", lambda *_: False)
+                    refused = full_battery(copy, tol)
+                runs.append((name, scc, tol, report, verdicts.count(True), refused))
+    return runs
+
+
+class TestLimitCoverage:
+    """The battery where the one float limit certifies what the former unit
+    limit did not, and where it no longer certifies: the same reports as
+    with every certificate refused."""
+
+    def test_battery_matches_the_refused_certificates(self, coverage_runs):
+        for name, _, tol, report, _, refused in coverage_runs:
+            assert report == refused, (name, tol.eps_eq)
+
+    def test_witnesses_recheck(self, coverage_runs):
+        for name, scc, tol, report, *_ in coverage_runs:
+            for witness in (w for r in report for w in r.witnesses):
+                assert recheck_witness(scc, witness, tol), (name, tol.eps_eq, witness)
+
+    def test_certified_units_are_reached(self, coverage_runs):
+        certified = Counter()
+        for _, _, tol, _, count, _ in coverage_runs:
+            certified[tol.eps_eq] += count
+        assert certified[0.2] and certified[0.5]
+        assert certified[5e-14] == 0 and scclab.axioms._unit_limit(5e-14) == 0.0
 
 
 class TestPAF:

@@ -697,6 +697,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and missing in err
 
+    def test_out_of_memory_is_one_error_line(self, nsc_path, capsys, monkeypatch):
+        def exhausted(*_, **__):
+            raise MemoryError
+
+        monkeypatch.setattr(scclab.io_cli, "full_battery", exhausted)
+        assert cli_main(["check", nsc_path, "--axioms", "all"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: out of memory\n" and captured.out == ""
+
     def test_identify_success(self, tmp_path, nsc_path):
         code, payload = self.run(tmp_path, "identify", nsc_path, "--model", "nsc")
         assert code == 0

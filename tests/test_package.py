@@ -229,17 +229,18 @@ def test_proportionality_is_decided_by_one_rule():
     list of the co-occurrence index or, in the empty-collection form, on a
     menu pair of a menu's tally, both in _iis_scan, and the grand-row and marginal
     certificates on each menu.  The float range is read by it and by the
-    unit limit, whose one _float_certified call is the one float
-    confirmation; the marginal certificate's limit is derived from the
-    unit limit alone, and only the marginal walk passes it.
+    unit limit, the one float limit, whose one _float_certified call is the
+    one float confirmation; every caller passes the same four arguments,
+    so no caller picks a limit of its own.
     The scans and the certificates that call it, and the helpers
     that compare what it refuses or enumerate what it certifies, leave the
     mode to it and to probs_equal."""
     readers = _holders(lambda node: isinstance(node, ast.Name) and node.id == "_rank_one")
     assert readers == {"axioms._proportional"}
     limits = _holders(lambda node: isinstance(node, ast.Name) and node.id == "_unit_limit")
-    assert limits == {"axioms._proportional", "axioms._marginal_limit"}
-    assert _callers("_marginal_limit") == {"axioms._decide_marginals"}
+    assert limits == {"axioms._proportional"}
+    parameters = inspect.signature(axioms._proportional).parameters
+    assert list(parameters) == ["scc", "us", "vs", "tol"]
     ranged = _holders(
         lambda node: isinstance(node, ast.Name)
         and node.id == "_FLOAT_RANGE"
@@ -506,9 +507,9 @@ def test_closed_forms_are_stated_in_the_registry():
     """In scclab.axioms, a power is taken only by the domain table (the
     registry and the two forms it shares), by REL_ADD_1's vacuous count
     beside them, by the float rounding bound :func:`axioms._float_certified`
-    and by the two constants it reads, and by its corollary
-    :func:`axioms._marginal_limit`, so no scan states a closed form of its
-    own."""
+    and by the two constants it reads, and by the one float limit
+    :func:`axioms._unit_limit`, which widens the spread it confirms, so no
+    scan states a closed form of its own."""
     holders = set()
     for node in _tree("axioms").body:
         if not any(isinstance(getattr(inner, "op", None), ast.Pow) for inner in ast.walk(node)):
@@ -522,7 +523,7 @@ def test_closed_forms_are_stated_in_the_registry():
         "_FLOAT_RANGE",
         "_UNIT_ROUNDOFF",
         "_float_certified",
-        "_marginal_limit",
+        "_unit_limit",
         "_rel_add_domain",
         "_rel_add_1_vacuous",
         "_support_domain",
