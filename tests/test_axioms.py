@@ -2454,23 +2454,42 @@ class TestUnitLimit:
         return scclab.axioms._proportional(scc, us, vs, ToleranceConfig(eps_eq=eps_eq))
 
     def test_limit_is_certified(self):
-        """The one float limit L, 1 + eps_eq/8, confirmed at the range top
-        at L^2 W, the spread its docstring derives for an (S, x) unit of two
-        menus, each within L of a marginal of up to MAX_ITEMS - 1 merges; a
-        single unit's spread L is inside it; and 0.0 wherever that bound
-        fails."""
+        """The one float limit L, 1 + eps_eq/8, certifies a single unit of
+        spread L at the range top."""
         top = scclab.axioms._FLOAT_RANGE[1]
         assert top == 1 + 2**-10
         for eps_eq in (m * 10.0**-k for k in range(1, 13) for m in (1, 2, 5)):
             limit = scclab.axioms._unit_limit(eps_eq)
             assert limit == 1 + eps_eq / 8, eps_eq
-            assert scclab.axioms._float_certified(_walk_spread(eps_eq), top, eps_eq), eps_eq
             assert scclab.axioms._float_certified(limit, top, eps_eq), eps_eq
             assert self.proportional(*UNIT, eps_eq)
+
+    def test_marginal_limit_is_certified(self, monkeypatch):
+        """The same limit L against the bound the marginal walk needs: two
+        menus' exact spreads, each widened by the rounding of a marginal of
+        up to MAX_ITEMS - 1 merges, within the exact spread of L^2 W, which
+        is confirmed at the range top; 0.0 wherever that bound fails; and a
+        refusal where the limit is 0.0."""
+        top = scclab.axioms._FLOAT_RANGE[1]
+        u, merges = Fraction(1, 2**53), MAX_ITEMS - 1
+        gamma = merges * u / (1 - merges * u)
+
+        def exact(spread):
+            return Fraction(spread) * (1 + u) / (1 - u) ** 2
+
+        for eps_eq in (m * 10.0**-k for k in range(1, 13) for m in (1, 2, 5)):
+            limit = scclab.axioms._unit_limit(eps_eq)
+            assert limit == 1 + eps_eq / 8, eps_eq
+            widened = (exact(limit) * (1 + gamma) / (1 - gamma)) ** 2
+            assert widened <= exact(_walk_spread(eps_eq)), eps_eq
+            assert scclab.axioms._float_certified(_walk_spread(eps_eq), top, eps_eq), eps_eq
         for eps_eq in (m * 10.0**-k for k in range(0, 18) for m in (1, 2, 5)):
             if not scclab.axioms._float_certified(_walk_spread(eps_eq), top, eps_eq):
                 assert scclab.axioms._unit_limit(eps_eq) == 0.0, eps_eq
                 assert not self.proportional(*UNIT, eps_eq)
+        assert self.proportional(*UNIT, DEFAULT_TOL.eps_eq)
+        monkeypatch.setattr(scclab.axioms, "_unit_limit", lambda _: 0.0)
+        assert not self.proportional(*UNIT, DEFAULT_TOL.eps_eq)
 
     def test_no_unit_where_rounding_exceeds_eps_eq(self):
         assert scclab.axioms._unit_limit(1e-16) == 0.0
