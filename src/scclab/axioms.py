@@ -9,7 +9,13 @@ them:
   deterministic for a fixed SCC and tolerance.
 * Every check opens one frame, :class:`_Collector`, before it reads the
   data: it refuses an incomplete SCC (IncompleteDatasetError), then a
-  witness cap below 1 (ValueError), and it makes the report.
+  witness cap below 1 (ValueError), and it makes the report.  A check is
+  its counts plus a lazy stream of violation bindings in enumeration
+  order, which it hands to :meth:`_Collector.extend`, the one place that
+  reads the cap: it pulls nothing once ``cap`` witnesses are recorded, so
+  no comparison is made past the cap.  IIS_O, PAF and REL_ADD_2 count
+  each unit as they reach it and hand over its comparisons as a stream
+  of their own, whose body prepares the unit.
 * ``instances_checked`` counts the guarded instances of the domain, those
   whose guard holds; ``instances_vacuous`` counts those whose guard is
   unmet.  Their sum is the domain size.  Instances that are trivially true
@@ -19,9 +25,8 @@ them:
   REL_ADD_2 and PARTITION count their own.  Where the registry states the
   size, a check gives the frame the one count it finds, or none when
   nothing is vacuous, and the frame fills in the other as the rest of the
-  domain.  A check may certify "holds", and
-  compare instances one by one only where its certificate fails and fewer
-  than ``cap`` witnesses are recorded; the counts are the same.  The
+  domain.  A check may certify "holds", and compare instances one by one
+  only where its certificate fails; the counts are the same.  The
   grand-row certificate of :func:`_grand_row` settles IIS, IIS_O and PIIS
   on full-support data, in exact and float mode; the marginal certificate
   of :func:`_marginal_certificate` settles REL_ADD and REL_ADD_1 on rows
@@ -76,11 +81,11 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cache, lru_cache, partial
+from functools import cache, lru_cache, partial, reduce
 from heapq import merge
-from itertools import combinations, product, repeat
-from operator import eq, mul, sub, truediv
-from typing import Any, Callable, Collection, Iterator, NamedTuple, Optional, Sequence
+from itertools import chain, combinations, product, repeat
+from operator import eq, mul, or_, sub, truediv
+from typing import Any, Callable, Collection, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .core import (
     SCC,
@@ -169,8 +174,9 @@ class AxiomReport:
 
 class _Collector:
     """The frame of one check: it refuses an incomplete SCC, then a cap
-    below 1, records each violation by :meth:`add` (the verdict tracks all
-    of them, the witnesses stop at the cap), and reports the counts."""
+    below 1, records violations by :meth:`extend`, the one place that reads
+    the cap, and reports the counts.  The verdict holds iff nothing is
+    recorded: a cap of at least 1 records the first violation."""
 
     def __init__(self, scc: SCC, axiom: AxiomId, cap: int):
         require_complete(scc)
@@ -180,19 +186,14 @@ class _Collector:
         self.axiom = axiom
         self.cap = cap
         self.witnesses: list[Witness] = []
-        self.clean = True
 
-    @property
-    def full(self) -> bool:
-        """Whether ``cap`` witnesses are recorded: scanning on could change
-        only the counts."""
-        return len(self.witnesses) == self.cap
-
-    def add(self, bindings: dict[str, int]):
-        """Record a violation; under the cap, its lhs/rhs are computed from
-        the SCC's rows by the axiom's ``sides``."""
-        self.clean = False
-        if len(self.witnesses) < self.cap:
+    def extend(self, violations: Iterable[dict[str, int]]):
+        """Record the bindings of ``violations``, a lazy stream in
+        enumeration order, each with its lhs/rhs computed from the SCC's
+        rows by the axiom's ``sides``, and pull none once ``cap`` are
+        recorded: the counts never depend on the rest."""
+        room = range(self.cap - len(self.witnesses))  # a range takes any int cap
+        for _, bindings in zip(room, violations):
             sides = AXIOMS[self.axiom].sides(self.scc, bindings)
             self.witnesses.append(Witness(self.axiom, bindings, *sides))
 
@@ -208,7 +209,7 @@ class _Collector:
             vacuous = size - checked
         return AxiomReport(
             axiom=self.axiom,
-            holds=self.clean,
+            holds=not self.witnesses,
             witnesses=tuple(self.witnesses),
             instances_checked=checked,
             instances_vacuous=vacuous,
@@ -557,25 +558,24 @@ def check_iis(
 def _iis_scan(
     scc: SCC, tol: ToleranceConfig, out: _Collector, empty_variant: bool
 ) -> int:
-    """Both IIS forms; returns the instances checked.  Every count is read
-    before the comparisons, which stop once the cap is full.
+    """Both IIS forms; returns the instances checked.
 
     The standard form reads the co-occurrence index :func:`_cooccurrence`:
     each list of m menus counts C(m,2), :func:`_proportional` certifies it
     on its two columns of cells, and :func:`_iis_violations` compares the
-    menu pairs of the lists it refuses, merged into the order (S, S', T, T')
-    of a scan menu pair by menu pair.  It does so on dense data too, where
-    the index has more entries than there are menu pairs and is dropped
-    after the check.
+    menu pairs of the lists it refuses, merged into one stream in the order
+    (S, S', T, T') of a scan menu pair by menu pair.  It does so on dense
+    data too, where the index has more entries than there are menu pairs
+    and is dropped after the check.
 
     The empty-collection form consumes, in menu order, the list of menus
     where each collection is positive: at menu S, a tally of the later S'
     sharing k of its positive collections counts k * (2^|S n S'| - 1) per
-    S' before any comparison.  While the cap is open, :func:`_proportional`
-    certifies each (S, S'), in either mode, on its two rows over the cells
-    of either row inside S n S' (T is zero in both menus elsewhere, so both
-    sides are), and only the pairs it refuses are compared, directly where
-    there is one comparison, which costs less."""
+    S', and S's pairs go to the frame as one stream.  In it,
+    :func:`_proportional` certifies each (S, S'), in either mode, on its two
+    rows over the cells of either row inside S n S' (T is zero in both menus
+    elsewhere, so both sides are), and only the pairs it refuses are
+    compared, directly where there is one comparison, which costs less."""
     checked = 0
     if not empty_variant:
         suspects = []
@@ -587,30 +587,16 @@ def _iis_scan(
             if m > 2 and _proportional(scc, cells[1::3], cells[2::3], tol):
                 continue
             suspects.append(_iis_violations(scc, tol, t, t2, cells))
-        for s, s2, t, t2 in merge(*suspects):
-            out.add({"T": t, "T_prime": t2, "S": s, "S_prime": s2})
-            if out.full:
-                break
+        out.extend(
+            {"T": t, "T_prime": t2, "S": s, "S_prime": s2}
+            for s, s2, t, t2 in merge(*suspects)
+        )
         return checked
     pos = _positive_rows(scc)
     rows = cached_scaled_rows(scc)[0]
-    menus = scc.menus()
-    later: dict[int, list[int]] = {}  # descending: the menu reached is last
-    for s in reversed(menus):
-        for t in pos[s]:
-            later.setdefault(t, []).append(s)
-    for s in menus:
-        shared: Counter[int] = Counter()
-        for t in pos[s]:
-            later[t].pop()
-            shared.update(later[t])
-        sizes = map((1).__lshift__, map(int.bit_count, map(s.__and__, shared)))
-        checked += sum(map(mul, shared.values(), sizes)) - sum(shared.values())
-        if out.full:
-            continue
+
+    def violations(s: int, shared: Counter[int]) -> Iterator[dict[str, int]]:
         for s2 in sorted(filter(s.__and__, shared)):
-            if out.full:
-                break
             inter, row_s, row_s2 = s & s2, rows[s], rows[s2]
             subs = sorted({t for row in (row_s, row_s2) for t in row if t & inter == t})
             if shared[s2] * ((1 << inter.bit_count()) - 1) > 1:
@@ -623,7 +609,21 @@ def _iis_scan(
                 lhs = row_s.get(t, 0) * row_s2[t2]
                 rhs = row_s[t2] * row_s2.get(t, 0)
                 if not probs_equal(scc, lhs, rhs, tol):
-                    out.add({"T": t, "T_prime": t2, "S": s, "S_prime": s2})
+                    yield {"T": t, "T_prime": t2, "S": s, "S_prime": s2}
+
+    menus = scc.menus()
+    later: dict[int, list[int]] = {}  # descending: the menu reached is last
+    for s in reversed(menus):
+        for t in pos[s]:
+            later.setdefault(t, []).append(s)
+    for s in menus:
+        shared: Counter[int] = Counter()
+        for t in pos[s]:
+            later[t].pop()
+            shared.update(later[t])
+        sizes = map((1).__lshift__, map(int.bit_count, map(s.__and__, shared)))
+        checked += sum(map(mul, shared.values(), sizes)) - sum(shared.values())
+        out.extend(violations(s, shared))
     return checked
 
 
@@ -737,7 +737,7 @@ def _decide_marginals(scc: SCC, tol: ToleranceConfig) -> bool:
         row, positive = rows[s], pos[s]
         if not marginal and len(positive) > (0 in positive):
             return False
-        subs = sorted(marginal.keys() | row.keys() - {0})
+        subs = sorted((marginal.keys() | row.keys()) - {0})
         us, vs = (list(map(cells.get, subs, repeat(0))) for cells in (marginal, row))
         if not _proportional(scc, us, vs, tol):
             return False
@@ -769,10 +769,10 @@ def _rel_add_scan(
     :func:`_rel_add_1_vacuous` counts the vacuous ones in closed form, and
     the rest of the domain is checked.  When :func:`_marginal_certificate`
     holds, in either mode, every unit is rank one (within the unit limit
-    in float mode) and no (S, x) is visited.  Otherwise,
-    until the cap is full, :func:`_proportional` certifies an (S, x), in
-    either mode, on row S\\x and row S's :func:`_marginal`, over the
-    non-empty T recorded in either, the excluded one left out, and only
+    in float mode) and no (S, x) is visited.  Otherwise the (S, x) go to
+    the frame as one stream, in which :func:`_proportional` certifies an
+    (S, x), in either mode, on row S\\x and row S's :func:`_marginal`, over
+    the non-empty T recorded in either, the excluded one left out, and only
     those that fail it are scanned.
     """
     out = _Collector(scc, axiom, cap)
@@ -780,23 +780,22 @@ def _rel_add_scan(
         cached_revealed_constraints(scc) if axiom is AxiomId.REL_ADD_1 else None
     )
     vacuous = _rel_add_1_vacuous(scc.universe.n, constraints) if constraints else 0
-    if _marginal_certificate(scc, tol):
-        return out.report(vacuous=vacuous)
-    for s, xbit, rest, row_s, row_rest in _removals(cached_scaled_rows(scc)[0]):
-        sums = _marginal(row_s, xbit)
-        excluded = constraints[xbit.bit_length() - 1] & rest if constraints else 0
-        subs = sorted((sums.keys() | row_rest.keys()) - {0, excluded})
-        us = list(map(row_rest.get, subs, repeat(0)))
-        vs = list(map(sums.get, subs, repeat(0)))
-        if _proportional(scc, us, vs, tol):
-            continue
-        for (t, u, v), (t2, u2, v2) in combinations(zip(subs, us, vs), 2):
-            if not probs_equal(scc, u * v2, u2 * v, tol):
-                out.add({"S": s, "x": xbit, "T": t, "T_prime": t2})
-                if out.full:
-                    break
-        if out.full:
-            break
+
+    def violations() -> Iterator[dict[str, int]]:
+        for s, xbit, rest, row_s, row_rest in _removals(cached_scaled_rows(scc)[0]):
+            sums = _marginal(row_s, xbit)
+            excluded = constraints[xbit.bit_length() - 1] & rest if constraints else 0
+            subs = sorted((sums.keys() | row_rest.keys()) - {0, excluded})
+            us = list(map(row_rest.get, subs, repeat(0)))
+            vs = list(map(sums.get, subs, repeat(0)))
+            if _proportional(scc, us, vs, tol):
+                continue
+            for (t, u, v), (t2, u2, v2) in combinations(zip(subs, us, vs), 2):
+                if not probs_equal(scc, u * v2, u2 * v, tol):
+                    yield {"S": s, "x": xbit, "T": t, "T_prime": t2}
+
+    if not _marginal_certificate(scc, tol):
+        out.extend(violations())
     return out.report(vacuous=vacuous)
 
 
@@ -859,8 +858,7 @@ def check_additivity(
     Per (S, x), row S\\x is compared with row S's :func:`_marginal` and
     the empty collection's mu(empty,S) + mu({x},S), which the marginal
     drops, on the rows of :func:`cached_scaled_rows`, each side times the
-    other row's denominator (1.0 in float mode); the scan stops once the
-    cap is full, since the counts do not depend on it.
+    other row's denominator (1.0 in float mode), in one stream.
     """
     out = _Collector(scc, AxiomId.ADDITIVITY, cap)
     if not scc.allows_empty:
@@ -869,16 +867,18 @@ def check_additivity(
             "this SCC does not allow the empty collection"
         )
     rows, dens = cached_scaled_rows(scc)
-    for s, xbit, rest, row_s, row_rest in _removals(rows):
-        if out.full:
-            break
-        den_s, den_rest = dens[s], dens[rest]
-        sums = _marginal(row_s, xbit)
-        sums[0] = row_s.get(0, 0) + row_s.get(xbit, 0)
-        for t in sorted(sums.keys() | row_rest.keys()):
-            lhs = row_rest.get(t, 0) * den_s
-            if not probs_equal(scc, lhs, sums.get(t, 0) * den_rest, tol):
-                out.add({"S": s, "x": xbit, "T": t})
+
+    def violations() -> Iterator[dict[str, int]]:
+        for s, xbit, rest, row_s, row_rest in _removals(rows):
+            den_s, den_rest = dens[s], dens[rest]
+            sums = _marginal(row_s, xbit)
+            sums[0] = row_s.get(0, 0) + row_s.get(xbit, 0)
+            for t in sorted(sums.keys() | row_rest.keys()):
+                lhs = row_rest.get(t, 0) * den_s
+                if not probs_equal(scc, lhs, sums.get(t, 0) * den_rest, tol):
+                    yield {"S": s, "x": xbit, "T": t}
+
+    out.extend(violations())
     return out.report(vacuous=scc.universe.n)
 
 
@@ -934,20 +934,20 @@ def _support_shape_report(
     :func:`_achievable`).  The quantifier ranges over all non-empty T
     contained in S, a domain of size 3^n - 2^n, which the registry states,
     so the count comes first; violations are located by comparing the
-    support of each row with the achievable family, menu by menu, and the
-    scan stops once the cap is full.
+    support of each row with the achievable family, menu by menu, in one
+    stream.
     """
     out = _Collector(scc, axiom, cap)
     achievable_of = _achievable(scc, axiom, attributes)
     pos = _positive_rows(scc)
-    for menu in scc.menus():
-        if out.full:
-            break
-        achievable = achievable_of(menu)
-        sup = set(pos[menu])
-        sup.discard(0)
-        for t in sorted(sup - achievable) + sorted(achievable - sup):
-            out.add({"T": t, "S": menu})
+
+    def violations() -> Iterator[dict[str, int]]:
+        for menu in scc.menus():
+            achievable, sup = achievable_of(menu), pos[menu].keys() - {0}
+            for t in sorted(sup - achievable) + sorted(achievable - sup):
+                yield {"T": t, "S": menu}
+
+    out.extend(violations())
     return out.report()
 
 
@@ -973,12 +973,11 @@ def check_positivity(
     if kind == 1:
         out = _Collector(scc, AxiomId.POS1, cap)
         pos = _positive_rows(scc)
-        for menu in scc.menus():
-            covered = 0
-            for t in pos[menu]:
-                covered |= t
-            for x in bits(menu & ~covered):
-                out.add({"x": 1 << x, "S": menu})
+        out.extend(
+            {"x": 1 << x, "S": menu}
+            for menu in scc.menus()
+            for x in bits(menu & ~reduce(or_, pos[menu], 0))
+        )
         return out.report()
     if kind in (2, 3, 4):
         return _support_shape_report(scc, cap, AxiomId(f"POS{kind}"), attributes)
@@ -1038,9 +1037,11 @@ def _distinct_constraints_report(
     """No two items may reveal the same constraint set (n-choose-2 pairs)."""
     out = _Collector(scc, AxiomId.DISTINCT_Q, cap)
     revealed = cached_revealed_constraints(scc)
-    for x, y in combinations(range(scc.universe.n), 2):
-        if revealed[x] == revealed[y]:
-            out.add({"x": 1 << x, "y": 1 << y})
+    out.extend(
+        {"x": 1 << x, "y": 1 << y}
+        for x, y in combinations(range(scc.universe.n), 2)
+        if revealed[x] == revealed[y]
+    )
     return out.report()
 
 
@@ -1064,39 +1065,41 @@ def _rel_add_adjusted(scc: SCC, tol: ToleranceConfig, cap: int) -> AxiomReport:
     by :func:`_adjustment`: exact mode clears the adjustment's denominator,
     and float mode compares the equation as written, as its ``sides`` do.
     Vacuous instances: T empty, or zero adjustment denominator, which is
-    summed once per S, when a non-empty T first needs it.  Counts come
-    first: an (S, x) has 2^|S\\x| - 1 instances, less one when T is
-    non-empty, all checked or all vacuous.  Under the cap, only the T'
-    recorded in row S\\x or in row S's :func:`_marginal` are compared,
-    ascending: at any other T' both sides are zero, so it holds.
+    summed once per S, when a non-empty T first needs it.  Each (S, x) is
+    counted, 2^|S\\x| - 1 instances, less one when T is non-empty, all
+    checked or all vacuous, and a checked one hands the frame a stream of
+    its comparisons, which merges row S onto S\\x (:func:`_marginal`) and
+    compares, ascending, only the T' recorded in row S\\x or in that
+    marginal: at any other T' both sides are zero, so it holds.
     """
     out = _Collector(scc, AxiomId.REL_ADD_2, cap)
     revealed = cached_revealed_constraints(scc)
     rows, dens = cached_scaled_rows(scc)
     row_full = rows[scc.universe.full_mask]
     adj_denom = cache(lambda s: sum(row_full.get(revealed[y], 0) for y in bits(s)))
+
+    def violations(s: int, xbit: int, t: int, denom: Prob) -> Iterator[dict[str, int]]:
+        row_s, row_rest = rows[s], rows[s & ~xbit]
+        sums = _marginal(row_s, xbit)
+        num = row_full.get(revealed[xbit.bit_length() - 1], 0) * dens[s]
+        scale, shift = _adjustment(scc, num, denom)
+        lhs_factor = scale * row_rest.get(t, 0)
+        rhs_factor = scale * sums.get(t, 0) - shift
+        for t2 in sorted((sums.keys() | row_rest.keys()) - {0, t}):
+            lhs = lhs_factor * sums.get(t2, 0)
+            if not probs_equal(scc, lhs, row_rest.get(t2, 0) * rhs_factor, tol):
+                yield {"S": s, "x": xbit, "T": t, "T_prime": t2}
+
     checked = vacuous = 0
-    for s, xbit, rest, row_s, row_rest in _removals(rows):
-        q = revealed[xbit.bit_length() - 1]
-        t = q & rest
+    for s, xbit, rest, _, _ in _removals(rows):
+        t = revealed[xbit.bit_length() - 1] & rest
         size = (1 << rest.bit_count()) - 1 - (t != 0)
         denom = adj_denom(s) if t else 0
         if not is_positive(scc, denom):
             vacuous += size
             continue
         checked += size
-        if out.full:
-            continue
-        sums = _marginal(row_s, xbit)
-        scale, shift = _adjustment(scc, row_full.get(q, 0) * dens[s], denom)
-        lhs_factor = scale * row_rest.get(t, 0)
-        rhs_factor = scale * sums.get(t, 0) - shift
-        for t2 in sorted((sums.keys() | row_rest.keys()) - {0, t}):
-            lhs = lhs_factor * sums.get(t2, 0)
-            if not probs_equal(scc, lhs, row_rest.get(t2, 0) * rhs_factor, tol):
-                out.add({"S": s, "x": xbit, "T": t, "T_prime": t2})
-                if out.full:
-                    break
+        out.extend(violations(s, xbit, t, denom))
     return out.report(checked, vacuous)
 
 
@@ -1159,12 +1162,11 @@ def check_piis(
        pairs and their menus are the lists of the co-occurrence index
        :func:`_cooccurrence`, which IIS reads too: a list of m menus counts
        its m - 1 later menus, each compared with the first by
-       :func:`_ratio_conflicts`, and the conflicts come merged in the order
-       of a scan menu by menu (menu, then A, then B), so the comparisons
-       stop once the cap is full.  The index's keys give the co-occurrence
-       graph; an empty index ends the scan here, and past a clean stage 1
-       each list's first menu gives the pair's ratio, read once into one
-       table, :data:`_Ratios`.
+       :func:`_ratio_conflicts`, and the conflicts come merged into one
+       stream in the order of a scan menu by menu (menu, then A, then B).
+       The index's keys give the co-occurrence graph; an empty index ends
+       the scan here, and past a clean stage 1 each list's first menu
+       gives the pair's ratio, read once into one table, :data:`_Ratios`.
     2. If stage 1 is clean, each co-occurring pair has one well-defined
        ratio.  In exact mode :func:`_fit_potential` fits a multiplicative
        potential over the co-occurrence graph; if every edge ratio matches
@@ -1215,10 +1217,9 @@ def check_piis(
         for (a, b), cells in index.items()
         if len(cells) > 3
     ]
-    for s, a, b, s0 in merge(*conflicts):
-        out.add(_chain_bindings(a, b, (b, s0, s0), (b, s, s)))
-        if out.full:
-            break
+    out.extend(
+        _chain_bindings(a, b, (b, s0, s0), (b, s, s)) for s, a, b, s0 in merge(*conflicts)
+    )
 
     # The co-occurrence graph, and the ratio table of stages 2 and 3 (_Ratios).
     support_colls = sorted({c for row in pos.values() for c in row})
@@ -1227,7 +1228,7 @@ def check_piis(
         neighbors[a].add(b)
         neighbors[b].add(a)
     vacuous = 2 * _distant_pairs(support_colls, neighbors)
-    if not out.clean or not index:
+    if out.witnesses or not index:
         return out.report(checked, vacuous)
     table: _Ratios = tuple({c: {} for c in support_colls} for _ in range(3))
     num, den, menu = table
@@ -1339,8 +1340,9 @@ def _chain_scan(
     association the replay uses, lhs = ref_num * (d1*d2) and
     rhs = (n1*n2) * ref_den.  A float pair whose largest difference is
     within ``eps_eq`` passes (the ``abs_tol`` branch of ``math.isclose``).
-    Any other pair is replayed per ordered pair in enumeration order, where
-    ``probs_equal`` decides and the witnesses' bindings are built.
+    Any other pair is replayed per ordered pair in enumeration order, in
+    one stream to the frame, where ``probs_equal`` decides and the
+    witnesses' bindings are built.
     """
     num, den, menu = table
     checked = 0
@@ -1370,21 +1372,22 @@ def _chain_scan(
             if not agree:
                 suspects += [(t, t2), (t2, t)]
 
-    for t, t2 in sorted(suspects):
-        if out.full:
-            break
-        values: list[tuple[Prob, Prob, tuple[int, int, int]]] = []
-        if t2 in neighbors[t]:
-            s0 = menu[t][t2]
-            # chains through T* = T' (and T* = T) reduce to the edge ratio
-            values.append((num[t][t2], den[t][t2], (t2, s0, s0)))
-        for mid in sorted(neighbors[t] & neighbors[t2]):
-            chain = (mid, menu[t][mid], menu[mid][t2])
-            values.append((num[t][mid] * num[mid][t2], den[t][mid] * den[mid][t2], chain))
-        (ref_num, ref_den, ref), *others = values
-        for n, d, chain in others:
-            if not probs_equal(scc, ref_num * d, n * ref_den, tol):
-                out.add(_chain_bindings(t, t2, ref, chain))
+    def violations() -> Iterator[dict[str, int]]:
+        for t, t2 in sorted(suspects):
+            values: list[tuple[Prob, Prob, tuple[int, int, int]]] = []
+            if t2 in neighbors[t]:
+                s0 = menu[t][t2]
+                # chains through T* = T' (and T* = T) reduce to the edge ratio
+                values.append((num[t][t2], den[t][t2], (t2, s0, s0)))
+            for mid in sorted(neighbors[t] & neighbors[t2]):
+                via = (mid, menu[t][mid], menu[mid][t2])
+                values.append((num[t][mid] * num[mid][t2], den[t][mid] * den[mid][t2], via))
+            (ref_num, ref_den, ref), *others = values
+            for n, d, via in others:
+                if not probs_equal(scc, ref_num * d, n * ref_den, tol):
+                    yield _chain_bindings(t, t2, ref, via)
+
+    out.extend(violations())
     return checked
 
 
@@ -1411,21 +1414,14 @@ def _partition_report(scc: SCC, tol: ToleranceConfig, cap: int) -> AxiomReport:
 
     Domain: one disjointness instance per nest pair plus one coverage
     instance.  Coverage failures bind the uncovered items under "uncovered".
-    The count is fixed, so the pair scan stops once ``cap`` pairs overlap.
+    The count is fixed, and the overlapping pairs, then the coverage
+    failure, go to the frame as one stream.
     """
     out = _Collector(scc, AxiomId.PARTITION, cap)
     nests = cached_revealed_nests(scc)
-    for t, t2 in combinations(nests, 2):
-        if t & t2:
-            out.add({"T": t, "T_prime": t2})
-            if out.full:
-                break
-    union = 0
-    for nest in nests:
-        union |= nest
-    uncovered = scc.universe.full_mask & ~union
-    if uncovered:
-        out.add({"uncovered": uncovered})
+    uncovered = scc.universe.full_mask & ~reduce(or_, nests, 0)
+    overlaps = ({"T": t, "T_prime": t2} for t, t2 in combinations(nests, 2) if t & t2)
+    out.extend(chain(overlaps, [{"uncovered": uncovered}] if uncovered else []))
     return out.report(len(nests) * (len(nests) - 1) // 2 + 1)
 
 
@@ -1462,26 +1458,28 @@ def check_paf(
     with non-empty T contained in S\\x, n (3^(n-1) - 2^(n-1)) instances; only
     those meeting the three-part guard in :func:`_positive_rows` are
     checked, and the rest are vacuous.  Each (S, x) counts its guarded T
-    first, and they are compared only until the cap is full, on the rows of
+    and hands the frame a stream of their comparisons, on the rows of
     :func:`cached_scaled_rows`, each side times the other row's
     denominator.  Assumes a valid SCC, as :func:`_iis_scan` does.
     """
     out = _Collector(scc, AxiomId.PAF, cap)
     pos = _positive_rows(scc)
     rows, dens = cached_scaled_rows(scc)
-    checked = 0
-    for s, xbit, rest, row_s, row_rest in _removals(rows):
-        if xbit in pos[s]:
-            continue
-        guarded = pos[s].keys() & pos[rest].keys() - {0}
-        checked += len(guarded)
-        if out.full:
-            continue
+
+    def violations(s: int, xbit: int, guarded: set[int]) -> Iterator[dict[str, int]]:
+        rest = s & ~xbit
+        row_s, row_rest = rows[s], rows[rest]
         for t in sorted(guarded):
             if not probs_equal(scc, row_s[t] * dens[rest], row_rest[t] * dens[s], tol):
-                out.add({"S": s, "x": xbit, "T": t})
-                if out.full:
-                    break
+                yield {"S": s, "x": xbit, "T": t}
+
+    checked = 0
+    for s, xbit, rest, _, _ in _removals(rows):
+        if xbit in pos[s]:
+            continue
+        guarded = (pos[s].keys() & pos[rest].keys()) - {0}
+        checked += len(guarded)
+        out.extend(violations(s, xbit, guarded))
     return out.report(checked)
 
 
@@ -1504,57 +1502,56 @@ def check_special(
     """Deterministic-full-choice and singleton-representation tests.
 
     DET_FULL_CHOICE: mu(S,S) = 1 for every menu (one instance per menu),
-    read as the scaled cell of S against its row's denominator; the scan
-    stops once the cap is full.
+    read as the scaled cell of S against its row's denominator.
 
     SINGLETON, clause (i): every singleton is chosen with positive
     probability from every menu, and no other collection ever is (on
     empty-collection SCCs the empty collection counts as "other").
     Clause (ii): singleton probability ratios are menu-independent, decided
     by cross-multiplying each menu containing a pair {x,y} against the
-    binary menu {x,y} as reference.  Nothing is vacuous, violations are
-    located through row supports, and the scan stops once the cap is full.
+    binary menu {x,y} as reference.  Nothing is vacuous, and violations
+    are located through row supports, clause (i) then (ii), in one stream.
     """
     if kind is AxiomId.DET_FULL_CHOICE:
         out = _Collector(scc, AxiomId.DET_FULL_CHOICE, cap)
         rows, dens = cached_scaled_rows(scc)
-        for menu in scc.menus():
-            if out.full:
-                break
-            if not probs_equal(scc, rows[menu].get(menu, 0), dens[menu], tol):
-                out.add({"S": menu})
+        out.extend(
+            {"S": menu}
+            for menu in scc.menus()
+            if not probs_equal(scc, rows[menu].get(menu, 0), dens[menu], tol)
+        )
         return out.report()
     if kind is not AxiomId.SINGLETON:
         raise ValueError(f"check_special handles DET_FULL_CHOICE and SINGLETON, got {kind}")
 
     out = _Collector(scc, AxiomId.SINGLETON, cap)
     pos = _positive_rows(scc)
-    # clause (i): positive singletons, nothing else positive
-    for menu in scc.menus():
-        if out.full:
-            break
-        sup = pos[menu]
-        for x in bits(menu):
-            if (1 << x) not in sup:
-                out.add({"x": 1 << x, "S": menu})
-        for t in sorted(sup):
-            if popcount(t) != 1:
-                out.add({"T": t, "S": menu})
-    # clause (ii): ratio stability against the binary reference menu
     rows = cached_scaled_rows(scc)[0]
-    for x, y in combinations(range(scc.universe.n), 2):
-        if out.full:
-            break
-        xbit, ybit = 1 << x, 1 << y
-        ref = xbit | ybit
-        ref_x = rows[ref].get(xbit, 0)
-        ref_y = rows[ref].get(ybit, 0)
-        for extra in nonempty_submasks(scc.universe.full_mask & ~ref):
-            menu = ref | extra
-            lhs = rows[menu].get(xbit, 0) * ref_y
-            rhs = ref_x * rows[menu].get(ybit, 0)
-            if not probs_equal(scc, lhs, rhs, tol):
-                out.add({"x": xbit, "y": ybit, "S": menu, "S_prime": ref})
+
+    def violations() -> Iterator[dict[str, int]]:
+        # clause (i): positive singletons, nothing else positive
+        for menu in scc.menus():
+            sup = pos[menu]
+            for x in bits(menu):
+                if (1 << x) not in sup:
+                    yield {"x": 1 << x, "S": menu}
+            for t in sorted(sup):
+                if popcount(t) != 1:
+                    yield {"T": t, "S": menu}
+        # clause (ii): ratio stability against the binary reference menu
+        for x, y in combinations(range(scc.universe.n), 2):
+            xbit, ybit = 1 << x, 1 << y
+            ref = xbit | ybit
+            ref_x = rows[ref].get(xbit, 0)
+            ref_y = rows[ref].get(ybit, 0)
+            for extra in nonempty_submasks(scc.universe.full_mask & ~ref):
+                menu = ref | extra
+                lhs = rows[menu].get(xbit, 0) * ref_y
+                rhs = ref_x * rows[menu].get(ybit, 0)
+                if not probs_equal(scc, lhs, rhs, tol):
+                    yield {"x": xbit, "y": ybit, "S": menu, "S_prime": ref}
+
+    out.extend(violations())
     return out.report()
 
 

@@ -293,18 +293,11 @@ class TestRevealedStructure:
         spec = sample_params(GenConfig(8, ModelTag.LOGIT, seed=5300))
         scc = generate_scc(spec, Universe.default(8))
         cached_revealed_nests(scc)
-        calls = []
-        add = scclab.axioms._Collector.add
-
-        def counted(collector, bindings):
-            calls.append(bindings)
-            return add(collector, bindings)
-
-        monkeypatch.setattr(scclab.axioms._Collector, "add", counted)
+        recorded = _recordings(monkeypatch)
         report = scclab.axioms._partition_report(scc, DEFAULT_TOL, 10)
         assert not report.holds and len(report.witnesses) == 10
         assert report.instances_checked == 255 * 254 // 2 + 1
-        assert len(calls) <= 10
+        assert len(recorded) == 10
 
 
 class TestPIIS:
@@ -367,8 +360,7 @@ def _ordered_chain_scan(scc, tol, out, colls, neighbors, table, *, reached):
     index = scclab.axioms._cooccurrence(scc)
     edges = {pair: (cells[1], cells[2], cells[0]) for pair, cells in index.items()}
     neighbors = _graph(colls, edges)
-    checked = 0
-    clean = out.clean
+    checked, found = 0, []
     for t in colls:
         for t2 in colls:
             if t2 == t:
@@ -385,8 +377,9 @@ def _ordered_chain_scan(scc, tol, out, colls, neighbors, table, *, reached):
                 checked += 1
                 ref_num, ref_den, ref = values[0]
                 if not probs_equal(scc, ref_num * den, num * ref_den, tol):
-                    out.add(_chain_bindings(t, t2, ref, chain))
-    reached.append((scc.exact, clean and not out.clean))
+                    found.append(_chain_bindings(t, t2, ref, chain))
+    reached.append((scc.exact, not out.witnesses and bool(found)))
+    out.extend(found)
     return checked
 
 
@@ -1081,7 +1074,7 @@ def _menu_major_piis(scc, tol, cap):
     the co-occurrence index, where the grand-row certificate fails."""
     out = scclab.axioms._Collector(scc, AxiomId.PIIS, cap)
     pos = scclab.axioms._positive_rows(scc)
-    checked, edges = 0, {}
+    checked, edges, conflicts = 0, {}, []
     for s in scc.menus():
         for (a, pa), (b, pb) in combinations(sorted(pos[s].items()), 2):
             if (a, b) not in edges:
@@ -1090,7 +1083,8 @@ def _menu_major_piis(scc, tol, cap):
             pa0, pb0, s0 = edges[a, b]
             checked += 1
             if not probs_equal(scc, pa * pb0, pb * pa0, tol):
-                out.add(_chain_bindings(a, b, (b, s0, s0), (b, s, s)))
+                conflicts.append(_chain_bindings(a, b, (b, s0, s0), (b, s, s)))
+    out.extend(conflicts)
     colls = sorted({t for row in pos.values() for t in row})
     near = _graph(colls, edges)
     # the module's ratio table, num[a][b], den[a][b] and menu[a][b], from edges
@@ -1105,12 +1099,12 @@ def _menu_major_piis(scc, tol, cap):
         for t2 in colls
         if t != t2 and t2 not in near[t] and not near[t] & near[t2]
     )
-    if out.clean and scc.exact:
+    if not out.witnesses and scc.exact:
         fits, compared = scclab.axioms._fit_potential(colls, edges, table)
         checked += compared
         if fits:
             return out.report(checked, vacuous)
-    if out.clean:
+    if not out.witnesses:
         checked += scclab.axioms._chain_scan(scc, tol, out, colls, near, table)
     return out.report(checked, vacuous)
 
@@ -1762,23 +1756,38 @@ def _listed_marginals(monkeypatch, scc):
     return listed
 
 
+def _recordings(monkeypatch, events=None):
+    """The bindings that the checks hand their frames from here on, in
+    order, each listed as _Collector.extend pulls it from a check's stream
+    (and noted as "witness" in ``events`` when given): the recordings."""
+    recorded = []
+    extend = scclab.axioms._Collector.extend
+
+    def pulled(violations):
+        for bindings in violations:
+            recorded.append(bindings)
+            if events is not None:
+                events.append("witness")
+            yield bindings
+
+    monkeypatch.setattr(
+        scclab.axioms._Collector, "extend", lambda out, violations: extend(out, pulled(violations))
+    )
+    return recorded
+
+
 def _compare_events(monkeypatch):
     """The probs_equal calls ("compare") and recorded witnesses ("witness")
     of scclab.axioms from here on, in order."""
     events = []
     probs_equal_of = scclab.axioms.probs_equal
-    add = scclab.axioms._Collector.add
 
     def compared(*args):
         events.append("compare")
         return probs_equal_of(*args)
 
-    def recorded(collector, bindings):
-        events.append("witness")
-        return add(collector, bindings)
-
     monkeypatch.setattr(scclab.axioms, "probs_equal", compared)
-    monkeypatch.setattr(scclab.axioms._Collector, "add", recorded)
+    _recordings(monkeypatch, events)
     return events
 
 
@@ -3144,6 +3153,50 @@ class TestRecheckEveryAxiom:
         ):
             fake = Witness(witness.axiom, bindings, witness.lhs, witness.rhs)
             assert recheck_witness(nsc_scc, fake) is False, bindings
+
+
+class TestOneCapExit:
+    """Every check hands its frame lazy streams of violations, and only
+    _Collector.extend stops at the witness cap."""
+
+    @pytest.mark.parametrize("cap", [1, 2, 10])
+    def test_the_frame_records_only_the_witnesses(self, monkeypatch, recheck_runs, cap):
+        """Every applicable check on the recheck corpus: the frame pulls
+        exactly the witnesses it reports from the check's streams, and the
+        report is the uncapped one cut to the cap."""
+        recorded = _recordings(monkeypatch)
+        cut = set()
+        for name, scc, carriers, whole in recheck_runs:
+            recorded.clear()
+            report = run_axiom(scc, whole.axiom, attributes=carriers, cap=cap)
+            case = (name, whole.axiom, cap)
+            assert recorded == [w.bindings for w in report.witnesses], case
+            assert report == replace(whole, witnesses=whole.witnesses[:cap]), case
+            if len(whole.witnesses) > cap:
+                cut.add(whole.axiom)
+        # at each cap, the witnesses of checks that once recorded past it are cut
+        assert {AxiomId.ADDITIVITY, AxiomId.IIS_O, AxiomId.SINGLETON} <= cut
+
+    def test_extend_pulls_nothing_past_the_cap(self, nsc_scc):
+        """Each stream fails if it is pulled once more than it holds: a
+        frame of cap 2 takes both of one stream and pulls nothing from the
+        next; one of cap 3 takes a stream of one, then two of the next."""
+        pairs = [{"x": A, "y": B}, {"x": A, "y": C}, {"x": B, "y": C}]
+
+        def stream(*violations):
+            yield from violations
+            raise AssertionError("a violation was pulled past the cap")
+
+        for cap, streams in (
+            (2, [stream(*pairs[:2]), stream(pairs[2])]),
+            (3, [iter(pairs[:1]), stream(*pairs[1:]), stream(pairs[0])]),
+        ):
+            out = scclab.axioms._Collector(nsc_scc, AxiomId.DISTINCT_Q, cap)
+            for violations in streams:
+                out.extend(violations)
+            report = out.report()
+            assert not report.holds
+            assert report.witnesses == tuple(Witness(AxiomId.DISTINCT_Q, b) for b in pairs[:cap])
 
 
 class TestDispatcherAndBattery:

@@ -107,6 +107,11 @@ def _worded(text: str) -> set[str]:
     )
 
 
+def _within(holders: set[str], scopes: set[str]) -> set[str]:
+    """The ``holders`` that are one of ``scopes`` or nested inside one."""
+    return {h for h in holders if any(h == s or h.startswith(f"{s}.") for s in scopes)}
+
+
 def _callers(name: str) -> set[str]:
     return _holders(
         lambda node: isinstance(node, ast.Call)
@@ -248,9 +253,15 @@ def test_proportionality_is_decided_by_one_rule():
     )
     assert ranged == {"axioms._proportional", "axioms._unit_limit"}
     assert _callers("_float_certified") == {"axioms._unit_limit"}
-    scans = {"axioms._iis_scan", "axioms._rel_add_scan", "axioms._decide_grand_row"}
+    scans = {
+        "axioms._iis_scan",
+        "axioms._iis_scan.violations",
+        "axioms._rel_add_scan",
+        "axioms._rel_add_scan.violations",
+        "axioms._decide_grand_row",
+    }
     certificates = {"axioms._decide_marginals.holds"}
-    assert _callers("_proportional") == scans | certificates
+    assert _callers("_proportional") == (scans | certificates) - {"axioms._rel_add_scan"}
     helpers = {
         "axioms._cooccurrence",
         "axioms._cooccurrence.build",
@@ -329,18 +340,20 @@ def test_one_marginal_onto_a_menu_less_x():
     """axioms._marginal is the one merge of a row or marginal of S onto
     S\\x: the marginal certificate builds each child's marginal with it,
     and REL_ADD, REL_ADD_1, ADDITIVITY, REL_ADD_2 and support transfer set
-    it against row S\\x.  No scan over axioms._removals lists the subsets
-    of S\\x, and the marginal's scans read the scaled rows, not SCC.rows."""
+    it against row S\\x, the first four in the streams of violations they
+    hand their frames.  No scan over axioms._removals, nor a stream inside
+    one, lists the subsets of S\\x, and the marginal's scans read the
+    scaled rows, not SCC.rows."""
     scans = {
-        "axioms._rel_add_scan",
-        "axioms.check_additivity",
-        "axioms._rel_add_adjusted",
+        "axioms._rel_add_scan.violations",
+        "axioms.check_additivity.violations",
+        "axioms._rel_add_adjusted.violations",
         "axioms.support_transfer_violations",
     }
     assert _callers("_marginal") == scans | {"axioms._decide_marginals.holds"}
     removal_scans = _callers("_removals")
-    assert scans < removal_scans
-    assert not (_callers("submasks") | _callers("nonempty_submasks")) & removal_scans
+    assert _within(scans, removal_scans) == scans
+    assert not _within(_callers("submasks") | _callers("nonempty_submasks"), removal_scans)
     row_readers = _holders(lambda node: isinstance(node, ast.Attribute) and node.attr == "rows")
     assert not row_readers & scans
 
@@ -382,30 +395,34 @@ def test_support_is_read_from_one_table():
 
 
 def test_witnesses_are_recorded_one_way():
-    """In scclab.axioms a witness is built only by axioms._Collector.add,
-    which every scan calls with one argument, its bindings, and which takes
-    its lhs/rhs from the axiom's ``sides``; besides it, ``sides`` is read
-    only by the rechecks, and the recorded values are compared with it by
-    ``_records`` alone, which only recheck_witness calls."""
-    assert not hasattr(axioms._Collector, "add_equation")
+    """In scclab.axioms a witness is built only by axioms._Collector.extend,
+    which every check calls with one argument, its stream of bindings, and
+    which takes their lhs/rhs from the axiom's ``sides``; besides it,
+    ``sides`` is read only by the rechecks, and the recorded values are
+    compared with it by ``_records`` alone, which only recheck_witness
+    calls."""
+    assert [name for name in vars(axioms._Collector) if not name.startswith("__")] == [
+        "extend",
+        "report",
+    ]
     in_axioms = lambda holders: {h for h in holders if h.split(".")[0] == "axioms"}
-    assert in_axioms(_callers("Witness")) == {"axioms._Collector.add"}
+    assert in_axioms(_callers("Witness")) == {"axioms._Collector.extend"}
     assert _callers("_records") == {"axioms.recheck_witness"}
     readers = _holders(lambda node: isinstance(node, ast.Attribute) and node.attr == "sides")
     assert in_axioms(readers) == {
-        "axioms._Collector.add",
+        "axioms._Collector.extend",
         "axioms.recheck_witness",
         "axioms._recheck_sides",
     }
-    adds = [
+    extends = [
         node
         for scope, node in _scoped_nodes()
         if scope.split(".")[0] == "axioms"
         and isinstance(node, ast.Call)
-        and getattr(node.func, "attr", None) == "add"
+        and getattr(node.func, "attr", None) == "extend"
         and getattr(node.func.value, "id", None) == "out"
     ]
-    assert adds and all(len(call.args) == 1 and not call.keywords for call in adds)
+    assert extends and all(len(call.args) == 1 and not call.keywords for call in extends)
 
 
 def test_each_check_opens_one_frame():
@@ -425,29 +442,24 @@ def test_each_check_opens_one_frame():
     assert readers == {"axioms._Collector.report"}
 
 
-def test_capped_scans_read_the_full_cap():
-    """A scan whose counts are stated before it compares stops once its
-    witness cap is full, which it reads as ``out.full``: the support shapes,
-    the three relative-additivity scans and PAF among them, and the merged
-    witness streams of IIS and PIIS stage 1, so that no rewrite drops an
-    exit without this failing."""
-    readers = _holders(
-        lambda node: isinstance(node, ast.Attribute)
-        and node.attr == "full"
-        and getattr(node.value, "id", None) == "out"
-    )
-    assert readers == {
-        "axioms._iis_scan",
-        "axioms._rel_add_scan",
-        "axioms.check_additivity",
-        "axioms._support_shape_report",
-        "axioms._rel_add_adjusted",
-        "axioms._chain_scan",
-        "axioms.check_piis",
-        "axioms._partition_report",
-        "axioms.check_paf",
-        "axioms.check_special",
+def test_the_frame_is_the_one_cap_exit():
+    """The witness cap is read only inside axioms._Collector: its
+    constructor refuses a cap below 1, and extend stops pulling a check's
+    stream once the cap is full.  A check uses its frame only to extend
+    and report, so it neither reads the cap nor counts the witnesses
+    recorded, and its streams are its one way to record."""
+    readers = _holders(lambda node: isinstance(node, ast.Attribute) and node.attr == "cap")
+    assert {h for h in readers if h.startswith("axioms.")} == {
+        "axioms._Collector.__init__",
+        "axioms._Collector.extend",
     }
+    frame_reads = _holders(
+        lambda node: isinstance(node, ast.Attribute)
+        and getattr(node.value, "id", None) == "out"
+        and node.attr not in ("extend", "report")
+    )
+    # PIIS runs stages 2 and 3 only where stage 1 recorded nothing
+    assert {h for h in frame_reads if h.startswith("axioms.")} == {"axioms.check_piis"}
 
 
 def test_tolerance_is_only_the_equality_tolerance():
