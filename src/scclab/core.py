@@ -366,6 +366,15 @@ def reduce_row(cells: dict[int, int], den: int) -> tuple[dict[int, int], int]:
     return {t: c // g for t, c in cells.items()}, den // g
 
 
+def lowest_terms(cells: Iterable[tuple[int, int]], den: int) -> Iterator[tuple[int, int, int]]:
+    """Each cell ``(t, c)`` of a scaled row over ``den`` as ``(t, num, d)``,
+    where num/d is c/den in lowest terms: the numerator and denominator of
+    the Fraction a :class:`FractionRows` would build, found with one gcd."""
+    for t, c in cells:
+        g = math.gcd(c, den)
+        yield t, c // g, den // g
+
+
 def _over_lcm(row: dict[int, tuple[int, int]]) -> tuple[dict[int, int], int]:
     """(numerator, denominator) pairs as numerators over the lcm of the
     denominators, with that lcm: the body of :func:`scale_row`, which the

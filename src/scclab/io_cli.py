@@ -5,7 +5,9 @@ probabilities travel as strings — "num/den" or a bare integer for exact
 values, a decimal/exponent literal for float values — because JSON numbers
 cannot carry rationals.  Serialization is canonical: sorted keys, menus and
 collections in ascending mask order, zero rows omitted.  Identical inputs
-therefore produce byte-identical output.
+therefore produce byte-identical output.  Every command writes through one
+printer, whose bytes are those of ``json.dumps(payload, indent=2,
+sort_keys=True)``, and an SCC document is written one menu at a time.
 """
 
 from __future__ import annotations
@@ -16,8 +18,11 @@ import io
 import json
 import math
 import sys
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _encode
 from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .axioms import (
@@ -28,6 +33,7 @@ from .axioms import (
     AxiomReport,
     Witness,
     cached_report,
+    cached_scaled_rows,
     characterizing_axioms,
     full_battery,
 )
@@ -46,6 +52,7 @@ from .core import (
     WrongVariantError,
     ZeroTotalMenuError,
     is_positive,
+    lowest_terms,
     require_complete,
     validate_rows,
 )
@@ -108,9 +115,15 @@ def parse_prob_literal(text: str) -> tuple[Prob, bool]:
     return value, False
 
 
+def _exact_literal(numerator: int, denominator: int) -> str:
+    """An exact value in lowest terms as it is written: "num/den", or the
+    bare integer when den is 1, as ``str(Fraction)`` writes it."""
+    return f"{numerator}/{denominator}" if denominator != 1 else str(numerator)
+
+
 def format_prob(value: Prob) -> str:
     if isinstance(value, Fraction):
-        return str(value)
+        return _exact_literal(*value.as_integer_ratio())
     # repr of a float always carries a '.' or exponent, so it parses back
     # into float mode
     return repr(float(value))
@@ -226,21 +239,55 @@ def parse_scc(document: Any) -> SCC:
     return SCC.from_scaled(universe, *scaled, allows_empty)
 
 
-def scc_to_document(scc: SCC) -> dict:
-    """Canonical JSON document for an SCC (cells that are zero support omitted)."""
-    universe = scc.universe
-    menus = []
+class _Memo(dict):
+    """A dict that fills a missing key with ``make(key)``."""
+
+    def __init__(self, make: Callable[[Any], Any]):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key: Any) -> Any:
+        value = self[key] = self.make(key)
+        return value
+
+
+@lru_cache(maxsize=16)
+def _labels(universe: Universe) -> _Memo:
+    """The one memo of a universe's label tuple of each mask."""
+    return _Memo(universe.labels_of)
+
+
+def _menus(scc: SCC) -> Iterator[tuple[int, list[tuple[int, str]]]]:
+    """An SCC document's menus, the one statement of what it records: each
+    menu in ascending mask order, with its positive cells (zero support
+    omitted) as ``(collection, literal)`` pairs in ascending collection
+    order.  The cells are read from :func:`~scclab.axioms.cached_scaled_rows`:
+    an exact cell is written in lowest terms (:func:`~scclab.core.lowest_terms`)
+    and a float cell by :func:`format_prob`.  Both :func:`scc_to_document`
+    and :func:`_scc_chunks` read it."""
+    rows, dens = cached_scaled_rows(scc)
     for menu in scc.menus():
-        cells = [
-            {"set": list(universe.labels_of(t)), "p": format_prob(v)}
-            for t, v in sorted(scc.rows[menu].items())
-            if is_positive(scc, v)
-        ]
-        menus.append({"menu": list(universe.labels_of(menu)), "rows": cells})
+        cells = sorted((t, c) for t, c in rows[menu].items() if is_positive(scc, c))
+        if scc.exact:
+            yield menu, [(t, _exact_literal(n, d)) for t, n, d in lowest_terms(cells, dens[menu])]
+        else:
+            yield menu, [(t, format_prob(p)) for t, p in cells]
+
+
+def scc_to_document(scc: SCC) -> dict:
+    """Canonical JSON document for an SCC (cells that are zero support
+    omitted); the CLI writes the same document menu by menu (:func:`_emit`)."""
+    labels = _labels(scc.universe)
     return {
-        "items": list(universe.items),
+        "items": list(scc.universe.items),
         "allows_empty": scc.allows_empty,
-        "menus": menus,
+        "menus": [
+            {
+                "menu": list(labels[menu]),
+                "rows": [{"set": list(labels[t]), "p": p} for t, p in cells],
+            }
+            for menu, cells in _menus(scc)
+        ],
     }
 
 
@@ -420,11 +467,11 @@ def params_to_document(spec: ModelSpec, universe: Universe) -> dict:
 
 
 def witness_to_json(witness: Witness, universe: Universe) -> dict:
+    labels = _labels(universe)
     return {
         "axiom": witness.axiom.value,
         "bindings": {
-            name: list(universe.labels_of(mask))
-            for name, mask in sorted(witness.bindings.items())
+            name: list(labels[mask]) for name, mask in sorted(witness.bindings.items())
         },
         "lhs": None if witness.lhs is None else format_prob(witness.lhs),
         "rhs": None if witness.rhs is None else format_prob(witness.rhs),
@@ -575,20 +622,107 @@ def estimate_from_counts(table: CountsTable) -> SCC:
 
 
 # ---------------------------------------------------------------------------
+# JSON output: one printer, and SCC documents written menu by menu
+
+
+#: The line break and indent that open a line at each depth, made once.
+_INDENT = _Memo(lambda depth: "\n" + "  " * depth)
+_SCALARS = json.JSONEncoder()
+
+
+def _print(value: Any, depth: int, out: list[str]) -> None:
+    """Append to ``out`` the text of ``value`` (str-keyed dicts, lists and
+    tuples of JSON values) at nesting ``depth``, as
+    ``json.dumps(value, indent=2, sort_keys=True)`` writes it: strings and
+    keys through the stdlib's C ``encode_basestring_ascii``, ints by
+    ``int.__repr__`` as the stdlib does, and any other scalar (a float, say)
+    by the stdlib encoder itself."""
+    if isinstance(value, str):
+        out.append(_encode(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = _INDENT[depth + 1]
+        lead = "{" + inner
+        for key, item in sorted(value.items()):
+            out.append(f"{lead}{_encode(key)}: ")
+            _print(item, depth + 1, out)
+            lead = "," + inner
+        out.append(_INDENT[depth] + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = _INDENT[depth + 1]
+        try:  # a list of strings, a label list say, in one join
+            out.append(f"[{inner}{(',' + inner).join(map(_encode, value))}{_INDENT[depth]}]")
+            return
+        except TypeError:  # an item that is not a string
+            pass
+        lead = "[" + inner
+        for item in value:
+            out.append(lead)
+            _print(item, depth + 1, out)
+            lead = "," + inner
+        out.append(_INDENT[depth] + "]")
+    elif value is None or value is True or value is False:
+        out.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    else:
+        out.append(_SCALARS.encode(value))
+
+
+def _text(value: Any, depth: int = 0) -> str:
+    out: list[str] = []
+    _print(value, depth, out)
+    return "".join(out)
+
+
+def _scc_chunks(scc: SCC) -> Iterator[str]:
+    """The text of ``scc_to_document(scc)`` as :func:`_print` writes it, one
+    chunk per menu of :func:`_menus`: each collection's label list is
+    printed once, and no chunk holds more than one menu's text."""
+    universe = scc.universe
+    labels = _labels(universe)
+    sets = _Memo(lambda t: _text(labels[t], 5))  # a cell's "set" sits at depth 5
+    i1, i2, i3, i4, i5 = (_INDENT[d] for d in range(1, 6))
+    yield (
+        f'{{{i1}"allows_empty": {_text(scc.allows_empty)},'
+        f'{i1}"items": {_text(universe.items, 1)},{i1}"menus": ['
+    )
+    lead = i2
+    for menu, cells in _menus(scc):
+        rows = f",{i4}".join(
+            f'{{{i5}"p": {_encode(p)},{i5}"set": {sets[t]}{i4}}}' for t, p in cells
+        )
+        rows = f"[{i4}{rows}{i3}]" if cells else "[]"
+        yield f'{lead}{{{i3}"menu": {_text(labels[menu], 3)},{i3}"rows": {rows}{i2}}}'
+        lead = "," + i2
+    yield ("]" if lead == i2 else i1 + "]") + "\n}"
+
+
+def _emit(payload: Any, output: Optional[str]) -> None:
+    """The one writer of command output: ``payload`` and a newline, written
+    to the file ``output`` or to stdout (None or "-") as
+    ``json.dumps(payload, indent=2, sort_keys=True)`` writes it.  An SCC is
+    written as its document, :func:`scc_to_document`, one menu at a time,
+    so no text or document of a whole SCC is held."""
+    chunks = _scc_chunks(payload) if isinstance(payload, SCC) else [_text(payload)]
+    to_file = output and output != "-"
+    with open(output, "w", encoding="utf-8") if to_file else nullcontext(sys.stdout) as handle:
+        for chunk in chunks:
+            handle.write(chunk)
+        handle.write("\n")
+
+
+# ---------------------------------------------------------------------------
 # command-line front end
 
 _EXIT_OK = 0
 _EXIT_FINDINGS = 1
 _EXIT_USAGE = 2
-
-
-def _emit(payload: Any, output: Optional[str]) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if output and output != "-":
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _read_text(path: str) -> str:
@@ -628,8 +762,7 @@ def _parse_axiom_list(text: str) -> list[AxiomId]:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     spec, universe = parse_params(_load_json(args.params))
-    scc = generate_scc(spec, universe)
-    _emit(scc_to_document(scc), args.output)
+    _emit(generate_scc(spec, universe), args.output)
     return _EXIT_OK
 
 
@@ -747,8 +880,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
-    scc = estimate_from_counts(parse_counts(_read_text(args.counts)))
-    _emit(scc_to_document(scc), args.output)
+    _emit(estimate_from_counts(parse_counts(_read_text(args.counts))), args.output)
     return _EXIT_OK
 
 

@@ -1,25 +1,34 @@
 """JSON document handling, counts estimation, and the command-line front end."""
 
+import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import scclab
 import scclab.axioms
 from scclab.core import (
+    EPS_ZERO,
     SCC,
     MixedFormatError,
     SchemaError,
     Universe,
     ZeroTotalMenuError,
+    is_positive,
+    submasks,
     validate_scc,
 )
 from scclab.fuzz import ALL_VARIANTS, GenConfig, sample_params
 from scclab.io_cli import (
+    _emit,
+    _text,
     cli_main,
     estimate_from_counts,
     format_prob,
@@ -1055,3 +1064,154 @@ class TestCli:
         assert cli_main(["classify", nsc_path, "-o", str(first)]) == 0
         assert cli_main(["classify", nsc_path, "-o", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
+
+
+def _dumped(payload):
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _reference_document(scc):
+    """An SCC's document as it was built from the Fraction or float rows
+    themselves: each cell that is_positive keeps, written by str(Fraction)
+    or repr(float)."""
+    universe = scc.universe
+    return {
+        "items": list(universe.items),
+        "allows_empty": scc.allows_empty,
+        "menus": [
+            {
+                "menu": list(universe.labels_of(menu)),
+                "rows": [
+                    {"set": list(universe.labels_of(t)), "p": str(v) if scc.exact else repr(v)}
+                    for t, v in sorted(scc.rows[menu].items())
+                    if is_positive(scc, v)
+                ],
+            }
+            for menu in sorted(scc.rows)
+        ],
+    }
+
+
+def _counts_text(scc):
+    """A counts CSV of the SCC's scaled numerators, written by csv itself."""
+    rows, _ = scclab.axioms.cached_scaled_rows(scc)
+    universe = scc.universe
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, delimiter=";", lineterminator="\n")
+    writer.writerow(["menu", "set", "count"])
+    for menu, row in sorted(rows.items()):
+        for t, count in sorted(row.items()):
+            writer.writerow([",".join(universe.labels_of(m)) for m in (menu, t)] + [count])
+    return buffer.getvalue()
+
+
+#: Labels that JSON escapes: non-ASCII, a space, a quote, a backslash, a tab.
+ESCAPED_LABELS = ["\u00e9", "New York", 'q"x', "b\\s", "t\tab"]
+
+
+class TestOnePrinter:
+    """Every command writes through io_cli._emit, whose bytes are those of
+    json.dumps(payload, indent=2, sort_keys=True); gen and estimate write
+    the SCC's document menu by menu."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+            lambda inner: st.lists(inner)
+            | st.tuples(inner, inner)
+            | st.dictionaries(st.text(), inner),
+            max_leaves=30,
+        )
+    )
+    def test_the_printer_writes_the_bytes_of_json_dumps(self, value):
+        assert _text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    def test_escaped_labels_are_written_as_json_dumps_writes_them(self, tmp_path, capsys):
+        universe = Universe.from_labels(ESCAPED_LABELS)
+        spec = sample_params(GenConfig(5, ModelTag.LOGIT, seed=41))
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(params_to_document(spec, universe)))
+        scc_path = tmp_path / "scc.json"
+        counts = tmp_path / "counts.csv"
+        counts.write_text(_counts_text(generate_scc(spec, universe)), encoding="utf-8")
+        menu, collection = ",".join(ESCAPED_LABELS[:3]), ",".join(ESCAPED_LABELS[1:3])
+        runs = [
+            (["gen", "--params", str(params)], {0}),
+            (["check", str(scc_path), "--axioms", "all"], {1}),
+            (["classify", str(scc_path)], {0, 1}),
+            (["identify", str(scc_path), "--model", "auto"], {0}),
+            (["eval", "--params", str(params), "--menu", menu], {0}),
+            (["eval", "--params", str(params), "--menu", menu, "--set", collection], {0}),
+            (["estimate", str(counts)], {0}),
+        ]
+        for argv, codes in runs:
+            assert cli_main(argv) in codes, argv
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            out = captured.out
+            assert out == _dumped(json.loads(out)), argv
+            assert out.isascii(), argv
+            assert ("\\u00e9" in out) == (argv[0] != "classify"), argv  # classify names no items
+            if argv[0] == "gen":
+                scc_path.write_text(out)
+            if argv[0] == "check":  # witnesses name escaped labels
+                witnesses = [w for r in json.loads(out)["reports"] for w in r["witnesses"]]
+                assert witnesses and 'q\\"x' in out and "t\\tab" in out
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_streamed_sccs_are_their_documents_bytes(self, tmp_path, n):
+        """gen, estimate and _emit write json.dumps of scc_to_document, and
+        that document is the one read off the Fraction or float rows: float
+        cells at or below EPS_ZERO and exact zeros omitted, an exact cell
+        that is a whole number written "1"."""
+        universe = Universe.default(n)
+        params, out = tmp_path / "params.json", tmp_path / "out.json"
+        counts = tmp_path / "counts.csv"
+        for index, (model, empty) in enumerate(ALL_VARIANTS):
+            spec = sample_params(GenConfig(n, model, seed=4100 + 20 * n + index, empty_variant=empty))
+            generated = generate_scc(spec, universe)
+            params.write_text(json.dumps(params_to_document(spec, universe)))
+            assert cli_main(["gen", "--params", str(params), "-o", str(out)]) == 0
+            document = scc_to_document(generated)
+            assert document == _reference_document(generated)
+            assert out.read_text() == _dumped(document)
+            if not empty:  # a singleton menu's one cell
+                assert '"p": "1"' in out.read_text()
+
+            counts.write_text(_counts_text(generated))
+            assert cli_main(["estimate", str(counts), "-o", str(out)]) == 0
+            estimated = estimate_from_counts(parse_counts(counts.read_text()))
+            assert out.read_text() == _dumped(scc_to_document(estimated))
+            assert scc_to_document(estimated) == _reference_document(estimated)
+
+            full = universe.full_mask
+            for exact in (True, False):
+                rows = {
+                    m: {t: p if exact else float(p) for t, p in row.items()}
+                    for m, row in generated.rows.items()
+                }
+                unrecorded = [t for t in submasks(full) if t not in rows[full]]
+                assert unrecorded or empty  # standard data never records the empty set
+                for t, p in zip(unrecorded, (F(0), F(0, 7)) if exact else (EPS_ZERO, 1e-300)):
+                    rows[full][t] = p
+                scc = SCC(universe, rows, empty, exact)
+                _emit(scc, str(out))
+                assert scc_to_document(scc) == _reference_document(scc)
+                assert out.read_text() == _dumped(_reference_document(scc))
+
+    def test_gen_holds_neither_the_document_nor_its_text(self, tmp_path):
+        """gen of an exact logit bundle at n = 9 peaks under tracemalloc below
+        3/4 of the size of the file it writes (about 0.57 when written menu
+        by menu; a writer that builds the document and its text peaks at
+        about 11 times the size)."""
+        spec = sample_params(GenConfig(9, ModelTag.LOGIT, seed=909))
+        params, out = tmp_path / "params.json", tmp_path / "scc.json"
+        params.write_text(json.dumps(params_to_document(spec, Universe.default(9))))
+        tracemalloc.start()
+        try:
+            assert cli_main(["gen", "--params", str(params), "-o", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.75 * out.stat().st_size

@@ -155,8 +155,10 @@ def test_each_shared_rule_is_stated_in_one_module():
     assert _callers("_over_lcm") == {"core.scale_row", "core._row_violations"}
     # integer masses over a common multiple of their denominators become
     # that form by one gcd reduction, scclab.core.reduce_row, called once
-    # per row by the one mode decision of the kernels and by the row rule
-    assert _callers("gcd") == {"core.reduce_row"}
+    # per row by the one mode decision of the kernels and by the row rule;
+    # a written cell is put in lowest terms by scclab.core.lowest_terms
+    assert _callers("gcd") == {"core.reduce_row", "core.lowest_terms"}
+    assert _callers("lowest_terms") == {"io_cli._menus"}
     assert _callers("reduce_row") == {"models._menu_rows.rows", "core._row_violations"}
 
 
@@ -541,3 +543,20 @@ def test_closed_forms_are_stated_in_the_registry():
         "_support_domain",
         "AXIOMS",
     }
+
+
+def test_every_command_writes_through_one_printer():
+    """io_cli._emit is the one writer of command output: every command
+    calls it, and nothing else in scclab.io_cli writes or reads
+    sys.stdout.  No module calls json.dumps, so every payload is printed by
+    io_cli._print, and an SCC document's shape is read from io_cli._menus
+    by scc_to_document and by the streamed writer alone."""
+    in_io_cli = lambda holders: {h for h in holders if h.split(".")[0] == "io_cli"}
+    assert _callers("_emit") == {f"io_cli.{f.__name__}" for f in io_cli._DISPATCH.values()}
+    assert in_io_cli(_callers("write")) == {"io_cli._emit"}
+    assert in_io_cli(
+        _holders(lambda node: isinstance(node, ast.Attribute) and node.attr == "stdout")
+    ) == {"io_cli._emit"}
+    assert not _callers("dumps")
+    assert _callers("_print") == {"io_cli._print", "io_cli._text"}
+    assert _callers("_menus") == {"io_cli.scc_to_document", "io_cli._scc_chunks"}
