@@ -221,13 +221,20 @@ def _positive_rows(scc: SCC) -> dict[int, dict[int, Prob]]:
     """Per menu, the sub-row of strictly positive entries of
     :func:`cached_scaled_rows` under :func:`is_positive`, built once per SCC:
     the one support test of a cell in the scans.  Only the reference paths
-    and two tests of sums call :func:`is_zero` themselves."""
+    and two tests of sums call :func:`is_zero` themselves.  A row whose
+    least value is positive and that holds no 0 (an unvalidated exact row
+    may hold a negative beside a 0) is held itself, not copied, so nothing
+    may write to the table's rows.  ``min`` skips NaN cells, which are
+    positive, unless the first is NaN; then the row is copied."""
     return _memoized(
         scc,
         ("positive_rows",),
         lambda: {
-            menu: {t: p for t, p in row.items() if is_positive(scc, p)}
+            menu: row
+            if low == low and is_positive(scc, low) and 0 not in row.values()
+            else {t: p for t, p in row.items() if is_positive(scc, p)}
             for menu, row in cached_scaled_rows(scc)[0].items()
+            for low in (min(row.values(), default=1),)
         },
     )
 
@@ -1067,10 +1074,11 @@ def _rel_add_adjusted(scc: SCC, tol: ToleranceConfig, cap: int) -> AxiomReport:
     Vacuous instances: T empty, or zero adjustment denominator, which is
     summed once per S, when a non-empty T first needs it.  Each (S, x) is
     counted, 2^|S\\x| - 1 instances, less one when T is non-empty, all
-    checked or all vacuous, and a checked one hands the frame a stream of
-    its comparisons, which merges row S onto S\\x (:func:`_marginal`) and
-    compares, ascending, only the T' recorded in row S\\x or in that
-    marginal: at any other T' both sides are zero, so it holds.
+    checked or all vacuous.  The units are counted first; then one stream
+    of comparisons walks the checked units, merging row S onto S\\x
+    (:func:`_marginal`) only when it reaches one, and compares, ascending,
+    only the T' recorded in row S\\x or in that marginal: at any other T'
+    both sides are zero, so it holds.
     """
     out = _Collector(scc, AxiomId.REL_ADD_2, cap)
     revealed = cached_revealed_constraints(scc)
@@ -1078,19 +1086,8 @@ def _rel_add_adjusted(scc: SCC, tol: ToleranceConfig, cap: int) -> AxiomReport:
     row_full = rows[scc.universe.full_mask]
     adj_denom = cache(lambda s: sum(row_full.get(revealed[y], 0) for y in bits(s)))
 
-    def violations(s: int, xbit: int, t: int, denom: Prob) -> Iterator[dict[str, int]]:
-        row_s, row_rest = rows[s], rows[s & ~xbit]
-        sums = _marginal(row_s, xbit)
-        num = row_full.get(revealed[xbit.bit_length() - 1], 0) * dens[s]
-        scale, shift = _adjustment(scc, num, denom)
-        lhs_factor = scale * row_rest.get(t, 0)
-        rhs_factor = scale * sums.get(t, 0) - shift
-        for t2 in sorted((sums.keys() | row_rest.keys()) - {0, t}):
-            lhs = lhs_factor * sums.get(t2, 0)
-            if not probs_equal(scc, lhs, row_rest.get(t2, 0) * rhs_factor, tol):
-                yield {"S": s, "x": xbit, "T": t, "T_prime": t2}
-
     checked = vacuous = 0
+    units = []  # (S, x, T, denom) of each checked unit
     for s, xbit, rest, _, _ in _removals(rows):
         t = revealed[xbit.bit_length() - 1] & rest
         size = (1 << rest.bit_count()) - 1 - (t != 0)
@@ -1099,7 +1096,22 @@ def _rel_add_adjusted(scc: SCC, tol: ToleranceConfig, cap: int) -> AxiomReport:
             vacuous += size
             continue
         checked += size
-        out.extend(violations(s, xbit, t, denom))
+        units.append((s, xbit, t, denom))
+
+    def violations() -> Iterator[dict[str, int]]:
+        for s, xbit, t, denom in units:
+            row_rest = rows[s & ~xbit]
+            sums = _marginal(rows[s], xbit)
+            num = row_full.get(revealed[xbit.bit_length() - 1], 0) * dens[s]
+            scale, shift = _adjustment(scc, num, denom)
+            lhs_factor = scale * row_rest.get(t, 0)
+            rhs_factor = scale * sums.get(t, 0) - shift
+            for t2 in sorted((sums.keys() | row_rest.keys()) - {0, t}):
+                lhs = lhs_factor * sums.get(t2, 0)
+                if not probs_equal(scc, lhs, row_rest.get(t2, 0) * rhs_factor, tol):
+                    yield {"S": s, "x": xbit, "T": t, "T_prime": t2}
+
+    out.extend(violations())
     return out.report(checked, vacuous)
 
 
@@ -1457,29 +1469,26 @@ def check_paf(
     mu(T,S) = mu(T,S\\x) whenever both are positive.  Domain: all (S, x, T)
     with non-empty T contained in S\\x, n (3^(n-1) - 2^(n-1)) instances; only
     those meeting the three-part guard in :func:`_positive_rows` are
-    checked, and the rest are vacuous.  Each (S, x) counts its guarded T
-    and hands the frame a stream of their comparisons, on the rows of
+    checked, and the rest are vacuous.  The guarded T are counted first;
+    then one stream walks the units of a zero x, finds the guarded T of
+    each only when it reaches it, and compares them on the rows of
     :func:`cached_scaled_rows`, each side times the other row's
     denominator.  Assumes a valid SCC, as :func:`_iis_scan` does.
     """
     out = _Collector(scc, AxiomId.PAF, cap)
     pos = _positive_rows(scc)
     rows, dens = cached_scaled_rows(scc)
-
-    def violations(s: int, xbit: int, guarded: set[int]) -> Iterator[dict[str, int]]:
-        rest = s & ~xbit
-        row_s, row_rest = rows[s], rows[rest]
-        for t in sorted(guarded):
-            if not probs_equal(scc, row_s[t] * dens[rest], row_rest[t] * dens[s], tol):
-                yield {"S": s, "x": xbit, "T": t}
-
-    checked = 0
-    for s, xbit, rest, _, _ in _removals(rows):
-        if xbit in pos[s]:
-            continue
-        guarded = (pos[s].keys() & pos[rest].keys()) - {0}
-        checked += len(guarded)
-        out.extend(violations(s, xbit, guarded))
+    checked, units = 0, []  # the units whose x is never chosen alone from S
+    for s, xbit, rest, row_s, row_rest in _removals(rows):
+        if xbit not in pos[s]:
+            checked += len((pos[s].keys() & pos[rest].keys()) - {0})
+            units.append((s, xbit, rest, row_s, row_rest))
+    out.extend(
+        {"S": s, "x": xbit, "T": t}
+        for s, xbit, rest, row_s, row_rest in units
+        for t in sorted((pos[s].keys() & pos[rest].keys()) - {0})
+        if not probs_equal(scc, row_s[t] * dens[rest], row_rest[t] * dens[s], tol)
+    )
     return out.report(checked)
 
 

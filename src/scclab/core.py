@@ -400,23 +400,34 @@ def _row_violations(
     Exact values are (numerator, denominator) pairs of ints, with a positive
     denominator, and are decided on ints: a value lies in [0, 1] when
     0 <= numerator <= denominator, and the row sums to 1 when its numerators
-    over their lcm sum to that lcm.  A clean exact row is decided by
-    whole-row tests, and only a row that fails them takes the per-cell loop
-    that names its defects (the tests take about a third off ``parse_scc``
-    on exact logit data of 12 items); a Fraction is built only for a
-    defect's message.  A value of the
-    other mode (not a pair, or a Fraction in float mode) is a storage defect.
+    over their lcm sum to that lcm.  A clean row is decided by whole-row
+    tests, a float row's on its types, extremes and total, and only a row
+    that fails them takes the per-cell loop that names its defects (the
+    tests take a third off ``parse_scc`` on exact logit data of 12 items
+    and a fifth on float data of 7); a Fraction is built only for a
+    defect's message.  A value of the other mode (not a pair, or a Fraction
+    in float mode) is a storage defect.
     """
     if not 0 < menu <= full:
         return [Violation("iii", menu, "menu must be a non-empty subset of the grand set")], None
-    if exact and (allows_empty or 0 not in row) and not reduce(or_, row, 0) & ~menu:
-        try:
-            cells, den = _over_lcm(row)
-        except TypeError:  # a value that is not a pair
-            pass
-        else:
-            if sum(cells.values()) == den and min(cells.values()) >= 0:
-                return [], reduce_row(cells, den)
+    values = row.values()
+    if (allows_empty or 0 not in row) and not reduce(or_, row, 0) & ~menu:
+        if exact:
+            try:
+                cells, den = _over_lcm(row)
+            except TypeError:  # a value that is not a pair
+                pass
+            else:
+                if sum(cells.values()) == den and min(cells.values()) >= 0:
+                    return [], reduce_row(cells, den)
+        elif {*map(type, values)} == {float} and (
+            -EPS_ZERO <= min(values) <= max(values) <= 1 + EPS_ZERO
+        ):
+            total = 0.0
+            for coll in sorted(row):  # the order of the loop below, for its rounding
+                total += row[coll]
+            if sums_to_one(total):
+                return [], None
     violations = []
     kept = {}
     for coll in sorted(row):

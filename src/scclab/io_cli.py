@@ -83,7 +83,8 @@ def _literal(text: str) -> Union[tuple[int, int], float]:
     "num/den" or an integer of plain ASCII digits is read with ``int``, and
     the pair is not reduced; any other exact literal reaches ``Fraction``'s
     own parser (or, for an integer, ``int``'s), which decides its value or
-    its error, as it does for a zero denominator.
+    its error, as it does for a zero denominator.  :func:`parse_scc` reads
+    the common spellings itself and hands this the rest, and every refusal.
     """
     token = text.strip()
     num, slash, den = token.partition("/")
@@ -170,13 +171,15 @@ def parse_scc(document: Any) -> SCC:
     """Build an SCC from a parsed JSON document.
 
     The SCC is exact iff every probability is rational-formatted; mixing
-    rational and decimal literals in one document is rejected.  Exact
-    literals are read as pairs of ints (:func:`_literal`), and the rows are
-    decided on them and scaled by :func:`~scclab.core.validate_rows`, so no
-    Fraction is built: the SCC's Fraction rows are built from its scaled
-    rows when read (:class:`~scclab.core.FractionRows`).  The rows must
-    pass validation, otherwise the violation list is reported as a schema
-    error.
+    rational and decimal literals in one document is rejected.  A literal
+    is decoded where it is read, an ASCII "num/den" or bare integer with a
+    nonzero denominator as a pair of ints and one with a "." and no "/" as a
+    finite float; any other, or one ``int`` or ``float`` refuses, goes to
+    :func:`_literal`.  The rows are decided on the pairs and scaled by
+    :func:`~scclab.core.validate_rows`, so no Fraction is built: the SCC's
+    Fraction rows are built from its scaled rows when read
+    (:class:`~scclab.core.FractionRows`).  The rows must pass validation,
+    otherwise the violation list is reported as a schema error.
     """
     _require_type(document, dict, "document")
     if "items" not in document:
@@ -189,11 +192,16 @@ def parse_scc(document: Any) -> SCC:
     sets: dict[tuple, int] = {}  # the mask of each collection label list accepted
 
     rows: dict[int, dict[int, Any]] = {}
-    saw_exact = saw_float = False
+    isfinite = math.isfinite
     for mi, entry in enumerate(menus_field):
         context = f"menus[{mi}]"
         _require_type(entry, dict, context)
-        menu = _mask_from_labels(universe, entry.get("menu"), f"{context}.menu", allow_empty=False)
+        labels = entry.get("menu")
+        try:  # as a cell's set below; an empty list takes _mask_from_labels' refusal
+            menu = sets[tuple(labels) if isinstance(labels, list) and labels else None]
+        except (KeyError, TypeError):
+            menu = _mask_from_labels(universe, labels, f"{context}.menu", allow_empty=False)
+            sets[tuple(labels)] = menu
         if menu in rows:
             raise SchemaError(f"{context}: duplicate menu {universe.labels_of(menu)}")
         row: dict[int, Any] = {}
@@ -216,19 +224,28 @@ def parse_scc(document: Any) -> SCC:
             literal = cell.get("p")
             if not isinstance(literal, str):
                 raise SchemaError(f"{context}.rows[{ri}].p: expected a string")
-            value = row[collection] = _literal(literal)
-            if isinstance(value, tuple):
-                saw_exact = True
-            else:
-                saw_float = True
+            try:  # the common spellings decoded here; _literal reads or refuses the rest
+                if "." in literal and "/" not in literal:
+                    value = float(literal)
+                    if not isfinite(value):
+                        raise ValueError
+                else:  # "num/den", or a bare integer over 1
+                    num, slash, den = literal.partition("/")
+                    if not (literal.isascii() and num.isdigit() and (den.isdigit() or not slash)):
+                        raise ValueError
+                    value = int(num), int(den or 1)
+                    if not value[1]:
+                        raise ValueError
+            except ValueError:
+                value = _literal(literal)
+            row[collection] = value
         rows[menu] = row
-    if saw_exact and saw_float:
-        raise MixedFormatError(
-            "document mixes rational and decimal probability literals"
-        )
-
-    violations, scaled = validate_rows(rows, universe.full_mask, allows_empty, not saw_float)
+    # the mode of the first value: a document that mixes modes fails validation
+    exact = isinstance(next((v for row in rows.values() for v in row.values()), ()), tuple)
+    violations, scaled = validate_rows(rows, universe.full_mask, allows_empty, exact)
     if violations:
+        if len({type(v) for row in rows.values() for v in row.values()}) > 1:
+            raise MixedFormatError("document mixes rational and decimal probability literals")
         details = "; ".join(
             f"[{v.property_id}] menu {universe.labels_of(v.menu)}: {v.detail}"
             for v in violations[:5]

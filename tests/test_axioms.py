@@ -3351,6 +3351,44 @@ class TestMemo:
         assert len(set().union(*built.values())) == 2  # and only for them
         assert len(tables) > len(built)  # the table has several readers
 
+    @pytest.mark.parametrize(
+        "row,exact",
+        [
+            (row, exact)
+            for row in (
+                {1: 0.5, 2: 0.25, 3: 0.25},
+                {1: 0, 2: -0.5, 3: 1.5},
+                {1: -0.5, 2: 0, 3: 1.5},
+                {1: 1e-12, 2: 0.5, 3: 0.5},
+                {1: -1e-13, 2: 0.5, 3: 0.5},
+                {},
+            )
+            for exact in (True, False)
+        ]
+        + [
+            ({1: math.nan, 2: 0, 3: 1}, False),
+            ({1: 0, 2: math.nan, 3: 1}, False),
+            ({1: 0.5, 2: math.nan, 3: 0.5}, False),
+            ({1: math.nan, 2: 0.5, 3: 0.5}, False),
+        ],
+    )
+    def test_positivity_table_is_the_filtered_rows(self, row, exact):
+        """On an unvalidated dict-built SCC the table is each scaled row
+        filtered by is_positive, with a 0 beside a negative or a NaN cell
+        too, and a row it holds itself loses nothing."""
+        value = Fraction if exact else float
+        cells = {t: value(p) for t, p in row.items()}
+        scc = SCC(Universe.default(2), {1: {1: value(1)}, 2: {2: value(1)}, 3: cells}, exact=exact)
+        rows = cached_scaled_rows(scc)[0]
+        table = scclab.axioms._positive_rows(scc)
+        assert table == {
+            menu: {t: p for t, p in row.items() if is_positive(scc, p)}
+            for menu, row in rows.items()
+        }
+        held = {menu for menu, row in rows.items() if table[menu] is row}
+        assert held >= {1, 2}
+        assert all(len(table[menu]) == len(rows[menu]) for menu in held)
+
     def test_support_structure_built_once_per_scc(self, nsc_scc, monkeypatch):
         """The revealed constraints, the revealed nests and the positivity
         table are properties of the data: each is built once per SCC, at

@@ -293,6 +293,33 @@ def _validation_case(corruption, exact, allows_empty, reverse):
     return make_scc(rows, n=3, allows_empty=allows_empty, exact=exact)
 
 
+#: name -> (menu, its float row, the property ids it must raise) on the
+#: 2-item SCC whose other menus hold 1.0: int and Fraction cells, cells that
+#: are not finite, cells at -EPS_ZERO and 1 + EPS_ZERO and one float past
+#: each, and totals at 1 + EPS_SUM and 1 - EPS_SUM (the last float within
+#: it, as the += loop sums 0.5 and the rest) and one float past each, and a
+#: total whose verdict depends on the order of the sum.
+FLOAT_EDGES = {
+    "int-cells": (3, {1: 0, 2: 1, 3: 0}, []),
+    "fraction": (3, {1: F(1, 2), 2: 0.25, 3: 0.25}, ["storage", "ii"]),
+    "nan-first": (3, {1: math.nan, 2: 0.5, 3: 0.5}, ["i"]),
+    "nan-later": (3, {1: 0.5, 2: math.nan, 3: 0.5}, ["i"]),
+    "inf": (3, {1: 0.5, 2: 0.5, 3: math.inf}, ["i"]),
+    "minus-inf": (3, {1: -math.inf, 2: 0.5, 3: 0.5}, ["i"]),
+    "at-minus-eps-zero": (3, {1: -1e-12, 2: 0.5, 3: 0.5}, []),
+    "past-minus-eps-zero": (3, {1: math.nextafter(-1e-12, -1), 2: 0.5, 3: 0.5}, ["i"]),
+    "at-one-plus-eps-zero": (1, {1: 1 + 1e-12}, []),
+    "past-one-plus-eps-zero": (1, {1: math.nextafter(1 + 1e-12, 2)}, ["i", "ii"]),
+    "at-one-plus-eps-sum": (3, {1: 0.5, 2: math.nextafter(1 + 1e-9, 0) - 0.5}, []),
+    "past-one-plus-eps-sum": (3, {1: 0.5, 2: (1 + 1e-9) - 0.5}, ["ii"]),
+    "at-one-minus-eps-sum": (3, {1: 0.5, 2: (1 - 1e-9) - 0.5}, []),
+    "past-one-minus-eps-sum": (3, {1: 0.5, 2: math.nextafter(1 - 1e-9, 0) - 0.5}, ["ii"]),
+    # past 1 + EPS_SUM summed in ascending order of collections, within it
+    # summed in descending order
+    "order": (3, {1: 0.5, 2: 0.45385922552849384, 3: 0.04614077547150608}, ["ii"]),
+}
+
+
 class TestValidationAgainstFractions:
     """validate_scc returns the Fraction loop's violations, and only a clean
     exact SCC leaves its scaled rows in the memo."""
@@ -309,6 +336,19 @@ class TestValidationAgainstFractions:
             assert [v.property_id for v in found] == CORRUPTIONS[corruption][1]
         if found or not exact:
             assert scc.memo == {}
+
+    @pytest.mark.parametrize("edge", list(FLOAT_EDGES))
+    @pytest.mark.parametrize("reverse", [False, True], ids=["ascending", "descending"])
+    def test_float_edges(self, edge, reverse):
+        """A float row is clean by the whole-row test exactly when the
+        per-cell loop finds nothing, whatever the order of its cells."""
+        menu, row, expected = FLOAT_EDGES[edge]
+        assert (scclab.core.EPS_ZERO, scclab.core.EPS_SUM) == (1e-12, 1e-9)
+        rows = {1: {1: 1.0}, 2: {2: 1.0}, menu: dict(sorted(row.items(), reverse=reverse))}
+        scc = make_scc(rows, exact=False)
+        found = validate_scc(scc)
+        assert found == _fraction_validation(scc)
+        assert [v.property_id for v in found] == expected
 
     def test_skipped_cells_are_left_out_of_the_row_sum(self):
         scc = _validation_case("negative", True, False, False)

@@ -21,7 +21,9 @@ refuses.  One more digest covers ``check --axioms all`` on a corpus of
 or label, a bad literal, a row that fails validation or a missing menu.
 Another covers the same command on 22 documents that put a probability
 literal at an edge of the integer literal path into a cell, where it is
-refused or fails validation.  ``gen`` runs on a parameter bundle of each
+refused or fails validation, and one more covers it on 34 documents that
+put a literal at an edge of the float literal path into a cell of the
+float copy of the same document.  ``gen`` runs on a parameter bundle of each
 of the eleven variants at n = 4 and each set-draw variant at n = 7, each
 written as an exact and as a float bundle, under a digest of its own; one
 more digest covers ``estimate`` on a seeded corpus of counts tables,
@@ -164,6 +166,7 @@ GOLDEN = {
     "estimate": "ee20da77b8c3521104084a1709ad9a327276cd1d32fa66004e38aba98b62c183",
     "malformed": "2fe64d9ba07ee5b39220a3124e159007390f6c7c6a9c07e3b3085bec1fbcdf4d",
     "malformed-literals": "0df2b2bdd64b329862ab4462f3fbde46e14045ebfe1a9c280900a6f4664252b8",
+    "malformed-float-literals": "2d929488699d68c1b45dcfc87fca236a709e0bdcec6e2439d094a629a0f6a025",
 }
 
 
@@ -282,6 +285,16 @@ LITERALS = (
 )
 LITERAL_CELLS = (("menus", 0, "rows", 0, "p"), ("menus", 2, "rows", 0, "p"))
 
+#: Float literals at the edges of the float literal path, put in the same
+#: cells of the float copy of the document: padded, abbreviated, exponent,
+#: underscored and non-ASCII spellings of 0.5, a negative zero, an underflow
+#: to 0, values that overflow or are not finite, a 5,001-digit mantissa, a
+#: hexadecimal float and a slash with a decimal point.
+FLOAT_LITERALS = (
+    " 0.5 ", ".5", "5.", "5e-1", "5E-1", "0.5e0", "1_0.5", "\u0660.\u0665", "0.5\u00a0",
+    "-0.0", "1e-400", "1e400", "nan", "inf", "1" * 5000 + ".0", "0x1p-1", "1/2.",
+)
+
 
 @contextlib.contextmanager
 def _digit_limit():
@@ -293,10 +306,13 @@ def _digit_limit():
         sys.set_int_max_str_digits(before)
 
 
-def _edited(path: tuple, value) -> bytes:
-    """The valid n = 2 document with ``value`` put at ``path``, or with the
-    entry there removed if ``value`` is DROP."""
+def _edited(path: tuple, value, as_float: bool = False) -> bytes:
+    """The valid n = 2 document, or with ``as_float`` its float copy, with
+    ``value`` put at ``path``, or with the entry there removed if ``value``
+    is DROP."""
     document = _document(ModelTag.LOGIT, False, 2, 4500)
+    if as_float:
+        document = _float_copy(document)
     *steps, key = path
     parent = document
     for step in steps:
@@ -318,6 +334,12 @@ def _malformed() -> list[bytes]:
 def _literal_edges() -> list[bytes]:
     """The valid document with each of LITERALS in each of LITERAL_CELLS."""
     return [_edited(cell, literal) for literal in LITERALS for cell in LITERAL_CELLS]
+
+
+def _float_literal_edges() -> list[bytes]:
+    """The float copy of the valid document with each of FLOAT_LITERALS in
+    each of LITERAL_CELLS."""
+    return [_edited(cell, literal, True) for literal in FLOAT_LITERALS for cell in LITERAL_CELLS]
 
 
 def _documents():
@@ -446,6 +468,11 @@ def _digests(directory) -> dict[str, str]:
         path.write_text(text)
         _digest(digest, path, [["estimate"]])
     table["estimate"] = digest.hexdigest()
+    digest = hashlib.sha256()
+    for content in _float_literal_edges():
+        path.write_bytes(content)
+        _digest(digest, path, COMMANDS[:1])
+    table["malformed-float-literals"] = digest.hexdigest()
     if not hasattr(sys, "set_int_max_str_digits"):
         return table
     for key, corpus in (("malformed", _malformed()), ("malformed-literals", _literal_edges())):

@@ -1,5 +1,6 @@
 """JSON document handling, counts estimation, and the command-line front end."""
 
+import copy
 import csv
 import io
 import json
@@ -19,15 +20,21 @@ from scclab.core import (
     SCC,
     MixedFormatError,
     SchemaError,
+    ScclabError,
     Universe,
     ZeroTotalMenuError,
     is_positive,
     submasks,
+    validate_rows,
     validate_scc,
 )
 from scclab.fuzz import ALL_VARIANTS, GenConfig, sample_params
 from scclab.io_cli import (
     _emit,
+    _literal,
+    _mask_from_labels,
+    _parse_universe,
+    _require_type,
     _text,
     cli_main,
     estimate_from_counts,
@@ -47,6 +54,7 @@ from scclab.models import (
     NSCParams,
     generate_scc,
 )
+from test_golden_outputs import FLOAT_LITERALS, LITERALS
 
 F = Fraction
 A, B, C, AB, AC, BC, ABC = 1, 2, 4, 3, 5, 6, 7
@@ -1215,3 +1223,185 @@ class TestOnePrinter:
         finally:
             tracemalloc.stop()
         assert peak < 0.75 * out.stat().st_size
+
+
+# ---------------------------------------------------------------------------
+# the reader against its per-literal form
+
+
+def _reference_parse(document):
+    """parse_scc as it read before literals were decoded where they are
+    read: every literal through _literal, every menu label list through
+    _mask_from_labels."""
+    _require_type(document, dict, "document")
+    if "items" not in document:
+        raise SchemaError("document: missing 'items'")
+    universe = _parse_universe(document["items"])
+    allows_empty = document.get("allows_empty", False)
+    if not isinstance(allows_empty, bool):
+        raise SchemaError("allows_empty: expected a boolean")
+    menus_field = _require_type(document.get("menus", []), list, "menus")
+    sets = {}
+    rows = {}
+    saw_exact = saw_float = False
+    for mi, entry in enumerate(menus_field):
+        context = f"menus[{mi}]"
+        _require_type(entry, dict, context)
+        menu = _mask_from_labels(universe, entry.get("menu"), f"{context}.menu", allow_empty=False)
+        if menu in rows:
+            raise SchemaError(f"{context}: duplicate menu {universe.labels_of(menu)}")
+        row = {}
+        cells = _require_type(entry.get("rows", []), list, f"{context}.rows")
+        for ri, cell in enumerate(cells):
+            if not isinstance(cell, dict):
+                raise SchemaError(f"{context}.rows[{ri}]: expected dict")
+            labels = cell.get("set")
+            try:
+                collection = sets[tuple(labels) if isinstance(labels, list) else None]
+            except (KeyError, TypeError):
+                collection = _mask_from_labels(universe, labels, f"{context}.rows[{ri}].set")
+                sets[tuple(labels)] = collection
+            if collection in row:
+                raise SchemaError(
+                    f"{context}.rows[{ri}]: duplicate set {universe.labels_of(collection)}"
+                )
+            literal = cell.get("p")
+            if not isinstance(literal, str):
+                raise SchemaError(f"{context}.rows[{ri}].p: expected a string")
+            value = row[collection] = _literal(literal)
+            if isinstance(value, tuple):
+                saw_exact = True
+            else:
+                saw_float = True
+        rows[menu] = row
+    if saw_exact and saw_float:
+        raise MixedFormatError("document mixes rational and decimal probability literals")
+    violations, scaled = validate_rows(rows, universe.full_mask, allows_empty, not saw_float)
+    if violations:
+        details = "; ".join(
+            f"[{v.property_id}] menu {universe.labels_of(v.menu)}: {v.detail}"
+            for v in violations[:5]
+        )
+        raise SchemaError(f"dataset fails validation ({len(violations)} issue(s)): {details}")
+    if scaled is None:
+        return SCC(universe, rows, allows_empty=allows_empty, exact=False)
+    return SCC.from_scaled(universe, *scaled, allows_empty)
+
+
+def _read(parse, document):
+    """What ``parse`` makes of a document: the SCC's rows, its scaled rows
+    with their denominators, its mode and its variant, each in its order and
+    types, or the class and text of the error it raises."""
+    try:
+        scc = parse(document)
+    except ScclabError as exc:
+        return type(exc), str(exc)
+    scaled = scclab.axioms.cached_scaled_rows(scc)
+    return repr(dict(scc.rows.items())), repr(scaled), scc.exact, scc.allows_empty
+
+
+def _float_document(document):
+    """The document with every literal written as its nearest float's."""
+    for entry in document["menus"]:
+        for cell in entry["rows"]:
+            cell["p"] = repr(float(Fraction(cell["p"])))
+    return document
+
+
+def _reader_documents(n, index):
+    """A variant at n items as an exact and as a float document, each
+    followed by its copy with every row's cells in descending order."""
+    model, empty = ALL_VARIANTS[index]
+    spec = sample_params(GenConfig(n, model, seed=4300 + 20 * n + index, empty_variant=empty))
+    exact = scc_to_document(generate_scc(spec, Universe.default(n)))
+    for document in (exact, _float_document(copy.deepcopy(exact))):
+        yield document
+        reverse = copy.deepcopy(document)
+        for entry in reverse["menus"]:
+            entry["rows"].reverse()
+        yield reverse
+
+
+#: Bare integers: zero, one, zero-padded, out of range, non-ASCII, and past
+#: the digit limit of an int-string conversion.
+BARE_INTEGERS = ("0", "1", "00", "01", "2", "١", "1" * 5000)
+
+
+def _structural_edits(document):
+    """The document with a field of the wrong type, a duplicate set or
+    menu, an unknown label, an empty menu or a bad literal before a
+    duplicate set in its row, each under a name."""
+    cell = ("menus", -1, "rows", 0)
+    edits = {
+        "p-number": (cell + ("p",), 0.5),
+        "p-list": (cell + ("p",), ["1/2"]),
+        "p-missing": (cell + ("p",), None),
+        "set-string": (cell + ("set",), "a"),
+        "set-number": (cell + ("set",), 1),
+        "set-nested": (cell + ("set",), ["a", ["b"]]),
+        "set-unknown": (cell + ("set",), ["z"]),
+        "rows-dict": (("menus", -1, "rows"), {}),
+        "rows-string": (("menus", -1, "rows"), "x"),
+        "cell-list": (cell, ["a"]),
+        "menu-string": (("menus", -1, "menu"), "a"),
+        "menu-number": (("menus", -1, "menu"), 3),
+        "menu-nested": (("menus", -1, "menu"), [["a"]]),
+        "menu-unknown": (("menus", -1, "menu"), ["a", "z"]),
+        "menu-empty": (("menus", -1, "menu"), []),
+        "menus-dict": (("menus",), {}),
+    }
+    for name, (path, value) in edits.items():
+        edited = copy.deepcopy(document)
+        *steps, key = path
+        parent = edited
+        for step in steps:
+            parent = parent[step]
+        parent[key] = value
+        yield name, edited
+    edited = copy.deepcopy(document)
+    edited["menus"][-1]["rows"].append(copy.deepcopy(edited["menus"][-1]["rows"][0]))
+    yield "duplicate-set", edited
+    edited = copy.deepcopy(document)
+    edited["menus"].append(copy.deepcopy(edited["menus"][0]))
+    yield "duplicate-menu", edited
+    edited = copy.deepcopy(document)
+    row = edited["menus"][-1]["rows"]
+    row.insert(0, {"set": row[0]["set"], "p": "x"})
+    yield "bad-literal-before-duplicate-set", edited
+
+
+class TestReaderAgainstReference:
+    """parse_scc builds the SCC _reference_parse builds, or raises its error
+    with its text: on every variant's exact and float documents, with a cell
+    set to an edge of either literal path or to a bare integer, and with a
+    structural defect."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize(
+        "index", range(len(ALL_VARIANTS)),
+        ids=[f"{model.value}{'_o' * empty}" for model, empty in ALL_VARIANTS],
+    )
+    def test_same_scc_or_error(self, n, index):
+        for document in _reader_documents(n, index):
+            read = _read(parse_scc, document)
+            assert read == _read(_reference_parse, document)
+            assert not isinstance(read[0], type)  # every generated document reads
+            middle = document["menus"][len(document["menus"]) // 2]["rows"][0]
+            for literal in (*LITERALS, *FLOAT_LITERALS, *BARE_INTEGERS):
+                middle["p"], kept = literal, middle["p"]
+                assert _read(parse_scc, document) == _read(_reference_parse, document), literal
+                middle["p"] = kept
+            for edit, edited in _structural_edits(document):
+                assert _read(parse_scc, edited) == _read(_reference_parse, edited), edit
+
+    def test_bare_integer_rows_read_as_exact(self):
+        document = {
+            "items": ["a", "b"],
+            "menus": [
+                {"menu": ["a"], "rows": [{"set": ["a"], "p": "1"}]},
+                {"menu": ["b"], "rows": [{"set": ["b"], "p": "01"}]},
+                {"menu": ["a", "b"], "rows": [{"set": ["a"], "p": "0"}, {"set": ["b"], "p": "1"}]},
+            ],
+        }
+        assert _read(parse_scc, document) == _read(_reference_parse, document)
+        assert parse_scc(document).rows == {A: {A: F(1)}, B: {B: F(1)}, AB: {A: F(0), B: F(1)}}
