@@ -13,9 +13,9 @@ them:
   its counts plus a lazy stream of violation bindings in enumeration
   order, which it hands to :meth:`_Collector.extend`, the one place that
   reads the cap: it pulls nothing once ``cap`` witnesses are recorded, so
-  no comparison is made past the cap.  IIS_O, PAF and REL_ADD_2 count
-  each unit as they reach it and hand over its comparisons as a stream
-  of their own, whose body prepares the unit.
+  no comparison is made past the cap.  A stream prepares a unit (its
+  marginal, its certificate) only when it reaches it; IIS and PIIS merge
+  their lists' streams by :func:`_merged`, which starts each so.
 * ``instances_checked`` counts the guarded instances of the domain, those
   whose guard holds; ``instances_vacuous`` counts those whose guard is
   unmet.  Their sum is the domain size.  Instances that are trivially true
@@ -82,7 +82,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cache, lru_cache, partial, reduce
-from heapq import merge
+from heapq import heappop, heappush
 from itertools import chain, combinations, product, repeat
 from operator import eq, mul, or_, sub, truediv
 from typing import Any, Callable, Collection, Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -221,11 +221,12 @@ def _positive_rows(scc: SCC) -> dict[int, dict[int, Prob]]:
     """Per menu, the sub-row of strictly positive entries of
     :func:`cached_scaled_rows` under :func:`is_positive`, built once per SCC:
     the one support test of a cell in the scans.  Only the reference paths
-    and two tests of sums call :func:`is_zero` themselves.  A row whose
-    least value is positive and that holds no 0 (an unvalidated exact row
-    may hold a negative beside a 0) is held itself, not copied, so nothing
-    may write to the table's rows.  ``min`` skips NaN cells, which are
-    positive, unless the first is NaN; then the row is copied."""
+    and one test of sums, support transfer's, call :func:`is_zero`
+    themselves.  A row whose least value is positive and that holds no 0
+    (an unvalidated exact row may hold a negative beside a 0) is held
+    itself, not copied, so nothing may write to the table's rows.  ``min``
+    skips NaN cells, which are positive, unless the first is NaN; then the
+    row is copied."""
     return _memoized(
         scc,
         ("positive_rows",),
@@ -552,8 +553,9 @@ def check_iis(
     m menus, a list of the co-occurrence index :func:`_cooccurrence`, holds
     C(m,2) checked instances.  When the grand-row certificate of
     :func:`_grand_row` holds, every guard does, so the report is "holds"
-    with the whole domain checked.  Otherwise :func:`_iis_scan` decides,
-    the empty-collection form from a per-menu tally of shared collections.
+    with the whole domain checked.  Otherwise :func:`_iis_scan` decides:
+    the standard form certifies a list only when its stream is reached, the
+    empty-collection form reads a per-menu tally of shared collections.
     """
     axiom = AxiomId.IIS_O if empty_variant else AxiomId.IIS
     out = _Collector(scc, axiom, cap)
@@ -568,10 +570,11 @@ def _iis_scan(
     """Both IIS forms; returns the instances checked.
 
     The standard form reads the co-occurrence index :func:`_cooccurrence`:
-    each list of m menus counts C(m,2), :func:`_proportional` certifies it
-    on its two columns of cells, and :func:`_iis_violations` compares the
-    menu pairs of the lists it refuses, merged into one stream in the order
-    (S, S', T, T') of a scan menu pair by menu pair.  It does so on dense
+    each list of m menus counts C(m,2), with no certificate, and
+    :func:`_merged` merges the lists' streams of :func:`_iis_violations`,
+    each certified when started, into one stream in the order
+    (S, S', T, T') of a scan menu pair by menu pair, so no list whose first
+    menu follows the cap-th witness's S is certified.  It does so on dense
     data too, where the index has more entries than there are menu pairs
     and is dropped after the check.
 
@@ -583,22 +586,19 @@ def _iis_scan(
     rows over the cells of either row inside S n S' (T is zero in both menus
     elsewhere, so both sides are), and only the pairs it refuses are
     compared, directly where there is one comparison, which costs less."""
-    checked = 0
     if not empty_variant:
-        suspects = []
-        for (t, t2), cells in _cooccurrence(scc).items():
-            m = len(cells) // 3
-            if not t or m < 2:
-                continue
-            checked += m * (m - 1) // 2
-            if m > 2 and _proportional(scc, cells[1::3], cells[2::3], tol):
-                continue
-            suspects.append(_iis_violations(scc, tol, t, t2, cells))
+        index = _cooccurrence(scc)
+        units = (
+            (cells[0], _iis_violations(scc, tol, t, t2, cells))
+            for (t, t2), cells in index.items()
+            if t and len(cells) > 3
+        )
         out.extend(
             {"T": t, "T_prime": t2, "S": s, "S_prime": s2}
-            for s, s2, t, t2 in merge(*suspects)
+            for s, s2, t, t2 in _merged(units)
         )
-        return checked
+        return sum(math.comb(len(cells) // 3, 2) for (t, _), cells in index.items() if t)
+    checked = 0
     pos = _positive_rows(scc)
     rows = cached_scaled_rows(scc)[0]
 
@@ -664,11 +664,33 @@ def _iis_violations(
 ) -> Iterator[tuple[int, int, int, int]]:
     """(S, S', T, T') for each menu pair S < S' of the co-occurrence list
     ``cells`` of T < T' where mu(T,S) * mu(T',S') = mu(T',S) * mu(T,S')
-    fails, in order."""
+    fails, in order.  A list of three or more menus is certified first, by
+    :func:`_proportional` when the stream starts; one of two is compared."""
+    if len(cells) > 6 and _proportional(scc, cells[1::3], cells[2::3], tol):
+        return
     entries = zip(cells[0::3], cells[1::3], cells[2::3])
     for (s, u, v), (s2, u2, v2) in combinations(entries, 2):
         if not probs_equal(scc, u * v2, v * u2, tol):
             yield s, s2, t, t2
+
+
+def _merged(units: Iterable[tuple[int, Iterator[tuple]]]) -> Iterator[tuple]:
+    """The items of the streams of ``units``, each a first menu and a lazy
+    ascending stream of distinct tuples led by menus no earlier than it,
+    merged in order.  The units come in order of first menu, as the lists
+    of :func:`_cooccurrence` do, and a stream is started only when no
+    pending item comes before its first menu.  It never reads the cap."""
+    heap: list[tuple[tuple, int, Iterator[tuple]]] = []
+    for order, (first, stream) in enumerate(chain(units, [(math.inf, iter(()))])):
+        while heap and heap[0][0][0] < first:
+            item, rank, rest = heappop(heap)
+            yield item
+            item = next(rest, None)
+            if item is not None:
+                heappush(heap, (item, rank, rest))
+        item = next(stream, None)
+        if item is not None:
+            heappush(heap, (item, order, stream))
 
 
 def _iis_sides(scc: SCC, b: dict[str, int], empty_variant: bool) -> Sides:
@@ -772,8 +794,9 @@ def _rel_add_scan(
     vacuous instead of checked.
 
     Counts per (S, x), with m = 2^|S\\x| - 1: C(m,2) checked, or C(m-1,2)
-    checked and m-1 vacuous for REL_ADD_1 with a non-empty excluded set;
-    :func:`_rel_add_1_vacuous` counts the vacuous ones in closed form, and
+    checked and m-1 vacuous for REL_ADD_1 with a non-empty excluded set,
+    the pairs touching it: :func:`_rel_add_counts` counts them in closed
+    form, as REL_ADD_2's checked pairs where every menu meets its P, and
     the rest of the domain is checked.  When :func:`_marginal_certificate`
     holds, in either mode, every unit is rank one (within the unit limit
     in float mode) and no (S, x) is visited.  Otherwise the (S, x) go to
@@ -786,7 +809,8 @@ def _rel_add_scan(
     constraints = (
         cached_revealed_constraints(scc) if axiom is AxiomId.REL_ADD_1 else None
     )
-    vacuous = _rel_add_1_vacuous(scc.universe.n, constraints) if constraints else 0
+    n = scc.universe.n
+    vacuous = _rel_add_counts(n, constraints, (1 << n) - 1)[0] if constraints else 0
 
     def violations() -> Iterator[dict[str, int]]:
         for s, xbit, rest, row_s, row_rest in _removals(cached_scaled_rows(scc)[0]):
@@ -828,7 +852,8 @@ def _rel_add_sides(scc: SCC, b: dict[str, int], axiom: AxiomId) -> Sides:
     """The equation of REL_ADD, REL_ADD_1 and REL_ADD_2 as
     :func:`_rel_add_adjusted` states it, adj(x,S) = 0 but in REL_ADD_2.  None
     where a guard fails: REL_ADD_1 keeps T and T' off Q(x) n S\\x; REL_ADD_2
-    binds T to it and needs a positive adjustment denominator."""
+    binds T to it and needs a positive adjustment denominator, the sum of
+    the positive mu(Q(y),X) over y in S."""
     s, xbit, t, t2 = b["S"], b["x"], b["T"], b["T_prime"]
     rest = s & ~xbit
     adj = scc.zero()
@@ -839,7 +864,8 @@ def _rel_add_sides(scc: SCC, b: dict[str, int], axiom: AxiomId) -> Sides:
             return None
         if axiom is AxiomId.REL_ADD_2:
             full = scc.universe.full_mask
-            denom = sum((prob_lookup(scc, revealed[y], full) for y in bits(s)), scc.zero())
+            cells = (prob_lookup(scc, revealed[y], full) for y in bits(s))
+            denom = sum((p for p in cells if is_positive(scc, p)), scc.zero())
             if revealed[x] & rest != t or t == 0 or t2 == t or is_zero(scc, denom):
                 return None
             adj = prob_lookup(scc, revealed[x], full) / denom
@@ -1071,39 +1097,32 @@ def _rel_add_adjusted(scc: SCC, tol: ToleranceConfig, cap: int) -> AxiomReport:
     grand-set rows (Q = revealed constraint sets).  Both sides are scaled
     by :func:`_adjustment`: exact mode clears the adjustment's denominator,
     and float mode compares the equation as written, as its ``sides`` do.
-    Vacuous instances: T empty, or zero adjustment denominator, which is
-    summed once per S, when a non-empty T first needs it.  Each (S, x) is
-    counted, 2^|S\\x| - 1 instances, less one when T is non-empty, all
-    checked or all vacuous.  The units are counted first; then one stream
-    of comparisons walks the checked units, merging row S onto S\\x
-    (:func:`_marginal`) only when it reaches one, and compares, ascending,
-    only the T' recorded in row S\\x or in that marginal: at any other T'
-    both sides are zero, so it holds.
+    The denominator sums only the positive cells of :func:`_positive_rows`,
+    once per S, so it is positive exactly when S meets P, the items y with
+    Q(y) positive in X.  An (S, x) is vacuous where T is empty or S misses
+    P, and :func:`_rel_add_counts` counts both kinds in closed form.  One
+    stream walks :func:`_removals`, skips the vacuous units, merges row S
+    onto S\\x (:func:`_marginal`) only for a checked one, and compares,
+    ascending, only the T' recorded in row S\\x or in that marginal: at
+    any other T' both sides are zero, so it holds.
     """
     out = _Collector(scc, AxiomId.REL_ADD_2, cap)
     revealed = cached_revealed_constraints(scc)
     rows, dens = cached_scaled_rows(scc)
-    row_full = rows[scc.universe.full_mask]
-    adj_denom = cache(lambda s: sum(row_full.get(revealed[y], 0) for y in bits(s)))
-
-    checked = vacuous = 0
-    units = []  # (S, x, T, denom) of each checked unit
-    for s, xbit, rest, _, _ in _removals(rows):
-        t = revealed[xbit.bit_length() - 1] & rest
-        size = (1 << rest.bit_count()) - 1 - (t != 0)
-        denom = adj_denom(s) if t else 0
-        if not is_positive(scc, denom):
-            vacuous += size
-            continue
-        checked += size
-        units.append((s, xbit, t, denom))
+    full = scc.universe.full_mask
+    row_full, positive = rows[full], _positive_rows(scc)[full]
+    support = sum(1 << y for y, q in revealed.items() if q in positive)
+    adj_denom = cache(lambda s: sum(row_full[revealed[y]] for y in bits(s) if support >> y & 1))
 
     def violations() -> Iterator[dict[str, int]]:
-        for s, xbit, t, denom in units:
-            row_rest = rows[s & ~xbit]
-            sums = _marginal(rows[s], xbit)
-            num = row_full.get(revealed[xbit.bit_length() - 1], 0) * dens[s]
-            scale, shift = _adjustment(scc, num, denom)
+        for s, xbit, rest, row_s, row_rest in _removals(rows):
+            q = revealed[xbit.bit_length() - 1]
+            t = q & rest
+            if not (t and s & support):
+                continue
+            sums = _marginal(row_s, xbit)
+            num = row_full.get(q, 0) * dens[s]
+            scale, shift = _adjustment(scc, num, adj_denom(s))
             lhs_factor = scale * row_rest.get(t, 0)
             rhs_factor = scale * sums.get(t, 0) - shift
             for t2 in sorted((sums.keys() | row_rest.keys()) - {0, t}):
@@ -1112,7 +1131,7 @@ def _rel_add_adjusted(scc: SCC, tol: ToleranceConfig, cap: int) -> AxiomReport:
                     yield {"S": s, "x": xbit, "T": t, "T_prime": t2}
 
     out.extend(violations())
-    return out.report(checked, vacuous)
+    return out.report(*_rel_add_counts(scc.universe.n, revealed, support))
 
 
 def _adjustment(scc: SCC, num: Prob, denom: Prob) -> tuple[Prob, Prob]:
@@ -1174,8 +1193,9 @@ def check_piis(
        pairs and their menus are the lists of the co-occurrence index
        :func:`_cooccurrence`, which IIS reads too: a list of m menus counts
        its m - 1 later menus, each compared with the first by
-       :func:`_ratio_conflicts`, and the conflicts come merged into one
-       stream in the order of a scan menu by menu (menu, then A, then B).
+       :func:`_ratio_conflicts`, and :func:`_merged` merges the conflicts
+       into one stream in the order of a scan menu by menu (menu, then A,
+       then B), starting a list only when it reaches the list's first menu.
        The index's keys give the co-occurrence graph; an empty index ends
        the scan here, and past a clean stage 1 each list's first menu
        gives the pair's ratio, read once into one table, :data:`_Ratios`.
@@ -1224,13 +1244,13 @@ def check_piis(
 
     # Stage 1: ratio constancy per unordered co-occurring pair.
     checked = sum(len(cells) // 3 - 1 for cells in index.values())
-    conflicts = [
-        _ratio_conflicts(scc, tol, a, b, cells)
+    conflicts = (
+        (cells[0], _ratio_conflicts(scc, tol, a, b, cells))
         for (a, b), cells in index.items()
         if len(cells) > 3
-    ]
+    )
     out.extend(
-        _chain_bindings(a, b, (b, s0, s0), (b, s, s)) for s, a, b, s0 in merge(*conflicts)
+        _chain_bindings(a, b, (b, s0, s0), (b, s, s)) for s, a, b, s0 in _merged(conflicts)
     )
 
     # The co-occurrence graph, and the ratio table of stages 2 and 3 (_Ratios).
@@ -1715,13 +1735,25 @@ def _rel_add_domain(n: int, e: bool) -> int:  # REL_ADD and REL_ADD_1
     return n * (5 ** (n - 1) - 3**n + 2**n) // 2
 
 
-def _rel_add_1_vacuous(n: int, constraints: dict[int, int]) -> int:
-    """REL_ADD_1's vacuous count: per item x, the 2^|R| - 2 pairs touching
-    Q(x) n R for each R = S\\x that meets Q(x)\\x, which is the sum over
-    non-empty R, 3^(n-1) - 2^n + 1, less that over the R of the
-    m = n - 1 - |Q(x)\\x| items outside Q(x), 3^m - 2^(m+1) + 1."""
-    ms = (n - 1 - (q & ~(1 << x)).bit_count() for x, q in constraints.items())
-    return sum(3 ** (n - 1) - 2**n - 3**m + 2 ** (m + 1) for m in ms)
+def _rel_add_counts(n: int, constraints: dict[int, int], support: int) -> tuple[int, int]:
+    """REL_ADD_2's checked and vacuous counts where its adjustment
+    denominator is positive at the menus that meet the mask ``support``, P.
+    Per x, the unit R = S\\x in A = X\\x has 2^|R| - 1 instances, less one
+    where R meets Q(x), all checked where it meets Q(x) and S meets P.  As
+    G(Z) = 3^|Z| - 2^(|Z|+1) sums 2^|R| - 2 over the R in Z, the checked
+    count is G(A) - G(A\\Q(x)), less G(C) - G(C\\Q(x)) with C = A\\P where x
+    is not in P; the domain is G(A) + 2^|A\\Q(x)|."""
+
+    def g(zone: int) -> int:
+        return 3 ** zone.bit_count() - 2 ** (zone.bit_count() + 1)
+
+    checked = domain = 0
+    for x, q in constraints.items():
+        a = ((1 << n) - 1) & ~(1 << x)
+        c = 0 if support >> x & 1 else a & ~support  # where S can miss P
+        domain += g(a) + 2 ** (a & ~q).bit_count()
+        checked += g(a) - g(a & ~q) - g(c) + g(c & ~q)
+    return checked, domain - checked
 
 
 def _support_domain(n: int, e: bool) -> int:

@@ -79,6 +79,7 @@ from scclab.fuzz import (
     ALL_VARIANTS,
     GenConfig,
     _carriers_of,
+    _trials,
     sample_params,
     sample_singleton_params,
 )
@@ -743,7 +744,8 @@ class TestDomains:
     def test_rel_add_1_vacuous_count_is_the_closed_form(self):
         """Against the pairs that touch each (S, x)'s excluded collection
         Q(x) n S\\x: every family of constraint sets Q(x) (each holding x)
-        at n = 1..3, and seeded ones at n = 4..7."""
+        at n = 1..3, and seeded ones at n = 4..7.  The closed form is
+        REL_ADD_2's checked count where every menu meets its support P."""
         rng = random.Random(5400)
 
         def touching(n, constraints):
@@ -766,8 +768,43 @@ class TestDomains:
             for _ in range(20)
         ]
         for n, constraints in families:
-            closed = scclab.axioms._rel_add_1_vacuous(n, constraints)
+            closed = scclab.axioms._rel_add_counts(n, constraints, (1 << n) - 1)[0]
             assert closed == touching(n, constraints), (n, constraints)
+
+    def test_rel_add_2_counts_are_the_closed_form(self):
+        """Against REL_ADD_2's (S, x) units counted one by one, each of
+        2^|S\\x| - 1 instances less one where T = Q(x) n S\\x is non-empty,
+        checked where T is non-empty and S meets the support P: every family
+        of constraint sets at n = 1..3 with every P, and seeded ones at
+        n = 4..7."""
+        rng = random.Random(5401)
+
+        def units(n, constraints, support):
+            checked = vacuous = 0
+            for s in range(1, 1 << n):
+                for x in bits(s) if s.bit_count() > 1 else ():
+                    t = constraints[x] & s & ~(1 << x)
+                    size = (1 << (s & ~(1 << x)).bit_count()) - 1 - (t != 0)
+                    if t and s & support:
+                        checked += size
+                    else:
+                        vacuous += size
+            return checked, vacuous
+
+        families = [
+            (n, dict(enumerate(qs)), support)
+            for n in (1, 2, 3)
+            for qs in product(*[[q for q in range(1 << n) if q >> x & 1] for x in range(n)])
+            for support in range(1 << n)
+        ]
+        families += [
+            (n, {x: rng.randrange(1 << n) | 1 << x for x in range(n)}, rng.randrange(1 << n))
+            for n in (4, 5, 6, 7)
+            for _ in range(20)
+        ]
+        for n, constraints, support in families:
+            closed = scclab.axioms._rel_add_counts(n, constraints, support)
+            assert closed == units(n, constraints, support), (n, constraints, support)
 
 
 def _ratio_cases():
@@ -933,6 +970,68 @@ class TestRatioCertificates:
                 for _, _, _, ax, _, r, _, refused, _ in ratio
                 if ax is axiom
             ), axiom
+
+
+def _rel_add_2_document(grand):
+    """A float SCC over {a, b, c}, parsed from its document, whose revealed
+    constraint sets are Q(a) = {a, b}, Q(b) = {b} and Q(c) = {c}, so that
+    REL_ADD_2 has one unit with instances, (S, x) = ({a, b, c}, a) with
+    T = {b}, and whose grand row takes the literals ``grand`` on {a, b},
+    {b} and {c}, beside fixed cells that bring its sum to 1."""
+    rows = {
+        "a": {"a": "1.0"},
+        "b": {"b": "1.0"},
+        "c": {"c": "1.0"},
+        "ab": {"b": "1.0"},
+        "ac": {"a": "0.5", "c": "0.5"},
+        "bc": {"b": "0.5", "c": "0.5"},
+        "abc": {"a": "0.3", "ac": "0.2", "bc": "0.2", "abc": "0.3", **grand},
+    }
+    menus = [
+        {"menu": list(menu), "rows": [{"set": list(t), "p": p} for t, p in row.items()]}
+        for menu, row in rows.items()
+    ]
+    return parse_scc({"items": ["a", "b", "c"], "allows_empty": False, "menus": menus})
+
+
+class TestRelAdd2Support:
+    """REL_ADD_2's adjustment denominator sums the positive mu(Q(y),X) of
+    the positivity table over y in S, so the unit whose menu meets no such
+    y is vacuous, and the check, its closed-form counts, its sides and the
+    reference agree on float cells near the support threshold.  The other
+    units' 11 instances are vacuous, as their T is empty."""
+
+    UNIT = {"S": 0b111, "x": 0b001, "T": 0b010}
+
+    def test_zero_support_cells_adding_past_eps_zero_are_vacuous(self):
+        """Q(a) and Q(b) at 8e-13 each, whose sum passes EPS_ZERO, and Q(c)
+        unrecorded: no Q(y) is positive, so the unit's two instances are
+        vacuous, and no witness at them rechecks."""
+        scc = _rel_add_2_document({"ab": "8e-13", "b": "8e-13"})
+        assert cached_revealed_constraints(scc) == {0: AB, 1: B, 2: C}
+        assert is_positive(scc, 8e-13 + 8e-13)
+        for cap in (1, 10):
+            report = run_axiom(scc, AxiomId.REL_ADD_2, cap=cap)
+            assert report == _reference(scc, AxiomId.REL_ADD_2, cap=cap), cap
+            assert report.holds and report.instances_checked == 0
+            assert report.instances_vacuous == 13
+        for t2 in (C, BC):
+            forged = Witness(AxiomId.REL_ADD_2, {**self.UNIT, "T_prime": t2}, 0.0, 1.0)
+            assert not recheck_witness(scc, forged), t2
+
+    def test_a_positive_cell_beside_negative_ones_is_checked(self):
+        """Q(b) at 2e-12 beside Q(a) and Q(c) at -1e-12, which sum to 0.0:
+        the denominator is 2e-12, so the unit is checked, its adjustment
+        divides by no zero, and both instances fail and recheck."""
+        scc = _rel_add_2_document({"ab": "-1e-12", "b": "2e-12", "c": "-1e-12"})
+        assert cached_revealed_constraints(scc) == {0: AB, 1: B, 2: C}
+        assert -1e-12 + 2e-12 + -1e-12 == 0.0
+        for cap in (1, 10):
+            report = run_axiom(scc, AxiomId.REL_ADD_2, cap=cap)
+            assert report == _reference(scc, AxiomId.REL_ADD_2, cap=cap), cap
+            assert report.instances_checked == 2 and report.instances_vacuous == 11
+            assert [w.bindings["T_prime"] for w in report.witnesses] == [C, BC][:cap]
+            assert all(recheck_witness(scc, w) for w in report.witnesses), cap
 
 
 #: Literals of zero-support cells, per exact mode: the last two floats are
@@ -2039,6 +2138,70 @@ class TestCapFullExits:
         assert report == replace(whole, witnesses=whole.witnesses[:cap])
         assert events.count("witness") == cap and events[-1] == "witness"
         assert events.count("compare") < report.instances_checked
+
+
+def _scaled_logit(n):
+    """Exact logit at n items (seed 900 + n) with one cell of its 11th menu
+    scaled by 3/2: the grand-row certificate refuses, and IIS and PIIS
+    stage 1 fail first at a pair of menus whose later one is that menu."""
+    base = generate_scc(sample_params(GenConfig(n, ModelTag.LOGIT, seed=900 + n)), Universe.default(n))
+    rows = _copy_rows(base, True)
+    menu = sorted(rows)[10]
+    rows[menu][min(rows[menu])] *= F(3, 2)
+    return SCC(base.universe, rows, exact=True)
+
+
+class TestLazyMerge:
+    """IIS's standard form and PIIS stage 1 merge the streams of the
+    co-occurrence lists lazily: at cap 1 no list whose first menu comes
+    after the witness's menu is certified or compared, and the report is
+    the uncapped one cut to the cap."""
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_iis_certifies_only_the_lists_up_to_its_witness(self, monkeypatch, n):
+        scc = _scaled_logit(n)
+        whole = run_axiom(scc, AxiomId.IIS, cap=10**6)
+        assert not _grand_row(scc, DEFAULT_TOL).proportional
+        lists = [
+            (cells[0], tuple(cells[1::3]), tuple(cells[2::3]))
+            for (t, _), cells in scclab.axioms._cooccurrence(scc).items()
+            if t and len(cells) > 6
+        ]
+        certified = []
+        proportional = scclab.axioms._proportional
+
+        def counted(scc, us, vs, tol):
+            certified.append((tuple(us), tuple(vs)))
+            return proportional(scc, us, vs, tol)
+
+        monkeypatch.setattr(scclab.axioms, "_proportional", counted)
+        report = run_axiom(scc, AxiomId.IIS, cap=1)
+        assert report == replace(whole, witnesses=whole.witnesses[:1])
+        last = report.witnesses[0].bindings["S"]
+        reached = [(us, vs) for first, us, vs in lists if first <= last]
+        assert certified and set(certified) <= set(reached)
+        assert len(certified) <= len(reached) < len(lists)
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_piis_compares_only_the_lists_up_to_its_witness(self, monkeypatch, n):
+        scc = _scaled_logit(n)
+        whole = run_axiom(scc, AxiomId.PIIS, cap=10**6)
+        firsts = [
+            cells[0] for cells in scclab.axioms._cooccurrence(scc).values() if len(cells) > 3
+        ]
+        started = []
+        ratio_conflicts = scclab.axioms._ratio_conflicts
+
+        def counted(scc, tol, a, b, cells):
+            started.append(cells[0])
+            yield from ratio_conflicts(scc, tol, a, b, cells)
+
+        monkeypatch.setattr(scclab.axioms, "_ratio_conflicts", counted)
+        report = run_axiom(scc, AxiomId.PIIS, cap=1)
+        assert report == replace(whole, witnesses=whole.witnesses[:1])
+        last = report.witnesses[0].bindings["S_2"]
+        assert started and max(started) <= last
+        assert len(started) < len(firsts)
 
 
 #: The scans that count first and stop once the cap is full, whose every
@@ -3240,6 +3403,105 @@ class TestDispatcherAndBattery:
         # the verdict and instance counts are unaffected by the cap
         full = check_relative_additivity(nsc_scc)
         assert report.instances_checked == full.instances_checked
+
+
+#: The roles of each axiom's bindings that its instances treat alike, so
+#: that a relabelling may swap them in the enumeration's order: the items of
+#: a pair are compared as a set.
+SYMMETRIC_ROLES = {
+    AxiomId.IIS: (("T", "T_prime"), ("S", "S_prime")),
+    AxiomId.IIS_O: (("S", "S_prime"),),
+    AxiomId.REL_ADD: (("T", "T_prime"),),
+    AxiomId.REL_ADD_1: (("T", "T_prime"),),
+    AxiomId.PARTITION: (("T", "T_prime"),),
+    AxiomId.DISTINCT_Q: (("x", "y"),),
+    AxiomId.SINGLETON: (("x", "y"),),
+}
+
+
+def _relabelled(mask, perm):
+    """``mask`` with item i renamed perm[i]."""
+    return sum(1 << perm[i] for i in bits(mask))
+
+
+def _relabelling_cases():
+    """(name, scc, carriers, relabelled scc, its carriers, permutation): the
+    first two criterion-2 bundles of each variant (seeds 2000 + index) at
+    n = 3 and 4 and the first at n = 5, as generated and with a third of a
+    cell's mass moved to the next cell inside a middle menu, exact and
+    float, each beside a copy under a random relabelling of its items."""
+    rng = random.Random(2900)
+    cases = []
+    for index, (model, empty) in enumerate(ALL_VARIANTS):
+        first, second = (seed for _, seed, _ in _trials(2000 + index, 2, [3, 4]))
+        for seed, n in [(first, 3), (second, 3), (first, 4), (second, 4), (first, 5)]:
+            spec = sample_params(GenConfig(n, model, seed, empty))
+            base = generate_scc(spec, Universe.default(n))
+            carriers = _carriers_of(spec)
+            perm = rng.sample(range(n), n)
+            moved = _copy_rows(base, True)
+            menus = [m for m in sorted(moved) if len(moved[m]) > 1]
+            row = moved[menus[len(menus) // 2]]
+            a, b = sorted(row)[:2]
+            row[a], row[b] = row[a] - row[a] / 3, row[b] + row[a] / 3
+            for shape, rows in (("clean", _copy_rows(base, True)), ("moved", moved)):
+                for exact in (True, False):
+                    cast = F if exact else float
+                    cells = {m: {t: cast(p) for t, p in r.items()} for m, r in rows.items()}
+                    other = {
+                        _relabelled(m, perm): {_relabelled(t, perm): p for t, p in r.items()}
+                        for m, r in cells.items()
+                    }
+                    cases.append((
+                        f"{model.value}{'_o' if empty else ''}-n{n}-{seed}-{shape}-{exact}",
+                        SCC(base.universe, cells, empty, exact),
+                        carriers,
+                        SCC(base.universe, other, empty, exact),
+                        [_relabelled(c, perm) for c in carriers] if carriers else None,
+                        perm,
+                    ))
+    return cases
+
+
+class TestRelabelling:
+    def test_reports_map_under_a_relabelling(self):
+        """The postulates name no item, so a relabelling maps each instance
+        to an instance: every uncapped report of the battery keeps its
+        verdict, its counts and its number of witnesses, and its witnesses
+        map onto the relabelled copy's, up to SYMMETRIC_ROLES.  Exempt:
+        PIIS's checked count, which stage 2 stops at the first inconsistent
+        edge in an order the labels fix, and its witness chains, whose
+        references, and so which chains and how many are reported, depend
+        on the order of the collections; its verdict and vacuous count are
+        compared."""
+        compared = Counter()
+        for name, scc, carriers, other, other_carriers, perm in _relabelling_cases():
+            reports = full_battery(scc, attributes=carriers, cap=10**6)
+            mapped = full_battery(other, attributes=other_carriers, cap=10**6)
+            for report, image in zip(reports, mapped, strict=True):
+                axiom, case = report.axiom, (name, report.axiom)
+                assert image.axiom is axiom and image.holds == report.holds, case
+                assert image.instances_vacuous == report.instances_vacuous, case
+                compared[axiom, report.holds] += 1
+                if axiom is AxiomId.PIIS:
+                    continue
+                assert image.instances_checked == report.instances_checked, case
+                assert len(image.witnesses) == len(report.witnesses), case
+
+                def canonical(bindings, perm=None):
+                    b = {k: _relabelled(v, perm) if perm else v for k, v in bindings.items()}
+                    for pair in SYMMETRIC_ROLES.get(axiom, ()):
+                        if all(role in b for role in pair):
+                            b.update(zip(pair, sorted(b[role] for role in pair)))
+                    return tuple(sorted(b.items()))
+
+                witnesses = Counter(canonical(w.bindings, perm) for w in report.witnesses)
+                assert witnesses == Counter(canonical(w.bindings) for w in image.witnesses), case
+        # every axiom of the battery is compared, and all but POS1 and POS2,
+        # which moved mass leaves holding, also fail somewhere
+        failing = {axiom for axiom, holds in compared if not holds}
+        assert {axiom for axiom, _ in compared} == set(AxiomId)
+        assert failing == set(AxiomId) - {AxiomId.POS1, AxiomId.POS2}
 
 
 FRAME_ATTRIBUTES = (AB, C)

@@ -233,8 +233,9 @@ def test_one_round_trip_compares_kernel_rows_with_scaled_rows():
 def test_proportionality_is_decided_by_one_rule():
     """Exact rank one and the float unit limit are read only inside
     axioms._proportional, which every unit certificate calls: IIS's on a
-    list of the co-occurrence index or, in the empty-collection form, on a
-    menu pair of a menu's tally, both in _iis_scan, and the grand-row and marginal
+    list of the co-occurrence index, in _iis_violations when the merged
+    stream starts the list, or, in the empty-collection form, on a menu
+    pair of a menu's tally in _iis_scan, and the grand-row and marginal
     certificates on each menu.  The float range is read by it and by the
     unit limit, the one float limit, whose one _float_certified call is the
     one float confirmation; every caller passes the same four arguments,
@@ -256,7 +257,7 @@ def test_proportionality_is_decided_by_one_rule():
     assert ranged == {"axioms._proportional", "axioms._unit_limit"}
     assert _callers("_float_certified") == {"axioms._unit_limit"}
     scans = {
-        "axioms._iis_scan",
+        "axioms._iis_violations",
         "axioms._iis_scan.violations",
         "axioms._rel_add_scan",
         "axioms._rel_add_scan.violations",
@@ -375,8 +376,11 @@ def test_scans_read_one_row_form():
 def test_support_is_read_from_one_table():
     """Every support test of a cell in the scans reads axioms._positive_rows.
     In scclab.axioms, is_zero and is_positive are called only by the table,
-    by the reference paths (the sides and recheck functions) and by two
-    tests of sums, where zero-support float cells may add up past EPS_ZERO."""
+    by the reference paths (the sides and recheck functions) and by one
+    test of sums, support transfer's, where zero-support float cells may add
+    up past EPS_ZERO.  REL_ADD_2's adjustment denominator sums only the
+    table's positive cells, so it is positive exactly where its menu meets
+    an item whose revealed constraint set is positive in the grand set."""
     callers = {
         holder
         for holder in _callers("is_zero") | _callers("is_positive")
@@ -391,7 +395,6 @@ def test_support_is_read_from_one_table():
         "axioms._recheck_pos1",
         "axioms._recheck_support_shape",
         "axioms._recheck_singleton",
-        "axioms._rel_add_adjusted",
         "axioms.support_transfer_violations",
     }
 
@@ -519,8 +522,9 @@ def test_datasets_and_bundles_agree_on_float_row_sums():
 
 def test_closed_forms_are_stated_in_the_registry():
     """In scclab.axioms, a power is taken only by the domain table (the
-    registry and the two forms it shares), by REL_ADD_1's vacuous count
-    beside them, by the float rounding bound :func:`axioms._float_certified`
+    registry and the two forms it shares), by the count beside them that
+    gives REL_ADD_2's counts and REL_ADD_1's vacuous one, by the float
+    rounding bound :func:`axioms._float_certified`
     and by the two constants it reads, and by the one float limit
     :func:`axioms._unit_limit`, which widens the spread it confirms, so no
     scan states a closed form of its own."""
@@ -539,10 +543,28 @@ def test_closed_forms_are_stated_in_the_registry():
         "_float_certified",
         "_unit_limit",
         "_rel_add_domain",
-        "_rel_add_1_vacuous",
+        "_rel_add_counts",
         "_support_domain",
         "AXIOMS",
     }
+
+
+def test_co_occurrence_lists_are_merged_by_one_helper():
+    """axioms._merged is the one merge of the co-occurrence lists' streams,
+    called by IIS's standard form and PIIS stage 1, and no module imports
+    heapq.merge, which starts every stream before it yields."""
+    assert _callers("_merged") == {"axioms._iis_scan", "axioms.check_piis"}
+    merge_imports = _holders(
+        lambda node: isinstance(node, ast.ImportFrom)
+        and node.module == "heapq"
+        and "merge" in [alias.name for alias in node.names]
+    )
+    heapq_merges = _holders(
+        lambda node: isinstance(node, ast.Attribute)
+        and node.attr == "merge"
+        and getattr(node.value, "id", None) == "heapq"
+    )
+    assert not merge_imports | heapq_merges
 
 
 def test_every_command_writes_through_one_printer():
