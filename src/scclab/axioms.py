@@ -57,19 +57,19 @@ them:
   axiom, that its two sides differ) and compares the recorded values with
   ``sides`` there.
 
-:data:`AXIOMS` holds each axiom's check, applicability, equation ``sides``
-and witness ``recheck`` (see :class:`AxiomSpec`); :data:`CHARACTERIZING_AXIOMS`
-maps every model variant to the axioms that characterize it; the suites,
-classification, identification and the fuzz harness all read these two
-tables.  :func:`run_axiom` always evaluates; :func:`cached_report` keeps
-each report in the SCC's memo, so a dataset is decided once per tolerance
-and witness cap, and :func:`_grand_row` and :func:`_marginal_certificate`
-their certificates once per tolerance.  Support is a property of the
-data, not of a tolerance: the ``cached_revealed_*`` functions,
-:func:`cached_scaled_rows`, :func:`_positive_rows` and
-:func:`_cooccurrence` keep the revealed structure, the scaled rows, the
-positivity table and, on sparse data, the co-occurrence index of IIS and
-PIIS there once per SCC.
+:data:`AXIOMS` holds each axiom's check, applicability, equation ``sides``,
+witness ``recheck`` and what they read (see :class:`AxiomSpec`);
+:data:`CHARACTERIZING_AXIOMS` maps every model variant to the axioms that
+characterize it; the suites, classification, identification and the fuzz
+harness read these two tables.  :func:`run_axiom` always evaluates;
+:func:`cached_report` keeps each report in the SCC's memo, once per witness
+cap and what the check reads, and :func:`_grand_row` and
+:func:`_marginal_certificate` their certificates once per tolerance.
+Support is a property of the data, not of a tolerance: the
+``cached_revealed_*`` functions, :func:`cached_scaled_rows`,
+:func:`_positive_rows` and :func:`_cooccurrence` keep the revealed
+structure, the scaled rows, the positivity table and, on sparse data, the
+co-occurrence index of IIS and PIIS there once per SCC.
 :func:`characterizing_axioms` is the one refusal of a model with no
 variant for a dataset's empty-collection flag.
 """
@@ -83,7 +83,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cache, lru_cache, partial, reduce
 from heapq import heappop, heappush
-from itertools import chain, combinations, product, repeat
+from itertools import chain, combinations, islice, product, repeat
 from operator import eq, mul, or_, sub, truediv
 from typing import Any, Callable, Collection, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -500,15 +500,13 @@ def _removals(
             yield s, xbit, s & ~xbit, row_s, rows[s & ~xbit]
 
 
-def check_full_support(
-    scc: SCC, tol: ToleranceConfig = DEFAULT_TOL, cap: int = WITNESS_CAP
-) -> AxiomReport:
+def check_full_support(scc: SCC, cap: int = WITNESS_CAP) -> AxiomReport:
     """Every non-empty collection of every menu has positive probability.
 
     Domain: all (T, S) with non-empty T contained in menu S, which has size
     3^n - 2^n on a complete SCC.  No guards, so nothing is vacuous.  The
     rows are compared with the achievable family, every non-empty subset of
-    S, by :func:`_support_shape_report`.
+    S, by :func:`_support_shape_report`, which the registry calls directly.
     """
     return _support_shape_report(scc, cap, AxiomId.FULL_SUPPORT)
 
@@ -553,51 +551,51 @@ def check_iis(
     m menus, a list of the co-occurrence index :func:`_cooccurrence`, holds
     C(m,2) checked instances.  When the grand-row certificate of
     :func:`_grand_row` holds, every guard does, so the report is "holds"
-    with the whole domain checked.  Otherwise :func:`_iis_scan` decides:
-    the standard form certifies a list only when its stream is reached, the
-    empty-collection form reads a per-menu tally of shared collections.
+    with the whole domain checked.  Otherwise :func:`_iis_scan` decides the
+    standard form, certifying a list only when its stream is reached, and
+    :func:`_iis_o_scan` the other, from a per-menu tally of shared collections.
     """
     axiom = AxiomId.IIS_O if empty_variant else AxiomId.IIS
     out = _Collector(scc, axiom, cap)
     if _grand_row(scc, tol).certifies(axiom):
         return out.report()
-    return out.report(_iis_scan(scc, tol, out, empty_variant))
+    return out.report((_iis_o_scan if empty_variant else _iis_scan)(scc, tol, out))
 
 
-def _iis_scan(
-    scc: SCC, tol: ToleranceConfig, out: _Collector, empty_variant: bool
-) -> int:
-    """Both IIS forms; returns the instances checked.
+def _iis_scan(scc: SCC, tol: ToleranceConfig, out: _Collector) -> int:
+    """IIS's standard form; returns the instances checked.
 
-    The standard form reads the co-occurrence index :func:`_cooccurrence`:
-    each list of m menus counts C(m,2), with no certificate, and
-    :func:`_merged` merges the lists' streams of :func:`_iis_violations`,
-    each certified when started, into one stream in the order
-    (S, S', T, T') of a scan menu pair by menu pair, so no list whose first
-    menu follows the cap-th witness's S is certified.  It does so on dense
-    data too, where the index has more entries than there are menu pairs
-    and is dropped after the check.
+    It reads the co-occurrence index :func:`_cooccurrence`: each list of m
+    menus counts C(m,2), with no certificate, and :func:`_merged` merges
+    the lists' streams of :func:`_iis_violations`, each certified when
+    started, into one stream in the order (S, S', T, T') of a scan menu
+    pair by menu pair, so no list whose first menu follows the cap-th
+    witness's S is certified.  It does so on dense data too, where the
+    index has more entries than there are menu pairs and is dropped after
+    the check."""
+    index = _cooccurrence(scc)
+    units = (
+        (cells[0], _iis_violations(scc, tol, t, t2, cells))
+        for (t, t2), cells in index.items()
+        if t and len(cells) > 3
+    )
+    out.extend(
+        {"T": t, "T_prime": t2, "S": s, "S_prime": s2} for s, s2, t, t2 in _merged(units)
+    )
+    return sum(math.comb(len(cells) // 3, 2) for (t, _), cells in index.items() if t)
 
-    The empty-collection form consumes, in menu order, the list of menus
-    where each collection is positive: at menu S, a tally of the later S'
-    sharing k of its positive collections counts k * (2^|S n S'| - 1) per
-    S', and S's pairs go to the frame as one stream.  In it,
-    :func:`_proportional` certifies each (S, S'), in either mode, on its two
-    rows over the cells of either row inside S n S' (T is zero in both menus
-    elsewhere, so both sides are), and only the pairs it refuses are
-    compared, directly where there is one comparison, which costs less."""
-    if not empty_variant:
-        index = _cooccurrence(scc)
-        units = (
-            (cells[0], _iis_violations(scc, tol, t, t2, cells))
-            for (t, t2), cells in index.items()
-            if t and len(cells) > 3
-        )
-        out.extend(
-            {"T": t, "T_prime": t2, "S": s, "S_prime": s2}
-            for s, s2, t, t2 in _merged(units)
-        )
-        return sum(math.comb(len(cells) // 3, 2) for (t, _), cells in index.items() if t)
+
+def _iis_o_scan(scc: SCC, tol: ToleranceConfig, out: _Collector) -> int:
+    """IIS's empty-collection form; returns the instances checked.
+
+    It consumes, in menu order, the list of menus where each collection is
+    positive: at menu S, a tally of the later S' sharing k of its positive
+    collections counts k * (2^|S n S'| - 1) per S', and S's pairs go to the
+    frame as one stream.  In it, :func:`_proportional` certifies each
+    (S, S'), in either mode, on its two rows over the cells of either row
+    inside S n S' (T is zero in both menus elsewhere, so both sides are),
+    and only the pairs it refuses are compared, directly where there is one
+    comparison, which costs less."""
     checked = 0
     pos = _positive_rows(scc)
     rows = cached_scaled_rows(scc)[0]
@@ -987,7 +985,6 @@ def _support_shape_report(
 def check_positivity(
     scc: SCC,
     kind: int,
-    tol: ToleranceConfig = DEFAULT_TOL,
     attributes: Optional[Sequence[int]] = None,
     cap: int = WITNESS_CAP,
 ) -> AxiomReport:
@@ -1001,7 +998,7 @@ def check_positivity(
     kind 4: support equals the trace of revealed nests.
 
     Kinds 2-4 quantify over all non-empty T contained in S (see
-    :func:`_support_shape_report`).
+    :func:`_support_shape_report`, which the registry calls directly).
     """
     if kind == 1:
         out = _Collector(scc, AxiomId.POS1, cap)
@@ -1040,7 +1037,7 @@ def _achievable(
     return lambda menu: {g & menu for g in generators if g & menu}
 
 
-def _recheck_pos1(scc: SCC, witness: Witness, tol: ToleranceConfig) -> bool:
+def _recheck_pos1(scc: SCC, witness: Witness) -> bool:
     b = witness.bindings
     return not any(
         t & b["x"] and is_positive(scc, p) for t, p in scc.rows[b["S"]].items()
@@ -1048,10 +1045,7 @@ def _recheck_pos1(scc: SCC, witness: Witness, tol: ToleranceConfig) -> bool:
 
 
 def _recheck_support_shape(
-    scc: SCC,
-    witness: Witness,
-    tol: ToleranceConfig,
-    attributes: Optional[Sequence[int]] = None,
+    scc: SCC, witness: Witness, attributes: Optional[Sequence[int]] = None
 ) -> bool:
     """(T, S) is positive exactly when T is not achievable at S."""
     s, t = witness.bindings["S"], witness.bindings["T"]
@@ -1064,9 +1058,7 @@ def _support_shape_sides(scc: SCC, b: dict[str, int]) -> Sides:
     return prob_lookup(scc, b["T"], b["S"]), None
 
 
-def _distinct_constraints_report(
-    scc: SCC, tol: ToleranceConfig, cap: int
-) -> AxiomReport:
+def _distinct_constraints_report(scc: SCC, cap: int) -> AxiomReport:
     """No two items may reveal the same constraint set (n-choose-2 pairs)."""
     out = _Collector(scc, AxiomId.DISTINCT_Q, cap)
     revealed = cached_revealed_constraints(scc)
@@ -1078,7 +1070,7 @@ def _distinct_constraints_report(
     return out.report()
 
 
-def _recheck_distinct_q(scc: SCC, witness: Witness, tol: ToleranceConfig) -> bool:
+def _recheck_distinct_q(scc: SCC, witness: Witness) -> bool:
     revealed = cached_revealed_constraints(scc)
     b = witness.bindings
     return revealed[next(bits(b["x"]))] == revealed[next(bits(b["y"]))]
@@ -1196,9 +1188,11 @@ def check_piis(
        :func:`_ratio_conflicts`, and :func:`_merged` merges the conflicts
        into one stream in the order of a scan menu by menu (menu, then A,
        then B), starting a list only when it reaches the list's first menu.
-       The index's keys give the co-occurrence graph; an empty index ends
-       the scan here, and past a clean stage 1 each list's first menu
-       gives the pair's ratio, read once into one table, :data:`_Ratios`.
+       The stream's first conflict, handed back to the frame with the rest,
+       decides whether stages 2 and 3 run.  The index's keys give the
+       co-occurrence graph; an empty index ends the scan here, and past a
+       clean stage 1 each list's first menu gives the pair's ratio, read
+       once into one table, :data:`_Ratios`.
     2. If stage 1 is clean, each co-occurring pair has one well-defined
        ratio.  In exact mode :func:`_fit_potential` fits a multiplicative
        potential over the co-occurrence graph; if every edge ratio matches
@@ -1244,13 +1238,14 @@ def check_piis(
 
     # Stage 1: ratio constancy per unordered co-occurring pair.
     checked = sum(len(cells) // 3 - 1 for cells in index.values())
-    conflicts = (
+    conflicts = _merged(
         (cells[0], _ratio_conflicts(scc, tol, a, b, cells))
         for (a, b), cells in index.items()
         if len(cells) > 3
     )
+    first = list(islice(conflicts, 1))  # recorded below, as a cap is at least 1
     out.extend(
-        _chain_bindings(a, b, (b, s0, s0), (b, s, s)) for s, a, b, s0 in _merged(conflicts)
+        _chain_bindings(a, b, (b, s0, s0), (b, s, s)) for s, a, b, s0 in chain(first, conflicts)
     )
 
     # The co-occurrence graph, and the ratio table of stages 2 and 3 (_Ratios).
@@ -1260,7 +1255,7 @@ def check_piis(
         neighbors[a].add(b)
         neighbors[b].add(a)
     vacuous = 2 * _distant_pairs(support_colls, neighbors)
-    if out.witnesses or not index:
+    if first or not index:
         return out.report(checked, vacuous)
     table: _Ratios = tuple({c: {} for c in support_colls} for _ in range(3))
     num, den, menu = table
@@ -1441,7 +1436,7 @@ def _piis_sides(scc: SCC, b: dict[str, int]) -> Sides:
     return sides[0], sides[1]
 
 
-def _partition_report(scc: SCC, tol: ToleranceConfig, cap: int) -> AxiomReport:
+def _partition_report(scc: SCC, cap: int) -> AxiomReport:
     """Revealed nests must be pairwise disjoint and cover the grand set.
 
     Domain: one disjointness instance per nest pair plus one coverage
@@ -1457,14 +1452,11 @@ def _partition_report(scc: SCC, tol: ToleranceConfig, cap: int) -> AxiomReport:
     return out.report(len(nests) * (len(nests) - 1) // 2 + 1)
 
 
-def _recheck_partition(scc: SCC, witness: Witness, tol: ToleranceConfig) -> bool:
+def _recheck_partition(scc: SCC, witness: Witness) -> bool:
     b = witness.bindings
     nests = cached_revealed_nests(scc)
     if "uncovered" in b:
-        union = 0
-        for nest in nests:
-            union |= nest
-        return scc.universe.full_mask & ~union == b["uncovered"]
+        return scc.universe.full_mask & ~reduce(or_, nests, 0) == b["uncovered"]
     return b["T"] in nests and b["T_prime"] in nests and bool(b["T"] & b["T_prime"])
 
 
@@ -1671,18 +1663,17 @@ def recheck_witness(
     attributes: Optional[Sequence[int]] = None,
 ) -> bool:
     """True iff the witness still certifies a genuine violation on ``scc``:
-    its axiom's ``recheck`` re-derives the violated condition (kind-2
-    positivity needs the same ``attributes`` context the original check
-    used), and its recorded lhs/rhs are the axiom's ``sides`` there.
+    its axiom's ``recheck`` re-derives the violated condition from what the
+    check read (the tolerance, kind-2 positivity's ``attributes``, or
+    neither), and its recorded lhs/rhs are the axiom's ``sides`` there.
     Bindings that miss a role, bind an item role (x, y) to other than one
     item, or name a menu outside the domain or a collection outside its
     menu certify nothing."""
     spec = AXIOMS[witness.axiom]
-    context = {"attributes": attributes} if spec.needs_attributes else {}
     if any(popcount(witness.bindings.get(role, 1)) != 1 for role in ("x", "y")):
         return False
     try:
-        return spec.recheck(scc, witness, tol, **context) and _records(
+        return spec.recheck(scc, witness, **dict(spec.context(tol, attributes))) and _records(
             scc, witness, spec.sides(scc, witness.bindings), tol
         )
     except (KeyError, MenuAbsentError, ShapeError):
@@ -1708,27 +1699,34 @@ def _records(scc: SCC, witness: Witness, values: Sides, tol: ToleranceConfig) ->
 
 class AxiomSpec(NamedTuple):
     """One registry entry: the ``check`` that decides an axiom, called as
-    ``check(scc, tol=..., cap=...)`` plus ``attributes=...`` when it needs
-    them; the ``sides(scc, bindings)`` that every witness records as its
-    ``lhs``/``rhs``, which :func:`recheck_witness` compares them with: an
-    equation's two sides (the scans decide on their own arithmetic and call
-    it only to record a witness), a structural axiom's values, or none by
-    default; the ``recheck`` that re-derives the violated condition; the
-    SCCs on which :func:`full_battery` runs it; and, where n items and the
-    empty-collection flag e fix the domain, its size ``domain(n, e)``,
+    ``check(scc, cap=...)``; the ``sides(scc, bindings)`` that every witness
+    records as its ``lhs``/``rhs``, which :func:`recheck_witness` compares
+    them with: an equation's two sides (the scans decide on their own
+    arithmetic and call it only to record a witness), a structural axiom's
+    values, or none by default; the ``recheck(scc, witness)`` that re-derives
+    the violated condition; the SCCs on which :func:`full_battery` runs it,
+    with carriers only if it reads "attributes"; what both read besides,
+    ``reads``: "tol", "attributes", both or neither; and, where n items and
+    the empty-collection flag e fix the domain, its size ``domain(n, e)``,
     every report's checked plus vacuous count."""
 
     check: Callable[..., AxiomReport]
     sides: Callable[[SCC, dict[str, int]], Sides] = lambda scc, bindings: (None, None)
     recheck: Callable[..., bool] = _recheck_sides
     empty_only: bool = False  # runs only on empty-collection SCCs
-    needs_attributes: bool = False  # runs only when attribute carriers are given
+    reads: tuple[str, ...] = ("tol",)
     domain: Optional[Callable[[int, bool], int]] = None
 
     def applies(self, scc: SCC, attributes: Optional[Sequence[int]]) -> bool:
         return (scc.allows_empty or not self.empty_only) and (
-            attributes is not None or not self.needs_attributes
+            attributes is not None or "attributes" not in self.reads
         )
+
+    def context(self, tol: ToleranceConfig, attributes: Optional[Sequence[int]]) -> tuple:
+        """``reads`` and their values as hashable pairs: the keyword arguments
+        of ``check`` and ``recheck``, and the memo key of their reports."""
+        carriers = None if attributes is None else tuple(attributes)
+        return tuple([(name, tol if name == "tol" else carriers) for name in self.reads])
 
 
 def _rel_add_domain(n: int, e: bool) -> int:  # REL_ADD and REL_ADD_1
@@ -1760,10 +1758,12 @@ def _support_domain(n: int, e: bool) -> int:
     return 3**n - 2**n
 
 
-#: The registry fields that POS2-POS4 and FULL_SUPPORT share.
-_SUPPORT_SHAPE = dict(
-    sides=_support_shape_sides, recheck=_recheck_support_shape, domain=_support_domain
-)
+def _support_shape(axiom: AxiomId, reads: tuple[str, ...] = ()) -> AxiomSpec:
+    """The entry of POS2-POS4 or FULL_SUPPORT: :func:`_support_shape_report` itself."""
+    check = partial(_support_shape_report, axiom=axiom)
+    return AxiomSpec(
+        check, _support_shape_sides, _recheck_support_shape, reads=reads, domain=_support_domain
+    )
 
 
 #: The axiom registry, in declaration order.
@@ -1793,17 +1793,17 @@ AXIOMS: dict[AxiomId, AxiomSpec] = {
     AxiomId.POS1: AxiomSpec(
         partial(check_positivity, kind=1),
         recheck=_recheck_pos1,
+        reads=(),
         domain=lambda n, e: n * 2 ** (n - 1),
     ),
-    AxiomId.POS2: AxiomSpec(
-        partial(check_positivity, kind=2), needs_attributes=True, **_SUPPORT_SHAPE
-    ),
+    AxiomId.POS2: _support_shape(AxiomId.POS2, reads=("attributes",)),
     AxiomId.DISTINCT_Q: AxiomSpec(
         _distinct_constraints_report,
         recheck=_recheck_distinct_q,
+        reads=(),
         domain=lambda n, e: n * (n - 1) // 2,
     ),
-    AxiomId.POS3: AxiomSpec(partial(check_positivity, kind=3), **_SUPPORT_SHAPE),
+    AxiomId.POS3: _support_shape(AxiomId.POS3),
     AxiomId.REL_ADD_1: AxiomSpec(
         partial(_rel_add_scan, axiom=AxiomId.REL_ADD_1),
         partial(_rel_add_sides, axiom=AxiomId.REL_ADD_1),
@@ -1813,12 +1813,12 @@ AXIOMS: dict[AxiomId, AxiomSpec] = {
         _rel_add_adjusted, partial(_rel_add_sides, axiom=AxiomId.REL_ADD_2)
     ),
     AxiomId.PIIS: AxiomSpec(check_piis, _piis_sides),
-    AxiomId.PARTITION: AxiomSpec(_partition_report, recheck=_recheck_partition),
-    AxiomId.POS4: AxiomSpec(partial(check_positivity, kind=4), **_SUPPORT_SHAPE),
+    AxiomId.PARTITION: AxiomSpec(_partition_report, recheck=_recheck_partition, reads=()),
+    AxiomId.POS4: _support_shape(AxiomId.POS4),
     AxiomId.PAF: AxiomSpec(
         check_paf, _paf_sides, domain=lambda n, e: n * (3 ** (n - 1) - 2 ** (n - 1))
     ),
-    AxiomId.FULL_SUPPORT: AxiomSpec(check_full_support, **_SUPPORT_SHAPE),
+    AxiomId.FULL_SUPPORT: _support_shape(AxiomId.FULL_SUPPORT),
     AxiomId.DET_FULL_CHOICE: AxiomSpec(
         partial(check_special, kind=AxiomId.DET_FULL_CHOICE),
         _det_full_choice_sides,
@@ -1880,11 +1880,10 @@ def run_axiom(
     attributes: Optional[Sequence[int]] = None,
     cap: int = WITNESS_CAP,
 ) -> AxiomReport:
-    """Evaluate a single axiom check by id; see :func:`cached_report` to reuse
-    a report already made on the same SCC."""
+    """Evaluate a single axiom check by id, given what its entry ``reads``;
+    see :func:`cached_report` to reuse a report made on the same SCC."""
     spec = AXIOMS[AxiomId(axiom)]
-    context = {"attributes": attributes} if spec.needs_attributes else {}
-    return spec.check(scc, tol=tol, cap=cap, **context)
+    return spec.check(scc, cap=cap, **dict(spec.context(tol, attributes)))
 
 
 def cached_report(
@@ -1894,14 +1893,15 @@ def cached_report(
     attributes: Optional[Sequence[int]] = None,
     cap: int = WITNESS_CAP,
 ) -> AxiomReport:
-    """:func:`run_axiom`, evaluated once per SCC, tolerance and witness cap.
-
-    Only the memo key of a check that reads ``attributes`` carries them.
+    """:func:`run_axiom`, evaluated once per SCC, witness cap and what the
+    check reads (:meth:`AxiomSpec.context`), so a support or structure
+    report serves every tolerance.  A hit is one lookup.
     """
-    key: tuple = (axiom, tol, cap)
-    if AXIOMS[axiom].needs_attributes and attributes is not None:
-        key += (tuple(attributes),)
-    return _memoized(scc, key, lambda: run_axiom(scc, axiom, tol, attributes, cap))
+    key = (axiom, cap, AXIOMS[axiom].context(tol, attributes))
+    report = scc.memo.get(key)  # no report is None
+    if report is None:
+        report = scc.memo[key] = run_axiom(scc, axiom, tol, attributes, cap)
+    return report
 
 
 def full_battery(

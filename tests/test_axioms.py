@@ -295,7 +295,7 @@ class TestRevealedStructure:
         scc = generate_scc(spec, Universe.default(8))
         cached_revealed_nests(scc)
         recorded = _recordings(monkeypatch)
-        report = scclab.axioms._partition_report(scc, DEFAULT_TOL, 10)
+        report = scclab.axioms._partition_report(scc, 10)
         assert not report.holds and len(report.witnesses) == 10
         assert report.instances_checked == 255 * 254 // 2 + 1
         assert len(recorded) == 10
@@ -3650,6 +3650,27 @@ class TestMemo:
         held = {menu for menu, row in rows.items() if table[menu] is row}
         assert held >= {1, 2}
         assert all(len(table[menu]) == len(rows[menu]) for menu in held)
+
+    def test_support_reports_serve_every_tolerance(self, nsc_scc):
+        """The support and structure reports read no tolerance, so
+        cached_report makes each once per SCC and witness cap, and one
+        object serves eps_eq 1e-9 and 1e-2; a report that reads eps_eq,
+        IIS's among them, is made once per tolerance."""
+        rows = {m: {t: float(p) for t, p in row.items()} for m, row in nsc_scc.rows.items()}
+        scc = SCC(U3, rows, exact=False)
+        tight = full_battery(scc, DEFAULT_TOL, attributes=[AB, C])
+        loose = full_battery(scc, ToleranceConfig(eps_eq=1e-2), attributes=[AB, C])
+        shared = {report.axiom for report, other in zip(tight, loose, strict=True) if report is other}
+        assert shared == {
+            AxiomId.POS1,
+            AxiomId.POS2,
+            AxiomId.DISTINCT_Q,
+            AxiomId.POS3,
+            AxiomId.PARTITION,
+            AxiomId.POS4,
+            AxiomId.FULL_SUPPORT,
+        }
+        assert AxiomId.IIS in {report.axiom for report in tight}
 
     def test_support_structure_built_once_per_scc(self, nsc_scc, monkeypatch):
         """The revealed constraints, the revealed nests and the positivity

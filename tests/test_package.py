@@ -235,7 +235,7 @@ def test_proportionality_is_decided_by_one_rule():
     axioms._proportional, which every unit certificate calls: IIS's on a
     list of the co-occurrence index, in _iis_violations when the merged
     stream starts the list, or, in the empty-collection form, on a menu
-    pair of a menu's tally in _iis_scan, and the grand-row and marginal
+    pair of a menu's tally in _iis_o_scan, and the grand-row and marginal
     certificates on each menu.  The float range is read by it and by the
     unit limit, the one float limit, whose one _float_certified call is the
     one float confirmation; every caller passes the same four arguments,
@@ -258,7 +258,7 @@ def test_proportionality_is_decided_by_one_rule():
     assert _callers("_float_certified") == {"axioms._unit_limit"}
     scans = {
         "axioms._iis_violations",
-        "axioms._iis_scan.violations",
+        "axioms._iis_o_scan.violations",
         "axioms._rel_add_scan",
         "axioms._rel_add_scan.violations",
         "axioms._decide_grand_row",
@@ -297,8 +297,8 @@ def test_cooccurring_pairs_are_enumerated_once():
     """The co-occurrence index, axioms._cooccurrence, is the one enumeration
     of the pairs of a menu's positive collections in scclab.axioms:
     check_piis reads it for stage 1, and check_iis through _iis_scan for
-    the standard form; the empty-collection form tallies each menu's
-    partners from per-collection menu lists as its scan reaches the menu.
+    the standard form; the empty-collection form, _iis_o_scan, tallies each
+    menu's partners from per-collection menu lists as it reaches the menu.
     Neither check walks the menus itself."""
     assert _callers("_cooccurrence") == {"axioms._iis_scan", "axioms.check_piis"}
     row_pairs = _holders(
@@ -451,8 +451,9 @@ def test_the_frame_is_the_one_cap_exit():
     """The witness cap is read only inside axioms._Collector: its
     constructor refuses a cap below 1, and extend stops pulling a check's
     stream once the cap is full.  A check uses its frame only to extend
-    and report, so it neither reads the cap nor counts the witnesses
-    recorded, and its streams are its one way to record."""
+    and report, so it neither reads the cap nor asks what was recorded
+    (PIIS decides its later stages on the first item of stage 1's stream),
+    and its streams are its one way to record."""
     readers = _holders(lambda node: isinstance(node, ast.Attribute) and node.attr == "cap")
     assert {h for h in readers if h.startswith("axioms.")} == {
         "axioms._Collector.__init__",
@@ -463,8 +464,7 @@ def test_the_frame_is_the_one_cap_exit():
         and getattr(node.value, "id", None) == "out"
         and node.attr not in ("extend", "report")
     )
-    # PIIS runs stages 2 and 3 only where stage 1 recorded nothing
-    assert {h for h in frame_reads if h.startswith("axioms.")} == {"axioms.check_piis"}
+    assert {h for h in frame_reads if h.startswith("axioms.")} == set()
 
 
 def test_tolerance_is_only_the_equality_tolerance():
@@ -484,9 +484,49 @@ def test_tolerance_is_only_the_equality_tolerance():
         axioms._achievable,
         axioms._support_shape_report,
         axioms.support_transfer_violations,
+        axioms.check_full_support,
+        axioms.check_positivity,
+        axioms._distinct_constraints_report,
+        axioms._partition_report,
+        axioms._recheck_pos1,
+        axioms._recheck_support_shape,
+        axioms._recheck_distinct_q,
+        axioms._recheck_partition,
     ]
     for function in support_rules:
         assert "tol" not in inspect.signature(function).parameters, function.__name__
+
+
+def test_each_entry_declares_what_its_check_and_recheck_read():
+    """An AXIOMS entry's ``reads`` names what its check takes beyond
+    (scc, cap) and its recheck beyond (scc, witness), less what a partial
+    binds; run_axiom, recheck_witness and cached_report's memo key are all
+    built from it.  The one parameter either may take undeclared is the
+    carriers that the shared support-shape functions read for POS2, which
+    default to None; the tolerance is declared wherever it is taken."""
+    for axiom, spec in axioms.AXIOMS.items():
+        assert set(spec.reads) <= {"tol", "attributes"}, axiom
+        for function, given in ((spec.check, {"scc", "cap"}), (spec.recheck, {"scc", "witness"})):
+            parameters = inspect.signature(function).parameters
+            taken = set(parameters) - given - set(getattr(function, "keywords", {}))
+            unread = taken - set(spec.reads)
+            assert set(spec.reads) <= taken, (axiom, function)
+            assert unread <= {"attributes"}, (axiom, function)
+            assert all(parameters[name].default is None for name in unread), (axiom, function)
+    readers = {axiom.value for axiom, spec in axioms.AXIOMS.items() if "tol" in spec.reads}
+    assert readers == {
+        "IIS",
+        "IIS_O",
+        "REL_ADD",
+        "ADDITIVITY",
+        "REL_ADD_1",
+        "REL_ADD_2",
+        "PIIS",
+        "PAF",
+        "DET_FULL_CHOICE",
+        "SINGLETON",
+    }
+    assert [a.value for a, spec in axioms.AXIOMS.items() if "attributes" in spec.reads] == ["POS2"]
 
 
 def _near(target: float, steps: int) -> list[float]:
